@@ -19,12 +19,13 @@ from .codes import ENUM_CAP, min_weight_excluding
 from .concat import concatenate, verify_duality
 from .decode import DecoderContext, two_stage_decode, success_oracle
 from .enlarge import enlargement_distance_floor, steane_enlarge, symplectic_min_distance
-from .errors import DomainError, TooLarge
+from .errors import BelowRateFloor, DomainError, TooLarge
 from .outer_grs import nested_grs_pair
 
 EXIT_PARSE = 2
 EXIT_INVARIANT = 3
 EXIT_TOO_LARGE = 4
+SEED_LIMIT = 1 << 64  # trial substreams are keyed by (trial << 64) + seed
 
 
 class _ParseError(Exception):
@@ -234,7 +235,7 @@ def cmd_bounds(args, out):
         for r in grid:
             try:
                 vals.append(bnd.bound_enlarged(q, n, k, d, gh, r))
-            except Exception:
+            except BelowRateFloor:
                 vals.append(Fraction(0))
         curve = bnd.BoundCurve(f"enlarged_{n}_{k}_d{d}_q{q}", list(grid), vals)
     elif fam == "envelope":
@@ -324,6 +325,9 @@ def main(argv=None, out=None):
     args = parser.parse_args(argv)
     if args.cmd == "simulate" and args.seed is None:
         print("error: --seed is required for simulate", file=sys.stderr)
+        return EXIT_PARSE
+    if args.seed is not None and not 0 <= args.seed < SEED_LIMIT:
+        print("error: --seed must lie in [0, 2**64)", file=sys.stderr)
         return EXIT_PARSE
     if args.cmd == "mindist" and not (args.pair or args.config):
         print("error: mindist needs --pair or --config", file=sys.stderr)

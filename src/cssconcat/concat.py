@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codes import CssPair, LinearCode, validate_css
-from .errors import FieldMismatch, LengthMismatch, RankDeficient
+from .errors import FieldMismatch, LengthMismatch, NotOrthogonal, RankDeficient
 from .galois import Extension
 from .matrix import MatGF
 from .outer_grs import GrsCode
@@ -48,33 +48,26 @@ def pi_map(m: int, pair: CssPair, ext: Extension, x) -> np.ndarray:
         coords = ext.coords(x)  # (N, k) power-basis coordinates
         g = pair.g1
     else:
-        coords = np.stack([ext.phi_dual(int(xi)) for xi in x]) if x.size else \
-            np.zeros((0, ext.k), dtype=np.int64)
+        coords = ext.dual_table[x]  # (N, k) trace-dual coordinates
         g = pair.g2
-    blocks = pair.field.matmul(coords, g) if x.size else \
-        np.zeros((0, pair.n), dtype=np.int64)
-    return blocks.reshape(-1)
+    return pair.field.matmul(coords, g).reshape(-1)
 
 
 def pi_rows(m: int, pair: CssPair, ext: Extension, M) -> np.ndarray:
     """Apply :func:`pi_map` to every row of a matrix over GF(q^k)."""
     M = np.asarray(M, dtype=np.int64)
-    if M.shape[0] == 0:
-        return np.zeros((0, pair.n * M.shape[1]), dtype=np.int64)
-    return np.stack([pi_map(m, pair, ext, row) for row in M])
+    return pi_map(m, pair, ext, M).reshape(M.shape[0], pair.n * M.shape[1])
 
 
 def _subfield_rows(ext: Extension, M) -> np.ndarray:
-    """Base-field generating set of a GF(q^k)-row space: all alpha^l * row."""
+    """Base-field generating set of a GF(q^k)-row space: all alpha^l * row.
+
+    Row ``r * k + l`` is ``alpha^l * M[r]``.
+    """
     M = np.asarray(M, dtype=np.int64)
-    out = []
-    for row in M:
-        for l in range(ext.k):
-            a = ext.alpha_pow(l)
-            out.append([ext.mul(a, int(x)) for x in row])
-    if not out:
-        return np.zeros((0, M.shape[1]), dtype=np.int64)
-    return np.array(out, dtype=np.int64)
+    alphas = np.asarray(ext.power_basis(), dtype=np.int64)
+    scaled = ext.mul(M[:, None, :], alphas[None, :, None])
+    return scaled.reshape(M.shape[0] * ext.k, M.shape[1])
 
 
 def build_parity_check(inner: CssPair, ext: Extension, Hout, side: int = 1):
@@ -98,16 +91,14 @@ def build_parity_check(inner: CssPair, ext: Extension, Hout, side: int = 1):
     H_in = inner.C1.H if side == 1 else inner.C2.H
     g_other = inner.g2 if side == 1 else inner.g1
     upper = np.kron(np.eye(N, dtype=np.int64), H_in)
-    lower = np.zeros((k * M, n * N), dtype=np.int64)
-    for j in range(M):
-        for i in range(N):
-            h = int(Hout[j, i])
-            if h == 0:
-                continue
-            P = ext.phi(h)
-            if side == 2:
-                P = P.T.copy()
-            lower[j * k:(j + 1) * k, i * n:(i + 1) * n] = f.matmul(P, g_other)
+    # P[j, i, r, c] = coords(Hout[j, i] * alpha^r)[c], the transpose of
+    # phi(Hout[j, i]); side 1 contracts phi(h) itself, side 2 its transpose
+    alphas = np.asarray(ext.power_basis(), dtype=np.int64)
+    P = ext.coords(ext.mul(Hout[:, :, None], alphas[None, None, :]))
+    if side == 1:
+        P = P.swapaxes(2, 3)
+    blocks = f.matmul(P.reshape(M * N * k, k), g_other).reshape(M, N, k, n)
+    lower = blocks.transpose(0, 2, 1, 3).reshape(k * M, n * N)
     Ho = np.concatenate([upper, lower], axis=0)
     return Ho, lower
 
@@ -191,7 +182,7 @@ def concatenate(inner: CssPair, outer, ext: Extension) -> ConcatPair:
     if D1.n != D2.n:
         raise LengthMismatch("outer codes of different length")
     if not validate_css(D1, D2):
-        raise FieldMismatch("outer pair violates the CSS containment")
+        raise NotOrthogonal("outer pair violates the CSS containment")
     f = inner.field
     n, N = inner.n, D1.n
     gen1 = np.concatenate([pi_rows(1, inner, ext, _subfield_rows(ext, D1.G)),

@@ -48,8 +48,10 @@ class DecoderContext:
         self.n = cp.n
         self.k = cp.k
         self.upper_len = self.N * self.table.m
-        # side 2 reassembles symbols from trace-dual coordinates
-        self.dual_basis = None if side == 1 else cp.ext.dual_basis()
+        # side 2 reassembles symbols from trace-dual coordinates: row j of
+        # this k x k base-field matrix holds the coordinates of dual basis
+        # element j
+        self.dual_coords = None if side == 1 else cp.ext.coords(cp.ext.dual_basis())
         other = cp.L2 if side == 1 else cp.L1
         self._other_dual = MatGF(self.field, other.H)
 
@@ -67,16 +69,9 @@ class DecoderContext:
     def reassemble_symbols(self, resid):
         """Turn the residual lower syndrome into outer GRS syndrome symbols."""
         coords = np.asarray(resid, dtype=np.int64).reshape(-1, self.k)
-        if self.side == 1:
-            return self.ext.from_coords(coords)
-        out = np.zeros(coords.shape[0], dtype=np.int64)
-        for j, a in enumerate(self.dual_basis):
-            for i in range(coords.shape[0]):
-                c = int(coords[i, j])
-                if c:
-                    out[i] = self.ext.add(int(out[i]),
-                                          self.ext.mul(self.ext.embed(c), a))
-        return out
+        if self.side == 2:
+            coords = self.field.matmul(coords, self.dual_coords)
+        return self.ext.from_coords(coords)
 
 
 def full_syndrome(ctx: DecoderContext, e):

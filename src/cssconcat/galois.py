@@ -21,7 +21,8 @@ import itertools
 
 import numpy as np
 
-from .errors import DivisionByZero, DomainError, NotABasis, NotPrimitive, TooLarge
+from .errors import DivisionByZero, DomainError, NotABasis, NotPrimitive, Singular, TooLarge
+from .matrix import MatGF
 
 _EXT_ORDER_CAP = 1 << 20  # largest supported extension-field size
 _TABLE_CAP = 1 << 12  # largest base field with dense q x q tables
@@ -193,6 +194,14 @@ class Field:
         self.q = p ** e
         self.modulus = tuple(modulus)
         self._build_tables()
+
+    @property
+    def kind(self):
+        """Arithmetic kind, which picks the elimination kernel in :mod:`matrix`:
+        ``"gf2"``, ``"prime"`` (codes are integers mod p) or ``"tables"``."""
+        if self.e > 1:
+            return "tables"
+        return "gf2" if self.p == 2 else "prime"
 
     # -- construction -------------------------------------------------------
 
@@ -452,6 +461,7 @@ class Extension:
         self.exp, self.log = built
         self.alpha = int(self.exp[1 % (self.Q - 1)]) if self.Q > 2 else 1
         self._trace_table = None
+        self._dual_table = None
         self._as_field = None
         if self.Q <= _TABLE_CAP:
             D = _digits(np.arange(self.Q, dtype=np.int64), base.p, base.e * k)
@@ -601,14 +611,22 @@ class Extension:
             x = self.mul(x, self.alpha)
         return M
 
+    @property
+    def dual_table(self):
+        """The (Q, k) table of :meth:`phi_dual` for every element code."""
+        if self._dual_table is None:
+            codes = np.arange(self.Q, dtype=np.int64)
+            self._dual_table = np.stack(
+                [self.trace(self.mul(codes, self.alpha_pow(j))) for j in range(self.k)],
+                axis=1)
+        return self._dual_table
+
     def phi_dual(self, a):
         """Coordinates of ``a`` in the dual of the power basis.
 
         These are the traces ``(Tr a, Tr alpha*a, ..., Tr alpha^(k-1)*a)``.
         """
-        a = int(a)
-        return np.array([self.trace(self.mul(a, self.alpha_pow(j)))
-                         for j in range(self.k)], dtype=np.int64)
+        return self.dual_table[int(a)].copy()
 
     # -- dual and self-dual bases -------------------------------------------
 
@@ -630,10 +648,10 @@ class Extension:
             basis = self.power_basis()
         if len(basis) != self.k:
             raise NotABasis("need exactly k elements")
-        G = self._gram(basis)
-        Ginv = _small_inverse(self.base, G)
-        if Ginv is None:
-            raise NotABasis("Gram matrix singular: not a basis")
+        try:
+            Ginv = MatGF(self.base, self._gram(basis)).invert().a
+        except Singular:
+            raise NotABasis("Gram matrix singular: not a basis") from None
         dual = []
         for j in range(self.k):
             acc = 0
@@ -656,8 +674,7 @@ class Extension:
             sel: list[int] = []
             while len(sel) < k:
                 if sel:
-                    rows = np.stack([self.phi_dual(s) for s in sel])
-                    comp = _small_null_space(base, rows)
+                    comp = MatGF(base, self.dual_table[sel]).null_space().a
                 else:
                     comp = np.eye(k, dtype=np.int64)
                 if comp.shape[0] == 0:
@@ -743,6 +760,8 @@ class _ExtFieldView:
         self.add_table = _pack((D[:, None, :] + D[None, :, :]) % self.p, self.p)
         self.neg_table = _pack((-D) % self.p, self.p)
 
+    kind = "tables"  # elimination goes through the dense tables
+
     # Reuse the generic kernels from Field via delegation.
     _ret = staticmethod(Field._ret)
     add = Field.add
@@ -767,69 +786,3 @@ class _ExtFieldView:
 
     def __repr__(self):
         return f"GF({self.q}) view of {self.ext!r}"
-
-
-# ----------------------------------------------------------------------------
-# tiny exact solvers used before the matrix module exists
-# ----------------------------------------------------------------------------
-
-def _small_inverse(field, M):
-    """Inverse of a small square matrix over ``field``; None if singular."""
-    M = np.asarray(M, dtype=np.int64)
-    n = M.shape[0]
-    A = np.concatenate([M.copy(), np.eye(n, dtype=np.int64)], axis=1)
-    row = 0
-    for col in range(n):
-        piv = None
-        for r in range(row, n):
-            if A[r, col]:
-                piv = r
-                break
-        if piv is None:
-            return None
-        A[[row, piv]] = A[[piv, row]]
-        inv = field.inv(int(A[row, col]))
-        A[row] = field.mul(np.full(2 * n, inv, dtype=np.int64), A[row])
-        for r in range(n):
-            if r != row and A[r, col]:
-                factor = int(A[r, col])
-                A[r] = field.sub(A[r], field.mul(
-                    np.full(2 * n, factor, dtype=np.int64), A[row]))
-        row += 1
-    return A[:, n:]
-
-
-def _small_null_space(field, M):
-    """Row basis of the right null space {x : M x^t = 0} of a small matrix."""
-    M = np.asarray(M, dtype=np.int64)
-    if M.size == 0:
-        return np.eye(M.shape[1] if M.ndim == 2 else 0, dtype=np.int64)
-    rows, cols = M.shape
-    A = M.copy()
-    pivots = []
-    row = 0
-    for col in range(cols):
-        piv = None
-        for r in range(row, rows):
-            if A[r, col]:
-                piv = r
-                break
-        if piv is None:
-            continue
-        A[[row, piv]] = A[[piv, row]]
-        inv = field.inv(int(A[row, col]))
-        A[row] = field.mul(np.full(cols, inv, dtype=np.int64), A[row])
-        for r in range(rows):
-            if r != row and A[r, col]:
-                factor = int(A[r, col])
-                A[r] = field.sub(A[r], field.mul(
-                    np.full(cols, factor, dtype=np.int64), A[row]))
-        pivots.append(col)
-        row += 1
-    free = [c for c in range(cols) if c not in pivots]
-    basis = np.zeros((len(free), cols), dtype=np.int64)
-    for i, fc in enumerate(free):
-        basis[i, fc] = 1
-        for r, pc in enumerate(pivots):
-            basis[i, pc] = field.neg(int(A[r, fc]))
-    return basis

@@ -4,6 +4,12 @@ A :class:`MatGF` wraps a 2-D numpy integer array of element codes together
 with the field the codes live in.  Elimination uses first-nonzero pivoting;
 fields are exact so no numerical strategy is needed.  Intended scale is
 desk-size (dimensions up to a few thousand).
+
+Elimination and span reduction share one row-update kernel per kind of
+field, chosen from the field's ``kind``: XOR on bytes for GF(2), addition of
+precomputed row multiples on 16-bit integers for other prime fields, and the
+dense add/mul tables for everything else.  The table kernel works for every
+field and is the reference the others are tested against.
 """
 
 from __future__ import annotations
@@ -11,6 +17,37 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError, FieldMismatch, Singular
+
+
+# Each kernel subtracts ``coef[i] * row`` from row ``nz[i]`` of ``X`` in place,
+# where ``coef`` holds the entries of ``X[nz]`` in the column of ``row``'s
+# leading 1.
+
+def _update_tables(f, X, nz, coef, row):
+    X[nz] = f.sub(X[nz], f.mul(coef[:, None], row[None, :]))
+
+
+def _update_prime(f, X, nz, coef, row):
+    # one multiple (-c * row) % p per distinct coefficient c; the sums then
+    # stay below 2p, so one conditional subtraction replaces a % over X[nz]
+    p = f.p
+    cs, which = np.unique(coef, return_inverse=True)
+    minus = ((p - cs.astype(np.int64))[:, None] * row) % p
+    sub = X[nz] + minus.astype(X.dtype)[which]
+    sub -= (sub >= p) * X.dtype.type(p)
+    X[nz] = sub
+
+
+def _update_gf2(f, X, nz, coef, row):
+    X[nz] ^= row  # every nonzero coefficient is 1
+
+
+# kind -> (working dtype, row update).  The working dtype holds every
+# intermediate value: 0/1 under XOR, and sums below 2p for the prime update,
+# which fit 16 bits for every p below the 4096 table cap of Field.
+_KERNELS = {"gf2": (np.uint8, _update_gf2),
+            "prime": (np.int16, _update_prime),
+            "tables": (np.int64, _update_tables)}
 
 
 class MatGF:
@@ -113,40 +150,43 @@ class MatGF:
         same row space, ``pivots`` is the tuple of pivot column indices and
         ``rank`` is the number of nonzero rows.
         """
+        R, piv, rank = self._rref()
+        return MatGF(self.field, R.astype(np.int64)), piv, rank
+
+    def _rref(self):
+        """The cached :meth:`rref` with ``R`` as a bare array in the kernel's
+        working dtype; it must not be modified."""
         if self._rref_cache is None:
             f = self.field
-            A = self.a.copy()
+            dtype, update = _KERNELS[f.kind]
+            A = self.a.astype(dtype)
             rows, cols = A.shape
             pivots = []
             row = 0
             for col in range(cols):
                 if row >= rows:
                     break
-                piv = None
-                for r in range(row, rows):
-                    if A[r, col]:
-                        piv = r
-                        break
-                if piv is None:
+                nz = np.flatnonzero(A[row:, col])
+                if not nz.size:
                     continue
+                piv = row + int(nz[0])
                 if piv != row:
                     A[[row, piv]] = A[[piv, row]]
                 lead = int(A[row, col])
                 if lead != 1:
-                    A[row] = f.mul(np.full(cols, f.inv(lead), dtype=np.int64), A[row])
-                nz = np.nonzero(A[:, col])[0]
+                    A[row] = f.mul(f.inv(lead), A[row])
+                nz = np.flatnonzero(A[:, col])
                 nz = nz[nz != row]
                 if nz.size:
-                    A[nz] = f.sub(A[nz], f.mul(A[nz, col][:, None], A[row][None, :]))
+                    update(f, A, nz, A[nz, col], A[row])
                 pivots.append(col)
                 row += 1
-            self._rref_cache = (MatGF(f, A), tuple(pivots), row)
-        R, piv, rank = self._rref_cache
-        return R.copy(), piv, rank
+            self._rref_cache = (A, tuple(pivots), row)
+        return self._rref_cache
 
     @property
     def rank(self):
-        return self.rref()[2]
+        return self._rref()[2]
 
     def invert(self):
         """Matrix inverse; raises Singular unless square and full rank."""
@@ -160,29 +200,21 @@ class MatGF:
 
     def null_space(self):
         """Full-rank matrix whose rows span {y : self @ y^t = 0}."""
-        f = self.field
-        R, pivots, rank = self.rref()
-        cols = self.cols
-        free = [c for c in range(cols) if c not in pivots]
-        basis = np.zeros((len(free), cols), dtype=np.int64)
-        for i, fc in enumerate(free):
-            basis[i, fc] = 1
-            for r, pc in enumerate(pivots):
-                basis[i, pc] = f.neg(int(R.a[r, fc]))
-        return MatGF(f, basis)
+        R, pivots, rank = self._rref()
+        pivots = list(pivots)
+        free = np.ones(self.cols, dtype=bool)
+        free[pivots] = False
+        free = np.flatnonzero(free)
+        basis = np.zeros((free.size, self.cols), dtype=np.int64)
+        basis[np.arange(free.size), free] = 1
+        basis[:, pivots] = self.field.neg(R[:rank, free]).T
+        return MatGF(self.field, basis)
 
     # -- span queries --------------------------------------------------------
 
     def reduce_vector(self, v):
         """Residual of ``v`` after elimination against this matrix's rref rows."""
-        f = self.field
-        R, pivots, _ = self.rref()
-        v = np.array(v, dtype=np.int64)
-        for r, pc in enumerate(pivots):
-            c = int(v[pc])
-            if c:
-                v = f.sub(v, f.mul(np.full(self.cols, c, dtype=np.int64), R.a[r]))
-        return v
+        return self.reduce_rows(np.asarray(v, dtype=np.int64)[None, :])[0]
 
     def span_contains(self, v):
         """True iff ``v`` lies in the row space."""
@@ -194,14 +226,17 @@ class MatGF:
     def reduce_rows(self, X):
         """Vectorized :meth:`reduce_vector` for a batch of row vectors."""
         f = self.field
-        R, pivots, _ = self.rref()
-        X = np.array(X, dtype=np.int64)
+        dtype, update = _KERNELS[f.kind]
+        R, pivots, _ = self._rref()
+        X = np.asarray(X, dtype=np.int64)
+        if X.size and (X.min() < 0 or X.max() >= f.q):
+            raise DomainError("entries are not codes of the declared field")
+        X = X.astype(dtype)
         for r, pc in enumerate(pivots):
-            coef = X[:, pc]
-            nz = np.nonzero(coef)[0]
+            nz = np.flatnonzero(X[:, pc])
             if nz.size:
-                X[nz] = f.sub(X[nz], f.mul(coef[nz][:, None], R.a[r][None, :]))
-        return X
+                update(f, X, nz, X[nz, pc], R[r])
+        return X.astype(np.int64)
 
     def span_contains_rows(self, X):
         """Boolean mask: which rows of ``X`` lie in the row space."""
@@ -211,11 +246,11 @@ class MatGF:
         self._check_field(other)
         if self.cols != other.cols:
             return False
-        r1 = self.rref()
-        r2 = other.rref()
+        r1 = self._rref()
+        r2 = other._rref()
         if r1[2] != r2[2]:
             return False
-        return np.array_equal(r1[0].a[: r1[2]], r2[0].a[: r2[2]])
+        return np.array_equal(r1[0][: r1[2]], r2[0][: r2[2]])
 
     # -- serialization -------------------------------------------------------
 

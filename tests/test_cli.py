@@ -194,3 +194,27 @@ def test_cli_exit_codes(tmp_path):
     fileio.write_pair(p, pair)
     code, _ = run_cli(["--cap", "2", "mindist", "--pair", str(p)])
     assert code == EXIT_TOO_LARGE
+
+
+def test_cli_seed_range(tmp_path):
+    """Seeds outside [0, 2**64) are parse errors: the trial substream key
+    (trial << 64) + seed would alias 2**64 + s with seed s of the next trial."""
+    cfg = _write_config(tmp_path)
+    args = ["simulate", "--pair", str(cfg), "--channel", "0.98,0.02", "--trials", "20"]
+    for seed in (-1, 2 ** 64, 2 ** 64 + 7):
+        code, text = run_cli(["--seed", str(seed)] + args)
+        assert code == EXIT_PARSE and text == ""
+    code, text = run_cli(["--seed", str(2 ** 64 - 1)] + args)
+    assert code == 0 and ",20," in text
+
+
+def test_cli_bounds_enlarged_floor_and_errors():
+    # below the rate floor the curve is 0; invalid parameters are not masked
+    grid = "0:1/10:1/20"
+    code, text = run_cli(["bounds", "--family", "enlarged",
+                          "--params", "q=4,n=4,k=2,d=2", "--grid", grid])
+    assert code == 0
+    assert [line.split(",")[1] for line in text.splitlines()][0] == "0"
+    code, _ = run_cli(["bounds", "--family", "enlarged",
+                       "--params", "q=6,n=4,k=2,d=2", "--grid", grid])
+    assert code == EXIT_INVARIANT  # 6 is not a prime power

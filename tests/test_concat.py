@@ -11,13 +11,17 @@ from cssconcat.codes import (
     min_weight_excluding,
     random_css_pair,
 )
+from hypothesis import given, settings, strategies as st
+
 from cssconcat.concat import (
+    _subfield_rows,
     build_parity_check,
     concatenate,
     pi_map,
+    pi_rows,
     verify_duality,
 )
-from cssconcat.errors import FieldMismatch
+from cssconcat.errors import FieldMismatch, NotOrthogonal
 from cssconcat.galois import Extension, Field
 from cssconcat.outer_grs import GrsCode, nested_grs_pair
 
@@ -182,3 +186,90 @@ def test_product_law_more_instances():
     for cp in instances:
         lhs, rhs = product_law_value(cp)
         assert lhs == rhs, cp
+
+
+def test_outer_containment_violation():
+    inner = bvector_pair(F2, [1] * 4, [1] * 4)
+    e4 = Extension(F2, 2)
+    D = GrsCode(e4, [1, 2, 3], [1, 1, 1], 1)  # dual(D) has dimension 2 > dim D
+    with pytest.raises(NotOrthogonal):
+        concatenate(inner, (D, D), e4)
+
+
+# -- whole-matrix expansions against per-row and per-block loops ---------------
+
+F3 = Field(3)
+# (inner pair, extension) with inner k equal to the extension degree
+EXPANSIONS = [(bvector_pair(F2, [1] * 4, [1] * 4), Extension(F2, 2)),
+              (bvector_pair(F2, [1] * 6, [1] * 6), Extension(F2, 4)),
+              (bvector_pair(F3, [1] * 6, [1] * 6), Extension(F3, 4))]
+
+
+def _pi_row_loop(m, pair, ext, M):
+    """pi_map one row at a time, with trace-dual coordinates from the trace."""
+    out = []
+    for row in M:
+        if m == 1:
+            coords = ext.coords(row)
+        else:
+            coords = np.array([[ext.trace(ext.mul(int(x), ext.alpha_pow(j)))
+                                for j in range(ext.k)] for x in row], dtype=np.int64)
+            assert np.array_equal(pi_map(2, pair, ext, row),
+                                  pair.field.matmul(coords, pair.g2).reshape(-1))
+        out.append(pi_map(m, pair, ext, row))
+    return np.array(out, dtype=np.int64).reshape(len(M), pair.n * M.shape[1])
+
+
+@st.composite
+def ext_matrices(draw):
+    pair, ext = draw(st.sampled_from(EXPANSIONS))
+    rows, cols = draw(st.integers(0, 4)), draw(st.integers(1, 6))
+    flat = draw(st.lists(st.integers(0, ext.Q - 1), min_size=rows * cols,
+                         max_size=rows * cols))
+    return pair, ext, np.array(flat, dtype=np.int64).reshape(rows, cols)
+
+
+@settings(max_examples=80, deadline=None)
+@given(ext_matrices())
+def test_pi_rows_matches_row_loop(case):
+    pair, ext, M = case
+    for m in (1, 2):
+        assert np.array_equal(pi_rows(m, pair, ext, M), _pi_row_loop(m, pair, ext, M))
+
+
+@settings(max_examples=80, deadline=None)
+@given(ext_matrices())
+def test_subfield_rows_matches_row_loop(case):
+    _, ext, M = case
+    want = [[ext.mul(ext.alpha_pow(l), int(x)) for x in row]
+            for row in M for l in range(ext.k)]
+    got = _subfield_rows(ext, M)
+    assert got.shape == (M.shape[0] * ext.k, M.shape[1])
+    assert got.tolist() == want
+
+
+def _parity_block_loop(inner, ext, Hout, side):
+    """The expanded outer check built one k x n block at a time from phi(h)."""
+    f, n, k = inner.field, inner.n, inner.k
+    g_other = inner.g2 if side == 1 else inner.g1
+    M, N = Hout.shape
+    lower = np.zeros((k * M, n * N), dtype=np.int64)
+    for j in range(M):
+        for i in range(N):
+            P = ext.phi(int(Hout[j, i]))
+            if side == 2:
+                P = P.T
+            lower[j * k:(j + 1) * k, i * n:(i + 1) * n] = f.matmul(P, g_other)
+    return lower
+
+
+@pytest.mark.parametrize("inner, ext, N, K", [
+    (bvector_pair(F2, [1] * 6, [1] * 6), Extension(F2, 4), 15, 11),  # [[90,28]]
+    (bvector_pair(F3, [1] * 6, [1] * 6), Extension(F3, 4), 12, 8),   # [[72,16]] over GF(3)
+])
+def test_build_parity_check_matches_block_loop(inner, ext, N, K):
+    cp = concatenate(inner, nested_grs_pair(ext, N, K, K), ext)
+    for side, Hout, Ho, Gp in ((1, cp.Hout1, cp.Ho1, cp.Gp1), (2, cp.Hout2, cp.Ho2, cp.Gp2)):
+        want = _parity_block_loop(inner, ext, Hout, side)
+        assert np.array_equal(Gp, want)
+        assert np.array_equal(Ho[-want.shape[0]:], want)

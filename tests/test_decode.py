@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+from cssconcat.channel_sim import AdditiveChannel, mc_error_rate
 from cssconcat.codes import bvector_pair
 from cssconcat.concat import concatenate
 from cssconcat.decode import (
@@ -134,3 +135,33 @@ def test_oracle_accepts_stabilizer_shift():
             break
     else:  # pragma: no cover
         raise AssertionError("no unit vector outside the dual")
+
+
+def test_reassemble_symbols_matches_dual_basis_sum():
+    """Side 2 turns trace-dual coordinates c into sum_j c_j b'_j (b' the dual
+    of the power basis); side 1 reads power-basis coordinates directly."""
+    cp = _cp_90_28()
+    ext = cp.ext
+    dual = ext.dual_basis()
+    rng = np.random.default_rng(8)
+    resid = rng.integers(0, 2, size=(40, ext.k))
+    ctx1, ctx2 = DecoderContext(cp, side=1), DecoderContext(cp, side=2)
+    for c in resid:
+        want = 0
+        for cj, bj in zip(c, dual):
+            want = ext.add(want, ext.mul(ext.embed(int(cj)), bj))
+        assert ctx2.reassemble_symbols(c).tolist() == [want]
+        assert ctx1.reassemble_symbols(c).tolist() == [int(ext.from_coords(c))]
+    got = ctx2.reassemble_symbols(resid.reshape(-1))
+    assert got.tolist() == [ctx2.reassemble_symbols(c)[0] for c in resid]
+
+
+def test_mc_counts_pinned_90_28():
+    """Failure counts for a fixed seed; any change to the decoder or the
+    trial streams that alters them is a behaviour change."""
+    cp = _cp_90_28()
+    ch = AdditiveChannel.symmetric(F2, 0.01)
+    for side, want in ((1, (13, 9)), (2, (13, 11))):
+        r = mc_error_rate(DecoderContext(cp, side=side), ch, 200, 7)
+        assert (r.failures, r.outer_decode_failures) == want
+        assert r.inner_block_rate == 164 / (200 * 15)  # 164 bad inner blocks

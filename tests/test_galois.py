@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from cssconcat.errors import DomainError, NotPrimitive
+from cssconcat.errors import DomainError, NotABasis, NotPrimitive
 from cssconcat.galois import Extension, Field
 
 
@@ -223,3 +223,34 @@ def test_sqrt_char2():
     for a in range(16):
         s = f.sqrt(a)
         assert f.mul(s, s) == a
+
+
+@pytest.mark.parametrize("base, k", [(Field(2), 3), (Field(3), 2), (Field(2), 4),
+                                     (Field(2, 2), 2)])
+def test_dual_table_matches_trace_definition(base, k):
+    """Row a of dual_table is (Tr a, Tr alpha a, ..., Tr alpha^(k-1) a), for
+    every element of GF(8), GF(9) and GF(16) (over GF(2) and over GF(4))."""
+    ext = Extension(base, k)
+    table = ext.dual_table
+    assert table.shape == (ext.Q, k) and table.dtype == np.int64
+    for a in range(ext.Q):
+        want = [ext.trace(ext.mul(a, ext.alpha_pow(j))) for j in range(k)]
+        assert table[a].tolist() == want
+        assert ext.phi_dual(a).tolist() == want
+    ext.phi_dual(1)[:] = 0  # a returned row is a copy, not a view of the table
+    assert ext.dual_table[1].tolist() == [ext.trace(ext.alpha_pow(j)) for j in range(k)]
+
+
+def test_dual_basis_rejects_dependent_elements():
+    ext = Extension(Field(2), 3)
+    with pytest.raises(NotABasis):
+        ext.dual_basis([1, 2, 3])  # 3 = 1 + alpha
+
+
+def test_self_dual_basis_golden():
+    """The seeded search returns these bases; odd q with even k has none."""
+    golden = {(2, 1, 3): [7, 3, 5], (2, 1, 4): [15, 13, 11, 8],
+              (2, 1, 5): [8, 5, 7, 21, 30], (2, 1, 6): [38, 48, 37, 54, 57, 61],
+              (2, 2, 2): [4, 5], (3, 1, 2): None}
+    for (p, e, k), want in golden.items():
+        assert Extension(Field(p, e), k).self_dual_basis() == want

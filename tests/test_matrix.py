@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cssconcat.errors import Singular
-from cssconcat.galois import Field
+from cssconcat.errors import DomainError, Singular
+from cssconcat.galois import Extension, Field
 from cssconcat.matrix import MatGF, enumerate_span
 
 
@@ -61,6 +62,10 @@ def test_span_membership():
     assert not M.span_contains([1, 0, 0, 0])
     mask = M.span_contains_rows(np.array([[1, 1, 0, 0], [1, 0, 1, 0]]))
     assert mask.tolist() == [True, False]
+    # codes outside the field are rejected, not wrapped into the work dtype
+    for bad in ([1, 1, 0, 256], [1, 1, 0, -1], [0, 0, 0, 2]):
+        with pytest.raises(DomainError):
+            M.span_contains(bad)
 
 
 def test_same_row_space():
@@ -84,3 +89,113 @@ def test_enumerate_span_counts():
     words = np.concatenate(list(enumerate_span(f, G)))
     assert words.shape == (9, 3)
     assert len({tuple(w) for w in words}) == 9
+
+
+# -- fast elimination kernels against the table path -----------------------------
+
+# Extension(GF(p), 1) has the same element codes as GF(p); its field view
+# eliminates through the dense tables, the reference path
+FIELDS = {p: (Field(p), Extension(Field(p), 1).as_field()) for p in (2, 3, 5)}
+FIELDS[4] = (Field(2, 2), None)  # already on the table path
+
+
+def test_field_kinds():
+    assert Field(2).kind == "gf2"
+    assert Field(3).kind == "prime" and Field(5).kind == "prime"
+    assert Field(2, 2).kind == "tables" and Field(3, 2).kind == "tables"
+    assert FIELDS[3][1].kind == "tables"
+
+
+def _scalar_rref(f, A):
+    """Gauss-Jordan one entry at a time: the slowest, most literal reference."""
+    rows, cols = A.shape
+    A = [[int(x) for x in row] for row in A]
+    pivots, row = [], 0
+    for col in range(cols):
+        piv = next((r for r in range(row, rows) if A[r][col]), None)
+        if piv is None:
+            continue
+        A[row], A[piv] = A[piv], A[row]
+        inv = f.inv(A[row][col])
+        A[row] = [f.mul(inv, x) for x in A[row]]
+        for r in range(rows):
+            c = A[r][col]
+            if r != row and c:
+                A[r] = [f.sub(x, f.mul(c, y)) for x, y in zip(A[r], A[row])]
+        pivots.append(col)
+        row += 1
+    return np.array(A, dtype=np.int64).reshape(rows, cols), tuple(pivots), row
+
+
+@st.composite
+def matrices(draw, max_rows=8, max_cols=10):
+    q = draw(st.sampled_from(sorted(FIELDS)))
+    rows = draw(st.integers(0, max_rows))
+    cols = draw(st.integers(1, max_cols))
+    # a few low-weight shapes exercise rank deficiency and zero columns
+    values = st.integers(0, q - 1) | st.just(0)
+    flat = draw(st.lists(values, min_size=rows * cols, max_size=rows * cols))
+    return q, np.array(flat, dtype=np.int64).reshape(rows, cols)
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices())
+def test_rref_matches_reference(case):
+    q, A = case
+    fast, table_view = FIELDS[q]
+    R, piv, rank = MatGF(fast, A).rref()
+    ref = _scalar_rref(fast, A)
+    assert np.array_equal(R.a, ref[0]) and R.a.dtype == np.int64
+    assert (piv, rank) == ref[1:]
+    if table_view is not None:
+        Rt, pivt, rankt = MatGF(table_view, A).rref()
+        assert np.array_equal(R.a, Rt.a) and (piv, rank) == (pivt, rankt)
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices())
+def test_null_space_matches_reference(case):
+    q, A = case
+    fast, table_view = FIELDS[q]
+    N = MatGF(fast, A).null_space()
+    assert N.rows + MatGF(fast, A).rank == A.shape[1]
+    assert not fast.matmul(A, N.a.T).any()
+    if table_view is not None:
+        assert np.array_equal(N.a, MatGF(table_view, A).null_space().a)
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices(), st.data())
+def test_reduce_rows_matches_reference(case, data):
+    q, A = case
+    fast, table_view = FIELDS[q]
+    m = data.draw(st.integers(0, 6))
+    X = np.array(data.draw(st.lists(st.integers(0, q - 1), min_size=m * A.shape[1],
+                                    max_size=m * A.shape[1])),
+                 dtype=np.int64).reshape(m, A.shape[1])
+    M = MatGF(fast, A)
+    got = M.reduce_rows(X)
+    assert got.dtype == np.int64
+    # the residual differs from X by a combination of the rows of A and
+    # vanishes on every pivot column
+    R, piv, rank = M.rref()
+    assert not got[:, list(piv)].any()
+    for x, resid in zip(X, got):
+        assert M.span_contains(fast.sub(x, resid))
+        assert np.array_equal(M.reduce_vector(x), resid)
+    if table_view is not None:
+        assert np.array_equal(got, MatGF(table_view, A).reduce_rows(X))
+
+
+def test_kernels_agree_on_larger_low_rank_matrices():
+    """Rank-deficient 40 x 60 products keep every pivot step busy."""
+    rng = np.random.default_rng(11)
+    for q in (2, 3, 5):
+        fast, table_view = FIELDS[q]
+        A = fast.matmul(rng.integers(0, q, (40, 25)), rng.integers(0, q, (25, 60)))
+        X = rng.integers(0, q, (30, 60))
+        M, Mt = MatGF(fast, A), MatGF(table_view, A)
+        assert np.array_equal(M.rref()[0].a, Mt.rref()[0].a)
+        assert M.rref()[1:] == Mt.rref()[1:] and M.rank <= 25
+        assert np.array_equal(M.null_space().a, Mt.null_space().a)
+        assert np.array_equal(M.reduce_rows(X), Mt.reduce_rows(X))
