@@ -2,7 +2,8 @@
 
 Subcommands: construct, concat, mindist, decode, simulate, enlarge, bounds,
 field.  Exit codes: 2 for unparsable input, 3 for violated invariants or
-preconditions, 4 when an enumeration cap is exceeded.  Every randomized
+preconditions, 4 when an enumeration cap is exceeded; with --debug, an
+exception that would exit 3 is re-raised instead.  Every randomized
 subcommand requires --seed and is deterministic given it.
 """
 
@@ -261,6 +262,9 @@ def _make_parser():
     p.add_argument("--seed", type=int, default=None, help="RNG seed")
     p.add_argument("--out", default=None, help="output path or prefix")
     p.add_argument("--cap", type=int, default=ENUM_CAP, help="enumeration cap")
+    p.add_argument("--debug", action="store_true",
+                   help="re-raise violated invariants with their traceback "
+                        "instead of exiting 3")
     sub = p.add_subparsers(dest="cmd", required=True)
 
     s = sub.add_parser("field", help="describe a field / extension spec")
@@ -344,6 +348,8 @@ def main(argv=None, out=None):
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_TOO_LARGE
     except Exception as exc:
+        if args.debug:
+            raise
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
 

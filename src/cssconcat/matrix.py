@@ -5,11 +5,17 @@ with the field the codes live in.  Elimination uses first-nonzero pivoting;
 fields are exact so no numerical strategy is needed.  Intended scale is
 desk-size (dimensions up to a few thousand).
 
-Elimination and span reduction share one row-update kernel per kind of
-field, chosen from the field's ``kind``: XOR on bytes for GF(2), addition of
-precomputed row multiples on 16-bit integers for other prime fields, and the
-dense add/mul tables for everything else.  The table kernel works for every
-field and is the reference the others are tested against.
+Elimination and span reduction pick their kernel from the field's ``kind``.
+GF(2) updates rows by XOR on bytes, and GF(p^e) with e > 1 through the dense
+add/mul tables; the table kernel works for every field and is the reference
+the others are tested against.  Odd prime fields run a blocked Gauss-Jordan
+on float64 BLAS: pivots are found column by column, each column is brought
+up to date with one mat-vec against the row updates pending in the current
+panel of at most ``_PANEL`` pivots, and each full panel is applied to the
+trailing columns as one matmul.  Every float64 value there is an integer far
+below 2**51, so the arithmetic is exact and :func:`reduce_mod` brings it back
+into ``[0, p)`` exactly: the result is the same reduced row-echelon form.
+Span reduction against a prime-field rref is one matmul as well.
 """
 
 from __future__ import annotations
@@ -18,36 +24,168 @@ import numpy as np
 
 from .errors import DomainError, FieldMismatch, Singular
 
+_PANEL = 64  # pivots per delayed update in the odd-prime elimination
+_CHUNK = 1 << 16  # entries per chunked temporary (512 KiB of float64)
 
-# Each kernel subtracts ``coef[i] * row`` from row ``nz[i]`` of ``X`` in place,
-# where ``coef`` holds the entries of ``X[nz]`` in the column of ``row``'s
-# leading 1.
+
+def reduce_mod(x, p):
+    """Reduce the integer-valued float64 array ``x`` modulo ``p`` in place.
+
+    Exact while ``|x| < 2**51``: ``(x + 0.5) / p`` then lies at least
+    ``0.5 / p`` away from every integer, far more than its rounding error,
+    so the floor is the exact quotient.
+    """
+    t = x + 0.5
+    t *= 1.0 / p
+    np.floor(t, out=t)
+    t *= p
+    x -= t
+    return x
+
+
+def chunk_rows(width):
+    """Rows per chunk that keep a temporary of ``width`` columns near ``_CHUNK``
+    entries."""
+    return max(1, _CHUNK // max(1, width))
+
+
+# The two row-update kernels subtract ``coef[i] * row`` from row ``nz[i]`` of
+# ``X`` in place, where ``coef`` holds the entries of ``X[nz]`` in the column
+# of ``row``'s leading 1.
 
 def _update_tables(f, X, nz, coef, row):
     X[nz] = f.sub(X[nz], f.mul(coef[:, None], row[None, :]))
-
-
-def _update_prime(f, X, nz, coef, row):
-    # one multiple (-c * row) % p per distinct coefficient c; the sums then
-    # stay below 2p, so one conditional subtraction replaces a % over X[nz]
-    p = f.p
-    cs, which = np.unique(coef, return_inverse=True)
-    minus = ((p - cs.astype(np.int64))[:, None] * row) % p
-    sub = X[nz] + minus.astype(X.dtype)[which]
-    sub -= (sub >= p) * X.dtype.type(p)
-    X[nz] = sub
 
 
 def _update_gf2(f, X, nz, coef, row):
     X[nz] ^= row  # every nonzero coefficient is 1
 
 
-# kind -> (working dtype, row update).  The working dtype holds every
-# intermediate value: 0/1 under XOR, and sums below 2p for the prime update,
-# which fit 16 bits for every p below the 4096 table cap of Field.
+# kind -> (working dtype, row update).  Entries stay 0/1 under XOR.
 _KERNELS = {"gf2": (np.uint8, _update_gf2),
-            "prime": (np.int16, _update_prime),
             "tables": (np.int64, _update_tables)}
+
+
+def _rref_rows(f, a):
+    """Gauss-Jordan one pivot at a time with the row update of ``f.kind``."""
+    dtype, update = _KERNELS[f.kind]
+    A = a.astype(dtype)
+    rows, cols = A.shape
+    pivots = []
+    row = 0
+    for col in range(cols):
+        if row >= rows:
+            break
+        nz = np.flatnonzero(A[row:, col])
+        if not nz.size:
+            continue
+        piv = row + int(nz[0])
+        if piv != row:
+            A[[row, piv]] = A[[piv, row]]
+        lead = int(A[row, col])
+        if lead != 1:
+            A[row] = f.mul(f.inv(lead), A[row])
+        nz = np.flatnonzero(A[:, col])
+        nz = nz[nz != row]
+        if nz.size:
+            update(f, A, nz, A[nz, col], A[row])
+        pivots.append(col)
+        row += 1
+    return A, tuple(pivots), row
+
+
+def _free_columns(cols, pivots):
+    free = np.ones(cols, dtype=bool)
+    free[list(pivots)] = False
+    return np.flatnonzero(free)
+
+
+def _reduce_rows_prime(f, R, pivots, X):
+    """Residual of the rows of ``X`` against the reduced rows ``R`` over GF(p).
+
+    Since ``R`` is reduced, eliminating pivot by pivot subtracts exactly
+    ``X[:, pivots] @ R``, and the residual vanishes on the pivot columns.  A
+    row with no nonzero entry in a pivot column is its own residual.
+    """
+    pivots = list(pivots)
+    free = _free_columns(X.shape[1], pivots)
+    out = X.copy()
+    active = np.flatnonzero(X[:, pivots].any(axis=1))
+    if not active.size:
+        return out
+    Rf = R[:, free].astype(np.float64)
+    step = chunk_rows(X.shape[1])
+    for lo in range(0, active.size, step):
+        rows = active[lo:lo + step]
+        x = X[rows]
+        resid = x[:, free].astype(np.float64)
+        resid -= x[:, pivots].astype(np.float64) @ Rf
+        x[:, pivots] = 0
+        x[:, free] = reduce_mod(resid, f.p)
+        out[rows] = x
+    return out
+
+
+def _rref_prime(f, a):
+    """Blocked Gauss-Jordan over GF(p), p odd (see the module docstring).
+
+    The true matrix is ``A - U[:, :t] @ V[:t]`` (mod p): ``V`` holds the
+    panel's normalized pivot rows, which vanish left of their pivot column,
+    and ``U`` the multiples of them still owed by every row.  A pivot row's
+    stored row is exact when it is chosen.
+    """
+    p = f.p
+    A = a.astype(np.float64)
+    rows, cols = A.shape
+    width = min(_PANEL, rows, cols)  # no panel holds more pivots than that
+    U = np.zeros((rows, width))
+    V = np.zeros((width, cols))
+    pivots = []
+    row = t = 0
+
+    def flush():
+        # apply the panel to every column right of its first pivot
+        lo = pivots[-t]
+        step = chunk_rows(cols - lo)
+        for r0 in range(0, rows, step):
+            blk = A[r0:r0 + step, lo:]
+            blk -= U[r0:r0 + step, :t] @ V[:t, lo:]
+            reduce_mod(blk, p)
+        U[:, :t] = 0
+
+    for col in range(cols):
+        if row >= rows:
+            break
+        c = A[:, col] - U[:, :t] @ V[:t, col]
+        reduce_mod(c, p)
+        nz = np.flatnonzero(c[row:])
+        if not nz.size:
+            continue
+        piv = row + int(nz[0])
+        if piv != row:
+            A[[row, piv]] = A[[piv, row]]
+            U[[row, piv]] = U[[piv, row]]
+            c[[row, piv]] = c[[piv, row]]
+        lead = A[row, col:] - U[row, :t] @ V[:t, col:]
+        lead *= f.inv(int(c[row]))
+        reduce_mod(lead, p)
+        V[t, :col] = 0
+        V[t, col:] = lead
+        A[row, :col] = 0
+        A[row, col:] = lead
+        U[row, :t] = 0
+        c[row] = 0
+        U[:, t] = c
+        pivots.append(col)
+        row += 1
+        t += 1
+        if t == width:
+            flush()
+            t = 0
+    if t:
+        flush()
+    # every entry is below p < 4096 (the Field table cap)
+    return A.astype(np.int16), tuple(pivots), row
 
 
 class MatGF:
@@ -154,34 +292,12 @@ class MatGF:
         return MatGF(self.field, R.astype(np.int64)), piv, rank
 
     def _rref(self):
-        """The cached :meth:`rref` with ``R`` as a bare array in the kernel's
-        working dtype; it must not be modified."""
+        """The cached :meth:`rref` with ``R`` as a bare narrow-dtype array; it
+        must not be modified."""
         if self._rref_cache is None:
             f = self.field
-            dtype, update = _KERNELS[f.kind]
-            A = self.a.astype(dtype)
-            rows, cols = A.shape
-            pivots = []
-            row = 0
-            for col in range(cols):
-                if row >= rows:
-                    break
-                nz = np.flatnonzero(A[row:, col])
-                if not nz.size:
-                    continue
-                piv = row + int(nz[0])
-                if piv != row:
-                    A[[row, piv]] = A[[piv, row]]
-                lead = int(A[row, col])
-                if lead != 1:
-                    A[row] = f.mul(f.inv(lead), A[row])
-                nz = np.flatnonzero(A[:, col])
-                nz = nz[nz != row]
-                if nz.size:
-                    update(f, A, nz, A[nz, col], A[row])
-                pivots.append(col)
-                row += 1
-            self._rref_cache = (A, tuple(pivots), row)
+            kernel = _rref_prime if f.kind == "prime" else _rref_rows
+            self._rref_cache = kernel(f, self.a)
         return self._rref_cache
 
     @property
@@ -202,9 +318,7 @@ class MatGF:
         """Full-rank matrix whose rows span {y : self @ y^t = 0}."""
         R, pivots, rank = self._rref()
         pivots = list(pivots)
-        free = np.ones(self.cols, dtype=bool)
-        free[pivots] = False
-        free = np.flatnonzero(free)
+        free = _free_columns(self.cols, pivots)
         basis = np.zeros((free.size, self.cols), dtype=np.int64)
         basis[np.arange(free.size), free] = 1
         basis[:, pivots] = self.field.neg(R[:rank, free]).T
@@ -226,11 +340,13 @@ class MatGF:
     def reduce_rows(self, X):
         """Vectorized :meth:`reduce_vector` for a batch of row vectors."""
         f = self.field
-        dtype, update = _KERNELS[f.kind]
-        R, pivots, _ = self._rref()
+        R, pivots, rank = self._rref()
         X = np.asarray(X, dtype=np.int64)
         if X.size and (X.min() < 0 or X.max() >= f.q):
             raise DomainError("entries are not codes of the declared field")
+        if f.kind == "prime":
+            return _reduce_rows_prime(f, R[:rank], pivots, X)
+        dtype, update = _KERNELS[f.kind]
         X = X.astype(dtype)
         for r, pc in enumerate(pivots):
             nz = np.flatnonzero(X[:, pc])

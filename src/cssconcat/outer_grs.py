@@ -28,6 +28,7 @@ from .errors import (
 )
 from .codes import LinearCode
 from .galois import Extension
+from .matrix import chunk_rows
 
 
 # -- polynomial helpers over the extension (coefficient lists, low first) ----
@@ -97,6 +98,32 @@ def _poly_deriv(ext, p):
     return _trim(out)
 
 
+def _log_difference_products(ext, points):
+    """Discrete logs of ``prod_{m != j} (a_j - a_m)`` for each point ``a_j``.
+
+    The points must be distinct.  Built from the N x N difference matrix in
+    bounded row chunks.
+    """
+    a = np.asarray(points, dtype=np.int64)
+    N = a.size
+    out = np.empty(N, dtype=np.int64)
+    step = chunk_rows(N)
+    for lo in range(0, N, step):
+        logs = ext.log[ext.sub(a[lo:lo + step, None], a[None, :])]
+        rows = np.arange(logs.shape[0])
+        logs[rows, lo + rows] = 0  # the m == j factor is left out
+        out[lo:lo + step] = logs.sum(axis=1) % (ext.Q - 1)
+    return out
+
+
+def _scaled_powers(ext, log_scale, points, rows):
+    """The (rows, N) matrix ``s_j * a_j^i`` for column scales given by logs."""
+    i = np.arange(rows, dtype=np.int64)[:, None]
+    out = ext.exp[(log_scale[None, :] + i * ext.log[points][None, :]) % (ext.Q - 1)]
+    out[1:, points == 0] = 0  # 0^0 = 1, every higher power is 0
+    return out
+
+
 class GrsCode:
     """A generalized Reed-Solomon code (see module docstring).
 
@@ -111,6 +138,8 @@ class GrsCode:
             raise DuplicatePoint("evaluation points must be distinct")
         if len(multipliers) != N:
             raise DomainError("need one multiplier per point")
+        if any(not 0 <= x < ext.Q for x in points + multipliers):
+            raise DomainError("points and multipliers must be codes of the field")
         if any(v == 0 for v in multipliers):
             raise ZeroMultiplier("column multipliers must be nonzero")
         if not 1 <= K <= N:
@@ -122,29 +151,13 @@ class GrsCode:
         self.K = K
         self.points = np.array(points, dtype=np.int64)
         self.multipliers = np.array(multipliers, dtype=np.int64)
-        # generator: row i = (v_j * a_j^i)
-        G = np.empty((K, N), dtype=np.int64)
-        row = list(multipliers)
-        for i in range(K):
-            G[i] = row
-            row = [ext.mul(c, a) for c, a in zip(row, points)]
-        self.G = G
-        # dual multipliers u_j = v_j^{-1} * prod_{m != j} (a_j - a_m)^{-1}
-        u = []
-        for j in range(N):
-            prod = 1
-            for m in range(N):
-                if m != j:
-                    prod = ext.mul(prod, ext.sub(points[j], points[m]))
-            u.append(ext.div(ext.inv(multipliers[j]), prod))
-        self.dual_multipliers = np.array(u, dtype=np.int64)
-        M = N - K
-        H = np.empty((M, N), dtype=np.int64)
-        row = list(u)
-        for i in range(M):
-            H[i] = row
-            row = [ext.mul(c, a) for c, a in zip(row, points)]
-        self.H = H
+        # generator: row i = (v_j * a_j^i); the dual multipliers are
+        # u_j = v_j^{-1} * prod_{m != j} (a_j - a_m)^{-1}
+        log_v = ext.log[self.multipliers]
+        log_u = (-log_v - _log_difference_products(ext, self.points)) % (ext.Q - 1)
+        self.G = _scaled_powers(ext, log_v, self.points, K)
+        self.dual_multipliers = ext.exp[log_u]
+        self.H = _scaled_powers(ext, log_u, self.points, N - K)
         self._code = None
 
     @property
@@ -278,14 +291,7 @@ def self_dual_multiplier_grs(ext: Extension, points, K: int) -> GrsCode:
     """
     if ext.base.p != 2:
         raise BadField("square-root multipliers need characteristic 2")
-    points = [int(x) for x in points]
-    N = len(points)
-    v = []
-    for j in range(N):
-        prod = 1
-        for m in range(N):
-            if m != j:
-                prod = ext.mul(prod, ext.sub(points[j], points[m]))
-        s = ext.inv(prod)
-        v.append(ext.pow(s, ext.Q // 2))  # square root in char 2
-    return GrsCode(ext, points, v, K)
+    points = np.array([int(x) for x in points], dtype=np.int64)
+    # in characteristic 2, s^(Q/2) is the square root of s
+    logs = (-_log_difference_products(ext, points) * (ext.Q // 2)) % (ext.Q - 1)
+    return GrsCode(ext, points, ext.exp[logs], K)

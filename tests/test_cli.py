@@ -8,6 +8,7 @@ import pytest
 from cssconcat import fileio
 from cssconcat.cli import EXIT_INVARIANT, EXIT_PARSE, EXIT_TOO_LARGE, main
 from cssconcat.codes import CssPair, LinearCode, bvector_pair
+from cssconcat.errors import NotOrthogonal
 from cssconcat.galois import Extension, Field
 
 F2 = Field(2)
@@ -194,6 +195,21 @@ def test_cli_exit_codes(tmp_path):
     fileio.write_pair(p, pair)
     code, _ = run_cli(["--cap", "2", "mindist", "--pair", str(p)])
     assert code == EXIT_TOO_LARGE
+
+
+def test_cli_debug_reraises_invariant_violations(tmp_path):
+    c1 = tmp_path / "c1.txt"
+    fileio.write_code(c1, LinearCode(F2, np.array([[1, 0, 0], [0, 1, 0]])))
+    argv = ["construct", "--c1", str(c1), "--c2", str(c1)]
+    assert run_cli(argv)[0] == EXIT_INVARIANT
+    with pytest.raises(NotOrthogonal):
+        run_cli(["--debug"] + argv)
+    # parse errors and cap overruns keep their exit codes
+    assert run_cli(["--debug", "mindist", "--pair", str(tmp_path / "nope")])[0] == EXIT_PARSE
+    pair = tmp_path / "pair.txt"
+    fileio.write_pair(pair, bvector_pair(F2, [1] * 4, [1] * 4))
+    assert run_cli(["--debug", "--cap", "2", "mindist", "--pair", str(pair)])[0] \
+        == EXIT_TOO_LARGE
 
 
 def test_cli_seed_range(tmp_path):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cssconcat.errors import DomainError, Singular
+from cssconcat.errors import DomainError, Singular, TooLarge
+from cssconcat import galois
 from cssconcat.galois import Extension, Field
 from cssconcat.matrix import MatGF, enumerate_span
 
@@ -199,3 +200,73 @@ def test_kernels_agree_on_larger_low_rank_matrices():
         assert M.rref()[1:] == Mt.rref()[1:] and M.rank <= 25
         assert np.array_equal(M.null_space().a, Mt.null_space().a)
         assert np.array_equal(M.reduce_rows(X), Mt.reduce_rows(X))
+
+
+# -- the blocked odd-prime kernel past one panel of pivots ---------------------
+
+PANEL_PRIMES = (3, 5, 7, 31)
+
+
+def _panel_cases(p, rng):
+    """Seeded matrices that cross the 64-pivot panel of the odd-prime kernel."""
+    def product(rows, rank, cols):
+        return (rng.integers(0, p, (rows, rank)) @ rng.integers(0, p, (rank, cols))) % p
+
+    low_rank = product(150, 70, 200)  # rank-deficient: 70 pivots, two panels
+    # zero columns on both sides of the first panel's end: pivots 0-59 sit in
+    # columns 0-59, pivots 60-63 in 68-71, and the next panel starts at 76
+    zero_run = rng.integers(0, p, (70, 200))
+    zero_run[:, 60:68] = 0
+    zero_run[:, 72:76] = 0
+    wide_rank1 = product(12, 1, 300)
+    return [low_rank, zero_run, wide_rank1, np.zeros((0, 200), dtype=np.int64)]
+
+
+@pytest.mark.parametrize("p", PANEL_PRIMES)
+def test_prime_kernel_past_the_panel_width(p):
+    rng = np.random.default_rng(1000 + p)
+    fast, table_view = Field(p), Extension(Field(p), 1).as_field()
+    for A in _panel_cases(p, rng):
+        M, Mt = MatGF(fast, A), MatGF(table_view, A)
+        R, piv, rank = M.rref()
+        ref = _scalar_rref(fast, A)
+        assert np.array_equal(R.a, ref[0]) and (piv, rank) == ref[1:]
+        Rt, pivt, rankt = Mt.rref()
+        assert np.array_equal(R.a, Rt.a) and (piv, rank) == (pivt, rankt)
+        assert np.array_equal(M.null_space().a, Mt.null_space().a)
+        # rows of A (in the span), random rows (mostly outside) and zeros
+        X = np.concatenate([A[:20], rng.integers(0, p, (40, A.shape[1])),
+                            np.zeros((3, A.shape[1]), dtype=np.int64)])
+        got = M.reduce_rows(X)
+        assert np.array_equal(got, Mt.reduce_rows(X))
+        inside = M.span_contains_rows(X)
+        assert np.array_equal(inside, Mt.span_contains_rows(X))
+        assert inside[:A[:20].shape[0]].all() and inside[-3:].all()
+        assert np.array_equal(M.reduce_rows(X[:0]), X[:0])
+
+
+# a plain floor(x * (1/103)) sends some exact multiples of 103 one quotient low
+@pytest.mark.parametrize("p", PANEL_PRIMES + (103, 4093))
+def test_prime_matmul_matches_integer_reference(p):
+    rng = np.random.default_rng(p)
+    f = Field(p)
+    # 1200 rows cross the float64 chunk boundary for this inner dimension
+    A = rng.integers(0, p, (1200, 300))
+    B = rng.integers(0, p, (300, 7))
+    A[0] = B[:, 0] = p - 1  # the largest sum, 300 * (p - 1)**2
+    assert np.array_equal(f.matmul(A, B), (A @ B) % p)
+    assert np.array_equal(f.matmul(A[5], B), (A[5] @ B) % p)
+    assert np.array_equal(f.matmul(A, B[:, 3]), (A @ B[:, 3]) % p)
+    assert f.matmul(A, B).dtype == np.int64
+    assert f.matmul(A[:, :0], B[:0]).shape == (1200, 7)
+
+
+def test_prime_matmul_rejects_inexact_inner_dimension(monkeypatch):
+    # the real bound needs an inner dimension near 1.3e8 at p = 4093; a lower
+    # bound shows the check without allocating that much
+    f = Field(4093)
+    A = np.ones((2, 300), dtype=np.int64)
+    monkeypatch.setattr(galois, "_EXACT_SUM", 300 * 4092 ** 2)
+    with pytest.raises(TooLarge):
+        f.matmul(A, A.T)
+    assert np.array_equal(f.matmul(A[:, :299], A[:, :299].T), np.full((2, 2), 299))

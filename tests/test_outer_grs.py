@@ -9,6 +9,7 @@ from cssconcat.errors import (
     BadField,
     DecodeFailure,
     DimensionConflict,
+    DomainError,
     DuplicatePoint,
     ZeroMultiplier,
 )
@@ -137,3 +138,63 @@ def test_self_dual_multipliers():
 def test_grs_code_wrapper():
     rs = grs_code(E8, default_points(E8, 5), [1, 2, 3, 4, 5], 2)
     assert rs.N == 5 and rs.K == 2
+
+
+def _scalar_grs(ext, points, v, K):
+    """G, H and dual multipliers straight from their definitions."""
+    N = len(points)
+    G = [[ext.mul(v[j], ext.pow(points[j], i)) for j in range(N)] for i in range(K)]
+    u = []
+    for j in range(N):
+        prod = 1
+        for m in range(N):
+            if m != j:
+                prod = ext.mul(prod, ext.sub(points[j], points[m]))
+        u.append(ext.inv(ext.mul(v[j], prod)))
+    H = [[ext.mul(u[j], ext.pow(points[j], i)) for j in range(N)] for i in range(N - K)]
+    return (np.array(G, dtype=np.int64).reshape(K, N), np.array(u, dtype=np.int64),
+            np.array(H, dtype=np.int64).reshape(N - K, N))
+
+
+@pytest.mark.parametrize("ext", [Extension(Field(3), 2), Extension(Field(2), 4),
+                                 Extension(Field(3), 4)], ids=["GF9", "GF16", "GF81"])
+def test_grs_arrays_match_scalar_definitions(ext):
+    rng = np.random.default_rng(ext.Q)
+    N = min(ext.Q, 20)
+    points = [0] + [int(x) for x in rng.choice(np.arange(1, ext.Q), N - 1, replace=False)]
+    v = [int(x) for x in rng.integers(1, ext.Q, N)]
+    fQ = ext.as_field()
+    for K in (1, N // 2, N - 1, N):
+        D = GrsCode(ext, points, v, K)
+        G, u, H = _scalar_grs(ext, points, v, K)
+        assert np.array_equal(D.G, G) and np.array_equal(D.H, H)
+        assert np.array_equal(D.dual_multipliers, u)
+        assert not fQ.matmul(D.G, D.H.T).any()
+
+
+def test_dual_multipliers_past_one_difference_chunk():
+    # N = 300 points take two chunks of the N x N difference matrix
+    ext = Extension(Field(2), 9)
+    points = [0] + [ext.alpha_pow(j) for j in range(299)]
+    v = [ext.alpha_pow(3 * j + 1) for j in range(300)]
+    D = GrsCode(ext, points, v, 150)
+    assert np.array_equal(D.dual_multipliers, _scalar_grs(ext, points, v, 1)[1])
+
+
+def test_self_dual_multipliers_match_scalar_definition():
+    for ext in (Extension(Field(2), 4), Extension(Field(2, 2), 3)):
+        points = [0] + [ext.alpha_pow(j) for j in range(9)]
+        D = self_dual_multiplier_grs(ext, points, 6)
+        _, u, _ = _scalar_grs(ext, points, [1] * len(points), 6)
+        # v_j is the square root of u_j for unit multipliers
+        assert np.array_equal(D.multipliers, [ext.pow(x, ext.Q // 2) for x in u])
+        assert np.array_equal(D.dual_multipliers, D.multipliers)
+
+
+def test_points_and_multipliers_must_be_field_codes():
+    with pytest.raises(DomainError):
+        GrsCode(E8, [1, 2, 8], [1, 1, 1], 2)
+    with pytest.raises(DomainError):
+        GrsCode(E8, [1, 2, -1], [1, 1, 1], 2)
+    with pytest.raises(DomainError):
+        GrsCode(E8, [1, 2, 3], [1, 9, 1], 2)
