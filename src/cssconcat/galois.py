@@ -162,8 +162,8 @@ def _is_prime(n):
 _EXACT_SUM = 1 << 51  # float64 sums below this reduce exactly (matrix.reduce_mod)
 
 
-def _matmul_prime(A, B, p):
-    """``(A @ B) % p`` for codes of GF(p), p odd, on float64 BLAS.
+def _matmul_blas(A, B, p):
+    """``(A @ B) % p`` for codes of GF(p) on float64 BLAS.
 
     Every sum is an integer below n·(p-1)² for inner dimension n, so the
     float64 product is exact and reduces exactly while that stays below
@@ -351,10 +351,8 @@ class Field:
         B = np.asarray(B, dtype=np.int64)
         if A.shape[-1] != B.shape[0]:
             raise DomainError(f"shape mismatch {A.shape} @ {B.shape}")
-        if self.e == 1 and self.p == 2:
-            return (A @ B) % 2
         if self.e == 1:
-            return _matmul_prime(A, B, self.p)
+            return _matmul_blas(A, B, self.p)
         single = A.ndim == 1
         if single:
             A = A[None, :]
@@ -486,6 +484,7 @@ class Extension:
         self.exp, self.log = built
         self.alpha = int(self.exp[1 % (self.Q - 1)]) if self.Q > 2 else 1
         self._trace_table = None
+        self._coord_table = None
         self._dual_table = None
         self._as_field = None
         if self.Q <= _TABLE_CAP:
@@ -498,9 +497,16 @@ class Extension:
 
     # -- coordinates ---------------------------------------------------------
 
+    @property
+    def coord_table(self):
+        """The (Q, k) table of :meth:`coords` for every element code."""
+        if self._coord_table is None:
+            self._coord_table = _digits(np.arange(self.Q, dtype=np.int64), self.q, self.k)
+        return self._coord_table
+
     def coords(self, a):
         """Base-q coordinate vector(s) in the power basis (length k)."""
-        return _digits(a, self.q, self.k)
+        return np.take(self.coord_table, a, axis=0)
 
     def from_coords(self, coords):
         return _pack(np.asarray(coords) % self.q, self.q)

@@ -5,17 +5,19 @@ with the field the codes live in.  Elimination uses first-nonzero pivoting;
 fields are exact so no numerical strategy is needed.  Intended scale is
 desk-size (dimensions up to a few thousand).
 
-Elimination and span reduction pick their kernel from the field's ``kind``.
-GF(2) updates rows by XOR on bytes, and GF(p^e) with e > 1 through the dense
-add/mul tables; the table kernel works for every field and is the reference
-the others are tested against.  Odd prime fields run a blocked Gauss-Jordan
-on float64 BLAS: pivots are found column by column, each column is brought
-up to date with one mat-vec against the row updates pending in the current
+Elimination picks its kernel from the field's ``kind``.  GF(2) packs each
+row into 64-bit words and clears a pivot's column from every other row with
+one masked XOR over those words; GF(p^e) with e > 1 goes through the dense
+add/mul tables, a kernel that works for every field and is the reference the
+others are tested against.  Odd prime fields run a blocked Gauss-Jordan on
+float64 BLAS: pivots are found column by column, each column is brought up
+to date with one mat-vec against the row updates pending in the current
 panel of at most ``_PANEL`` pivots, and each full panel is applied to the
 trailing columns as one matmul.  Every float64 value there is an integer far
 below 2**51, so the arithmetic is exact and :func:`reduce_mod` brings it back
 into ``[0, p)`` exactly: the result is the same reduced row-echelon form.
-Span reduction against a prime-field rref is one matmul as well.
+Span reduction against the rref over any prime field, GF(2) included, is one
+matmul on float64 BLAS as well.
 """
 
 from __future__ import annotations
@@ -49,27 +51,9 @@ def chunk_rows(width):
     return max(1, _CHUNK // max(1, width))
 
 
-# The two row-update kernels subtract ``coef[i] * row`` from row ``nz[i]`` of
-# ``X`` in place, where ``coef`` holds the entries of ``X[nz]`` in the column
-# of ``row``'s leading 1.
-
-def _update_tables(f, X, nz, coef, row):
-    X[nz] = f.sub(X[nz], f.mul(coef[:, None], row[None, :]))
-
-
-def _update_gf2(f, X, nz, coef, row):
-    X[nz] ^= row  # every nonzero coefficient is 1
-
-
-# kind -> (working dtype, row update).  Entries stay 0/1 under XOR.
-_KERNELS = {"gf2": (np.uint8, _update_gf2),
-            "tables": (np.int64, _update_tables)}
-
-
 def _rref_rows(f, a):
-    """Gauss-Jordan one pivot at a time with the row update of ``f.kind``."""
-    dtype, update = _KERNELS[f.kind]
-    A = a.astype(dtype)
+    """Gauss-Jordan one pivot at a time through the dense tables (reference)."""
+    A = a.copy()
     rows, cols = A.shape
     pivots = []
     row = 0
@@ -88,10 +72,46 @@ def _rref_rows(f, a):
         nz = np.flatnonzero(A[:, col])
         nz = nz[nz != row]
         if nz.size:
-            update(f, A, nz, A[nz, col], A[row])
+            A[nz] = f.sub(A[nz], f.mul(A[nz, col][:, None], A[row][None, :]))
         pivots.append(col)
         row += 1
     return A, tuple(pivots), row
+
+
+def _rref_gf2(f, a):
+    """Gauss-Jordan over GF(2) on rows packed 64 columns to a uint64 word.
+
+    Column ``c`` is bit ``7 - c % 8`` of byte ``c // 8`` (``np.packbits``
+    order).  Rows stay where they are: a pivot clears its column from every
+    other row by one masked XOR over the words from its own on, which is
+    exact because a pivot row vanishes left of its column.  The pivot rows
+    are put in order once at the end.
+    """
+    rows, cols = a.shape
+    P8 = np.zeros((rows, -(-cols // 64) * 8), dtype=np.uint8)
+    P8[:, :-(-cols // 8)] = np.packbits(a, axis=1)
+    P = P8.view(np.uint64)
+    free = np.full(rows, 0xFF, dtype=np.uint8)  # rows not yet a pivot row
+    order, pivots = [], []
+    for col in range(cols):
+        if len(order) == rows:
+            break
+        shift = 7 - (col & 7)
+        bits = P8[:, col >> 3] >> shift
+        bits &= 1
+        cand = bits & free
+        piv = int(cand.argmax())
+        if not cand[piv]:
+            continue
+        free[piv] = 0
+        bits[piv] = 0
+        w = col >> 6
+        P[:, w:] ^= bits.astype(np.uint64)[:, None] * P[piv, w:]
+        order.append(piv)
+        pivots.append(col)
+    R = np.zeros((rows, cols), dtype=np.uint8)
+    R[:len(order)] = np.unpackbits(P8[order], axis=1, count=cols)
+    return R, tuple(pivots), len(order)
 
 
 def _free_columns(cols, pivots):
@@ -100,15 +120,15 @@ def _free_columns(cols, pivots):
     return np.flatnonzero(free)
 
 
-def _reduce_rows_prime(f, R, pivots, X):
-    """Residual of the rows of ``X`` against the reduced rows ``R`` over GF(p).
+def _reduce_rows_blas(p, pivots, free, R, X):
+    """Residual of the rows of ``X`` against the reduced rows ``R`` over GF(p),
+    on float64 BLAS (exact: see the module docstring).
 
+    ``pivots`` and ``free`` are the pivot columns of ``R`` and the others.
     Since ``R`` is reduced, eliminating pivot by pivot subtracts exactly
     ``X[:, pivots] @ R``, and the residual vanishes on the pivot columns.  A
     row with no nonzero entry in a pivot column is its own residual.
     """
-    pivots = list(pivots)
-    free = _free_columns(X.shape[1], pivots)
     out = X.copy()
     active = np.flatnonzero(X[:, pivots].any(axis=1))
     if not active.size:
@@ -121,7 +141,7 @@ def _reduce_rows_prime(f, R, pivots, X):
         resid = x[:, free].astype(np.float64)
         resid -= x[:, pivots].astype(np.float64) @ Rf
         x[:, pivots] = 0
-        x[:, free] = reduce_mod(resid, f.p)
+        x[:, free] = reduce_mod(resid, p)
         out[rows] = x
     return out
 
@@ -188,6 +208,10 @@ def _rref_prime(f, a):
     return A.astype(np.int16), tuple(pivots), row
 
 
+# Field.kind -> elimination kernel
+_RREF = {"gf2": _rref_gf2, "prime": _rref_prime, "tables": _rref_rows}
+
+
 class MatGF:
     """A matrix over a finite field.
 
@@ -210,6 +234,7 @@ class MatGF:
         self.field = field
         self.a = a
         self._rref_cache = None
+        self._span_cache = None  # pivot and free column indices for reduce_rows
 
     # -- constructors --------------------------------------------------------
 
@@ -296,8 +321,7 @@ class MatGF:
         must not be modified."""
         if self._rref_cache is None:
             f = self.field
-            kernel = _rref_prime if f.kind == "prime" else _rref_rows
-            self._rref_cache = kernel(f, self.a)
+            self._rref_cache = _RREF[f.kind](f, self.a)
         return self._rref_cache
 
     @property
@@ -344,15 +368,17 @@ class MatGF:
         X = np.asarray(X, dtype=np.int64)
         if X.size and (X.min() < 0 or X.max() >= f.q):
             raise DomainError("entries are not codes of the declared field")
-        if f.kind == "prime":
-            return _reduce_rows_prime(f, R[:rank], pivots, X)
-        dtype, update = _KERNELS[f.kind]
-        X = X.astype(dtype)
+        if f.kind != "tables":
+            if self._span_cache is None:
+                self._span_cache = (np.array(pivots, dtype=np.intp),
+                                    _free_columns(self.cols, pivots))
+            return _reduce_rows_blas(f.p, *self._span_cache, R[:rank], X)
+        X = X.copy()
         for r, pc in enumerate(pivots):
             nz = np.flatnonzero(X[:, pc])
             if nz.size:
-                update(f, X, nz, X[nz, pc], R[r])
-        return X.astype(np.int64)
+                X[nz] = f.sub(X[nz], f.mul(X[nz, pc][:, None], R[r][None, :]))
+        return X
 
     def span_contains_rows(self, X):
         """Boolean mask: which rows of ``X`` lie in the row space."""

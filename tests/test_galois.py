@@ -218,6 +218,25 @@ def test_coords_roundtrip():
     assert np.array_equal(ext.from_coords(ext.coords(xs)), xs)
 
 
+@pytest.mark.parametrize("base, k", [(Field(2), 6), (Field(3), 4), (Field(2, 2), 2)])
+def test_coord_table_matches_digit_definition(base, k):
+    """coords gathers from the lazy (Q, k) table: the base-q digits of every
+    code of GF(64), GF(81) and GF(16) over GF(4), for scalars and arrays."""
+    ext = Extension(base, k)
+    q = base.q
+    table = ext.coord_table
+    assert table.shape == (ext.Q, k) and table.dtype == np.int64
+    for a in range(ext.Q):
+        assert table[a].tolist() == [(a // q ** j) % q for j in range(k)]
+    codes = np.arange(ext.Q).reshape(-1, 1, 1)  # any leading shape
+    assert np.array_equal(ext.coords(codes), table[codes])
+    assert ext.coords(int(ext.alpha)).tolist() == table[ext.alpha].tolist()
+    assert ext.coords(np.int64(5)).shape == (k,)
+    ext.coords(1)[:] = q - 1  # a returned row is a copy, not a view of the table
+    assert ext.coords(1).tolist() == [1] + [0] * (k - 1)
+    assert np.array_equal(ext.from_coords(ext.coords(np.arange(ext.Q))), np.arange(ext.Q))
+
+
 def test_sqrt_char2():
     f = Field(2, 4)
     for a in range(16):

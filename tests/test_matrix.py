@@ -1,5 +1,7 @@
 """Exact linear algebra tests."""
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -246,7 +248,7 @@ def test_prime_kernel_past_the_panel_width(p):
 
 
 # a plain floor(x * (1/103)) sends some exact multiples of 103 one quotient low
-@pytest.mark.parametrize("p", PANEL_PRIMES + (103, 4093))
+@pytest.mark.parametrize("p", (2,) + PANEL_PRIMES + (103, 4093))
 def test_prime_matmul_matches_integer_reference(p):
     rng = np.random.default_rng(p)
     f = Field(p)
@@ -270,3 +272,75 @@ def test_prime_matmul_rejects_inexact_inner_dimension(monkeypatch):
     with pytest.raises(TooLarge):
         f.matmul(A, A.T)
     assert np.array_equal(f.matmul(A[:, :299], A[:, :299].T), np.full((2, 2), 299))
+
+
+# -- the packed GF(2) kernel across 64-bit word boundaries ---------------------
+
+GF2, GF2_TABLES = FIELDS[2]
+WIDTHS = (1, 7, 8, 63, 64, 65, 127, 128, 129)  # around byte and word edges
+
+
+@st.composite
+def gf2_matrices(draw):
+    """0/1 matrices of up to 12 rows (so rows > cols for the narrow widths):
+    random at a drawn density, all-zero, with duplicated rows, or of low rank."""
+    cols = draw(st.sampled_from(WIDTHS))
+    rows = draw(st.integers(0, 12))
+    shape = draw(st.sampled_from(("random", "zero", "duplicated", "low_rank")))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    density = draw(st.sampled_from((0.05, 0.5, 0.95)))
+    A = (rng.random((rows, cols)) < density).astype(np.int64)
+    if shape == "zero":
+        A[:] = 0
+    elif shape == "duplicated" and rows:
+        A = A[rng.integers(0, rows, rows)]
+    elif shape == "low_rank":
+        A = (rng.integers(0, 2, (rows, 2)) @ rng.integers(0, 2, (2, cols))) % 2
+    return A, rng
+
+
+@settings(max_examples=200, deadline=None)
+@given(gf2_matrices())
+def test_gf2_packed_kernel_matches_references(case):
+    A, rng = case
+    M, Mt = MatGF(GF2, A), MatGF(GF2_TABLES, A)
+    R, piv, rank = M.rref()
+    ref = _scalar_rref(GF2, A)
+    assert np.array_equal(R.a, ref[0]) and (piv, rank) == ref[1:]
+    Rt, pivt, rankt = Mt.rref()
+    assert np.array_equal(R.a, Rt.a) and (piv, rank) == (pivt, rankt)
+    N = M.null_space()
+    assert np.array_equal(N.a, Mt.null_space().a)
+    assert N.rows + rank == A.shape[1] and not GF2.matmul(A, N.a.T).any()
+    # sums of rows of A (in the span), random rows (mostly outside) and zeros
+    X = np.concatenate([(rng.integers(0, 2, (4, A.shape[0])) @ A) % 2,
+                        rng.integers(0, 2, (5, A.shape[1])),
+                        np.zeros((2, A.shape[1]), dtype=np.int64)])
+    got = M.reduce_rows(X)
+    assert got.dtype == np.int64 and np.array_equal(got, Mt.reduce_rows(X))
+    inside = M.span_contains_rows(X)
+    assert np.array_equal(inside, Mt.span_contains_rows(X))
+    assert inside[:4].all() and inside[-2:].all()
+    B = rng.integers(0, 2, (A.shape[1], 3))
+    assert np.array_equal(GF2.matmul(A, B), (A @ B) % 2)
+
+
+def test_gf2_rank_at_scale():
+    """A seeded 1200 x 1500 matrix of rank 1000: the rows of a 1000 x 1500
+    factor that starts with an identity block, and 200 sums of them, with rows
+    and columns shuffled."""
+    rng = np.random.default_rng(2006)
+    rows, cols, r = 1200, 1500, 1000
+    basis = np.concatenate([np.eye(r, dtype=np.int64), rng.integers(0, 2, (r, cols - r))],
+                           axis=1)
+    A = np.concatenate([basis, GF2.matmul(rng.integers(0, 2, (rows - r, r)), basis)])
+    A = A[rng.permutation(rows)][:, rng.permutation(cols)]
+    M = MatGF(GF2, A)
+    start = time.perf_counter()
+    assert M.rank == r
+    # the packed kernel takes about 0.1 s here and the table kernel about 15 s,
+    # so a silent fall-back to the reference path fails this
+    assert time.perf_counter() - start < 5.0
+    N = M.null_space()
+    assert N.rows == cols - r and not GF2.matmul(A, N.a.T).any()
+    assert M.span_contains_rows(A[:50]).all()
