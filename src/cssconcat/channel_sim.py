@@ -18,9 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .concat import pi_map
 from .decode import DecoderContext, success_oracle_rows
-from .errors import DecodeFailure, DomainError, EmptyFeasibleSet
+from .errors import DomainError, EmptyFeasibleSet
 
 
 class AdditiveChannel:
@@ -57,17 +56,16 @@ def _trial_rng(seed, index):
     return np.random.Generator(np.random.Philox(key=(int(index) << 64) + int(seed)))
 
 
-def sample_error(channel: AdditiveChannel, length: int, rng_seed) -> np.ndarray:
-    """One i.i.d. error vector, deterministic given the seed (inverse CDF)."""
-    u = _trial_rng(rng_seed, 0).random(length)
-    return np.searchsorted(channel.cdf, u, side="right").astype(np.int64)
-
-
 def _sample_block(channel, seed, start, count, length):
     u = np.empty((count, length))
     for i in range(count):
         u[i] = _trial_rng(seed, start + i).random(length)
     return np.searchsorted(channel.cdf, u, side="right").astype(np.int64)
+
+
+def sample_error(channel: AdditiveChannel, length: int, rng_seed) -> np.ndarray:
+    """One i.i.d. error vector: trial 0 of the seed's substreams (inverse CDF)."""
+    return _sample_block(channel, rng_seed, 0, 1, length)[0]
 
 
 @dataclass
@@ -119,25 +117,12 @@ def mc_error_rate(ctx: DecoderContext, channel: AdditiveChannel, trials: int,
     for start in range(0, trials, chunk):
         count = min(chunk, trials - start)
         E = _sample_block(channel, seed, start, count, n_total)
-        S = f.matmul(E, ctx.Ho.T)
-        upper = S[:, : ctx.upper_len].reshape(count, ctx.N, ctx.table.m)
-        packed = (upper * ctx.table.qpows).sum(axis=-1)
-        Ehat = ctx.table.leaders[packed].reshape(count, n_total)
+        S = ctx.full_syndrome(E)
+        Ehat = ctx.stage1(S[:, : ctx.upper_len])
         diff_blocks = f.sub(E, Ehat).reshape(count * ctx.N, ctx.n)
         bad_blocks += int((~inner_dual.span_contains_rows(diff_blocks)).sum())
-        resid = f.sub(S[:, ctx.upper_len:], f.matmul(Ehat, ctx.Gp.T))
-        needs_outer = np.nonzero(resid.any(axis=1))[0]
-        for i in needs_outer:
-            symbols = ctx.reassemble_symbols(resid[i])
-            try:
-                x = ctx.grs.bd_decode(symbols)
-            except DecodeFailure:
-                outer_fail += 1
-                continue
-            if x.any():
-                Ehat[i] = f.add(Ehat[i], pi_map(ctx.side, ctx.cp.inner, ctx.ext, x))
-        ok = success_oracle_rows(ctx, E, Ehat)
-        failures += int((~ok).sum())
+        outer_fail += int((~ctx.outer_stage(S, Ehat)).sum())
+        failures += int((~success_oracle_rows(ctx, E, Ehat)).sum())
     lo, hi = wilson_interval(failures, trials)
     return MCResult(estimate=failures / trials, ci_lo=lo, ci_hi=hi,
                     failures=failures, trials=trials,

@@ -119,15 +119,13 @@ def cmd_mindist(args, out):
 def cmd_decode(args, out):
     cp = _build_concat(args.config)
     ctx = DecoderContext(cp, side=args.side, cap=args.cap)
-    if args.error:
-        e = _load(fileio.read_vector, args.error)
-        s = ctx.full_syndrome(e)
-    else:
-        s = _load(fileio.read_vector, args.syndrome)
-    est, ok = two_stage_decode(ctx, s)
+    v = _load(fileio.read_vector, args.error or args.syndrome)
+    if v.size and (v.min() < 0 or v.max() >= ctx.field.q):
+        raise _ParseError(f"vector entries must lie in [0, {ctx.field.q})")
+    est, ok = two_stage_decode(ctx, ctx.full_syndrome(v) if args.error else v)
     line = f"outer_ok {int(ok)}"
-    if args.error is not None:
-        line += f" success {int(success_oracle(ctx, e, est))}"
+    if args.error:
+        line += f" success {int(success_oracle(ctx, v, est))}"
     print(line, file=out)
     if args.out:
         fileio.write_vector(args.out, est)

@@ -11,7 +11,7 @@ basis of dual(C2), the supplied g1 rows and a greedy completion, and reading
 the paired vectors off columns of its inverse.  Postconditions are validated
 rather than trusted.
 
-Brute-force oracles (`min_weight_excluding`, `coset_leader_table`) enumerate
+Brute-force oracles (`min_weight_excluding`, `CosetLeaderTable`) enumerate
 codewords or error patterns and are capped; they are meant as ground truth
 for desk-size instances, not production decoders.
 """
@@ -365,11 +365,6 @@ class CosetLeaderTable:
 
     def leader(self, syndrome):
         return self.leaders[int(self.pack(syndrome))]
-
-
-def coset_leader_table(C: LinearCode, B: LinearCode | None = None,
-                       cap: int = TABLE_CAP) -> CosetLeaderTable:
-    return CosetLeaderTable(C, B, cap)
 
 
 def bvector_pair(field, b1, b2) -> CssPair:

@@ -10,6 +10,10 @@ bounded-distance GRS decoding and expands the decoded symbols back to inner
 blocks.  Success is judged modulo the stabilizer: an estimate is correct iff
 it differs from the channel error by a vector orthogonal to the opposite
 concatenated code.
+
+:func:`decode_batch` is the one decoder: :meth:`DecoderContext.stage1` on all
+rows, then :meth:`DecoderContext.outer_stage` on those with a nonzero residual.
+The scalar :func:`two_stage_decode` is a one-row batch.
 """
 
 from __future__ import annotations
@@ -55,16 +59,36 @@ class DecoderContext:
         other = cp.L2 if side == 1 else cp.L1
         self._other_dual = MatGF(self.field, other.H)
 
-    def full_syndrome(self, e):
-        """Syndrome of an error vector against this side's structured check."""
-        e = np.asarray(e, dtype=np.int64).reshape(-1)
-        return self.field.matmul(e, self.Ho.T)
+    def full_syndrome(self, E):
+        """Syndromes of error vectors (rows) against this side's structured check."""
+        return self.field.matmul(E, self.Ho.T)
 
     def stage1(self, upper):
-        """Blockwise coset-leader estimate from the upper syndrome part."""
-        blocks = np.asarray(upper, dtype=np.int64).reshape(self.N, self.table.m)
-        packed = self.table.pack(blocks)
-        return self.table.leaders[packed].reshape(-1)
+        """Blockwise coset-leader estimates from upper syndromes ``(..., N*m)``."""
+        upper = np.asarray(upper, dtype=np.int64)
+        lead = upper.shape[:-1]
+        packed = self.table.pack(upper.reshape(*lead, self.N, self.table.m))
+        return self.table.leaders[packed].reshape(*lead, self.N * self.n)
+
+    def outer_stage(self, S, Ehat):
+        """Outer bounded-distance stage, in place on the stage-1 estimates
+        ``Ehat`` of the full syndromes ``S``; returns the per-row ``outer_ok``
+        mask.  Rows whose outer decoding fails keep their stage-1 estimate."""
+        f = self.field
+        resid = f.sub(S[:, self.upper_len:], f.matmul(Ehat, self.Gp.T))
+        rows = np.flatnonzero(resid.any(axis=1))
+        symbols = self.reassemble_symbols(resid[rows])
+        symbols = symbols.reshape(rows.size, resid.shape[1] // self.k)
+        outer_ok = np.ones(len(S), dtype=bool)
+        for i, syn in zip(rows, symbols):
+            try:
+                x = self.grs.bd_decode(syn)
+            except DecodeFailure:
+                outer_ok[i] = False
+                continue
+            if x.any():
+                Ehat[i] = f.add(Ehat[i], pi_map(self.side, self.cp.inner, self.ext, x))
+        return outer_ok
 
     def reassemble_symbols(self, resid):
         """Turn the residual lower syndrome into outer GRS syndrome symbols."""
@@ -74,30 +98,26 @@ class DecoderContext:
         return self.ext.from_coords(coords)
 
 
-def full_syndrome(ctx: DecoderContext, e):
-    return ctx.full_syndrome(e)
+def decode_batch(ctx: DecoderContext, S):
+    """Decode rows of structured syndromes; returns ``(estimates, outer_ok)``.
+
+    ``outer_ok[i]`` is False when outer bounded-distance decoding of row i
+    failed, in which case ``estimates[i]`` is the stage-1 (inner leaders
+    only) guess.
+    """
+    S = np.asarray(S, dtype=np.int64)
+    if S.ndim != 2 or S.shape[1] != ctx.Ho.shape[0]:
+        raise DomainError("syndrome length does not match the parity check")
+    if S.size and (S.min() < 0 or S.max() >= ctx.field.q):
+        raise DomainError(f"syndrome entries must lie in [0, {ctx.field.q})")
+    Ehat = ctx.stage1(S[:, : ctx.upper_len])
+    return Ehat, ctx.outer_stage(S, Ehat)
 
 
 def two_stage_decode(ctx: DecoderContext, s):
-    """Decode a structured syndrome; returns ``(estimate, outer_ok)``.
-
-    ``outer_ok`` is False when outer bounded-distance decoding failed, in
-    which case the estimate is the stage-1 (inner leaders only) guess.
-    """
-    s = np.asarray(s, dtype=np.int64).reshape(-1)
-    if s.shape[0] != ctx.Ho.shape[0]:
-        raise DomainError("syndrome length does not match the parity check")
-    upper, lower = s[: ctx.upper_len], s[ctx.upper_len:]
-    ehat = ctx.stage1(upper)
-    resid = ctx.field.sub(lower, ctx.field.matmul(ehat, ctx.Gp.T))
-    symbols = ctx.reassemble_symbols(resid)
-    try:
-        x = ctx.grs.bd_decode(symbols)
-    except DecodeFailure:
-        return ehat, False
-    if x.any():
-        ehat = ctx.field.add(ehat, pi_map(ctx.side, ctx.cp.inner, ctx.ext, x))
-    return ehat, True
+    """:func:`decode_batch` of a single syndrome; returns ``(estimate, outer_ok)``."""
+    Ehat, outer_ok = decode_batch(ctx, np.reshape(s, (1, -1)))
+    return Ehat[0], bool(outer_ok[0])
 
 
 def success_oracle(ctx: DecoderContext, e, estimate) -> bool:
@@ -106,13 +126,12 @@ def success_oracle(ctx: DecoderContext, e, estimate) -> bool:
     The estimate succeeds exactly when its difference from the channel error
     is orthogonal to the opposite-side concatenated code.
     """
-    diff = ctx.field.sub(np.asarray(estimate, dtype=np.int64),
-                         np.asarray(e, dtype=np.int64))
-    return bool(ctx._other_dual.span_contains(diff))
+    return bool(success_oracle_rows(ctx, np.reshape(e, (1, -1)),
+                                    np.reshape(estimate, (1, -1)))[0])
 
 
 def success_oracle_rows(ctx: DecoderContext, E, estimates):
-    """Vectorized :func:`success_oracle` over matching rows."""
+    """:func:`success_oracle` over matching rows."""
     diff = ctx.field.sub(np.asarray(estimates, dtype=np.int64),
                          np.asarray(E, dtype=np.int64))
     return ctx._other_dual.span_contains_rows(diff)

@@ -366,6 +366,8 @@ class MatGF:
         f = self.field
         R, pivots, rank = self._rref()
         X = np.asarray(X, dtype=np.int64)
+        if X.shape[-1] != self.cols:
+            raise DomainError("vector length mismatch")
         if X.size and (X.min() < 0 or X.max() >= f.q):
             raise DomainError("entries are not codes of the declared field")
         if f.kind != "tables":

@@ -39,7 +39,7 @@ from cssconcat.codes import (
 from cssconcat.concat import concatenate, verify_duality
 from cssconcat.decode import (
     DecoderContext,
-    full_syndrome,
+    decode_batch,
     success_oracle,
     success_oracle_rows,
     two_stage_decode,
@@ -52,7 +52,6 @@ from cssconcat.enlarge import (
     steane_enlarge,
     symplectic_min_distance,
 )
-from cssconcat.errors import DecodeFailure
 from cssconcat.galois import Extension, Field
 from cssconcat.outer_grs import GrsCode, nested_grs_pair
 
@@ -233,23 +232,8 @@ def _cp_90_28():
 
 
 def _batch_success(ctx, E):
-    """Vectorized two-stage decode + oracle over rows of E."""
-    from cssconcat.concat import pi_map
-    f = ctx.field
-    count = E.shape[0]
-    S = f.matmul(E, ctx.Ho.T)
-    upper = S[:, : ctx.upper_len].reshape(count, ctx.N, ctx.table.m)
-    packed = (upper * ctx.table.qpows).sum(axis=-1)
-    Ehat = ctx.table.leaders[packed].reshape(count, E.shape[1])
-    resid = f.sub(S[:, ctx.upper_len:], f.matmul(Ehat, ctx.Gp.T))
-    for i in np.nonzero(resid.any(axis=1))[0]:
-        symbols = ctx.reassemble_symbols(resid[i])
-        try:
-            x = ctx.grs.bd_decode(symbols)
-        except DecodeFailure:
-            continue
-        if x.any():
-            Ehat[i] = f.add(Ehat[i], pi_map(ctx.side, ctx.cp.inner, ctx.ext, x))
+    """Two-stage decode + oracle over rows of E."""
+    Ehat, _ = decode_batch(ctx, ctx.full_syndrome(E))
     return success_oracle_rows(ctx, E, Ehat)
 
 
@@ -265,7 +249,7 @@ def test_acceptance_06_decoder_guarantee(capsys):
             for pattern in itertools.product(range(2), repeat=4):
                 e = np.zeros(12, dtype=np.int64)
                 e[block * 4:(block + 1) * 4] = pattern
-                est, ok = two_stage_decode(ctx, full_syndrome(ctx, e))
+                est, ok = two_stage_decode(ctx, ctx.full_syndrome(e))
                 assert ok and success_oracle(ctx, e, est)
         # statistical: 1e5 random errors in the guaranteed region of [[90,28]]
         big = DecoderContext(_cp_90_28(), side=1)

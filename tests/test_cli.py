@@ -135,6 +135,25 @@ def test_cli_decode_success(tmp_path):
     assert "outer_ok 1 success 1" in text
 
 
+def test_cli_decode_rejects_out_of_range_entries(tmp_path):
+    """Vector entries outside [0, q) are parse errors (exit 2), not wrapped
+    table indices; a vector of the wrong length still exits 3."""
+    cfg = _write_config(tmp_path)  # length 12, syndrome length 7, q = 2
+    vec = tmp_path / "v.txt"
+    cases = [("--syndrome", [-1] + [0] * 6, EXIT_PARSE),
+             ("--syndrome", [0] * 6 + [2], EXIT_PARSE),
+             ("--error", [-1] + [0] * 11, EXIT_PARSE),
+             ("--error", [2] + [0] * 11, EXIT_PARSE),
+             ("--syndrome", [0] * 6, EXIT_INVARIANT),
+             ("--error", [0] * 11, EXIT_INVARIANT)]
+    for flag, v, want in cases:
+        fileio.write_vector(vec, v)
+        assert run_cli(["decode", "--config", str(cfg), flag, str(vec)]) == (want, "")
+    fileio.write_vector(vec, [0] * 7)
+    code, text = run_cli(["decode", "--config", str(cfg), "--syndrome", str(vec)])
+    assert code == 0 and text == "outer_ok 1\n" + " ".join(["0"] * 12) + "\n"
+
+
 def test_cli_simulate_deterministic(tmp_path):
     cfg = _write_config(tmp_path)
     argv = ["--seed", "7", "simulate", "--pair", str(cfg),

@@ -69,6 +69,10 @@ def test_span_membership():
     for bad in ([1, 1, 0, 256], [1, 1, 0, -1], [0, 0, 0, 2]):
         with pytest.raises(DomainError):
             M.span_contains(bad)
+    # so are rows of the wrong length
+    for bad in ([[1, 1, 0]], [[1, 1, 0, 0, 0]]):
+        with pytest.raises(DomainError):
+            M.span_contains_rows(np.array(bad))
 
 
 def test_same_row_space():
