@@ -26,6 +26,7 @@ import numpy as np
 from .errors import (
     BadComplement,
     Degenerate,
+    DomainError,
     LengthMismatch,
     NotOrthogonal,
     RankDeficient,
@@ -48,6 +49,16 @@ class LinearCode:
         self.field = field
         self.Gmat = mat
         self._Hmat = None
+
+    @classmethod
+    def _full_rank(cls, field, G):
+        """A code from a generator matrix the caller has proved full rank
+        (no elimination)."""
+        code = cls.__new__(cls)
+        code.field = field
+        code.Gmat = G if isinstance(G, MatGF) else MatGF(field, G)
+        code._Hmat = None
+        return code
 
     @classmethod
     def from_parity_check(cls, field, H):
@@ -84,9 +95,7 @@ class LinearCode:
 
     def dual(self):
         """The dual code (generated by the parity-check rows)."""
-        d = LinearCode.__new__(LinearCode)
-        d.field = self.field
-        d.Gmat = self.Hmat
+        d = LinearCode._full_rank(self.field, self.Hmat)
         d._Hmat = self.Gmat
         return d
 
@@ -360,7 +369,12 @@ class CosetLeaderTable:
         self.weights = weights
 
     def pack(self, syndrome):
+        """Table index of each syndrome along the last axis."""
         syndrome = np.asarray(syndrome, dtype=np.int64)
+        if syndrome.shape[-1:] != (self.m,):
+            raise DomainError(f"syndrome must have length {self.m}")
+        if syndrome.size and (syndrome.min() < 0 or syndrome.max() >= self.field.q):
+            raise DomainError(f"syndrome entries must lie in [0, {self.field.q})")
         return (syndrome * self.qpows).sum(axis=-1)
 
     def leader(self, syndrome):

@@ -16,6 +16,51 @@ check coefficient h is turned into its k x k multiplication matrix and each
 row of that matrix is contracted against the opposite side's coset
 generators.  The trace-dual basis itself is never materialized for this
 construction.
+
+Certified set-up.  :func:`concatenate` proves its postconditions from the
+block structure.  It eliminates two n-column inner matrices and, for a
+LinearCode outer code, the N-column generator behind its null-space H; never
+a matrix nN columns wide, nor a GF(q^k) matrix of a GRS code.  Write K_i = dim D_i, and gen_i for the generators of
+L_i (the subfield rows of D_i expanded, over N diagonal copies of a basis of
+dual(C2) for i = 1, of dual(C1) for i = 2).  The factor facts are
+
+  (R) D_i.G and Hout_i have full rank over GF(q^k), and Hout_i has N - K_i
+      rows: a GRS code by construction (distinct points, nonzero
+      multipliers); a LinearCode when its G and H have N rows together,
+      since one of them spans the null space of the other;
+  (I) [dual(C2) basis; g1] and [dual(C1) basis; g2] have full rank, so each
+      g_i is independent modulo the opposite dual (two n-column ranks);
+  (P) dual(C2).dual(C1)^T = 0, g_i lies in C_i, and g1.g2^T = I (one
+      n-column product).
+
+Dimensions.  A vanishing GF(q)-combination of the rows of gen1 is, in every
+block, a combination of the g1 rows modulo dual(C2), so by (I) the power-
+basis coordinates of each symbol of the combined D1-word vanish; by (R) the
+GF(q^k)-combination of the rows of D1.G is trivial, and what is left is a
+combination of the diagonal copies of a basis.  Hence
+
+    dim L1 = k K1 + N (n - k2),    dim L2 = k K2 + N (n - k1).
+
+The lower rows of Ho1 are, in every block and modulo dual(C1), combinations
+of the g2 rows whose coefficients form the GF(q)-expansion of Hout1; by (I)
+a vanishing combination of Ho1's rows reduces to y^T Hout1 = 0 over GF(q^k),
+so y = 0 by (R).  Hence, with k2 = n - k1 + k,
+
+    rank Ho1 = N (n - k1) + k (N - K1) = nN - dim L1,
+
+Ho1 has full row rank, and symmetrically rank Ho2 = nN - dim L2.
+
+Duality and containment.  By (P) every block of gen1.Ho1^T, gen2.Ho2^T and
+Ho1.Ho2^T vanishes that does not involve an expanded outer check.  Those
+that do are computed over GF(q), each product at most nN columns wide:
+
+    pi_1(D1).Gp1^T = 0,    pi_2(D2).Gp2^T = 0,    Gp1.Gp2^T = 0,
+
+and every n-column block of Gp1 against dual(C2), of Gp2 against dual(C1).
+Gp1.Gp2^T = 0 holds exactly when Hout1.Hout2^T = 0, the outer containment,
+through the trace pairing.  With the ranks above, row space(Ho_i) =
+dual(L_i), and Ho1.Ho2^T = 0 is the containment dual(L2) <= L1.
+:func:`verify_duality` checks the same identities by elimination.
 """
 
 from __future__ import annotations
@@ -24,8 +69,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codes import CssPair, LinearCode, validate_css
-from .errors import FieldMismatch, LengthMismatch, NotOrthogonal, RankDeficient
+from .codes import CssPair, LinearCode
+from .errors import (
+    BadComplement,
+    FieldMismatch,
+    LengthMismatch,
+    NotOrthogonal,
+    RankDeficient,
+)
 from .galois import Extension
 from .matrix import MatGF
 from .outer_grs import GrsCode
@@ -80,14 +131,20 @@ def build_parity_check(inner: CssPair, ext: Extension, Hout, side: int = 1):
     """
     if side not in (1, 2):
         raise ValueError("side must be 1 or 2")
-    f = inner.field
-    n, k = inner.n, inner.k
     Hout = np.asarray(Hout, dtype=np.int64)
     if Hout.ndim != 2:
         raise RankDeficient("outer parity check must be a matrix")
-    M, N = Hout.shape
+    M = Hout.shape[0]
     if M and MatGF(ext.as_field(), Hout).rank != M:
         raise RankDeficient("outer parity check is not full rank")
+    return _expanded_check(inner, ext, Hout, side)
+
+
+def _expanded_check(inner: CssPair, ext: Extension, Hout, side: int):
+    """:func:`build_parity_check` without the rank check of ``Hout``."""
+    f = inner.field
+    n, k = inner.n, inner.k
+    M, N = Hout.shape
     H_in = inner.C1.H if side == 1 else inner.C2.H
     g_other = inner.g2 if side == 1 else inner.g1
     upper = np.kron(np.eye(N, dtype=np.int64), H_in)
@@ -158,11 +215,30 @@ class ConcatPair:
 
 
 def _unwrap_outer(D):
+    """``(code, Hout, grs)`` of an outer code, with the facts (R) of the
+    module docstring checked for a LinearCode."""
     if isinstance(D, GrsCode):
         return D.as_linear_code(), D.H, D
-    if isinstance(D, LinearCode):
-        return D, D.H, None
-    raise TypeError("outer codes must be GrsCode or LinearCode")
+    if not isinstance(D, LinearCode):
+        raise TypeError("outer codes must be GrsCode or LinearCode")
+    if D.H.shape[0] != D.n - D.dim:
+        raise RankDeficient("outer parity check is not full rank")
+    return D, D.H, None
+
+
+def _check_inner(inner: CssPair):
+    """The facts (I) and (P) of the module docstring, on n-column matrices."""
+    f, k = inner.field, inner.k
+    A = np.concatenate([inner.C2.H, inner.g1], axis=0)
+    B = np.concatenate([inner.C1.H, inner.g2], axis=0)
+    if MatGF(f, A).rank != len(A) or MatGF(f, B).rank != len(B):
+        raise RankDeficient("inner coset generators are not independent "
+                            "modulo the dual codes")
+    want = np.zeros((len(A), len(B)), dtype=np.int64)
+    want[len(A) - k:, len(B) - k:] = np.eye(k, dtype=np.int64)
+    if not np.array_equal(f.matmul(A, B.T), want):
+        raise BadComplement("inner pair is not paired: dual(C2).dual(C1)^T, "
+                            "g1.dual(C1)^T, dual(C2).g2^T or g1.g2^T - I is nonzero")
 
 
 def concatenate(inner: CssPair, outer, ext: Extension) -> ConcatPair:
@@ -170,6 +246,15 @@ def concatenate(inner: CssPair, outer, ext: Extension) -> ConcatPair:
 
     ``outer`` is a pair (D1, D2) of GrsCode or LinearCode objects over the
     extension field, themselves satisfying the CSS containment.
+
+    The result is certified as derived in the module docstring, from the
+    factor ranks and products over GF(q): ``dim L1 = k K1 + N(n - k2)`` and
+    ``dim L2 = k K2 + N(n - k1)``, ``rank Ho_i = nN - dim L_i``, and the
+    duality and containment from ``pi_1(D1).Gp1^T``, ``pi_2(D2).Gp2^T`` and
+    ``Gp1.Gp2^T`` being zero, with the blocks of ``Gp_i`` orthogonal to the
+    inner duals.  Raises NotOrthogonal when the outer pair violates the CSS
+    containment, RankDeficient or BadComplement when a factor or product
+    fails its certificate.
     """
     D1, Hout1, grs1 = _unwrap_outer(outer[0])
     D2, Hout2, grs2 = _unwrap_outer(outer[1])
@@ -181,23 +266,26 @@ def concatenate(inner: CssPair, outer, ext: Extension) -> ConcatPair:
         raise FieldMismatch("outer codes must live over the extension field")
     if D1.n != D2.n:
         raise LengthMismatch("outer codes of different length")
-    if not validate_css(D1, D2):
-        raise NotOrthogonal("outer pair violates the CSS containment")
+    _check_inner(inner)
     f = inner.field
     n, N = inner.n, D1.n
+    Ho1, Gp1 = _expanded_check(inner, ext, Hout1, side=1)
+    Ho2, Gp2 = _expanded_check(inner, ext, Hout2, side=2)
+    if f.matmul(Gp1, Gp2.T).any():
+        raise NotOrthogonal("outer pair violates the CSS containment")
+    eye = np.eye(N, dtype=np.int64)
     gen1 = np.concatenate([pi_rows(1, inner, ext, _subfield_rows(ext, D1.G)),
-                           np.kron(np.eye(N, dtype=np.int64), inner.C2.H)], axis=0)
+                           np.kron(eye, inner.C2.H)], axis=0)
     gen2 = np.concatenate([pi_rows(2, inner, ext, _subfield_rows(ext, D2.G)),
-                           np.kron(np.eye(N, dtype=np.int64), inner.C1.H)], axis=0)
-    L1 = LinearCode(f, gen1)
-    L2 = LinearCode(f, gen2)
-    expected_dim1 = inner.k * D1.dim + (n - inner.k2) * N
-    if L1.dim != expected_dim1:
-        raise RankDeficient("unexpected L1 dimension")  # pragma: no cover
-    if not validate_css(L1, L2):
-        raise RankDeficient("concatenated pair violates CSS containment")  # pragma: no cover
-    Ho1, Gp1 = build_parity_check(inner, ext, Hout1, side=1)
-    Ho2, Gp2 = build_parity_check(inner, ext, Hout2, side=2)
+                           np.kron(eye, inner.C1.H)], axis=0)
+    top1, top2 = gen1[:inner.k * D1.dim], gen2[:inner.k * D2.dim]
+    if (f.matmul(top1, Gp1.T).any() or f.matmul(top2, Gp2.T).any()
+            or f.matmul(Gp1.reshape(-1, n), inner.C2.H.T).any()
+            or f.matmul(Gp2.reshape(-1, n), inner.C1.H.T).any()):
+        raise RankDeficient("expanded outer check is not orthogonal to the "
+                            "concatenated code")
+    L1 = LinearCode._full_rank(f, gen1)
+    L2 = LinearCode._full_rank(f, gen2)
     return ConcatPair(inner=inner, ext=ext, D1=D1, D2=D2, L1=L1, L2=L2,
                       Ho1=Ho1, Ho2=Ho2, Gp1=Gp1, Gp2=Gp2,
                       Hout1=Hout1, Hout2=Hout2, grs1=grs1, grs2=grs2)

@@ -56,8 +56,8 @@ class DecoderContext:
         # this k x k base-field matrix holds the coordinates of dual basis
         # element j
         self.dual_coords = None if side == 1 else cp.ext.coords(cp.ext.dual_basis())
-        other = cp.L2 if side == 1 else cp.L1
-        self._other_dual = MatGF(self.field, other.H)
+        # the row space of Ho_other is dual(L_other), certified by concatenate
+        self._other_dual = MatGF(self.field, cp.Ho2 if side == 1 else cp.Ho1)
 
     def full_syndrome(self, E):
         """Syndromes of error vectors (rows) against this side's structured check."""
@@ -66,6 +66,8 @@ class DecoderContext:
     def stage1(self, upper):
         """Blockwise coset-leader estimates from upper syndromes ``(..., N*m)``."""
         upper = np.asarray(upper, dtype=np.int64)
+        if upper.shape[-1:] != (self.upper_len,):
+            raise DomainError(f"upper syndrome must have length {self.upper_len}")
         lead = upper.shape[:-1]
         packed = self.table.pack(upper.reshape(*lead, self.N, self.table.m))
         return self.table.leaders[packed].reshape(*lead, self.N * self.n)
@@ -132,6 +134,9 @@ def success_oracle(ctx: DecoderContext, e, estimate) -> bool:
 
 def success_oracle_rows(ctx: DecoderContext, E, estimates):
     """:func:`success_oracle` over matching rows."""
-    diff = ctx.field.sub(np.asarray(estimates, dtype=np.int64),
-                         np.asarray(E, dtype=np.int64))
-    return ctx._other_dual.span_contains_rows(diff)
+    E = np.asarray(E, dtype=np.int64)
+    estimates = np.asarray(estimates, dtype=np.int64)
+    if E.shape != estimates.shape or E.shape[-1:] != (ctx.Ho.shape[1],):
+        raise DomainError(f"errors and estimates must be matching rows of "
+                          f"length {ctx.Ho.shape[1]}")
+    return ctx._other_dual.span_contains_rows(ctx.field.sub(estimates, E))

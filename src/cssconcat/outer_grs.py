@@ -166,11 +166,11 @@ class GrsCode:
         return (self.N - self.K) // 2
 
     def as_linear_code(self) -> LinearCode:
+        """The code as a LinearCode; ``G`` is full rank by construction
+        (distinct points, nonzero multipliers).  Its ``H`` is the null space
+        of ``G``, not the canonical parity check."""
         if self._code is None:
-            code = LinearCode(self.ext.as_field(), self.G)
-            if self.N - self.K > 0:
-                code._Hmat = None  # default null-space H; canonical H kept separate
-            self._code = code
+            self._code = LinearCode._full_rank(self.ext.as_field(), self.G)
         return self._code
 
     def dual(self) -> "GrsCode":

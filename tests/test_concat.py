@@ -1,15 +1,20 @@
 """Concatenation: golden parity-check block, duality, syndrome identity,
 and the quotient-distance product law."""
 
+import copy
+import dataclasses
+
 import numpy as np
 import pytest
 
+from cssconcat import concat, matrix
 from cssconcat.codes import (
     CssPair,
     LinearCode,
     bvector_pair,
     min_weight_excluding,
     random_css_pair,
+    validate_css,
 )
 from hypothesis import given, settings, strategies as st
 
@@ -21,8 +26,10 @@ from cssconcat.concat import (
     pi_rows,
     verify_duality,
 )
-from cssconcat.errors import FieldMismatch, NotOrthogonal
+from cssconcat.decode import DecoderContext
+from cssconcat.errors import FieldMismatch, NotOrthogonal, RankDeficient
 from cssconcat.galois import Extension, Field
+from cssconcat.matrix import MatGF
 from cssconcat.outer_grs import GrsCode, nested_grs_pair
 
 F2 = Field(2)
@@ -273,3 +280,118 @@ def test_build_parity_check_matches_block_loop(inner, ext, N, K):
         want = _parity_block_loop(inner, ext, Hout, side)
         assert np.array_equal(Gp, want)
         assert np.array_equal(Ho[-want.shape[0]:], want)
+
+
+# -- the certified set-up against the generic, elimination-based path ----------
+
+def _inputs(name):
+    """(inner, outer pair, extension) of a named instance."""
+    if name == "12_2":
+        ext = Extension(F2, 2)
+        return bvector_pair(F2, [1] * 4, [1] * 4), nested_grs_pair(ext, 3, 2, 2), ext
+    if name == "90_28":
+        ext = Extension(F2, 4)
+        return bvector_pair(F2, [1] * 6, [1] * 6), nested_grs_pair(ext, 15, 11, 11), ext
+    ext = Extension(F3, 4)
+    inner = bvector_pair(F3, [1] * 6, [1] * 6)
+    if name == "480_160_gf3":
+        return inner, nested_grs_pair(ext, 80, 60, 60), ext
+    assert name == "96_32_gf3_linear"
+    outer = tuple(LinearCode(ext.as_field(), D.G) for D in nested_grs_pair(ext, 16, 12, 12))
+    return inner, outer, ext
+
+
+CERTIFIED = ["12_2", "90_28", "480_160_gf3", "96_32_gf3_linear"]
+
+
+@pytest.mark.parametrize("name", CERTIFIED)
+def test_certified_setup_matches_generic_path(name):
+    cp = concatenate(*_inputs(name))
+    f = cp.inner.field
+    assert verify_duality(cp)
+    assert validate_css(cp.D1, cp.D2) and validate_css(cp.L1, cp.L2)
+    for L, Ho in ((cp.L1, cp.Ho1), (cp.L2, cp.Ho2)):
+        assert LinearCode(f, L.G).dim == L.dim
+        assert MatGF(f, Ho).rank == len(Ho) == cp.block_length - L.dim
+        assert MatGF(f, Ho).same_row_space(L.Gmat.null_space())
+
+
+@pytest.mark.parametrize("name", ["90_28", "96_32_gf3_linear"])
+def test_outer_pair_without_containment_rejected(name):
+    """dual(D2) = RS_4 is not inside D1 = RS_2: both paths reject it."""
+    inner, (_, D2), ext = _inputs(name)
+    N = D2.G.shape[1]
+    D1 = GrsCode(ext, [ext.alpha_pow(j) for j in range(N)], [1] * N, 2)
+    if isinstance(D2, LinearCode):
+        D1 = LinearCode(ext.as_field(), D1.G)
+        assert not validate_css(D1, D2)
+    else:
+        assert not validate_css(D1.as_linear_code(), D2.as_linear_code())
+    with pytest.raises(NotOrthogonal):
+        concatenate(inner, (D1, D2), ext)
+
+
+@pytest.mark.parametrize("flip", [1, 2])
+@pytest.mark.parametrize("name", ["12_2", "90_28", "96_32_gf3_linear"])
+def test_flipped_expanded_check_rejected(monkeypatch, name, flip):
+    inner, outer, ext = _inputs(name)
+    q = inner.field.q
+    good = concatenate(inner, outer, ext)
+    build = concat._expanded_check
+
+    def flipped(inner, ext, Hout, side):
+        Ho, lower = build(inner, ext, Hout, side)
+        if side == flip:
+            lower = lower.copy()
+            lower[0, 0] = (lower[0, 0] + 1) % q
+            Ho = np.concatenate([Ho[:len(Ho) - len(lower)], lower])
+        return Ho, lower
+
+    monkeypatch.setattr(concat, "_expanded_check", flipped)
+    with pytest.raises((NotOrthogonal, RankDeficient)):
+        concatenate(inner, outer, ext)
+    Ho, lower = flipped(inner, ext, good.Hout1 if flip == 1 else good.Hout2, flip)
+    fields = {"Ho1": Ho, "Gp1": lower} if flip == 1 else {"Ho2": Ho, "Gp2": lower}
+    assert not verify_duality(dataclasses.replace(good, **fields))
+
+
+@pytest.mark.parametrize("name", ["12_2", "90_28", "96_32_gf3_linear"])
+def test_dependent_inner_generator_rejected(name):
+    """A CssPair whose second g1 row lies in the first plus dual(C2), built
+    without its own validation."""
+    inner, outer, ext = _inputs(name)
+    f = inner.field
+    bad = copy.copy(inner)
+    bad.g1 = inner.g1.copy()
+    bad.g1[1] = f.add(inner.g1[0], inner.C2.H[0])
+    with pytest.raises(RankDeficient):
+        concatenate(bad, outer, ext)
+
+
+def test_outer_code_with_redundant_parity_check_rejected():
+    """A LinearCode outer code whose H repeats a row: its G and H do not have
+    N rows together, so the expanded check would not have full rank."""
+    inner, (D1, D2), ext = _inputs("96_32_gf3_linear")
+    H = np.concatenate([D2.H, D2.H[:1]])
+    redundant = LinearCode.from_parity_check(ext.as_field(), H)
+    with pytest.raises(RankDeficient):
+        concatenate(inner, (D1, redundant), ext)
+
+
+@pytest.mark.parametrize("name", ["90_28", "480_160_gf3"])
+def test_setup_eliminates_no_nN_column_matrix(monkeypatch, name):
+    """concatenate and both decoder contexts eliminate only small matrices,
+    and never a GF(Q) matrix of a GRS outer code."""
+    inner, outer, ext = _inputs(name)
+    calls = []
+    for kind, kernel in list(matrix._RREF.items()):
+        def spy(f, a, kind=kind, kernel=kernel):
+            calls.append((kind, a.shape[1]))
+            return kernel(f, a)
+        monkeypatch.setitem(matrix._RREF, kind, spy)
+    cp = concatenate(inner, outer, ext)
+    DecoderContext(cp, side=1)
+    DecoderContext(cp, side=2)
+    assert calls
+    assert all(cols < cp.block_length for _, cols in calls)
+    assert all(kind != "tables" for kind, _ in calls)

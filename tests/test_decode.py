@@ -126,6 +126,51 @@ def test_syndrome_length_validation():
             two_stage_decode(ctx, s[1])
 
 
+def test_table_and_stage1_reject_entries_outside_field():
+    """A -1 used to wrap around to the leader of syndrome 1, a 2 to raise a
+    bare IndexError."""
+    cp = _cp_12_2(2, 2)
+    for side in (1, 2):
+        ctx = DecoderContext(cp, side=side)
+        m = ctx.table.m
+        for bad in (-1, 2):
+            syn = np.zeros(m, dtype=np.int64)
+            syn[0] = bad
+            with pytest.raises(DomainError):
+                ctx.table.pack(syn)
+            with pytest.raises(DomainError):
+                ctx.table.leader(syn)
+            upper = np.zeros((2, ctx.upper_len), dtype=np.int64)
+            upper[1, -1] = bad
+            with pytest.raises(DomainError):
+                ctx.stage1(upper)
+        with pytest.raises(DomainError):
+            ctx.table.leader(np.zeros(m + 1, dtype=np.int64))
+        with pytest.raises(DomainError):
+            ctx.stage1(np.zeros(ctx.upper_len - 1, dtype=np.int64))
+        assert np.array_equal(ctx.table.leader(np.ones(m, dtype=np.int64)),
+                              ctx.table.leaders[int(ctx.table.qpows.sum())])
+
+
+def test_oracle_rejects_mismatched_lengths():
+    """A length-1 error vector used to broadcast against the estimate and
+    pass."""
+    cp = _cp_12_2(1, 3)
+    ctx = DecoderContext(cp, side=1)
+    zero = np.zeros(12, dtype=np.int64)
+    with pytest.raises(DomainError):
+        success_oracle(ctx, [0], zero)
+    with pytest.raises(DomainError):
+        success_oracle(ctx, zero, [0])
+    with pytest.raises(DomainError):
+        success_oracle_rows(ctx, np.zeros((3, 1), dtype=np.int64),
+                            np.zeros((3, 12), dtype=np.int64))
+    with pytest.raises(DomainError):
+        success_oracle_rows(ctx, np.zeros((2, 12), dtype=np.int64),
+                            np.zeros((3, 12), dtype=np.int64))
+    assert success_oracle(ctx, zero, zero)
+
+
 def test_side_without_decoder_rejected():
     from cssconcat.codes import LinearCode
     inner = bvector_pair(F2, [1] * 4, [1] * 4)
