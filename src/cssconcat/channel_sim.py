@@ -60,7 +60,7 @@ def _sample_block(channel, seed, start, count, length):
     u = np.empty((count, length))
     for i in range(count):
         u[i] = _trial_rng(seed, start + i).random(length)
-    return np.searchsorted(channel.cdf, u, side="right").astype(np.int64)
+    return np.searchsorted(channel.cdf, u, side="right").astype(np.int64, copy=False)
 
 
 def sample_error(channel: AdditiveChannel, length: int, rng_seed) -> np.ndarray:

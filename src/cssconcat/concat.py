@@ -14,13 +14,28 @@ The structured parity-check matrix of L1 stacks N diagonal copies of C1's
 parity check on top of "expanded" copies of D1's parity check: every outer
 check coefficient h is turned into its k x k multiplication matrix and each
 row of that matrix is contracted against the opposite side's coset
-generators.  The trace-dual basis itself is never materialized for this
-construction.
+generators.
+
+pi tables.  Both maps act symbol by symbol, so one set-up expands every
+GF(q^k) matrix by gathers from the two (Q, n) tables PI_m[x] = pi_m(x),
+built once by :func:`pi_map` on all Q codes.  The subfield rows of D_i are
+PI_i[alpha^l . D_i.G].  Row r of the k x n block of the expanded check of L2
+at a coefficient h is the power-basis coordinates of h alpha^r contracted
+against g1, that is PI_1[h alpha^r].  For L1 it is the r-th coordinates of
+h alpha^c, c = 0..k-1, contracted against g2.  With beta the trace-dual
+basis, coords(y)_r = Tr(y beta_r), so coords(h alpha^c)_r = Tr((h beta_r)
+alpha^c): the trace-dual coordinates of h beta_r, and the row is
+PI_2[h beta_r].  The checks Ho_i are written in place, Gp_i is a row view of
+Ho_i, and the nN-column generators of L1/L2 are built from the tables and
+the inner duals only when first read: ``cssconcat concat`` and ``mindist``
+and :func:`verify_duality` read them, the decoder and the Monte-Carlo path
+never do.
 
 Certified set-up.  :func:`concatenate` proves its postconditions from the
 block structure.  It eliminates two n-column inner matrices and, for a
 LinearCode outer code, the N-column generator behind its null-space H; never
-a matrix nN columns wide, nor a GF(q^k) matrix of a GRS code.  Write K_i = dim D_i, and gen_i for the generators of
+a matrix nN columns wide, nor a GF(q^k) matrix of a GRS code.  Write
+K_i = dim D_i, and gen_i for the generators of
 L_i (the subfield rows of D_i expanded, over N diagonal copies of a basis of
 dual(C2) for i = 1, of dual(C1) for i = 2).  The factor facts are
 
@@ -66,6 +81,7 @@ dual(L_i), and Ho1.Ho2^T = 0 is the containment dual(L2) <= L1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -104,10 +120,36 @@ def pi_map(m: int, pair: CssPair, ext: Extension, x) -> np.ndarray:
     return pair.field.matmul(coords, g).reshape(-1)
 
 
+def pi_table(m: int, pair: CssPair, ext: Extension) -> np.ndarray:
+    """The (Q, n) table whose row x is :func:`pi_map` of the code x."""
+    return pi_map(m, pair, ext, np.arange(ext.Q)).reshape(ext.Q, pair.n)
+
+
 def pi_rows(m: int, pair: CssPair, ext: Extension, M) -> np.ndarray:
     """Apply :func:`pi_map` to every row of a matrix over GF(q^k)."""
     M = np.asarray(M, dtype=np.int64)
-    return pi_map(m, pair, ext, M).reshape(M.shape[0], pair.n * M.shape[1])
+    return pi_table(m, pair, ext)[M].reshape(M.shape[0], pair.n * M.shape[1])
+
+
+def _expand(table, M, out=None):
+    """The rows of ``M`` over GF(q^k) expanded through a pi table, written
+    into ``out`` (a row block of a C-ordered array) when it is given.
+
+    The codes of ``M`` are in range, so ``np.take`` may clip instead of
+    checking, which keeps it from buffering ``out``.
+    """
+    if out is None:
+        out = np.empty((M.shape[0], M.shape[1] * table.shape[1]), dtype=table.dtype)
+    np.take(table, M, axis=0, out=out.reshape(*M.shape, table.shape[1]), mode="clip")
+    return out
+
+
+def _blockwise(H, out):
+    """Write diagonal copies of ``H`` into the zeroed row block ``out``."""
+    m, n = H.shape
+    N = out.shape[1] // n
+    i = np.arange(N)
+    out.reshape(N, m, N, n)[i, :, i, :] = H
 
 
 def _subfield_rows(ext: Extension, M) -> np.ndarray:
@@ -121,13 +163,26 @@ def _subfield_rows(ext: Extension, M) -> np.ndarray:
     return scaled.reshape(M.shape[0] * ext.k, M.shape[1])
 
 
+def _concatenated_rows(ext, table, G, H):
+    """Generators of pi(row space of G) + blockwise row space of H over GF(q):
+    the expanded subfield rows of ``G`` above N diagonal copies of ``H``."""
+    S = _subfield_rows(ext, G)
+    N = S.shape[1]
+    m, n = H.shape
+    out = np.zeros((len(S) + N * m, N * n), dtype=np.int64)
+    _expand(table, S, out[:len(S)])
+    _blockwise(H, out[len(S):])
+    return out
+
+
 def build_parity_check(inner: CssPair, ext: Extension, Hout, side: int = 1):
     """The structured parity check of the concatenated code on one side.
 
     ``Hout`` is a full-rank parity check (M x N over GF(q^k)) of the outer
     code whose concatenation is being checked.  Returns ``(Ho, lower)`` where
     ``Ho`` stacks N diagonal copies of the inner parity check above the
-    expanded outer check ``lower`` (the k*M x n*N block matrix).
+    expanded outer check ``lower`` (the k*M x n*N block matrix), a row view
+    of ``Ho``.
     """
     if side not in (1, 2):
         raise ValueError("side must be 1 or 2")
@@ -141,22 +196,20 @@ def build_parity_check(inner: CssPair, ext: Extension, Hout, side: int = 1):
 
 
 def _expanded_check(inner: CssPair, ext: Extension, Hout, side: int):
-    """:func:`build_parity_check` without the rank check of ``Hout``."""
-    f = inner.field
+    """:func:`build_parity_check` without the rank check of ``Hout``.
+
+    Row ``j * k + r`` of ``lower`` is PI_2[Hout[j] * beta_r] on side 1 and
+    PI_1[Hout[j] * alpha^r] on side 2 (see the module docstring).
+    """
     n, k = inner.n, inner.k
     M, N = Hout.shape
     H_in = inner.C1.H if side == 1 else inner.C2.H
-    g_other = inner.g2 if side == 1 else inner.g1
-    upper = np.kron(np.eye(N, dtype=np.int64), H_in)
-    # P[j, i, r, c] = coords(Hout[j, i] * alpha^r)[c], the transpose of
-    # phi(Hout[j, i]); side 1 contracts phi(h) itself, side 2 its transpose
-    alphas = np.asarray(ext.power_basis(), dtype=np.int64)
-    P = ext.coords(ext.mul(Hout[:, :, None], alphas[None, None, :]))
-    if side == 1:
-        P = P.swapaxes(2, 3)
-    blocks = f.matmul(P.reshape(M * N * k, k), g_other).reshape(M, N, k, n)
-    lower = blocks.transpose(0, 2, 1, 3).reshape(k * M, n * N)
-    Ho = np.concatenate([upper, lower], axis=0)
+    basis = ext.dual_basis() if side == 1 else ext.power_basis()
+    scaled = ext.mul(Hout[:, None, :], np.asarray(basis, dtype=np.int64)[None, :, None])
+    top = N * len(H_in)
+    Ho = np.zeros((top + k * M, n * N), dtype=np.int64)
+    _blockwise(H_in, Ho[:top])
+    lower = _expand(pi_table(3 - side, inner, ext), scaled.reshape(k * M, N), Ho[top:])
     return Ho, lower
 
 
@@ -166,24 +219,38 @@ class ConcatPair:
 
     ``Ho1``/``Ho2`` are the parity checks of L1/L2; ``Gp1``/``Gp2`` their
     lower (expanded outer) parts; ``Hout1``/``Hout2`` the outer parity
-    checks they were built from.  ``grs1``/``grs2`` hold bounded-distance
-    decodable handles when the outer codes are GRS.
+    checks they were built from; ``PI1``/``PI2`` the (Q, n) tables of
+    pi_1/pi_2.  ``grs1``/``grs2`` hold bounded-distance decodable handles
+    when the outer codes are GRS.  The codes ``L1``/``L2`` are built on
+    first access.
     """
 
     inner: CssPair
     ext: Extension
     D1: LinearCode
     D2: LinearCode
-    L1: LinearCode
-    L2: LinearCode
     Ho1: np.ndarray
     Ho2: np.ndarray
     Gp1: np.ndarray
     Gp2: np.ndarray
     Hout1: np.ndarray
     Hout2: np.ndarray
+    PI1: np.ndarray
+    PI2: np.ndarray
     grs1: GrsCode | None = None
     grs2: GrsCode | None = None
+
+    @cached_property
+    def L1(self) -> LinearCode:
+        """L1 = pi_1(D1) + blockwise dual(C2), full rank by the certificate."""
+        return LinearCode._full_rank(self.inner.field, _concatenated_rows(
+            self.ext, self.PI1, self.D1.G, self.inner.C2.H))
+
+    @cached_property
+    def L2(self) -> LinearCode:
+        """L2 = pi_2(D2) + blockwise dual(C1), full rank by the certificate."""
+        return LinearCode._full_rank(self.inner.field, _concatenated_rows(
+            self.ext, self.PI2, self.D2.G, self.inner.C1.H))
 
     @property
     def n(self):
@@ -252,9 +319,11 @@ def concatenate(inner: CssPair, outer, ext: Extension) -> ConcatPair:
     ``dim L2 = k K2 + N(n - k1)``, ``rank Ho_i = nN - dim L_i``, and the
     duality and containment from ``pi_1(D1).Gp1^T``, ``pi_2(D2).Gp2^T`` and
     ``Gp1.Gp2^T`` being zero, with the blocks of ``Gp_i`` orthogonal to the
-    inner duals.  Raises NotOrthogonal when the outer pair violates the CSS
-    containment, RankDeficient or BadComplement when a factor or product
-    fails its certificate.
+    inner duals.  ``pi_i(D_i)`` is formed for its check and dropped; the
+    generators of L1/L2 are built from the pi tables when first read.
+    Raises NotOrthogonal when the outer pair violates the CSS containment,
+    RankDeficient or BadComplement when a factor or product fails its
+    certificate.
     """
     D1, Hout1, grs1 = _unwrap_outer(outer[0])
     D2, Hout2, grs2 = _unwrap_outer(outer[1])
@@ -267,28 +336,22 @@ def concatenate(inner: CssPair, outer, ext: Extension) -> ConcatPair:
     if D1.n != D2.n:
         raise LengthMismatch("outer codes of different length")
     _check_inner(inner)
-    f = inner.field
-    n, N = inner.n, D1.n
+    f, n = inner.field, inner.n
     Ho1, Gp1 = _expanded_check(inner, ext, Hout1, side=1)
     Ho2, Gp2 = _expanded_check(inner, ext, Hout2, side=2)
     if f.matmul(Gp1, Gp2.T).any():
         raise NotOrthogonal("outer pair violates the CSS containment")
-    eye = np.eye(N, dtype=np.int64)
-    gen1 = np.concatenate([pi_rows(1, inner, ext, _subfield_rows(ext, D1.G)),
-                           np.kron(eye, inner.C2.H)], axis=0)
-    gen2 = np.concatenate([pi_rows(2, inner, ext, _subfield_rows(ext, D2.G)),
-                           np.kron(eye, inner.C1.H)], axis=0)
-    top1, top2 = gen1[:inner.k * D1.dim], gen2[:inner.k * D2.dim]
-    if (f.matmul(top1, Gp1.T).any() or f.matmul(top2, Gp2.T).any()
+    PI1, PI2 = pi_table(1, inner, ext), pi_table(2, inner, ext)
+    # pi_i(D_i) lives only for its product
+    if (f.matmul(_expand(PI1, _subfield_rows(ext, D1.G)), Gp1.T).any()
+            or f.matmul(_expand(PI2, _subfield_rows(ext, D2.G)), Gp2.T).any()
             or f.matmul(Gp1.reshape(-1, n), inner.C2.H.T).any()
             or f.matmul(Gp2.reshape(-1, n), inner.C1.H.T).any()):
         raise RankDeficient("expanded outer check is not orthogonal to the "
                             "concatenated code")
-    L1 = LinearCode._full_rank(f, gen1)
-    L2 = LinearCode._full_rank(f, gen2)
-    return ConcatPair(inner=inner, ext=ext, D1=D1, D2=D2, L1=L1, L2=L2,
-                      Ho1=Ho1, Ho2=Ho2, Gp1=Gp1, Gp2=Gp2,
-                      Hout1=Hout1, Hout2=Hout2, grs1=grs1, grs2=grs2)
+    return ConcatPair(inner=inner, ext=ext, D1=D1, D2=D2, Ho1=Ho1, Ho2=Ho2,
+                      Gp1=Gp1, Gp2=Gp2, Hout1=Hout1, Hout2=Hout2, PI1=PI1, PI2=PI2,
+                      grs1=grs1, grs2=grs2)
 
 
 def verify_duality(cp: ConcatPair) -> bool:
@@ -300,18 +363,12 @@ def verify_duality(cp: ConcatPair) -> bool:
     """
     f = cp.inner.field
     fQ = cp.ext.as_field()
-    n, N = cp.n, cp.N
 
     def dual_gen(side):
-        if side == 1:
-            Dperp = MatGF(fQ, cp.D1.G).null_space().a
-            rows = pi_rows(2, cp.inner, cp.ext, _subfield_rows(cp.ext, Dperp))
-            blocks = np.kron(np.eye(N, dtype=np.int64), cp.inner.C1.H)
-        else:
-            Dperp = MatGF(fQ, cp.D2.G).null_space().a
-            rows = pi_rows(1, cp.inner, cp.ext, _subfield_rows(cp.ext, Dperp))
-            blocks = np.kron(np.eye(N, dtype=np.int64), cp.inner.C2.H)
-        return MatGF(f, np.concatenate([rows, blocks], axis=0))
+        D, table, H = ((cp.D1, cp.PI2, cp.inner.C1.H) if side == 1
+                       else (cp.D2, cp.PI1, cp.inner.C2.H))
+        Dperp = MatGF(fQ, D.G).null_space().a
+        return MatGF(f, _concatenated_rows(cp.ext, table, Dperp, H))
 
     ok = True
     ok &= cp.L1.Gmat.null_space().same_row_space(dual_gen(1))

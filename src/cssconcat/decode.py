@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .codes import TABLE_CAP, CosetLeaderTable
-from .concat import ConcatPair, pi_map
+from .concat import ConcatPair
 from .errors import DecodeFailure, DomainError
 from .matrix import MatGF
 
@@ -47,6 +47,7 @@ class DecoderContext:
         self.table = CosetLeaderTable(self.inner_code, cap=cap)
         self.Ho = cp.Ho1 if side == 1 else cp.Ho2
         self.Gp = cp.Gp1 if side == 1 else cp.Gp2
+        self.pi = cp.PI1 if side == 1 else cp.PI2  # row x is pi_side(x)
         self.grs = grs
         self.N = cp.N
         self.n = cp.n
@@ -89,7 +90,7 @@ class DecoderContext:
                 outer_ok[i] = False
                 continue
             if x.any():
-                Ehat[i] = f.add(Ehat[i], pi_map(self.side, self.cp.inner, self.ext, x))
+                Ehat[i] = f.add(Ehat[i], self.pi[x].reshape(-1))
         return outer_ok
 
     def reassemble_symbols(self, resid):

@@ -22,7 +22,7 @@ import itertools
 import numpy as np
 
 from .errors import DivisionByZero, DomainError, NotABasis, NotPrimitive, Singular, TooLarge
-from .matrix import MatGF, chunk_rows, reduce_mod
+from .matrix import MatGF, blas_dtype, chunk_rows, reduce_mod
 
 _EXT_ORDER_CAP = 1 << 20  # largest supported extension-field size
 _TABLE_CAP = 1 << 12  # largest base field with dense q x q tables
@@ -163,22 +163,26 @@ _EXACT_SUM = 1 << 51  # float64 sums below this reduce exactly (matrix.reduce_mo
 
 
 def _matmul_blas(A, B, p):
-    """``(A @ B) % p`` for codes of GF(p) on float64 BLAS.
+    """``(A @ B) % p`` for codes of GF(p) on BLAS.
 
     Every sum is an integer below n·(p-1)² for inner dimension n, so the
-    float64 product is exact and reduces exactly while that stays below
-    2**51: n up to about 1.3·10⁸ for p below the 4096 table cap.
+    float product is exact and reduces exactly in float32 while that stays
+    below ``matrix._F32_SUM`` = 2**22 - 1 (n up to about 4·10⁶ over GF(2),
+    10⁶ over GF(3)), and in float64 while it stays below 2**51 (n up to
+    about 1.3·10⁸ for p below the 4096 table cap).  Rows go in chunks of
+    bounded bytes.
     """
     n = A.shape[-1]
     if n * (p - 1) ** 2 >= _EXACT_SUM:
         raise TooLarge(f"inner dimension {n} too large for exact GF({p}) products")
-    Bf = B.astype(np.float64)
+    dtype = blas_dtype(n, p)
+    Bf = B.astype(dtype)
     if A.ndim != 2:
-        return reduce_mod(A.astype(np.float64) @ Bf, p).astype(np.int64)
+        return reduce_mod(A.astype(dtype) @ Bf, p).astype(np.int64)
     out = np.empty(A.shape[:1] + B.shape[1:], dtype=np.int64)
-    step = chunk_rows(max(n, B.shape[-1]))
+    step = chunk_rows(max(n, B.shape[-1]), Bf.itemsize)
     for lo in range(0, A.shape[0], step):
-        out[lo:lo + step] = reduce_mod(A[lo:lo + step].astype(np.float64) @ Bf, p)
+        out[lo:lo + step] = reduce_mod(A[lo:lo + step].astype(dtype) @ Bf, p)
     return out
 
 
@@ -486,6 +490,7 @@ class Extension:
         self._trace_table = None
         self._coord_table = None
         self._dual_table = None
+        self._dual_basis = None
         self._as_field = None
         if self.Q <= _TABLE_CAP:
             D = _digits(np.arange(self.Q, dtype=np.int64), base.p, base.e * k)
@@ -674,9 +679,12 @@ class Extension:
 
         Returns elements ``(b'_j)`` with ``Tr(b_i b'_j) = delta_ij``, computed
         by inverting the Gram matrix of trace pairings over the base field.
+        The dual of the power basis is computed once and kept.
         """
         if basis is None:
-            basis = self.power_basis()
+            if self._dual_basis is None:
+                self._dual_basis = self.dual_basis(self.power_basis())
+            return list(self._dual_basis)
         if len(basis) != self.k:
             raise NotABasis("need exactly k elements")
         try:

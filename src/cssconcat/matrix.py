@@ -16,8 +16,9 @@ panel of at most ``_PANEL`` pivots, and each full panel is applied to the
 trailing columns as one matmul.  Every float64 value there is an integer far
 below 2**51, so the arithmetic is exact and :func:`reduce_mod` brings it back
 into ``[0, p)`` exactly: the result is the same reduced row-echelon form.
-Span reduction against the rref over any prime field, GF(2) included, is one
-matmul on float64 BLAS as well.
+Span reduction against the rref over any prime field, GF(2) included, is
+one matmul per chunk of rows on BLAS as well, in float32 where
+:func:`blas_dtype` finds it exact.
 """
 
 from __future__ import annotations
@@ -27,15 +28,23 @@ import numpy as np
 from .errors import DomainError, FieldMismatch, Singular
 
 _PANEL = 64  # pivots per delayed update in the odd-prime elimination
-_CHUNK = 1 << 16  # entries per chunked temporary (512 KiB of float64)
+_CHUNK_BYTES = 1 << 19  # bytes per chunked temporary
+_F32_SUM = (1 << 22) - 1  # float32 sums of smaller magnitude reduce exactly
 
 
 def reduce_mod(x, p):
-    """Reduce the integer-valued float64 array ``x`` modulo ``p`` in place.
+    """Reduce the integer-valued float array ``x`` modulo ``p`` in place.
 
-    Exact while ``|x| < 2**51``: ``(x + 0.5) / p`` then lies at least
-    ``0.5 / p`` away from every integer, far more than its rounding error,
-    so the floor is the exact quotient.
+    ``(x + 0.5) / p`` lies at least ``0.5 / p`` away from every integer, so
+    the floor is the exact quotient while the rounding error of ``t`` stays
+    below that.  With a u-bit significand, ``1 / p`` and the product each
+    carry a relative error of at most ``2**-u``, so ``t`` is off by at most
+    ``|x + 0.5| * 2**(1 - u) * (1 + 2**-u) / p``:
+
+    * float64 (u = 53): exact while ``|x| < 2**51``;
+    * float32 (u = 24): exact while ``|x| < 2**22 - 1`` (``_F32_SUM``), as
+      then ``|x + 0.5| * (1 + 2**-24) < 2**22``.  ``x + 0.5`` and
+      ``floor(t) * p <= |x| + p`` are exact below ``2**23``, so is ``x - t``.
     """
     t = x + 0.5
     t *= 1.0 / p
@@ -45,10 +54,22 @@ def reduce_mod(x, p):
     return x
 
 
-def chunk_rows(width):
-    """Rows per chunk that keep a temporary of ``width`` columns near ``_CHUNK``
-    entries."""
-    return max(1, _CHUNK // max(1, width))
+def blas_dtype(n, p):
+    """The float type for exact sums of ``n`` products of codes of GF(p).
+
+    Such a sum, and a code minus such a sum, has magnitude at most
+    ``n * (p - 1)**2``.  Every partial sum is an integer of no larger
+    magnitude, exact in float32 below ``2**24`` whatever order BLAS adds in,
+    so float32 is exact up to the :func:`reduce_mod` bound ``_F32_SUM``;
+    beyond it float64 is used.
+    """
+    return np.float32 if n * (p - 1) ** 2 < _F32_SUM else np.float64
+
+
+def chunk_rows(width, itemsize=8):
+    """Rows per chunk that keep a temporary of ``width`` columns of
+    ``itemsize``-byte entries near ``_CHUNK_BYTES``."""
+    return max(1, _CHUNK_BYTES // (itemsize * max(1, width)))
 
 
 def _rref_rows(f, a):
@@ -120,30 +141,31 @@ def _free_columns(cols, pivots):
     return np.flatnonzero(free)
 
 
-def _reduce_rows_blas(p, pivots, free, R, X):
-    """Residual of the rows of ``X`` against the reduced rows ``R`` over GF(p),
-    on float64 BLAS (exact: see the module docstring).
+def _blas_residuals(p, pivots, free, R, X):
+    """Residuals of the rows of ``X`` against the reduced rows ``R`` over
+    GF(p), on BLAS (exact: see :func:`blas_dtype`), one chunk of rows at a
+    time.
 
     ``pivots`` and ``free`` are the pivot columns of ``R`` and the others.
     Since ``R`` is reduced, eliminating pivot by pivot subtracts exactly
-    ``X[:, pivots] @ R``, and the residual vanishes on the pivot columns.  A
-    row with no nonzero entry in a pivot column is its own residual.
+    ``X[:, pivots] @ R``, and the residual vanishes on the pivot columns.
+    Yields ``(rows, resid)``: the indices of the rows with a nonzero entry
+    in a pivot column and their residuals on the free columns, as floats in
+    ``[0, p)``.  Every other row is its own residual.
     """
-    out = X.copy()
-    active = np.flatnonzero(X[:, pivots].any(axis=1))
-    if not active.size:
-        return out
-    Rf = R[:, free].astype(np.float64)
-    step = chunk_rows(X.shape[1])
-    for lo in range(0, active.size, step):
-        rows = active[lo:lo + step]
-        x = X[rows]
-        resid = x[:, free].astype(np.float64)
-        resid -= x[:, pivots].astype(np.float64) @ Rf
-        x[:, pivots] = 0
-        x[:, free] = reduce_mod(resid, p)
-        out[rows] = x
-    return out
+    dtype = blas_dtype(X.shape[1], p)
+    step = chunk_rows(X.shape[1], np.dtype(dtype).itemsize)
+    Rf = None  # converted only once a row needs it
+    for lo in range(0, X.shape[0], step):
+        x = X[lo:lo + step]
+        rows = np.flatnonzero(x[:, pivots].any(axis=1))
+        if rows.size:
+            if Rf is None:
+                Rf = R[:, free].astype(dtype)
+            x = x[rows]
+            resid = x[:, free].astype(dtype)
+            resid -= x[:, pivots].astype(dtype) @ Rf
+            yield lo + rows, reduce_mod(resid, p)
 
 
 def _rref_prime(f, a):
@@ -361,20 +383,38 @@ class MatGF:
             raise DomainError("vector length mismatch")
         return not self.reduce_vector(v).any()
 
-    def reduce_rows(self, X):
-        """Vectorized :meth:`reduce_vector` for a batch of row vectors."""
-        f = self.field
-        R, pivots, rank = self._rref()
+    def _checked_rows(self, X):
         X = np.asarray(X, dtype=np.int64)
         if X.shape[-1] != self.cols:
             raise DomainError("vector length mismatch")
-        if X.size and (X.min() < 0 or X.max() >= f.q):
+        if X.size and (X.min() < 0 or X.max() >= self.field.q):
             raise DomainError("entries are not codes of the declared field")
+        return X
+
+    def _residuals(self, X):
+        """:func:`_blas_residuals` of ``X`` against the cached rref (prime
+        fields)."""
+        R, pivots, rank = self._rref()
+        if self._span_cache is None:
+            self._span_cache = (np.array(pivots, dtype=np.intp),
+                                _free_columns(self.cols, pivots))
+        return _blas_residuals(self.field.p, *self._span_cache, R[:rank], X)
+
+    def reduce_rows(self, X):
+        """Vectorized :meth:`reduce_vector` for a batch of row vectors."""
+        f = self.field
+        X = self._checked_rows(X)
         if f.kind != "tables":
-            if self._span_cache is None:
-                self._span_cache = (np.array(pivots, dtype=np.intp),
-                                    _free_columns(self.cols, pivots))
-            return _reduce_rows_blas(f.p, *self._span_cache, R[:rank], X)
+            out = X.copy()
+            residuals = self._residuals(X)
+            pivots, free = self._span_cache
+            for rows, resid in residuals:
+                x = out[rows]
+                x[:, pivots] = 0
+                x[:, free] = resid
+                out[rows] = x
+            return out
+        R, pivots, rank = self._rref()
         X = X.copy()
         for r, pc in enumerate(pivots):
             nz = np.flatnonzero(X[:, pc])
@@ -383,8 +423,20 @@ class MatGF:
         return X
 
     def span_contains_rows(self, X):
-        """Boolean mask: which rows of ``X`` lie in the row space."""
-        return ~self.reduce_rows(X).any(axis=1)
+        """Boolean mask: which rows of ``X`` lie in the row space.
+
+        Over a prime field the mask is filled chunk by chunk from the
+        residuals, with no residual copy of the batch.
+        """
+        if self.field.kind == "tables":
+            return ~self.reduce_rows(X).any(axis=1)
+        X = self._checked_rows(X)
+        mask = ~X.any(axis=1)  # right for every row with no pivot entry
+        if mask.all():
+            return mask
+        for rows, resid in self._residuals(X):
+            mask[rows] = ~resid.any(axis=1)
+        return mask
 
     def same_row_space(self, other):
         self._check_field(other)

@@ -18,6 +18,7 @@ from cssconcat.codes import (
 )
 from hypothesis import given, settings, strategies as st
 
+from cssconcat.channel_sim import AdditiveChannel, mc_error_rate
 from cssconcat.concat import (
     _subfield_rows,
     build_parity_check,
@@ -206,10 +207,12 @@ def test_outer_containment_violation():
 # -- whole-matrix expansions against per-row and per-block loops ---------------
 
 F3 = Field(3)
+F4 = Field(2, 2)
 # (inner pair, extension) with inner k equal to the extension degree
 EXPANSIONS = [(bvector_pair(F2, [1] * 4, [1] * 4), Extension(F2, 2)),
               (bvector_pair(F2, [1] * 6, [1] * 6), Extension(F2, 4)),
-              (bvector_pair(F3, [1] * 6, [1] * 6), Extension(F3, 4))]
+              (bvector_pair(F3, [1] * 6, [1] * 6), Extension(F3, 4)),
+              (bvector_pair(F4, [1] * 4, [1] * 4), Extension(F4, 2))]  # GF(16)/GF(4)
 
 
 def _pi_row_loop(m, pair, ext, M):
@@ -273,6 +276,7 @@ def _parity_block_loop(inner, ext, Hout, side):
 @pytest.mark.parametrize("inner, ext, N, K", [
     (bvector_pair(F2, [1] * 6, [1] * 6), Extension(F2, 4), 15, 11),  # [[90,28]]
     (bvector_pair(F3, [1] * 6, [1] * 6), Extension(F3, 4), 12, 8),   # [[72,16]] over GF(3)
+    (bvector_pair(F4, [1] * 4, [1] * 4), Extension(F4, 2), 15, 11),  # [[60,14]] over GF(4)
 ])
 def test_build_parity_check_matches_block_loop(inner, ext, N, K):
     cp = concatenate(inner, nested_grs_pair(ext, N, K, K), ext)
@@ -280,6 +284,24 @@ def test_build_parity_check_matches_block_loop(inner, ext, N, K):
         want = _parity_block_loop(inner, ext, Hout, side)
         assert np.array_equal(Gp, want)
         assert np.array_equal(Ho[-want.shape[0]:], want)
+
+
+def test_concatenate_retains_no_generator():
+    """Set-up, decoding and MC never build L1/L2; Gp_i is a row view of Ho_i;
+    the generators built on first access match the eager construction."""
+    inner, ext = EXPANSIONS[1]
+    cp = concatenate(inner, nested_grs_pair(ext, 15, 11, 11), ext)
+    ctxs = (DecoderContext(cp, side=1), DecoderContext(cp, side=2))
+    mc_error_rate(ctxs[0], AdditiveChannel.symmetric(F2, 0.05), 64, 3)
+    assert "L1" not in vars(cp) and "L2" not in vars(cp)
+    assert np.shares_memory(cp.Gp1, cp.Ho1) and np.shares_memory(cp.Gp2, cp.Ho2)
+    eye = np.eye(cp.N, dtype=np.int64)
+    for L, m, D, H_other in ((cp.L1, 1, cp.D1, inner.C2.H), (cp.L2, 2, cp.D2, inner.C1.H)):
+        rows = [pi_map(m, inner, ext, ext.mul(ext.alpha_pow(l), D.G[r]))
+                for r in range(D.dim) for l in range(ext.k)]
+        want = np.concatenate([np.array(rows), np.kron(eye, H_other)])
+        assert L.G.dtype == want.dtype and np.array_equal(L.G, want)
+    assert "L1" in vars(cp) and vars(cp)["L1"] is cp.L1
 
 
 # -- the certified set-up against the generic, elimination-based path ----------

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cssconcat.errors import DomainError, Singular, TooLarge
-from cssconcat import galois
+from cssconcat import galois, matrix
 from cssconcat.galois import Extension, Field
 from cssconcat.matrix import MatGF, enumerate_span
 
@@ -194,6 +194,50 @@ def test_reduce_rows_matches_reference(case, data):
         assert np.array_equal(got, MatGF(table_view, A).reduce_rows(X))
 
 
+SPAN_FIELDS = (FIELDS[2], FIELDS[3], (Field(31), Extension(Field(31), 1).as_field()))
+
+
+@st.composite
+def span_batches(draw):
+    """A matrix of low or full rank and a batch of rows of its span, random
+    rows, all-zero rows and rows with no entry in a pivot column; the batch
+    is empty, small, or one to three rows past a chunk of residuals."""
+    fast, tables = draw(st.sampled_from(SPAN_FIELDS))
+    p = fast.p
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    rows, cols = draw(st.integers(0, 6)), draw(st.integers(1, 10))
+    A = rng.integers(0, p, (rows, cols))
+    if rows > 1 and draw(st.booleans()):  # low rank
+        A = rng.integers(0, p, (rows, 1)) * A[:1] % p
+    if draw(st.booleans()):
+        itemsize = np.dtype(matrix.blas_dtype(cols, p)).itemsize
+        m = matrix.chunk_rows(cols, itemsize) + draw(st.integers(1, 3))
+    else:
+        m = draw(st.integers(0, 12))
+    kind = rng.integers(0, 4, m)
+    X = rng.integers(0, p, (m, cols))
+    X[kind == 0] = rng.integers(0, p, ((kind == 0).sum(), rows)) @ A % p
+    X[kind == 2] = 0
+    pivots = list(MatGF(fast, A).rref()[1])
+    no_pivot = X[kind == 3]
+    no_pivot[:, pivots] = 0
+    X[kind == 3] = no_pivot
+    return fast, tables, A, X, kind
+
+
+@settings(max_examples=60, deadline=None)
+@given(span_batches())
+def test_span_contains_rows_matches_residuals(case):
+    fast, tables, A, X, kind = case
+    want = ~MatGF(fast, A).reduce_rows(X).any(axis=1)
+    for f in (fast, tables):
+        got = MatGF(f, A).span_contains_rows(X)
+        assert got.dtype == bool and got.shape == (len(X),)
+        assert np.array_equal(got, want)
+    assert want[kind == 0].all() and want[kind == 2].all()
+    assert np.array_equal(want[kind == 3], ~X[kind == 3].any(axis=1))
+
+
 def test_kernels_agree_on_larger_low_rank_matrices():
     """Rank-deficient 40 x 60 products keep every pivot step busy."""
     rng = np.random.default_rng(11)
@@ -251,20 +295,47 @@ def test_prime_kernel_past_the_panel_width(p):
         assert np.array_equal(M.reduce_rows(X[:0]), X[:0])
 
 
+def _f32_top(p):
+    """The largest inner dimension of float32 products over GF(p)."""
+    return (matrix._F32_SUM - 1) // (p - 1) ** 2
+
+
+def _inner_dims(p):
+    """300, and the largest float32 inner dimension and the next, where a
+    test product that wide stays small."""
+    top = _f32_top(p)
+    return [300] + [n for n in (top, top + 1) if 1 <= n <= 1 << 17]
+
+
 # a plain floor(x * (1/103)) sends some exact multiples of 103 one quotient low
 @pytest.mark.parametrize("p", (2,) + PANEL_PRIMES + (103, 4093))
 def test_prime_matmul_matches_integer_reference(p):
     rng = np.random.default_rng(p)
     f = Field(p)
-    # 1200 rows cross the float64 chunk boundary for this inner dimension
-    A = rng.integers(0, p, (1200, 300))
-    B = rng.integers(0, p, (300, 7))
-    A[0] = B[:, 0] = p - 1  # the largest sum, 300 * (p - 1)**2
-    assert np.array_equal(f.matmul(A, B), (A @ B) % p)
-    assert np.array_equal(f.matmul(A[5], B), (A[5] @ B) % p)
-    assert np.array_equal(f.matmul(A, B[:, 3]), (A @ B[:, 3]) % p)
-    assert f.matmul(A, B).dtype == np.int64
-    assert f.matmul(A[:, :0], B[:0]).shape == (1200, 7)
+    top = _f32_top(p)
+    assert matrix.blas_dtype(top, p) == np.float32
+    assert matrix.blas_dtype(top + 1, p) == np.float64
+    for n in _inner_dims(p):
+        # 1200 rows at n = 300 cross the chunk boundary in float32 and float64
+        rows = max(3, min(1200, (1 << 18) // n))
+        A = rng.integers(0, p, (rows, n))
+        B = rng.integers(0, p, (n, 7))
+        A[0] = B[:, 0] = p - 1  # the largest sum, n * (p - 1)**2
+        assert np.array_equal(f.matmul(A, B), (A @ B) % p)
+        assert np.array_equal(f.matmul(A[1], B), (A[1] @ B) % p)
+        assert np.array_equal(f.matmul(A, B[:, 3]), (A @ B[:, 3]) % p)
+        assert f.matmul(A, B).dtype == np.int64
+        assert f.matmul(A[:, :0], B[:0]).shape == (rows, 7)
+
+
+@pytest.mark.parametrize("p", (2, 3, 31, 103, 4093))
+def test_reduce_mod_float32_exact_below_bound(p):
+    """Every integer of magnitude within 2**16 of the float32 bound."""
+    top = np.arange(matrix._F32_SUM - (1 << 16), matrix._F32_SUM)
+    for x in (top, -top):
+        got = matrix.reduce_mod(x.astype(np.float32), p)
+        assert got.dtype == np.float32
+        assert np.array_equal(got.astype(np.int64), x % p)
 
 
 def test_prime_matmul_rejects_inexact_inner_dimension(monkeypatch):
