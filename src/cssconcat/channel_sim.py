@@ -57,10 +57,13 @@ def _trial_rng(seed, index):
 
 
 def _sample_block(channel, seed, start, count, length):
-    u = np.empty((count, length))
+    """Trials ``start .. start + count - 1`` as rows of element codes, one
+    row of Philox draws at a time."""
+    E = np.empty((count, length), dtype=channel.field.dtype)
     for i in range(count):
-        u[i] = _trial_rng(seed, start + i).random(length)
-    return np.searchsorted(channel.cdf, u, side="right").astype(np.int64, copy=False)
+        E[i] = np.searchsorted(channel.cdf, _trial_rng(seed, start + i).random(length),
+                               side="right")
+    return E
 
 
 def sample_error(channel: AdditiveChannel, length: int, rng_seed) -> np.ndarray:

@@ -33,7 +33,7 @@ from .errors import (
     TooLarge,
     ZeroEntry,
 )
-from .matrix import MatGF, enumerate_span
+from .matrix import MatGF, as_codes, enumerate_span
 
 ENUM_CAP = 1 << 24
 TABLE_CAP = 1 << 20
@@ -177,7 +177,7 @@ def coset_generators(C1: LinearCode, C2: LinearCode, g1):
     b2 = C2.H  # basis of dual(C2), n - k2 rows
     rows = [b2, g1]
     partial = MatGF(f, np.concatenate([r for r in rows if r.size], axis=0)
-                    if any(r.size for r in rows) else np.zeros((0, n), dtype=np.int64))
+                    if any(r.size for r in rows) else np.zeros((0, n), dtype=f.dtype))
     if partial.rank != partial.rows:
         raise BadComplement("g1 does not complement dual(C2) inside C1")
     # greedy completion by standard basis vectors
@@ -186,7 +186,7 @@ def coset_generators(C1: LinearCode, C2: LinearCode, g1):
     for i in range(n):
         if current.rows == n:
             break
-        e = np.zeros(n, dtype=np.int64)
+        e = np.zeros(n, dtype=f.dtype)
         e[i] = 1
         if not current.span_contains(e):
             completion.append(e)
@@ -216,6 +216,8 @@ class CssPair:
 
     def __post_init__(self):
         f = self.field
+        self.g1 = as_codes(f, self.g1, "g1 entries")
+        self.g2 = as_codes(f, self.g2, "g2 entries")
         if not validate_css(self.C1, self.C2):
             raise NotOrthogonal("dual(C2) is not contained in C1")
         k = self.k
@@ -272,9 +274,9 @@ class CssPair:
                     span = span.stack(MatGF(f, row[None, :]))
             if len(chosen) != k:
                 raise BadComplement("could not pick a complement basis from C1")
-            g1 = np.stack(chosen) if chosen else np.zeros((0, n), dtype=np.int64)
+            g1 = np.stack(chosen) if chosen else np.zeros((0, n), dtype=f.dtype)
         g2, basis_c1_perp = coset_generators(C1, C2, g1)
-        return cls(C1, C2, np.asarray(g1, dtype=np.int64), g2, basis_c1_perp)
+        return cls(C1, C2, g1, g2, basis_c1_perp)
 
     def __repr__(self):
         return f"CssPair[[{self.n},{self.k}]] over GF({self.field.q})"
@@ -337,7 +339,7 @@ class CosetLeaderTable:
         self.n = n
         self.m = m
         self.qpows = f.q ** np.arange(m, dtype=np.int64)
-        leaders = np.zeros((size, n), dtype=np.int64)
+        leaders = np.zeros((size, n), dtype=f.dtype)
         weights = np.full(size, -1, dtype=np.int64)
         weights[0] = 0
         assigned = 1
@@ -354,12 +356,12 @@ class CosetLeaderTable:
                     s = int((synd * self.qpows).sum())
                     if weights[s] == -1:
                         weights[s] = w
-                        vec = np.zeros(n, dtype=np.int64)
+                        vec = np.zeros(n, dtype=f.dtype)
                         vec[list(support)] = values
                         leaders[s] = vec
                         assigned += 1
                     elif weights[s] == w:
-                        vec = np.zeros(n, dtype=np.int64)
+                        vec = np.zeros(n, dtype=f.dtype)
                         vec[list(support)] = values
                         if tuple(vec) < tuple(leaders[s]):
                             leaders[s] = vec
@@ -369,12 +371,11 @@ class CosetLeaderTable:
         self.weights = weights
 
     def pack(self, syndrome):
-        """Table index of each syndrome along the last axis."""
-        syndrome = np.asarray(syndrome, dtype=np.int64)
+        """Table index of each syndrome along the last axis (int64)."""
+        syndrome = np.asarray(syndrome)
         if syndrome.shape[-1:] != (self.m,):
             raise DomainError(f"syndrome must have length {self.m}")
-        if syndrome.size and (syndrome.min() < 0 or syndrome.max() >= self.field.q):
-            raise DomainError(f"syndrome entries must lie in [0, {self.field.q})")
+        syndrome = as_codes(self.field, syndrome, "syndrome entries")
         return (syndrome * self.qpows).sum(axis=-1)
 
     def leader(self, syndrome):

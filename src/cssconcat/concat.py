@@ -31,6 +31,13 @@ the inner duals only when first read: ``cssconcat concat`` and ``mindist``
 and :func:`verify_duality` read them, the decoder and the Monte-Carlo path
 never do.
 
+Codes.  Ho_i, Gp_i, the pi tables and the generators and checks of L1/L2
+hold codes of the inner field's dtype, ``field.dtype``: ``np.int8`` for
+q <= 128, ``np.int16`` above.  It is signed so that the difference of two
+codes cannot wrap; products widen to float on their own (see
+:meth:`galois.Field.matmul`).  So a pair keeps about one byte per entry
+of Ho1 and Ho2: 4 MB at [[2550,1016]], where int64 codes took 31 MB.
+
 Certified set-up.  :func:`concatenate` proves its postconditions from the
 block structure.  It eliminates two n-column inner matrices and, for a
 LinearCode outer code, the N-column generator behind its null-space H; never
@@ -94,7 +101,7 @@ from .errors import (
     RankDeficient,
 )
 from .galois import Extension
-from .matrix import MatGF
+from .matrix import MatGF, chunk_rows
 from .outer_grs import GrsCode
 
 
@@ -127,7 +134,7 @@ def pi_table(m: int, pair: CssPair, ext: Extension) -> np.ndarray:
 
 def pi_rows(m: int, pair: CssPair, ext: Extension, M) -> np.ndarray:
     """Apply :func:`pi_map` to every row of a matrix over GF(q^k)."""
-    M = np.asarray(M, dtype=np.int64)
+    M = np.asarray(M)
     return pi_table(m, pair, ext)[M].reshape(M.shape[0], pair.n * M.shape[1])
 
 
@@ -157,7 +164,7 @@ def _subfield_rows(ext: Extension, M) -> np.ndarray:
 
     Row ``r * k + l`` is ``alpha^l * M[r]``.
     """
-    M = np.asarray(M, dtype=np.int64)
+    M = np.asarray(M)
     alphas = np.asarray(ext.power_basis(), dtype=np.int64)
     scaled = ext.mul(M[:, None, :], alphas[None, :, None])
     return scaled.reshape(M.shape[0] * ext.k, M.shape[1])
@@ -169,7 +176,7 @@ def _concatenated_rows(ext, table, G, H):
     S = _subfield_rows(ext, G)
     N = S.shape[1]
     m, n = H.shape
-    out = np.zeros((len(S) + N * m, N * n), dtype=np.int64)
+    out = np.zeros((len(S) + N * m, N * n), dtype=table.dtype)
     _expand(table, S, out[:len(S)])
     _blockwise(H, out[len(S):])
     return out
@@ -207,7 +214,7 @@ def _expanded_check(inner: CssPair, ext: Extension, Hout, side: int):
     basis = ext.dual_basis() if side == 1 else ext.power_basis()
     scaled = ext.mul(Hout[:, None, :], np.asarray(basis, dtype=np.int64)[None, :, None])
     top = N * len(H_in)
-    Ho = np.zeros((top + k * M, n * N), dtype=np.int64)
+    Ho = np.zeros((top + k * M, n * N), dtype=inner.field.dtype)
     _blockwise(H_in, Ho[:top])
     lower = _expand(pi_table(3 - side, inner, ext), scaled.reshape(k * M, N), Ho[top:])
     return Ho, lower
@@ -293,6 +300,23 @@ def _unwrap_outer(D):
     return D, D.H, None
 
 
+def _pi_product_nonzero(ext: Extension, table, G, Gp) -> bool:
+    """Whether ``pi(G).Gp^T`` is nonzero over GF(q), for the rows of ``G``
+    over GF(q^k) and the pi table ``table``.
+
+    pi(G) is expanded and multiplied a chunk of rows of ``G`` at a time.  A
+    chunk has the rows of :func:`matrix.chunk_rows`, or as many expanded
+    rows as ``Gp`` when that is more: every product converts ``Gp`` to
+    float, so a chunk of codes never outgrows that copy, and ``Gp`` is
+    converted at most ceil(K / M) times for K rows of ``G`` and M outer
+    checks.
+    """
+    f = ext.base
+    step = max(chunk_rows(ext.k * Gp.shape[1], table.itemsize), len(Gp) // ext.k)
+    return any(f.matmul(_expand(table, _subfield_rows(ext, G[lo:lo + step])), Gp.T).any()
+               for lo in range(0, len(G), step))
+
+
 def _check_inner(inner: CssPair):
     """The facts (I) and (P) of the module docstring, on n-column matrices."""
     f, k = inner.field, inner.k
@@ -319,8 +343,8 @@ def concatenate(inner: CssPair, outer, ext: Extension) -> ConcatPair:
     ``dim L2 = k K2 + N(n - k1)``, ``rank Ho_i = nN - dim L_i``, and the
     duality and containment from ``pi_1(D1).Gp1^T``, ``pi_2(D2).Gp2^T`` and
     ``Gp1.Gp2^T`` being zero, with the blocks of ``Gp_i`` orthogonal to the
-    inner duals.  ``pi_i(D_i)`` is formed for its check and dropped; the
-    generators of L1/L2 are built from the pi tables when first read.
+    inner duals.  ``pi_i(D_i)`` is formed in row chunks for its check and
+    dropped; the generators of L1/L2 are built from the pi tables when first read.
     Raises NotOrthogonal when the outer pair violates the CSS containment,
     RankDeficient or BadComplement when a factor or product fails its
     certificate.
@@ -342,9 +366,8 @@ def concatenate(inner: CssPair, outer, ext: Extension) -> ConcatPair:
     if f.matmul(Gp1, Gp2.T).any():
         raise NotOrthogonal("outer pair violates the CSS containment")
     PI1, PI2 = pi_table(1, inner, ext), pi_table(2, inner, ext)
-    # pi_i(D_i) lives only for its product
-    if (f.matmul(_expand(PI1, _subfield_rows(ext, D1.G)), Gp1.T).any()
-            or f.matmul(_expand(PI2, _subfield_rows(ext, D2.G)), Gp2.T).any()
+    if (_pi_product_nonzero(ext, PI1, D1.G, Gp1)
+            or _pi_product_nonzero(ext, PI2, D2.G, Gp2)
             or f.matmul(Gp1.reshape(-1, n), inner.C2.H.T).any()
             or f.matmul(Gp2.reshape(-1, n), inner.C1.H.T).any()):
         raise RankDeficient("expanded outer check is not orthogonal to the "

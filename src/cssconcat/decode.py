@@ -23,7 +23,7 @@ import numpy as np
 from .codes import TABLE_CAP, CosetLeaderTable
 from .concat import ConcatPair
 from .errors import DecodeFailure, DomainError
-from .matrix import MatGF
+from .matrix import MatGF, as_codes
 
 
 class DecoderContext:
@@ -56,7 +56,8 @@ class DecoderContext:
         # side 2 reassembles symbols from trace-dual coordinates: row j of
         # this k x k base-field matrix holds the coordinates of dual basis
         # element j
-        self.dual_coords = None if side == 1 else cp.ext.coords(cp.ext.dual_basis())
+        self.dual_coords = (None if side == 1 else
+                            cp.ext.coords(cp.ext.dual_basis()).astype(self.field.dtype))
         # the row space of Ho_other is dual(L_other), certified by concatenate
         self._other_dual = MatGF(self.field, cp.Ho2 if side == 1 else cp.Ho1)
 
@@ -66,7 +67,7 @@ class DecoderContext:
 
     def stage1(self, upper):
         """Blockwise coset-leader estimates from upper syndromes ``(..., N*m)``."""
-        upper = np.asarray(upper, dtype=np.int64)
+        upper = np.asarray(upper)
         if upper.shape[-1:] != (self.upper_len,):
             raise DomainError(f"upper syndrome must have length {self.upper_len}")
         lead = upper.shape[:-1]
@@ -95,7 +96,7 @@ class DecoderContext:
 
     def reassemble_symbols(self, resid):
         """Turn the residual lower syndrome into outer GRS syndrome symbols."""
-        coords = np.asarray(resid, dtype=np.int64).reshape(-1, self.k)
+        coords = np.reshape(resid, (-1, self.k))
         if self.side == 2:
             coords = self.field.matmul(coords, self.dual_coords)
         return self.ext.from_coords(coords)
@@ -108,11 +109,10 @@ def decode_batch(ctx: DecoderContext, S):
     failed, in which case ``estimates[i]`` is the stage-1 (inner leaders
     only) guess.
     """
-    S = np.asarray(S, dtype=np.int64)
+    S = np.asarray(S)
     if S.ndim != 2 or S.shape[1] != ctx.Ho.shape[0]:
         raise DomainError("syndrome length does not match the parity check")
-    if S.size and (S.min() < 0 or S.max() >= ctx.field.q):
-        raise DomainError(f"syndrome entries must lie in [0, {ctx.field.q})")
+    S = as_codes(ctx.field, S, "syndrome entries")
     Ehat = ctx.stage1(S[:, : ctx.upper_len])
     return Ehat, ctx.outer_stage(S, Ehat)
 
@@ -135,9 +135,11 @@ def success_oracle(ctx: DecoderContext, e, estimate) -> bool:
 
 def success_oracle_rows(ctx: DecoderContext, E, estimates):
     """:func:`success_oracle` over matching rows."""
-    E = np.asarray(E, dtype=np.int64)
-    estimates = np.asarray(estimates, dtype=np.int64)
+    E = np.asarray(E)
+    estimates = np.asarray(estimates)
     if E.shape != estimates.shape or E.shape[-1:] != (ctx.Ho.shape[1],):
         raise DomainError(f"errors and estimates must be matching rows of "
                           f"length {ctx.Ho.shape[1]}")
+    E = as_codes(ctx.field, E, "error entries")
+    estimates = as_codes(ctx.field, estimates, "estimate entries")
     return ctx._other_dual.span_contains_rows(ctx.field.sub(estimates, E))

@@ -11,6 +11,13 @@ With this packing the two layers compose: the base-p digits of an extension
 code are exactly the ``e*k`` GF(p)-coordinates of the element, so addition is
 always a digit-wise sum mod p regardless of the layer.
 
+Every field has one element-code dtype, ``dtype``, worked out from its order:
+``np.int8`` when q <= 128 and ``np.int16`` otherwise (the table cap is 4096
+and the GF(Q) view of an extension goes up to 8192).  Its tables hold codes
+in that dtype, so table gathers return it, and so do matrix products.  It is
+signed so that the difference of two codes cannot wrap.  Arithmetic other
+than a gather (products, sums of products) widens first.
+
 All operations accept plain ints or numpy integer arrays and are pure; field
 objects are immutable after construction and safe to share across threads.
 """
@@ -162,8 +169,14 @@ def _is_prime(n):
 _EXACT_SUM = 1 << 51  # float64 sums below this reduce exactly (matrix.reduce_mod)
 
 
-def _matmul_blas(A, B, p):
-    """``(A @ B) % p`` for codes of GF(p) on BLAS.
+def code_dtype(q):
+    """The element-code dtype of a field of order ``q`` (see the module
+    docstring)."""
+    return np.dtype(np.int8 if q <= 128 else np.int16)
+
+
+def _matmul_blas(A, B, p, dtype):
+    """``(A @ B) % p`` for codes of GF(p) on BLAS, as codes of ``dtype``.
 
     Every sum is an integer below n·(p-1)² for inner dimension n, so the
     float product is exact and reduces exactly in float32 while that stays
@@ -175,14 +188,14 @@ def _matmul_blas(A, B, p):
     n = A.shape[-1]
     if n * (p - 1) ** 2 >= _EXACT_SUM:
         raise TooLarge(f"inner dimension {n} too large for exact GF({p}) products")
-    dtype = blas_dtype(n, p)
-    Bf = B.astype(dtype)
+    fdtype = blas_dtype(n, p)
+    Bf = B.astype(fdtype)
     if A.ndim != 2:
-        return reduce_mod(A.astype(dtype) @ Bf, p).astype(np.int64)
-    out = np.empty(A.shape[:1] + B.shape[1:], dtype=np.int64)
+        return reduce_mod(A.astype(fdtype) @ Bf, p).astype(dtype)
+    out = np.empty(A.shape[:1] + B.shape[1:], dtype=dtype)
     step = chunk_rows(max(n, B.shape[-1]), Bf.itemsize)
     for lo in range(0, A.shape[0], step):
-        out[lo:lo + step] = reduce_mod(A[lo:lo + step].astype(dtype) @ Bf, p)
+        out[lo:lo + step] = reduce_mod(A[lo:lo + step].astype(fdtype) @ Bf, p)
     return out
 
 
@@ -200,6 +213,9 @@ class Field:
         low-degree first (length ``e + 1``).  When omitted, the
         lexicographically first irreducible polynomial is used, which makes
         element codes reproducible across runs.
+
+    The element-code dtype ``dtype`` follows from the order (see the module
+    docstring).
     """
 
     def __init__(self, p: int, e: int = 1, modulus=None):
@@ -219,6 +235,7 @@ class Field:
         self.p = p
         self.e = e
         self.q = p ** e
+        self.dtype = code_dtype(self.q)
         self.modulus = tuple(modulus)
         self._build_tables()
 
@@ -233,14 +250,15 @@ class Field:
     # -- construction -------------------------------------------------------
 
     def _build_tables(self):
+        # built in int64, kept as codes of self.dtype
         p, e, q = self.p, self.e, self.q
+        ab = np.arange(q, dtype=np.int64)
         if e == 1:
-            ab = np.arange(q, dtype=np.int64)
-            self.mul_table = (ab[:, None] * ab[None, :]) % p
+            self.mul_table = ((ab[:, None] * ab[None, :]) % p).astype(self.dtype)
         else:
-            D = _digits(np.arange(q), p, e)  # (q, e)
+            D = _digits(ab, p, e)  # (q, e)
             red = (-np.asarray(self.modulus[:e], dtype=np.int64)) % p
-            table = np.empty((q, q), dtype=np.int64)
+            table = np.empty((q, q), dtype=self.dtype)
             for a in range(q):
                 ax = np.empty((e, e), dtype=np.int64)
                 ax[0] = D[a]
@@ -253,20 +271,19 @@ class Field:
                     ax[j] = (row + c * red) % p
                 table[a] = _pack((D @ ax) % p, p)
             self.mul_table = table
-        inv = np.zeros(self.q, dtype=np.int64)
+        inv = np.zeros(self.q, dtype=self.dtype)
         rows, cols = np.nonzero(self.mul_table == 1)
         inv[rows] = cols
         if np.count_nonzero(inv) != self.q - 1:
             raise DomainError("modulus does not define a field (reducible)")
         self.inv_table = inv
-        ab = np.arange(q, dtype=np.int64)
         if e == 1:
-            self.add_table = (ab[:, None] + ab[None, :]) % p
-            self.neg_table = (-ab) % p
+            self.add_table = ((ab[:, None] + ab[None, :]) % p).astype(self.dtype)
+            self.neg_table = ((-ab) % p).astype(self.dtype)
         else:
             D = _digits(ab, p, e)
-            self.add_table = _pack((D[:, None, :] + D[None, :, :]) % p, p)
-            self.neg_table = _pack((-D) % p, p)
+            self.add_table = _pack((D[:, None, :] + D[None, :, :]) % p, p).astype(self.dtype)
+            self.neg_table = _pack((-D) % p, p).astype(self.dtype)
 
     # -- element arithmetic -------------------------------------------------
 
@@ -342,27 +359,30 @@ class Field:
 
     def add_reduce(self, arr, axis):
         """Sum of field elements along an axis."""
-        arr = np.asarray(arr, dtype=np.int64)
+        arr = np.asarray(arr)
         if self.e == 1:
-            return arr.sum(axis=axis) % self.p
+            return (arr.sum(axis=axis, dtype=np.int64) % self.p).astype(self.dtype)
         axis = axis % arr.ndim  # digits add a trailing axis; normalize first
         d = _digits(arr, self.p, self.e)
-        return _pack(d.sum(axis=axis) % self.p, self.p)
+        return _pack(d.sum(axis=axis) % self.p, self.p).astype(self.dtype)
 
     def matmul(self, A, B):
-        """Matrix product over the field; ``A`` is (m, n), ``B`` is (n, r)."""
-        A = np.asarray(A, dtype=np.int64)
-        B = np.asarray(B, dtype=np.int64)
+        """Matrix product over the field; ``A`` is (m, n), ``B`` is (n, r).
+
+        Integer codes of any dtype go in; codes of :attr:`dtype` come out.
+        """
+        A = np.asarray(A)
+        B = np.asarray(B)
         if A.shape[-1] != B.shape[0]:
             raise DomainError(f"shape mismatch {A.shape} @ {B.shape}")
         if self.e == 1:
-            return _matmul_blas(A, B, self.p)
+            return _matmul_blas(A, B, self.p, self.dtype)
         single = A.ndim == 1
         if single:
             A = A[None, :]
         m, n = A.shape
         r = B.shape[1]
-        out = np.empty((m, r), dtype=np.int64)
+        out = np.empty((m, r), dtype=self.dtype)
         chunk = max(1, (1 << 22) // max(1, n * r))
         for lo in range(0, m, chunk):
             hi = min(m, lo + chunk)
@@ -514,7 +534,7 @@ class Extension:
         return np.take(self.coord_table, a, axis=0)
 
     def from_coords(self, coords):
-        return _pack(np.asarray(coords) % self.q, self.q)
+        return _pack(np.asarray(coords, dtype=np.int64) % self.q, self.q)
 
     def embed(self, c):
         """Embed a base-field code as a constant-coordinate extension code."""
@@ -783,21 +803,23 @@ class _ExtFieldView:
         self.p = ext.base.p
         self.e = ext.base.e * ext.k
         self.q = ext.Q
+        self.dtype = code_dtype(ext.Q)
         Q = ext.Q
         if Q * Q > (1 << 26):
             raise TooLarge(f"dense table for GF({Q}) too big")
         logs = ext.log
-        mt = ext.exp[(logs[:, None] + logs[None, :]) % (Q - 1)].copy()
+        mt = ext.exp[(logs[:, None] + logs[None, :]) % (Q - 1)].astype(self.dtype)
         mt[0, :] = 0
         mt[:, 0] = 0
         self.mul_table = mt
-        inv = np.zeros(Q, dtype=np.int64)
+        inv = np.zeros(Q, dtype=self.dtype)
         inv[ext.exp] = ext.exp[(-logs[ext.exp]) % (Q - 1)]
         self.inv_table = inv
         # element codes are base-p digit strings, so addition is digit-wise
         D = _digits(np.arange(Q, dtype=np.int64), self.p, self.e)
-        self.add_table = _pack((D[:, None, :] + D[None, :, :]) % self.p, self.p)
-        self.neg_table = _pack((-D) % self.p, self.p)
+        add = _pack((D[:, None, :] + D[None, :, :]) % self.p, self.p)
+        self.add_table = add.astype(self.dtype)
+        self.neg_table = _pack((-D) % self.p, self.p).astype(self.dtype)
 
     kind = "tables"  # elimination goes through the dense tables
 

@@ -1,9 +1,15 @@
 """Dense exact linear algebra over a finite field.
 
-A :class:`MatGF` wraps a 2-D numpy integer array of element codes together
-with the field the codes live in.  Elimination uses first-nonzero pivoting;
-fields are exact so no numerical strategy is needed.  Intended scale is
-desk-size (dimensions up to a few thousand).
+A :class:`MatGF` wraps a 2-D numpy array of element codes together with the
+field the codes live in.  Elimination uses first-nonzero pivoting; fields are
+exact so no numerical strategy is needed.  Intended scale is desk-size
+(dimensions up to a few thousand).
+
+The array has the field's element-code dtype, ``field.dtype``: ``np.int8``
+for q <= 128, ``np.int16`` above, signed so that the difference of two codes
+cannot wrap.  Every result of elimination is in that dtype too.  Caller input
+of any integer dtype is checked against ``[0, q)`` in its own dtype before it
+is narrowed (:func:`as_codes`), so no out-of-range entry can wrap into a code.
 
 Elimination picks its kernel from the field's ``kind``.  GF(2) packs each
 row into 64-bit words and clears a pivot's column from every other row with
@@ -72,6 +78,19 @@ def chunk_rows(width, itemsize=8):
     return max(1, _CHUNK_BYTES // (itemsize * max(1, width)))
 
 
+def as_codes(field, X, what="entries"):
+    """``X`` as codes of ``field.dtype``, checked against ``[0, q)`` in its own
+    dtype first.  Lists and non-integer arrays are read as int64."""
+    X = np.asarray(X)
+    if X.dtype.kind not in "biu":
+        X = X.astype(np.int64)
+    # read as unsigned, a negative entry is at least 2**(bits - 1) >= q, so
+    # one max checks both ends
+    if X.size and X.view(f"u{X.dtype.itemsize}").max() >= field.q:
+        raise DomainError(f"{what} must lie in [0, {field.q})")
+    return X.astype(field.dtype, copy=False)
+
+
 def _rref_rows(f, a):
     """Gauss-Jordan one pivot at a time through the dense tables (reference)."""
     A = a.copy()
@@ -130,7 +149,7 @@ def _rref_gf2(f, a):
         P[:, w:] ^= bits.astype(np.uint64)[:, None] * P[piv, w:]
         order.append(piv)
         pivots.append(col)
-    R = np.zeros((rows, cols), dtype=np.uint8)
+    R = np.zeros((rows, cols), dtype=f.dtype)
     R[:len(order)] = np.unpackbits(P8[order], axis=1, count=cols)
     return R, tuple(pivots), len(order)
 
@@ -226,8 +245,7 @@ def _rref_prime(f, a):
             t = 0
     if t:
         flush()
-    # every entry is below p < 4096 (the Field table cap)
-    return A.astype(np.int16), tuple(pivots), row
+    return A.astype(f.dtype), tuple(pivots), row
 
 
 # Field.kind -> elimination kernel
@@ -242,17 +260,16 @@ class MatGF:
     field : Field (or extension field view)
         Element arithmetic provider.
     array : array-like of int
-        2-D array of element codes in ``[0, field.q)``.
+        2-D array of element codes in ``[0, field.q)``, kept as
+        ``field.dtype`` (without a copy when it already is).
     """
 
     def __init__(self, field, array):
-        a = np.asarray(array, dtype=np.int64)
+        a = as_codes(field, array)
         if a.ndim == 1:
             a = a[None, :]
         if a.ndim != 2:
             raise DomainError("matrix must be 2-D")
-        if a.size and (a.min() < 0 or a.max() >= field.q):
-            raise DomainError("entries are not codes of the declared field")
         self.field = field
         self.a = a
         self._rref_cache = None
@@ -262,11 +279,11 @@ class MatGF:
 
     @classmethod
     def zeros(cls, field, rows, cols):
-        return cls(field, np.zeros((rows, cols), dtype=np.int64))
+        return cls(field, np.zeros((rows, cols), dtype=field.dtype))
 
     @classmethod
     def identity(cls, field, n):
-        return cls(field, np.eye(n, dtype=np.int64))
+        return cls(field, np.eye(n, dtype=field.dtype))
 
     # -- basic structure -----------------------------------------------------
 
@@ -336,11 +353,11 @@ class MatGF:
         ``rank`` is the number of nonzero rows.
         """
         R, piv, rank = self._rref()
-        return MatGF(self.field, R.astype(np.int64)), piv, rank
+        return MatGF(self.field, R.copy()), piv, rank
 
     def _rref(self):
-        """The cached :meth:`rref` with ``R`` as a bare narrow-dtype array; it
-        must not be modified."""
+        """The cached :meth:`rref` with ``R`` as a bare array; it must not be
+        modified."""
         if self._rref_cache is None:
             f = self.field
             self._rref_cache = _RREF[f.kind](f, self.a)
@@ -365,7 +382,7 @@ class MatGF:
         R, pivots, rank = self._rref()
         pivots = list(pivots)
         free = _free_columns(self.cols, pivots)
-        basis = np.zeros((free.size, self.cols), dtype=np.int64)
+        basis = np.zeros((free.size, self.cols), dtype=self.field.dtype)
         basis[np.arange(free.size), free] = 1
         basis[:, pivots] = self.field.neg(R[:rank, free]).T
         return MatGF(self.field, basis)
@@ -374,21 +391,19 @@ class MatGF:
 
     def reduce_vector(self, v):
         """Residual of ``v`` after elimination against this matrix's rref rows."""
-        return self.reduce_rows(np.asarray(v, dtype=np.int64)[None, :])[0]
+        return self.reduce_rows(np.asarray(v)[None, :])[0]
 
     def span_contains(self, v):
         """True iff ``v`` lies in the row space."""
-        v = np.asarray(v, dtype=np.int64).reshape(-1)
+        v = np.asarray(v).reshape(-1)
         if v.shape[0] != self.cols:
             raise DomainError("vector length mismatch")
         return not self.reduce_vector(v).any()
 
     def _checked_rows(self, X):
-        X = np.asarray(X, dtype=np.int64)
+        X = as_codes(self.field, X)
         if X.shape[-1] != self.cols:
             raise DomainError("vector length mismatch")
-        if X.size and (X.min() < 0 or X.max() >= self.field.q):
-            raise DomainError("entries are not codes of the declared field")
         return X
 
     def _residuals(self, X):
@@ -474,7 +489,7 @@ def enumerate_span(field, G, chunk=1 << 14):
     Messages run over all q^rows mixed-radix tuples; each yielded chunk is a
     2-D array of codewords.  The zero word is included.
     """
-    G = np.asarray(G, dtype=np.int64)
+    G = np.asarray(G)
     rows = G.shape[0]
     q = field.q
     total = q ** rows

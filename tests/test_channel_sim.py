@@ -1,6 +1,7 @@
 """Channels, Monte-Carlo harness, exponents and union bound."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -96,6 +97,27 @@ def test_mc_chunk_invariance():
     r1 = mc_error_rate(ctx, ch, 600, 5, chunk=37)
     r2 = mc_error_rate(ctx, ch, 600, 5, chunk=600)
     assert r1.failures == r2.failures
+
+
+def test_mc_heap_holds_narrow_codes():
+    """Codes stay in the field's dtype from sampling to decoding: one
+    512-trial call on [[90,28]] peaks within 1 MB of its start (about 0.4 MB;
+    1.9 MB with int64 codes).  A first call builds the decoder's lazy rrefs."""
+    inner = bvector_pair(F2, [1] * 6, [1] * 6)
+    e16 = Extension(F2, 4)
+    cp = concatenate(inner, nested_grs_pair(e16, 15, 11, 11), e16)
+    assert cp.Ho1.dtype == F2.dtype
+    ctx = DecoderContext(cp, side=1)
+    ch = AdditiveChannel.symmetric(F2, 0.01)
+    mc_error_rate(ctx, ch, 512, 1)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        mc_error_rate(ctx, ch, 512, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - start <= 1.0e6
 
 
 def test_wilson_interval():

@@ -137,13 +137,16 @@ def test_cli_decode_success(tmp_path):
 
 def test_cli_decode_rejects_out_of_range_entries(tmp_path):
     """Vector entries outside [0, q) are parse errors (exit 2), not wrapped
-    table indices; a vector of the wrong length still exits 3."""
+    table indices or codes; a vector of the wrong length still exits 3."""
     cfg = _write_config(tmp_path)  # length 12, syndrome length 7, q = 2
     vec = tmp_path / "v.txt"
     cases = [("--syndrome", [-1] + [0] * 6, EXIT_PARSE),
              ("--syndrome", [0] * 6 + [2], EXIT_PARSE),
              ("--error", [-1] + [0] * 11, EXIT_PARSE),
              ("--error", [2] + [0] * 11, EXIT_PARSE),
+             # 257 and -255 are the code 1 once narrowed to int8
+             ("--error", [257] + [0] * 11, EXIT_PARSE),
+             ("--syndrome", [0] * 6 + [-255], EXIT_PARSE),
              ("--syndrome", [0] * 6, EXIT_INVARIANT),
              ("--error", [0] * 11, EXIT_INVARIANT)]
     for flag, v, want in cases:

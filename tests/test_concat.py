@@ -300,7 +300,7 @@ def test_concatenate_retains_no_generator():
         rows = [pi_map(m, inner, ext, ext.mul(ext.alpha_pow(l), D.G[r]))
                 for r in range(D.dim) for l in range(ext.k)]
         want = np.concatenate([np.array(rows), np.kron(eye, H_other)])
-        assert L.G.dtype == want.dtype and np.array_equal(L.G, want)
+        assert L.G.dtype == F2.dtype and np.array_equal(L.G, want)
     assert "L1" in vars(cp) and vars(cp)["L1"] is cp.L1
 
 

@@ -152,6 +152,37 @@ def test_table_and_stage1_reject_entries_outside_field():
                               ctx.table.leaders[int(ctx.table.qpows.sum())])
 
 
+def test_entries_that_narrowing_would_wrap_are_rejected():
+    """257 and -129 are the int8 codes 1 and 127, and 2**64 - 255 in uint64
+    is 1: each is checked against [0, q) in its own dtype first.  bool rows
+    are the codes 0 and 1 and decode like their int64 twins."""
+    cp = _cp_12_2(1, 3)
+    ctx = DecoderContext(cp, side=1)
+    assert ctx.field.dtype == np.int8
+    zero = np.zeros((2, 12), dtype=np.int64)
+    bad_values = [np.int64(257), np.int64(-129), np.uint64(2), np.uint64(2 ** 64 - 255)]
+    for bad in bad_values:
+        S = np.zeros((2, ctx.Ho.shape[0]), dtype=bad.dtype)
+        S[1, 0] = bad
+        with pytest.raises(DomainError):
+            decode_batch(ctx, S)
+        E = zero.astype(bad.dtype)
+        E[1, 3] = bad
+        with pytest.raises(DomainError):
+            success_oracle_rows(ctx, E, zero)
+        with pytest.raises(DomainError):
+            success_oracle_rows(ctx, zero, E)
+    E = np.zeros((3, 12), dtype=bool)
+    E[1, 4] = E[2, [0, 9]] = True
+    S = ctx.full_syndrome(E)
+    got, ok = decode_batch(ctx, S.astype(bool))
+    want, want_ok = decode_batch(ctx, S.astype(np.int64))
+    assert got.dtype == np.int8 and np.array_equal(got, want)
+    assert np.array_equal(ok, want_ok)
+    assert np.array_equal(success_oracle_rows(ctx, E, got),
+                          success_oracle_rows(ctx, E.astype(np.int64), want))
+
+
 def test_oracle_rejects_mismatched_lengths():
     """A length-1 error vector used to broadcast against the estimate and
     pass."""

@@ -216,6 +216,10 @@ def test_coords_roundtrip():
     ext = Extension(Field(2, 2), 2)
     xs = np.arange(16)
     assert np.array_equal(ext.from_coords(ext.coords(xs)), xs)
+    # GF(128) codes are int8, and 128 is no int8: from_coords widens first
+    ext = Extension(Field(2, 7), 1)
+    xs = np.arange(128)
+    assert np.array_equal(ext.from_coords(ext.coords(xs).astype(np.int8)), xs)
 
 
 @pytest.mark.parametrize("base, k", [(Field(2), 6), (Field(3), 4), (Field(2, 2), 2)])

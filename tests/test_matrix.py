@@ -75,6 +75,20 @@ def test_span_membership():
             M.span_contains_rows(np.array(bad))
 
 
+def test_codes_are_checked_before_narrowing():
+    """Over GF(3) the codes are int8: 300 would become 44, 257 and -255 the
+    code 1, and 2**64 - 255 in uint64 the code 1 too."""
+    F3 = Field(3)
+    bad = [[[300]], [[257]], [[-255]], np.array([[2 ** 64 - 255]], dtype=np.uint64)]
+    for a in bad:
+        with pytest.raises(DomainError):
+            MatGF(F3, a)
+        with pytest.raises(DomainError):
+            MatGF(F3, [[1]]).span_contains_rows(a)
+    B = MatGF(F3, np.array([[True, False], [False, True]]))
+    assert B.a.dtype == np.int8 and B.a.tolist() == [[1, 0], [0, 1]]
+
+
 def test_same_row_space():
     f = Field(3)
     A = MatGF(f, [[1, 2, 0], [0, 1, 1]])
@@ -106,7 +120,16 @@ FIELDS = {p: (Field(p), Extension(Field(p), 1).as_field()) for p in (2, 3, 5)}
 FIELDS[4] = (Field(2, 2), None)  # already on the table path
 
 
+def _as_input_dtypes(f, A):
+    """``A`` as int64 and as the field's code dtype: every kernel takes both."""
+    A = np.asarray(A, dtype=np.int64)
+    return A, A.astype(f.dtype)
+
+
 def test_field_kinds():
+    # the code dtype follows the order: int8 up to 128, int16 above
+    assert Field(3).dtype == np.int8 and Field(2, 7).dtype == np.int8
+    assert Field(131).dtype == np.int16 and Extension(Field(2), 8).as_field().dtype == np.int16
     assert Field(2).kind == "gf2"
     assert Field(3).kind == "prime" and Field(5).kind == "prime"
     assert Field(2, 2).kind == "tables" and Field(3, 2).kind == "tables"
@@ -150,13 +173,14 @@ def matrices(draw, max_rows=8, max_cols=10):
 def test_rref_matches_reference(case):
     q, A = case
     fast, table_view = FIELDS[q]
-    R, piv, rank = MatGF(fast, A).rref()
     ref = _scalar_rref(fast, A)
-    assert np.array_equal(R.a, ref[0]) and R.a.dtype == np.int64
-    assert (piv, rank) == ref[1:]
-    if table_view is not None:
-        Rt, pivt, rankt = MatGF(table_view, A).rref()
-        assert np.array_equal(R.a, Rt.a) and (piv, rank) == (pivt, rankt)
+    for X in _as_input_dtypes(fast, A):
+        R, piv, rank = MatGF(fast, X).rref()
+        assert np.array_equal(R.a, ref[0]) and R.a.dtype == fast.dtype
+        assert (piv, rank) == ref[1:]
+        if table_view is not None:
+            Rt, pivt, rankt = MatGF(table_view, X).rref()
+            assert np.array_equal(R.a, Rt.a) and (piv, rank) == (pivt, rankt)
 
 
 @settings(max_examples=150, deadline=None)
@@ -164,11 +188,12 @@ def test_rref_matches_reference(case):
 def test_null_space_matches_reference(case):
     q, A = case
     fast, table_view = FIELDS[q]
-    N = MatGF(fast, A).null_space()
-    assert N.rows + MatGF(fast, A).rank == A.shape[1]
-    assert not fast.matmul(A, N.a.T).any()
-    if table_view is not None:
-        assert np.array_equal(N.a, MatGF(table_view, A).null_space().a)
+    for X in _as_input_dtypes(fast, A):
+        N = MatGF(fast, X).null_space()
+        assert N.rows + MatGF(fast, X).rank == A.shape[1]
+        assert not fast.matmul(X, N.a.T).any()
+        if table_view is not None:
+            assert np.array_equal(N.a, MatGF(table_view, X).null_space().a)
 
 
 @settings(max_examples=150, deadline=None)
@@ -180,18 +205,22 @@ def test_reduce_rows_matches_reference(case, data):
     X = np.array(data.draw(st.lists(st.integers(0, q - 1), min_size=m * A.shape[1],
                                     max_size=m * A.shape[1])),
                  dtype=np.int64).reshape(m, A.shape[1])
-    M = MatGF(fast, A)
-    got = M.reduce_rows(X)
-    assert got.dtype == np.int64
-    # the residual differs from X by a combination of the rows of A and
-    # vanishes on every pivot column
-    R, piv, rank = M.rref()
-    assert not got[:, list(piv)].any()
-    for x, resid in zip(X, got):
-        assert M.span_contains(fast.sub(x, resid))
-        assert np.array_equal(M.reduce_vector(x), resid)
-    if table_view is not None:
-        assert np.array_equal(got, MatGF(table_view, A).reduce_rows(X))
+    results = []
+    for A_in, X_in in zip(_as_input_dtypes(fast, A), _as_input_dtypes(fast, X)):
+        M = MatGF(fast, A_in)
+        got = M.reduce_rows(X_in)
+        assert got.dtype == fast.dtype
+        results.append(got)
+        # the residual differs from X by a combination of the rows of A and
+        # vanishes on every pivot column
+        R, piv, rank = M.rref()
+        assert not got[:, list(piv)].any()
+        for x, resid in zip(X_in, got):
+            assert M.span_contains(fast.sub(x, resid))
+            assert np.array_equal(M.reduce_vector(x), resid)
+        if table_view is not None:
+            assert np.array_equal(got, MatGF(table_view, A_in).reduce_rows(X_in))
+    assert np.array_equal(*results)
 
 
 SPAN_FIELDS = (FIELDS[2], FIELDS[3], (Field(31), Extension(Field(31), 1).as_field()))
@@ -231,9 +260,10 @@ def test_span_contains_rows_matches_residuals(case):
     fast, tables, A, X, kind = case
     want = ~MatGF(fast, A).reduce_rows(X).any(axis=1)
     for f in (fast, tables):
-        got = MatGF(f, A).span_contains_rows(X)
-        assert got.dtype == bool and got.shape == (len(X),)
-        assert np.array_equal(got, want)
+        for A_in, X_in in zip(_as_input_dtypes(f, A), _as_input_dtypes(f, X)):
+            got = MatGF(f, A_in).span_contains_rows(X_in)
+            assert got.dtype == bool and got.shape == (len(X),)
+            assert np.array_equal(got, want)
     assert want[kind == 0].all() and want[kind == 2].all()
     assert np.array_equal(want[kind == 3], ~X[kind == 3].any(axis=1))
 
@@ -321,11 +351,12 @@ def test_prime_matmul_matches_integer_reference(p):
         A = rng.integers(0, p, (rows, n))
         B = rng.integers(0, p, (n, 7))
         A[0] = B[:, 0] = p - 1  # the largest sum, n * (p - 1)**2
-        assert np.array_equal(f.matmul(A, B), (A @ B) % p)
-        assert np.array_equal(f.matmul(A[1], B), (A[1] @ B) % p)
-        assert np.array_equal(f.matmul(A, B[:, 3]), (A @ B[:, 3]) % p)
-        assert f.matmul(A, B).dtype == np.int64
-        assert f.matmul(A[:, :0], B[:0]).shape == (rows, 7)
+        for A_in, B_in in zip(_as_input_dtypes(f, A), _as_input_dtypes(f, B)):
+            assert np.array_equal(f.matmul(A_in, B_in), (A @ B) % p)
+            assert np.array_equal(f.matmul(A_in[1], B_in), (A[1] @ B) % p)
+            assert np.array_equal(f.matmul(A_in, B_in[:, 3]), (A @ B[:, 3]) % p)
+            assert f.matmul(A_in, B_in).dtype == f.dtype
+            assert f.matmul(A_in[:, :0], B_in[:0]).shape == (rows, 7)
 
 
 @pytest.mark.parametrize("p", (2, 3, 31, 103, 4093))
@@ -378,26 +409,27 @@ def gf2_matrices(draw):
 @given(gf2_matrices())
 def test_gf2_packed_kernel_matches_references(case):
     A, rng = case
-    M, Mt = MatGF(GF2, A), MatGF(GF2_TABLES, A)
-    R, piv, rank = M.rref()
     ref = _scalar_rref(GF2, A)
-    assert np.array_equal(R.a, ref[0]) and (piv, rank) == ref[1:]
-    Rt, pivt, rankt = Mt.rref()
-    assert np.array_equal(R.a, Rt.a) and (piv, rank) == (pivt, rankt)
-    N = M.null_space()
-    assert np.array_equal(N.a, Mt.null_space().a)
-    assert N.rows + rank == A.shape[1] and not GF2.matmul(A, N.a.T).any()
     # sums of rows of A (in the span), random rows (mostly outside) and zeros
     X = np.concatenate([(rng.integers(0, 2, (4, A.shape[0])) @ A) % 2,
                         rng.integers(0, 2, (5, A.shape[1])),
                         np.zeros((2, A.shape[1]), dtype=np.int64)])
-    got = M.reduce_rows(X)
-    assert got.dtype == np.int64 and np.array_equal(got, Mt.reduce_rows(X))
-    inside = M.span_contains_rows(X)
-    assert np.array_equal(inside, Mt.span_contains_rows(X))
-    assert inside[:4].all() and inside[-2:].all()
     B = rng.integers(0, 2, (A.shape[1], 3))
-    assert np.array_equal(GF2.matmul(A, B), (A @ B) % 2)
+    for A_in, X_in, B_in in zip(*(_as_input_dtypes(GF2, Y) for Y in (A, X, B))):
+        M, Mt = MatGF(GF2, A_in), MatGF(GF2_TABLES, A_in)
+        R, piv, rank = M.rref()
+        assert np.array_equal(R.a, ref[0]) and (piv, rank) == ref[1:]
+        Rt, pivt, rankt = Mt.rref()
+        assert np.array_equal(R.a, Rt.a) and (piv, rank) == (pivt, rankt)
+        N = M.null_space()
+        assert np.array_equal(N.a, Mt.null_space().a)
+        assert N.rows + rank == A.shape[1] and not GF2.matmul(A_in, N.a.T).any()
+        got = M.reduce_rows(X_in)
+        assert got.dtype == GF2.dtype and np.array_equal(got, Mt.reduce_rows(X_in))
+        inside = M.span_contains_rows(X_in)
+        assert np.array_equal(inside, Mt.span_contains_rows(X_in))
+        assert inside[:4].all() and inside[-2:].all()
+        assert np.array_equal(GF2.matmul(A_in, B_in), (A @ B) % 2)
 
 
 def test_gf2_rank_at_scale():
