@@ -166,7 +166,7 @@ def _subfield_rows(ext: Extension, M) -> np.ndarray:
     """
     M = np.asarray(M)
     alphas = np.asarray(ext.power_basis(), dtype=np.int64)
-    scaled = ext.mul(M[:, None, :], alphas[None, :, None])
+    scaled = ext.as_field().mul(M[:, None, :], alphas[None, :, None])
     return scaled.reshape(M.shape[0] * ext.k, M.shape[1])
 
 
@@ -212,7 +212,8 @@ def _expanded_check(inner: CssPair, ext: Extension, Hout, side: int):
     M, N = Hout.shape
     H_in = inner.C1.H if side == 1 else inner.C2.H
     basis = ext.dual_basis() if side == 1 else ext.power_basis()
-    scaled = ext.mul(Hout[:, None, :], np.asarray(basis, dtype=np.int64)[None, :, None])
+    basis = np.asarray(basis, dtype=np.int64)
+    scaled = ext.as_field().mul(Hout[:, None, :], basis[None, :, None])
     top = N * len(H_in)
     Ho = np.zeros((top + k * M, n * N), dtype=inner.field.dtype)
     _blockwise(H_in, Ho[:top])

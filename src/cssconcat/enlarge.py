@@ -318,8 +318,7 @@ def enlarged_concat(C1: LinearCode, g1, ext: Extension, D: GrsCode,
         for row in Grows:
             for l in range(ext.k):
                 a = ext.alpha_pow(l)
-                scaled = [ext.mul(a, int(x)) for x in row]
-                coords = f.matmul(ext.coords(np.array(scaled, dtype=np.int64)), change)
+                coords = f.matmul(ext.coords(fQ.mul(a, row)), change)
                 out.append(f.matmul(coords, g1).reshape(-1))
         return np.array(out, dtype=np.int64)
 

@@ -8,12 +8,23 @@ basis ``(1, alpha, ..., alpha^(k-1))`` of a root ``alpha`` of a primitive
 polynomial ``f`` over GF(q).
 
 With this packing the two layers compose: the base-p digits of an extension
-code are exactly the ``e*k`` GF(p)-coordinates of the element, so addition is
-always a digit-wise sum mod p regardless of the layer.
+code are exactly the ``e*k`` GF(p)-coordinates of the element, so addition
+depends only on the characteristic.  In characteristic 2 a code is the bit
+string of those coordinates: addition and subtraction are XOR, negation is
+the identity, and no add table is stored.  In odd characteristic addition is
+a digit-wise sum mod p, read from a dense add table.
+
+:class:`Field` is the only class that does element arithmetic.  Its
+multiplication table comes from polynomial reduction for GF(p^e) and from
+the log/exp tables of the primitive root for the GF(Q) field of an
+extension (:meth:`Extension.as_field`); the inverse, negation and addition
+tables are built from it the same way for both.  An :class:`Extension`
+keeps the structure: the primitive root, coordinates, trace, dual
+coordinates, bases and multiplication matrices.
 
 Every field has one element-code dtype, ``dtype``, worked out from its order:
 ``np.int8`` when q <= 128 and ``np.int16`` otherwise (the table cap is 4096
-and the GF(Q) view of an extension goes up to 8192).  Its tables hold codes
+and the GF(Q) field of an extension goes up to 8192).  Its tables hold codes
 in that dtype, so table gathers return it, and so do matrix products.  It is
 signed so that the difference of two codes cannot wrap.  Arithmetic other
 than a gather (products, sums of products) widens first.
@@ -175,6 +186,38 @@ def code_dtype(q):
     return np.dtype(np.int8 if q <= 128 else np.int16)
 
 
+def _reduction_mul_table(p, e, modulus):
+    """The GF(p^e) multiplication table by polynomial reduction modulo
+    ``modulus``, in row chunks of bounded bytes."""
+    q = p ** e
+    D = _digits(np.arange(q), p, e)
+    red = (-np.asarray(modulus[:e], dtype=np.int64)) % p
+    X = np.empty((q, e, e), dtype=np.int64)  # X[a, j]: the digits of a * x^j
+    X[:, 0] = D
+    for j in range(1, e):
+        X[:, j, 0] = 0
+        X[:, j, 1:] = X[:, j - 1, :-1]
+        X[:, j] = (X[:, j] + X[:, j - 1, -1:] * red) % p
+    table = np.empty((q, q), dtype=code_dtype(q))
+    step = chunk_rows(q * e)
+    for lo in range(0, q, step):
+        table[lo:lo + step] = _pack((D @ X[lo:lo + step]) % p, p)
+    return table
+
+
+def _log_mul_table(ext):
+    """The GF(Q) multiplication table of an extension from its log/exp
+    tables, in row chunks of bounded bytes."""
+    Q = ext.Q
+    table = np.zeros((Q, Q), dtype=code_dtype(Q))
+    logs = ext.log[1:]
+    step = chunk_rows(Q)
+    for lo in range(0, Q - 1, step):
+        rows = logs[lo:lo + step, None]
+        table[1 + lo:1 + lo + step, 1:] = ext.exp[(rows + logs) % (Q - 1)]
+    return table
+
+
 def _matmul_blas(A, B, p, dtype):
     """``(A @ B) % p`` for codes of GF(p) on BLAS, as codes of ``dtype``.
 
@@ -215,7 +258,9 @@ class Field:
         element codes reproducible across runs.
 
     The element-code dtype ``dtype`` follows from the order (see the module
-    docstring).
+    docstring).  :meth:`Extension.as_field` builds the GF(Q) field of an
+    extension, whose ``ext`` is that extension (``None`` here) and whose
+    ``modulus`` is ``None``.
     """
 
     def __init__(self, p: int, e: int = 1, modulus=None):
@@ -232,87 +277,82 @@ class Field:
             raise DomainError("modulus must be monic of degree e")
         if e > 1 and not _is_irreducible(modulus, p):
             raise DomainError(f"modulus {modulus} is reducible over GF({p})")
-        self.p = p
-        self.e = e
-        self.q = p ** e
-        self.dtype = code_dtype(self.q)
-        self.modulus = tuple(modulus)
-        self._build_tables()
+        self._setup(p, e, tuple(modulus), None, _reduction_mul_table(p, e, modulus))
+
+    @classmethod
+    def _of_extension(cls, ext):
+        field = cls.__new__(cls)
+        field._setup(ext.base.p, ext.base.e * ext.k, None, ext, _log_mul_table(ext))
+        return field
 
     @property
     def kind(self):
         """Arithmetic kind, which picks the elimination kernel in :mod:`matrix`:
-        ``"gf2"``, ``"prime"`` (codes are integers mod p) or ``"tables"``."""
-        if self.e > 1:
+        ``"gf2"``, ``"prime"`` (codes are integers mod p) or ``"tables"``
+        (GF(p^e) with e > 1, and every field of an extension)."""
+        if self.e > 1 or self.ext is not None:
             return "tables"
         return "gf2" if self.p == 2 else "prime"
 
     # -- construction -------------------------------------------------------
 
-    def _build_tables(self):
-        # built in int64, kept as codes of self.dtype
-        p, e, q = self.p, self.e, self.q
-        ab = np.arange(q, dtype=np.int64)
-        if e == 1:
-            self.mul_table = ((ab[:, None] * ab[None, :]) % p).astype(self.dtype)
-        else:
-            D = _digits(ab, p, e)  # (q, e)
-            red = (-np.asarray(self.modulus[:e], dtype=np.int64)) % p
-            table = np.empty((q, q), dtype=self.dtype)
-            for a in range(q):
-                ax = np.empty((e, e), dtype=np.int64)
-                ax[0] = D[a]
-                for j in range(1, e):
-                    prev = ax[j - 1]
-                    c = prev[e - 1]
-                    row = np.empty(e, dtype=np.int64)
-                    row[1:] = prev[:-1]
-                    row[0] = 0
-                    ax[j] = (row + c * red) % p
-                table[a] = _pack((D @ ax) % p, p)
-            self.mul_table = table
-        inv = np.zeros(self.q, dtype=self.dtype)
-        rows, cols = np.nonzero(self.mul_table == 1)
-        inv[rows] = cols
-        if np.count_nonzero(inv) != self.q - 1:
+    def _setup(self, p, e, modulus, ext, mul_table):
+        """The inverse, negation and addition tables from ``mul_table``; in
+        characteristic 2 addition is XOR and has no table."""
+        self.p, self.e, self.q = p, e, p ** e
+        self.modulus, self.ext = modulus, ext
+        self.dtype = code_dtype(self.q)
+        self.mul_table = mul_table
+        q = self.q
+        inv = np.zeros(q, dtype=self.dtype)
+        step = chunk_rows(q, 1)
+        for lo in range(0, q, step):
+            rows, cols = np.nonzero(mul_table[lo:lo + step] == 1)
+            inv[lo + rows] = cols
+        if np.count_nonzero(inv) != q - 1:
             raise DomainError("modulus does not define a field (reducible)")
         self.inv_table = inv
-        if e == 1:
-            self.add_table = ((ab[:, None] + ab[None, :]) % p).astype(self.dtype)
-            self.neg_table = ((-ab) % p).astype(self.dtype)
-        else:
-            D = _digits(ab, p, e)
-            self.add_table = _pack((D[:, None, :] + D[None, :, :]) % p, p).astype(self.dtype)
-            self.neg_table = _pack((-D) % p, p).astype(self.dtype)
+        if p == 2:
+            return
+        D = _digits(np.arange(q), p, e)
+        self.neg_table = _pack((-D) % p, p).astype(self.dtype)
+        self.add_table = np.empty((q, q), dtype=self.dtype)
+        step = chunk_rows(q * e)
+        for lo in range(0, q, step):
+            self.add_table[lo:lo + step] = _pack((D[lo:lo + step, None] + D) % p, p)
 
     # -- element arithmetic -------------------------------------------------
 
-    @staticmethod
-    def _ret(value, *operands):
-        if all(np.isscalar(x) or isinstance(x, (int, np.integer)) for x in operands):
-            return int(value)
-        return value
+    def _xor(self, a, b):
+        if isinstance(a, _SCALAR_TYPES) and isinstance(b, _SCALAR_TYPES):
+            return int(a) ^ int(b)
+        return np.bitwise_xor(a, b, dtype=self.dtype)
 
     def add(self, a, b):
+        if self.p == 2:
+            return self._xor(a, b)
         if isinstance(a, _SCALAR_TYPES) and isinstance(b, _SCALAR_TYPES):
             return int(self.add_table[a, b])
-        return self._ret(self.add_table[np.asarray(a), np.asarray(b)], a, b)
+        return self.add_table[np.asarray(a), np.asarray(b)]
 
     def neg(self, a):
+        if self.p == 2:  # -a = a
+            return int(a) if isinstance(a, _SCALAR_TYPES) else np.array(a, dtype=self.dtype)
         if isinstance(a, _SCALAR_TYPES):
             return int(self.neg_table[a])
-        return self._ret(self.neg_table[np.asarray(a)], a)
+        return self.neg_table[np.asarray(a)]
 
     def sub(self, a, b):
+        if self.p == 2:
+            return self._xor(a, b)
         if isinstance(a, _SCALAR_TYPES) and isinstance(b, _SCALAR_TYPES):
             return int(self.add_table[a, self.neg_table[b]])
-        return self._ret(self.add_table[np.asarray(a), self.neg_table[np.asarray(b)]],
-                         a, b)
+        return self.add_table[np.asarray(a), self.neg_table[np.asarray(b)]]
 
     def mul(self, a, b):
         if isinstance(a, _SCALAR_TYPES) and isinstance(b, _SCALAR_TYPES):
             return int(self.mul_table[a, b])
-        return self._ret(self.mul_table[np.asarray(a), np.asarray(b)], a, b)
+        return self.mul_table[np.asarray(a), np.asarray(b)]
 
     def inv(self, a):
         a = int(a)
@@ -352,14 +392,13 @@ class Field:
                 return b
         return None
 
-    def elements(self):
-        return range(self.q)
-
     # -- vectorized linear algebra kernels ----------------------------------
 
     def add_reduce(self, arr, axis):
         """Sum of field elements along an axis."""
         arr = np.asarray(arr)
+        if self.p == 2:
+            return np.bitwise_xor.reduce(arr, axis=axis).astype(self.dtype, copy=False)
         if self.e == 1:
             return (arr.sum(axis=axis, dtype=np.int64) % self.p).astype(self.dtype)
         axis = axis % arr.ndim  # digits add a trailing axis; normalize first
@@ -397,17 +436,20 @@ class Field:
 
     # -- misc ----------------------------------------------------------------
 
-    def spec_line(self):
-        return " ".join(str(x) for x in (self.p, self.e, *self.modulus))
+    def _key(self):
+        if self.ext is not None:
+            return ("view", self.ext)
+        return (self.p, self.e, self.modulus)
 
     def __eq__(self, other):
-        return (isinstance(other, Field) and self.p == other.p
-                and self.e == other.e and self.modulus == other.modulus)
+        return isinstance(other, Field) and self._key() == other._key()
 
     def __hash__(self):
-        return hash((self.p, self.e, self.modulus))
+        return hash(self._key())
 
     def __repr__(self):
+        if self.ext is not None:
+            return f"Field(GF({self.q}) of {self.ext!r})"
         return f"Field(p={self.p}, e={self.e}, modulus={list(self.modulus)})"
 
 
@@ -512,13 +554,6 @@ class Extension:
         self._dual_table = None
         self._dual_basis = None
         self._as_field = None
-        if self.Q <= _TABLE_CAP:
-            D = _digits(np.arange(self.Q, dtype=np.int64), base.p, base.e * k)
-            self._add_table = _pack((D[:, None, :] + D[None, :, :]) % base.p, base.p)
-            self._neg_table = _pack((-D) % base.p, base.p)
-        else:
-            self._add_table = None
-            self._neg_table = None
 
     # -- coordinates ---------------------------------------------------------
 
@@ -536,104 +571,26 @@ class Extension:
     def from_coords(self, coords):
         return _pack(np.asarray(coords, dtype=np.int64) % self.q, self.q)
 
-    def embed(self, c):
-        """Embed a base-field code as a constant-coordinate extension code."""
-        c = int(c)
-        if not 0 <= c < self.q:
-            raise DomainError("not a base field code")
-        return c
-
-    # -- arithmetic ----------------------------------------------------------
-
-    @staticmethod
-    def _ret(value, *operands):
-        if all(np.isscalar(x) or isinstance(x, (int, np.integer)) for x in operands):
-            return int(value)
-        return value
-
-    def add(self, a, b):
-        if (self._add_table is not None and isinstance(a, _SCALAR_TYPES)
-                and isinstance(b, _SCALAR_TYPES)):
-            return int(self._add_table[a, b])
-        p = self.base.p
-        nd = self.base.e * self.k
-        da = _digits(a, p, nd)
-        db = _digits(b, p, nd)
-        return self._ret(_pack((da + db) % p, p), a, b)
-
-    def neg(self, a):
-        if self._neg_table is not None and isinstance(a, _SCALAR_TYPES):
-            return int(self._neg_table[a])
-        p = self.base.p
-        nd = self.base.e * self.k
-        return self._ret(_pack((-_digits(a, p, nd)) % p, p), a)
-
-    def sub(self, a, b):
-        if (self._add_table is not None and isinstance(a, _SCALAR_TYPES)
-                and isinstance(b, _SCALAR_TYPES)):
-            return int(self._add_table[a, self._neg_table[b]])
-        return self.add(a, self.neg(b))
-
-    def mul(self, a, b):
-        if isinstance(a, _SCALAR_TYPES) and isinstance(b, _SCALAR_TYPES):
-            if a == 0 or b == 0:
-                return 0
-            return int(self.exp[(int(self.log[a]) + int(self.log[b]))
-                                % (self.Q - 1)])
-        a_arr = np.asarray(a)
-        b_arr = np.asarray(b)
-        la = self.log[a_arr]
-        lb = self.log[b_arr]
-        out = self.exp[(la + lb) % (self.Q - 1)]
-        out = np.where((a_arr == 0) | (b_arr == 0), 0, out)
-        return self._ret(out, a, b)
-
-    def inv(self, a):
-        a = int(a)
-        if a == 0:
-            raise DivisionByZero("zero has no multiplicative inverse")
-        return int(self.exp[(-self.log[a]) % (self.Q - 1)])
-
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
-    def pow(self, a, n):
-        a = int(a)
-        n = int(n)
-        if a == 0:
-            if n == 0:
-                return 1
-            if n < 0:
-                raise DivisionByZero("zero to a negative power")
-            return 0
-        return int(self.exp[(self.log[a] * n) % (self.Q - 1)])
-
-    def elements(self):
-        return range(self.Q)
-
     # -- traces, dual coordinates, multiplication matrices -------------------
 
     @property
     def trace_table(self):
+        """``Tr a = a + a^q + ... + a^(q^(k-1))`` for every element code."""
         if self._trace_table is None:
-            q, k, Q = self.q, self.k, self.Q
+            Q = self.Q
+            conj = self.exp[(self.log[1:, None] * self.q ** np.arange(self.k)) % (Q - 1)]
             acc = np.zeros(Q, dtype=np.int64)
-            codes = np.arange(1, Q, dtype=np.int64)
-            logs = self.log[codes]
-            for i in range(k):
-                conj = self.exp[(logs * q ** i) % (Q - 1)]
-                acc[1:] = _pack(
-                    (_digits(acc[1:], self.base.p, self.base.e * k)
-                     + _digits(conj, self.base.p, self.base.e * k)) % self.base.p,
-                    self.base.p)
-            if np.any(acc >= q):
+            acc[1:] = self.as_field().add_reduce(conj, axis=1)
+            if np.any(acc >= self.q):
                 raise AssertionError("trace left the base field")  # pragma: no cover
             self._trace_table = acc
         return self._trace_table
 
     def trace(self, a):
         """Field trace down to GF(q), returned as a base-field code."""
-        return self._ret(self.trace_table[np.asarray(a)], a)
+        if isinstance(a, _SCALAR_TYPES):
+            return int(self.trace_table[a])
+        return self.trace_table[np.asarray(a)]
 
     def alpha_pow(self, j):
         if self.Q == 2:
@@ -659,22 +616,16 @@ class Extension:
         Column j holds the coordinates of ``a * alpha^j``; consequently
         phi(alpha) equals the companion matrix and phi is a ring homomorphism.
         """
-        k = self.k
-        M = np.empty((k, k), dtype=np.int64)
-        x = int(a)
-        for j in range(k):
-            M[:, j] = self.coords(x)
-            x = self.mul(x, self.alpha)
-        return M
+        basis = np.asarray(self.power_basis(), dtype=np.int64)
+        return self.coords(self.as_field().mul(int(a), basis)).T
 
     @property
     def dual_table(self):
         """The (Q, k) table of :meth:`phi_dual` for every element code."""
         if self._dual_table is None:
-            codes = np.arange(self.Q, dtype=np.int64)
-            self._dual_table = np.stack(
-                [self.trace(self.mul(codes, self.alpha_pow(j))) for j in range(self.k)],
-                axis=1)
+            basis = np.asarray(self.power_basis(), dtype=np.int64)
+            codes = np.arange(self.Q)[:, None]
+            self._dual_table = self.trace(self.as_field().mul(codes, basis))
         return self._dual_table
 
     def phi_dual(self, a):
@@ -687,12 +638,8 @@ class Extension:
     # -- dual and self-dual bases -------------------------------------------
 
     def _gram(self, basis):
-        k = len(basis)
-        G = np.empty((k, k), dtype=np.int64)
-        for i in range(k):
-            for j in range(k):
-                G[i, j] = self.trace(self.mul(basis[i], basis[j]))
-        return G
+        b = np.asarray(basis, dtype=np.int64)
+        return self.trace(self.as_field().mul(b[:, None], b))
 
     def dual_basis(self, basis=None):
         """The trace-dual basis of ``basis`` (default: the power basis).
@@ -711,13 +658,10 @@ class Extension:
             Ginv = MatGF(self.base, self._gram(basis)).invert().a
         except Singular:
             raise NotABasis("Gram matrix singular: not a basis") from None
-        dual = []
-        for j in range(self.k):
-            acc = 0
-            for m in range(self.k):
-                acc = self.add(acc, self.mul(self.embed(int(Ginv[m, j])), basis[m]))
-            dual.append(acc)
-        return dual
+        # b'_j = sum_m Ginv[m, j] b_m; a base-field code is its own extension code
+        fQ = self.as_field()
+        terms = fQ.mul(Ginv, np.asarray(basis, dtype=np.int64)[:, None])
+        return [int(x) for x in fQ.add_reduce(terms, axis=0)]
 
     def self_dual_basis(self, max_tries: int = 64, enum_cap: int = 1 << 16):
         """Search for a basis whose trace Gram matrix is the identity.
@@ -727,7 +671,7 @@ class Extension:
         a self-dual basis always exists and the search is expected to find
         one at desk sizes).
         """
-        base, k, q = self.base, self.k, self.q
+        base, k, q, fQ = self.base, self.k, self.q, self.as_field()
         rng = np.random.default_rng(20240823)
         for attempt in range(max_tries):
             sel: list[int] = []
@@ -751,13 +695,13 @@ class Extension:
                     coords = base.add_reduce(
                         base.mul(np.asarray(cs, dtype=np.int64)[:, None], comp), axis=0)
                     v = int(self.from_coords(coords))
-                    t = self.trace(self.mul(v, v))
+                    t = self.trace(fQ.mul(v, v))
                     if t == 0 or not base.is_square(t):
                         continue
                     c = base.sqrt(t)
                     if c is None or c == 0:
                         continue
-                    found = self.div(v, self.embed(c))
+                    found = fQ.div(v, c)
                     break
                 if found is None:
                     break
@@ -771,18 +715,18 @@ class Extension:
     # -- bridge to the generic matrix layer ----------------------------------
 
     def as_field(self):
-        """A :class:`Field`-compatible view of GF(Q) for matrix algebra.
+        """GF(Q) as a :class:`Field`, built on first call and kept.
 
-        The element codes agree with this extension's codes, so matrices over
-        the extension can be manipulated with the same dense kernels used for
-        base fields.
+        Its element codes are this extension's codes and its multiplication
+        table comes from the log/exp tables, so matrices over the extension
+        go through the same kernels as matrices over a base field; it
+        eliminates through the dense tables (``kind == "tables"``).
         """
         if self._as_field is None:
-            self._as_field = _ExtFieldView(self)
+            if self.Q * self.Q > (1 << 26):
+                raise TooLarge(f"dense table for GF({self.Q}) too big")
+            self._as_field = Field._of_extension(self)
         return self._as_field
-
-    def spec_line(self):
-        return " ".join(str(x) for x in (self.k, *self.f))
 
     def __eq__(self, other):
         return (isinstance(other, Extension) and self.base == other.base
@@ -794,56 +738,3 @@ class Extension:
     def __repr__(self):
         return f"Extension(GF({self.q})^{self.k}, f={list(self.f)})"
 
-
-class _ExtFieldView:
-    """Adapter exposing an Extension through the Field kernel interface."""
-
-    def __init__(self, ext: Extension):
-        self.ext = ext
-        self.p = ext.base.p
-        self.e = ext.base.e * ext.k
-        self.q = ext.Q
-        self.dtype = code_dtype(ext.Q)
-        Q = ext.Q
-        if Q * Q > (1 << 26):
-            raise TooLarge(f"dense table for GF({Q}) too big")
-        logs = ext.log
-        mt = ext.exp[(logs[:, None] + logs[None, :]) % (Q - 1)].astype(self.dtype)
-        mt[0, :] = 0
-        mt[:, 0] = 0
-        self.mul_table = mt
-        inv = np.zeros(Q, dtype=self.dtype)
-        inv[ext.exp] = ext.exp[(-logs[ext.exp]) % (Q - 1)]
-        self.inv_table = inv
-        # element codes are base-p digit strings, so addition is digit-wise
-        D = _digits(np.arange(Q, dtype=np.int64), self.p, self.e)
-        add = _pack((D[:, None, :] + D[None, :, :]) % self.p, self.p)
-        self.add_table = add.astype(self.dtype)
-        self.neg_table = _pack((-D) % self.p, self.p).astype(self.dtype)
-
-    kind = "tables"  # elimination goes through the dense tables
-
-    # Reuse the generic kernels from Field via delegation.
-    _ret = staticmethod(Field._ret)
-    add = Field.add
-    neg = Field.neg
-    sub = Field.sub
-    mul = Field.mul
-    inv = Field.inv
-    div = Field.div
-    pow = Field.pow
-    is_square = Field.is_square
-    sqrt = Field.sqrt
-    elements = Field.elements
-    add_reduce = Field.add_reduce
-    matmul = Field.matmul
-    dot = Field.dot
-
-    def __eq__(self, other):
-        return isinstance(other, _ExtFieldView) and self.ext == other.ext
-
-    def __hash__(self):
-        return hash(("view", self.ext))
-
-    def __repr__(self):
-        return f"GF({self.q}) view of {self.ext!r}"

@@ -13,9 +13,11 @@ is narrowed (:func:`as_codes`), so no out-of-range entry can wrap into a code.
 
 Elimination picks its kernel from the field's ``kind``.  GF(2) packs each
 row into 64-bit words and clears a pivot's column from every other row with
-one masked XOR over those words; GF(p^e) with e > 1 goes through the dense
-add/mul tables, a kernel that works for every field and is the reference the
-others are tested against.  Odd prime fields run a blocked Gauss-Jordan on
+one masked XOR over those words; GF(p^e) with e > 1 and the GF(Q) field of
+an extension go through the dense tables, one multiplication-table gather
+per pivot and a row update that is XOR in characteristic 2 and an add-table
+gather otherwise.  That kernel works for every field and is the reference
+the others are tested against.  Odd prime fields run a blocked Gauss-Jordan on
 float64 BLAS: pivots are found column by column, each column is brought up
 to date with one mat-vec against the row updates pending in the current
 panel of at most ``_PANEL`` pivots, and each full panel is applied to the
@@ -257,7 +259,7 @@ class MatGF:
 
     Parameters
     ----------
-    field : Field (or extension field view)
+    field : Field
         Element arithmetic provider.
     array : array-like of int
         2-D array of element codes in ``[0, field.q)``, kept as

@@ -31,7 +31,7 @@ from .galois import Extension
 from .matrix import chunk_rows
 
 
-# -- polynomial helpers over the extension (coefficient lists, low first) ----
+# -- polynomial helpers over a field (coefficient lists, low first) ----------
 
 def _trim(p):
     while p and p[-1] == 0:
@@ -43,21 +43,21 @@ def _deg(p):
     return len(p) - 1
 
 
-def _poly_add(ext, a, b):
+def _poly_add(f, a, b):
     n = max(len(a), len(b))
     out = [0] * n
     for i in range(n):
         x = a[i] if i < len(a) else 0
         y = b[i] if i < len(b) else 0
-        out[i] = ext.add(x, y)
+        out[i] = f.add(x, y)
     return _trim(out)
 
 
-def _poly_scale(ext, a, c):
-    return _trim([ext.mul(x, c) for x in a])
+def _poly_scale(f, a, c):
+    return _trim([f.mul(x, c) for x in a])
 
 
-def _poly_mul(ext, a, b):
+def _poly_mul(f, a, b):
     if not a or not b:
         return []
     out = [0] * (len(a) + len(b) - 1)
@@ -65,36 +65,36 @@ def _poly_mul(ext, a, b):
         if x:
             for j, y in enumerate(b):
                 if y:
-                    out[i + j] = ext.add(out[i + j], ext.mul(x, y))
+                    out[i + j] = f.add(out[i + j], f.mul(x, y))
     return _trim(out)
 
 
-def _poly_divmod(ext, a, b):
+def _poly_divmod(f, a, b):
     a = list(a)
     q = [0] * max(0, len(a) - len(b) + 1)
-    inv_lead = ext.inv(b[-1])
+    inv_lead = f.inv(b[-1])
     for i in range(len(a) - 1, len(b) - 2, -1):
         if a[i]:
-            c = ext.mul(a[i], inv_lead)
+            c = f.mul(a[i], inv_lead)
             q[i - (len(b) - 1)] = c
             for j, bj in enumerate(b):
-                a[i - (len(b) - 1) + j] = ext.sub(a[i - (len(b) - 1) + j],
-                                                  ext.mul(c, bj))
+                a[i - (len(b) - 1) + j] = f.sub(a[i - (len(b) - 1) + j],
+                                                f.mul(c, bj))
     return _trim(q), _trim(a[: len(b) - 1])
 
 
-def _poly_eval(ext, p, x):
+def _poly_eval(f, p, x):
     acc = 0
     for c in reversed(p):
-        acc = ext.add(ext.mul(acc, x), c)
+        acc = f.add(f.mul(acc, x), c)
     return acc
 
 
-def _poly_deriv(ext, p):
-    char = ext.base.p
+def _poly_deriv(f, p):
+    char = f.p
     out = []
     for i in range(1, len(p)):
-        out.append(ext.mul(p[i], i % char))
+        out.append(f.mul(p[i], i % char))
     return _trim(out)
 
 
@@ -109,7 +109,7 @@ def _log_difference_products(ext, points):
     out = np.empty(N, dtype=np.int64)
     step = chunk_rows(N)
     for lo in range(0, N, step):
-        logs = ext.log[ext.sub(a[lo:lo + step, None], a[None, :])]
+        logs = ext.log[ext.as_field().sub(a[lo:lo + step, None], a[None, :])]
         rows = np.arange(logs.shape[0])
         logs[rows, lo + rows] = 0  # the m == j factor is left out
         out[lo:lo + step] = logs.sum(axis=1) % (ext.Q - 1)
@@ -194,7 +194,7 @@ class GrsCode:
         Returns the unique error vector of weight <= t matching the syndrome,
         or raises DecodeFailure.
         """
-        ext = self.ext
+        f = self.ext.as_field()
         R = self.N - self.K
         syndrome = np.asarray(syndrome, dtype=np.int64).reshape(-1)
         if syndrome.shape[0] != R:
@@ -215,31 +215,31 @@ class GrsCode:
         v_cur = [1]
         stop = (R + 1) // 2
         while r_cur and _deg(r_cur) >= stop:
-            q, rem = _poly_divmod(ext, r_prev, r_cur)
+            q, rem = _poly_divmod(f, r_prev, r_cur)
             r_prev, r_cur = r_cur, rem
-            v_next = _poly_add(ext, v_prev, _poly_scale(ext, _poly_mul(ext, q, v_cur),
-                                                        ext.neg(1)))
+            v_next = _poly_add(f, v_prev, _poly_scale(f, _poly_mul(f, q, v_cur),
+                                                    f.neg(1)))
             v_prev, v_cur = v_cur, v_next
         lam, omega = v_cur, r_cur
         if not lam or lam[0] == 0:
             raise DecodeFailure("degenerate error locator")
-        c = ext.inv(lam[0])
-        lam = _poly_scale(ext, lam, c)
-        omega = _poly_scale(ext, omega, c)
+        c = f.inv(lam[0])
+        lam = _poly_scale(f, lam, c)
+        omega = _poly_scale(f, omega, c)
         if _deg(lam) > t:
             raise DecodeFailure("locator degree exceeds radius")
-        dlam = _poly_deriv(ext, lam)
+        dlam = _poly_deriv(f, lam)
         nerr = 0
         for j in range(self.N):
             x = int(self.points[j])
-            xinv = ext.inv(x)
-            if _poly_eval(ext, lam, xinv) == 0:
-                num = ext.mul(x, _poly_eval(ext, omega, xinv))
-                den = _poly_eval(ext, dlam, xinv)
+            xinv = f.inv(x)
+            if _poly_eval(f, lam, xinv) == 0:
+                num = f.mul(x, _poly_eval(f, omega, xinv))
+                den = _poly_eval(f, dlam, xinv)
                 if den == 0:
                     raise DecodeFailure("repeated locator root")
-                y = ext.neg(ext.div(num, den))
-                e[j] = ext.div(y, int(self.dual_multipliers[j]))
+                y = f.neg(f.div(num, den))
+                e[j] = f.div(y, int(self.dual_multipliers[j]))
                 nerr += 1
         if nerr != _deg(lam) or nerr > t:
             raise DecodeFailure("locator roots do not match its degree")

@@ -93,7 +93,7 @@ def _phi_violations(ext, pairs):
     bad = 0
     for x, y in pairs:
         x, y = int(x), int(y)
-        xy = ext.mul(x, y)
+        xy = ext.as_field().mul(x, y)
         lhs = f.matmul(ext.phi(x), ext.coords(y)[:, None]).reshape(-1)
         if not np.array_equal(lhs, ext.coords(xy)):
             bad += 1
@@ -102,7 +102,7 @@ def _phi_violations(ext, pairs):
             bad += 1
         if not np.array_equal(ext.phi(xy), f.matmul(ext.phi(x), ext.phi(y))):
             bad += 1
-        if not np.array_equal(ext.phi(ext.add(x, y)),
+        if not np.array_equal(ext.phi(ext.as_field().add(x, y)),
                               f.add(ext.phi(x), ext.phi(y))):
             bad += 1
     return bad

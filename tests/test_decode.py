@@ -246,7 +246,7 @@ def test_reassemble_symbols_matches_dual_basis_sum():
     for c in resid:
         want = 0
         for cj, bj in zip(c, dual):
-            want = ext.add(want, ext.mul(ext.embed(int(cj)), bj))
+            want = ext.as_field().add(want, ext.as_field().mul(int(cj), bj))
         assert ctx2.reassemble_symbols(c).tolist() == [want]
         assert ctx1.reassemble_symbols(c).tolist() == [int(ext.from_coords(c))]
     got = ctx2.reassemble_symbols(resid.reshape(-1))

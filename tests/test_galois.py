@@ -1,5 +1,7 @@
 """Field and extension arithmetic tests."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -95,7 +97,7 @@ def _phi_identity_violations(ext, pairs):
     f = ext.base
     bad = 0
     for x, y in pairs:
-        xy = ext.mul(x, y)
+        xy = ext.as_field().mul(x, y)
         # multiplication-matrix action on plain coordinates
         lhs = f.matmul(ext.phi(x), ext.coords(y)[:, None]).reshape(-1)
         if not np.array_equal(lhs, ext.coords(xy)):
@@ -107,7 +109,7 @@ def _phi_identity_violations(ext, pairs):
         # homomorphism laws
         if not np.array_equal(ext.phi(xy), f.matmul(ext.phi(x), ext.phi(y))):
             bad += 1
-        if not np.array_equal(ext.phi(ext.add(x, y)),
+        if not np.array_equal(ext.phi(ext.as_field().add(x, y)),
                               f.add(ext.phi(x), ext.phi(y))):
             bad += 1
     return bad
@@ -146,7 +148,7 @@ def test_trace_linear_and_surjective():
     for x in range(ext.Q):
         vals.add(ext.trace(x))
         for y in range(ext.Q):
-            assert ext.trace(ext.add(x, y)) == f.add(ext.trace(x), ext.trace(y))
+            assert ext.trace(ext.as_field().add(x, y)) == f.add(ext.trace(x), ext.trace(y))
     assert vals == {0, 1, 2}
 
 
@@ -157,7 +159,7 @@ def test_phi_dual_pairing():
     for x in range(8):
         for y in range(8):
             lhs = f.dot(ext.phi_dual(x), ext.coords(y))
-            assert lhs == ext.trace(ext.mul(x, y))
+            assert lhs == ext.trace(ext.as_field().mul(x, y))
 
 
 def test_dual_basis_involution():
@@ -175,7 +177,7 @@ def test_dual_basis_gram():
     dual = ext.dual_basis(basis)
     for i, bi in enumerate(basis):
         for j, dj in enumerate(dual):
-            assert ext.trace(ext.mul(bi, dj)) == (1 if i == j else 0)
+            assert ext.trace(ext.as_field().mul(bi, dj)) == (1 if i == j else 0)
 
 
 def test_self_dual_basis_char2():
@@ -186,7 +188,7 @@ def test_self_dual_basis_char2():
         k = ext.k
         for i in range(k):
             for j in range(k):
-                assert ext.trace(ext.mul(sdb[i], sdb[j])) == (1 if i == j else 0)
+                assert ext.trace(ext.as_field().mul(sdb[i], sdb[j])) == (1 if i == j else 0)
 
 
 def test_dual_coordinate_identity():
@@ -197,7 +199,7 @@ def test_dual_coordinate_identity():
         coords = ext.phi_dual(x)
         acc = 0
         for c, d in zip(coords, dual):
-            acc = ext.add(acc, ext.mul(ext.embed(int(c)), d))
+            acc = ext.as_field().add(acc, ext.as_field().mul(int(c), d))
         assert acc == x
 
 
@@ -257,7 +259,7 @@ def test_dual_table_matches_trace_definition(base, k):
     table = ext.dual_table
     assert table.shape == (ext.Q, k) and table.dtype == np.int64
     for a in range(ext.Q):
-        want = [ext.trace(ext.mul(a, ext.alpha_pow(j))) for j in range(k)]
+        want = [ext.trace(ext.as_field().mul(a, ext.alpha_pow(j))) for j in range(k)]
         assert table[a].tolist() == want
         assert ext.phi_dual(a).tolist() == want
     ext.phi_dual(1)[:] = 0  # a returned row is a copy, not a view of the table
@@ -277,3 +279,72 @@ def test_self_dual_basis_golden():
               (2, 2, 2): [4, 5], (3, 1, 2): None}
     for (p, e, k), want in golden.items():
         assert Extension(Field(p, e), k).self_dual_basis() == want
+
+
+def _primes(limit):
+    return [p for p in range(2, limit + 1) if all(p % d for d in range(2, p))]
+
+
+PRIME_POWERS = [(p, k) for p in _primes(256) for k in range(1, 9) if p ** k <= 256]
+
+
+@pytest.mark.parametrize("p, k", PRIME_POWERS)
+def test_extension_field_matches_polynomial_reduction(p, k):
+    """The GF(Q) field of an extension takes its multiplication table from
+    powers of the primitive root; Field(p, k, modulus=f) from polynomial
+    reduction modulo the same f.  Every table agrees."""
+    ext = Extension(Field(p), k)
+    fQ, ref = ext.as_field(), Field(p, k, modulus=ext.f)
+    assert fQ.kind == "tables" and fQ.dtype == ref.dtype
+    A = np.arange(ext.Q)
+    assert np.array_equal(fQ.mul_table, ref.mul_table)
+    assert np.array_equal(fQ.inv_table, ref.inv_table)
+    assert np.array_equal(fQ.add(A[:, None], A), ref.add(A[:, None], A))
+    assert np.array_equal(fQ.neg(A), ref.neg(A))
+
+
+def _digitwise(p, e, op, *codes):
+    """``op`` on the base-p digits of the codes, reduced mod p and packed."""
+    pows = p ** np.arange(e)
+    digits = [(np.asarray(c, dtype=np.int64)[..., None] // pows) % p for c in codes]
+    return ((op(*digits) % p) * pows).sum(axis=-1)
+
+
+@pytest.mark.parametrize("f", [Field(2), Extension(Field(2), 6).as_field(),
+                               Extension(Field(2, 2), 2).as_field(),
+                               Extension(Field(3), 4).as_field()],
+                         ids=["GF2", "GF64", "GF16/GF4", "GF81"])
+def test_addition_is_digitwise_sum(f):
+    """add/sub/neg/add_reduce agree with the sum of GF(p)-coordinates mod p
+    (XOR in characteristic 2), for int64 and code-dtype input alike."""
+    rng = np.random.default_rng(f.q)
+    a, b = rng.integers(0, f.q, (2, 40, 6))
+    for x, y in ((a, b), (a.astype(f.dtype), b.astype(f.dtype))):
+        for got, want in ((f.add(x, y), _digitwise(f.p, f.e, np.add, a, b)),
+                          (f.sub(x, y), _digitwise(f.p, f.e, np.subtract, a, b)),
+                          (f.neg(x), _digitwise(f.p, f.e, np.negative, a))):
+            assert got.dtype == f.dtype and np.array_equal(got, want)
+        for axis in (0, 1, -1):
+            want = _digitwise(f.p, f.e, lambda d: d.sum(axis=axis % 2), a)
+            got = f.add_reduce(x, axis=axis)
+            assert got.dtype == f.dtype and np.array_equal(got, want)
+    x, y = int(a[0, 0]), int(b[0, 0])
+    assert f.add(x, y) == int(_digitwise(f.p, f.e, np.add, x, y))
+    assert f.sub(np.int64(x), y) == int(_digitwise(f.p, f.e, np.subtract, x, y))
+    assert f.neg(x) == int(_digitwise(f.p, f.e, np.negative, x))
+
+
+@pytest.mark.parametrize("build, cap_mb", [
+    (lambda: Extension(Field(2), 10).as_field(), 24),
+    (lambda: Field(3, 7), 40)], ids=["GF1024-of-extension", "GF2187"])
+def test_table_build_memory_peak(build, cap_mb):
+    """Tables are built in row chunks, so the tracemalloc peak stays near the
+    tables kept: 2 MB for GF(1024) (no add table in characteristic 2) and
+    2 x 9.6 MB for GF(3^7)."""
+    tracemalloc.start()
+    try:
+        build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= cap_mb * 10 ** 6
