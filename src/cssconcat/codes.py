@@ -6,10 +6,28 @@ paired coset generators g1, g2 satisfying
 
     C1 = dual(C2) + span(g1),   C2 = dual(C1) + span(g2),   <g1_i, g2_j> = delta_ij.
 
-The generators are obtained by assembling an invertible n x n matrix from a
-basis of dual(C2), the supplied g1 rows and a greedy completion, and reading
-the paired vectors off columns of its inverse.  Postconditions are validated
-rather than trusted.
+Row profile.  The generators come from one elimination, the rref of the
+n x (m + r + n) matrix [C2.H^T | X^T | I_n], where X is the supplied g1 or,
+when none is given, C1.G.  The pivot columns of an rref are the
+lexicographically first independent columns, so its pivots are all m rows
+of C2.H (a basis of dual(C2)), then the first k rows of X independent modulo
+dual(C2) -- the chosen g1 -- and then the standard basis vectors that
+complete them to a basis of GF(q)^n.  Those n pivot columns are A^T for the
+invertible A = [C2.H; g1; completion], and the rref holds E A^T = I, so its
+last n columns are E = (A^-1)^T: the rows of E paired with g1 are g2, and
+the rows paired with the completion a basis of dual(C1).
+
+Product certificate.  A pair is checked by products, with no elimination:
+
+    C2.H C1.H^T = 0,   g1 C1.H^T = 0,   g2 C2.H^T = 0,   g1 g2^T = I_k.
+
+The first is the containment dual(C2) <= C1; the next two put g1 in C1 and
+g2 in C2.  The rest follows by counting dimensions.  If a combination c g1
+lies in dual(C2), pairing it with g2 (orthogonal to dual(C2)) gives c = 0,
+so g1 is independent modulo dual(C2), and dual(C2) + span(g1) has dimension
+(n - k2) + k = k1 inside C1 of dimension k1: C1 = dual(C2) + span(g1).  By
+the same argument, with dual(C1) <= C2 the dual of the containment,
+C2 = dual(C1) + span(g2).
 
 Brute-force oracles (`min_weight_excluding`, `CosetLeaderTable`) enumerate
 codewords or error patterns and are capped; they are meant as ground truth
@@ -63,13 +81,14 @@ class LinearCode:
     @classmethod
     def from_parity_check(cls, field, H):
         mat = H if isinstance(H, MatGF) else MatGF(field, H)
-        code = cls(field, mat.null_space())
+        # a null-space basis is the identity on its free columns: full rank
+        code = cls._full_rank(field, mat.null_space())
         code._Hmat = mat
         return code
 
     @classmethod
     def full_space(cls, field, n):
-        return cls(field, MatGF.identity(field, n))
+        return cls._full_rank(field, MatGF.identity(field, n))
 
     @property
     def n(self):
@@ -94,8 +113,14 @@ class LinearCode:
         return self.Hmat.a
 
     def dual(self):
-        """The dual code (generated by the parity-check rows)."""
-        d = LinearCode._full_rank(self.field, self.Hmat)
+        """The dual code, generated by the parity-check rows, or by the
+        nonzero rows of their rref when a supplied parity check repeats
+        rows."""
+        H = self.Hmat
+        if H.rank != H.rows:
+            R, _, rank = H.rref()
+            H = MatGF(self.field, R.a[:rank])
+        d = LinearCode._full_rank(self.field, H)
         d._Hmat = self.Gmat
         return d
 
@@ -145,62 +170,50 @@ class QuotientCode:
 
 
 def validate_css(C1: LinearCode, C2: LinearCode) -> bool:
-    """True iff dual(C2) <= C1 (the containment making (C1, C2) a valid pair)."""
+    """True iff dual(C2) <= C1 (the containment making (C1, C2) a valid pair),
+    that is, iff C2.H C1.H^T = 0."""
     if C1.n != C2.n:
         raise LengthMismatch("codes of different length")
-    if C2.Hmat.rows == 0:
-        return True
-    return bool(C1.contains_rows(C2.H).all())
+    return not C1.field.matmul(C2.H, C1.H.T).any()
+
+
+def _row_profile(C1: LinearCode, C2: LinearCode, g1=None):
+    """``(g1, g2, basis_c1_perp)`` from the rref of [C2.H^T | X^T | I_n],
+    X = ``g1`` or C1.G (see the module docstring).
+
+    Raises BadComplement if ``g1`` is not k x n, or if C2.H and the first
+    rows of X independent modulo it are not n - k2 + k independent rows.
+    """
+    f, n = C1.field, C1.n
+    k = C1.dim + C2.dim - n
+    if g1 is None:
+        X = C1.G
+    else:
+        X = as_codes(f, g1, "g1 entries")
+        if X.ndim == 1:
+            X = X[None, :]
+        if X.shape != (k, n):
+            raise BadComplement(f"g1 must be {k} x {n}")
+    B = C2.H
+    m, r = len(B), len(X)
+    M = np.concatenate([B.T, X.T, np.eye(n, dtype=f.dtype)], axis=1)
+    R, pivots, _ = MatGF(f, M).rref()
+    pivots = np.asarray(pivots, dtype=np.intp)
+    # the pivots left of I_n number rank [C2.H; X], at most (n - k2) + k
+    # (for X = C1.G by the containment): m + k exactly when the m rows of
+    # C2.H are independent and k rows of X independent modulo them
+    if np.count_nonzero(pivots < m + r) != m + k:
+        raise BadComplement("g1 does not complement dual(C2) inside C1")
+    E = R.a[:, m + r:]
+    return X[pivots[m:m + k] - m], E[m:m + k].copy(), E[m + k:].copy()
 
 
 def coset_generators(C1: LinearCode, C2: LinearCode, g1):
-    """Paired coset generators from the invertible-matrix construction.
-
-    ``g1`` must span a complement of dual(C2) inside C1.  Builds the n x n
-    matrix A whose rows are (basis of dual(C2) | g1 | greedy standard-basis
-    completion), inverts it, and reads the paired generators g2 off the
-    columns of the inverse aligned with the g1 rows.  The trailing columns of
-    the inverse (transposed) form a basis of dual(C1), which is returned as
-    well.
-
-    Returns ``(g2, basis_c1_perp)`` as numpy arrays.  Raises BadComplement if
-    the assembled matrix is singular.
-    """
-    f = C1.field
-    n = C1.n
-    g1 = np.asarray(g1, dtype=np.int64)
-    if g1.ndim == 1:
-        g1 = g1[None, :]
-    k = C1.dim + C2.dim - n
-    if g1.shape != (k, n):
-        raise BadComplement(f"g1 must be {k} x {n}")
-    b2 = C2.H  # basis of dual(C2), n - k2 rows
-    rows = [b2, g1]
-    partial = MatGF(f, np.concatenate([r for r in rows if r.size], axis=0)
-                    if any(r.size for r in rows) else np.zeros((0, n), dtype=f.dtype))
-    if partial.rank != partial.rows:
-        raise BadComplement("g1 does not complement dual(C2) inside C1")
-    # greedy completion by standard basis vectors
-    completion = []
-    current = partial
-    for i in range(n):
-        if current.rows == n:
-            break
-        e = np.zeros(n, dtype=f.dtype)
-        e[i] = 1
-        if not current.span_contains(e):
-            completion.append(e)
-            current = current.stack(MatGF(f, e[None, :]))
-    blocks = [b2, g1]
-    if completion:
-        blocks.append(np.stack(completion))
-    A = MatGF(f, np.concatenate([b for b in blocks if b.size], axis=0))
-    if A.rows != n:
-        raise BadComplement("could not complete to an invertible matrix")
-    Ainv = A.invert().a
-    lo = n - C2.dim
-    g2 = Ainv[:, lo: lo + k].T.copy()
-    basis_c1_perp = Ainv[:, C1.dim:].T.copy()
+    """``(g2, basis_c1_perp)`` for a ``g1`` spanning a complement of dual(C2)
+    inside C1, by the row profile of the module docstring: g2 pairs with g1
+    and the rows of ``basis_c1_perp`` span dual(C1).  Raises BadComplement if
+    ``g1`` is not k x n or [C2.H; g1] is rank deficient."""
+    _, g2, basis_c1_perp = _row_profile(C1, C2, g1)
     return g2, basis_c1_perp
 
 
@@ -220,20 +233,16 @@ class CssPair:
         self.g2 = as_codes(f, self.g2, "g2 entries")
         if not validate_css(self.C1, self.C2):
             raise NotOrthogonal("dual(C2) is not contained in C1")
-        k = self.k
-        pairing = f.matmul(self.g1, self.g2.T)
-        if not np.array_equal(pairing, np.eye(k, dtype=np.int64)):
-            raise BadComplement("generator pairing is not the identity")
-        # C1 = dual(C2) + span(g1)
-        m1 = MatGF(f, np.concatenate([self.C2.H, self.g1], axis=0)) \
-            if self.C2.H.size or self.g1.size else MatGF.zeros(f, 0, self.n)
-        if not m1.same_row_space(self.C1.Gmat):
-            raise BadComplement("C1 != dual(C2) + span(g1)")
-        # C2 = dual(C1) + span(g2)
-        m2 = MatGF(f, np.concatenate([self.C1.H, self.g2], axis=0)) \
-            if self.C1.H.size or self.g2.size else MatGF.zeros(f, 0, self.n)
-        if not m2.same_row_space(self.C2.Gmat):
-            raise BadComplement("C2 != dual(C1) + span(g2)")
+        k, n = self.k, self.n
+        if self.g1.shape != (k, n) or self.g2.shape != (k, n):
+            raise BadComplement(f"g1 and g2 must be {k} x {n}")
+        # the product certificate of the module docstring
+        if (f.matmul(self.g1, self.C1.H.T).any()
+                or f.matmul(self.g2, self.C2.H.T).any()
+                or not np.array_equal(f.matmul(self.g1, self.g2.T),
+                                      np.eye(k, dtype=f.dtype))):
+            raise BadComplement("g1 is not in C1, g2 is not in C2, or "
+                                "g1.g2^T is not the identity")
 
     @property
     def field(self):
@@ -257,25 +266,12 @@ class CssPair:
 
     @classmethod
     def build(cls, C1: LinearCode, C2: LinearCode, g1=None):
-        """Construct a pair, choosing g1 greedily from C1's generators if needed."""
+        """Construct a pair by the row profile of the module docstring; when
+        ``g1`` is omitted it is the first k rows of C1.G independent modulo
+        dual(C2).  The result is checked by the product certificate."""
         if not validate_css(C1, C2):
             raise NotOrthogonal("dual(C2) is not contained in C1")
-        f = C1.field
-        n = C1.n
-        k = C1.dim + C2.dim - n
-        if g1 is None:
-            span = MatGF(f, C2.H) if C2.H.size else MatGF.zeros(f, 0, n)
-            chosen = []
-            for row in C1.G:
-                if len(chosen) == k:
-                    break
-                if not span.span_contains(row):
-                    chosen.append(row)
-                    span = span.stack(MatGF(f, row[None, :]))
-            if len(chosen) != k:
-                raise BadComplement("could not pick a complement basis from C1")
-            g1 = np.stack(chosen) if chosen else np.zeros((0, n), dtype=f.dtype)
-        g2, basis_c1_perp = coset_generators(C1, C2, g1)
+        g1, g2, basis_c1_perp = _row_profile(C1, C2, g1)
         return cls(C1, C2, g1, g2, basis_c1_perp)
 
     def __repr__(self):

@@ -199,11 +199,13 @@ def build_parity_check(inner: CssPair, ext: Extension, Hout, side: int = 1):
     M = Hout.shape[0]
     if M and MatGF(ext.as_field(), Hout).rank != M:
         raise RankDeficient("outer parity check is not full rank")
-    return _expanded_check(inner, ext, Hout, side)
+    return _expanded_check(inner, ext, Hout, side, pi_table(3 - side, inner, ext))
 
 
-def _expanded_check(inner: CssPair, ext: Extension, Hout, side: int):
-    """:func:`build_parity_check` without the rank check of ``Hout``.
+def _expanded_check(inner: CssPair, ext: Extension, Hout, side: int, table):
+    """:func:`build_parity_check` without the rank check of ``Hout``, with
+    ``table`` the pi table of the other side, PI_2 for side 1 and PI_1 for
+    side 2.
 
     Row ``j * k + r`` of ``lower`` is PI_2[Hout[j] * beta_r] on side 1 and
     PI_1[Hout[j] * alpha^r] on side 2 (see the module docstring).
@@ -217,7 +219,7 @@ def _expanded_check(inner: CssPair, ext: Extension, Hout, side: int):
     top = N * len(H_in)
     Ho = np.zeros((top + k * M, n * N), dtype=inner.field.dtype)
     _blockwise(H_in, Ho[:top])
-    lower = _expand(pi_table(3 - side, inner, ext), scaled.reshape(k * M, N), Ho[top:])
+    lower = _expand(table, scaled.reshape(k * M, N), Ho[top:])
     return Ho, lower
 
 
@@ -362,11 +364,11 @@ def concatenate(inner: CssPair, outer, ext: Extension) -> ConcatPair:
         raise LengthMismatch("outer codes of different length")
     _check_inner(inner)
     f, n = inner.field, inner.n
-    Ho1, Gp1 = _expanded_check(inner, ext, Hout1, side=1)
-    Ho2, Gp2 = _expanded_check(inner, ext, Hout2, side=2)
+    PI1, PI2 = pi_table(1, inner, ext), pi_table(2, inner, ext)
+    Ho1, Gp1 = _expanded_check(inner, ext, Hout1, 1, PI2)
+    Ho2, Gp2 = _expanded_check(inner, ext, Hout2, 2, PI1)
     if f.matmul(Gp1, Gp2.T).any():
         raise NotOrthogonal("outer pair violates the CSS containment")
-    PI1, PI2 = pi_table(1, inner, ext), pi_table(2, inner, ext)
     if (_pi_product_nonzero(ext, PI1, D1.G, Gp1)
             or _pi_product_nonzero(ext, PI2, D2.G, Gp2)
             or f.matmul(Gp1.reshape(-1, n), inner.C2.H.T).any()

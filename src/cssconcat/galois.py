@@ -458,33 +458,47 @@ class Field:
 # ----------------------------------------------------------------------------
 
 def _build_exp_table(base: Field, k: int, f):
-    """Try to build the power table of the root of ``f``.
+    """Try to build the power table of the root alpha of ``f``.
 
     Returns (exp, log) on success or None if ``f`` is not primitive (or not
-    even the modulus of a field).
+    even the modulus of a field).  The proof of primitivity is that
+    alpha^0, ..., alpha^(Q-2) are nonzero and distinct and alpha^(Q-1) = 1.
+
+    The table doubles over the prime field GF(p).  A code's K = k e base-p
+    digits are its coordinates over GF(p), and multiplication by alpha is
+    GF(p)-linear: with P the K x K matrix of it acting on digit rows, the
+    digits of alpha^(i+m) are those of alpha^i times P^m.  Each round
+    multiplies the m rows known so far by P^m, in row chunks of digits of
+    the dtype of GF(p), and squares P^m.  Every sum has at most K terms
+    below p^2, far below 2^31 for Q <= 2^20, so int32 products are exact.
     """
-    q = base.q
-    Q = q ** k
-    red = [base.neg(c) for c in f[:k]]  # base-q digits of alpha^k
-    d = [0] * k
-    d[0] = 1
-    exp = np.empty(Q - 1, dtype=np.int64)
+    p, e, q = base.p, base.e, base.q
+    Q, K = q ** k, k * e
+    # row l + e j of P holds the digits of p^l q^j alpha: for j < k - 1 the
+    # unit row l + e (j + 1), for j = k - 1 those of p^l alpha^k, which are
+    # the GF(q) coordinates p^l (-f_i), i < k, each as e base-p digits
+    P = np.zeros((K, K), dtype=np.int32)
+    P[np.arange(K - e), np.arange(e, K)] = 1
+    top = base.mul(p ** np.arange(e)[:, None], base.neg(np.asarray(f[:k]))[None, :])
+    P[K - e:] = _digits(top, p, e).reshape(e, K)
+    D = np.zeros((Q, K), dtype=code_dtype(p))  # row i: the digits of alpha^i
+    D[0, 0] = 1
+    step = chunk_rows(K)
+    m = 1
+    while m < Q:
+        for lo in range(m, min(2 * m, Q), step):
+            hi = min(lo + step, 2 * m, Q)
+            D[lo:hi] = (D[lo - m:hi - m] @ P) % p
+        P = (P @ P) % p
+        m *= 2
+    codes = np.zeros(Q, dtype=np.int64)
+    for j in range(K - 1, -1, -1):
+        codes *= p
+        codes += D[:, j]
+    exp = codes[:Q - 1]
     log = np.full(Q, -1, dtype=np.int64)
-    qpows = [q ** j for j in range(k)]
-    for i in range(Q - 1):
-        code = sum(dj * pj for dj, pj in zip(d, qpows))
-        if code == 0 or log[code] != -1:
-            return None
-        exp[i] = code
-        log[code] = i
-        c = d[k - 1]
-        nd = [base.mul(c, red[0])]
-        for j in range(1, k):
-            nd.append(base.add(d[j - 1], base.mul(c, red[j])))
-        d = nd
-    # the orbit must close back to 1
-    code = sum(dj * pj for dj, pj in zip(d, qpows))
-    if code != 1:
+    log[exp] = np.arange(Q - 1)
+    if codes[Q - 1] != 1 or log[0] != -1 or np.count_nonzero(log >= 0) != Q - 1:
         return None
     return exp, log
 

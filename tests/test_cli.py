@@ -8,7 +8,7 @@ import pytest
 from cssconcat import fileio
 from cssconcat.cli import EXIT_INVARIANT, EXIT_PARSE, EXIT_TOO_LARGE, main
 from cssconcat.codes import CssPair, LinearCode, bvector_pair
-from cssconcat.errors import NotOrthogonal
+from cssconcat.errors import BadComplement, NotOrthogonal
 from cssconcat.galois import Extension, Field
 
 F2 = Field(2)
@@ -102,6 +102,22 @@ def test_cli_construct_and_mindist(tmp_path):
     code, text = run_cli(["mindist", "--pair", str(out_path)])
     assert code == 0
     assert "pair distance = 3" in text
+
+
+def test_cli_construct_with_g1(tmp_path):
+    """A g1 in C1 builds the pair; one outside C1 or inside dual(C2) exits 3."""
+    C = LinearCode.from_parity_check(F2, HAMMING_H)
+    c_path = tmp_path / "steane.txt"
+    fileio.write_code(c_path, C)
+    g1 = tmp_path / "g1.txt"
+    argv = ["construct", "--c1", str(c_path), "--c2", str(c_path), "--g1", str(g1)]
+    g1.write_text("1 1 1 1 1 1 1\n")
+    assert run_cli(argv) == (0, "[[7,1]] over GF(2)\n")
+    for bad in ("1 0 0 0 0 0 0", "1 0 1 0 1 0 1", "1 1 1 1 1 1 1 1 1 1 1 1 1 1"):
+        g1.write_text(bad + "\n")
+        assert run_cli(argv)[0] == EXIT_INVARIANT
+        with pytest.raises(BadComplement):
+            run_cli(["--debug"] + argv)
 
 
 def test_cli_concat_verify_and_files(tmp_path):

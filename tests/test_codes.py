@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from cssconcat import fileio
 from cssconcat.codes import (
     CosetLeaderTable,
     CssPair,
@@ -16,12 +18,15 @@ from cssconcat.codes import (
     validate_css,
 )
 from cssconcat.errors import (
+    BadComplement,
+    LengthMismatch,
     NotOrthogonal,
     RankDeficient,
     TooLarge,
     ZeroEntry,
 )
 from cssconcat.galois import Field
+from cssconcat.matrix import MatGF
 
 F2 = Field(2)
 
@@ -39,6 +44,22 @@ def test_linear_code_dims():
     assert (C.n, C.dim) == (7, 4)
     assert C.dual().dim == 3
     assert not F2.matmul(C.G, C.H.T).any()
+
+
+def test_dual_of_redundant_parity_check():
+    """A parity check with a repeated row: the dual has its rank, not its
+    row count, and H itself is kept as given."""
+    C = LinearCode.from_parity_check(F2, [[1, 1, 1, 1], [1, 1, 1, 1]])
+    assert C.dim == 3 and C.H.shape == (2, 4)
+    D = C.dual()
+    assert D.dim == 1 and D.G.tolist() == [[1, 1, 1, 1]]
+    assert D.dual().dim == 3
+    assert MatGF(F2, D.G).rank == D.dim
+    f3 = Field(3)
+    H = np.array([[1, 2, 0, 1], [0, 1, 1, 1], [1, 0, 1, 2]])  # row 3 = row 1 + row 2
+    C3 = LinearCode.from_parity_check(f3, H)
+    assert C3.dim == 2 and C3.dual().dim == 2
+    assert C3.dual().is_subcode(LinearCode.from_parity_check(f3, C3.G))
 
 
 def test_rank_deficient_generator():
@@ -172,3 +193,134 @@ def test_css_pair_invalid():
     even = LinearCode.from_parity_check(F2, np.ones((1, 7), dtype=np.int64))
     with pytest.raises(NotOrthogonal):
         CssPair.build(even, even)
+
+
+# -- the row-profile construction against the greedy reference ----------------
+
+def greedy_pair(C1, C2, g1=None):
+    """The generators by greedy span checks, one elimination per candidate:
+    g1 from the rows of C1.G independent of what is chosen so far, the
+    completion from standard basis vectors, then one inversion of
+    A = [C2.H; g1; completion].  Returns ``(g1, g2, basis_c1_perp)``."""
+    f, n = C1.field, C1.n
+    k = C1.dim + C2.dim - n
+    span = MatGF(f, C2.H)
+    if g1 is None:
+        chosen = []
+        for row in C1.G:
+            if len(chosen) == k:
+                break
+            if not span.span_contains(row):
+                chosen.append(row)
+                span = span.stack(MatGF(f, row[None, :]))
+        assert len(chosen) == k
+        g1 = np.array(chosen, dtype=f.dtype).reshape(k, n)
+    else:
+        span = span.stack(MatGF(f, g1))
+    assert span.rank == span.rows
+    completion = []
+    for i in range(n):
+        if span.rows == n:
+            break
+        e = np.zeros(n, dtype=f.dtype)
+        e[i] = 1
+        if not span.span_contains(e):
+            completion.append(e)
+            span = span.stack(MatGF(f, e[None, :]))
+    Ainv = span.invert().a
+    m = len(C2.H)
+    return g1, Ainv[:, m:m + k].T, Ainv[:, C1.dim:].T
+
+
+def _same(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
+
+
+DIFF_FIELDS = [Field(2), Field(3), Field(2, 2), Field(5)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), which=st.integers(0, 3),
+       n=st.integers(2, 9), k=st.integers(0, 4))
+def test_row_profile_matches_greedy_reference(seed, which, n, k):
+    f = DIFF_FIELDS[which]
+    rng = np.random.default_rng(seed)
+    pair = random_css_pair(rng, f, n, min(k, n))
+    # C2 once as given (H supplied) and once with H a null space of C2.G
+    for C2 in (pair.C2, LinearCode(f, pair.C2.G)):
+        g1, g2, perp = greedy_pair(pair.C1, C2)
+        built = CssPair.build(pair.C1, C2)
+        assert _same(built.g1, g1) and _same(built.g2, g2)
+        assert _same(built.basis_c1_perp, perp)
+        # an explicit g1: an invertible recombination of g1 plus dual(C2) rows
+        if pair.k:
+            while True:
+                U = rng.integers(0, f.q, size=(pair.k, pair.k))
+                if MatGF(f, U).rank == pair.k:
+                    break
+            V = rng.integers(0, f.q, size=(pair.k, len(C2.H)))
+            gx = f.add(f.matmul(U, g1), f.matmul(V, C2.H))
+            _, g2x, perpx = greedy_pair(pair.C1, C2, gx)
+            got = coset_generators(pair.C1, C2, gx)
+            assert _same(got[0], g2x) and _same(got[1], perpx)
+            bx = CssPair.build(pair.C1, C2, gx)
+            assert _same(bx.g1, gx.astype(f.dtype)) and _same(bx.g2, g2x)
+            _check_pair_postconditions(bx)
+
+
+def test_rejected_g1_keeps_exception_classes(tmp_path):
+    C = steane_code()
+    pair = CssPair.build(C, C)
+    e0 = np.eye(7, dtype=np.int64)[:1]  # independent of dual(C) but not in C
+    with pytest.raises(BadComplement):
+        CssPair.build(C, C, e0)
+    with pytest.raises(BadComplement):  # g1 inside dual(C2): dependent
+        CssPair.build(C, C, C.H[:1])
+    for shape in ((2, 7), (1, 6), (0, 7)):
+        with pytest.raises(BadComplement):
+            CssPair.build(C, C, np.ones(shape, dtype=np.int64))
+    with pytest.raises(BadComplement):
+        coset_generators(C, C, np.ones((2, 7), dtype=np.int64))
+    b = bvector_pair(F2, [1] * 4, [1] * 4)
+    for g1 in (b.g1[[0, 0]], np.stack([b.g1[0], F2.add(b.g1[0], b.C2.H[0])])):
+        with pytest.raises(BadComplement):
+            CssPair.build(b.C1, b.C2, g1)
+    # a pair that is not nested, with and without g1
+    even = LinearCode.from_parity_check(F2, np.ones((1, 7), dtype=np.int64))
+    with pytest.raises(NotOrthogonal):
+        CssPair.build(even, even, np.eye(7, dtype=np.int64)[:5])
+    with pytest.raises(NotOrthogonal):
+        CssPair(even, even, np.zeros((5, 7)), np.zeros((5, 7)))
+    with pytest.raises(LengthMismatch):
+        CssPair.build(C, LinearCode.full_space(F2, 6))
+    # the certificate of a directly assembled pair
+    g1, g2 = pair.g1, pair.g2
+    with pytest.raises(BadComplement):  # g2 outside C2
+        CssPair(C, C, g1, np.eye(7, dtype=np.int64)[:1])
+    with pytest.raises(BadComplement):  # g1 outside C1
+        CssPair(C, C, e0, g2)
+    with pytest.raises(BadComplement):  # g1 g2^T = 0
+        CssPair(C, C, g1, np.zeros_like(g2))
+    with pytest.raises(BadComplement):
+        CssPair(C, C, g1[:, :6], g2)
+    assert CssPair(C, C, g1, g2).k == 1
+    # a user g1 read from a pair file
+    path = tmp_path / "pair.txt"
+    fileio.write_pair(path, pair)
+    assert _same(fileio.read_pair(path).g2, pair.g2)
+    fileio.write_pair(path, CssPair.build(C, C))
+    text = path.read_text().splitlines()
+    text[-1] = " ".join(["1"] + ["0"] * 6)
+    path.write_text("\n".join(text) + "\n")
+    with pytest.raises(BadComplement):
+        fileio.read_pair(path)
+
+
+def test_pair_with_redundant_dual_rows_rejected():
+    """C2 from a parity check that repeats a row: its H is not a basis of
+    dual(C2), so no A can be assembled from it."""
+    H = np.array([[1, 1, 1, 1], [1, 1, 1, 1]])
+    C2 = LinearCode.from_parity_check(F2, H)
+    C1 = LinearCode.from_parity_check(F2, H[:1])
+    with pytest.raises(BadComplement):
+        CssPair.build(C1, C2)

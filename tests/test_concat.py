@@ -314,6 +314,9 @@ def _inputs(name):
     if name == "90_28":
         ext = Extension(F2, 4)
         return bvector_pair(F2, [1] * 6, [1] * 6), nested_grs_pair(ext, 15, 11, 11), ext
+    if name == "504_186":
+        ext = Extension(F2, 6)
+        return bvector_pair(F2, [1] * 8, [1] * 8), nested_grs_pair(ext, 63, 47, 47), ext
     ext = Extension(F3, 4)
     inner = bvector_pair(F3, [1] * 6, [1] * 6)
     if name == "480_160_gf3":
@@ -361,8 +364,8 @@ def test_flipped_expanded_check_rejected(monkeypatch, name, flip):
     good = concatenate(inner, outer, ext)
     build = concat._expanded_check
 
-    def flipped(inner, ext, Hout, side):
-        Ho, lower = build(inner, ext, Hout, side)
+    def flipped(inner, ext, Hout, side, table):
+        Ho, lower = build(inner, ext, Hout, side, table)
         if side == flip:
             lower = lower.copy()
             lower[0, 0] = (lower[0, 0] + 1) % q
@@ -372,7 +375,8 @@ def test_flipped_expanded_check_rejected(monkeypatch, name, flip):
     monkeypatch.setattr(concat, "_expanded_check", flipped)
     with pytest.raises((NotOrthogonal, RankDeficient)):
         concatenate(inner, outer, ext)
-    Ho, lower = flipped(inner, ext, good.Hout1 if flip == 1 else good.Hout2, flip)
+    Ho, lower = flipped(inner, ext, *((good.Hout1, 1, good.PI2) if flip == 1
+                                      else (good.Hout2, 2, good.PI1)))
     fields = {"Ho1": Ho, "Gp1": lower} if flip == 1 else {"Ho2": Ho, "Gp2": lower}
     assert not verify_duality(dataclasses.replace(good, **fields))
 
@@ -400,20 +404,23 @@ def test_outer_code_with_redundant_parity_check_rejected():
         concatenate(inner, (D1, redundant), ext)
 
 
-@pytest.mark.parametrize("name", ["90_28", "480_160_gf3"])
+@pytest.mark.parametrize("name", ["90_28", "504_186", "480_160_gf3"])
 def test_setup_eliminates_no_nN_column_matrix(monkeypatch, name):
     """concatenate and both decoder contexts eliminate only small matrices,
-    and never a GF(Q) matrix of a GRS outer code."""
-    inner, outer, ext = _inputs(name)
+    and never a GF(Q) matrix of a GRS outer code.  Building the inputs takes
+    at most 4 eliminations, all in the inner pair, and the whole set-up at
+    most 7."""
     calls = []
     for kind, kernel in list(matrix._RREF.items()):
         def spy(f, a, kind=kind, kernel=kernel):
             calls.append((kind, a.shape[1]))
             return kernel(f, a)
         monkeypatch.setitem(matrix._RREF, kind, spy)
+    inner, outer, ext = _inputs(name)
+    assert len(calls) <= 4
     cp = concatenate(inner, outer, ext)
     DecoderContext(cp, side=1)
     DecoderContext(cp, side=2)
-    assert calls
+    assert calls and len(calls) <= 7
     assert all(cols < cp.block_length for _, cols in calls)
     assert all(kind != "tables" for kind, _ in calls)

@@ -348,3 +348,68 @@ def test_table_build_memory_peak(build, cap_mb):
     finally:
         tracemalloc.stop()
     assert peak <= cap_mb * 10 ** 6
+
+
+# -- the power table by block doubling against the scalar recurrence ----------
+
+def _scalar_exp_table(base, k, f):
+    """The power table of the root of ``f`` one power at a time: alpha^(i+1)
+    from the digits of alpha^i by the companion recurrence.  None unless the
+    Q - 1 powers are nonzero and distinct and alpha^(Q-1) = 1."""
+    q, Q = base.q, base.q ** k
+    red = [base.neg(c) for c in f[:k]]
+    d = [1] + [0] * (k - 1)
+    exp = np.empty(Q - 1, dtype=np.int64)
+    log = np.full(Q, -1, dtype=np.int64)
+    for i in range(Q - 1):
+        code = sum(dj * q ** j for j, dj in enumerate(d))
+        if code == 0 or log[code] != -1:
+            return None
+        exp[i], log[code] = code, i
+        c = d[k - 1]
+        d = [base.mul(c, red[0])] + [base.add(d[j - 1], base.mul(c, red[j]))
+                                     for j in range(1, k)]
+    if sum(dj * q ** j for j, dj in enumerate(d)) != 1:
+        return None
+    return exp, log
+
+
+_PRIME_POWERS = [(p, e) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41,
+                                  43, 47, 53, 59, 61)
+                 for e in range(1, 7) if p ** e <= 64]
+
+
+@pytest.mark.parametrize("p, e", _PRIME_POWERS)
+def test_power_table_matches_scalar_recurrence(p, e):
+    """Every degree k with q^k <= 4096 over every base field of order at
+    most 64: the monic candidates with nonzero constant term, in the order
+    the search tries them, up to the first primitive one and two beyond,
+    give the same tables or the same None."""
+    from cssconcat.galois import _build_exp_table, _digits, _find_primitive_poly
+    base = Field(p, e)
+    q = base.q
+    k = 1
+    while q ** k <= 4096:
+        first, beyond, rejected = None, 0, 0
+        for code in range(1, q ** k):
+            f = [int(c) for c in _digits(code, q, k)] + [1]
+            if f[0] == 0:
+                continue
+            want = _scalar_exp_table(base, k, f)
+            got = _build_exp_table(base, k, f)
+            assert (got is None) == (want is None), (q, k, f)
+            if first is not None:
+                beyond += 1
+            if want is None:
+                if rejected < 2:
+                    with pytest.raises(NotPrimitive):
+                        Extension(base, k, f)
+                rejected += 1
+            else:
+                assert all(g.dtype == w.dtype and np.array_equal(g, w)
+                           for g, w in zip(got, want)), (q, k, f)
+                first = first or f
+            if beyond == 2:
+                break
+        assert first is not None and _find_primitive_poly(base, k) == first
+        k += 1
