@@ -153,18 +153,6 @@ class QuotientCode:
         if not self.B.is_subcode(self.C):
             raise NotOrthogonal("B is not a subcode of C")
 
-    def coset_weight(self, v):
-        """Minimum Hamming weight over the coset v + B (brute force)."""
-        if self.B.dim and self.B.field.q ** self.B.dim > ENUM_CAP:
-            raise TooLarge("coset too large to enumerate")
-        v = np.asarray(v, dtype=np.int64)
-        best = None
-        for chunk in enumerate_span(self.B.field, self.B.G):
-            w = np.count_nonzero(self.B.field.add(chunk, v[None, :]), axis=1)
-            m = int(w.min())
-            best = m if best is None else min(best, m)
-        return best
-
     def distance(self):
         return min_weight_excluding(self.C, self.B)
 
@@ -338,33 +326,41 @@ class CosetLeaderTable:
         leaders = np.zeros((size, n), dtype=f.dtype)
         weights = np.full(size, -1, dtype=np.int64)
         weights[0] = 0
-        assigned = 1
-        nonzero = list(range(1, f.q))
         for w in range(1, n + 1):
-            if assigned == size:
+            if (weights >= 0).all():
                 break
-            for support in itertools.combinations(range(n), w):
-                cols = H[:, support]  # (m, w)
-                for values in itertools.product(nonzero, repeat=w):
-                    synd = f.add_reduce(
-                        f.mul(np.asarray(values, dtype=np.int64)[:, None], cols.T),
-                        axis=0)
-                    s = int((synd * self.qpows).sum())
-                    if weights[s] == -1:
-                        weights[s] = w
-                        vec = np.zeros(n, dtype=f.dtype)
-                        vec[list(support)] = values
-                        leaders[s] = vec
-                        assigned += 1
-                    elif weights[s] == w:
-                        vec = np.zeros(n, dtype=f.dtype)
-                        vec[list(support)] = values
-                        if tuple(vec) < tuple(leaders[s]):
-                            leaders[s] = vec
-            if assigned == size:
-                break
+            self._assign_weight(H, w, leaders, weights, cap)
         self.leaders = leaders
         self.weights = weights
+
+    def _assign_weight(self, H, w, leaders, weights, cap):
+        """Give every syndrome without a leader of lower weight its
+        lexicographically smallest pattern of weight ``w``, if it has one:
+        per chunk of supports (about ``cap`` entries), the candidates and the
+        leaders of weight ``w`` found so far for their syndromes are sorted by
+        syndrome, then lexicographically, and the first of each is kept."""
+        f, n = self.field, self.n
+        values = np.array(list(itertools.product(range(1, f.q), repeat=w)), dtype=f.dtype)
+        step = max(1, cap // (len(values) * n))
+        supports = itertools.combinations(range(n), w)
+        while chunk := list(itertools.islice(supports, step)):
+            chunk = np.array(chunk)
+            pat = np.zeros((len(chunk), len(values), n), dtype=f.dtype)
+            for i in range(w):
+                pat[np.arange(len(chunk)), :, chunk[:, i]] = values[:, i]
+            pat = pat.reshape(-1, n)
+            s = (f.matmul(pat, H.T) * self.qpows).sum(axis=1)
+            ws = weights[s]
+            keep = (ws < 0) | (ws == w)
+            earlier = s[ws == w]
+            pat = np.concatenate([pat[keep], leaders[earlier]])
+            s = np.concatenate([s[keep], earlier])
+            order = np.lexsort(tuple(pat[:, ::-1].T) + (s,))
+            s, pat = s[order], pat[order]
+            first = np.ones(len(s), dtype=bool)
+            first[1:] = s[1:] != s[:-1]
+            leaders[s[first]] = pat[first]
+            weights[s[first]] = w
 
     def pack(self, syndrome):
         """Table index of each syndrome along the last axis (int64)."""

@@ -42,9 +42,9 @@ Certified set-up.  :func:`concatenate` proves its postconditions from the
 block structure.  It eliminates two n-column inner matrices and, for a
 LinearCode outer code, the N-column generator behind its null-space H; never
 a matrix nN columns wide, nor a GF(q^k) matrix of a GRS code.  Write
-K_i = dim D_i, and gen_i for the generators of
-L_i (the subfield rows of D_i expanded, over N diagonal copies of a basis of
-dual(C2) for i = 1, of dual(C1) for i = 2).  The factor facts are
+K_i = dim D_i, and gen_i for the generators of L_i (the subfield rows of D_i
+expanded, over N diagonal copies of a basis of dual(C2) for i = 1, of
+dual(C1) for i = 2).  The factor facts are
 
   (R) D_i.G and Hout_i have full rank over GF(q^k), and Hout_i has N - K_i
       rows: a GRS code by construction (distinct points, nonzero
@@ -72,17 +72,36 @@ so y = 0 by (R).  Hence, with k2 = n - k1 + k,
 
 Ho1 has full row rank, and symmetrically rank Ho2 = nN - dim L2.
 
-Duality and containment.  By (P) every block of gen1.Ho1^T, gen2.Ho2^T and
-Ho1.Ho2^T vanishes that does not involve an expanded outer check.  Those
-that do are computed over GF(q), each product at most nN columns wide:
+Trace-form certificate.  By (P) the only blocks of gen1.Ho1^T, gen2.Ho2^T
+and Ho1.Ho2^T left to check are pi_1(D1).Gp1^T, pi_2(D2).Gp2^T and
+Gp1.Gp2^T, each nN columns wide; they are certified over kN columns.  Row
+j k + r of W1 holds the trace-dual coordinates dual_table[Hout1[j] beta_r],
+and of W2 the power-basis coordinates coords(Hout2[j] alpha^r), of every
+symbol; both come from the extension, not from the pi tables.
 
-    pi_1(D1).Gp1^T = 0,    pi_2(D2).Gp2^T = 0,    Gp1.Gp2^T = 0,
+  (B) Every n-column block of Gp1 times [C2.H; g1]^T is [0 | its W1 part],
+      so by (P), as for a CssPair, it lies in C2 = dual(C1) + span(g2) and
+      is c g2 + d, d in dual(C1), with c = block.g1^T its W1 part.  Every
+      block of Gp2 times [C1.H; g2]^T is [0 | its W2 part], symmetrically.
 
-and every n-column block of Gp1 against dual(C2), of Gp2 against dual(C1).
-Gp1.Gp2^T = 0 holds exactly when Hout1.Hout2^T = 0, the outer containment,
-through the trace pairing.  With the ranks above, row space(Ho_i) =
-dual(L_i), and Ho1.Ho2^T = 0 is the containment dual(L2) <= L1.
-:func:`verify_duality` checks the same identities by elimination.
+By (P) the d parts pair to zero with g1, g2 and each other, so Gp1.Gp2^T =
+W1.W2^T, pi_1(D1).Gp1^T = X1.W1^T and pi_2(D2).Gp2^T = Y2.W2^T, with X1 and
+Y2 the power-basis and trace-dual coordinates of the rows alpha^l D_i.G.  As
+sum_c Tr(x alpha^c) coords(y)_c = Tr(x y), their entries are
+Tr(beta_r alpha^s z), Tr(beta_r alpha^l z) and Tr(alpha^(l+r) z) for the
+entries z of Hout1.Hout2^T, D1.G.Hout1^T and D2.G.Hout2^T over GF(q^k).  The
+trace form is nondegenerate, so each product vanishes exactly when its rows
+s = 0 or l = 0 do, and exactly when its GF(q^k) product does:
+
+  (O) W1.coords(Hout2)^T = 0, coords(Hout2) being the rows r = 0 of W2;
+  (C) W1.coords(D1.G)^T = 0 and W2.dual_table[D2.G]^T = 0.
+
+With the ranks above, row space(Ho_i) = dual(L_i), and Ho1.Ho2^T = 0 is the
+containment dual(L2) <= L1; :func:`verify_duality` checks the same by
+elimination.  A row failing (B) raises NotOrthogonal when its g-part pairs
+nonzero with the other side's W, its share of Gp1.Gp2^T, and RankDeficient
+otherwise, as the nN-column products would.  Adding an element of the
+opposite inner dual to a block passes (B) and keeps every postcondition.
 """
 
 from __future__ import annotations
@@ -101,7 +120,7 @@ from .errors import (
     RankDeficient,
 )
 from .galois import Extension
-from .matrix import MatGF, chunk_rows
+from .matrix import MatGF
 from .outer_grs import GrsCode
 
 
@@ -213,14 +232,18 @@ def _expanded_check(inner: CssPair, ext: Extension, Hout, side: int, table):
     n, k = inner.n, inner.k
     M, N = Hout.shape
     H_in = inner.C1.H if side == 1 else inner.C2.H
-    basis = ext.dual_basis() if side == 1 else ext.power_basis()
-    basis = np.asarray(basis, dtype=np.int64)
-    scaled = ext.as_field().mul(Hout[:, None, :], basis[None, :, None])
     top = N * len(H_in)
     Ho = np.zeros((top + k * M, n * N), dtype=inner.field.dtype)
     _blockwise(H_in, Ho[:top])
-    lower = _expand(table, scaled.reshape(k * M, N), Ho[top:])
+    lower = _expand(table, _scaled(ext, Hout, side), Ho[top:])
     return Ho, lower
+
+
+def _scaled(ext: Extension, Hout, side: int):
+    """Row ``j * k + r`` is Hout[j] * beta_r on side 1, Hout[j] * alpha^r on side 2."""
+    basis = np.asarray(ext.dual_basis() if side == 1 else ext.power_basis(), dtype=np.int64)
+    rows = np.take(ext.as_field().mul_table[basis], Hout, axis=1)  # (k, M, N)
+    return rows.transpose(1, 0, 2).reshape(-1, Hout.shape[1])
 
 
 @dataclass
@@ -303,23 +326,6 @@ def _unwrap_outer(D):
     return D, D.H, None
 
 
-def _pi_product_nonzero(ext: Extension, table, G, Gp) -> bool:
-    """Whether ``pi(G).Gp^T`` is nonzero over GF(q), for the rows of ``G``
-    over GF(q^k) and the pi table ``table``.
-
-    pi(G) is expanded and multiplied a chunk of rows of ``G`` at a time.  A
-    chunk has the rows of :func:`matrix.chunk_rows`, or as many expanded
-    rows as ``Gp`` when that is more: every product converts ``Gp`` to
-    float, so a chunk of codes never outgrows that copy, and ``Gp`` is
-    converted at most ceil(K / M) times for K rows of ``G`` and M outer
-    checks.
-    """
-    f = ext.base
-    step = max(chunk_rows(ext.k * Gp.shape[1], table.itemsize), len(Gp) // ext.k)
-    return any(f.matmul(_expand(table, _subfield_rows(ext, G[lo:lo + step])), Gp.T).any()
-               for lo in range(0, len(G), step))
-
-
 def _check_inner(inner: CssPair):
     """The facts (I) and (P) of the module docstring, on n-column matrices."""
     f, k = inner.field, inner.k
@@ -335,6 +341,39 @@ def _check_inner(inner: CssPair):
                             "g1.dual(C1)^T, dual(C2).g2^T or g1.g2^T - I is nonzero")
 
 
+def _block_check(inner: CssPair, Gp, side: int, W):
+    """The g-parts, (rows, N k), of the rows of ``Gp`` failing (B) of the
+    module docstring: a nonzero dual part or a g-part other than ``W``."""
+    f, n, k = inner.field, inner.n, inner.k
+    H, g = (inner.C2.H, inner.g1) if side == 1 else (inner.C1.H, inner.g2)
+    rows, N, m = len(Gp), Gp.shape[1] // n, len(H)
+    P = f.matmul(Gp.reshape(rows * N, n), np.concatenate([H, g]).T).reshape(rows, N, m + k)
+    failing = (P[:, :, :m].any(axis=(1, 2))
+               | (P[:, :, m:] != W.reshape(rows, N, k)).any(axis=(1, 2)))
+    return P[failing, :, m:].reshape(-1, N * k)
+
+
+def _certify_outer(inner: CssPair, ext: Extension, D, Hout, Gp):
+    """The trace-form certificate of the module docstring; ``D``, ``Hout``
+    and ``Gp`` are pairs (side 1, side 2).  Raises NotOrthogonal or
+    RankDeficient."""
+    f, k, N = inner.field, inner.k, Hout[0].shape[1]
+    dual, coord = ext.dual_table.astype(f.dtype), ext.coord_table.astype(f.dtype)
+    W1 = np.take(dual, _scaled(ext, Hout[0], 1), axis=0).reshape(-1, N * k)
+    W2 = np.take(coord, _scaled(ext, Hout[1], 2), axis=0).reshape(-1, N * k)
+    V1 = _block_check(inner, Gp[0], 1, W1)
+    V2 = _block_check(inner, Gp[1], 2, W2)
+    failing = len(V1) or len(V2)
+    if f.matmul(W1, W2[::k].T).any() or failing and (
+            f.matmul(W2, V1.T).any() or f.matmul(W1, V2.T).any()):
+        raise NotOrthogonal("outer pair violates the CSS containment")
+    X1 = np.take(coord, D[0].G, axis=0).reshape(-1, N * k)
+    Y2 = np.take(dual, D[1].G, axis=0).reshape(-1, N * k)
+    if failing or f.matmul(W1, X1.T).any() or f.matmul(W2, Y2.T).any():
+        raise RankDeficient("expanded outer check is not orthogonal to the "
+                            "concatenated code")
+
+
 def concatenate(inner: CssPair, outer, ext: Extension) -> ConcatPair:
     """Concatenate an inner CSS pair with an outer pair over GF(q^k).
 
@@ -344,10 +383,9 @@ def concatenate(inner: CssPair, outer, ext: Extension) -> ConcatPair:
     The result is certified as derived in the module docstring, from the
     factor ranks and products over GF(q): ``dim L1 = k K1 + N(n - k2)`` and
     ``dim L2 = k K2 + N(n - k1)``, ``rank Ho_i = nN - dim L_i``, and the
-    duality and containment from ``pi_1(D1).Gp1^T``, ``pi_2(D2).Gp2^T`` and
-    ``Gp1.Gp2^T`` being zero, with the blocks of ``Gp_i`` orthogonal to the
-    inner duals.  ``pi_i(D_i)`` is formed in row chunks for its check and
-    dropped; the generators of L1/L2 are built from the pi tables when first read.
+    duality and containment by the trace-form certificate, whose products
+    are at most kN columns wide.  The generators of L1/L2 are built from
+    the pi tables when first read.
     Raises NotOrthogonal when the outer pair violates the CSS containment,
     RankDeficient or BadComplement when a factor or product fails its
     certificate.
@@ -363,18 +401,10 @@ def concatenate(inner: CssPair, outer, ext: Extension) -> ConcatPair:
     if D1.n != D2.n:
         raise LengthMismatch("outer codes of different length")
     _check_inner(inner)
-    f, n = inner.field, inner.n
     PI1, PI2 = pi_table(1, inner, ext), pi_table(2, inner, ext)
     Ho1, Gp1 = _expanded_check(inner, ext, Hout1, 1, PI2)
     Ho2, Gp2 = _expanded_check(inner, ext, Hout2, 2, PI1)
-    if f.matmul(Gp1, Gp2.T).any():
-        raise NotOrthogonal("outer pair violates the CSS containment")
-    if (_pi_product_nonzero(ext, PI1, D1.G, Gp1)
-            or _pi_product_nonzero(ext, PI2, D2.G, Gp2)
-            or f.matmul(Gp1.reshape(-1, n), inner.C2.H.T).any()
-            or f.matmul(Gp2.reshape(-1, n), inner.C1.H.T).any()):
-        raise RankDeficient("expanded outer check is not orthogonal to the "
-                            "concatenated code")
+    _certify_outer(inner, ext, (D1, D2), (Hout1, Hout2), (Gp1, Gp2))
     return ConcatPair(inner=inner, ext=ext, D1=D1, D2=D2, Ho1=Ho1, Ho2=Ho2,
                       Gp1=Gp1, Gp2=Gp2, Hout1=Hout1, Hout2=Hout2, PI1=PI1, PI2=PI2,
                       grs1=grs1, grs2=grs2)

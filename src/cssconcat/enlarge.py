@@ -174,13 +174,6 @@ def steane_enlarge(C: LinearCode, Cprime: LinearCode) -> EnlargedCode:
     return EnlargedCode(field=f, U=U, V=V, M=M, G=G, C=C, Cprime=Cprime)
 
 
-def pair_weight(v) -> int:
-    """Number of coordinate pairs (i, i+n) with at least one nonzero entry."""
-    v = np.asarray(v)
-    n = v.shape[-1] // 2
-    return int((v[..., :n].astype(bool) | v[..., n:].astype(bool)).sum(axis=-1))
-
-
 def symplectic_dual(field, G) -> np.ndarray:
     """Basis of the dual of the row space under the standard symplectic form.
 

@@ -39,7 +39,7 @@ import itertools
 
 import numpy as np
 
-from .errors import DivisionByZero, DomainError, NotABasis, NotPrimitive, Singular, TooLarge
+from .errors import DivisionByZero, DomainError, NotABasis, NotPrimitive, TooLarge
 from .matrix import MatGF, blas_dtype, chunk_rows, reduce_mod
 
 _EXT_ORDER_CAP = 1 << 20  # largest supported extension-field size
@@ -651,16 +651,13 @@ class Extension:
 
     # -- dual and self-dual bases -------------------------------------------
 
-    def _gram(self, basis):
-        b = np.asarray(basis, dtype=np.int64)
-        return self.trace(self.as_field().mul(b[:, None], b))
-
     def dual_basis(self, basis=None):
         """The trace-dual basis of ``basis`` (default: the power basis).
 
-        Returns elements ``(b'_j)`` with ``Tr(b_i b'_j) = delta_ij``, computed
-        by inverting the Gram matrix of trace pairings over the base field.
-        The dual of the power basis is computed once and kept.
+        Returns ``(b'_j)`` with ``Tr(b_i b'_j) = delta_ij``.  The row
+        ``dual_table[x] . coords(basis)^T`` is ``(Tr(x b_i))_i``; packed base q
+        it maps the codes one-to-one exactly when ``basis`` is a basis, and
+        b'_j is the code sent to q^j.  The power basis's dual is kept.
         """
         if basis is None:
             if self._dual_basis is None:
@@ -668,14 +665,13 @@ class Extension:
             return list(self._dual_basis)
         if len(basis) != self.k:
             raise NotABasis("need exactly k elements")
-        try:
-            Ginv = MatGF(self.base, self._gram(basis)).invert().a
-        except Singular:
-            raise NotABasis("Gram matrix singular: not a basis") from None
-        # b'_j = sum_m Ginv[m, j] b_m; a base-field code is its own extension code
-        fQ = self.as_field()
-        terms = fQ.mul(Ginv, np.asarray(basis, dtype=np.int64)[:, None])
-        return [int(x) for x in fQ.add_reduce(terms, axis=0)]
+        B = self.coords(np.asarray(basis, dtype=np.int64))
+        image = _pack(self.base.matmul(self.dual_table, B.T), self.q)
+        preimage = np.full(self.Q, -1, dtype=np.int64)
+        preimage[image] = np.arange(self.Q)
+        if (preimage < 0).any():
+            raise NotABasis("trace pairing is degenerate: not a basis")
+        return [int(preimage[self.q ** j]) for j in range(self.k)]
 
     def self_dual_basis(self, max_tries: int = 64, enum_cap: int = 1 << 16):
         """Search for a basis whose trace Gram matrix is the identity.
@@ -721,7 +717,8 @@ class Extension:
                     break
                 sel.append(found)
             if len(sel) == k:
-                gram = self._gram(sel)
+                b = np.asarray(sel, dtype=np.int64)
+                gram = self.trace(fQ.mul(b[:, None], b))
                 if np.array_equal(gram, np.eye(k, dtype=np.int64)):
                     return sel
         return None

@@ -317,22 +317,6 @@ class MatGF:
 
     # -- arithmetic ----------------------------------------------------------
 
-    def __add__(self, other):
-        self._check_field(other)
-        return MatGF(self.field, self.field.add(self.a, other.a))
-
-    def __sub__(self, other):
-        self._check_field(other)
-        return MatGF(self.field, self.field.sub(self.a, other.a))
-
-    def __matmul__(self, other):
-        self._check_field(other)
-        return MatGF(self.field, self.field.matmul(self.a, other.a))
-
-    def scale(self, c):
-        carr = np.full_like(self.a, int(c))
-        return MatGF(self.field, self.field.mul(carr, self.a))
-
     @property
     def T(self):
         return MatGF(self.field, self.a.T.copy())

@@ -1,5 +1,7 @@
 """Linear codes, CSS pairs, coset generators, leader tables."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -187,6 +189,60 @@ def test_leader_table_q3():
     assert table.weights.tolist() == [0, 1, 1]
     # leader of syndrome 1 is the lexicographically smallest weight-1 vector
     assert table.leaders[1].tolist() == [0, 0, 0, 1]
+
+
+def _leader_loop(C):
+    """Coset leaders by one pattern at a time: weights in increasing order,
+    supports and values lexicographically, and a leader replaced only by a
+    lexicographically smaller pattern of the same weight."""
+    f, H = C.field, C.H
+    m, n = H.shape
+    qpows = f.q ** np.arange(m, dtype=np.int64)
+    leaders = np.zeros((f.q ** m, n), dtype=f.dtype)
+    weights = np.full(f.q ** m, -1, dtype=np.int64)
+    weights[0] = 0
+    for w in range(1, n + 1):
+        if (weights >= 0).all():
+            break
+        for support in itertools.combinations(range(n), w):
+            for values in itertools.product(range(1, f.q), repeat=w):
+                vec = np.zeros(n, dtype=f.dtype)
+                vec[list(support)] = values
+                s = int((f.matmul(vec[None, :], H.T)[0] * qpows).sum())
+                if weights[s] == -1 or (weights[s] == w
+                                        and tuple(vec) < tuple(leaders[s])):
+                    weights[s] = w
+                    leaders[s] = vec
+    return leaders, weights
+
+
+# weight-3 leaders over GF(5) whose smallest pattern comes from an earlier
+# chunk of supports than a larger one with the same syndrome
+MERGED_CHUNKS = [[1, 1, 0, 0, 0], [0, 4, 3, 4, 2], [3, 4, 3, 3, 2], [2, 4, 1, 4, 3]]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_leader_table_matches_pattern_loop(q):
+    """Random codes, and MERGED_CHUNKS over GF(5); a cap of q^m puts at most
+    a few supports in a chunk."""
+    f = Field(2, 2) if q == 4 else Field(q)
+    rng = np.random.default_rng(q)
+    made = 0
+    while made < 8:
+        n = int(rng.integers(2, 10 if q == 2 else 7))
+        m = int(rng.integers(1, min(n, 4 if q == 2 else 3) + 1))
+        H = np.array(MERGED_CHUNKS) if q == 5 and not made else rng.integers(0, q, size=(m, n))
+        m = len(H)
+        if MatGF(f, H).rank != m:
+            continue
+        C = LinearCode.from_parity_check(f, H)
+        leaders, weights = _leader_loop(C)
+        for cap in (f.q ** m, 1 << 20):
+            table = CosetLeaderTable(C, cap=cap)
+            assert table.leaders.dtype == leaders.dtype
+            assert np.array_equal(table.leaders, leaders)
+            assert np.array_equal(table.weights, weights)
+        made += 1
 
 
 def test_css_pair_invalid():

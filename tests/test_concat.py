@@ -30,7 +30,7 @@ from cssconcat.concat import (
 from cssconcat.decode import DecoderContext
 from cssconcat.errors import FieldMismatch, NotOrthogonal, RankDeficient
 from cssconcat.galois import Extension, Field
-from cssconcat.matrix import MatGF
+from cssconcat.matrix import MatGF, chunk_rows
 from cssconcat.outer_grs import GrsCode, nested_grs_pair
 
 F2 = Field(2)
@@ -424,3 +424,185 @@ def test_setup_eliminates_no_nN_column_matrix(monkeypatch, name):
     assert calls and len(calls) <= 7
     assert all(cols < cp.block_length for _, cols in calls)
     assert all(kind != "tables" for kind, _ in calls)
+
+
+# -- the trace-form certificate against the nN-column reference ----------------
+
+def _pi_product_nonzero(ext, table, G, Gp):
+    """Whether ``pi(G).Gp^T`` is nonzero over GF(q), for the rows of ``G``
+    over GF(q^k) and the pi table ``table``, expanded a chunk of rows at a
+    time."""
+    f = ext.base
+    step = max(chunk_rows(ext.k * Gp.shape[1], table.itemsize), len(Gp) // ext.k)
+    return any(f.matmul(concat._expand(table, _subfield_rows(ext, G[lo:lo + step])), Gp.T).any()
+               for lo in range(0, len(G), step))
+
+
+def _nN_certificate(inner, ext, D, Hout, Gp):
+    """The duality and containment checks by products nN columns wide:
+    Gp1.Gp2^T, pi_1(D1).Gp1^T, pi_2(D2).Gp2^T and every block of Gp_i
+    against the opposite inner dual."""
+    f, n = inner.field, inner.n
+    PI1, PI2 = concat.pi_table(1, inner, ext), concat.pi_table(2, inner, ext)
+    if f.matmul(Gp[0], Gp[1].T).any():
+        raise NotOrthogonal("outer pair violates the CSS containment")
+    if (_pi_product_nonzero(ext, PI1, D[0].G, Gp[0])
+            or _pi_product_nonzero(ext, PI2, D[1].G, Gp[1])
+            or f.matmul(Gp[0].reshape(-1, n), inner.C2.H.T).any()
+            or f.matmul(Gp[1].reshape(-1, n), inner.C1.H.T).any()):
+        raise RankDeficient("expanded outer check is not orthogonal to the "
+                            "concatenated code")
+
+
+def _outcome(certify, *args):
+    try:
+        certify(*args)
+    except (NotOrthogonal, RankDeficient) as e:
+        return type(e)
+    return None
+
+
+class _Case:
+    """Inputs of the outer certificate, with Gp built from Hout."""
+
+    def __init__(self, inner, outer, ext):
+        self.inner, self.ext = inner, ext
+        self.D = tuple(concat._unwrap_outer(Dm)[0] for Dm in outer)
+        self.Hout = tuple(np.array(concat._unwrap_outer(Dm)[1]) for Dm in outer)
+
+    def gp(self, Hout):
+        return tuple(concat._expanded_check(self.inner, self.ext, H, side,
+                                            concat.pi_table(3 - side, self.inner, self.ext))[1]
+                     for side, H in ((1, Hout[0]), (2, Hout[1])))
+
+    def outcomes(self, Hout=None, Gp=None):
+        Hout = self.Hout if Hout is None else Hout
+        Gp = self.gp(Hout) if Gp is None else Gp
+        args = (self.inner, self.ext, self.D, Hout, Gp)
+        return _outcome(concat._certify_outer, *args), _outcome(_nN_certificate, *args)
+
+
+def _case(name):
+    if name.startswith("12_2_"):  # (K1, K2) with a 0-row Hout on one side
+        K1, K2 = (1, 3) if name == "12_2_K2=N" else (3, 1)
+        ext = Extension(F2, 2)
+        return _Case(bvector_pair(F2, [1] * 4, [1] * 4), nested_grs_pair(ext, 3, K1, K2), ext)
+    if name == "60_14_gf4":
+        inner, ext = EXPANSIONS[3]
+        return _Case(inner, nested_grs_pair(ext, 15, 11, 11), ext)
+    return _Case(*_inputs(name))
+
+
+DIFFERENTIAL = CERTIFIED + ["12_2_K2=N", "12_2_K1=N", "60_14_gf4"]
+
+
+@pytest.mark.parametrize("name", DIFFERENTIAL)
+def test_trace_certificate_matches_reference(name):
+    """Both certificates accept the built pair, with a 0-row Hout on one side
+    for the 12_2_K*=N cases, and classify the same flipped Hout entries."""
+    case = _case(name)
+    if name.startswith("12_2_"):
+        assert min(len(H) for H in case.Hout) == 0
+    assert case.outcomes() == (None, None)
+    rng = np.random.default_rng(7)
+    fQ = case.ext.as_field()
+    for side in (0, 1):
+        H = case.Hout[side]
+        for _ in range(min(H.size, 6)):
+            Hout = [h.copy() for h in case.Hout]
+            j, b = rng.integers(0, H.shape[0]), rng.integers(0, H.shape[1])
+            Hout[side][j, b] = fQ.add(int(H[j, b]), int(rng.integers(1, fQ.q)))
+            new, ref = case.outcomes(tuple(Hout))
+            assert new is ref is not None
+
+
+@pytest.mark.parametrize("name", DIFFERENTIAL)
+def test_trace_certificate_flipped_gp_matches_reference(name):
+    """Every single-entry flip of a Gp_i gets the same verdict from both
+    certificates: the whole of Gp_i on the small cases, all n columns of a
+    block and a sample elsewhere on the others.  None passes: a flip that
+    keeps every postcondition adds an element of the opposite inner dual to
+    a block, and on these pairs that dual is spanned by the all-ones vector
+    (see test_inner_dual_shift_passes_both_certificates)."""
+    case = _case(name)
+    Gp = case.gp(case.Hout)
+    q, n = case.inner.field.q, case.inner.n
+    rng = np.random.default_rng(11)
+    for side in (0, 1):
+        rows, cols = Gp[side].shape
+        entries = [(r, c) for r in range(rows) for c in range(cols)]
+        if len(entries) > 200:
+            b = int(rng.integers(0, cols // n))
+            picks = rng.choice(len(entries), 40, replace=False)
+            entries = [(0, b * n + t) for t in range(n)] + [entries[i] for i in picks]
+        for r, c in entries:
+            flipped = list(Gp)
+            flipped[side] = Gp[side].copy()
+            flipped[side][r, c] = (flipped[side][r, c] + rng.integers(1, q)) % q
+            new, ref = case.outcomes(Gp=tuple(flipped))
+            assert new is ref is not None, (side, r, c)
+
+
+@pytest.mark.parametrize("name", DIFFERENTIAL)
+def test_trace_certificate_g_part_shift_matches_reference(name):
+    """Adding a row of g2 to a block of Gp1 (of g1 to a block of Gp2) keeps
+    the block in its inner code but changes its g-part: both certificates
+    reject it with the same class, NotOrthogonal unless the other side's
+    Hout has no rows."""
+    case = _case(name)
+    Gp = case.gp(case.Hout)
+    f, n = case.inner.field, case.inner.n
+    for side, g in ((0, case.inner.g2), (1, case.inner.g1)):
+        if not len(Gp[side]):
+            continue
+        shifted = list(Gp)
+        shifted[side] = Gp[side].copy()
+        shifted[side][-1, :n] = f.add(shifted[side][-1, :n], g[0])
+        new, ref = case.outcomes(Gp=tuple(shifted))
+        assert new is ref is (NotOrthogonal if len(Gp[1 - side]) else RankDeficient)
+
+
+@pytest.mark.parametrize("name", ["90_28", "96_32_gf3_linear"])
+def test_trace_certificate_containment_break_matches_reference(name):
+    """The outer pair of test_outer_pair_without_containment_rejected."""
+    inner, (_, D2), ext = _inputs(name)
+    N = D2.G.shape[1]
+    D1 = GrsCode(ext, [ext.alpha_pow(j) for j in range(N)], [1] * N, 2)
+    case = _Case(inner, (D1, D2), ext)
+    assert case.outcomes() == (NotOrthogonal, NotOrthogonal)
+
+
+@pytest.mark.parametrize("name", ["12_2", "90_28", "96_32_gf3_linear"])
+def test_inner_dual_shift_passes_both_certificates(name):
+    """Adding a row of dual(C1) to a block of Gp1 (or of dual(C2) to a
+    block of Gp2) keeps each block in its inner code with the same g-part,
+    so every postcondition holds: both certificates accept it, and so does
+    the elimination-based verify_duality."""
+    inner, outer, ext = _inputs(name)
+    good = concatenate(inner, outer, ext)
+    case = _Case(inner, outer, ext)
+    f, n = inner.field, inner.n
+    for side, H in ((0, inner.C1.H), (1, inner.C2.H)):
+        Gp = [good.Gp1.copy(), good.Gp2.copy()]
+        Gp[side][0, n:2 * n] = f.add(Gp[side][0, n:2 * n], H[0])
+        assert case.outcomes(Gp=tuple(Gp)) == (None, None)
+        Ho = good.Ho1 if side == 0 else good.Ho2
+        Ho = np.concatenate([Ho[:len(Ho) - len(Gp[side])], Gp[side]])
+        fields = ({"Ho1": Ho, "Gp1": Gp[0]} if side == 0 else {"Ho2": Ho, "Gp2": Gp[1]})
+        assert verify_duality(dataclasses.replace(good, **fields))
+
+
+@pytest.mark.parametrize("name", ["90_28", "504_186", "480_160_gf3", "96_32_gf3_linear"])
+def test_concatenate_products_at_most_kN_wide(monkeypatch, name):
+    """No product in concatenate has an inner dimension above kN."""
+    inner, outer, ext = _inputs(name)
+    widths = []
+    matmul = Field.matmul
+
+    def spy(self, A, B):
+        widths.append(np.shape(A)[-1])
+        return matmul(self, A, B)
+
+    monkeypatch.setattr(Field, "matmul", spy)
+    cp = concatenate(inner, outer, ext)
+    assert widths and max(widths) <= cp.k * cp.N < cp.block_length

@@ -5,8 +5,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cssconcat.errors import DomainError, NotABasis, NotPrimitive
+from cssconcat.errors import DomainError, NotABasis, NotPrimitive, Singular
 from cssconcat.galois import Extension, Field
+from cssconcat.matrix import MatGF
 
 
 def test_gf2_add():
@@ -270,6 +271,37 @@ def test_dual_basis_rejects_dependent_elements():
     ext = Extension(Field(2), 3)
     with pytest.raises(NotABasis):
         ext.dual_basis([1, 2, 3])  # 3 = 1 + alpha
+
+
+def _gram_dual_basis(ext, basis):
+    """The trace-dual basis by inverting the Gram matrix Tr(b_i b_m); None
+    when it is singular."""
+    fQ = ext.as_field()
+    b = np.asarray(basis, dtype=np.int64)
+    try:
+        Ginv = MatGF(ext.base, ext.trace(fQ.mul(b[:, None], b))).invert().a
+    except Singular:
+        return None
+    return [int(x) for x in fQ.add_reduce(fQ.mul(Ginv, b[:, None]), axis=0)]
+
+
+@pytest.mark.parametrize("p, e, k", [(2, 1, 1), (2, 1, 3), (2, 1, 6), (2, 1, 8), (3, 1, 2),
+                                     (3, 1, 4), (5, 1, 2), (2, 2, 2), (2, 2, 3), (3, 2, 2)])
+def test_dual_basis_matches_gram_inverse(p, e, k):
+    """The inverted-table dual basis equals the Gram-matrix one, the power
+    basis and random sets alike, and raises NotABasis exactly when the Gram
+    matrix is singular."""
+    ext = Extension(Field(p, e), k)
+    assert ext.dual_basis() == _gram_dual_basis(ext, ext.power_basis())
+    rng = np.random.default_rng(p * 100 + e * 10 + k)
+    for _ in range(12):
+        basis = [int(x) for x in rng.integers(0, ext.Q, size=k)]
+        want = _gram_dual_basis(ext, basis)
+        if want is None:
+            with pytest.raises(NotABasis):
+                ext.dual_basis(basis)
+        else:
+            assert ext.dual_basis(basis) == want
 
 
 def test_self_dual_basis_golden():
