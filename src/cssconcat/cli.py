@@ -2,9 +2,9 @@
 
 Subcommands: construct, concat, mindist, decode, simulate, enlarge, bounds,
 field.  Exit codes: 2 for unparsable input, 3 for violated invariants or
-preconditions, 4 when an enumeration cap is exceeded; with --debug, an
-exception that would exit 3 is re-raised instead.  Every randomized
-subcommand requires --seed and is deterministic given it.
+preconditions, 4 when an enumeration or field-order cap is exceeded; with
+--debug, an exception that would exit 3 is re-raised instead.  Every
+randomized subcommand requires --seed and is deterministic given it.
 """
 
 from __future__ import annotations

@@ -14,20 +14,26 @@ string of those coordinates: addition and subtraction are XOR, negation is
 the identity, and no add table is stored.  In odd characteristic addition is
 a digit-wise sum mod p, read from a dense add table.
 
-:class:`Field` is the only class that does element arithmetic.  Its
-multiplication table comes from polynomial reduction for GF(p^e) and from
-the log/exp tables of the primitive root for the GF(Q) field of an
-extension (:meth:`Extension.as_field`); the inverse, negation and addition
-tables are built from it the same way for both.  An :class:`Extension`
-keeps the structure: the primitive root, coordinates, trace, dual
-coordinates, bases and multiplication matrices.
+:class:`Field` is the only class that does element arithmetic, and every
+field, GF(p^e) and the GF(Q) field of an extension
+(:meth:`Extension.as_field`) alike, is built one way.  Multiplication by a
+generator g is GF(p)-linear on the base-p digits of a code, a K x K matrix
+over GF(p); the power table of g doubles from it and certifies itself
+(:func:`_power_table`), and the multiplication and inverse tables are read
+off its log/exp.  For GF(p^e) g is the first element code whose matrix has
+order q - 1, which is x only for a primitive modulus; for an extension it is
+the primitive root alpha.  Irreducibility (Rabin's test) and primitivity are
+tested on the same matrices.  An :class:`Extension` keeps the structure: the
+primitive root, coordinates, trace, dual coordinates, bases and
+multiplication matrices.  One cap, ``_TABLE_CAP`` = 8192, bounds the order of
+every field and extension, checked when it is built.
 
 Every field has one element-code dtype, ``dtype``, worked out from its order:
-``np.int8`` when q <= 128 and ``np.int16`` otherwise (the table cap is 4096
-and the GF(Q) field of an extension goes up to 8192).  Its tables hold codes
-in that dtype, so table gathers return it, and so do matrix products.  It is
-signed so that the difference of two codes cannot wrap.  Arithmetic other
-than a gather (products, sums of products) widens first.
+``np.int8`` when q <= 128 and ``np.int16`` otherwise (no order passes the
+8192 cap).  Its tables hold codes in that dtype, so table gathers return it,
+and so do matrix products.  It is signed so that the difference of two codes
+cannot wrap.  Arithmetic other than a gather (products, sums of products)
+widens first.
 
 All operations accept plain ints or numpy integer arrays and are pure; field
 objects are immutable after construction and safe to share across threads.
@@ -40,103 +46,80 @@ import itertools
 import numpy as np
 
 from .errors import DivisionByZero, DomainError, NotABasis, NotPrimitive, TooLarge
-from .matrix import MatGF, blas_dtype, chunk_rows, reduce_mod
+from .matrix import MatGF, blas_dtype, check_codes, chunk_rows, reduce_mod
 
-_EXT_ORDER_CAP = 1 << 20  # largest supported extension-field size
-_TABLE_CAP = 1 << 12  # largest base field with dense q x q tables
+_TABLE_CAP = 1 << 13  # largest field or extension order: dense Q x Q tables
 
 _SCALAR_TYPES = (int, np.integer)
 
 
 # ----------------------------------------------------------------------------
-# polynomial helpers over the prime field GF(p)
+# matrices over GF(p): multiplication maps, their orders, Rabin's test
 # ----------------------------------------------------------------------------
 
-def _poly_trim(a):
-    while a and a[-1] == 0:
-        a = a[:-1]
-    return a
+def _prime_factors(n):
+    primes, r = set(), 2
+    while r * r <= n:
+        if n % r == 0:
+            primes.add(r)
+            n //= r
+        else:
+            r += 1
+    if n > 1:
+        primes.add(n)
+    return primes
 
 
-def _poly_mod(a, m, p):
-    a = list(a)
-    dm = len(m) - 1
-    inv_lead = pow(m[-1], -1, p)
-    for i in range(len(a) - 1, dm - 1, -1):
-        c = a[i] % p
-        if c:
-            factor = (c * inv_lead) % p
-            for j, mj in enumerate(m):
-                a[i - dm + j] = (a[i - dm + j] - factor * mj) % p
-    return _poly_trim([x % p for x in a[:dm]])
-
-
-def _poly_mulmod(a, b, m, p):
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _poly_mod(out, m, p)
-
-
-def _poly_powmod(a, n, m, p):
-    result = [1]
-    base = _poly_mod(a, m, p)
+def _mat_pow(M, n, p):
+    """``M^n`` over GF(p) by repeated squaring."""
+    R = np.eye(len(M), dtype=np.int64)
     while n:
         if n & 1:
-            result = _poly_mulmod(result, base, m, p)
-        base = _poly_mulmod(base, base, m, p)
+            R = R @ M % p
         n >>= 1
-    return result
+        if n:
+            M = M @ M % p
+    return R
 
 
-def _gcd_poly(a, b, p):
-    a = _poly_trim([x % p for x in a])
-    b = _poly_trim([x % p for x in b])
-    while b:
-        r = _poly_mod(a, b, p) if len(a) >= len(b) else a
-        a, b = b, _poly_trim(r)
-    return a
+def _has_order(M, n, p):
+    """Whether ``M`` has multiplicative order exactly ``n`` over GF(p):
+    M^(n/r) != I for each prime r | n, and M^n = I."""
+    eye = np.eye(len(M), dtype=np.int64)
+    return not any(np.array_equal(_mat_pow(M, n // r, p), eye)
+                   for r in _prime_factors(n)) and np.array_equal(_mat_pow(M, n, p), eye)
 
 
-def _sub_x(poly, p):
-    """poly(x) - x, coefficients normalized mod p."""
-    out = list(poly) + [0] * max(0, 2 - len(poly))
-    out[1] = (out[1] - 1) % p
-    return _poly_trim([c % p for c in out])
+def _shift_matrix(top):
+    """The K x K matrix of multiplication by the root of a monic polynomial
+    on base-p digit rows, given its last e rows ``top`` (e x K): every other
+    row l + e j is the unit row l + e (j + 1)."""
+    e, K = top.shape
+    P = np.zeros((K, K), dtype=np.int64)
+    P[np.arange(K - e), np.arange(e, K)] = 1
+    P[K - e:] = top
+    return P
+
+
+def _companion(coeffs, p):
+    """The companion matrix over GF(p) of a monic polynomial (coefficients
+    low-degree first): multiplication by x on digit rows modulo it."""
+    return _shift_matrix((-np.asarray(coeffs[:-1], dtype=np.int64))[None, :] % p)
 
 
 def _is_irreducible(coeffs, p):
-    """Rabin irreducibility test for a monic polynomial over GF(p)."""
+    """Rabin's irreducibility test for a monic polynomial f of degree e over
+    GF(p), on its companion matrix C: x^(p^e) = x (mod f) is C^(p^e) = C, and
+    x^(p^(e/r)) - x is prime to f for each prime r | e exactly when
+    C^(p^(e/r)) - C has full rank."""
     e = len(coeffs) - 1
     if e <= 0:
         return False
-    if e == 1:
-        return True
-    x = [0, 1]
-    # x^(p^e) == x (mod f)
-    if _sub_x(_poly_powmod(x, p ** e, coeffs, p), p):
+    C = _companion(coeffs, p)
+    if not np.array_equal(_mat_pow(C, p ** e, p), C):
         return False
-    # gcd(x^(p^(e/r)) - x, f) == 1 for each prime r | e
-    ee = e
-    primes = set()
-    r = 2
-    while r * r <= ee:
-        if ee % r == 0:
-            primes.add(r)
-            while ee % r == 0:
-                ee //= r
-        r += 1
-    if ee > 1:
-        primes.add(ee)
-    for r in primes:
-        diff = _sub_x(_poly_powmod(x, p ** (e // r), coeffs, p), p)
-        if not diff:
-            return False
-        if len(_gcd_poly(coeffs, diff, p)) - 1 > 0:
-            return False
-    return True
+    return all(MatGF(Field(p), (_mat_pow(C, p ** (e // r), p) - C) % p).rank == e
+               for r in _prime_factors(e))
 
 
 def _digits(codes, base, ndig):
@@ -167,14 +150,7 @@ def _find_irreducible(p, e):
 
 
 def _is_prime(n):
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+    return n >= 2 and _prime_factors(n) == {n}
 
 
 _EXACT_SUM = 1 << 51  # float64 sums below this reduce exactly (matrix.reduce_mod)
@@ -186,35 +162,79 @@ def code_dtype(q):
     return np.dtype(np.int8 if q <= 128 else np.int16)
 
 
-def _reduction_mul_table(p, e, modulus):
-    """The GF(p^e) multiplication table by polynomial reduction modulo
-    ``modulus``, in row chunks of bounded bytes."""
+def _power_table(P, p, Q):
+    """The power table of the element g of a field of order Q = p^K whose
+    multiplication matrix over GF(p) is ``P`` (K x K, acting on the base-p
+    digit rows of codes).
+
+    Returns (exp, log) or None unless the table certifies that g generates
+    the multiplicative group: g^0, ..., g^(Q-2) are nonzero and distinct and
+    g^(Q-1) = 1.  The table doubles: the digits of g^(i+m) are those of g^i
+    times P^m, so each round multiplies the m rows known so far by P^m, in
+    row chunks of digits of the dtype of GF(p), and squares P^m.  Every sum
+    has at most K terms below p^2, below 2^31 for Q <= 8192, so int32
+    products are exact.
+    """
+    K = len(P)
+    P = P.astype(np.int32)
+    D = np.zeros((Q, K), dtype=code_dtype(p))  # row i: the digits of g^i
+    D[0, 0] = 1
+    step = chunk_rows(K)
+    m = 1
+    while m < Q:
+        for lo in range(m, min(2 * m, Q), step):
+            hi = min(lo + step, 2 * m, Q)
+            D[lo:hi] = (D[lo - m:hi - m] @ P) % p
+        P = (P @ P) % p
+        m *= 2
+    codes = np.zeros(Q, dtype=np.int64)
+    for j in range(K - 1, -1, -1):
+        codes *= p
+        codes += D[:, j]
+    exp = codes[:Q - 1]
+    log = np.full(Q, -1, dtype=np.int64)
+    log[exp] = np.arange(Q - 1)
+    if codes[Q - 1] != 1 or log[0] != -1 or np.count_nonzero(log >= 0) != Q - 1:
+        return None
+    return exp, log
+
+
+_GENERATOR_CACHE: dict = {}
+
+
+def _find_generator(p, modulus):
+    """The multiplication matrix over GF(p) of a generator of GF(p^e) modulo
+    ``modulus``: that of the first element code whose matrix sum_j a_j X^j,
+    X the companion matrix, has order q - 1.  It is x only when the modulus
+    is primitive."""
+    key = (p, tuple(modulus))
+    if key in _GENERATOR_CACHE:
+        return _GENERATOR_CACHE[key]
+    e = len(modulus) - 1
     q = p ** e
-    D = _digits(np.arange(q), p, e)
-    red = (-np.asarray(modulus[:e], dtype=np.int64)) % p
-    X = np.empty((q, e, e), dtype=np.int64)  # X[a, j]: the digits of a * x^j
-    X[:, 0] = D
-    for j in range(1, e):
-        X[:, j, 0] = 0
-        X[:, j, 1:] = X[:, j - 1, :-1]
-        X[:, j] = (X[:, j] + X[:, j - 1, -1:] * red) % p
-    table = np.empty((q, q), dtype=code_dtype(q))
-    step = chunk_rows(q * e)
-    for lo in range(0, q, step):
-        table[lo:lo + step] = _pack((D @ X[lo:lo + step]) % p, p)
-    return table
+    X = _companion(modulus, p)
+    Xpow = [np.eye(e, dtype=np.int64)]  # row j: X^j, flattened
+    for _ in range(e - 1):
+        Xpow.append(Xpow[-1] @ X % p)
+    Xpow = np.reshape(Xpow, (e, e * e))
+    for a in range(1, q):
+        M = (_digits(a, p, e) @ Xpow % p).reshape(e, e)
+        if _has_order(M, q - 1, p):
+            _GENERATOR_CACHE[key] = M
+            return M
+    raise DomainError(f"modulus {list(modulus)} does not define a field")
 
 
-def _log_mul_table(ext):
-    """The GF(Q) multiplication table of an extension from its log/exp
-    tables, in row chunks of bounded bytes."""
-    Q = ext.Q
+def _log_mul_table(exp, log):
+    """The multiplication table of a field of order Q = len(log) from its
+    log/exp tables, in row chunks of bounded bytes."""
+    Q = len(log)
     table = np.zeros((Q, Q), dtype=code_dtype(Q))
-    logs = ext.log[1:]
+    exp2 = np.concatenate([exp, exp]).astype(table.dtype)  # no reduction mod Q - 1
+    logs = log[1:]
     step = chunk_rows(Q)
     for lo in range(0, Q - 1, step):
-        rows = logs[lo:lo + step, None]
-        table[1 + lo:1 + lo + step, 1:] = ext.exp[(rows + logs) % (Q - 1)]
+        table[1 + lo:1 + lo + step, 1:] = exp2[logs[lo:lo + step, None] + logs]
     return table
 
 
@@ -225,7 +245,7 @@ def _matmul_blas(A, B, p, dtype):
     float product is exact and reduces exactly in float32 while that stays
     below ``matrix._F32_SUM`` = 2**22 - 1 (n up to about 4·10⁶ over GF(2),
     10⁶ over GF(3)), and in float64 while it stays below 2**51 (n up to
-    about 1.3·10⁸ for p below the 4096 table cap).  Rows go in chunks of
+    about 3·10⁷ for p below the 8192 table cap).  Rows go in chunks of
     bounded bytes.
     """
     n = A.shape[-1]
@@ -253,9 +273,9 @@ class Field:
         Extension degree over the prime field (default 1).
     modulus : sequence of int, optional
         Monic irreducible polynomial of degree ``e`` over GF(p), coefficients
-        low-degree first (length ``e + 1``).  When omitted, the
-        lexicographically first irreducible polynomial is used, which makes
-        element codes reproducible across runs.
+        low-degree first (length ``e + 1``); its root need not be primitive.
+        When omitted, the lexicographically first irreducible polynomial is
+        used, which makes element codes reproducible across runs.
 
     The element-code dtype ``dtype`` follows from the order (see the module
     docstring).  :meth:`Extension.as_field` builds the GF(Q) field of an
@@ -264,12 +284,12 @@ class Field:
     """
 
     def __init__(self, p: int, e: int = 1, modulus=None):
-        if not _is_prime(p):
-            raise DomainError(f"characteristic {p} is not prime")
         if e < 1:
             raise DomainError("degree must be >= 1")
-        if p ** e > _TABLE_CAP:
+        if p ** e > _TABLE_CAP:  # before the primality test, a trial division
             raise TooLarge(f"field order {p**e} exceeds table cap {_TABLE_CAP}")
+        if not _is_prime(p):
+            raise DomainError(f"characteristic {p} is not prime")
         if modulus is None:
             modulus = [0, 1] if e == 1 else _find_irreducible(p, e)
         modulus = [int(c) % p for c in modulus]
@@ -277,12 +297,15 @@ class Field:
             raise DomainError("modulus must be monic of degree e")
         if e > 1 and not _is_irreducible(modulus, p):
             raise DomainError(f"modulus {modulus} is reducible over GF({p})")
-        self._setup(p, e, tuple(modulus), None, _reduction_mul_table(p, e, modulus))
+        built = _power_table(_find_generator(p, modulus), p, p ** e)
+        if built is None:
+            raise DomainError(f"modulus {modulus} does not define a field")
+        self._setup(p, e, tuple(modulus), None, *built)
 
     @classmethod
     def _of_extension(cls, ext):
         field = cls.__new__(cls)
-        field._setup(ext.base.p, ext.base.e * ext.k, None, ext, _log_mul_table(ext))
+        field._setup(ext.base.p, ext.base.e * ext.k, None, ext, ext.exp, ext.log)
         return field
 
     @property
@@ -296,22 +319,17 @@ class Field:
 
     # -- construction -------------------------------------------------------
 
-    def _setup(self, p, e, modulus, ext, mul_table):
-        """The inverse, negation and addition tables from ``mul_table``; in
-        characteristic 2 addition is XOR and has no table."""
+    def _setup(self, p, e, modulus, ext, exp, log):
+        """The multiplication and inverse tables from the power table
+        ``exp``/``log`` of a generator, the negation and addition tables from
+        the digits; in characteristic 2 addition is XOR and has no table."""
         self.p, self.e, self.q = p, e, p ** e
         self.modulus, self.ext = modulus, ext
         self.dtype = code_dtype(self.q)
-        self.mul_table = mul_table
+        self.mul_table = _log_mul_table(exp, log)
         q = self.q
-        inv = np.zeros(q, dtype=self.dtype)
-        step = chunk_rows(q, 1)
-        for lo in range(0, q, step):
-            rows, cols = np.nonzero(mul_table[lo:lo + step] == 1)
-            inv[lo + rows] = cols
-        if np.count_nonzero(inv) != q - 1:
-            raise DomainError("modulus does not define a field (reducible)")
-        self.inv_table = inv
+        self.inv_table = np.zeros(q, dtype=self.dtype)
+        self.inv_table[1:] = exp[-log[1:] % (q - 1)]
         if p == 2:
             return
         D = _digits(np.arange(q), p, e)
@@ -457,50 +475,24 @@ class Field:
 # extensions GF(q^k) over a base field
 # ----------------------------------------------------------------------------
 
-def _build_exp_table(base: Field, k: int, f):
-    """Try to build the power table of the root alpha of ``f``.
+def _companion_digits(base: Field, k: int, f):
+    """The K x K matrix over GF(p), K = k e, of multiplication by the root
+    alpha of ``f`` on the base-p digit rows of extension codes.
 
-    Returns (exp, log) on success or None if ``f`` is not primitive (or not
-    even the modulus of a field).  The proof of primitivity is that
-    alpha^0, ..., alpha^(Q-2) are nonzero and distinct and alpha^(Q-1) = 1.
-
-    The table doubles over the prime field GF(p).  A code's K = k e base-p
-    digits are its coordinates over GF(p), and multiplication by alpha is
-    GF(p)-linear: with P the K x K matrix of it acting on digit rows, the
-    digits of alpha^(i+m) are those of alpha^i times P^m.  Each round
-    multiplies the m rows known so far by P^m, in row chunks of digits of
-    the dtype of GF(p), and squares P^m.  Every sum has at most K terms
-    below p^2, far below 2^31 for Q <= 2^20, so int32 products are exact.
+    Row l + e j holds the digits of p^l q^j alpha: for j < k - 1 the unit row
+    l + e (j + 1), for j = k - 1 those of p^l alpha^k, which are the GF(q)
+    coordinates p^l (-f_i), i < k, each as e base-p digits.
     """
-    p, e, q = base.p, base.e, base.q
-    Q, K = q ** k, k * e
-    # row l + e j of P holds the digits of p^l q^j alpha: for j < k - 1 the
-    # unit row l + e (j + 1), for j = k - 1 those of p^l alpha^k, which are
-    # the GF(q) coordinates p^l (-f_i), i < k, each as e base-p digits
-    P = np.zeros((K, K), dtype=np.int32)
-    P[np.arange(K - e), np.arange(e, K)] = 1
+    p, e = base.p, base.e
     top = base.mul(p ** np.arange(e)[:, None], base.neg(np.asarray(f[:k]))[None, :])
-    P[K - e:] = _digits(top, p, e).reshape(e, K)
-    D = np.zeros((Q, K), dtype=code_dtype(p))  # row i: the digits of alpha^i
-    D[0, 0] = 1
-    step = chunk_rows(K)
-    m = 1
-    while m < Q:
-        for lo in range(m, min(2 * m, Q), step):
-            hi = min(lo + step, 2 * m, Q)
-            D[lo:hi] = (D[lo - m:hi - m] @ P) % p
-        P = (P @ P) % p
-        m *= 2
-    codes = np.zeros(Q, dtype=np.int64)
-    for j in range(K - 1, -1, -1):
-        codes *= p
-        codes += D[:, j]
-    exp = codes[:Q - 1]
-    log = np.full(Q, -1, dtype=np.int64)
-    log[exp] = np.arange(Q - 1)
-    if codes[Q - 1] != 1 or log[0] != -1 or np.count_nonzero(log >= 0) != Q - 1:
-        return None
-    return exp, log
+    return _shift_matrix(_digits(top, p, e).reshape(e, k * e))
+
+
+def _build_exp_table(base: Field, k: int, f):
+    """The power table (exp, log) of the root alpha of ``f``, or None if
+    ``f`` is not primitive (or not even the modulus of a field); the table
+    is the proof of primitivity (see :func:`_power_table`)."""
+    return _power_table(_companion_digits(base, k, f), base.p, base.q ** k)
 
 
 _PRIMITIVE_CACHE: dict = {}
@@ -515,7 +507,7 @@ def _find_primitive_poly(base: Field, k: int):
         coeffs = [int(c) for c in _digits(code, q, k)] + [1]
         if coeffs[0] == 0:
             continue
-        if _build_exp_table(base, k, coeffs) is not None:
+        if _has_order(_companion_digits(base, k, coeffs), q ** k - 1, base.p):
             _PRIMITIVE_CACHE[key] = coeffs
             return coeffs
     raise NotPrimitive(f"no primitive polynomial of degree {k} over GF({q})")
@@ -544,8 +536,8 @@ class Extension:
     def __init__(self, base: Field, k: int, f=None):
         if k < 1:
             raise DomainError("extension degree must be >= 1")
-        if base.q ** k > _EXT_ORDER_CAP:
-            raise TooLarge(f"extension order {base.q**k} exceeds cap {_EXT_ORDER_CAP}")
+        if base.q ** k > _TABLE_CAP:
+            raise TooLarge(f"extension order {base.q**k} exceeds table cap {_TABLE_CAP}")
         if f is None:
             f = _find_primitive_poly(base, k)
         f = [int(c) for c in f]
@@ -580,7 +572,7 @@ class Extension:
 
     def coords(self, a):
         """Base-q coordinate vector(s) in the power basis (length k)."""
-        return np.take(self.coord_table, a, axis=0)
+        return np.take(self.coord_table, check_codes(a, self.Q, "element codes"), axis=0)
 
     def from_coords(self, coords):
         return _pack(np.asarray(coords, dtype=np.int64) % self.q, self.q)
@@ -734,8 +726,6 @@ class Extension:
         eliminates through the dense tables (``kind == "tables"``).
         """
         if self._as_field is None:
-            if self.Q * self.Q > (1 << 26):
-                raise TooLarge(f"dense table for GF({self.Q}) too big")
             self._as_field = Field._of_extension(self)
         return self._as_field
 

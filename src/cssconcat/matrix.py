@@ -80,17 +80,23 @@ def chunk_rows(width, itemsize=8):
     return max(1, _CHUNK_BYTES // (itemsize * max(1, width)))
 
 
-def as_codes(field, X, what="entries"):
-    """``X`` as codes of ``field.dtype``, checked against ``[0, q)`` in its own
-    dtype first.  Lists and non-integer arrays are read as int64."""
+def check_codes(X, q, what="entries"):
+    """``X`` as an integer array checked against ``[0, q)``, in its own dtype
+    when that holds q - 1; lists, non-integer arrays and narrower signed
+    arrays are read as int64."""
     X = np.asarray(X)
-    if X.dtype.kind not in "biu":
+    if X.dtype.kind not in "biu" or (X.dtype.kind == "i" and 1 << 8 * X.dtype.itemsize - 1 < q):
         X = X.astype(np.int64)
     # read as unsigned, a negative entry is at least 2**(bits - 1) >= q, so
     # one max checks both ends
-    if X.size and X.view(f"u{X.dtype.itemsize}").max() >= field.q:
-        raise DomainError(f"{what} must lie in [0, {field.q})")
-    return X.astype(field.dtype, copy=False)
+    if X.size and X.view(f"u{X.dtype.itemsize}").max() >= q:
+        raise DomainError(f"{what} must lie in [0, {q})")
+    return X
+
+
+def as_codes(field, X, what="entries"):
+    """``X`` as codes of ``field.dtype``, checked by :func:`check_codes`."""
+    return check_codes(X, field.q, what).astype(field.dtype, copy=False)
 
 
 def _rref_rows(f, a):

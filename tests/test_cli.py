@@ -91,6 +91,17 @@ def test_cli_field_golden():
     assert "3 3\n0 0 1\n1 0 1\n0 1 0\n" in text
 
 
+def test_cli_field_past_the_order_cap(capsys):
+    """An extension of order 16384 (x^14 + x^5 + x^3 + x + 1 over GF(2))
+    fails when it is built: exit 4 and a one-line error, no traceback."""
+    spec = " ".join(map(str, [14, 1, 1, 0, 1, 0, 1] + [0] * 8 + [1]))
+    code, text = run_cli(["field", "--spec", "2 1 0 1", "--ext", spec])
+    err = capsys.readouterr().err
+    assert code == EXIT_TOO_LARGE
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert "extension" not in text
+
+
 def test_cli_construct_and_mindist(tmp_path):
     C = LinearCode.from_parity_check(F2, HAMMING_H)
     c_path = tmp_path / "steane.txt"

@@ -5,7 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cssconcat.errors import DomainError, NotABasis, NotPrimitive, Singular
+from cssconcat import galois
+from cssconcat.errors import DomainError, NotABasis, NotPrimitive, Singular, TooLarge
 from cssconcat.galois import Extension, Field
 from cssconcat.matrix import MatGF
 
@@ -213,6 +214,36 @@ def test_nonprimitive_poly_rejected():
 def test_reducible_modulus_rejected():
     with pytest.raises(DomainError):
         Field(2, 2, (1, 0, 1))  # x^2 + 1 = (x+1)^2
+
+
+def test_coords_reject_codes_outside_the_extension():
+    """coords range-checks its codes, so dual_basis neither wraps a negative
+    code round to the top of the table nor fails with a bare IndexError."""
+    ext = Extension(Field(2), 3)
+    for basis in ([1, 2, -4], [1, 2, 9]):
+        with pytest.raises(DomainError):
+            ext.dual_basis(basis)
+    for a in (-1, ext.Q, np.array([0, -1]), np.array([[1], [ext.Q]], dtype=np.int8)):
+        with pytest.raises(DomainError):
+            ext.coords(a)
+    assert ext.coords(ext.Q - 1).tolist() == [1, 1, 1]
+
+
+@pytest.mark.parametrize("build", [lambda: Field(2, 14), lambda: Field(2 ** 61 - 1),
+                                   lambda: Extension(Field(2), 14),
+                                   lambda: Extension(Field(2, 2), 7)],
+                         ids=["GF16384", "GF(2^61-1)", "GF2^14", "GF4^7"])
+def test_order_cap_at_construction(build):
+    """One cap on the order of every field and extension (8192): an order
+    past it fails when it is built, not on first use of its tables, and a
+    huge prime fails before its primality test."""
+    with pytest.raises(TooLarge):
+        build()
+
+
+def test_largest_extension_constructs():
+    ext = Extension(Field(2), 13)
+    assert ext.Q == 8192 and ext.log[ext.alpha] == 1 and ext.coords(8191).tolist() == [1] * 13
 
 
 def test_coords_roundtrip():
@@ -445,3 +476,158 @@ def test_power_table_matches_scalar_recurrence(p, e):
                 break
         assert first is not None and _find_primitive_poly(base, k) == first
         k += 1
+
+
+# -- one table builder against polynomial references -------------------------
+
+def _reduction_mul_table(p, e, modulus):
+    """The GF(p^e) multiplication table by polynomial reduction modulo
+    ``modulus``, all rows at once."""
+    q = p ** e
+    pows = p ** np.arange(e)
+    D = (np.arange(q)[:, None] // pows) % p
+    red = (-np.asarray(modulus[:e], dtype=np.int64)) % p
+    X = np.empty((q, e, e), dtype=np.int64)  # X[a, j]: the digits of a * x^j
+    X[:, 0] = D
+    for j in range(1, e):
+        X[:, j, 0] = 0
+        X[:, j, 1:] = X[:, j - 1, :-1]
+        X[:, j] = (X[:, j] + X[:, j - 1, -1:] * red) % p
+    return (((D @ X) % p) * pows).sum(axis=-1)
+
+
+def _assert_tables_match_reference(F):
+    p, e, q = F.p, F.e, F.q
+    ref = _reduction_mul_table(p, e, F.modulus)
+    inv = np.zeros(q, dtype=np.int64)
+    rows, cols = np.nonzero(ref == 1)
+    inv[rows] = cols
+    A = np.arange(q)
+    assert F.dtype == (np.int8 if q <= 128 else np.int16)
+    assert F.mul_table.dtype == F.inv_table.dtype == F.dtype
+    assert np.array_equal(F.mul_table, ref)
+    assert np.array_equal(F.inv_table, inv)
+    assert np.array_equal(F.add(A[:, None], A), _digitwise(p, e, np.add, A[:, None], A))
+    assert np.array_equal(F.neg(A), _digitwise(p, e, np.negative, A))
+
+
+@pytest.mark.parametrize("p, e", PRIME_POWERS)
+def test_field_tables_match_reduction_reference(p, e):
+    """Every table of GF(p^e), q <= 256, under its default modulus equals
+    the one polynomial reduction gives, whether or not x is primitive."""
+    _assert_tables_match_reference(Field(p, e))
+
+
+@pytest.mark.parametrize("p, e, modulus", [(3, 2, (1, 0, 1)),
+                                           (2, 8, (1, 1, 0, 1, 1, 0, 0, 0, 1)),
+                                           (2, 9, (1, 1, 0, 0, 0, 0, 0, 0, 0, 1))],
+                         ids=["GF9", "GF256", "GF512"])
+def test_nonprimitive_modulus_tables_match_reduction_reference(p, e, modulus):
+    """An explicit irreducible modulus whose root is not primitive: the
+    generator is another element, and the tables are those of reduction."""
+    with pytest.raises(NotPrimitive):
+        Extension(Field(p), e, modulus)
+    F = Field(p, e, modulus)
+    assert F.modulus == modulus
+    _assert_tables_match_reference(F)
+
+
+def _poly_trim(a):
+    while a and a[-1] == 0:
+        a = a[:-1]
+    return a
+
+
+def _poly_mod(a, m, p):
+    a = list(a)
+    dm = len(m) - 1
+    inv_lead = pow(m[-1], -1, p)
+    for i in range(len(a) - 1, dm - 1, -1):
+        c = a[i] % p
+        if c:
+            factor = (c * inv_lead) % p
+            for j, mj in enumerate(m):
+                a[i - dm + j] = (a[i - dm + j] - factor * mj) % p
+    return _poly_trim([x % p for x in a[:dm]])
+
+
+def _poly_powmod_x(n, m, p):
+    """x^n modulo ``m`` by repeated squaring."""
+    result, base = [1], _poly_mod([0, 1], m, p)
+    while n:
+        if n & 1:
+            result = _poly_mulmod(result, base, m, p)
+        base = _poly_mulmod(base, base, m, p)
+        n >>= 1
+    return result
+
+
+def _poly_mulmod(a, b, m, p):
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] = (out[i + j] + ai * bj) % p
+    return _poly_mod(out, m, p)
+
+
+def _poly_gcd(a, b, p):
+    while b:
+        a, b = b, _poly_mod(a, b, p) if len(a) >= len(b) else a
+    return a
+
+
+def _poly_minus_x(poly, p):
+    out = list(poly) + [0] * max(0, 2 - len(poly))
+    out[1] = (out[1] - 1) % p
+    return _poly_trim(out)
+
+
+def _poly_rabin(f, p):
+    """Rabin's test on coefficient lists: f | x^(p^e) - x, and
+    gcd(x^(p^(e/r)) - x, f) = 1 for each prime r | e."""
+    e = len(f) - 1
+    if e == 1:
+        return True  # every linear polynomial; x is not reduced modulo it
+    if _poly_minus_x(_poly_powmod_x(p ** e, f, p), p):
+        return False
+    for r in (r for r in range(2, e + 1) if e % r == 0 and all(r % d for d in range(2, r))):
+        diff = _poly_minus_x(_poly_powmod_x(p ** (e // r), f, p), p)
+        if not diff or len(_poly_gcd(list(f), diff, p)) > 1:
+            return False
+    return True
+
+
+def _irreducible_count(p, e):
+    """Gauss: (1/e) sum over d | e of mu(d) p^(e/d) monic irreducibles."""
+    def mu(d):
+        primes = [r for r in range(2, d + 1) if d % r == 0 and all(r % s for s in range(2, r))]
+        return 0 if any(d % (r * r) == 0 for r in primes) else (-1) ** len(primes)
+    return sum(mu(d) * p ** (e // d) for d in range(1, e + 1) if e % d == 0) // e
+
+
+@pytest.mark.parametrize("p, max_degree", [(2, 6), (3, 4), (5, 3), (7, 3)])
+def test_matrix_rabin_matches_polynomial_rabin(p, max_degree):
+    """Rabin's test on the companion matrix agrees with Rabin's test on
+    coefficient lists for every monic polynomial, and both count Gauss's
+    number of irreducibles."""
+    for e in range(1, max_degree + 1):
+        count = 0
+        for code in range(p ** e):
+            f = [(code // p ** j) % p for j in range(e)] + [1]
+            got = galois._is_irreducible(f, p)
+            assert got == _poly_rabin(f, p), (p, f)
+            count += got
+        assert count == _irreducible_count(p, e), (p, e)
+
+
+def test_primitive_search_builds_one_power_table(monkeypatch):
+    """The search rejects candidates by the order of their companion matrix;
+    only the chosen polynomial gets a power table."""
+    base = Field(2)
+    sizes = []
+    real = galois._power_table
+    monkeypatch.setattr(galois, "_power_table", lambda P, p, Q: sizes.append(Q) or real(P, p, Q))
+    monkeypatch.setattr(galois, "_PRIMITIVE_CACHE", {})
+    ext = Extension(base, 10)
+    assert ext.f != (1,) + (0,) * 9 + (1,)  # candidates were rejected first
+    assert sizes == [1024]

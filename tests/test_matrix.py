@@ -89,6 +89,18 @@ def test_codes_are_checked_before_narrowing():
     assert B.a.dtype == np.int8 and B.a.tolist() == [[1, 0], [0, 1]]
 
 
+def test_narrow_signed_codes_are_checked_in_a_wider_dtype():
+    """Read as uint8, the int8 code -1 is 255, below 256: over GF(256) a
+    narrower signed array is widened before its range check."""
+    F = Field(2, 8)
+    for a in (np.array([[3, -1]], dtype=np.int8), np.array([[-128]], dtype=np.int8)):
+        with pytest.raises(DomainError):
+            MatGF(F, a)
+        with pytest.raises(DomainError):
+            matrix.check_codes(a[0], F.q)
+    assert MatGF(F, np.array([[3, 127]], dtype=np.int8)).a.tolist() == [[3, 127]]
+
+
 def test_same_row_space():
     f = Field(3)
     A = MatGF(f, [[1, 2, 0], [0, 1, 1]])
