@@ -39,7 +39,7 @@ codes cannot wrap; products widen to float on their own (see
 of Ho1 and Ho2: 4 MB at [[2550,1016]], where int64 codes took 31 MB.
 
 Certified set-up.  :func:`concatenate` proves its postconditions from the
-block structure.  It eliminates two n-column inner matrices and, for a
+block structure.  On a valid pair it eliminates nothing but, for a
 LinearCode outer code, the N-column generator behind its null-space H; never
 a matrix nN columns wide, nor a GF(q^k) matrix of a GRS code.  Write
 K_i = dim D_i, and gen_i for the generators of L_i (the subfield rows of D_i
@@ -50,10 +50,19 @@ dual(C1) for i = 2).  The factor facts are
       rows: a GRS code by construction (distinct points, nonzero
       multipliers); a LinearCode when its G and H have N rows together,
       since one of them spans the null space of the other;
-  (I) [dual(C2) basis; g1] and [dual(C1) basis; g2] have full rank, so each
-      g_i is independent modulo the opposite dual (two n-column ranks);
-  (P) dual(C2).dual(C1)^T = 0, g_i lies in C_i, and g1.g2^T = I (one
-      n-column product).
+  (I) [C2.H; g1] and [C1.H; g2] have full rank, so each g_i is independent
+      modulo the opposite dual;
+  (P) C2.H.C1.H^T = 0, g_i lies in C_i, and g1.g2^T = I: the one n-column
+      product [C2.H; g1].[C1.H; g2]^T = [[0, 0], [0, I]].
+
+(I) follows from (P) and the row counts len(C_i.H) = n - k_i.  The row
+space of C_i.H is dual(C_i), of dimension n - k_i, so with that many rows
+C_i.H has full rank.  If a.C2.H + b.g1 = 0, multiplying by g2^T gives b = 0,
+as C2.H.g2^T = 0 and g1.g2^T = I; then a.C2.H = 0, so a = 0.  The same
+holds for [C1.H; g2] with g1^T.  So a valid pair costs one product and no
+elimination.  Only when the product fails are the two ranks computed, to
+raise RankDeficient for a dependent row and BadComplement otherwise; a row
+count above n - k_i, a repeated row of C_i.H, raises RankDeficient.
 
 Dimensions.  A vanishing GF(q)-combination of the rows of gen1 is, in every
 block, a combination of the g1 rows modulo dual(C2), so by (I) the power-
@@ -327,16 +336,21 @@ def _unwrap_outer(D):
 
 
 def _check_inner(inner: CssPair):
-    """The facts (I) and (P) of the module docstring, on n-column matrices."""
-    f, k = inner.field, inner.k
+    """The facts (I) and (P) of the module docstring: (P) by one n-column
+    product and (I) from it and the row counts of the inner checks.  Only a
+    failing product is followed by the two ranks, which pick the exception:
+    RankDeficient for a dependent row, BadComplement otherwise."""
+    f, n, k = inner.field, inner.n, inner.k
     A = np.concatenate([inner.C2.H, inner.g1], axis=0)
     B = np.concatenate([inner.C1.H, inner.g2], axis=0)
-    if MatGF(f, A).rank != len(A) or MatGF(f, B).rank != len(B):
-        raise RankDeficient("inner coset generators are not independent "
-                            "modulo the dual codes")
     want = np.zeros((len(A), len(B)), dtype=np.int64)
     want[len(A) - k:, len(B) - k:] = np.eye(k, dtype=np.int64)
-    if not np.array_equal(f.matmul(A, B.T), want):
+    paired = np.array_equal(f.matmul(A, B.T), want)
+    if (len(inner.C2.H) != n - inner.k2 or len(inner.C1.H) != n - inner.k1
+            or not paired and (MatGF(f, A).rank != len(A) or MatGF(f, B).rank != len(B))):
+        raise RankDeficient("inner coset generators are not independent "
+                            "modulo the dual codes")
+    if not paired:
         raise BadComplement("inner pair is not paired: dual(C2).dual(C1)^T, "
                             "g1.dual(C1)^T, dual(C2).g2^T or g1.g2^T - I is nonzero")
 

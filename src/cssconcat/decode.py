@@ -142,4 +142,5 @@ def success_oracle_rows(ctx: DecoderContext, E, estimates):
                           f"length {ctx.Ho.shape[1]}")
     E = as_codes(ctx.field, E, "error entries")
     estimates = as_codes(ctx.field, estimates, "estimate entries")
-    return ctx._other_dual.span_contains_rows(ctx.field.sub(estimates, E))
+    # the difference of checked codes is a code: no second range check
+    return ctx._other_dual._span_mask(ctx.field.sub(estimates, E))

@@ -12,7 +12,9 @@ code are exactly the ``e*k`` GF(p)-coordinates of the element, so addition
 depends only on the characteristic.  In characteristic 2 a code is the bit
 string of those coordinates: addition and subtraction are XOR, negation is
 the identity, and no add table is stored.  In odd characteristic addition is
-a digit-wise sum mod p, read from a dense add table.
+a digit-wise sum mod p, read from a dense add table that is composed digit
+by digit from the p x p table of GF(p), one broadcast sum per digit with no
+chunked digit temporaries (:func:`_digit_sum_tables`); negation likewise.
 
 :class:`Field` is the only class that does element arithmetic, and every
 field, GF(p^e) and the GF(Q) field of an extension
@@ -238,6 +240,29 @@ def _log_mul_table(exp, log):
     return table
 
 
+def _digit_sum_tables(p, e, dtype):
+    """The (q, q) addition and (q,) negation tables of the codes of GF(p^e),
+    odd p, as codes of ``dtype``: digit-wise sums and negatives mod p.
+
+    The tables of the low j digits, of order m = p^j, extend to j + 1 digits
+    by the GF(p) tables of the top digit: a code is low + m high, so the sum
+    of two codes is T[a_low, b_low] + m T1[a_high, b_high], a broadcast sum
+    whose reshape is the next table.  Every entry is a code below q, so the
+    sums fit ``dtype``; the GF(p) sums, below 2p <= 2^14, are formed in int16.
+    """
+    a = np.arange(p, dtype=np.int16)
+    T1 = np.add.outer(a, a)
+    np.remainder(T1, p, out=T1)
+    T1 = T1.astype(dtype, copy=False)
+    N1 = (-a % p).astype(dtype)
+    T, N, m = T1, N1, p
+    for _ in range(e - 1):
+        T = (m * T1[:, None, :, None] + T[None, :, None, :]).reshape(m * p, m * p)
+        N = (m * N1[:, None] + N[None, :]).reshape(m * p)
+        m *= p
+    return T, N
+
+
 def _matmul_blas(A, B, p, dtype):
     """``(A @ B) % p`` for codes of GF(p) on BLAS, as codes of ``dtype``.
 
@@ -321,8 +346,9 @@ class Field:
 
     def _setup(self, p, e, modulus, ext, exp, log):
         """The multiplication and inverse tables from the power table
-        ``exp``/``log`` of a generator, the negation and addition tables from
-        the digits; in characteristic 2 addition is XOR and has no table."""
+        ``exp``/``log`` of a generator, the negation and addition tables
+        composed digit by digit; in characteristic 2 addition is XOR and has
+        no table."""
         self.p, self.e, self.q = p, e, p ** e
         self.modulus, self.ext = modulus, ext
         self.dtype = code_dtype(self.q)
@@ -332,12 +358,7 @@ class Field:
         self.inv_table[1:] = exp[-log[1:] % (q - 1)]
         if p == 2:
             return
-        D = _digits(np.arange(q), p, e)
-        self.neg_table = _pack((-D) % p, p).astype(self.dtype)
-        self.add_table = np.empty((q, q), dtype=self.dtype)
-        step = chunk_rows(q * e)
-        for lo in range(0, q, step):
-            self.add_table[lo:lo + step] = _pack((D[lo:lo + step, None] + D) % p, p)
+        self.add_table, self.neg_table = _digit_sum_tables(p, e, self.dtype)
 
     # -- element arithmetic -------------------------------------------------
 

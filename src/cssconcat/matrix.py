@@ -409,8 +409,11 @@ class MatGF:
 
     def reduce_rows(self, X):
         """Vectorized :meth:`reduce_vector` for a batch of row vectors."""
+        return self._reduce(self._checked_rows(X))
+
+    def _reduce(self, X):
+        """:meth:`reduce_rows` of rows already checked by :meth:`_checked_rows`."""
         f = self.field
-        X = self._checked_rows(X)
         if f.kind != "tables":
             out = X.copy()
             residuals = self._residuals(X)
@@ -435,9 +438,14 @@ class MatGF:
         Over a prime field the mask is filled chunk by chunk from the
         residuals, with no residual copy of the batch.
         """
+        return self._span_mask(self._checked_rows(X))
+
+    def _span_mask(self, X):
+        """:meth:`span_contains_rows` of rows already checked by
+        :meth:`_checked_rows`, or known to be codes of the field of the
+        right length, such as a table gather of such codes."""
         if self.field.kind == "tables":
-            return ~self.reduce_rows(X).any(axis=1)
-        X = self._checked_rows(X)
+            return ~self._reduce(X).any(axis=1)
         mask = ~X.any(axis=1)  # right for every row with no pivot entry
         if mask.all():
             return mask

@@ -267,7 +267,8 @@ def nested_grs_pair(ext: Extension, N: int, K1: int, K2: int):
 
     D1 is the plain RS code of dimension K1; D2 is the dual of the RS code of
     dimension N-K2 (again GRS on the same points), so dual(D2) is the RS code
-    of dimension N-K2, contained in D1 whenever K1 + K2 >= N.
+    of dimension N-K2, contained in D1 whenever K1 + K2 >= N.  D2 is built
+    directly, as the GRS code of dimension K2 with D1's dual multipliers.
     """
     if K1 + K2 < N:
         raise DimensionConflict("need K1 + K2 >= N for a nested pair")
@@ -277,8 +278,8 @@ def nested_grs_pair(ext: Extension, N: int, K1: int, K2: int):
     if K2 == N:
         D2 = GrsCode(ext, points, ones, N)
     else:
-        rs = GrsCode(ext, points, ones, N - K2)
-        D2 = rs.dual()
+        # dual multipliers depend on the points and multipliers, not on K
+        D2 = GrsCode(ext, points, D1.dual_multipliers, K2)
     return D1, D2
 
 

@@ -28,7 +28,7 @@ from cssconcat.concat import (
     verify_duality,
 )
 from cssconcat.decode import DecoderContext
-from cssconcat.errors import FieldMismatch, NotOrthogonal, RankDeficient
+from cssconcat.errors import BadComplement, FieldMismatch, NotOrthogonal, RankDeficient
 from cssconcat.galois import Extension, Field
 from cssconcat.matrix import MatGF, chunk_rows
 from cssconcat.outer_grs import GrsCode, nested_grs_pair
@@ -426,6 +426,114 @@ def test_setup_eliminates_no_nN_column_matrix(monkeypatch, name):
     assert all(kind != "tables" for kind, _ in calls)
 
 
+# -- the inner facts by product against the two-rank reference ---------------
+
+def _check_inner_by_ranks(inner):
+    """The facts (I) and (P) by two eliminations, then the product: the
+    reference for concat._check_inner."""
+    f, k = inner.field, inner.k
+    A = np.concatenate([inner.C2.H, inner.g1], axis=0)
+    B = np.concatenate([inner.C1.H, inner.g2], axis=0)
+    if MatGF(f, A).rank != len(A) or MatGF(f, B).rank != len(B):
+        raise RankDeficient("dependent")
+    want = np.zeros((len(A), len(B)), dtype=np.int64)
+    want[len(A) - k:, len(B) - k:] = np.eye(k, dtype=np.int64)
+    if not np.array_equal(f.matmul(A, B.T), want):
+        raise BadComplement("not paired")
+
+
+def _inner_mutations(inner):
+    """(name, mutated pair, exception) of three mutations, assembled without
+    the pair's own validation where it would reject them."""
+    f = inner.field
+    dependent = copy.copy(inner)
+    dependent.g1 = inner.g1.copy()
+    dependent.g1[1] = f.add(inner.g1[0], inner.C2.H[0])
+    # a paired pair whose C2.H repeats a row passes CssPair's products
+    C2 = LinearCode.from_parity_check(f, np.concatenate([inner.C2.H, inner.C2.H[:1]]))
+    redundant = CssPair(inner.C1, C2, inner.g1, inner.g2)
+    for j in range(inner.n):
+        flipped = copy.copy(inner)
+        flipped.g2 = inner.g2.copy()
+        flipped.g2[0, j] = (int(inner.g2[0, j]) + 1) % f.q
+        B = np.concatenate([inner.C1.H, flipped.g2])
+        if MatGF(f, B).rank == len(B):
+            break
+    else:  # pragma: no cover
+        raise AssertionError("no flip of g2 keeps [C1.H; g2] at full rank")
+    return [("dependent_g1", dependent, RankDeficient),
+            ("redundant_C2H", redundant, RankDeficient),
+            ("flipped_g2", flipped, BadComplement)]
+
+
+@pytest.mark.parametrize("name", CERTIFIED)
+def test_check_inner_keeps_exception_classes(name):
+    """A dependent g1 and a repeated row of C2.H raise RankDeficient, a g2
+    flip that keeps both ranks full raises BadComplement, in concatenate as
+    in the two-rank reference; the valid pair passes both."""
+    inner, outer, ext = _inputs(name)
+    assert _outcome(concat._check_inner, inner) is _outcome(_check_inner_by_ranks, inner) is None
+    for label, bad, exc in _inner_mutations(inner):
+        assert _outcome(_check_inner_by_ranks, bad) is exc, label
+        assert _outcome(concat._check_inner, bad) is exc, label
+        with pytest.raises(exc):
+            concatenate(bad, outer, ext)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_check_inner_matches_rank_reference_on_random_mutations(q):
+    """Random CSS pairs and single-entry changes of g1 or g2 or an added
+    row of an inner check: concat._check_inner and the two-rank reference
+    accept the same pairs and raise the same class."""
+    f = Field(2, 2) if q == 4 else Field(q)
+    rng = np.random.default_rng(100 + q)
+    seen = set()
+    for trial in range(60):
+        n = int(rng.integers(2, 7))
+        inner = random_css_pair(rng, f, n, int(rng.integers(1, n + 1)))
+        assert _outcome(concat._check_inner, inner) is None
+        bad = copy.copy(inner)
+        what = trial % 3
+        if what < 2:
+            g = (inner.g1 if what == 0 else inner.g2).copy()
+            i, j = rng.integers(0, g.shape[0]), rng.integers(0, n)
+            g[i, j] = f.add(int(g[i, j]), int(rng.integers(1, q)))
+            if what == 0:
+                bad.g1 = g
+            else:
+                bad.g2 = g
+        else:  # a redundant row, a combination of the others, in C1.H or C2.H
+            codes = [inner.C1, inner.C2]
+            side = int(rng.integers(2))
+            H = codes[side].H
+            extra = (f.add_reduce(f.mul(rng.integers(0, q, (len(H), 1)), H), axis=0)
+                     if len(H) else np.zeros(n, dtype=f.dtype))
+            codes[side] = LinearCode.from_parity_check(f, np.concatenate([H, extra[None]]))
+            bad = CssPair(*codes, inner.g1, inner.g2)
+        got = _outcome(concat._check_inner, bad)
+        assert got is _outcome(_check_inner_by_ranks, bad)
+        seen.add(got)
+    assert {RankDeficient, BadComplement} <= seen
+
+
+@pytest.mark.parametrize("name", ["12_2", "90_28", "504_186", "480_160_gf3"])
+def test_setup_on_valid_grs_pair_eliminates_nothing(monkeypatch, name):
+    """On a valid bvector pair with GRS outer codes, concatenate and both
+    decoder contexts run no elimination once the inputs are built: (I)
+    follows from the product (P) and the row counts of the inner checks."""
+    inner, outer, ext = _inputs(name)
+    calls = []
+    for kind, kernel in list(matrix._RREF.items()):
+        def spy(f, a, kind=kind, kernel=kernel):
+            calls.append((kind, a.shape))
+            return kernel(f, a)
+        monkeypatch.setitem(matrix._RREF, kind, spy)
+    cp = concatenate(inner, outer, ext)
+    DecoderContext(cp, side=1)
+    DecoderContext(cp, side=2)
+    assert calls == []
+
+
 # -- the trace-form certificate against the nN-column reference ----------------
 
 def _pi_product_nonzero(ext, table, G, Gp):
@@ -457,7 +565,7 @@ def _nN_certificate(inner, ext, D, Hout, Gp):
 def _outcome(certify, *args):
     try:
         certify(*args)
-    except (NotOrthogonal, RankDeficient) as e:
+    except (NotOrthogonal, RankDeficient, BadComplement) as e:
         return type(e)
     return None
 

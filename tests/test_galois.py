@@ -8,7 +8,7 @@ import pytest
 from cssconcat import galois
 from cssconcat.errors import DomainError, NotABasis, NotPrimitive, Singular, TooLarge
 from cssconcat.galois import Extension, Field
-from cssconcat.matrix import MatGF
+from cssconcat.matrix import MatGF, chunk_rows
 
 
 def test_gf2_add():
@@ -351,21 +351,6 @@ def _primes(limit):
 PRIME_POWERS = [(p, k) for p in _primes(256) for k in range(1, 9) if p ** k <= 256]
 
 
-@pytest.mark.parametrize("p, k", PRIME_POWERS)
-def test_extension_field_matches_polynomial_reduction(p, k):
-    """The GF(Q) field of an extension takes its multiplication table from
-    powers of the primitive root; Field(p, k, modulus=f) from polynomial
-    reduction modulo the same f.  Every table agrees."""
-    ext = Extension(Field(p), k)
-    fQ, ref = ext.as_field(), Field(p, k, modulus=ext.f)
-    assert fQ.kind == "tables" and fQ.dtype == ref.dtype
-    A = np.arange(ext.Q)
-    assert np.array_equal(fQ.mul_table, ref.mul_table)
-    assert np.array_equal(fQ.inv_table, ref.inv_table)
-    assert np.array_equal(fQ.add(A[:, None], A), ref.add(A[:, None], A))
-    assert np.array_equal(fQ.neg(A), ref.neg(A))
-
-
 def _digitwise(p, e, op, *codes):
     """``op`` on the base-p digits of the codes, reduced mod p and packed."""
     pows = p ** np.arange(e)
@@ -401,8 +386,9 @@ def test_addition_is_digitwise_sum(f):
     (lambda: Extension(Field(2), 10).as_field(), 24),
     (lambda: Field(3, 7), 40)], ids=["GF1024-of-extension", "GF2187"])
 def test_table_build_memory_peak(build, cap_mb):
-    """Tables are built in row chunks, so the tracemalloc peak stays near the
-    tables kept: 2 MB for GF(1024) (no add table in characteristic 2) and
+    """The multiplication table is built in row chunks and the add table
+    composed digit by digit, so the tracemalloc peak stays near the tables
+    kept: 2 MB for GF(1024) (no add table in characteristic 2) and
     2 x 9.6 MB for GF(3^7)."""
     tracemalloc.start()
     try:
@@ -496,9 +482,11 @@ def _reduction_mul_table(p, e, modulus):
     return (((D @ X) % p) * pows).sum(axis=-1)
 
 
-def _assert_tables_match_reference(F):
+def _assert_tables_match_reference(F, modulus=None):
+    """Every table of ``F`` against polynomial reduction modulo ``modulus``
+    (default ``F.modulus``) and digit-wise sums."""
     p, e, q = F.p, F.e, F.q
-    ref = _reduction_mul_table(p, e, F.modulus)
+    ref = _reduction_mul_table(p, e, F.modulus if modulus is None else modulus)
     inv = np.zeros(q, dtype=np.int64)
     rows, cols = np.nonzero(ref == 1)
     inv[rows] = cols
@@ -518,6 +506,17 @@ def test_field_tables_match_reduction_reference(p, e):
     _assert_tables_match_reference(Field(p, e))
 
 
+@pytest.mark.parametrize("p, k", PRIME_POWERS)
+def test_extension_field_matches_polynomial_reduction(p, k):
+    """The GF(Q) field of an extension, whose tables come from the log/exp of
+    the primitive root, against polynomial reduction modulo the same f and
+    digit-wise sums: every table agrees."""
+    ext = Extension(Field(p), k)
+    fQ = ext.as_field()
+    assert fQ.kind == "tables"
+    _assert_tables_match_reference(fQ, ext.f)
+
+
 @pytest.mark.parametrize("p, e, modulus", [(3, 2, (1, 0, 1)),
                                            (2, 8, (1, 1, 0, 1, 1, 0, 0, 0, 1)),
                                            (2, 9, (1, 1, 0, 0, 0, 0, 0, 0, 0, 1))],
@@ -530,6 +529,56 @@ def test_nonprimitive_modulus_tables_match_reduction_reference(p, e, modulus):
     F = Field(p, e, modulus)
     assert F.modulus == modulus
     _assert_tables_match_reference(F)
+
+
+# -- odd-p add tables composed digit by digit, against the digit-wise builder
+
+def _digitwise_sum_tables(p, e, rows=None):
+    """The addition table (its ``rows``, default all) and the negation table
+    of GF(p^e) from all e base-p digits of every pair of codes at once, mod
+    p and packed, in row chunks, as the element-code dtype."""
+    q = p ** e
+    dtype = galois.code_dtype(q)
+    D = galois._digits(np.arange(q), p, e)
+    rows = np.arange(q) if rows is None else np.asarray(rows)
+    add = np.empty((len(rows), q), dtype=dtype)
+    step = chunk_rows(q * e)
+    for lo in range(0, len(rows), step):
+        add[lo:lo + step] = galois._pack((D[rows[lo:lo + step], None] + D) % p, p)
+    return add, galois._pack((-D) % p, p).astype(dtype)
+
+
+_ODD_PRIMES = [p for p in _primes(1024) if p > 2]
+_ODD_FULL = [(p, e) for p in _ODD_PRIMES for e in range(1, 11) if p ** e <= 1024]
+# above 1024 every odd prime power with e >= 2; for e = 1 the table is the
+# GF(p) one with no composition step, sampled at two primes
+_ODD_SAMPLED = [(p, e) for p in _ODD_PRIMES for e in range(2, 9)
+                if 1024 < p ** e <= 8192] + [(1031, 1), (4093, 1)]
+
+
+@pytest.mark.parametrize("p, e", _ODD_FULL)
+def test_odd_sum_tables_match_digitwise_builder(p, e):
+    """Every odd q <= 1024: a Field's add and neg tables, values and dtype,
+    are those of the digit-wise builder."""
+    F = Field(p, e)
+    add, neg = _digitwise_sum_tables(p, e)
+    assert F.add_table.dtype == F.neg_table.dtype == add.dtype == F.dtype
+    assert F.add_table.shape == add.shape and neg.dtype == F.dtype
+    assert np.array_equal(F.add_table, add) and np.array_equal(F.neg_table, neg)
+
+
+@pytest.mark.parametrize("p, e", _ODD_SAMPLED)
+def test_odd_sum_tables_match_digitwise_builder_sampled(p, e):
+    """Every odd prime power 1024 < q <= 8192 (GF(3^8), GF(5^5), GF(7^4),
+    GF(11^3), the squares of 37..89): 64 sampled rows of the add table and
+    the whole neg table, from the builder alone, with no multiplication
+    table."""
+    q = p ** e
+    T, N = galois._digit_sum_tables(p, e, galois.code_dtype(q))
+    rows = np.random.default_rng(q).choice(q, 64, replace=False)
+    add, neg = _digitwise_sum_tables(p, e, rows)
+    assert T.shape == (q, q) and T.dtype == N.dtype == add.dtype
+    assert np.array_equal(T[rows], add) and np.array_equal(N, neg)
 
 
 def _poly_trim(a):

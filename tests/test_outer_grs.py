@@ -123,6 +123,26 @@ def test_nested_pair_gf4():
     assert validate_css(D1.as_linear_code(), D2.as_linear_code())
 
 
+@pytest.mark.parametrize("ext", [Extension(Field(2), 4), Extension(Field(2), 6),
+                                 Extension(Field(3), 4), Extension(Field(2, 2), 2)],
+                         ids=["GF16", "GF64", "GF81", "GF16/GF4"])
+def test_nested_pair_d2_matches_dual_of_rs(ext):
+    """D2, built directly with D1's dual multipliers, equals the dual of the
+    RS code of dimension N - K2, for K1 + K2 = N and, with its own branch,
+    for K2 = N (D2 the full space)."""
+    N = min(ext.Q - 1, 20)
+    points = default_points(ext, N)
+    ones = [1] * N
+    for K1, K2 in ((N // 2 + 1, N - N // 2 - 1), (N - 3, 3), (1, N)):
+        _, D2 = nested_grs_pair(ext, N, K1, K2)
+        want = (GrsCode(ext, points, ones, N) if K2 == N
+                else GrsCode(ext, points, ones, N - K2).dual())
+        assert D2.K == want.K == K2
+        for name in ("G", "H", "points", "multipliers", "dual_multipliers"):
+            got, ref = getattr(D2, name), getattr(want, name)
+            assert got.dtype == ref.dtype and np.array_equal(got, ref), name
+
+
 def test_self_dual_multipliers():
     e16 = Extension(Field(2, 2), 2)
     pts = [e16.alpha_pow(j) for j in range(5)]
