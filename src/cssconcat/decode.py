@@ -12,8 +12,9 @@ it differs from the channel error by a vector orthogonal to the opposite
 concatenated code.
 
 :func:`decode_batch` is the one decoder: :meth:`DecoderContext.stage1` on all
-rows, then :meth:`DecoderContext.outer_stage` on those with a nonzero residual.
-The scalar :func:`two_stage_decode` is a one-row batch.
+rows, then :meth:`DecoderContext.outer_stage` on those with a nonzero residual,
+which hands them to :meth:`GrsCode.bd_decode_batch` in one call.  The scalar
+:func:`two_stage_decode` is a one-row batch.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 from .codes import TABLE_CAP, CosetLeaderTable
 from .concat import ConcatPair
-from .errors import DecodeFailure, DomainError
+from .errors import DomainError
 from .matrix import MatGF, as_codes
 
 
@@ -77,21 +78,18 @@ class DecoderContext:
     def outer_stage(self, S, Ehat):
         """Outer bounded-distance stage, in place on the stage-1 estimates
         ``Ehat`` of the full syndromes ``S``; returns the per-row ``outer_ok``
-        mask.  Rows whose outer decoding fails keep their stage-1 estimate."""
+        mask.  The rows with a nonzero residual go to the GRS decoder in one
+        batch; rows whose outer decoding fails keep their stage-1 estimate."""
         f = self.field
         resid = f.sub(S[:, self.upper_len:], f.matmul(Ehat, self.Gp.T))
         rows = np.flatnonzero(resid.any(axis=1))
         symbols = self.reassemble_symbols(resid[rows])
         symbols = symbols.reshape(rows.size, resid.shape[1] // self.k)
+        X, ok, _ = self.grs.bd_decode_batch(symbols)
+        # a failed row's X is zero, and pi maps zero to zero
+        Ehat[rows] = f.add(Ehat[rows], self.pi[X].reshape(rows.size, Ehat.shape[1]))
         outer_ok = np.ones(len(S), dtype=bool)
-        for i, syn in zip(rows, symbols):
-            try:
-                x = self.grs.bd_decode(syn)
-            except DecodeFailure:
-                outer_ok[i] = False
-                continue
-            if x.any():
-                Ehat[i] = f.add(Ehat[i], self.pi[x].reshape(-1))
+        outer_ok[rows] = ok
         return outer_ok
 
     def reassemble_symbols(self, resid):

@@ -15,6 +15,7 @@ the identity, and no add table is stored.  In odd characteristic addition is
 a digit-wise sum mod p, read from a dense add table that is composed digit
 by digit from the p x p table of GF(p), one broadcast sum per digit with no
 chunked digit temporaries (:func:`_digit_sum_tables`); negation likewise.
+Sums along an axis (:meth:`Field.add_reduce`) add pairwise through it.
 
 :class:`Field` is the only class that does element arithmetic, and every
 field, GF(p^e) and the GF(Q) field of an extension
@@ -434,15 +435,27 @@ class Field:
     # -- vectorized linear algebra kernels ----------------------------------
 
     def add_reduce(self, arr, axis):
-        """Sum of field elements along an axis."""
+        """Sum of field elements along an axis.
+
+        For odd p with e > 1 the terms are added pairwise through the add
+        table, in the field dtype: each round adds the second half of the
+        axis onto the first, so a sum of n terms takes about log2(n) gathers.
+        """
         arr = np.asarray(arr)
         if self.p == 2:
             return np.bitwise_xor.reduce(arr, axis=axis).astype(self.dtype, copy=False)
         if self.e == 1:
             return (arr.sum(axis=axis, dtype=np.int64) % self.p).astype(self.dtype)
-        axis = axis % arr.ndim  # digits add a trailing axis; normalize first
-        d = _digits(arr, self.p, self.e)
-        return _pack(d.sum(axis=axis) % self.p, self.p).astype(self.dtype)
+        terms = np.moveaxis(arr, axis, 0)
+        if not len(terms):
+            return np.zeros(terms.shape[1:], dtype=self.dtype)
+        while len(terms) > 1:
+            h = len(terms) // 2
+            head = self.add_table[terms[:h], terms[h:2 * h]]
+            if len(terms) % 2:
+                head[0] = self.add_table[head[0], terms[-1]]
+            terms = head
+        return terms[0].astype(self.dtype)[()]  # a numpy scalar for a 1-D sum
 
     def matmul(self, A, B):
         """Matrix product over the field; ``A`` is (m, n), ``B`` is (n, r).

@@ -463,25 +463,6 @@ class MatGF:
             return False
         return np.array_equal(r1[0][: r1[2]], r2[0][: r2[2]])
 
-    # -- serialization -------------------------------------------------------
-
-    def to_text(self):
-        lines = [f"{self.rows} {self.cols}"]
-        for row in self.a:
-            lines.append(" ".join(str(int(x)) for x in row))
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, field, text):
-        tokens = text.split()
-        if len(tokens) < 2:
-            raise DomainError("matrix text too short")
-        rows, cols = int(tokens[0]), int(tokens[1])
-        vals = [int(t) for t in tokens[2: 2 + rows * cols]]
-        if len(vals) != rows * cols:
-            raise DomainError("matrix text truncated")
-        return cls(field, np.array(vals, dtype=np.int64).reshape(rows, cols))
-
 
 def enumerate_span(field, G, chunk=1 << 14):
     """Yield chunks of all codewords in the row space of ``G`` (numpy array).

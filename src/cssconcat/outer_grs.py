@@ -6,11 +6,16 @@ on the same points with the classical dual multipliers; the canonical parity
 check stored here is that dual's Vandermonde-style generator, and syndromes
 fed to the bounded-distance decoder must be computed against it.
 
-The decoder solves the key equation with the extended Euclidean algorithm
-(error locator + evaluator), locates roots among the inverse evaluation
-points, and recovers magnitudes with the derivative formula.  Its output is
-always re-verified against the input syndrome; anything inconsistent is
-reported as DecodeFailure rather than silently miscorrected.
+The decoder, :meth:`GrsCode.bd_decode_batch`, takes a batch of syndrome rows:
+Berlekamp-Massey (Massey, 1969) in lockstep over the rows for all N - K steps,
+``np.where`` masks where rows differ; the Chien search as one
+:meth:`Field.matmul` product against a cached power table of the inverse
+points; Forney's formula (Forney, 1965) at the roots found, with the formal
+derivative's coefficient i times i mod p.  Every row is re-verified (locator
+degree <= t, that many distinct roots, re-encoded syndrome equal to the
+input); a row that fails gets a zero error row and an int8 reason code
+indexing :data:`MESSAGES`, never a silent miscorrection.
+:meth:`GrsCode.bd_decode` is the one-row call and raises DecodeFailure.
 """
 
 from __future__ import annotations
@@ -28,74 +33,18 @@ from .errors import (
 )
 from .codes import LinearCode
 from .galois import Extension
-from .matrix import chunk_rows
+from .matrix import as_codes, chunk_rows
 
-
-# -- polynomial helpers over a field (coefficient lists, low first) ----------
-
-def _trim(p):
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _deg(p):
-    return len(p) - 1
-
-
-def _poly_add(f, a, b):
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i in range(n):
-        x = a[i] if i < len(a) else 0
-        y = b[i] if i < len(b) else 0
-        out[i] = f.add(x, y)
-    return _trim(out)
-
-
-def _poly_scale(f, a, c):
-    return _trim([f.mul(x, c) for x in a])
-
-
-def _poly_mul(f, a, b):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] = f.add(out[i + j], f.mul(x, y))
-    return _trim(out)
-
-
-def _poly_divmod(f, a, b):
-    a = list(a)
-    q = [0] * max(0, len(a) - len(b) + 1)
-    inv_lead = f.inv(b[-1])
-    for i in range(len(a) - 1, len(b) - 2, -1):
-        if a[i]:
-            c = f.mul(a[i], inv_lead)
-            q[i - (len(b) - 1)] = c
-            for j, bj in enumerate(b):
-                a[i - (len(b) - 1) + j] = f.sub(a[i - (len(b) - 1) + j],
-                                                f.mul(c, bj))
-    return _trim(q), _trim(a[: len(b) - 1])
-
-
-def _poly_eval(f, p, x):
-    acc = 0
-    for c in reversed(p):
-        acc = f.add(f.mul(acc, x), c)
-    return acc
-
-
-def _poly_deriv(f, p):
-    char = f.p
-    out = []
-    for i in range(1, len(p)):
-        out.append(f.mul(p[i], i % char))
-    return _trim(out)
+# The outcome of decoding one syndrome row: ``reason`` codes index this tuple.
+MESSAGES = (
+    "decoded",
+    "nonzero syndrome but zero correction radius",
+    "locator degree exceeds radius",
+    "repeated locator root",
+    "locator roots do not match its degree",
+    "re-encoded syndrome mismatch",
+)
+_ZERO_RADIUS, _DEGREE, _REPEATED_ROOT, _ROOT_COUNT, _MISMATCH = range(1, len(MESSAGES))
 
 
 def _log_difference_products(ext, points):
@@ -116,6 +65,36 @@ def _log_difference_products(ext, points):
     return out
 
 
+def _berlekamp_massey(f, S, t):
+    """Berlekamp-Massey in lockstep over the rows of ``S`` (rows, R), all R
+    steps for every row: the connection polynomials (rows, t + 1), lowest
+    coefficient first, and their lengths L.
+
+    The length never falls and bounds the degree, so a row that ends with
+    L <= t never had a coefficient past t; coefficients past t are dropped,
+    which changes only rows that end with L > t, and those fail.
+    """
+    rows, R = S.shape
+    lam = np.zeros((rows, t + 1), dtype=f.dtype)
+    lam[:, 0] = 1
+    B = np.zeros_like(lam)  # z^m times the locator before the last length change
+    B[:, 1] = 1
+    b = np.ones(rows, dtype=f.dtype)  # the discrepancy at that change
+    L = np.zeros(rows, dtype=np.int64)
+    for n in range(R):
+        w = min(n, t) + 1
+        d = f.add_reduce(f.mul(lam[:, :w], S[:, n::-1][:, :w]), axis=1)
+        grow = (d != 0) & (2 * L <= n)
+        old = lam
+        lam = f.sub(lam, f.mul(f.mul(d, f.inv_table[b])[:, None], B))
+        shifted = np.where(grow[:, None], old[:, :-1], B[:, :-1])
+        B = np.zeros_like(B)
+        B[:, 1:] = shifted
+        b = np.where(grow, d, b)
+        L = np.where(grow, n + 1 - L, L)
+    return lam, L
+
+
 def _scaled_powers(ext, log_scale, points, rows):
     """The (rows, N) matrix ``s_j * a_j^i`` for column scales given by logs."""
     i = np.arange(rows, dtype=np.int64)[:, None]
@@ -127,7 +106,7 @@ def _scaled_powers(ext, log_scale, points, rows):
 class GrsCode:
     """A generalized Reed-Solomon code (see module docstring).
 
-    Use :func:`grs_code` / :func:`nested_grs_pair` to construct instances.
+    :func:`nested_grs_pair` builds the CSS-compatible pairs.
     """
 
     def __init__(self, ext: Extension, points, multipliers, K: int):
@@ -159,6 +138,7 @@ class GrsCode:
         self.dual_multipliers = ext.exp[log_u]
         self.H = _scaled_powers(ext, log_u, self.points, N - K)
         self._code = None
+        self._chien = None
 
     @property
     def t(self):
@@ -180,79 +160,96 @@ class GrsCode:
                        self.N - self.K)
 
     def encode(self, msg):
-        return self.ext.as_field().matmul(np.asarray(msg, dtype=np.int64), self.G)
+        f = self.ext.as_field()
+        return f.matmul(as_codes(f, msg, "message entries"), self.G)
 
     def syndrome(self, e):
         """Syndrome of an error vector against the canonical parity check."""
-        if self.N == self.K:
-            return np.zeros(0, dtype=np.int64)
-        return self.ext.as_field().matmul(np.asarray(e, dtype=np.int64), self.H.T)
+        f = self.ext.as_field()
+        return f.matmul(as_codes(f, e, "error entries"), self.H.T)
 
-    def bd_decode(self, syndrome):
-        """Errors-only bounded-distance decoding from a canonical syndrome.
+    def _chien_tables(self):
+        """The decoder's tables, in the field dtype, built on the first decode
+        and kept: the power table ``P[i, j] = a_j^-i`` (i <= t) of the
+        inverse points, the Forney factors ``c_j = -a_j / u_j`` and ``H.T``.
+        A locator that can pass has degree at most t, so powers past t would
+        only multiply zeros."""
+        if self._chien is None:
+            f = self.ext.as_field()
+            i = np.arange(self.t + 1, dtype=np.int64)[:, None]
+            P = self.ext.exp[(-i * self.ext.log[self.points]) % (self.ext.Q - 1)]
+            c = f.neg(f.mul(self.points, f.inv_table[self.dual_multipliers]))
+            self._chien = P.astype(f.dtype), c, self.H.T.astype(f.dtype)
+        return self._chien
 
-        Returns the unique error vector of weight <= t matching the syndrome,
-        or raises DecodeFailure.
+    def bd_decode_batch(self, S):
+        """Errors-only bounded-distance decoding of syndrome rows ``S``
+        (rows, N - K), against the canonical parity check.
+
+        Returns ``(E, ok, reason)``: row i of ``E`` is the unique error vector
+        of weight <= t with syndrome ``S[i]`` when ``ok[i]``, and all zero
+        otherwise; ``reason[i]`` (int8) indexes :data:`MESSAGES`, 0 for a
+        decoded row.
         """
         f = self.ext.as_field()
         R = self.N - self.K
-        syndrome = np.asarray(syndrome, dtype=np.int64).reshape(-1)
-        if syndrome.shape[0] != R:
-            raise DomainError(f"syndrome must have length {R}")
-        e = np.zeros(self.N, dtype=np.int64)
-        if not syndrome.any():
-            return e
-        t = R // 2
+        S = np.asarray(S)
+        if S.ndim != 2 or S.shape[1] != R:
+            raise DomainError(f"syndromes must be rows of length {R}")
+        S = as_codes(f, S, "syndrome entries")
+        E = np.zeros((len(S), self.N), dtype=f.dtype)
+        reason = np.zeros(len(S), dtype=np.int8)
+        rows = np.flatnonzero(S.any(axis=1))
+        t = self.t
         if t == 0:
-            raise DecodeFailure("nonzero syndrome but zero correction radius")
-        if (self.points == 0).any():
+            reason[rows] = _ZERO_RADIUS
+            return E, reason == 0, reason
+        if rows.size and (self.points == 0).any():
             raise DomainError("decoding requires nonzero evaluation points")
-        S = _trim([int(c) for c in syndrome])
-        # extended Euclid on (z^R, S): track r and the S-cofactor v
-        r_prev = [0] * R + [1]
-        r_cur = list(S)
-        v_prev: list[int] = []
-        v_cur = [1]
-        stop = (R + 1) // 2
-        while r_cur and _deg(r_cur) >= stop:
-            q, rem = _poly_divmod(f, r_prev, r_cur)
-            r_prev, r_cur = r_cur, rem
-            v_next = _poly_add(f, v_prev, _poly_scale(f, _poly_mul(f, q, v_cur),
-                                                    f.neg(1)))
-            v_prev, v_cur = v_cur, v_next
-        lam, omega = v_cur, r_cur
-        if not lam or lam[0] == 0:
-            raise DecodeFailure("degenerate error locator")
-        c = f.inv(lam[0])
-        lam = _poly_scale(f, lam, c)
-        omega = _poly_scale(f, omega, c)
-        if _deg(lam) > t:
-            raise DecodeFailure("locator degree exceeds radius")
-        dlam = _poly_deriv(f, lam)
-        nerr = 0
-        for j in range(self.N):
-            x = int(self.points[j])
-            xinv = f.inv(x)
-            if _poly_eval(f, lam, xinv) == 0:
-                num = f.mul(x, _poly_eval(f, omega, xinv))
-                den = _poly_eval(f, dlam, xinv)
-                if den == 0:
-                    raise DecodeFailure("repeated locator root")
-                y = f.neg(f.div(num, den))
-                e[j] = f.div(y, int(self.dual_multipliers[j]))
-                nerr += 1
-        if nerr != _deg(lam) or nerr > t:
-            raise DecodeFailure("locator roots do not match its degree")
-        if not np.array_equal(self.syndrome(e), syndrome):
-            raise DecodeFailure("re-encoded syndrome mismatch")
-        return e
+        lam, L = _berlekamp_massey(f, S[rows], t)
+        reason[rows[L > t]] = _DEGREE
+        keep = L <= t
+        rows, lam, L = rows[keep], lam[keep], L[keep]
+        S = S[rows]
+        # Omega = Lambda * S mod z^t: deg Omega < L <= t
+        omega = np.zeros((rows.size, t), dtype=f.dtype)
+        for i in range(t):
+            omega[:, i:] = f.add(omega[:, i:], f.mul(lam[:, i:i + 1], S[:, :t - i]))
+        # coefficient i - 1 of Lambda' is i * lambda_i, i read mod p
+        dlam = f.mul(lam[:, 1:], np.arange(1, t + 1) % f.p)
+        P, c, Ht = self._chien_tables()
+        roots = f.matmul(lam, P) == 0
+        # a locator of degree <= t has at most t roots: put them first
+        pos = np.argsort(~roots, axis=1, kind="stable")[:, :t]
+        at = np.take_along_axis(roots, pos, axis=1)
+        x = P[1][pos]  # 1/a_j at those positions
+        num = den = np.zeros(pos.shape, dtype=f.dtype)
+        for i in reversed(range(t)):  # Horner
+            num = f.add(f.mul(num, x), omega[:, i, None])
+            den = f.add(f.mul(den, x), dlam[:, i, None])
+        # Forney: e_j = -a_j Omega(1/a_j) / (u_j Lambda'(1/a_j)) at each root
+        vals = np.where(at, f.mul(f.mul(num, c[pos]), f.inv_table[den]), 0)
+        why = np.select([(at & (den == 0)).any(axis=1), roots.sum(axis=1) != L],
+                        [_REPEATED_ROOT, _ROOT_COUNT], 0).astype(np.int8)
+        resyn = np.zeros_like(S)
+        for k in range(t):
+            resyn = f.add(resyn, f.mul(vals[:, k, None], Ht[pos[:, k]]))
+        why[(why == 0) & (resyn != S).any(axis=1)] = _MISMATCH
+        vals[why != 0] = 0
+        E[rows[:, None], pos] = vals
+        reason[rows] = why
+        return E, reason == 0, reason
+
+    def bd_decode(self, syndrome):
+        """:meth:`bd_decode_batch` of one syndrome: the error vector of weight
+        <= t, or DecodeFailure with the row's :data:`MESSAGES` entry."""
+        E, ok, reason = self.bd_decode_batch(np.reshape(syndrome, (1, -1)))
+        if not ok[0]:
+            raise DecodeFailure(MESSAGES[reason[0]])
+        return E[0]
 
     def __repr__(self):
         return f"GrsCode[{self.N},{self.K}] over GF({self.ext.Q})"
-
-
-def grs_code(ext: Extension, points, multipliers, K: int) -> GrsCode:
-    return GrsCode(ext, points, multipliers, K)
 
 
 def default_points(ext: Extension, N: int):

@@ -382,6 +382,44 @@ def test_addition_is_digitwise_sum(f):
     assert f.neg(x) == int(_digitwise(f.p, f.e, np.negative, x))
 
 
+@pytest.mark.parametrize("f", [Field(3, 2), Field(5, 2), Extension(Field(3), 4).as_field(),
+                               Field(3, 5)], ids=["GF9", "GF25", "GF81", "GF243"])
+def test_add_reduce_fold_matches_digit_path(f):
+    """The pairwise sum through the add table equals the sum of base-p
+    digits mod p (the digit path it replaced) on every axis, on odd and even
+    lengths, on a zero-length axis and on int8, int16 and int64 input."""
+    rng = np.random.default_rng(f.q)
+    dtypes = [np.int8, np.int16, np.int64] if f.q <= 128 else [np.int16, np.int64]
+    for shape in ((7, 5, 3), (0, 4, 2), (3, 0, 2), (1, 6, 1), (9,)):
+        a = rng.integers(0, f.q, shape)
+        for dtype in dtypes:
+            for axis in range(-len(shape), len(shape)):
+                got = f.add_reduce(a.astype(dtype), axis=axis)
+                want = _digitwise(f.p, f.e, lambda d: d.sum(axis=axis % len(shape)), a)
+                assert got.dtype == f.dtype and np.shape(got) == np.shape(want)
+                assert np.array_equal(got, want), (shape, dtype, axis)
+
+
+def test_gf81_matmul_memory_peak():
+    """A 256 x 21 by 21 x 80 product over GF(81) sums its terms pairwise
+    through the add table in the field dtype: the tracemalloc peak, 0.9 MB,
+    is its 0.4 MB product gather and the halves summed from it, not the
+    30 MB of int64 digit arrays of that gather."""
+    f = Extension(Field(3), 4).as_field()
+    rng = np.random.default_rng(81)
+    A = rng.integers(0, 81, (256, 21)).astype(f.dtype)
+    B = rng.integers(0, 81, (21, 80)).astype(f.dtype)
+    tracemalloc.start()
+    try:
+        out = f.matmul(A, B)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 10 ** 6
+    prod = f.mul_table[A[:, :, None], B[None, :, :]]
+    assert np.array_equal(out, _digitwise(f.p, f.e, lambda d: d.sum(axis=1), prod))
+
+
 @pytest.mark.parametrize("build, cap_mb", [
     (lambda: Extension(Field(2), 10).as_field(), 24),
     (lambda: Field(3, 7), 40)], ids=["GF1024-of-extension", "GF2187"])

@@ -109,13 +109,6 @@ def test_same_row_space():
     assert not A.same_row_space(MatGF(f, [[1, 0, 0], [0, 1, 0]]))
 
 
-def test_matrix_text_roundtrip():
-    f = Field(2, 2)
-    M = MatGF(f, [[0, 1, 2], [3, 2, 1]])
-    M2 = MatGF.from_text(f, M.to_text())
-    assert M == M2
-
-
 def test_enumerate_span_counts():
     f = Field(3)
     G = np.array([[1, 0, 2], [0, 1, 1]])

@@ -16,14 +16,131 @@ from cssconcat.errors import (
 from cssconcat.galois import Extension, Field
 from cssconcat.matrix import enumerate_span
 from cssconcat.outer_grs import (
+    MESSAGES,
     GrsCode,
     default_points,
-    grs_code,
     nested_grs_pair,
     self_dual_multiplier_grs,
 )
 
 E8 = Extension(Field(2), 3)
+
+
+# -- reference decoder: extended Euclid on coefficient lists, one row at a time
+
+def _trim(p):
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def _deg(p):
+    return len(p) - 1
+
+
+def _poly_add(f, a, b):
+    n = max(len(a), len(b))
+    out = [0] * n
+    for i in range(n):
+        x = a[i] if i < len(a) else 0
+        y = b[i] if i < len(b) else 0
+        out[i] = f.add(x, y)
+    return _trim(out)
+
+
+def _poly_scale(f, a, c):
+    return _trim([f.mul(x, c) for x in a])
+
+
+def _poly_mul(f, a, b):
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    out[i + j] = f.add(out[i + j], f.mul(x, y))
+    return _trim(out)
+
+
+def _poly_divmod(f, a, b):
+    a = list(a)
+    q = [0] * max(0, len(a) - len(b) + 1)
+    inv_lead = f.inv(b[-1])
+    for i in range(len(a) - 1, len(b) - 2, -1):
+        if a[i]:
+            c = f.mul(a[i], inv_lead)
+            q[i - (len(b) - 1)] = c
+            for j, bj in enumerate(b):
+                a[i - (len(b) - 1) + j] = f.sub(a[i - (len(b) - 1) + j],
+                                                f.mul(c, bj))
+    return _trim(q), _trim(a[: len(b) - 1])
+
+
+def _poly_eval(f, p, x):
+    acc = 0
+    for c in reversed(p):
+        acc = f.add(f.mul(acc, x), c)
+    return acc
+
+
+def _poly_deriv(f, p):
+    return _trim([f.mul(p[i], i % f.p) for i in range(1, len(p))])
+
+
+def _euclid_decode(code, syndrome):
+    """Bounded-distance decoding of one syndrome by the extended Euclidean
+    algorithm on (z^R, S) (Sugiyama et al., 1975), roots by scalar
+    evaluation at the inverse points and magnitudes by the derivative
+    formula; the same re-verification as the batch decoder.  Returns the
+    error vector or raises DecodeFailure."""
+    f = code.ext.as_field()
+    R = code.N - code.K
+    syndrome = np.asarray(syndrome, dtype=np.int64).reshape(-1)
+    e = np.zeros(code.N, dtype=np.int64)
+    if not syndrome.any():
+        return e
+    t = R // 2
+    if t == 0:
+        raise DecodeFailure("nonzero syndrome but zero correction radius")
+    S = _trim([int(c) for c in syndrome])
+    r_prev = [0] * R + [1]
+    r_cur = list(S)
+    v_prev: list[int] = []
+    v_cur = [1]
+    stop = (R + 1) // 2
+    while r_cur and _deg(r_cur) >= stop:
+        q, rem = _poly_divmod(f, r_prev, r_cur)
+        r_prev, r_cur = r_cur, rem
+        v_next = _poly_add(f, v_prev, _poly_scale(f, _poly_mul(f, q, v_cur), f.neg(1)))
+        v_prev, v_cur = v_cur, v_next
+    lam, omega = v_cur, r_cur
+    if not lam or lam[0] == 0:
+        raise DecodeFailure("degenerate error locator")
+    c = f.inv(lam[0])
+    lam = _poly_scale(f, lam, c)
+    omega = _poly_scale(f, omega, c)
+    if _deg(lam) > t:
+        raise DecodeFailure("locator degree exceeds radius")
+    dlam = _poly_deriv(f, lam)
+    nerr = 0
+    for j in range(code.N):
+        x = int(code.points[j])
+        xinv = f.inv(x)
+        if _poly_eval(f, lam, xinv) == 0:
+            num = f.mul(x, _poly_eval(f, omega, xinv))
+            den = _poly_eval(f, dlam, xinv)
+            if den == 0:
+                raise DecodeFailure("repeated locator root")
+            y = f.neg(f.div(num, den))
+            e[j] = f.div(y, int(code.dual_multipliers[j]))
+            nerr += 1
+    if nerr != _deg(lam) or nerr > t:
+        raise DecodeFailure("locator roots do not match its degree")
+    if not np.array_equal(code.syndrome(e), syndrome):
+        raise DecodeFailure("re-encoded syndrome mismatch")
+    return e
 
 
 def test_construction_errors():
@@ -42,6 +159,9 @@ def test_full_space_has_empty_H():
     rs = GrsCode(E8, default_points(E8, 4), [1] * 4, 4)
     assert rs.H.shape == (0, 4)
     assert rs.syndrome([1, 2, 3, 4]).shape == (0,)
+    assert rs.syndrome(np.ones((3, 4), dtype=np.int64)).shape == (3, 0)
+    E, ok, reason = rs.bd_decode_batch(rs.syndrome(np.ones((3, 4), dtype=np.int64)))
+    assert E.shape == (3, 4) and ok.all() and not E.any()
 
 
 def test_rs_7_3_distance_5():
@@ -155,11 +275,6 @@ def test_self_dual_multipliers():
         self_dual_multiplier_grs(Extension(Field(3), 2), [0, 1, 2], 2)
 
 
-def test_grs_code_wrapper():
-    rs = grs_code(E8, default_points(E8, 5), [1, 2, 3, 4, 5], 2)
-    assert rs.N == 5 and rs.K == 2
-
-
 def _scalar_grs(ext, points, v, K):
     """G, H and dual multipliers straight from their definitions."""
     N = len(points)
@@ -219,3 +334,119 @@ def test_points_and_multipliers_must_be_field_codes():
         GrsCode(E8, [1, 2, -1], [1, 1, 1], 2)
     with pytest.raises(DomainError):
         GrsCode(E8, [1, 2, 3], [1, 9, 1], 2)
+
+
+_DIFF_CODES = {  # id: (extension, N, K)
+    "GF8-R3": (E8, 7, 4),
+    "GF16": (Extension(Field(2), 4), 15, 9),
+    "GF64": (Extension(Field(2), 6), 40, 26),
+    "GF81": (Extension(Field(3), 4), 40, 28),
+    "GF243-R13": (Extension(Field(3), 5), 40, 27),
+    "GF256": (Extension(Field(2), 8), 40, 24),
+    "GF16/GF4": (Extension(Field(2, 2), 2), 15, 8),
+}
+
+
+def _random_grs(ext, N, K, rng):
+    """A GRS code on random distinct nonzero points with random nonzero
+    multipliers."""
+    points = rng.choice(np.arange(1, ext.Q), N, replace=False)
+    return GrsCode(ext, points, rng.integers(1, ext.Q, N), K)
+
+
+def _errors_cycling_weights(code, rows, rng):
+    """Rows of error vectors whose weights cycle through 0 .. t + 4."""
+    E = np.zeros((rows, code.N), dtype=np.int64)
+    top = min(code.t + 4, code.N)
+    for i in range(rows):
+        w = i % (top + 1)
+        pos = rng.choice(code.N, w, replace=False)
+        E[i, pos] = rng.integers(1, code.ext.Q, w)
+    return E
+
+
+def _reference_batch(code, S):
+    E = np.zeros((len(S), code.N), dtype=np.int64)
+    ok = np.zeros(len(S), dtype=bool)
+    for i, syn in enumerate(S):
+        try:
+            E[i] = _euclid_decode(code, syn)
+            ok[i] = True
+        except DecodeFailure:
+            pass
+    return E, ok
+
+
+@pytest.mark.parametrize("name", list(_DIFF_CODES))
+def test_bd_decode_batch_matches_euclid_reference(name):
+    """On 2048 rows of weights 0 .. t + 4 the lockstep decoder returns the
+    Euclid reference's error vectors and failure flags; decoded rows
+    re-encode to their syndromes, failed rows are zero, and the one-row call
+    fails with the message of the row's reason."""
+    ext, N, K = _DIFF_CODES[name]
+    rng = np.random.default_rng(N * ext.Q + K)
+    code = _random_grs(ext, N, K, rng)
+    E_true = _errors_cycling_weights(code, 2048, rng)
+    S = code.syndrome(E_true)
+    E, ok, reason = code.bd_decode_batch(S)
+    E_ref, ok_ref = _reference_batch(code, S)
+    assert np.array_equal(ok, ok_ref) and np.array_equal(E, E_ref)
+    assert E.dtype == ext.as_field().dtype and reason.dtype == np.int8
+    assert np.array_equal(code.syndrome(E[ok]), S[ok]) and not E[~ok].any()
+    assert np.array_equal(ok, reason == 0)
+    within = (E_true != 0).sum(axis=1) <= code.t
+    assert ok[within].all() and np.array_equal(E[within], E_true[within])
+    assert (~ok).any()
+    for i in range(0, 2048, 7):
+        if ok[i]:
+            assert np.array_equal(code.bd_decode(S[i]), E[i])
+        else:
+            with pytest.raises(DecodeFailure, match=f"^{MESSAGES[reason[i]]}$"):
+                code.bd_decode(S[i])
+
+
+@pytest.mark.parametrize("name", list(_DIFF_CODES))
+def test_bd_decode_batch_of_zero_and_one_rows(name):
+    ext, N, K = _DIFF_CODES[name]
+    rng = np.random.default_rng(N + K)
+    code = _random_grs(ext, N, K, rng)
+    E, ok, reason = code.bd_decode_batch(np.zeros((0, N - K), dtype=np.int64))
+    assert E.shape == (0, N) and ok.shape == reason.shape == (0,)
+    for w in range(code.t + 5):
+        e = _errors_cycling_weights(code, w + 1, rng)[w:]
+        S = code.syndrome(e)
+        E, ok, reason = code.bd_decode_batch(S)
+        E_ref, ok_ref = _reference_batch(code, S)
+        assert np.array_equal(ok, ok_ref) and np.array_equal(E, E_ref)
+
+
+def test_outer_code_inputs_range_checked():
+    """Codes outside [0, Q) raise DomainError instead of wrapping or
+    indexing past a table."""
+    e81 = Extension(Field(3), 4)
+    rs81 = GrsCode(e81, default_points(e81, 10), [1] * 10, 6)
+    rs8 = GrsCode(E8, default_points(E8, 7), [1] * 7, 3)
+    for call in (lambda: rs81.syndrome([-1] + [0] * 9),
+                 lambda: rs81.syndrome([81] + [0] * 9),
+                 lambda: rs81.encode([0, 0, 0, -1, 0, 0]),
+                 lambda: rs81.bd_decode([0, 0, 0, -1]),
+                 lambda: rs8.encode([8, 0, 0]),
+                 lambda: rs8.bd_decode([8, 0, 0, 0]),
+                 lambda: rs8.bd_decode_batch([[0, 0, 0, 0], [0, 9, 0, 0]])):
+        with pytest.raises(DomainError):
+            call()
+    with pytest.raises(DomainError):  # wrong length
+        rs8.bd_decode([1, 0, 0])
+    with pytest.raises(DomainError):  # a zero evaluation point
+        GrsCode(E8, [0, 1, 2, 3, 4, 5, 6], [1] * 7, 3).bd_decode([1, 0, 0, 0])
+
+
+def test_zero_radius_fails_with_its_reason():
+    """With N - K = 1 every nonzero syndrome fails, whatever the points."""
+    for points in (default_points(E8, 5), [0, 1, 2, 3, 4]):
+        rs = GrsCode(E8, points, [1] * 5, 4)
+        E, ok, reason = rs.bd_decode_batch([[0], [3]])
+        assert ok.tolist() == [True, False] and not E.any()
+        with pytest.raises(DecodeFailure, match=f"^{MESSAGES[reason[1]]}$"):
+            rs.bd_decode([3])
+        assert MESSAGES[reason[1]] == "nonzero syndrome but zero correction radius"
