@@ -17,17 +17,20 @@ invertible A = [C2.H; g1; completion], and the rref holds E A^T = I, so its
 last n columns are E = (A^-1)^T: the rows of E paired with g1 are g2, and
 the rows paired with the completion a basis of dual(C1).
 
-Product certificate.  A pair is checked by products, with no elimination:
+Product certificate.  A pair is checked by one product, with no
+elimination:
 
-    C2.H C1.H^T = 0,   g1 C1.H^T = 0,   g2 C2.H^T = 0,   g1 g2^T = I_k.
+    [C2.H; g1] [C1.H; g2]^T = [[0, 0], [0, I_k]],
 
-The first is the containment dual(C2) <= C1; the next two put g1 in C1 and
-g2 in C2.  The rest follows by counting dimensions.  If a combination c g1
-lies in dual(C2), pairing it with g2 (orthogonal to dual(C2)) gives c = 0,
-so g1 is independent modulo dual(C2), and dual(C2) + span(g1) has dimension
-(n - k2) + k = k1 inside C1 of dimension k1: C1 = dual(C2) + span(g1).  By
-the same argument, with dual(C1) <= C2 the dual of the containment,
-C2 = dual(C1) + span(g2).
+that is C2.H C1.H^T = 0, C2.H g2^T = 0, g1 C1.H^T = 0 and g1 g2^T = I_k.
+The first block is the containment dual(C2) <= C1; the next two put g2 in
+C2 and g1 in C1.  The rest follows by counting dimensions.  If a
+combination c g1 lies in dual(C2), pairing it with g2 (orthogonal to
+dual(C2)) gives c = 0, so g1 is independent modulo dual(C2), and dual(C2) +
+span(g1) has dimension (n - k2) + k = k1 inside C1 of dimension k1:
+C1 = dual(C2) + span(g1).  By the same argument, with dual(C1) <= C2 the
+dual of the containment, C2 = dual(C1) + span(g2).  A nonzero C2.H C1.H^T
+raises NotOrthogonal, any other failing block BadComplement.
 
 Brute-force oracles (`min_weight_excluding`, `CosetLeaderTable`) enumerate
 codewords or error patterns and are capped; they are meant as ground truth
@@ -165,6 +168,18 @@ def validate_css(C1: LinearCode, C2: LinearCode) -> bool:
     return not C1.field.matmul(C2.H, C1.H.T).any()
 
 
+def _pairing(pair):
+    """``(contained, paired)`` from the one product P = [C2.H; g1].[C1.H; g2]^T
+    of the module docstring: whether its block C2.H.C1.H^T vanishes, and
+    whether P = [[0, 0], [0, I]]."""
+    m, r = len(pair.C2.H), len(pair.C1.H)
+    P = pair.field.matmul(np.concatenate([pair.C2.H, pair.g1]),
+                          np.concatenate([pair.C1.H, pair.g2]).T)
+    want = np.zeros_like(P)
+    want[m:, r:] = np.eye(len(pair.g1), len(pair.g2), dtype=P.dtype)
+    return not P[:m, :r].any(), np.array_equal(P, want)
+
+
 def _row_profile(C1: LinearCode, C2: LinearCode, g1=None):
     """``(g1, g2, basis_c1_perp)`` from the rref of [C2.H^T | X^T | I_n],
     X = ``g1`` or C1.G (see the module docstring).
@@ -216,19 +231,20 @@ class CssPair:
     basis_c1_perp: np.ndarray = dc_field(repr=False, default=None)
 
     def __post_init__(self):
-        f = self.field
-        self.g1 = as_codes(f, self.g1, "g1 entries")
-        self.g2 = as_codes(f, self.g2, "g2 entries")
-        if not validate_css(self.C1, self.C2):
-            raise NotOrthogonal("dual(C2) is not contained in C1")
+        self.g1 = as_codes(self.field, self.g1, "g1 entries")
+        self.g2 = as_codes(self.field, self.g2, "g2 entries")
+        if self.C1.n != self.C2.n:
+            raise LengthMismatch("codes of different length")
         k, n = self.k, self.n
         if self.g1.shape != (k, n) or self.g2.shape != (k, n):
+            if not validate_css(self.C1, self.C2):
+                raise NotOrthogonal("dual(C2) is not contained in C1")
             raise BadComplement(f"g1 and g2 must be {k} x {n}")
         # the product certificate of the module docstring
-        if (f.matmul(self.g1, self.C1.H.T).any()
-                or f.matmul(self.g2, self.C2.H.T).any()
-                or not np.array_equal(f.matmul(self.g1, self.g2.T),
-                                      np.eye(k, dtype=f.dtype))):
+        contained, paired = _pairing(self)
+        if not contained:
+            raise NotOrthogonal("dual(C2) is not contained in C1")
+        if not paired:
             raise BadComplement("g1 is not in C1, g2 is not in C2, or "
                                 "g1.g2^T is not the identity")
 

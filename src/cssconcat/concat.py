@@ -53,7 +53,8 @@ dual(C1) for i = 2).  The factor facts are
   (I) [C2.H; g1] and [C1.H; g2] have full rank, so each g_i is independent
       modulo the opposite dual;
   (P) C2.H.C1.H^T = 0, g_i lies in C_i, and g1.g2^T = I: the one n-column
-      product [C2.H; g1].[C1.H; g2]^T = [[0, 0], [0, I]].
+      product [C2.H; g1].[C1.H; g2]^T = [[0, 0], [0, I]], the product that
+      also certifies a CssPair when it is built (codes._pairing).
 
 (I) follows from (P) and the row counts len(C_i.H) = n - k_i.  The row
 space of C_i.H is dual(C_i), of dimension n - k_i, so with that many rows
@@ -93,6 +94,25 @@ symbol; both come from the extension, not from the pi tables.
       is c g2 + d, d in dual(C1), with c = block.g1^T its W1 part.  Every
       block of Gp2 times [C1.H; g2]^T is [0 | its W2 part], symmetrically.
 
+(B) is certified by lookups, not block by block.  Write y1 and y2 for the
+scaled symbols Hout1[j] beta_r and Hout2[j] alpha^r, row j k + r.  Block b
+of that row of Gp1 is PI2[y1[j k + r, b]], whose W1 part is the dual_table
+row of the same symbol, and symmetrically for Gp2 with PI1 and coord_table.
+So (B) holds for every block once
+
+  (B') PI2.[C2.H; g1]^T = [0 | dual_table] and PI1.[C1.H; g2]^T =
+       [0 | coord_table] on all Q rows, one (Q, n) by (n, m + k) product a
+       side, and Gp1 = PI2[y1], Gp2 = PI1[y2], compared entry for entry in
+       row chunks of bounded bytes.
+
+Tables built by pi_map satisfy (B') by (P): PI2[x] = dual_table[x] g2, with
+g2 C2.H^T = 0 and g2 g1^T = I, and PI1[x] = coords(x) g1 likewise.  When
+(B') holds the pi tables the decoder gathers from are certified too.  Only
+when (B') or the comparison fails are the blocks of Gp_i multiplied by
+[H; g]^T one by one, to find the rows failing (B) and classify them; a
+corrupted table row that no y_i reads fails (B') but leaves every block
+passing (B), and the pair is accepted.
+
 By (P) the d parts pair to zero with g1, g2 and each other, so Gp1.Gp2^T =
 W1.W2^T, pi_1(D1).Gp1^T = X1.W1^T and pi_2(D2).Gp2^T = Y2.W2^T, with X1 and
 Y2 the power-basis and trace-dual coordinates of the rows alpha^l D_i.G.  As
@@ -120,7 +140,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .codes import CssPair, LinearCode
+from .codes import CssPair, LinearCode, _pairing
 from .errors import (
     BadComplement,
     FieldMismatch,
@@ -129,7 +149,7 @@ from .errors import (
     RankDeficient,
 )
 from .galois import Extension
-from .matrix import MatGF
+from .matrix import MatGF, chunk_rows
 from .outer_grs import GrsCode
 
 
@@ -336,18 +356,17 @@ def _unwrap_outer(D):
 
 
 def _check_inner(inner: CssPair):
-    """The facts (I) and (P) of the module docstring: (P) by one n-column
-    product and (I) from it and the row counts of the inner checks.  Only a
-    failing product is followed by the two ranks, which pick the exception:
-    RankDeficient for a dependent row, BadComplement otherwise."""
-    f, n, k = inner.field, inner.n, inner.k
-    A = np.concatenate([inner.C2.H, inner.g1], axis=0)
-    B = np.concatenate([inner.C1.H, inner.g2], axis=0)
-    want = np.zeros((len(A), len(B)), dtype=np.int64)
-    want[len(A) - k:, len(B) - k:] = np.eye(k, dtype=np.int64)
-    paired = np.array_equal(f.matmul(A, B.T), want)
+    """The facts (I) and (P) of the module docstring: (P) by the one product
+    of :func:`codes._pairing` and (I) from it and the row counts of the inner
+    checks.  Only a failing product is followed by the two ranks, which pick
+    the exception: RankDeficient for a dependent row, BadComplement
+    otherwise."""
+    f, n = inner.field, inner.n
+    paired = _pairing(inner)[1]
+    stacks = ((inner.C2.H, inner.g1), (inner.C1.H, inner.g2))
     if (len(inner.C2.H) != n - inner.k2 or len(inner.C1.H) != n - inner.k1
-            or not paired and (MatGF(f, A).rank != len(A) or MatGF(f, B).rank != len(B))):
+            or not paired and any(MatGF(f, np.concatenate([H, g])).rank != len(H) + len(g)
+                                  for H, g in stacks)):
         raise RankDeficient("inner coset generators are not independent "
                             "modulo the dual codes")
     if not paired:
@@ -355,28 +374,55 @@ def _check_inner(inner: CssPair):
                             "g1.dual(C1)^T, dual(C2).g2^T or g1.g2^T - I is nonzero")
 
 
+def _block_factor(inner: CssPair, side: int):
+    """``(m, [H; g]^T)`` of (B): H = C2.H, g = g1 on side 1, C1.H, g2 on side 2."""
+    H, g = (inner.C2.H, inner.g1) if side == 1 else (inner.C1.H, inner.g2)
+    return len(H), np.concatenate([H, g]).T
+
+
+def _table_accepts(inner: CssPair, Gp, side: int, table, y, wtab):
+    """(B') of the module docstring for ``table`` against ``wtab``, and
+    ``Gp == table[y]`` blockwise, compared in row chunks of bounded bytes."""
+    m, HgT = _block_factor(inner, side)
+    P = inner.field.matmul(table, HgT)
+    if (P[:, :m].any() or not np.array_equal(P[:, m:], wtab)
+            or Gp.shape != (len(y), y.shape[1] * table.shape[1])):
+        return False
+    step = chunk_rows(Gp.shape[1], Gp.itemsize)
+    buf = np.empty((min(step, len(y)), Gp.shape[1]), dtype=table.dtype)
+    for lo in range(0, len(y), step):
+        rows = y[lo:lo + step]
+        if not np.array_equal(Gp[lo:lo + step], _expand(table, rows, buf[:len(rows)])):
+            return False
+    return True
+
+
 def _block_check(inner: CssPair, Gp, side: int, W):
     """The g-parts, (rows, N k), of the rows of ``Gp`` failing (B) of the
     module docstring: a nonzero dual part or a g-part other than ``W``."""
     f, n, k = inner.field, inner.n, inner.k
-    H, g = (inner.C2.H, inner.g1) if side == 1 else (inner.C1.H, inner.g2)
-    rows, N, m = len(Gp), Gp.shape[1] // n, len(H)
-    P = f.matmul(Gp.reshape(rows * N, n), np.concatenate([H, g]).T).reshape(rows, N, m + k)
+    m, HgT = _block_factor(inner, side)
+    rows, N = len(Gp), Gp.shape[1] // n
+    P = f.matmul(Gp.reshape(rows * N, n), HgT).reshape(rows, N, m + k)
     failing = (P[:, :, :m].any(axis=(1, 2))
                | (P[:, :, m:] != W.reshape(rows, N, k)).any(axis=(1, 2)))
     return P[failing, :, m:].reshape(-1, N * k)
 
 
-def _certify_outer(inner: CssPair, ext: Extension, D, Hout, Gp):
-    """The trace-form certificate of the module docstring; ``D``, ``Hout``
-    and ``Gp`` are pairs (side 1, side 2).  Raises NotOrthogonal or
-    RankDeficient."""
+def _certify_outer(inner: CssPair, ext: Extension, D, Hout, Gp, PI):
+    """The trace-form certificate of the module docstring; ``D``, ``Hout``,
+    ``Gp`` and the pi tables ``PI`` are pairs (side 1, side 2).  The blocks
+    of Gp_i are multiplied one by one only when (B') or the comparison fails.
+    Raises NotOrthogonal or RankDeficient."""
     f, k, N = inner.field, inner.k, Hout[0].shape[1]
     dual, coord = ext.dual_table.astype(f.dtype), ext.coord_table.astype(f.dtype)
-    W1 = np.take(dual, _scaled(ext, Hout[0], 1), axis=0).reshape(-1, N * k)
-    W2 = np.take(coord, _scaled(ext, Hout[1], 2), axis=0).reshape(-1, N * k)
-    V1 = _block_check(inner, Gp[0], 1, W1)
-    V2 = _block_check(inner, Gp[1], 2, W2)
+    W, V = [], []
+    for side, wtab, table in ((1, dual, PI[1]), (2, coord, PI[0])):
+        y = _scaled(ext, Hout[side - 1], side)
+        W.append(np.take(wtab, y, axis=0).reshape(-1, N * k))
+        V.append(W[-1][:0] if _table_accepts(inner, Gp[side - 1], side, table, y, wtab)
+                 else _block_check(inner, Gp[side - 1], side, W[-1]))
+    (W1, W2), (V1, V2) = W, V
     failing = len(V1) or len(V2)
     if f.matmul(W1, W2[::k].T).any() or failing and (
             f.matmul(W2, V1.T).any() or f.matmul(W1, V2.T).any()):
@@ -418,7 +464,7 @@ def concatenate(inner: CssPair, outer, ext: Extension) -> ConcatPair:
     PI1, PI2 = pi_table(1, inner, ext), pi_table(2, inner, ext)
     Ho1, Gp1 = _expanded_check(inner, ext, Hout1, 1, PI2)
     Ho2, Gp2 = _expanded_check(inner, ext, Hout2, 2, PI1)
-    _certify_outer(inner, ext, (D1, D2), (Hout1, Hout2), (Gp1, Gp2))
+    _certify_outer(inner, ext, (D1, D2), (Hout1, Hout2), (Gp1, Gp2), (PI1, PI2))
     return ConcatPair(inner=inner, ext=ext, D1=D1, D2=D2, Ho1=Ho1, Ho2=Ho2,
                       Gp1=Gp1, Gp2=Gp2, Hout1=Hout1, Hout2=Hout2, PI1=PI1, PI2=PI2,
                       grs1=grs1, grs2=grs2)

@@ -65,6 +65,33 @@ def _log_difference_products(ext, points):
     return out
 
 
+def _as_int64(x):
+    """The codes ``x`` as a new 1-D int64 array; non-integers are truncated."""
+    return np.asarray(x).astype(np.int64).reshape(-1)
+
+
+def _checked_points(ext, points):
+    """The points as a 1-D int64 array, checked distinct (DuplicatePoint),
+    then codes of the field (DomainError).
+
+    Codes of the field are checked distinct by a Q-length boolean scatter,
+    not a sort; with a point out of range, which raises anyway, by a set.
+    """
+    a = _as_int64(points)
+    inside = (a >= 0) & (a < ext.Q)
+    if inside.all():
+        seen = np.zeros(ext.Q, dtype=bool)
+        seen[a] = True
+        distinct = np.count_nonzero(seen) == a.size
+    else:
+        distinct = len(set(a.tolist())) == a.size
+    if not distinct:
+        raise DuplicatePoint("evaluation points must be distinct")
+    if not inside.all():
+        raise DomainError("points and multipliers must be codes of the field")
+    return a
+
+
 def _berlekamp_massey(f, S, t):
     """Berlekamp-Massey in lockstep over the rows of ``S`` (rows, R), all R
     steps for every row: the connection polynomials (rows, t + 1), lowest
@@ -110,33 +137,41 @@ class GrsCode:
     """
 
     def __init__(self, ext: Extension, points, multipliers, K: int):
-        points = [int(x) for x in points]
-        multipliers = [int(x) for x in multipliers]
-        N = len(points)
-        if len(set(points)) != N:
-            raise DuplicatePoint("evaluation points must be distinct")
-        if len(multipliers) != N:
+        points = _checked_points(ext, points)
+        multipliers = _as_int64(multipliers)
+        if multipliers.size != points.size:
             raise DomainError("need one multiplier per point")
-        if any(not 0 <= x < ext.Q for x in points + multipliers):
+        if ((multipliers < 0) | (multipliers >= ext.Q)).any():
             raise DomainError("points and multipliers must be codes of the field")
-        if any(v == 0 for v in multipliers):
+        if not multipliers.all():
             raise ZeroMultiplier("column multipliers must be nonzero")
+        self._build(ext, points, multipliers, K, _log_difference_products(ext, points))
+
+    @classmethod
+    def _on_points(cls, ext, points, multipliers, K, log_diff):
+        """A code on checked points with nonzero multipliers, given the logs
+        ``log_diff`` of the points' difference products."""
+        code = cls.__new__(cls)
+        code._build(ext, points, multipliers, K, log_diff)
+        return code
+
+    def _build(self, ext, points, multipliers, K, log_diff):
+        N = points.size
         if not 1 <= K <= N:
             raise BadDimension(f"dimension K={K} out of range [1, {N}]")
-        if N > ext.Q:
-            raise DomainError("more points than field elements")
         self.ext = ext
         self.N = N
         self.K = K
-        self.points = np.array(points, dtype=np.int64)
-        self.multipliers = np.array(multipliers, dtype=np.int64)
+        self.points = points
+        self.multipliers = multipliers
+        self._log_diff = log_diff
         # generator: row i = (v_j * a_j^i); the dual multipliers are
         # u_j = v_j^{-1} * prod_{m != j} (a_j - a_m)^{-1}
-        log_v = ext.log[self.multipliers]
-        log_u = (-log_v - _log_difference_products(ext, self.points)) % (ext.Q - 1)
-        self.G = _scaled_powers(ext, log_v, self.points, K)
+        log_v = ext.log[multipliers]
+        log_u = (-log_v - log_diff) % (ext.Q - 1)
+        self.G = _scaled_powers(ext, log_v, points, K)
         self.dual_multipliers = ext.exp[log_u]
-        self.H = _scaled_powers(ext, log_u, self.points, N - K)
+        self.H = _scaled_powers(ext, log_u, points, N - K)
         self._code = None
         self._chien = None
 
@@ -156,8 +191,8 @@ class GrsCode:
     def dual(self) -> "GrsCode":
         if self.K == self.N:
             raise BadDimension("dual of the full space has dimension 0")
-        return GrsCode(self.ext, self.points, self.dual_multipliers,
-                       self.N - self.K)
+        return GrsCode._on_points(self.ext, self.points, self.dual_multipliers,
+                                  self.N - self.K, self._log_diff)
 
     def encode(self, msg):
         f = self.ext.as_field()
@@ -256,7 +291,7 @@ def default_points(ext: Extension, N: int):
     """The first N powers of the primitive root: (1, alpha, alpha^2, ...)."""
     if N > ext.Q - 1:
         raise DomainError(f"default points need N <= Q-1 = {ext.Q - 1}")
-    return [ext.alpha_pow(j) for j in range(N)]
+    return ext.exp[np.arange(N)].tolist()
 
 
 def nested_grs_pair(ext: Extension, N: int, K1: int, K2: int):
@@ -269,15 +304,10 @@ def nested_grs_pair(ext: Extension, N: int, K1: int, K2: int):
     """
     if K1 + K2 < N:
         raise DimensionConflict("need K1 + K2 >= N for a nested pair")
-    points = default_points(ext, N)
-    ones = [1] * N
-    D1 = GrsCode(ext, points, ones, K1)
-    if K2 == N:
-        D2 = GrsCode(ext, points, ones, N)
-    else:
-        # dual multipliers depend on the points and multipliers, not on K
-        D2 = GrsCode(ext, points, D1.dual_multipliers, K2)
-    return D1, D2
+    D1 = GrsCode(ext, default_points(ext, N), np.ones(N, dtype=np.int64), K1)
+    # dual multipliers depend on the points and multipliers, not on K
+    v2 = D1.multipliers if K2 == N else D1.dual_multipliers
+    return D1, GrsCode._on_points(ext, D1.points, v2, K2, D1._log_diff)
 
 
 def self_dual_multiplier_grs(ext: Extension, points, K: int) -> GrsCode:
@@ -289,7 +319,8 @@ def self_dual_multiplier_grs(ext: Extension, points, K: int) -> GrsCode:
     """
     if ext.base.p != 2:
         raise BadField("square-root multipliers need characteristic 2")
-    points = np.array([int(x) for x in points], dtype=np.int64)
+    points = _checked_points(ext, points)
+    log_diff = _log_difference_products(ext, points)
     # in characteristic 2, s^(Q/2) is the square root of s
-    logs = (-_log_difference_products(ext, points) * (ext.Q // 2)) % (ext.Q - 1)
-    return GrsCode(ext, points, ext.exp[logs], K)
+    logs = (-log_diff * (ext.Q // 2)) % (ext.Q - 1)
+    return GrsCode._on_points(ext, points, ext.exp[logs], K, log_diff)

@@ -380,3 +380,67 @@ def test_pair_with_redundant_dual_rows_rejected():
     C1 = LinearCode.from_parity_check(F2, H[:1])
     with pytest.raises(BadComplement):
         CssPair.build(C1, C2)
+
+
+# -- the one pairing product against the four-product reference ---------------
+
+def _four_product_certificate(C1, C2, g1, g2):
+    """The pair certificate by four products: validate_css, the shape check,
+    then g1.C1.H^T, g2.C2.H^T and g1.g2^T."""
+    f = C1.field
+    if not validate_css(C1, C2):
+        raise NotOrthogonal("dual(C2) is not contained in C1")
+    g1, g2 = np.asarray(g1), np.asarray(g2)
+    k, n = C1.dim + C2.dim - C1.n, C1.n
+    if g1.shape != (k, n) or g2.shape != (k, n):
+        raise BadComplement("shape")
+    if (f.matmul(g1, C1.H.T).any() or f.matmul(g2, C2.H.T).any()
+            or not np.array_equal(f.matmul(g1, g2.T), np.eye(k, dtype=np.int64))):
+        raise BadComplement("not paired")
+
+
+def _class_of(build, *args):
+    try:
+        build(*args)
+    except (NotOrthogonal, BadComplement) as e:
+        return type(e)
+    return None
+
+
+@pytest.mark.parametrize("f", [Field(2), Field(3), Field(2, 2)], ids=["GF2", "GF3", "GF4"])
+def test_pairing_product_matches_four_product_reference(monkeypatch, f):
+    """Random pairs, every single-entry change of g1 and of g2, a C2 whose
+    dual breaks the containment, and g1 or g2 of the wrong shape: CssPair
+    accepts the same pairs as the four-product reference and raises the same
+    class, with one product for a pair of the right shape."""
+    rng = np.random.default_rng(40 + f.q)
+    products = []
+    matmul = Field.matmul
+
+    def spy(self, A, B):
+        products.append(A.shape)
+        return matmul(self, A, B)
+
+    seen = set()
+    for _ in range(12):
+        n = int(rng.integers(3, 7))
+        pair = random_css_pair(rng, f, n, int(rng.integers(1, n)))
+        C1, C2, g1, g2 = pair.C1, pair.C2, pair.g1, pair.g2
+        broken = LinearCode.from_parity_check(f, rng.integers(0, f.q, (len(C2.H), n)))
+        cases = [(C1, C2, g1, g2), (C1, broken, g1, g2),
+                 (C1, C2, g1[:, 1:], g2), (C1, broken, g1, g2[:, 1:])]
+        for g, which in ((g1, 0), (g2, 1)):
+            for i, j in itertools.product(range(g.shape[0]), range(n)):
+                bad = g.copy()
+                bad[i, j] = f.add(int(bad[i, j]), int(rng.integers(1, f.q)))
+                cases.append((C1, C2, bad, g2) if which == 0 else (C1, C2, g1, bad))
+        for args in cases:
+            monkeypatch.setattr(Field, "matmul", spy)
+            products.clear()
+            got = _class_of(CssPair, *args)
+            monkeypatch.undo()
+            assert got is _class_of(_four_product_certificate, *args)
+            if args[2].shape == args[3].shape == (pair.k, n):
+                assert len(products) == 1
+            seen.add(got)
+    assert seen == {None, NotOrthogonal, BadComplement}

@@ -577,6 +577,7 @@ class _Case:
         self.inner, self.ext = inner, ext
         self.D = tuple(concat._unwrap_outer(Dm)[0] for Dm in outer)
         self.Hout = tuple(np.array(concat._unwrap_outer(Dm)[1]) for Dm in outer)
+        self.PI = (concat.pi_table(1, inner, ext), concat.pi_table(2, inner, ext))
 
     def gp(self, Hout):
         return tuple(concat._expanded_check(self.inner, self.ext, H, side,
@@ -587,7 +588,8 @@ class _Case:
         Hout = self.Hout if Hout is None else Hout
         Gp = self.gp(Hout) if Gp is None else Gp
         args = (self.inner, self.ext, self.D, Hout, Gp)
-        return _outcome(concat._certify_outer, *args), _outcome(_nN_certificate, *args)
+        return (_outcome(concat._certify_outer, *args, self.PI),
+                _outcome(_nN_certificate, *args))
 
 
 def _case(name):
@@ -714,3 +716,93 @@ def test_concatenate_products_at_most_kN_wide(monkeypatch, name):
     monkeypatch.setattr(Field, "matmul", spy)
     cp = concatenate(inner, outer, ext)
     assert widths and max(widths) <= cp.k * cp.N < cp.block_length
+
+
+# -- acceptance by pi-table lookups against the nN-column reference -----------
+
+def _corrupted(table, x, delta):
+    bad = table.copy()
+    bad[x] = delta(bad[x])
+    return bad
+
+
+@pytest.mark.parametrize("name", DIFFERENTIAL)
+def test_corrupted_pi_table_matches_reference(name):
+    """A pi table with one corrupted row, and Gp_i gathered from it.  A row
+    that some y_i uses, with one entry flipped: (B') and the per-block
+    product both fail, and both certificates raise the same class.  The same
+    row shifted by a row of the opposite inner dual: (B') fails, but every
+    block still passes (B), so both accept.  A row that no y_i uses: Gp_i is
+    unchanged and both accept, though (B') fails on the table."""
+    case = _case(name)
+    inner, ext = case.inner, case.ext
+    f, q, Q = inner.field, inner.field.q, ext.Q
+    unused_seen = False
+    for i, side in ((0, 1), (1, 2)):
+        y = concat._scaled(ext, case.Hout[i], side)
+        H_other = inner.C1.H if side == 1 else inner.C2.H
+        used = np.zeros(Q, dtype=bool)
+        used[y] = True
+        for x in np.flatnonzero(used)[-1:]:  # the 0-row Hout sides use none
+            for delta, accepted in ((lambda r: np.r_[(r[0] + 1) % q, r[1:]], False),
+                                    (lambda r: f.add(r, H_other[0]), True)):
+                PI = list(case.PI)
+                PI[2 - side] = _corrupted(PI[2 - side], x, delta)
+                Gp = list(case.gp(case.Hout))
+                Gp[i] = concat._expand(PI[2 - side], y)
+                args = (inner, ext, case.D, case.Hout, tuple(Gp))
+                new = _outcome(concat._certify_outer, *args, tuple(PI))
+                assert new is _outcome(_nN_certificate, *args)
+                assert (new is None) is accepted, (side, x)
+        unused = np.flatnonzero(~used)
+        if unused.size:
+            unused_seen = True
+            PI = list(case.PI)
+            PI[2 - side] = _corrupted(PI[2 - side], unused[0], lambda r: (r + 1) % q)
+            Gp = case.gp(case.Hout)
+            assert np.array_equal(Gp[i], concat._expand(PI[2 - side], y))
+            args = (inner, ext, case.D, case.Hout, Gp)
+            assert _outcome(concat._certify_outer, *args, tuple(PI)) is None
+            assert _outcome(_nN_certificate, *args) is None
+    if not unused_seen:
+        pytest.skip("the scaled Hout entries use every code of GF(Q) on both "
+                    "sides: no pi-table row is left to corrupt unseen")
+
+
+def _matmul_rows(monkeypatch):
+    rows = []
+    matmul = Field.matmul
+
+    def spy(self, A, B):
+        rows.append(len(np.reshape(A, (-1, np.shape(A)[-1]))))
+        return matmul(self, A, B)
+
+    monkeypatch.setattr(Field, "matmul", spy)
+    return rows
+
+
+@pytest.mark.parametrize("name", ["90_28", "504_186", "480_160_gf3", "96_32_gf3_linear"])
+def test_concatenate_multiplies_blocks_only_after_a_failed_lookup(monkeypatch, name):
+    """On a valid pair no product in concatenate has more than max(Q, kM)
+    rows: the blocks of Gp_i are accepted by (B') and the gather.  With one
+    flipped entry of Gp1 the per-block product, kMN rows, runs."""
+    inner, outer, ext = _inputs(name)
+    good = concatenate(inner, outer, ext)
+    k, N = good.k, good.N
+    M = max(len(good.Hout1), len(good.Hout2))
+    rows = _matmul_rows(monkeypatch)
+    concatenate(inner, outer, ext)
+    assert rows and max(rows) <= max(ext.Q, k * M) < k * M * N
+    build = concat._expanded_check
+
+    def flipped(inner, ext, Hout, side, table):
+        Ho, lower = build(inner, ext, Hout, side, table)
+        if side == 1:
+            lower[0, 0] = (lower[0, 0] + 1) % inner.field.q
+        return Ho, lower
+
+    monkeypatch.setattr(concat, "_expanded_check", flipped)
+    rows.clear()
+    with pytest.raises((NotOrthogonal, RankDeficient)):
+        concatenate(inner, outer, ext)
+    assert k * len(good.Hout1) * N in rows

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from cssconcat import outer_grs
 from cssconcat.codes import validate_css
 from cssconcat.errors import (
     BadDimension,
@@ -450,3 +451,97 @@ def test_zero_radius_fails_with_its_reason():
         with pytest.raises(DecodeFailure, match=f"^{MESSAGES[reason[1]]}$"):
             rs.bd_decode([3])
         assert MESSAGES[reason[1]] == "nonzero syndrome but zero correction radius"
+
+
+# -- the array-built constructors against the per-point reference -------------
+
+def _per_point_grs(ext, points, multipliers, K):
+    """``(points, multipliers, G, H, dual_multipliers)`` by the per-point
+    constructor: Python-level validation of every code, then the arrays."""
+    points = [int(x) for x in points]
+    multipliers = [int(x) for x in multipliers]
+    N = len(points)
+    if len(set(points)) != N:
+        raise DuplicatePoint("evaluation points must be distinct")
+    if len(multipliers) != N:
+        raise DomainError("need one multiplier per point")
+    if any(not 0 <= x < ext.Q for x in points + multipliers):
+        raise DomainError("points and multipliers must be codes of the field")
+    if any(v == 0 for v in multipliers):
+        raise ZeroMultiplier("column multipliers must be nonzero")
+    if not 1 <= K <= N:
+        raise BadDimension(f"dimension K={K} out of range [1, {N}]")
+    a = np.array(points, dtype=np.int64)
+    v = np.array(multipliers, dtype=np.int64)
+    log_v = ext.log[v]
+    log_u = (-log_v - outer_grs._log_difference_products(ext, a)) % (ext.Q - 1)
+    return (a, v, outer_grs._scaled_powers(ext, log_v, a, K),
+            outer_grs._scaled_powers(ext, log_u, a, N - K), ext.exp[log_u])
+
+
+def _per_point_nested(ext, N, K1, K2):
+    points = [ext.alpha_pow(j) for j in range(N)]
+    D1 = _per_point_grs(ext, points, [1] * N, K1)
+    return D1, _per_point_grs(ext, points, [1] * N if K2 == N else D1[4], K2)
+
+
+_FIELDS = {"GF16": Extension(Field(2), 4), "GF64": Extension(Field(2), 6),
+           "GF81": Extension(Field(3), 4), "GF3^5": Extension(Field(3), 5),
+           "GF256": Extension(Field(2), 8)}
+_ARRAYS = ("points", "multipliers", "G", "H", "dual_multipliers")
+
+
+def _same_arrays(code, ref):
+    for name, want in zip(_ARRAYS, ref):
+        got = getattr(code, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+
+
+@pytest.mark.parametrize("name", list(_FIELDS))
+def test_array_built_grs_matches_per_point_reference(name):
+    """default_points, nested_grs_pair on N = Q - 1 points (255 on GF(256)),
+    the duals of both codes and, in characteristic 2, the self-dual
+    multiplier code: byte-identical to the per-point construction."""
+    ext = _FIELDS[name]
+    N = ext.Q - 1
+    points = default_points(ext, N)
+    assert type(points) is list and points == [ext.alpha_pow(j) for j in range(N)]
+    for K1, K2 in ((N - N // 4, N - N // 4), (N // 2 + 1, N - N // 2 - 1), (2, N)):
+        pair = nested_grs_pair(ext, N, K1, K2)
+        for code, ref in zip(pair, _per_point_nested(ext, N, K1, K2)):
+            _same_arrays(code, ref)
+            if code.K < N:
+                a, v, _, _, u = ref
+                _same_arrays(code.dual(), _per_point_grs(ext, a, u, N - code.K))
+    if ext.base.p == 2:
+        pts = [0] + points[:40]
+        K = len(pts) // 2 + 1
+        u = _per_point_grs(ext, pts, [1] * len(pts), 1)[4]
+        root = [ext.as_field().pow(int(x), ext.Q // 2) for x in u]
+        _same_arrays(self_dual_multiplier_grs(ext, pts, K), _per_point_grs(ext, pts, root, K))
+
+
+@pytest.mark.parametrize("as_array", [False, True], ids=["list", "ndarray"])
+def test_array_built_grs_keeps_exception_classes(as_array):
+    """Repeated points, codes outside [0, Q) (negative or too large), a zero
+    multiplier, a multiplier count that does not match and both a repeated
+    and an out-of-range point: the same class as the per-point reference,
+    for list and ndarray input."""
+    ext = _FIELDS["GF16"]
+    wrap = np.array if as_array else list
+    cases = [([1, 2, 2, 3], [1, 1, 1, 1], DuplicatePoint),
+             ([1, 2, -1, 3], [1, 1, 1, 1], DomainError),
+             ([1, 2, 16, 3], [1, 1, 1, 1], DomainError),
+             ([1, 2, 5, 3], [1, 1, -3, 1], DomainError),
+             ([1, 2, 5, 3], [1, 1, 16, 1], DomainError),
+             ([1, 2, 5, 3], [1, 1, 1], DomainError),
+             ([1, 2, 5, 3], [1, 0, 1, 1], ZeroMultiplier),
+             ([1, 20, 20, 3], [1, 1, 1, 1], DuplicatePoint),
+             ([1, -2, 5, 1], [1, 1, 1, 1], DuplicatePoint)]
+    for points, v, exc in cases:
+        for build in (GrsCode, _per_point_grs):
+            with pytest.raises(exc):
+                build(ext, wrap(points), wrap(v), 2)
+        if exc is DuplicatePoint or points[2] in (-1, 16):
+            with pytest.raises(exc):
+                self_dual_multiplier_grs(ext, wrap(points), 2)
