@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decode import DecoderContext, success_oracle_rows
+from .decode import DecoderContext, _nonzero_rows, success_oracle_rows
 from .errors import DomainError, EmptyFeasibleSet
 
 
@@ -104,8 +104,10 @@ def mc_error_rate(ctx: DecoderContext, channel: AdditiveChannel, trials: int,
 
     A trial fails when the two-stage estimate does not match the sampled
     error modulo the stabilizer.  The measured inner-stage block error rate
-    (fraction of inner blocks whose residual symbol after stage 1 is
-    nonzero) is reported alongside for comparison with the union bound.
+    is reported alongside for comparison with the union bound: the fraction
+    of inner blocks whose stage-1 miss e_b - leader_b has a nonzero
+    g-coefficient c_b (:meth:`DecoderContext.block_split`), that is, the
+    miss lies in the side's inner code but outside the opposite inner dual.
     """
     if trials < 1:
         raise DomainError("trials must be >= 1")
@@ -116,14 +118,12 @@ def mc_error_rate(ctx: DecoderContext, channel: AdditiveChannel, trials: int,
     failures = 0
     outer_fail = 0
     bad_blocks = 0
-    inner_dual = ctx.cp.inner.C2.Hmat if ctx.side == 1 else ctx.cp.inner.C1.Hmat
     for start in range(0, trials, chunk):
         count = min(chunk, trials - start)
         E = _sample_block(channel, seed, start, count, n_total)
         S = ctx.full_syndrome(E)
         Ehat = ctx.stage1(S[:, : ctx.upper_len])
-        diff_blocks = f.sub(E, Ehat).reshape(count * ctx.N, ctx.n)
-        bad_blocks += int((~inner_dual.span_contains_rows(diff_blocks)).sum())
+        bad_blocks += int(np.count_nonzero(_nonzero_rows(ctx.block_split(f.sub(E, Ehat))[2])))
         outer_fail += int((~ctx.outer_stage(S, Ehat)).sum())
         failures += int((~success_oracle_rows(ctx, E, Ehat)).sum())
     lo, hi = wilson_interval(failures, trials)

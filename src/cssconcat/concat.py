@@ -212,10 +212,7 @@ def _subfield_rows(ext: Extension, M) -> np.ndarray:
 
     Row ``r * k + l`` is ``alpha^l * M[r]``.
     """
-    M = np.asarray(M)
-    alphas = np.asarray(ext.power_basis(), dtype=np.int64)
-    scaled = ext.as_field().mul(M[:, None, :], alphas[None, :, None])
-    return scaled.reshape(M.shape[0] * ext.k, M.shape[1])
+    return _scaled(ext, np.asarray(M), 2)
 
 
 def _concatenated_rows(ext, table, G, H):
@@ -247,24 +244,25 @@ def build_parity_check(inner: CssPair, ext: Extension, Hout, side: int = 1):
     M = Hout.shape[0]
     if M and MatGF(ext.as_field(), Hout).rank != M:
         raise RankDeficient("outer parity check is not full rank")
-    return _expanded_check(inner, ext, Hout, side, pi_table(3 - side, inner, ext))
+    return _expanded_check(inner, _scaled(ext, Hout, side), side,
+                           pi_table(3 - side, inner, ext))
 
 
-def _expanded_check(inner: CssPair, ext: Extension, Hout, side: int, table):
-    """:func:`build_parity_check` without the rank check of ``Hout``, with
+def _expanded_check(inner: CssPair, y, side: int, table):
+    """:func:`build_parity_check` from the scaled symbols ``y`` =
+    :func:`_scaled` of ``Hout``, without the rank check of ``Hout``, with
     ``table`` the pi table of the other side, PI_2 for side 1 and PI_1 for
     side 2.
 
     Row ``j * k + r`` of ``lower`` is PI_2[Hout[j] * beta_r] on side 1 and
     PI_1[Hout[j] * alpha^r] on side 2 (see the module docstring).
     """
-    n, k = inner.n, inner.k
-    M, N = Hout.shape
+    n, N = inner.n, y.shape[1]
     H_in = inner.C1.H if side == 1 else inner.C2.H
     top = N * len(H_in)
-    Ho = np.zeros((top + k * M, n * N), dtype=inner.field.dtype)
+    Ho = np.zeros((top + len(y), n * N), dtype=inner.field.dtype)
     _blockwise(H_in, Ho[:top])
-    lower = _expand(table, _scaled(ext, Hout, side), Ho[top:])
+    lower = _expand(table, y, Ho[top:])
     return Ho, lower
 
 
@@ -409,18 +407,19 @@ def _block_check(inner: CssPair, Gp, side: int, W):
     return P[failing, :, m:].reshape(-1, N * k)
 
 
-def _certify_outer(inner: CssPair, ext: Extension, D, Hout, Gp, PI):
-    """The trace-form certificate of the module docstring; ``D``, ``Hout``,
-    ``Gp`` and the pi tables ``PI`` are pairs (side 1, side 2).  The blocks
-    of Gp_i are multiplied one by one only when (B') or the comparison fails.
+def _certify_outer(inner: CssPair, ext: Extension, D, y, Gp, PI):
+    """The trace-form certificate of the module docstring; ``D``, the scaled
+    symbols ``y`` (:func:`_scaled` of Hout_i), ``Gp`` and the pi tables
+    ``PI`` are pairs (side 1, side 2).  The blocks of Gp_i are multiplied
+    one by one only when (B') or the comparison fails.
     Raises NotOrthogonal or RankDeficient."""
-    f, k, N = inner.field, inner.k, Hout[0].shape[1]
+    f, k, N = inner.field, inner.k, y[0].shape[1]
     dual, coord = ext.dual_table.astype(f.dtype), ext.coord_table.astype(f.dtype)
     W, V = [], []
     for side, wtab, table in ((1, dual, PI[1]), (2, coord, PI[0])):
-        y = _scaled(ext, Hout[side - 1], side)
-        W.append(np.take(wtab, y, axis=0).reshape(-1, N * k))
-        V.append(W[-1][:0] if _table_accepts(inner, Gp[side - 1], side, table, y, wtab)
+        W.append(np.take(wtab, y[side - 1], axis=0).reshape(-1, N * k))
+        V.append(W[-1][:0] if _table_accepts(inner, Gp[side - 1], side, table,
+                                             y[side - 1], wtab)
                  else _block_check(inner, Gp[side - 1], side, W[-1]))
     (W1, W2), (V1, V2) = W, V
     failing = len(V1) or len(V2)
@@ -462,9 +461,10 @@ def concatenate(inner: CssPair, outer, ext: Extension) -> ConcatPair:
         raise LengthMismatch("outer codes of different length")
     _check_inner(inner)
     PI1, PI2 = pi_table(1, inner, ext), pi_table(2, inner, ext)
-    Ho1, Gp1 = _expanded_check(inner, ext, Hout1, 1, PI2)
-    Ho2, Gp2 = _expanded_check(inner, ext, Hout2, 2, PI1)
-    _certify_outer(inner, ext, (D1, D2), (Hout1, Hout2), (Gp1, Gp2), (PI1, PI2))
+    y1, y2 = _scaled(ext, Hout1, 1), _scaled(ext, Hout2, 2)
+    Ho1, Gp1 = _expanded_check(inner, y1, 1, PI2)
+    Ho2, Gp2 = _expanded_check(inner, y2, 2, PI1)
+    _certify_outer(inner, ext, (D1, D2), (y1, y2), (Gp1, Gp2), (PI1, PI2))
     return ConcatPair(inner=inner, ext=ext, D1=D1, D2=D2, Ho1=Ho1, Ho2=Ho2,
                       Gp1=Gp1, Gp2=Gp2, Hout1=Hout1, Hout2=Hout2, PI1=PI1, PI2=PI2,
                       grs1=grs1, grs2=grs2)

@@ -15,16 +15,47 @@ concatenated code.
 rows, then :meth:`DecoderContext.outer_stage` on those with a nonzero residual,
 which hands them to :meth:`GrsCode.bd_decode_batch` in one call.  The scalar
 :func:`two_stage_decode` is a one-row batch.
+
+Block-level success test.  On side 1 the opposite code is L2 = pi_2(D2) +
+blockwise dual(C1), generated by N diagonal copies of C1.H and by the rows
+PI2[alpha^l D2.G]; on side 2 it is L1, generated by copies of C2.H and the
+rows PI1[alpha^l D1.G].  Write [H; g] for [C1.H; g2] on side 1 and
+[C2.H; g1] on side 2 (concat._block_factor of the other side), and wtab for
+the extension's dual_table on side 1 and its coord_table on side 2, so that
+PI_o[x] = wtab[x] g for the opposite table PI_o, as pi_map builds it.  A
+difference v = estimate - e is then orthogonal to L_o iff
+
+  (i) every block v_b is orthogonal to the rows of H, and
+  (ii) c.Y^T = 0, with c_b = v_b.g^T the g-coefficients of the blocks and Y
+       the (k K_o, k N) matrix wtab[alpha^l D_o.G],
+
+since <v_b, wtab[x] g> = wtab[x].c_b.  One product of the nonzero blocks of
+v by [H; g]^T gives both (i) and c; only rows that pass (i) with some
+c_b != 0 meet Y, in one GF(q) product.  Y is gathered on the first such row.
+The same product scores stage 1.  A stage-1 miss e_b - leader_b has the
+syndrome zero, so it lies in the side's inner code C = dual(C_o) + span(g'),
+g' the side's own coset generators; by (P) of the concat docstring,
+g'.g^T = I and dual(C_o).g^T = 0, so c_b is its g'-coefficient, and the
+block is bad, outside dual(C_o), iff c_b != 0.  Neither test eliminates.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from .codes import TABLE_CAP, CosetLeaderTable
-from .concat import ConcatPair
+from .concat import ConcatPair, _block_factor, _subfield_rows
 from .errors import DomainError
-from .matrix import MatGF, as_codes
+from .matrix import as_codes
+
+
+def _nonzero_rows(A):
+    """Which rows of the 2-D ``A`` hold a nonzero entry, reduced over a
+    transposed copy: numpy ORs its rows whole, where ``A.any(axis=1)`` pays
+    a step per row of a few entries."""
+    return np.ascontiguousarray(A.T).any(axis=0)
 
 
 class DecoderContext:
@@ -59,8 +90,26 @@ class DecoderContext:
         # element j
         self.dual_coords = (None if side == 1 else
                             cp.ext.coords(cp.ext.dual_basis()).astype(self.field.dtype))
-        # the row space of Ho_other is dual(L_other), certified by concatenate
-        self._other_dual = MatGF(self.field, cp.Ho2 if side == 1 else cp.Ho1)
+        # [H; g]^T of the block-level success test (module docstring)
+        self._m, self._HgT = _block_factor(cp.inner, 3 - side)
+
+    @cached_property
+    def Y(self):
+        """The (k K_o, k N) matrix wtab[alpha^l D_o.G] of the block-level
+        success test, in the field's dtype, gathered on first use."""
+        ext, D = self.ext, self.cp.D2 if self.side == 1 else self.cp.D1
+        wtab = (ext.dual_table if self.side == 1 else ext.coord_table).astype(self.field.dtype)
+        return np.take(wtab, _subfield_rows(ext, D.G), axis=0).reshape(-1, self.N * self.k)
+
+    def block_split(self, V):
+        """The nonzero blocks of rows ``V`` of differences, split by one
+        product with [H; g]^T: ``(ids, outside, c)``, with ``ids`` the flat
+        indices row * N + block of those blocks, ``outside`` whether each
+        fails (i) of the module docstring, and ``c`` their g-coefficients."""
+        blocks = V.reshape(-1, self.n)
+        ids = np.flatnonzero(_nonzero_rows(blocks))
+        P = self.field.matmul(blocks[ids], self._HgT)
+        return ids, _nonzero_rows(P[:, :self._m]), P[:, self._m:]
 
     def full_syndrome(self, E):
         """Syndromes of error vectors (rows) against this side's structured check."""
@@ -124,21 +173,36 @@ def two_stage_decode(ctx: DecoderContext, s):
 def success_oracle(ctx: DecoderContext, e, estimate) -> bool:
     """True iff the estimate corrects ``e`` modulo the stabilizer.
 
-    The estimate succeeds exactly when its difference from the channel error
-    is orthogonal to the opposite-side concatenated code.
+    The estimate succeeds exactly when its difference v from the channel
+    error is orthogonal to the opposite-side concatenated code L_o: every
+    block of v is orthogonal to the opposite inner dual's rows H, and the
+    g-coefficients c_b = v_b.g^T satisfy c.Y^T = 0 (module docstring).
     """
     return bool(success_oracle_rows(ctx, np.reshape(e, (1, -1)),
                                     np.reshape(estimate, (1, -1)))[0])
 
 
 def success_oracle_rows(ctx: DecoderContext, E, estimates):
-    """:func:`success_oracle` over matching rows."""
+    """:func:`success_oracle` over matching rows, by one product of the
+    nonzero blocks and one product with :attr:`DecoderContext.Y` of the rows
+    that need it."""
     E = np.asarray(E)
     estimates = np.asarray(estimates)
-    if E.shape != estimates.shape or E.shape[-1:] != (ctx.Ho.shape[1],):
+    if E.shape != estimates.shape or E.ndim != 2 or E.shape[1] != ctx.Ho.shape[1]:
         raise DomainError(f"errors and estimates must be matching rows of "
                           f"length {ctx.Ho.shape[1]}")
     E = as_codes(ctx.field, E, "error entries")
     estimates = as_codes(ctx.field, estimates, "estimate entries")
-    # the difference of checked codes is a code: no second range check
-    return ctx._other_dual._span_mask(ctx.field.sub(estimates, E))
+    f = ctx.field
+    V = f.sub(estimates, E)
+    ok = np.ones(len(E), dtype=bool)
+    if not V.any():  # every estimate is exact
+        return ok
+    ids, outside, c = ctx.block_split(V)
+    ok[ids[outside] // ctx.N] = False
+    C = np.zeros((len(E), ctx.N * ctx.k), dtype=f.dtype)
+    C.reshape(-1, ctx.k)[ids] = c
+    rows = np.flatnonzero(ok & _nonzero_rows(C))
+    if rows.size:
+        ok[rows] = ~f.matmul(ctx.Y, C[rows].T).any(axis=0)
+    return ok

@@ -438,12 +438,7 @@ class MatGF:
         Over a prime field the mask is filled chunk by chunk from the
         residuals, with no residual copy of the batch.
         """
-        return self._span_mask(self._checked_rows(X))
-
-    def _span_mask(self, X):
-        """:meth:`span_contains_rows` of rows already checked by
-        :meth:`_checked_rows`, or known to be codes of the field of the
-        right length, such as a table gather of such codes."""
+        X = self._checked_rows(X)
         if self.field.kind == "tables":
             return ~self._reduce(X).any(axis=1)
         mask = ~X.any(axis=1)  # right for every row with no pivot entry

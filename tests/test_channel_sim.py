@@ -102,7 +102,8 @@ def test_mc_chunk_invariance():
 def test_mc_heap_holds_narrow_codes():
     """Codes stay in the field's dtype from sampling to decoding: one
     512-trial call on [[90,28]] peaks within 1 MB of its start (about 0.4 MB;
-    1.9 MB with int64 codes).  A first call builds the decoder's lazy rrefs."""
+    1.9 MB with int64 codes).  A first call gathers the decoder's lazy
+    symbol-check matrix Y."""
     inner = bvector_pair(F2, [1] * 6, [1] * 6)
     e16 = Extension(F2, 4)
     cp = concatenate(inner, nested_grs_pair(e16, 15, 11, 11), e16)

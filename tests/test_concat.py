@@ -364,8 +364,8 @@ def test_flipped_expanded_check_rejected(monkeypatch, name, flip):
     good = concatenate(inner, outer, ext)
     build = concat._expanded_check
 
-    def flipped(inner, ext, Hout, side, table):
-        Ho, lower = build(inner, ext, Hout, side, table)
+    def flipped(inner, y, side, table):
+        Ho, lower = build(inner, y, side, table)
         if side == flip:
             lower = lower.copy()
             lower[0, 0] = (lower[0, 0] + 1) % q
@@ -375,8 +375,8 @@ def test_flipped_expanded_check_rejected(monkeypatch, name, flip):
     monkeypatch.setattr(concat, "_expanded_check", flipped)
     with pytest.raises((NotOrthogonal, RankDeficient)):
         concatenate(inner, outer, ext)
-    Ho, lower = flipped(inner, ext, *((good.Hout1, 1, good.PI2) if flip == 1
-                                      else (good.Hout2, 2, good.PI1)))
+    Hout, table = (good.Hout1, good.PI2) if flip == 1 else (good.Hout2, good.PI1)
+    Ho, lower = flipped(inner, concat._scaled(ext, Hout, flip), flip, table)
     fields = {"Ho1": Ho, "Gp1": lower} if flip == 1 else {"Ho2": Ho, "Gp2": lower}
     assert not verify_duality(dataclasses.replace(good, **fields))
 
@@ -579,17 +579,24 @@ class _Case:
         self.Hout = tuple(np.array(concat._unwrap_outer(Dm)[1]) for Dm in outer)
         self.PI = (concat.pi_table(1, inner, ext), concat.pi_table(2, inner, ext))
 
+    def scaled(self, Hout):
+        return tuple(concat._scaled(self.ext, H, side) for side, H in ((1, Hout[0]), (2, Hout[1])))
+
     def gp(self, Hout):
-        return tuple(concat._expanded_check(self.inner, self.ext, H, side,
+        return tuple(concat._expanded_check(self.inner, y, side,
                                             concat.pi_table(3 - side, self.inner, self.ext))[1]
-                     for side, H in ((1, Hout[0]), (2, Hout[1])))
+                     for side, y in zip((1, 2), self.scaled(Hout)))
+
+    def certify(self, Hout, Gp, PI):
+        """:func:`concat._certify_outer` and the nN-column reference on the
+        same inputs; returns their outcomes."""
+        return (_outcome(concat._certify_outer, self.inner, self.ext, self.D,
+                         self.scaled(Hout), Gp, PI),
+                _outcome(_nN_certificate, self.inner, self.ext, self.D, Hout, Gp))
 
     def outcomes(self, Hout=None, Gp=None):
         Hout = self.Hout if Hout is None else Hout
-        Gp = self.gp(Hout) if Gp is None else Gp
-        args = (self.inner, self.ext, self.D, Hout, Gp)
-        return (_outcome(concat._certify_outer, *args, self.PI),
-                _outcome(_nN_certificate, *args))
+        return self.certify(Hout, self.gp(Hout) if Gp is None else Gp, self.PI)
 
 
 def _case(name):
@@ -750,9 +757,8 @@ def test_corrupted_pi_table_matches_reference(name):
                 PI[2 - side] = _corrupted(PI[2 - side], x, delta)
                 Gp = list(case.gp(case.Hout))
                 Gp[i] = concat._expand(PI[2 - side], y)
-                args = (inner, ext, case.D, case.Hout, tuple(Gp))
-                new = _outcome(concat._certify_outer, *args, tuple(PI))
-                assert new is _outcome(_nN_certificate, *args)
+                new, ref = case.certify(case.Hout, tuple(Gp), tuple(PI))
+                assert new is ref
                 assert (new is None) is accepted, (side, x)
         unused = np.flatnonzero(~used)
         if unused.size:
@@ -761,9 +767,7 @@ def test_corrupted_pi_table_matches_reference(name):
             PI[2 - side] = _corrupted(PI[2 - side], unused[0], lambda r: (r + 1) % q)
             Gp = case.gp(case.Hout)
             assert np.array_equal(Gp[i], concat._expand(PI[2 - side], y))
-            args = (inner, ext, case.D, case.Hout, Gp)
-            assert _outcome(concat._certify_outer, *args, tuple(PI)) is None
-            assert _outcome(_nN_certificate, *args) is None
+            assert case.certify(case.Hout, Gp, tuple(PI)) == (None, None)
     if not unused_seen:
         pytest.skip("the scaled Hout entries use every code of GF(Q) on both "
                     "sides: no pi-table row is left to corrupt unseen")
@@ -795,8 +799,8 @@ def test_concatenate_multiplies_blocks_only_after_a_failed_lookup(monkeypatch, n
     assert rows and max(rows) <= max(ext.Q, k * M) < k * M * N
     build = concat._expanded_check
 
-    def flipped(inner, ext, Hout, side, table):
-        Ho, lower = build(inner, ext, Hout, side, table)
+    def flipped(inner, y, side, table):
+        Ho, lower = build(inner, y, side, table)
         if side == 1:
             lower[0, 0] = (lower[0, 0] + 1) % inner.field.q
         return Ho, lower

@@ -5,9 +5,10 @@ import itertools
 import numpy as np
 import pytest
 
-from cssconcat.channel_sim import AdditiveChannel, mc_error_rate
+from cssconcat import matrix
+from cssconcat.channel_sim import AdditiveChannel, _sample_block, mc_error_rate
 from cssconcat.codes import bvector_pair
-from cssconcat.concat import concatenate, pi_map
+from cssconcat.concat import concatenate, pi_map, pi_rows
 from cssconcat.decode import (
     DecoderContext,
     decode_batch,
@@ -21,6 +22,7 @@ from cssconcat.outer_grs import nested_grs_pair
 
 F2 = Field(2)
 F3 = Field(3)
+F4 = Field(2, 2)
 
 
 def _cp_12_2(K1=1, K2=3):
@@ -40,6 +42,13 @@ def _cp_96_32_gf3():
     inner = bvector_pair(F3, [1] * 6, [1] * 6)
     e81 = Extension(F3, 4)
     return concatenate(inner, nested_grs_pair(e81, 16, 12, 12), e81)
+
+
+def _cp_60_14_gf4():
+    """Inner [[4,2]] over GF(4), outer RS[15,11] over GF(16): t = 2 per side."""
+    inner = bvector_pair(F4, [1] * 4, [1] * 4)
+    e16 = Extension(F4, 2)
+    return concatenate(inner, nested_grs_pair(e16, 15, 11, 11), e16)
 
 
 def test_zero_error_both_sides():
@@ -333,3 +342,135 @@ def test_mc_counts_pinned_96_32_gf3():
         r = mc_error_rate(DecoderContext(cp, side=side), ch, 200, 7)
         assert (r.failures, r.outer_decode_failures) == want
         assert r.inner_block_rate == 178 / (200 * 16)  # 178 bad inner blocks
+
+
+# -- the block-level success test against the dense elimination ----------------
+
+ORACLE_CASES = [_cp_90_28, _cp_96_32_gf3, _cp_60_14_gf4]
+
+
+def _dense_oracle(ctx, E, estimates):
+    """The reference for success_oracle_rows: the difference lies in the row
+    space of the opposite structured check, dual(L_o), by elimination."""
+    Ho_other = ctx.cp.Ho2 if ctx.side == 1 else ctx.cp.Ho1
+    return matrix.MatGF(ctx.field, Ho_other).span_contains_rows(ctx.field.sub(estimates, E))
+
+
+def _logical_errors(ctx, rng, rows):
+    """pi_side of random words of the side's own outer code, each plus one
+    corrupted block: the outer stage corrects the block and succeeds, and
+    the estimate is wrong unless the word lies in dual(D_o)."""
+    f, fQ, n = ctx.field, ctx.ext.as_field(), ctx.n
+    D = ctx.cp.D1 if ctx.side == 1 else ctx.cp.D2
+    X = fQ.matmul(rng.integers(0, fQ.q, size=(rows, D.dim)), D.G)
+    E = pi_rows(ctx.side, ctx.cp.inner, ctx.ext, X).astype(np.int64)
+    for i, b in enumerate(rng.integers(0, ctx.N, size=rows)):
+        E[i, b * n:(b + 1) * n] = f.add(E[i, b * n:(b + 1) * n], rng.integers(0, f.q, size=n))
+    return E
+
+
+def _oracle_batch(ctx, rng):
+    """Decoded _mixed_errors and _logical_errors rows: ``(E, Ehat, outer_ok)``."""
+    E = np.concatenate([_mixed_errors(ctx, rng, 90), _logical_errors(ctx, rng, 12)])
+    Ehat, outer_ok = decode_batch(ctx, ctx.full_syndrome(E))
+    return E, Ehat, outer_ok
+
+
+@pytest.mark.parametrize("make_cp", ORACLE_CASES)
+@pytest.mark.parametrize("side", [1, 2])
+def test_block_oracle_matches_dense_reference(make_cp, side):
+    """Decoded batches with outer failures and miscorrections, and the same
+    estimates shifted by random elements of dual(L_o): degenerate successes
+    whose blocks have nonzero g-coefficients, so Y decides them."""
+    ctx = DecoderContext(make_cp(), side=side)
+    f = ctx.field
+    rng = np.random.default_rng(60 + side)
+    E, Ehat, outer_ok = _oracle_batch(ctx, rng)
+    want = _dense_oracle(ctx, E, Ehat)
+    assert np.array_equal(success_oracle_rows(ctx, E, Ehat), want)
+    assert want.any() and (~outer_ok).any() and (outer_ok & ~want).any()
+    Ho_other = ctx.cp.Ho2 if side == 1 else ctx.cp.Ho1
+    shift = f.matmul(rng.integers(0, f.q, size=(len(E), len(Ho_other))), Ho_other)
+    ids, outside, c = ctx.block_split(shift)
+    assert not outside.any() and set(ids[c.any(axis=1)] // ctx.N) == set(range(len(E)))
+    shifted = f.add(Ehat, shift)
+    assert np.array_equal(_dense_oracle(ctx, E, shifted), want)
+    assert np.array_equal(success_oracle_rows(ctx, E, shifted), want)
+    for rows in (0, 1):
+        assert np.array_equal(success_oracle_rows(ctx, E[:rows], shifted[:rows]), want[:rows])
+    with pytest.raises(DomainError):  # a single vector is not a batch of rows
+        success_oracle_rows(ctx, E[0], shifted[0])
+
+
+@pytest.mark.parametrize("make_cp", ORACLE_CASES)
+@pytest.mark.parametrize("side", [1, 2])
+def test_block_oracle_inner_and_symbol_failures(make_cp, side):
+    """A unit vector fails the inner check (i); pi_side(z) passes (i), and
+    fails the symbol check (ii) exactly when z is not in dual(D_o), which
+    the rows of Hout_o span."""
+    ctx = DecoderContext(make_cp(), side=side)
+    f, fQ, L = ctx.field, ctx.ext.as_field(), ctx.N * ctx.n
+    rng = np.random.default_rng(70 + side)
+    Hout_o = ctx.cp.Hout2 if side == 1 else ctx.cp.Hout1
+    Z = np.concatenate([rng.integers(0, fQ.q, size=(4, ctx.N)),
+                        fQ.matmul(rng.integers(0, fQ.q, size=(4, len(Hout_o))), Hout_o)])
+    V = np.concatenate([np.eye(1, L, 0, dtype=np.int64), np.eye(1, L, L - 1, dtype=np.int64),
+                        pi_rows(side, ctx.cp.inner, ctx.ext, Z)])
+    zero = np.zeros_like(V)
+    ids, outside, c = ctx.block_split(f.sub(V, zero))
+    rows = ids // ctx.N
+    assert set(rows[outside]) == {0, 1} and set(rows[c.any(axis=1)]) >= set(range(2, 10))
+    want = _dense_oracle(ctx, zero, V)
+    assert want.tolist() == [False] * 6 + [True] * 4
+    assert np.array_equal(success_oracle_rows(ctx, zero, V), want)
+    assert [success_oracle(ctx, zero[i], V[i]) for i in range(len(V))] == want.tolist()
+
+
+@pytest.mark.parametrize("make_cp", ORACLE_CASES)
+def test_block_oracle_across_chunk_boundaries(monkeypatch, make_cp):
+    """With 256-byte chunks every product of the test runs in several row
+    chunks, the Y product included."""
+    ctx = DecoderContext(make_cp(), side=1)
+    E, Ehat, _ = _oracle_batch(ctx, np.random.default_rng(80))
+    want = _dense_oracle(ctx, E, Ehat)
+    monkeypatch.setattr(matrix, "_CHUNK_BYTES", 256)
+    assert matrix.chunk_rows(ctx.Y.shape[1], 4) < len(ctx.Y)
+    assert np.array_equal(success_oracle_rows(ctx, E, Ehat), want)
+
+
+@pytest.mark.parametrize("make_cp", ORACLE_CASES)
+@pytest.mark.parametrize("side", [1, 2])
+def test_inner_block_rate_matches_dense_count(make_cp, side):
+    """mc_error_rate counts a block bad when its g-coefficient is nonzero;
+    the reference counts stage-1 misses outside the opposite inner dual by
+    elimination, over the same trials drawn in one block."""
+    ctx = DecoderContext(make_cp(), side=side)
+    f, n = ctx.field, ctx.n
+    ch = AdditiveChannel.symmetric(f, 0.03)
+    trials = 150
+    r = mc_error_rate(ctx, ch, trials, 5, chunk=64)
+    E = _sample_block(ch, 5, 0, trials, ctx.N * n)
+    Ehat = ctx.stage1(ctx.full_syndrome(E)[:, : ctx.upper_len])
+    inner_dual = ctx.cp.inner.C2.Hmat if side == 1 else ctx.cp.inner.C1.Hmat
+    bad = int((~inner_dual.span_contains_rows(f.sub(E, Ehat).reshape(-1, n))).sum())
+    assert bad > 0 and r.inner_block_rate == bad / (trials * ctx.N)
+
+
+@pytest.mark.parametrize("make_cp", ORACLE_CASES)
+def test_mc_path_runs_no_elimination(monkeypatch, make_cp):
+    """Once the contexts are built, mc_error_rate eliminates nothing on
+    either side, the first call that gathers Y included."""
+    cp = make_cp()
+    ctxs = [DecoderContext(cp, side=side) for side in (1, 2)]
+    calls = []
+    for kind, kernel in list(matrix._RREF.items()):
+        def spy(f, a, kind=kind, kernel=kernel):
+            calls.append((kind, a.shape))
+            return kernel(f, a)
+        monkeypatch.setitem(matrix._RREF, kind, spy)
+    ch = AdditiveChannel.symmetric(cp.inner.field, 0.03)
+    for ctx in ctxs:
+        assert "Y" not in vars(ctx)
+        assert mc_error_rate(ctx, ch, 200, 3).failures > 0
+        assert calls == []
+        assert "Y" in vars(ctx)
