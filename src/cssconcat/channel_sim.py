@@ -2,11 +2,25 @@
 
 The channel adds an i.i.d. symbol drawn from a distribution W over GF(q) to
 every coordinate.  Monte-Carlo estimation feeds sampled errors through the
-two-stage decoder and scores them with the stabilizer-aware success oracle;
-trials use counter-based per-trial substreams (Philox keyed by seed and trial
-index) so serial and parallel runs agree.  The analytic side provides the
-random-coding error exponent, its concatenated-scheme optimization, and the
-classical union bound on bounded-distance outer decoding.
+two-stage decoder and scores them with the stabilizer-aware success oracle.
+The analytic side provides the random-coding error exponent, its
+concatenated-scheme optimization, and the classical union bound on
+bounded-distance outer decoding.
+
+Random streams.  Trial i of a run with seed s reads its own stream of
+Philox4x64-10 (Salmon et al., SC'11), computed here in numpy and bit-exact
+with ``np.random.Philox(key=(i << 64) + s)``: the key's low word is s, its
+high word i, the counters of a trial's blocks run 1, 2, ..., and a word x
+gives the uniform (x >> 11)·2⁻⁵³.  So a trial depends on (s, i) alone, and
+runs agree whatever their chunk size.  The four words of a block are two
+(gap, value) pairs.  The nonzero positions of a trial follow a geometric
+gap of rate p_nz = 1 - W(0) (Devroye 1986, ch. X): from position -1, each
+pair moves on by floor(log1p(-u) / log1p(-p_nz)) + 1 and puts there a value
+drawn from W conditioned on being nonzero; the trial ends at the first
+position past its length.  Sampling runs in rounds: each round draws
+ceil(b/2) blocks, b = L·p_nz + 4·sqrt(L·p_nz) + 2 pairs, for every trial
+not yet ended, continuing its counters, so nearly every trial ends in the
+first round.
 
 All rates and entropies are in log_q units.
 """
@@ -51,23 +65,121 @@ class AdditiveChannel:
         return f"AdditiveChannel(q={self.q}, W={np.array2string(self.probs, precision=4)})"
 
 
-def _trial_rng(seed, index):
-    # counter-based substream: key combines the run seed and the trial index
-    return np.random.Generator(np.random.Philox(key=(int(index) << 64) + int(seed)))
+# 0-d arrays, not numpy scalars: numpy takes them on its fast path
+_LOW32 = np.array(0xFFFFFFFF, dtype=np.uint64)
+_SHIFT32 = np.array(32, dtype=np.uint64)
+_SHIFT11 = np.array(11, dtype=np.uint64)
+# Philox4x64-10 constants: the multipliers of the two words a round
+# multiplies, split in 32-bit halves, and the per-round key increments
+_PHILOX_M = np.array([0xD2E7470EE14C6C93, 0xCA5A826395121157], dtype=np.uint64)[:, None, None]
+_PHILOX_M_LO = _PHILOX_M & _LOW32
+_PHILOX_M_HI = _PHILOX_M >> _SHIFT32
+_PHILOX_BUMPS = (np.arange(10, dtype=np.uint64)[:, None]
+                 * np.array([0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B], dtype=np.uint64))
+_KEY_LIMIT = 1 << 128
+# Philox blocks per call: bounds a round's uint64 temporaries (about 80 bytes
+# a block) for long or noisy trials; 2048 trials of [[504,186]] take one call
+_ROUND_BLOCKS = 1 << 15
+
+
+def _round_keys(key_lo, key_hi):
+    """Philox round keys ``(10, 2, len(key_hi))`` for the 128-bit keys
+    ``(key_hi << 64) + key_lo`` (``key_hi`` a uint64 array)."""
+    key = np.empty((2, key_hi.size), dtype=np.uint64)
+    key[0], key[1] = key_lo, key_hi
+    return _PHILOX_BUMPS[:, :, None] + key
+
+
+def _philox(counters, keys):
+    """Philox4x64-10 blocks for counters ``(nb,)`` (the low counter word;
+    the others are 0) under round keys ``(10, 2, A, 1)``: words
+    ``(x0, x2)`` and ``(x1, x3)`` of every block, each ``(2, A, nb)``."""
+    shape = (2, keys.shape[2], counters.size)
+    pair = np.zeros(shape, dtype=np.uint64)  # (x0, x2), the words multiplied
+    pair[0] = counters
+    rest = np.zeros(shape, dtype=np.uint64)  # (x1, x3)
+    for key in keys:
+        # both 64 x 64 -> 128-bit products of the round at once, from halves
+        lo, hi = pair & _LOW32, pair >> _SHIFT32
+        mid = hi * _PHILOX_M_LO
+        mid += (lo * _PHILOX_M_LO) >> _SHIFT32
+        lo *= _PHILOX_M_HI
+        lo += mid & _LOW32
+        hi *= _PHILOX_M_HI
+        hi += mid >> _SHIFT32
+        hi += lo >> _SHIFT32
+        pair *= _PHILOX_M
+        # (x0, x1, x2, x3) <- (hi1 ^ x1 ^ k0, lo1, hi0 ^ x3 ^ k1, lo0)
+        hi = hi[::-1]
+        hi ^= rest
+        hi ^= key
+        pair, rest = hi, pair[::-1]
+    return pair, rest
+
+
+def _uniforms(words):
+    """Doubles in [0, 1) from 64-bit words, as ``Generator.random`` makes them."""
+    return (words >> _SHIFT11).astype(np.float64) * 2.0 ** -53
+
+
+def _gaps(u, log_keep, length):
+    """Zero runs floor(log1p(-u) / log_keep) before each nonzero position,
+    clipped to ``length`` before the cast, since a rate near 0 makes them
+    huge; ``log_keep`` = log1p(-p_nz) < 0."""
+    return np.minimum(np.log1p(-u) / log_keep, length).astype(np.int64)
+
+
+def _error_triples(channel, seed, start, count, length):
+    """Yield the nonzero entries of trials ``start .. start + count - 1`` as
+    ``(trial, position, value)`` arrays, one yield per Philox call, each
+    trial an offset from ``start``; the stream scheme is in the module
+    docstring."""
+    seed, start = int(seed), int(start)
+    if seed < 0 or ((start + count - 1) << 64) + seed >= _KEY_LIMIT:
+        raise DomainError("trial keys (trial << 64) + seed must lie in [0, 2**128)")
+    p_nz = 1.0 - channel.probs[0]
+    if p_nz <= 0.0:
+        return
+    # 1 - W(0) is 1 or at least 2**-53, so the quotients of _gaps stay finite
+    log_keep = math.log1p(-p_nz) if p_nz < 1.0 else -math.inf
+    nonzero_cdf = np.cumsum(channel.probs[1:])[:-1]
+    mean = length * p_nz
+    nb = math.ceil((mean + 4.0 * math.sqrt(mean) + 2.0) / 2.0)
+    keys = _round_keys(seed & (2 ** 64 - 1),
+                       np.arange(count, dtype=np.uint64) + np.uint64(start + (seed >> 64)))
+    step = max(1, _ROUND_BLOCKS // nb)
+    for begin in range(0, count, step):
+        active = np.arange(begin, min(begin + step, count))
+        last = np.full(active.size, -1, dtype=np.int64)
+        first = 1
+        while active.size:
+            gap_words, value_words = _philox(
+                np.arange(first, first + nb, dtype=np.uint64), keys[:, :, active, None])
+            first += nb
+            # pair 2j + s of a trial is block j's (x_2s, x_2s+1)
+            gaps = _gaps(_uniforms(gap_words.transpose(1, 2, 0).reshape(active.size, -1)),
+                         log_keep, length)
+            pos = np.cumsum(gaps + 1, axis=1)
+            pos += last[:, None]
+            rows, cols = np.nonzero(pos < length)
+            u = _uniforms(value_words.transpose(1, 2, 0)[rows, cols // 2, cols % 2])
+            values = 1 + np.searchsorted(nonzero_cdf, u * p_nz, side="right")
+            yield active[rows], pos[rows, cols], values.astype(channel.field.dtype)
+            last = pos[:, -1]
+            going = last < length
+            active, last = active[going], last[going]
 
 
 def _sample_block(channel, seed, start, count, length):
-    """Trials ``start .. start + count - 1`` as rows of element codes, one
-    row of Philox draws at a time."""
-    E = np.empty((count, length), dtype=channel.field.dtype)
-    for i in range(count):
-        E[i] = np.searchsorted(channel.cdf, _trial_rng(seed, start + i).random(length),
-                               side="right")
+    """Trials ``start .. start + count - 1`` as dense rows of element codes."""
+    E = np.zeros((count, length), dtype=channel.field.dtype)
+    for trials, positions, values in _error_triples(channel, seed, start, count, length):
+        E[trials, positions] = values
     return E
 
 
 def sample_error(channel: AdditiveChannel, length: int, rng_seed) -> np.ndarray:
-    """One i.i.d. error vector: trial 0 of the seed's substreams (inverse CDF)."""
+    """One i.i.d. error vector: trial 0 of the seed's substreams."""
     return _sample_block(channel, rng_seed, 0, 1, length)[0]
 
 

@@ -338,7 +338,6 @@ class CosetLeaderTable:
         self.field = f
         self.n = n
         self.m = m
-        self.qpows = f.q ** np.arange(m, dtype=np.int64)
         leaders = np.zeros((size, n), dtype=f.dtype)
         weights = np.full(size, -1, dtype=np.int64)
         weights[0] = 0
@@ -365,7 +364,7 @@ class CosetLeaderTable:
             for i in range(w):
                 pat[np.arange(len(chunk)), :, chunk[:, i]] = values[:, i]
             pat = pat.reshape(-1, n)
-            s = (f.matmul(pat, H.T) * self.qpows).sum(axis=1)
+            s = self.pack(f.matmul(pat, H.T))
             ws = weights[s]
             keep = (ws < 0) | (ws == w)
             earlier = s[ws == w]
@@ -379,12 +378,20 @@ class CosetLeaderTable:
             weights[s[first]] = w
 
     def pack(self, syndrome):
-        """Table index of each syndrome along the last axis (int64)."""
+        """Table index of each syndrome along the last axis (int64): entry j
+        has weight q**j, summed in Horner form, since numpy reduces a short
+        last axis one row at a time."""
         syndrome = np.asarray(syndrome)
         if syndrome.shape[-1:] != (self.m,):
             raise DomainError(f"syndrome must have length {self.m}")
         syndrome = as_codes(self.field, syndrome, "syndrome entries")
-        return (syndrome * self.qpows).sum(axis=-1)
+        if not self.m:
+            return np.zeros(syndrome.shape[:-1], dtype=np.int64)
+        out = syndrome[..., -1].astype(np.int64)
+        for j in range(self.m - 2, -1, -1):
+            out *= self.field.q
+            out += syndrome[..., j]
+        return out
 
     def leader(self, syndrome):
         return self.leaders[int(self.pack(syndrome))]

@@ -1,6 +1,10 @@
 """Channels, Monte-Carlo harness, exponents and union bound."""
 
 import math
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 
 import numpy as np
@@ -8,6 +12,12 @@ import pytest
 
 from cssconcat.channel_sim import (
     AdditiveChannel,
+    _error_triples,
+    _gaps,
+    _philox,
+    _round_keys,
+    _sample_block,
+    _uniforms,
     capacity,
     concat_exponent,
     entropy_q,
@@ -39,8 +49,152 @@ def test_channel_validation():
 
 
 def test_sample_point_mass():
+    """W(0) = 1 draws nothing; W(0) = 0 puts a nonzero value everywhere."""
     ch = AdditiveChannel(F2, [1.0, 0.0])
     assert not sample_error(ch, 100, 3).any()
+    assert not list(_error_triples(ch, 3, 0, 50, 100))
+    assert (sample_error(AdditiveChannel(F2, [0.0, 1.0]), 100, 3) == 1).all()
+    f4 = Field(2, 2)
+    E = _sample_block(AdditiveChannel(f4, [0.0, 0.2, 0.3, 0.5]), 3, 0, 200, 50)
+    assert E.dtype == f4.dtype and (E != 0).all()
+    counts = np.bincount(E.ravel(), minlength=4)[1:]
+    assert _chi2_z(counts, E.size * np.array([0.2, 0.3, 0.5])) < 3.5
+
+
+# -- the sampler's random streams -------------------------------------------
+
+def _chi2_z(observed, expected):
+    """Wilson-Hilferty z-score of Pearson's chi-square statistic, the cells
+    expected below 5 pooled into one."""
+    observed, expected = np.asarray(observed, dtype=float), np.asarray(expected, dtype=float)
+    small = expected < 5
+    if small.any():
+        observed = np.append(observed[~small], observed[small].sum())
+        expected = np.append(expected[~small], expected[small].sum())
+    dof = observed.size - 1
+    x = ((observed - expected) ** 2 / expected).sum()
+    return ((x / dof) ** (1 / 3) - (1 - 2 / (9 * dof))) / math.sqrt(2 / (9 * dof))
+
+
+def _reference_trial(ch, key, length):
+    """One trial by the stream scheme, one (gap, value) pair at a time from
+    numpy's own Philox keyed ``key``."""
+    gen = np.random.Generator(np.random.Philox(key=key))
+    p_nz = 1.0 - ch.probs[0]
+    log_keep = math.log1p(-p_nz) if p_nz < 1 else -math.inf
+    e = np.zeros(length, dtype=ch.field.dtype)
+    pos = -1
+    while True:
+        u, v = gen.random(2)
+        pos += int(min(np.log1p(-np.array([u]))[0] / log_keep, length)) + 1
+        if pos >= length:
+            return e
+        e[pos] = 1 + np.searchsorted(np.cumsum(ch.probs[1:])[:-1], v * p_nz, side="right")
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2 ** 64 - 1])
+def test_philox_matches_numpy(seed):
+    """The numpy-arithmetic Philox4x64-10 is bit-exact with np.random.Philox
+    keyed (trial << 64) + seed, counters from 1 and continued across calls,
+    for trial indices past 2**32 too; its uniforms are Generator.random's."""
+    trials = [0, 1, 2 ** 32 + 3, 2 ** 64 - 1]
+    keys = _round_keys(seed, np.array(trials, dtype=np.uint64))[:, :, :, None]
+    blocks = [_philox(np.arange(a, b, dtype=np.uint64), keys) for a, b in ((1, 7), (7, 10))]
+    words = np.concatenate([np.stack([pair[0], rest[0], pair[1], rest[1]], axis=-1)
+                            for pair, rest in blocks], axis=1).reshape(len(trials), -1)
+    for row, t in zip(words, trials):
+        key = (t << 64) + seed
+        assert np.array_equal(row, np.random.Philox(key=key).random_raw(36))
+        assert np.array_equal(_uniforms(row),
+                              np.random.Generator(np.random.Philox(key=key)).random(36))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2 ** 64 - 1])
+def test_sampler_matches_reference_trials(seed):
+    """Trials drawn in a chunk, and one at a time by sample_error under the
+    key (i << 64) + seed (at least 2**64 from trial 1 on), against the
+    one-pair-at-a-time reference on numpy's Philox: GF(2), a non-symmetric
+    GF(3) channel and a dense GF(4) one, from trials 0 and 2**32 - 2."""
+    cases = [(AdditiveChannel.symmetric(F2, 0.05), 90),
+             (AdditiveChannel(Field(3), [0.8, 0.15, 0.05]), 40),
+             (AdditiveChannel.symmetric(Field(2, 2), 0.6), 7)]
+    for ch, length in cases:
+        for start in (0, 2 ** 32 - 2):
+            E = _sample_block(ch, seed, start, 5, length)
+            for i, row in enumerate(E, start):
+                key = (i << 64) + seed
+                assert np.array_equal(row, _reference_trial(ch, key, length))
+                assert np.array_equal(sample_error(ch, length, key), row)
+
+
+def test_gap_ends():
+    """u = 0 gives gap 0 and u = 1 - 2**-53 the longest gap, clipped to the
+    length before the int cast; p_nz = 1 - W(0) = 1 gives only zero gaps."""
+    u = np.array([0.0, 2.0 ** -53, 1 - 2.0 ** -53])
+    log_keep = math.log1p(-0.1)
+    longest = int(math.log(2.0 ** -53) / log_keep)
+    assert longest == 348
+    assert _gaps(u, log_keep, 1000).tolist() == [0, 0, 348]
+    assert _gaps(u, log_keep, 90).tolist() == [0, 0, 90]
+    assert _gaps(u, -math.inf, 90).tolist() == [0, 0, 0]
+    # p_nz = 1e-15: about 3.7e16 positions; a rate near 0 would leave int64
+    assert _gaps(u, math.log1p(-1e-15), 90).tolist() == [0, 0, 90]
+    assert _gaps(u, -1e-300, 90).tolist() == [0, 90, 90]
+    ch = AdditiveChannel(F2, [1 - 1e-15, 1e-15])
+    assert not _sample_block(ch, 3, 0, 500, 200).any()
+
+
+def test_sampler_weights_and_marginals():
+    """Weights against Bin(L, p_nz) and the per-position nonzero counts
+    against Bin(trials, p_nz), both by chi-square."""
+    L, trials = 60, 20000
+    ch = AdditiveChannel(Field(3), [0.9, 0.07, 0.03])
+    E = _sample_block(ch, 11, 0, trials, L)
+    pmf = np.array([math.comb(L, w) * 0.1 ** w * 0.9 ** (L - w) for w in range(L + 1)])
+    weights = np.count_nonzero(E, axis=1)
+    assert _chi2_z(np.bincount(weights, minlength=L + 1), trials * pmf) < 3.5
+    per_position = np.count_nonzero(E, axis=0)
+    x = ((per_position - trials * 0.1) ** 2 / (trials * 0.1 * 0.9)).sum()
+    assert abs(x - L) < 3.5 * math.sqrt(2 * L)
+
+
+@pytest.mark.parametrize("q, probs", [(3, [0.7, 0.22, 0.08]), (4, [0.8, 0.02, 0.08, 0.1])])
+def test_sampler_value_frequencies(q, probs):
+    """The values of the nonzero entries follow W conditioned on nonzero."""
+    f = Field(2, 2) if q == 4 else Field(q)
+    parts = _error_triples(AdditiveChannel(f, probs), 5, 0, 4000, 50)
+    values = np.concatenate([v for _, _, v in parts])
+    cond = np.array(probs[1:]) / (1 - probs[0])
+    assert values.dtype == f.dtype and values.min() >= 1
+    assert _chi2_z(np.bincount(values, minlength=q)[1:], values.size * cond) < 3.5
+
+
+def test_mc_path_loads_no_numpy_random():
+    """Set-up and Monte-Carlo on both sides of [[90,28]] never import
+    numpy.random, whose extension modules would stay resident."""
+    code = textwrap.dedent("""
+        import sys
+        from cssconcat.channel_sim import AdditiveChannel, mc_error_rate
+        from cssconcat.codes import bvector_pair
+        from cssconcat.concat import concatenate
+        from cssconcat.decode import DecoderContext
+        from cssconcat.galois import Extension, Field
+        from cssconcat.outer_grs import nested_grs_pair
+
+        f2, e16 = Field(2), Extension(Field(2), 4)
+        cp = concatenate(bvector_pair(f2, [1] * 6, [1] * 6), nested_grs_pair(e16, 15, 11, 11), e16)
+        assert (cp.block_length, cp.logical_dims) == (90, 28)
+        ch = AdditiveChannel.symmetric(f2, 0.01)
+        for side in (1, 2):
+            mc_error_rate(DecoderContext(cp, side=side), ch, 300, 1)
+        assert "numpy.random" not in sys.modules
+    """)
+    import cssconcat
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cssconcat.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
 
 
 def test_sample_deterministic():
@@ -91,12 +245,28 @@ def test_mc_deterministic():
 
 
 def test_mc_chunk_invariance():
-    """Per-trial substreams: chunking must not change the result."""
+    """Per-trial substreams: chunking changes neither the counts nor the
+    sampled errors, byte for byte, and trial i is sample_error's trial 0 of
+    the key (i << 64) + seed, as the benchmark's replay assumes.  Trial 2056
+    of seed 47 has 10 errors in 135 positions at p = 0.01, so its 11 pairs
+    overrun a round's budget of 8 and it ends in a second round."""
     ctx = _ctx_12_2()
     ch = AdditiveChannel.symmetric(F2, 0.02)
     r1 = mc_error_rate(ctx, ch, 600, 5, chunk=37)
     r2 = mc_error_rate(ctx, ch, 600, 5, chunk=600)
     assert r1.failures == r2.failures
+    ch, seed, n, length = AdditiveChannel.symmetric(F2, 0.01), 47, 2100, 135
+    whole = _sample_block(ch, seed, 0, n, length)
+    assert np.count_nonzero(whole[2056]) == 10
+    assert np.array_equal(_reference_trial(ch, (2056 << 64) + seed, length), whole[2056])
+    splits = [list(range(0, n, chunk)) for chunk in (1, 37, 2048)]
+    splits += [[0, 2050, 2056, 2057], [0, 2000, 2070]]
+    for starts in splits:
+        parts = [_sample_block(ch, seed, a, b - a, length)
+                 for a, b in zip(starts, starts[1:] + [n])]
+        assert np.array_equal(np.concatenate(parts), whole)
+    for i in [0, 1, 999, 2056, n - 1]:
+        assert np.array_equal(sample_error(ch, length, (i << 64) + seed), whole[i])
 
 
 def test_mc_heap_holds_narrow_codes():

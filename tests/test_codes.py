@@ -191,6 +191,24 @@ def test_leader_table_q3():
     assert table.leaders[1].tolist() == [0, 0, 0, 1]
 
 
+@pytest.mark.parametrize("q", [2, 3, 4])
+@pytest.mark.parametrize("m", [0, 1, 2, 3, 4])
+def test_pack_matches_power_sum(q, m):
+    """The Horner-form table index equals sum_j s_j q**j, for m = 0 and for
+    empty and multi-axis leading shapes too."""
+    f = Field(2, 2) if q == 4 else Field(q)
+    rng = np.random.default_rng(10 * q + m)
+    H = np.concatenate([np.eye(m, dtype=np.int64), rng.integers(0, q, size=(m, 2))], axis=1)
+    table = CosetLeaderTable(LinearCode.from_parity_check(f, H))
+    qpows = q ** np.arange(m, dtype=np.int64)
+    for lead in [(), (0,), (5,), (3, 7)]:
+        S = rng.integers(0, q, size=lead + (m,)).astype(f.dtype)
+        got = table.pack(S)
+        assert got.dtype == np.int64 and got.shape == lead
+        assert np.array_equal(got, (S.astype(np.int64) * qpows).sum(axis=-1))
+    assert table.pack(np.full(m, q - 1)) == q ** m - 1
+
+
 def _leader_loop(C):
     """Coset leaders by one pattern at a time: weights in increasing order,
     supports and values lexicographically, and a leader replaced only by a

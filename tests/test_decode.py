@@ -158,7 +158,7 @@ def test_table_and_stage1_reject_entries_outside_field():
         with pytest.raises(DomainError):
             ctx.stage1(np.zeros(ctx.upper_len - 1, dtype=np.int64))
         assert np.array_equal(ctx.table.leader(np.ones(m, dtype=np.int64)),
-                              ctx.table.leaders[int(ctx.table.qpows.sum())])
+                              ctx.table.leaders[sum(ctx.field.q ** j for j in range(m))])
 
 
 def test_entries_that_narrowing_would_wrap_are_rejected():
@@ -328,20 +328,20 @@ def test_mc_counts_pinned_90_28():
     trial streams that alters them is a behaviour change."""
     cp = _cp_90_28()
     ch = AdditiveChannel.symmetric(F2, 0.01)
-    for side, want in ((1, (13, 9)), (2, (13, 11))):
+    for side, want in ((1, (9, 7)), (2, (9, 4))):
         r = mc_error_rate(DecoderContext(cp, side=side), ch, 200, 7)
         assert (r.failures, r.outer_decode_failures) == want
-        assert r.inner_block_rate == 164 / (200 * 15)  # 164 bad inner blocks
+        assert r.inner_block_rate == 145 / (200 * 15)  # 145 bad inner blocks
 
 
 def test_mc_counts_pinned_96_32_gf3():
     """Odd-characteristic counterpart of the pinned [[90,28]] counts."""
     cp = _cp_96_32_gf3()
     ch = AdditiveChannel.symmetric(F3, 0.01)
-    for side, want in ((1, (15, 14)), (2, (15, 15))):
+    for side, want in ((1, (10, 10)), (2, (10, 10))):
         r = mc_error_rate(DecoderContext(cp, side=side), ch, 200, 7)
         assert (r.failures, r.outer_decode_failures) == want
-        assert r.inner_block_rate == 178 / (200 * 16)  # 178 bad inner blocks
+        assert r.inner_block_rate == 151 / (200 * 16)  # 151 bad inner blocks
 
 
 # -- the block-level success test against the dense elimination ----------------
