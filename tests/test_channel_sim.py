@@ -171,7 +171,9 @@ def test_sampler_value_frequencies(q, probs):
 
 def test_mc_path_loads_no_numpy_random():
     """Set-up and Monte-Carlo on both sides of [[90,28]] never import
-    numpy.random, whose extension modules would stay resident."""
+    numpy.random, whose extension modules would stay resident.  This needs
+    numpy >= 2.0 (the floor in pyproject.toml): its ``import numpy`` loads
+    ``numpy.random`` on first attribute access, where 1.x imports it eagerly."""
     code = textwrap.dedent("""
         import sys
         from cssconcat.channel_sim import AdditiveChannel, mc_error_rate
