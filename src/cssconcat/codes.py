@@ -419,8 +419,8 @@ def bvector_pair(field, b1, b2) -> CssPair:
 def random_css_pair(rng, field, n, k):
     """A uniformly-random-flavored CSS pair of length n with k logical dims.
 
-    Test/CLI helper: samples a random full-rank C1, a random subspace of it
-    for dual(C2), and builds the paired generators.
+    Test helper: samples a random full-rank C1, a random subspace of it for
+    dual(C2), and builds the paired generators.
     """
     if not 0 <= k <= n:
         raise ValueError("need 0 <= k <= n")

@@ -2,8 +2,10 @@
 
 Given C with dual(C) <= C and a strictly larger C' with dim C' >= dim C + 2,
 the enlarged generator stacks two disjoint copies of C's generator U with a
-mixed block [V | V M], where V completes C to C' and M is a fixed-point-free
-matrix (no nonzero row vector is mapped to a scalar multiple of itself).
+mixed block [V | M V], where V completes C to C' and M is a fixed-point-free
+matrix (no nonzero row vector is mapped to a scalar multiple of itself).  M
+acts on coefficient rows: the combination c of the mixed rows is
+[c V | (c M) V].
 Fixed-point-freeness is what pushes the guaranteed symplectic distance up to
 
     min{ d, ceil((q+1) d' / q) },   d = w(C \\ dual C'),  d' = w(C' \\ dual C').
@@ -21,8 +23,8 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .codes import ENUM_CAP, CssPair, LinearCode, min_weight_excluding
-from .concat import pi_map
+from .codes import ENUM_CAP, LinearCode, _row_profile, min_weight_excluding
+from .concat import _concatenated_rows
 from .errors import (
     BadField,
     BadLength,
@@ -32,44 +34,29 @@ from .errors import (
     PremiseViolation,
     TooLarge,
 )
-from .galois import Extension, Field
+from .galois import Extension, Field, _shift_matrix
 from .matrix import MatGF, enumerate_span
 from .outer_grs import GrsCode
 
 SYMP_ENUM_CAP = 1 << 24
-_FPF_VERIFY_CAP = 1 << 20
 
 
-def _companion(field, coeffs, m):
-    """Companion matrix of x^m - sum_i coeffs[i] x^i over the field."""
-    C = np.zeros((m, m), dtype=np.int64)
-    for i in range(1, m):
-        C[i, i - 1] = 1
-    for i in range(m):
-        C[i, m - 1] = coeffs[i]
-    return C
-
-
-def _has_root(field, coeffs, m):
-    # polynomial x^m - sum coeffs[i] x^i; test every field element
-    for x in range(field.q):
-        acc = field.pow(x, m)
-        s = 0
-        xp = 1
-        for c in coeffs:
-            if c:
-                s = field.add(s, field.mul(c, xp))
-            xp = field.mul(xp, x)
-        if acc == s:
-            return True
-    return False
+def _has_root(field, coeffs):
+    """Whether x^m - sum_i coeffs[i] x^i, m = len(coeffs), vanishes anywhere
+    in the field: Horner's rule at all q elements at once."""
+    xs = np.arange(field.q)
+    acc = np.ones(field.q, dtype=np.int64)
+    for c in reversed(coeffs):
+        acc = field.sub(field.mul(acc, xs), c)
+    return not acc.all()
 
 
 def fixed_point_free_matrix(field, m: int) -> np.ndarray:
     """An m x m matrix with xM != lambda*x for every nonzero x and scalar.
 
-    Built as the transpose of the companion matrix of a degree-m polynomial
-    without roots in GF(q).  A rootless polynomial of the minimal degree
+    Built as the matrix of multiplication by x on coefficient rows modulo a
+    degree-m polynomial without roots in GF(q): xM = lambda x would make
+    (x - lambda) divide it.  A rootless polynomial of the minimal degree
     congruent to m modulo q-1 is found by scanning, then its degree is padded
     up to m (padding preserves rootlessness because nonzero elements satisfy
     x^(q-1) = 1).
@@ -83,31 +70,23 @@ def fixed_point_free_matrix(field, m: int) -> np.ndarray:
         coeffs = [(packed // q ** i) % q for i in range(deg)]
         if coeffs[0] == 0:
             continue
-        if not _has_root(field, coeffs, deg):
+        if not _has_root(field, coeffs):
             found = coeffs
             break
     if found is None:  # pragma: no cover - always exists for prime powers
         raise DomainError("no rootless polynomial found")
-    coeffs = found + [0] * (m - deg)
-    M = _companion(field, coeffs, m).T.copy()
-    if field.q ** m <= _FPF_VERIFY_CAP:
-        if not _verify_fixed_point_free(field, M):  # pragma: no cover
-            raise DomainError("construction produced a fixed direction")
+    M = _shift_matrix(np.array([found + [0] * (m - deg)], dtype=np.int64))
+    if not _verify_fixed_point_free(field, M):  # pragma: no cover
+        raise DomainError("construction produced a fixed direction")
     return M
 
 
 def _verify_fixed_point_free(field, M) -> bool:
+    """Whether xM = lambda x forces x = 0: rank(M - lambda I) = m for every
+    lambda in GF(q), one m x m elimination per field element."""
     m = M.shape[0]
-    for chunk in enumerate_span(field, np.eye(m, dtype=np.int64)):
-        Y = field.matmul(chunk, M)
-        for x, y in zip(chunk, Y):
-            if not x.any():
-                continue
-            i = int(np.nonzero(x)[0][0])
-            lam = field.div(int(y[i]), int(x[i]))
-            if np.array_equal(y, field.mul(np.full_like(x, lam), x)):
-                return False
-    return True
+    eye = np.eye(m, dtype=np.int64)
+    return all(MatGF(field, field.sub(M, lam * eye)).rank == m for lam in range(field.q))
 
 
 @dataclass
@@ -139,8 +118,10 @@ def steane_enlarge(C: LinearCode, Cprime: LinearCode) -> EnlargedCode:
     """Enlarge dual-containing C using a strictly larger Cprime.
 
     Requires dual(C) <= C <= Cprime and dim Cprime >= dim C + 2.  The
-    resulting generator has the block layout [[U,0],[0,U],[V, V M^t-style]]
-    described in the module docstring.
+    resulting generator has the block layout [[U, 0], [0, U], [V, M V]]
+    described in the module docstring.  V is the first rows of Cprime.G
+    independent modulo C: the g1 of the row profile of (Cprime, dual C),
+    which completes dual(dual C) = C inside Cprime.
     """
     f = C.field
     if not C.dual().is_subcode(C):
@@ -151,16 +132,7 @@ def steane_enlarge(C: LinearCode, Cprime: LinearCode) -> EnlargedCode:
     if extra < 2:
         raise PremiseViolation("enlargement needs dim Cprime >= dim C + 2")
     U = C.G
-    # complete C to Cprime
-    span = MatGF(f, U)
-    V_rows = []
-    for row in Cprime.G:
-        if len(V_rows) == extra:
-            break
-        trial = MatGF(f, np.concatenate([U, np.array(V_rows + [row])], axis=0))
-        if trial.rank > span.rank + len(V_rows):
-            V_rows.append(row)
-    V = np.array(V_rows, dtype=np.int64)
+    V = _row_profile(Cprime, C.dual())[0]
     M = fixed_point_free_matrix(f, extra)
     MV = f.matmul(M, V)
     n = C.n
@@ -282,19 +254,17 @@ def enlarged_concat(C1: LinearCode, g1, ext: Extension, D: GrsCode,
         raise ConditionViolation("(A) inner code does not contain its dual")
     g1 = np.array(g1, dtype=np.int64)
     k = g1.shape[0]
-    gram = f.matmul(g1, g1.T)
-    joint = MatGF(f, np.concatenate([C1.H, g1], axis=0))
-    if (not np.array_equal(gram, np.eye(k, dtype=np.int64))
-            or not C1.contains_rows(g1).all()
-            or joint.rank != C1.dim
-            or f.matmul(g1, C1.H.T).any()):
+    gram, cross = f.matmul(g1, g1.T), f.matmul(g1, C1.H.T)
+    # orthonormal rows orthogonal to dual(C1) are independent modulo it, so
+    # [C1.H; g1] spans C1 exactly when the dimensions add up
+    if (not np.array_equal(gram, np.eye(k, dtype=np.int64)) or cross.any()
+            or C1.n - C1.dim + k != C1.dim):
         raise ConditionViolation("(B) generators are not an orthonormal completion")
     if ext.base != f or ext.k != k:
         raise ConditionViolation("(B) generator count does not match the extension degree")
     sdb = ext.self_dual_basis()
     if sdb is None:
         raise ConditionViolation("(C) extension has no self-dual basis")
-    fQ = ext.as_field()
     Dlin, Dplin = D.as_linear_code(), Dprime.as_linear_code()
     if not (np.array_equal(D.points, Dprime.points)
             and np.array_equal(D.multipliers, Dprime.multipliers)):
@@ -303,22 +273,11 @@ def enlarged_concat(C1: LinearCode, g1, ext: Extension, D: GrsCode,
         raise ConditionViolation("(B) outer code does not contain its dual")
     if not Dlin.is_subcode(Dplin) or Dprime.K < D.K + 1:
         raise ConditionViolation("(B) outer codes do not nest")
-    # expansion: symbol -> self-dual coordinates contracted with g1
+    # expansion table: symbol -> self-dual coordinates contracted with g1
     change = _self_dual_coords(ext, sdb)
-
-    def expand_rows(Grows):
-        out = []
-        for row in Grows:
-            for l in range(ext.k):
-                a = ext.alpha_pow(l)
-                coords = f.matmul(ext.coords(fQ.mul(a, row)), change)
-                out.append(f.matmul(coords, g1).reshape(-1))
-        return np.array(out, dtype=np.int64)
-
-    N = D.N
-    blocks = np.kron(np.eye(N, dtype=np.int64), C1.H)
-    Cbig = LinearCode(f, np.concatenate([expand_rows(D.G), blocks], axis=0))
-    Cprime_big = LinearCode(f, np.concatenate([expand_rows(Dprime.G), blocks], axis=0))
+    T = f.matmul(f.matmul(ext.coord_table, change), g1)
+    Cbig = LinearCode(f, _concatenated_rows(ext, T, D.G, C1.H))
+    Cprime_big = LinearCode(f, _concatenated_rows(ext, T, Dprime.G, C1.H))
     if not Cbig.dual().is_subcode(Cbig):  # pragma: no cover
         raise ConditionViolation("(C) concatenated code lost dual containment")
     if not Cbig.is_subcode(Cprime_big):  # pragma: no cover

@@ -642,13 +642,7 @@ class Extension:
 
     def companion_matrix(self):
         """k x k base-field matrix of multiplication by alpha in the power basis."""
-        k = self.k
-        T = np.zeros((k, k), dtype=np.int64)
-        for i in range(1, k):
-            T[i, i - 1] = 1
-        for i in range(k):
-            T[i, k - 1] = self.base.neg(self.f[i])
-        return T
+        return _shift_matrix(self.base.neg(np.array([self.f[:-1]]))).T
 
     def phi(self, a):
         """k x k base-field matrix of multiplication by ``a`` in the power basis.

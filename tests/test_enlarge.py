@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from cssconcat import matrix
 from cssconcat.codes import CssPair, LinearCode, css_min_distance, min_weight_excluding
 from cssconcat.enlarge import (
     EnlargedCode,
@@ -23,7 +24,8 @@ from cssconcat.errors import (
     PremiseViolation,
     TooLarge,
 )
-from cssconcat.galois import Extension, Field
+from cssconcat.galois import Extension, Field, _shift_matrix
+from cssconcat.matrix import MatGF, enumerate_span
 from cssconcat.outer_grs import GrsCode, self_dual_multiplier_grs
 
 F2 = Field(2)
@@ -224,3 +226,155 @@ def test_enlarged_concat_tiny_brute():
     assert (enl.length, enl.logical_dims) == (4, 2)
     brute = symplectic_min_distance(F4, enl.G)
     assert brute >= enl.report["guaranteed"]
+
+
+# -- differential tests against the direct implementations ---------------------
+
+def _completion_by_rows(C, Cprime):
+    """Reference: the first rows of Cprime.G raising the rank over C.G, one
+    elimination per row."""
+    f, U = C.field, C.G
+    extra = Cprime.dim - C.dim
+    rank = MatGF(f, U).rank
+    V_rows = []
+    for row in Cprime.G:
+        if len(V_rows) == extra:
+            break
+        trial = MatGF(f, np.concatenate([U, np.array(V_rows + [row])], axis=0))
+        if trial.rank > rank + len(V_rows):
+            V_rows.append(row)
+    return np.array(V_rows, dtype=np.int64)
+
+
+def _fixed_point_free_by_enumeration(field, M):
+    """Reference: no nonzero x of all q^m has xM a multiple of x."""
+    for chunk in enumerate_span(field, np.eye(M.shape[0], dtype=np.int64)):
+        Y = field.matmul(chunk, M)
+        for x, y in zip(chunk, Y):
+            if not x.any():
+                continue
+            i = int(np.nonzero(x)[0][0])
+            lam = field.div(int(y[i]), int(x[i]))
+            if np.array_equal(y, field.mul(np.full_like(x, lam), x)):
+                return False
+    return True
+
+
+def _expand_rows_reference(C1, g1, ext, Grows):
+    """Reference: the N blocks of C1.H under the expanded rows alpha^l Grows[r]
+    (row r k + l), symbol by symbol through self-dual coordinates and g1."""
+    f, fQ = C1.field, ext.as_field()
+    rows = np.array([ext.coords(b) for b in ext.self_dual_basis()], dtype=np.int64)
+    change = MatGF(f, rows).invert().a
+    out = []
+    for row in Grows:
+        for l in range(ext.k):
+            coords = f.matmul(ext.coords(fQ.mul(ext.alpha_pow(l), row)), change)
+            out.append(f.matmul(coords, np.asarray(g1)).reshape(-1))
+    blocks = np.kron(np.eye(Grows.shape[1], dtype=np.int64), C1.H)
+    return np.concatenate([np.array(out, dtype=np.int64), blocks], axis=0)
+
+
+def _dual_containing_pairs():
+    F3 = Field(3)
+    return [
+        _hamming_pair(),
+        (LinearCode(F3, np.array([[1, 1, 1, 0], [0, 1, 2, 1]])), LinearCode.full_space(F3, 4)),
+        (LinearCode(F4, np.array([[1, 0, 1, 0], [0, 1, 0, 1]])), LinearCode.full_space(F4, 4)),
+        (LinearCode(F4, np.array([[1, 1, 0, 0, 0, 0],
+                                  [0, 0, 1, 1, 0, 0],
+                                  [0, 0, 0, 0, 1, 1]])), LinearCode.full_space(F4, 6)),
+    ]
+
+
+def test_completion_matches_rowwise_rank():
+    rng = np.random.default_rng(7)
+    for C, Cp in _dual_containing_pairs():
+        f = C.field
+        want = _completion_by_rows(C, Cp)
+        bases = [Cp, LinearCode(f, np.concatenate([C.G, want]))]  # leading rows in C
+        while len(bases) < 5:
+            A = rng.integers(0, f.q, size=(Cp.dim, Cp.dim))
+            if MatGF(f, A).rank == Cp.dim:
+                bases.append(LinearCode(f, f.matmul(A, Cp.G)))
+        for Cprime in bases:
+            got = steane_enlarge(C, Cprime).V
+            assert np.array_equal(got, _completion_by_rows(C, Cprime))
+        assert np.array_equal(steane_enlarge(C, bases[1]).V, want)
+
+
+def test_fpf_certificate_matches_enumeration():
+    F3 = Field(3)
+    fpf = [(f, fixed_point_free_matrix(f, m))
+           for f, m in ((F2, 2), (F2, 3), (F2, 5), (F4, 2), (F4, 3), (F3, 2),
+                        (F3, 4), (Field(5), 3), (Field(7), 3), (Field(2, 4), 2))]
+    fixed = [
+        (F2, np.eye(3, dtype=np.int64)),
+        (F4, np.eye(2, dtype=np.int64) * 3),
+        (F2, np.array([[1, 1], [1, 1]])),                 # singular: lambda = 0
+        (F3, np.array([[0, 1, 2], [1, 0, 1], [1, 1, 0]])),  # singular
+        (F3, np.diag([1, 2, 2])),
+        (F2, _shift_matrix(np.array([[1, 0]]))),          # x^2 + 1 = (x + 1)^2
+        (F4, _shift_matrix(np.array([[2, 3, 0]]))),       # x^3 + 3x + 2 has the root 1
+        (F3, _shift_matrix(np.array([[1, 0, 0]]))),       # x^3 - 1 has the root 1
+    ]
+    for f, M in fpf + fixed:
+        want = _fixed_point_free_by_enumeration(f, M)
+        assert _verify_fixed_point_free(f, M) is want
+    assert all(_verify_fixed_point_free(f, M) for f, M in fpf)
+    assert not any(_verify_fixed_point_free(f, M) for f, M in fixed)
+
+
+def _distance2_tower(n, N, K, Kp):
+    G, _, gs = distance2_inner_generator(F4, n)
+    C1 = LinearCode(F4, G.a)
+    ext = Extension(F4, n - 2)
+    pts = [ext.alpha_pow(j) for j in range(N)]
+    D = self_dual_multiplier_grs(ext, pts, K)
+    Dp = GrsCode(ext, pts, D.multipliers, Kp)
+    return C1, np.array(gs), ext, D, Dp, enlarged_concat(C1, gs, ext, D, Dp)
+
+
+@pytest.mark.parametrize("tower", [(4, 5, 3, 5), (4, 15, 9, 11)])
+def test_expansion_matches_expand_rows(tower):
+    C1, g1, ext, D, Dp, enl = _distance2_tower(*tower)
+    assert np.array_equal(enl.C.G, _expand_rows_reference(C1, g1, ext, D.G))
+    assert np.array_equal(enl.Cprime.G, _expand_rows_reference(C1, g1, ext, Dp.G))
+
+
+# -- pinned behaviour -----------------------------------------------------------
+
+@pytest.mark.parametrize("f, m", [(F4, 8), (Field(2, 4), 4), (F4, 11)])
+def test_fpf_golden_large(f, m):
+    """x^m + x + 2 is rootless in GF(4) and GF(16); m = 11 is certified too."""
+    M = fixed_point_free_matrix(f, m)
+    assert np.array_equal(M[:-1], np.eye(m, k=1, dtype=np.int64)[:-1])
+    assert M[-1].tolist() == [2, 1] + [0] * (m - 2)
+    assert _verify_fixed_point_free(f, M)
+
+
+def test_enlarged_concat_generator_count_and_columns():
+    G4m, _, gs4 = distance2_inner_generator(F4, 4)
+    C1 = LinearCode(F4, G4m.a)
+    e16, D, Dp = _tower_gf4(5, 3, 5)
+    # one orthonormal generator, orthogonal to dual(C1), spans too little
+    with pytest.raises(ConditionViolation, match=r"\(B\) generators are not"):
+        enlarged_concat(C1, gs4[:1], e16, D, Dp)
+    with pytest.raises(DomainError):
+        enlarged_concat(C1, np.array(gs4)[:, :3], e16, D, Dp)
+
+
+@pytest.mark.parametrize("tower", [(4, 15, 9, 11), (5, 31, 18, 20), (6, 63, 36, 38)])
+def test_steane_enlarge_elimination_count(tower, monkeypatch):
+    """The completion is one row profile, whatever the length."""
+    enl = _distance2_tower(*tower)[-1]
+    C, Cp = LinearCode(F4, enl.C.G), LinearCode(F4, enl.Cprime.G)
+    calls = []
+    for kind, rref in list(matrix._RREF.items()):
+        def spy(*args, _rref=rref):
+            calls.append(1)
+            return _rref(*args)
+        monkeypatch.setitem(matrix._RREF, kind, spy)
+    again = steane_enlarge(C, Cp)
+    assert len(calls) == 6
+    assert np.array_equal(again.G, enl.G)
