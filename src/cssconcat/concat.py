@@ -479,16 +479,11 @@ def verify_duality(cp: ConcatPair) -> bool:
     """
     f = cp.inner.field
     fQ = cp.ext.as_field()
-
-    def dual_gen(side):
-        D, table, H = ((cp.D1, cp.PI2, cp.inner.C1.H) if side == 1
-                       else (cp.D2, cp.PI1, cp.inner.C2.H))
-        Dperp = MatGF(fQ, D.G).null_space().a
-        return MatGF(f, _concatenated_rows(cp.ext, table, Dperp, H))
-
     ok = True
-    ok &= cp.L1.Gmat.null_space().same_row_space(dual_gen(1))
-    ok &= cp.L2.Gmat.null_space().same_row_space(dual_gen(2))
-    ok &= MatGF(f, cp.Ho1).same_row_space(cp.L1.Gmat.null_space())
-    ok &= MatGF(f, cp.Ho2).same_row_space(cp.L2.Gmat.null_space())
+    for L, Ho, D, table, H in ((cp.L1, cp.Ho1, cp.D1, cp.PI2, cp.inner.C1.H),
+                               (cp.L2, cp.Ho2, cp.D2, cp.PI1, cp.inner.C2.H)):
+        dual = L.Gmat.null_space()  # eliminated once: its cached rref serves both checks
+        Dperp = MatGF(fQ, D.G).null_space().a
+        ok &= dual.same_row_space(MatGF(f, _concatenated_rows(cp.ext, table, Dperp, H)))
+        ok &= MatGF(f, Ho).same_row_space(dual)
     return bool(ok)

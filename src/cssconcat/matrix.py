@@ -18,15 +18,17 @@ an extension go through the dense tables, one multiplication-table gather
 per pivot and a row update that is XOR in characteristic 2 and an add-table
 gather otherwise.  That kernel works for every field and is the reference
 the others are tested against.  Odd prime fields run a blocked Gauss-Jordan on
-float64 BLAS: pivots are found column by column, each column is brought up
-to date with one mat-vec against the row updates pending in the current
-panel of at most ``_PANEL`` pivots, and each full panel is applied to the
-trailing columns as one matmul.  Every float64 value there is an integer far
-below 2**51, so the arithmetic is exact and :func:`reduce_mod` brings it back
-into ``[0, p)`` exactly: the result is the same reduced row-echelon form.
-Span reduction against the rref over any prime field, GF(2) included, is
-one matmul per chunk of rows on BLAS as well, in float32 where
-:func:`blas_dtype` finds it exact.
+BLAS: pivots are found column by column, each column is brought up to date
+with one mat-vec against the row updates pending in the current panel of at
+most ``_PANEL`` pivots, and each full panel is applied to the trailing
+columns as one matmul.  Every value formed there is an integer of magnitude
+at most ``(width + 1) * (p - 1)**2`` for a panel of ``width`` pivots, so the
+kernel runs in float32 where :func:`blas_dtype` finds that exact (p <= 251
+with a full panel) and in float64 beyond; :func:`reduce_mod` brings each
+value back into ``[0, p)`` exactly, and the result is the same reduced
+row-echelon form.  Span reduction against the rref over any prime field,
+GF(2) included, is one matmul per chunk of rows on BLAS as well, with its
+float type from the same rule.
 """
 
 from __future__ import annotations
@@ -202,20 +204,28 @@ def _rref_prime(f, a):
     panel's normalized pivot rows, which vanish left of their pivot column,
     and ``U`` the multiples of them still owed by every row.  A pivot row's
     stored row is exact when it is chosen.
+
+    ``A``, ``U`` and ``V`` hold codes in ``[0, p)``, and ``t`` never exceeds
+    the panel width, so the column update, the pivot row and the panel
+    flush are each a code minus at most ``width`` products of codes:
+    ``blas_dtype(width + 1, p)`` keeps them exact.  The pivot row is reduced
+    before it is scaled by the pivot's inverse, so the product of two codes
+    stays below ``p**2``.
     """
     p = f.p
-    A = a.astype(np.float64)
-    rows, cols = A.shape
+    rows, cols = a.shape
     width = min(_PANEL, rows, cols)  # no panel holds more pivots than that
-    U = np.zeros((rows, width))
-    V = np.zeros((width, cols))
+    dtype = blas_dtype(width + 1, p)
+    A = a.astype(dtype)
+    U = np.zeros((rows, width), dtype=dtype)
+    V = np.zeros((width, cols), dtype=dtype)
     pivots = []
     row = t = 0
 
     def flush():
         # apply the panel to every column right of its first pivot
         lo = pivots[-t]
-        step = chunk_rows(cols - lo)
+        step = chunk_rows(cols - lo, A.itemsize)
         for r0 in range(0, rows, step):
             blk = A[r0:r0 + step, lo:]
             blk -= U[r0:r0 + step, :t] @ V[:t, lo:]
@@ -236,6 +246,7 @@ def _rref_prime(f, a):
             U[[row, piv]] = U[[piv, row]]
             c[[row, piv]] = c[[piv, row]]
         lead = A[row, col:] - U[row, :t] @ V[:t, col:]
+        reduce_mod(lead, p)
         lead *= f.inv(int(c[row]))
         reduce_mod(lead, p)
         V[t, :col] = 0

@@ -341,6 +341,22 @@ def test_certified_setup_matches_generic_path(name):
         assert MatGF(f, Ho).same_row_space(L.Gmat.null_space())
 
 
+@pytest.mark.parametrize("name", ["90_28", "480_160_gf3"])
+def test_verify_duality_elimination_count(monkeypatch, name):
+    """Five eliminations a side: the outer generator, the generator of L_i,
+    the null space of L_i (once, for both comparisons), the expected dual
+    and the structured parity checks."""
+    cp = concatenate(*_inputs(name))
+    calls = []
+    for kind, rref in list(matrix._RREF.items()):
+        def spy(*args, _rref=rref):
+            calls.append(1)
+            return _rref(*args)
+        monkeypatch.setitem(matrix._RREF, kind, spy)
+    assert verify_duality(cp)
+    assert len(calls) == 10
+
+
 @pytest.mark.parametrize("name", ["90_28", "96_32_gf3_linear"])
 def test_outer_pair_without_containment_rejected(name):
     """dual(D2) = RS_4 is not inside D1 = RS_2: both paths reject it."""
