@@ -43,6 +43,8 @@ class AdditiveChannel:
         probs = np.asarray(probs, dtype=float)
         if probs.shape != (field.q,):
             raise DomainError(f"need {field.q} probabilities")
+        if not np.isfinite(probs).all():
+            raise DomainError("probabilities must be finite")
         if (probs < 0).any():
             raise DomainError("probabilities must be nonnegative")
         if abs(probs.sum() - 1.0) > 1e-12:
@@ -198,10 +200,11 @@ class MCResult:
         return (self.ci_lo, self.ci_hi)
 
 
-def wilson_interval(failures: int, trials: int, z: float = 1.959964):
+def wilson_interval(failures: int, trials: int):
     """95% Wilson score interval for a binomial proportion."""
     if trials <= 0:
         raise DomainError("trials must be positive")
+    z = 1.959964  # the two-sided 95% quantile of the standard normal
     phat = failures / trials
     denom = 1.0 + z * z / trials
     center = (phat + z * z / (2 * trials)) / denom
@@ -253,11 +256,9 @@ def _entropy(probs, q):
     return float(-(nz * (np.log(nz) / np.log(q))).sum())
 
 
-def entropy_q(channel_or_probs, q=None):
+def entropy_q(channel: AdditiveChannel) -> float:
     """Entropy in log_q units of a channel's error distribution."""
-    if isinstance(channel_or_probs, AdditiveChannel):
-        return _entropy(channel_or_probs.probs, channel_or_probs.q)
-    return _entropy(channel_or_probs, q)
+    return _entropy(channel.probs, channel.q)
 
 
 def capacity(channel: AdditiveChannel) -> float:

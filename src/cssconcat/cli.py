@@ -135,9 +135,9 @@ def cmd_decode(args, out):
 
 
 def cmd_simulate(args, out):
+    probs = _load(lambda s: [float(x) for x in s.split(",")], args.channel)
     cp = _build_concat(args.pair)
     ctx = DecoderContext(cp, side=args.side, cap=args.cap)
-    probs = [float(x) for x in args.channel.split(",")]
     ch = AdditiveChannel(ctx.field, probs)
     res = mc_error_rate(ctx, ch, args.trials, args.seed)
     lines = ["channel,trials,failures,estimate,ci_lo,ci_hi",

@@ -54,7 +54,7 @@ from .errors import (
     TooLarge,
     ZeroEntry,
 )
-from .matrix import MatGF, as_codes, enumerate_span
+from .matrix import MatGF, as_codes, enumerate_span, pack
 
 ENUM_CAP = 1 << 24
 TABLE_CAP = 1 << 20
@@ -324,8 +324,7 @@ class CosetLeaderTable:
     distance are decoded correctly modulo the subcode.
     """
 
-    def __init__(self, C: LinearCode, B: LinearCode | None = None,
-                 cap: int = TABLE_CAP):
+    def __init__(self, C: LinearCode, cap: int = TABLE_CAP):
         f = C.field
         n = C.n
         H = C.H
@@ -333,8 +332,6 @@ class CosetLeaderTable:
         size = f.q ** m
         if size > cap:
             raise TooLarge(f"syndrome table of size {size} exceeds cap")
-        if B is not None and not B.is_subcode(C):
-            raise NotOrthogonal("B must be a subcode of C")
         self.field = f
         self.n = n
         self.m = m
@@ -378,20 +375,12 @@ class CosetLeaderTable:
             weights[s[first]] = w
 
     def pack(self, syndrome):
-        """Table index of each syndrome along the last axis (int64): entry j
-        has weight q**j, summed in Horner form, since numpy reduces a short
-        last axis one row at a time."""
+        """Table index of each syndrome along the last axis (int64): its
+        code, :func:`matrix.pack` base q."""
         syndrome = np.asarray(syndrome)
         if syndrome.shape[-1:] != (self.m,):
             raise DomainError(f"syndrome must have length {self.m}")
-        syndrome = as_codes(self.field, syndrome, "syndrome entries")
-        if not self.m:
-            return np.zeros(syndrome.shape[:-1], dtype=np.int64)
-        out = syndrome[..., -1].astype(np.int64)
-        for j in range(self.m - 2, -1, -1):
-            out *= self.field.q
-            out += syndrome[..., j]
-        return out
+        return pack(as_codes(self.field, syndrome, "syndrome entries"), self.field.q)
 
     def leader(self, syndrome):
         return self.leaders[int(self.pack(syndrome))]

@@ -85,11 +85,6 @@ class DecoderContext:
         self.n = cp.n
         self.k = cp.k
         self.upper_len = self.N * self.table.m
-        # side 2 reassembles symbols from trace-dual coordinates: row j of
-        # this k x k base-field matrix holds the coordinates of dual basis
-        # element j
-        self.dual_coords = (None if side == 1 else
-                            cp.ext.coords(cp.ext.dual_basis()).astype(self.field.dtype))
         # [H; g]^T of the block-level success test (module docstring)
         self._m, self._HgT = _block_factor(cp.inner, 3 - side)
 
@@ -142,10 +137,12 @@ class DecoderContext:
         return outer_ok
 
     def reassemble_symbols(self, resid):
-        """Turn the residual lower syndrome into outer GRS syndrome symbols."""
+        """Turn the residual lower syndrome into outer GRS syndrome symbols:
+        its k-entry blocks are power-basis coordinates on side 1 and
+        trace-dual coordinates on side 2."""
         coords = np.reshape(resid, (-1, self.k))
         if self.side == 2:
-            coords = self.field.matmul(coords, self.dual_coords)
+            return self.ext.from_dual_coords(coords)
         return self.ext.from_coords(coords)
 
 

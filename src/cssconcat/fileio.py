@@ -99,13 +99,12 @@ def read_code(path) -> LinearCode:
     return LinearCode(f, matrix_from_tokens(f, toks))
 
 
-def write_pair(path, pair: CssPair, include_g1: bool = True) -> None:
+def write_pair(path, pair: CssPair) -> None:
     with open(path, "w") as fh:
         fh.write(field_to_line(pair.field) + "\n")
         fh.write(matrix_to_text(pair.C1.G))
         fh.write(matrix_to_text(pair.C2.G))
-        if include_g1:
-            fh.write(matrix_to_text(pair.g1))
+        fh.write(matrix_to_text(pair.g1))
 
 
 def read_pair(path) -> CssPair:

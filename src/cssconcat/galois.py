@@ -31,6 +31,10 @@ primitive root, coordinates, trace, dual coordinates, bases and
 multiplication matrices.  One cap, ``_TABLE_CAP`` = 8192, bounds the order of
 every field and extension, checked when it is built.
 
+Codes split into digits and pack back through :func:`matrix.digits` and
+:func:`matrix.pack`, the one coding.  An extension inverts its trace-dual
+coordinates once: ``from_dual_table`` inverts the packed ``dual_table``.
+
 Every field has one element-code dtype, ``dtype``, worked out from its order:
 ``np.int8`` when q <= 128 and ``np.int16`` otherwise (no order passes the
 8192 cap).  Its tables hold codes in that dtype, so table gathers return it,
@@ -45,13 +49,16 @@ objects are immutable after construction and safe to share across threads.
 from __future__ import annotations
 
 import itertools
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DivisionByZero, DomainError, NotABasis, NotPrimitive, TooLarge
-from .matrix import MatGF, blas_dtype, check_codes, chunk_rows, reduce_mod
+from .matrix import MatGF, blas_dtype, check_codes, chunk_rows, digits, pack, reduce_mod
 
 _TABLE_CAP = 1 << 13  # largest field or extension order: dense Q x Q tables
+_SDB_TRIES = 64  # self_dual_basis: search rounds, the first exhaustive
+_SDB_ENUM_CAP = 1 << 16  # self_dual_basis: candidates per basis element and round
 
 _SCALAR_TYPES = (int, np.integer)
 
@@ -125,16 +132,9 @@ def _is_irreducible(coeffs, p):
                for r in _prime_factors(e))
 
 
-def _digits(codes, base, ndig):
-    codes = np.asarray(codes, dtype=np.int64)
-    pows = base ** np.arange(ndig, dtype=np.int64)
-    return (codes[..., None] // pows) % base
-
-
-def _pack(digits, base):
-    digits = np.asarray(digits, dtype=np.int64)
-    pows = base ** np.arange(digits.shape[-1], dtype=np.int64)
-    return (digits * pows).sum(axis=-1)
+def _exceeds_cap(p, e):
+    """Whether p^e > ``_TABLE_CAP`` for p >= 2, forming only small powers."""
+    return p > _TABLE_CAP or e >= _TABLE_CAP.bit_length() or p ** e > _TABLE_CAP
 
 
 _IRREDUCIBLE_CACHE: dict = {}
@@ -145,7 +145,7 @@ def _find_irreducible(p, e):
     if key in _IRREDUCIBLE_CACHE:
         return _IRREDUCIBLE_CACHE[key]
     for code in range(p ** e):
-        coeffs = [int(d) for d in _digits(code, p, e)] + [1]
+        coeffs = [int(d) for d in digits(code, p, e)] + [1]
         if _is_irreducible(coeffs, p):
             _IRREDUCIBLE_CACHE[key] = coeffs
             return coeffs
@@ -190,10 +190,7 @@ def _power_table(P, p, Q):
             D[lo:hi] = (D[lo - m:hi - m] @ P) % p
         P = (P @ P) % p
         m *= 2
-    codes = np.zeros(Q, dtype=np.int64)
-    for j in range(K - 1, -1, -1):
-        codes *= p
-        codes += D[:, j]
+    codes = pack(D, p)
     exp = codes[:Q - 1]
     log = np.full(Q, -1, dtype=np.int64)
     log[exp] = np.arange(Q - 1)
@@ -221,7 +218,7 @@ def _find_generator(p, modulus):
         Xpow.append(Xpow[-1] @ X % p)
     Xpow = np.reshape(Xpow, (e, e * e))
     for a in range(1, q):
-        M = (_digits(a, p, e) @ Xpow % p).reshape(e, e)
+        M = (digits(a, p, e) @ Xpow % p).reshape(e, e)
         if _has_order(M, q - 1, p):
             _GENERATOR_CACHE[key] = M
             return M
@@ -312,8 +309,8 @@ class Field:
     def __init__(self, p: int, e: int = 1, modulus=None):
         if e < 1:
             raise DomainError("degree must be >= 1")
-        if p ** e > _TABLE_CAP:  # before the primality test, a trial division
-            raise TooLarge(f"field order {p**e} exceeds table cap {_TABLE_CAP}")
+        if p >= 2 and _exceeds_cap(p, e):  # before the primality test, a trial division
+            raise TooLarge(f"field order p^e exceeds table cap {_TABLE_CAP}")
         if not _is_prime(p):
             raise DomainError(f"characteristic {p} is not prime")
         if modulus is None:
@@ -519,7 +516,7 @@ def _companion_digits(base: Field, k: int, f):
     """
     p, e = base.p, base.e
     top = base.mul(p ** np.arange(e)[:, None], base.neg(np.asarray(f[:k]))[None, :])
-    return _shift_matrix(_digits(top, p, e).reshape(e, k * e))
+    return _shift_matrix(digits(top, p, e).reshape(e, k * e))
 
 
 def _build_exp_table(base: Field, k: int, f):
@@ -538,7 +535,7 @@ def _find_primitive_poly(base: Field, k: int):
         return _PRIMITIVE_CACHE[key]
     q = base.q
     for code in range(1, q ** k):
-        coeffs = [int(c) for c in _digits(code, q, k)] + [1]
+        coeffs = [int(c) for c in digits(code, q, k)] + [1]
         if coeffs[0] == 0:
             continue
         if _has_order(_companion_digits(base, k, coeffs), q ** k - 1, base.p):
@@ -570,8 +567,8 @@ class Extension:
     def __init__(self, base: Field, k: int, f=None):
         if k < 1:
             raise DomainError("extension degree must be >= 1")
-        if base.q ** k > _TABLE_CAP:
-            raise TooLarge(f"extension order {base.q**k} exceeds table cap {_TABLE_CAP}")
+        if _exceeds_cap(base.q, k):
+            raise TooLarge(f"extension order q^k exceeds table cap {_TABLE_CAP}")
         if f is None:
             f = _find_primitive_poly(base, k)
         f = [int(c) for c in f]
@@ -589,42 +586,39 @@ class Extension:
         self.Q = base.q ** k
         self.exp, self.log = built
         self.alpha = int(self.exp[1 % (self.Q - 1)]) if self.Q > 2 else 1
-        self._trace_table = None
-        self._coord_table = None
-        self._dual_table = None
-        self._dual_basis = None
-        self._as_field = None
 
     # -- coordinates ---------------------------------------------------------
 
-    @property
+    @cached_property
     def coord_table(self):
         """The (Q, k) table of :meth:`coords` for every element code."""
-        if self._coord_table is None:
-            self._coord_table = _digits(np.arange(self.Q, dtype=np.int64), self.q, self.k)
-        return self._coord_table
+        return digits(np.arange(self.Q), self.q, self.k)
 
     def coords(self, a):
         """Base-q coordinate vector(s) in the power basis (length k)."""
         return np.take(self.coord_table, check_codes(a, self.Q, "element codes"), axis=0)
 
     def from_coords(self, coords):
-        return _pack(np.asarray(coords, dtype=np.int64) % self.q, self.q)
+        """The element codes of power-basis coordinate vectors (last axis)."""
+        return pack(np.asarray(coords, dtype=np.int64) % self.q, self.q)
+
+    def from_dual_coords(self, coords):
+        """The element codes of coordinate vectors (last axis) in the dual of
+        the power basis: the inverse of :meth:`phi_dual`."""
+        return self.from_dual_table[self.from_coords(coords)]
 
     # -- traces, dual coordinates, multiplication matrices -------------------
 
-    @property
+    @cached_property
     def trace_table(self):
         """``Tr a = a + a^q + ... + a^(q^(k-1))`` for every element code."""
-        if self._trace_table is None:
-            Q = self.Q
-            conj = self.exp[(self.log[1:, None] * self.q ** np.arange(self.k)) % (Q - 1)]
-            acc = np.zeros(Q, dtype=np.int64)
-            acc[1:] = self.as_field().add_reduce(conj, axis=1)
-            if np.any(acc >= self.q):
-                raise AssertionError("trace left the base field")  # pragma: no cover
-            self._trace_table = acc
-        return self._trace_table
+        Q = self.Q
+        conj = self.exp[(self.log[1:, None] * self.q ** np.arange(self.k)) % (Q - 1)]
+        acc = np.zeros(Q, dtype=np.int64)
+        acc[1:] = self.as_field().add_reduce(conj, axis=1)
+        if np.any(acc >= self.q):
+            raise AssertionError("trace left the base field")  # pragma: no cover
+        return acc
 
     def trace(self, a):
         """Field trace down to GF(q), returned as a base-field code."""
@@ -653,14 +647,19 @@ class Extension:
         basis = np.asarray(self.power_basis(), dtype=np.int64)
         return self.coords(self.as_field().mul(int(a), basis)).T
 
-    @property
+    @cached_property
     def dual_table(self):
         """The (Q, k) table of :meth:`phi_dual` for every element code."""
-        if self._dual_table is None:
-            basis = np.asarray(self.power_basis(), dtype=np.int64)
-            codes = np.arange(self.Q)[:, None]
-            self._dual_table = self.trace(self.as_field().mul(codes, basis))
-        return self._dual_table
+        basis = np.asarray(self.power_basis(), dtype=np.int64)
+        return self.trace(self.as_field().mul(np.arange(self.Q)[:, None], basis))
+
+    @cached_property
+    def from_dual_table(self):
+        """The element code of each packed row of :attr:`dual_table`: a
+        permutation of the codes, as the trace pairing is nondegenerate."""
+        table = np.empty(self.Q, dtype=np.int64)
+        table[pack(self.dual_table, self.q)] = np.arange(self.Q)
+        return table
 
     def phi_dual(self, a):
         """Coordinates of ``a`` in the dual of the power basis.
@@ -677,33 +676,32 @@ class Extension:
         Returns ``(b'_j)`` with ``Tr(b_i b'_j) = delta_ij``.  The row
         ``dual_table[x] . coords(basis)^T`` is ``(Tr(x b_i))_i``; packed base q
         it maps the codes one-to-one exactly when ``basis`` is a basis, and
-        b'_j is the code sent to q^j.  The power basis's dual is kept.
+        b'_j is the code sent to q^j.  For the power basis that map is the
+        packed ``dual_table``, whose inverse ``from_dual_table`` is kept.
         """
         if basis is None:
-            if self._dual_basis is None:
-                self._dual_basis = self.dual_basis(self.power_basis())
-            return list(self._dual_basis)
+            return [int(b) for b in self.from_dual_table[self.q ** np.arange(self.k)]]
         if len(basis) != self.k:
             raise NotABasis("need exactly k elements")
         B = self.coords(np.asarray(basis, dtype=np.int64))
-        image = _pack(self.base.matmul(self.dual_table, B.T), self.q)
+        image = pack(self.base.matmul(self.dual_table, B.T), self.q)
         preimage = np.full(self.Q, -1, dtype=np.int64)
         preimage[image] = np.arange(self.Q)
         if (preimage < 0).any():
             raise NotABasis("trace pairing is degenerate: not a basis")
         return [int(preimage[self.q ** j]) for j in range(self.k)]
 
-    def self_dual_basis(self, max_tries: int = 64, enum_cap: int = 1 << 16):
+    def self_dual_basis(self):
         """Search for a basis whose trace Gram matrix is the identity.
 
         Returns a list of k element codes, or None if the search fails (which
         is a legitimate outcome for some odd-characteristic cases; for even q
         a self-dual basis always exists and the search is expected to find
-        one at desk sizes).
+        one at desk sizes); ``_SDB_TRIES`` rounds, ``_SDB_ENUM_CAP`` tries each.
         """
         base, k, q, fQ = self.base, self.k, self.q, self.as_field()
         rng = np.random.default_rng(20240823)
-        for attempt in range(max_tries):
+        for attempt in range(_SDB_TRIES):
             sel: list[int] = []
             while len(sel) < k:
                 if sel:
@@ -716,9 +714,9 @@ class Extension:
                 combos = itertools.product(range(q), repeat=comp.shape[0])
                 if attempt > 0:
                     combos = (tuple(rng.integers(0, q, comp.shape[0]))
-                              for _ in range(min(enum_cap, 4096)))
+                              for _ in range(min(_SDB_ENUM_CAP, 4096)))
                 for count, cs in enumerate(combos):
-                    if count >= enum_cap:
+                    if count >= _SDB_ENUM_CAP:
                         break
                     if not any(cs):
                         continue
@@ -745,6 +743,10 @@ class Extension:
 
     # -- bridge to the generic matrix layer ----------------------------------
 
+    @cached_property
+    def _field(self):
+        return Field._of_extension(self)
+
     def as_field(self):
         """GF(Q) as a :class:`Field`, built on first call and kept.
 
@@ -753,9 +755,7 @@ class Extension:
         go through the same kernels as matrices over a base field; it
         eliminates through the dense tables (``kind == "tables"``).
         """
-        if self._as_field is None:
-            self._as_field = Field._of_extension(self)
-        return self._as_field
+        return self._field
 
     def __eq__(self, other):
         return (isinstance(other, Extension) and self.base == other.base

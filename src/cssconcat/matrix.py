@@ -29,6 +29,9 @@ value back into ``[0, p)`` exactly, and the result is the same reduced
 row-echelon form.  Span reduction against the rref over any prime field,
 GF(2) included, is one matmul per chunk of rows on BLAS as well, with its
 float type from the same rule.
+
+:func:`digits` and :func:`pack` are the one coding of a vector over GF(q) as
+an integer, little-endian base q, for every layer of the library.
 """
 
 from __future__ import annotations
@@ -40,6 +43,26 @@ from .errors import DomainError, FieldMismatch, Singular
 _PANEL = 64  # pivots per delayed update in the odd-prime elimination
 _CHUNK_BYTES = 1 << 19  # bytes per chunked temporary
 _F32_SUM = (1 << 22) - 1  # float32 sums of smaller magnitude reduce exactly
+_SPAN_CHUNK = 1 << 14  # codewords per chunk of enumerate_span
+
+
+def digits(codes, q, k):
+    """The ``k`` little-endian base-``q`` digits of each code, along a new
+    last axis (int64)."""
+    codes = np.asarray(codes, dtype=np.int64)
+    return codes[..., None] // q ** np.arange(k, dtype=np.int64) % q
+
+
+def pack(digits, q):
+    """The codes of base-``q`` digit vectors along the last axis, little-endian
+    (int64; a scalar for a 1-D input).  Digit j has weight ``q**j``, summed in
+    Horner form, since numpy reduces a short last axis one row at a time."""
+    digits = np.asarray(digits)
+    out = np.zeros(digits.shape[:-1], dtype=np.int64)
+    for j in range(digits.shape[-1] - 1, -1, -1):
+        out *= q
+        out += digits[..., j]
+    return out[()]
 
 
 def reduce_mod(x, p):
@@ -470,19 +493,15 @@ class MatGF:
         return np.array_equal(r1[0][: r1[2]], r2[0][: r2[2]])
 
 
-def enumerate_span(field, G, chunk=1 << 14):
+def enumerate_span(field, G):
     """Yield chunks of all codewords in the row space of ``G`` (numpy array).
 
-    Messages run over all q^rows mixed-radix tuples; each yielded chunk is a
-    2-D array of codewords.  The zero word is included.
+    Messages run over the base-q digits of 0, ..., q^rows - 1; each yielded
+    chunk is a 2-D array of codewords.  The zero word is included.
     """
     G = np.asarray(G)
-    rows = G.shape[0]
-    q = field.q
+    q, rows = field.q, G.shape[0]
     total = q ** rows
-    pows = q ** np.arange(rows, dtype=np.int64)
-    for lo in range(0, total, chunk):
-        hi = min(total, lo + chunk)
-        idx = np.arange(lo, hi, dtype=np.int64)
-        msgs = (idx[:, None] // pows) % q
+    for lo in range(0, total, _SPAN_CHUNK):
+        msgs = digits(np.arange(lo, min(total, lo + _SPAN_CHUNK)), q, rows)
         yield field.matmul(msgs, G)

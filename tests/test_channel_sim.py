@@ -43,6 +43,9 @@ def test_channel_validation():
         AdditiveChannel(F2, [0.5, 0.6])
     with pytest.raises(DomainError):
         AdditiveChannel(F2, [1.5, -0.5])
+    for bad in ([math.nan, math.nan], [math.inf, 0.0], [1.0, -math.inf]):
+        with pytest.raises(DomainError, match="finite"):
+            AdditiveChannel(F2, bad)
     ch = AdditiveChannel.symmetric(Field(2, 2), 0.03)
     assert abs(ch.probs.sum() - 1.0) < 1e-12
     assert ch.probs[1] == pytest.approx(0.01)

@@ -102,6 +102,30 @@ def test_cli_field_past_the_order_cap(capsys):
     assert "extension" not in text
 
 
+def test_cli_field_huge_degree_exits_4(capsys):
+    """GF(2^15000) fails its order check at once, before any power or
+    primality test, with exit 4 and no digits of the order."""
+    spec = " ".join(["2", "15000"] + ["0"] * 15000 + ["1"])
+    code, text = run_cli(["field", "--spec", spec])
+    err = capsys.readouterr().err
+    assert code == EXIT_TOO_LARGE and text == ""
+    assert err == "error: field order p^e exceeds table cap 8192\n"
+
+
+def test_cli_simulate_channel_edge_inputs(tmp_path, capsys):
+    """An unparsable channel is a parse error (exit 2); non-finite
+    probabilities violate the channel's precondition (exit 3)."""
+    cfg = _write_config(tmp_path)
+    base = ["--seed", "1", "simulate", "--pair", str(cfg), "--trials", "10", "--channel"]
+    code, _ = run_cli(base + ["abc,0.1"])
+    assert code == EXIT_PARSE
+    assert capsys.readouterr().err.startswith("error: could not convert")
+    for channel in ("nan,nan", "inf,0", "0.5,nan"):
+        code, _ = run_cli(base + [channel])
+        assert code == EXIT_INVARIANT
+        assert capsys.readouterr().err == ("error: DomainError: probabilities must be finite\n")
+
+
 def test_cli_construct_and_mindist(tmp_path):
     C = LinearCode.from_parity_check(F2, HAMMING_H)
     c_path = tmp_path / "steane.txt"

@@ -262,6 +262,21 @@ def test_reassemble_symbols_matches_dual_basis_sum():
     assert got.tolist() == [ctx2.reassemble_symbols(c)[0] for c in resid]
 
 
+@pytest.mark.parametrize("make_cp", [_cp_90_28, _cp_96_32_gf3, _cp_60_14_gf4])
+def test_reassemble_symbols_side2_matches_dual_basis_product(make_cp):
+    """Side 2 reads its residual through the kept inverse of the packed
+    dual table; the reference multiplies the trace-dual coordinates by the
+    power-basis coordinates of the dual basis and packs the result."""
+    cp = make_cp()
+    ext, ctx = cp.ext, DecoderContext(cp, side=2)
+    f = ctx.field
+    B = ext.coords(ext.dual_basis())
+    resid = np.random.default_rng(21).integers(0, f.q, size=(30, cp.N * ext.k))
+    want = ext.from_coords(f.matmul(resid.reshape(-1, ext.k), B))
+    assert np.array_equal(ctx.reassemble_symbols(resid), want)
+    assert np.array_equal(ctx.reassemble_symbols(ext.dual_table), np.arange(ext.Q))
+
+
 def _reference_two_stage_decode(ctx, s):
     """The scalar two-stage decoder, one syndrome at a time (the reference
     for :func:`decode_batch`)."""
@@ -271,8 +286,8 @@ def _reference_two_stage_decode(ctx, s):
     ehat = ctx.table.leaders[ctx.table.pack(blocks)].reshape(-1)
     resid = ctx.field.sub(lower, ctx.field.matmul(ehat, ctx.Gp.T))
     coords = resid.reshape(-1, ctx.k)
-    if ctx.side == 2:
-        coords = ctx.field.matmul(coords, ctx.dual_coords)
+    if ctx.side == 2:  # trace-dual coordinates: sum_j c_j b'_j, b' the dual basis
+        coords = ctx.field.matmul(coords, ctx.ext.coords(ctx.ext.dual_basis()))
     try:
         x = ctx.grs.bd_decode(ctx.ext.from_coords(coords))
     except DecodeFailure:

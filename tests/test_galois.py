@@ -1,5 +1,6 @@
 """Field and extension arithmetic tests."""
 
+import time
 import tracemalloc
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from cssconcat import galois
 from cssconcat.errors import DomainError, NotABasis, NotPrimitive, Singular, TooLarge
 from cssconcat.galois import Extension, Field
-from cssconcat.matrix import MatGF, chunk_rows
+from cssconcat.matrix import MatGF, chunk_rows, digits, pack
 
 
 def test_gf2_add():
@@ -164,6 +165,19 @@ def test_phi_dual_pairing():
             assert lhs == ext.trace(ext.as_field().mul(x, y))
 
 
+@pytest.mark.parametrize("p, e, k", [(2, 1, 4), (3, 1, 4), (2, 2, 3), (3, 2, 2), (2, 1, 13)],
+                         ids=["GF2^4", "GF3^4", "GF4^3", "GF9^2", "GF2^13"])
+def test_from_dual_coords_inverts_dual_table(p, e, k):
+    """from_dual_coords undoes phi_dual on every code, and the dual of the
+    power basis, read from the same inverse, is the sum of the unit dual
+    coordinates."""
+    ext = Extension(Field(p, e), k)
+    assert np.array_equal(ext.from_dual_coords(ext.dual_table), np.arange(ext.Q))
+    assert np.array_equal(ext.dual_table[ext.from_dual_table], ext.coord_table)
+    eye = np.eye(k, dtype=np.int64)
+    assert ext.from_dual_coords(eye).tolist() == ext.dual_basis()
+
+
 def test_dual_basis_involution():
     for ext in (Extension(Field(2), 3), Extension(Field(2, 2), 2),
                 Extension(Field(3), 2)):
@@ -231,14 +245,20 @@ def test_coords_reject_codes_outside_the_extension():
 
 @pytest.mark.parametrize("build", [lambda: Field(2, 14), lambda: Field(2 ** 61 - 1),
                                    lambda: Extension(Field(2), 14),
-                                   lambda: Extension(Field(2, 2), 7)],
-                         ids=["GF16384", "GF(2^61-1)", "GF2^14", "GF4^7"])
+                                   lambda: Extension(Field(2, 2), 7),
+                                   lambda: Field(2, 15000), lambda: Field(3, 10 ** 7),
+                                   lambda: Extension(Field(2), 10 ** 7)],
+                         ids=["GF16384", "GF(2^61-1)", "GF2^14", "GF4^7",
+                              "GF2^15000", "GF3^1e7", "GF2^1e7"])
 def test_order_cap_at_construction(build):
     """One cap on the order of every field and extension (8192): an order
     past it fails when it is built, not on first use of its tables, and a
-    huge prime fails before its primality test."""
-    with pytest.raises(TooLarge):
+    huge prime fails before its primality test.  A huge degree fails at
+    once: no power p^e is formed, and no digits of one enter the message."""
+    start = time.perf_counter()
+    with pytest.raises(TooLarge, match="^(field|extension) order [pq]\\^[ek] exceeds table cap 8192$"):
         build()
+    assert time.perf_counter() - start < 0.5
 
 
 def test_largest_extension_constructs():
@@ -472,14 +492,14 @@ def test_power_table_matches_scalar_recurrence(p, e):
     most 64: the monic candidates with nonzero constant term, in the order
     the search tries them, up to the first primitive one and two beyond,
     give the same tables or the same None."""
-    from cssconcat.galois import _build_exp_table, _digits, _find_primitive_poly
+    from cssconcat.galois import _build_exp_table, _find_primitive_poly
     base = Field(p, e)
     q = base.q
     k = 1
     while q ** k <= 4096:
         first, beyond, rejected = None, 0, 0
         for code in range(1, q ** k):
-            f = [int(c) for c in _digits(code, q, k)] + [1]
+            f = [int(c) for c in digits(code, q, k)] + [1]
             if f[0] == 0:
                 continue
             want = _scalar_exp_table(base, k, f)
@@ -577,13 +597,13 @@ def _digitwise_sum_tables(p, e, rows=None):
     p and packed, in row chunks, as the element-code dtype."""
     q = p ** e
     dtype = galois.code_dtype(q)
-    D = galois._digits(np.arange(q), p, e)
+    D = digits(np.arange(q), p, e)
     rows = np.arange(q) if rows is None else np.asarray(rows)
     add = np.empty((len(rows), q), dtype=dtype)
     step = chunk_rows(q * e)
     for lo in range(0, len(rows), step):
-        add[lo:lo + step] = galois._pack((D[rows[lo:lo + step], None] + D) % p, p)
-    return add, galois._pack((-D) % p, p).astype(dtype)
+        add[lo:lo + step] = pack((D[rows[lo:lo + step], None] + D) % p, p)
+    return add, pack((-D) % p, p).astype(dtype)
 
 
 _ODD_PRIMES = [p for p in _primes(1024) if p > 2]

@@ -110,6 +110,37 @@ def test_same_row_space():
     assert not A.same_row_space(MatGF(f, [[1, 0, 0], [0, 1, 0]]))
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 81, 1024])
+def test_digits_pack_round_trip(q):
+    """pack inverts digits, little-endian base q, on every code below q^k
+    (sampled above 4096), and digits inverts pack on random digit rows."""
+    for k in (1, 2, 3):
+        codes = np.arange(min(q ** k, 4096))
+        if q ** k > 4096:
+            codes = np.random.default_rng(q).integers(0, q ** k, 4096)
+        D = matrix.digits(codes, q, k)
+        assert D.dtype == np.int64 and D.shape == codes.shape + (k,)
+        assert ((D >= 0) & (D < q)).all()
+        assert np.array_equal(D[:, 0], codes % q) and np.array_equal(D[:, -1], codes // q ** (k - 1))
+        assert matrix.pack(D, q).dtype == np.int64
+        assert np.array_equal(matrix.pack(D, q), codes)
+        rows = np.random.default_rng(k).integers(0, q, (5, 7, k))
+        assert np.array_equal(matrix.digits(matrix.pack(rows, q), q, k), rows)
+
+
+def test_pack_edge_shapes():
+    """An empty last axis packs to zeros, int8 digits widen to int64 (no
+    wrap at q = 128), and a 1-D digit vector packs to a scalar."""
+    empty = matrix.pack(np.zeros((4, 0), dtype=np.int8), 3)
+    assert empty.shape == (4,) and empty.dtype == np.int64 and not empty.any()
+    assert matrix.digits(np.arange(5), 3, 0).shape == (5, 0)
+    top = np.full((2, 3), 127, dtype=np.int8)
+    assert matrix.pack(top, 128).tolist() == [128 ** 3 - 1] * 2
+    one = matrix.pack([1, 0, 2], 3)
+    assert np.ndim(one) == 0 and one == 1 + 2 * 9 and one.dtype == np.int64
+    assert matrix.digits(19, 3, 3).tolist() == [1, 0, 2]
+
+
 def test_enumerate_span_counts():
     f = Field(3)
     G = np.array([[1, 0, 2], [0, 1, 1]])
