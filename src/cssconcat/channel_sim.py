@@ -2,10 +2,14 @@
 
 The channel adds an i.i.d. symbol drawn from a distribution W over GF(q) to
 every coordinate.  Monte-Carlo estimation feeds sampled errors through the
-two-stage decoder and scores them with the stabilizer-aware success oracle.
-The analytic side provides the random-coding error exponent, its
-concatenated-scheme optimization, and the classical union bound on
-bounded-distance outer decoding.
+two-stage decoder and scores them with the stabilizer-aware success oracle,
+on one GF(Q) symbol per inner block as derived in the :mod:`decode`
+docstring, with no array nN columns wide past the sampled errors.  The
+dense pipeline of :mod:`decode` (``full_syndrome``, ``stage1``,
+``outer_stage``, ``success_oracle_rows``) is its reference.  The analytic
+side provides the random-coding error exponent, its concatenated-scheme
+optimization, and the classical union bound on bounded-distance outer
+decoding.
 
 Random streams.  Trial i of a run with seed s reads its own stream of
 Philox4x64-10 (Salmon et al., SC'11), computed here in numpy and bit-exact
@@ -32,8 +36,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decode import DecoderContext, _nonzero_rows, success_oracle_rows
+from .decode import DecoderContext, _nonzero_rows
 from .errors import DomainError, EmptyFeasibleSet
+from .outer_grs import MESSAGES
 
 
 class AdditiveChannel:
@@ -194,6 +199,10 @@ class MCResult:
     trials: int
     inner_block_rate: float
     outer_decode_failures: int
+    # outer decoding succeeded, but the trial fails
+    miscorrections: int = 0
+    # the outer decode failures by reason, indexed like outer_grs.MESSAGES
+    outer_failures_by_reason: tuple = (0,) * len(MESSAGES)
 
     @property
     def ci(self):
@@ -213,39 +222,71 @@ def wilson_interval(failures: int, trials: int):
     return max(0.0, center - half), min(1.0, center + half)
 
 
+def _sparse_matmul(f, A, B):
+    """``A·B`` over ``f`` from the nonzero entries of each row of ``A``: the
+    entries and the rows of ``B`` they pick, padded with zeros to the
+    longest row, meet in one ``f.mul`` and one ``f.add_reduce`` over the
+    pad axis."""
+    rows, cols = np.nonzero(A)
+    counts = np.bincount(rows, minlength=len(A))
+    slot = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    pick = np.zeros((len(A), counts.max(initial=0)), dtype=np.intp)
+    values = np.zeros(pick.shape, dtype=f.dtype)
+    pick[rows, slot] = cols
+    values[rows, slot] = A[rows, cols]
+    return f.add_reduce(f.mul(B[pick], values[:, :, None]), axis=1)
+
+
 def mc_error_rate(ctx: DecoderContext, channel: AdditiveChannel, trials: int,
                   seed, chunk: int = 2048) -> MCResult:
     """Monte-Carlo estimate of the decoding failure rate with a Wilson CI.
 
     A trial fails when the two-stage estimate does not match the sampled
-    error modulo the stabilizer.  The measured inner-stage block error rate
-    is reported alongside for comparison with the union bound: the fraction
-    of inner blocks whose stage-1 miss e_b - leader_b has a nonzero
-    g-coefficient c_b (:meth:`DecoderContext.block_split`), that is, the
-    miss lies in the side's inner code but outside the opposite inner dual.
+    error modulo the stabilizer.  Each chunk of trials is decoded on the
+    symbols z of its stage-1 misses (:meth:`DecoderContext.miss_symbols`):
+    the outer syndrome is Hout.z, the rows where it is nonzero go to
+    :meth:`GrsCode.bd_decode_batch` in one call, and a trial succeeds iff
+    the decoded word X equals z or (X - z).D_o.G^T = 0 over GF(Q) (the
+    :mod:`decode` docstring).  The measured inner-stage block error rate,
+    the fraction of nonzero z_b, is reported alongside for comparison with
+    the union bound; so are the outer decode failures, by reason, and the
+    miscorrections, trials whose outer decoding succeeded but which fail.
     """
     if trials < 1:
         raise DomainError("trials must be >= 1")
+    if chunk < 1:
+        raise DomainError("chunk must be >= 1")
     if channel.field != ctx.field:
         raise DomainError("channel and decoder fields differ")
-    f = ctx.field
-    n_total = ctx.N * ctx.n
-    failures = 0
-    outer_fail = 0
-    bad_blocks = 0
+    fQ = ctx.ext.as_field()
+    _, HoutT, DoT = ctx._symbol_tables
+    failures = bad_blocks = miscorrections = 0
+    reasons = np.zeros(len(MESSAGES), dtype=np.int64)
     for start in range(0, trials, chunk):
         count = min(chunk, trials - start)
-        E = _sample_block(channel, seed, start, count, n_total)
-        S = ctx.full_syndrome(E)
-        Ehat = ctx.stage1(S[:, : ctx.upper_len])
-        bad_blocks += int(np.count_nonzero(_nonzero_rows(ctx.block_split(f.sub(E, Ehat))[2])))
-        outer_fail += int((~ctx.outer_stage(S, Ehat)).sum())
-        failures += int((~success_oracle_rows(ctx, E, Ehat)).sum())
+        Z = ctx.miss_symbols(_sample_block(channel, seed, start, count, ctx.N * ctx.n))
+        bad_blocks += int(np.count_nonzero(Z))
+        Z = Z[_nonzero_rows(Z)]
+        sigma = _sparse_matmul(fQ, Z, HoutT)
+        decoded = np.flatnonzero(_nonzero_rows(sigma))
+        X, ok, reason = ctx.grs.bd_decode_batch(sigma[decoded])
+        failed, passed = decoded[~ok], decoded[ok]
+        wrong = np.zeros(len(Z), dtype=bool)
+        wrong[failed] = True  # Hout.z != 0: z is outside dual(D_o)
+        Z[failed] = 0
+        Z[passed] = fQ.sub(Z[passed], X[ok])
+        left = np.flatnonzero(_nonzero_rows(Z))
+        wrong[left] = _nonzero_rows(_sparse_matmul(fQ, Z[left], DoT))
+        failures += int(np.count_nonzero(wrong))
+        miscorrections += int(np.count_nonzero(wrong[passed]))
+        reasons += np.bincount(reason[~ok], minlength=len(MESSAGES))
     lo, hi = wilson_interval(failures, trials)
+    outer_fail = int(reasons.sum())
     return MCResult(estimate=failures / trials, ci_lo=lo, ci_hi=hi,
                     failures=failures, trials=trials,
                     inner_block_rate=bad_blocks / (trials * ctx.N),
-                    outer_decode_failures=outer_fail)
+                    outer_decode_failures=outer_fail, miscorrections=miscorrections,
+                    outer_failures_by_reason=tuple(int(r) for r in reasons))
 
 
 # -- analytic quantities -----------------------------------------------------
@@ -329,30 +370,6 @@ def random_coding_exponent(channel: AdditiveChannel, r: float) -> float:
             fd = val(d)
     best = min(min(vals), fc, fd)
     return max(0.0, best)
-
-
-def simplex_grid_exponent(channel: AdditiveChannel, r: float, step: float = 1e-3) -> float:
-    """Brute-force minimization over a simplex grid (cross-validation, q <= 3)."""
-    W = channel.probs
-    q = channel.q
-    if q > 3:
-        raise DomainError("simplex grid oracle is for q <= 3")
-    m = int(round(1.0 / step))
-    if q == 2:
-        i = np.arange(m + 1)
-        Q = np.stack([i, m - i], axis=1) / m
-    else:
-        i, j = np.meshgrid(np.arange(m + 1), np.arange(m + 1), indexing="ij")
-        keep = (i + j) <= m
-        Q = np.stack([i[keep], j[keep], m - i[keep] - j[keep]], axis=1) / m
-    lnq = math.log(q)
-    safeQ = np.where(Q > 0, Q, 1.0)
-    safeW = np.where(W > 0, W, 1.0)
-    div = (np.where(Q > 0, Q * np.log(safeQ / safeW), 0.0)).sum(axis=1) / lnq
-    div[np.any((Q > 0) & (W[None, :] <= 0), axis=1)] = np.inf
-    H = -(np.where(Q > 0, Q * np.log(safeQ), 0.0)).sum(axis=1) / lnq
-    vals = div + np.maximum(0.0, 1.0 - r - H)
-    return max(0.0, float(vals.min()))
 
 
 def union_bound_pe(P_inner: float, N: int, K: int) -> float:

@@ -37,6 +37,33 @@ syndrome zero, so it lies in the side's inner code C = dual(C_o) + span(g'),
 g' the side's own coset generators; by (P) of the concat docstring,
 g'.g^T = I and dual(C_o).g^T = 0, so c_b is its g'-coefficient, and the
 block is bad, outside dual(C_o), iff c_b != 0.  Neither test eliminates.
+
+Monte-Carlo symbols.  :func:`channel_sim.mc_error_rate` specialises the
+test to its own estimates, which are stage-1 leaders plus pi_side[X], X the
+outer decoder's word (zero where it fails or does not run).  Block b of
+v = estimate - e is then pi_side[X_b] - u_b, u_b = e_b - leader_b the
+stage-1 miss.  Both terms lie in C: pi_side[x] is a combination of g', and
+u_b has the syndrome zero.  So (i) holds on every Monte-Carlo row, and only
+the g-coefficients are left.  Those of the miss are c_b = e_b.g^T -
+leader_b.g^T: one product of the nonzero blocks e_b by [H; g]^T gives
+e_b.g^T in its last k columns and the stage-1 syndrome s_b in its first m,
+and the leader's part is the row s_b of the (q^m, k) table
+LG = leaders.g^T.  Let z_b be the
+symbol whose coordinates are c_b, z_b = from_coords(c_b) on side 1 and
+from_dual_coords(c_b) on side 2, since pi_1[x] = coords(x) g1 and
+pi_2[x] = dual_table[x] g2 with g'.g^T = I.  The block is bad iff z_b != 0.
+The dense outer stage reads the residual u.Gp^T; by (B) of the concat
+docstring a block of Gp is its W part times g plus a row of dual(C), so
+block j of the residual is the coordinate vector of the symbol
+sigma_j = sum_b Hout[j, b] z_b: the outer syndrome is sigma = Hout.z, with
+Hout the side's outer check.  The g-coefficients of v are the coordinates
+of X - z, and <wtab[y], those coordinates> = Tr(y (X_b - z_b)), so (ii)
+reads Tr(alpha^l sum_b D_o.G[r, b] (X_b - z_b)) = 0 for every l and r.  The
+trace form is nondegenerate, so a trial succeeds iff X = z or
+(X - z).D_o.G^T = 0 over GF(Q), D_o = D2 on side 1 and D1 on side 2.  A
+row whose outer decoding fails has X = 0 and Hout.z = sigma != 0, so z lies
+outside D_side, which contains dual(D_o), and the row fails without the
+product.  No array nN columns wide is formed past the sampled errors.
 """
 
 from __future__ import annotations
@@ -48,7 +75,7 @@ import numpy as np
 from .codes import TABLE_CAP, CosetLeaderTable
 from .concat import ConcatPair, _block_factor, _subfield_rows
 from .errors import DomainError
-from .matrix import as_codes
+from .matrix import as_codes, pack
 
 
 def _nonzero_rows(A):
@@ -95,6 +122,31 @@ class DecoderContext:
         ext, D = self.ext, self.cp.D2 if self.side == 1 else self.cp.D1
         wtab = (ext.dual_table if self.side == 1 else ext.coord_table).astype(self.field.dtype)
         return np.take(wtab, _subfield_rows(ext, D.G), axis=0).reshape(-1, self.N * self.k)
+
+    @cached_property
+    def _symbol_tables(self):
+        """The tables of the Monte-Carlo symbols (module docstring), built on
+        first use: LG = leaders.g^T in the field's dtype, and Hout^T and
+        D_o.G^T in the dtype of GF(Q)."""
+        fQ = self.ext.as_field()
+        Hout, D = (self.cp.Hout1, self.cp.D2) if self.side == 1 else (self.cp.Hout2, self.cp.D1)
+        return (self.field.matmul(self.table.leaders, self._HgT[:, self._m:]),
+                np.ascontiguousarray(Hout.T, dtype=fQ.dtype),
+                np.ascontiguousarray(D.G.T, dtype=fQ.dtype))
+
+    def miss_symbols(self, E):
+        """The (rows, N) GF(Q) symbols z of the stage-1 misses of error rows
+        ``E`` (module docstring), from one product of their nonzero blocks
+        by [H; g]^T; z_b is zero for a good block."""
+        f, m = self.field, self._m
+        blocks = E.reshape(-1, self.n)
+        ids = np.flatnonzero(_nonzero_rows(blocks))
+        P = f.matmul(blocks[ids], self._HgT)
+        c = f.sub(P[:, m:], self._symbol_tables[0][pack(P[:, :m], f.q)])
+        Z = np.zeros((len(E), self.N), dtype=self.ext.as_field().dtype)
+        Z.reshape(-1)[ids] = (self.ext.from_dual_coords(c) if self.side == 2
+                              else self.ext.from_coords(c))
+        return Z
 
     def block_split(self, V):
         """The nonzero blocks of rows ``V`` of differences, split by one

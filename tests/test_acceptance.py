@@ -26,7 +26,6 @@ from cssconcat.channel_sim import (
     capacity,
     mc_error_rate,
     random_coding_exponent,
-    simplex_grid_exponent,
     union_bound_pe,
 )
 from cssconcat.codes import (
@@ -54,6 +53,7 @@ from cssconcat.enlarge import (
 )
 from cssconcat.galois import Extension, Field
 from cssconcat.outer_grs import GrsCode, nested_grs_pair
+from references import simplex_grid_exponent
 
 F2 = Field(2)
 F4 = Field(2, 2)

@@ -17,6 +17,7 @@ from cssconcat.channel_sim import (
     _philox,
     _round_keys,
     _sample_block,
+    _sparse_matmul,
     _uniforms,
     capacity,
     concat_exponent,
@@ -24,16 +25,17 @@ from cssconcat.channel_sim import (
     mc_error_rate,
     random_coding_exponent,
     sample_error,
-    simplex_grid_exponent,
     union_bound_pe,
     wilson_interval,
 )
+from cssconcat import decode
 from cssconcat.codes import bvector_pair
 from cssconcat.concat import concatenate
 from cssconcat.decode import DecoderContext
 from cssconcat.errors import DomainError, EmptyFeasibleSet
 from cssconcat.galois import Extension, Field
-from cssconcat.outer_grs import nested_grs_pair
+from cssconcat.outer_grs import MESSAGES, nested_grs_pair
+from references import dense_mc_error_rate, simplex_grid_exponent
 
 F2 = Field(2)
 
@@ -277,8 +279,7 @@ def test_mc_chunk_invariance():
 def test_mc_heap_holds_narrow_codes():
     """Codes stay in the field's dtype from sampling to decoding: one
     512-trial call on [[90,28]] peaks within 1 MB of its start (about 0.4 MB;
-    1.9 MB with int64 codes).  A first call gathers the decoder's lazy
-    symbol-check matrix Y."""
+    1.9 MB with int64 codes)."""
     inner = bvector_pair(F2, [1] * 6, [1] * 6)
     e16 = Extension(F2, 4)
     cp = concatenate(inner, nested_grs_pair(e16, 15, 11, 11), e16)
@@ -294,6 +295,151 @@ def test_mc_heap_holds_narrow_codes():
     finally:
         tracemalloc.stop()
     assert peak - start <= 1.0e6
+
+
+def test_mc_rejects_chunk_below_one():
+    """A chunk below 1 raises DomainError, on a channel where every trial
+    fails, rather than returning no failures or failing inside range."""
+    ctx = DecoderContext(_cp_90_28(), side=1)
+    ch = AdditiveChannel.symmetric(F2, 0.5)
+    assert mc_error_rate(ctx, ch, 100, 1, chunk=7).failures == 100
+    for chunk in (0, -5):
+        with pytest.raises(DomainError, match="chunk"):
+            mc_error_rate(ctx, ch, 100, 1, chunk=chunk)
+
+
+# -- the symbol-level Monte-Carlo against the dense decoder pipeline ----------
+
+def _cp(q_field, n, k, N, K):
+    ext = Extension(q_field, k)
+    return concatenate(bvector_pair(q_field, [1] * n, [1] * n),
+                       nested_grs_pair(ext, N, K, K), ext)
+
+
+def _cp_90_28():
+    """rs15-gf16: inner [[6,4]] over GF(2), RS[15,11] over GF(16)."""
+    return _cp(F2, 6, 4, 15, 11)
+
+
+def _cp_96_32_gf3():
+    """Inner [[6,4]] over GF(3), RS[16,12] over GF(81)."""
+    return _cp(Field(3), 6, 4, 16, 12)
+
+
+def _cp_60_14_gf4():
+    """Inner [[4,2]] over GF(4), RS[15,11] over GF(16)."""
+    return _cp(Field(2, 2), 4, 2, 15, 11)
+
+
+def _cp_480_160_gf3():
+    """rs80-gf81: inner [[6,4]] over GF(3), RS[80,60] over GF(81)."""
+    return _cp(Field(3), 6, 4, 80, 60)
+
+
+def _mc_tuple(r):
+    return (r.failures, r.outer_decode_failures, r.inner_block_rate, r.miscorrections,
+            r.outer_failures_by_reason)
+
+
+@pytest.mark.parametrize("field", [Field(2, 4), Field(3, 4), Field(3), Field(2, 10)])
+def test_sparse_matmul_matches_field_product(field):
+    """Rows of every weight, all-zero rows and batches of 0 and 1 rows."""
+    rng = np.random.default_rng(field.q)
+    A = rng.integers(0, field.q, size=(40, 25)) * (rng.random((40, 25)) < 0.2)
+    A[::7] = 0
+    A[3] = rng.integers(1, field.q, size=25)
+    A = A.astype(field.dtype)
+    B = rng.integers(0, field.q, size=(25, 9)).astype(field.dtype)
+    for rows in (0, 1, len(A)):
+        got = _sparse_matmul(field, A[:rows], B)
+        assert got.dtype == field.dtype and got.shape == (rows, 9)
+        assert np.array_equal(got, field.matmul(A[:rows], B))
+
+
+@pytest.mark.parametrize("make_cp", [_cp_90_28, _cp_96_32_gf3, _cp_60_14_gf4])
+@pytest.mark.parametrize("side", [1, 2])
+def test_mc_matches_dense_reference(make_cp, side):
+    """GF(2), GF(3) and GF(4) inner fields, both sides, chunks that do not
+    divide the trials: every count is the dense pipeline's."""
+    ctx = DecoderContext(make_cp(), side=side)
+    ch = AdditiveChannel.symmetric(ctx.field, 0.03)
+    r = mc_error_rate(ctx, ch, 700, 11, chunk=256)
+    want = dense_mc_error_rate(ctx, ch, 700, 11, chunk=300)
+    assert _mc_tuple(r) == want
+    assert r.failures > r.outer_decode_failures > 0 and r.trials == 700
+    assert _mc_tuple(mc_error_rate(ctx, ch, 700, 11, chunk=700)) == want
+
+
+@pytest.mark.parametrize("side", [1, 2])
+def test_mc_miscorrections_and_failure_reasons(side):
+    """rs15-gf16 at p = 0.01 has both outer failures, of several reasons,
+    and miscorrections; the counts sum as documented and match the dense
+    reference."""
+    ctx = DecoderContext(_cp_90_28(), side=side)
+    ch = AdditiveChannel.symmetric(F2, 0.01)
+    r = mc_error_rate(ctx, ch, 4096, 921)
+    assert _mc_tuple(r) == dense_mc_error_rate(ctx, ch, 4096, 921)
+    reasons = r.outer_failures_by_reason
+    assert len(reasons) == len(MESSAGES) and reasons[0] == 0
+    assert sum(reasons) == r.outer_decode_failures and sum(map(bool, reasons)) >= 2
+    assert 0 < r.miscorrections <= r.failures - r.outer_decode_failures
+
+
+@pytest.mark.parametrize("side", [1, 2])
+def test_mc_outer_failures_odd_characteristic(side):
+    """rs80-gf81 at p = 0.03: most trials overrun the outer radius."""
+    ctx = DecoderContext(_cp_480_160_gf3(), side=side)
+    ch = AdditiveChannel.symmetric(ctx.field, 0.03)
+    r = mc_error_rate(ctx, ch, 600, 4)
+    assert _mc_tuple(r) == dense_mc_error_rate(ctx, ch, 600, 4)
+    assert r.outer_decode_failures > 100
+
+
+@pytest.mark.parametrize("make_cp", [_cp_90_28, _cp_96_32_gf3, _cp_60_14_gf4])
+def test_mc_without_errors(make_cp):
+    """W(0) = 1: no error at all, so nothing is bad, decoded or failed."""
+    cp = make_cp()
+    probs = np.zeros(cp.inner.field.q)
+    probs[0] = 1.0
+    ch = AdditiveChannel(cp.inner.field, probs)
+    for side in (1, 2):
+        ctx = DecoderContext(cp, side=side)
+        r = mc_error_rate(ctx, ch, 300, 2, chunk=128)
+        assert _mc_tuple(r) == dense_mc_error_rate(ctx, ch, 300, 2, chunk=128)
+        assert _mc_tuple(r) == (0, 0, 0.0, 0, (0,) * len(MESSAGES))
+
+
+@pytest.mark.parametrize("make_cp", [_cp_90_28, _cp_96_32_gf3, _cp_60_14_gf4])
+@pytest.mark.parametrize("side", [1, 2])
+def test_mc_rows_pass_the_inner_check(make_cp, side):
+    """Condition (i) of the decode docstring holds on every Monte-Carlo
+    row: the dense estimates of sampled trials differ from the errors by
+    blocks orthogonal to H, outer failures and miscorrections included."""
+    ctx = DecoderContext(make_cp(), side=side)
+    ch = AdditiveChannel.symmetric(ctx.field, 0.05)
+    E = _sample_block(ch, 3, 0, 400, ctx.N * ctx.n)
+    S = ctx.full_syndrome(E)
+    Ehat = ctx.stage1(S[:, : ctx.upper_len])
+    outer_ok = ctx.outer_stage(S, Ehat)
+    ids, outside, c = ctx.block_split(ctx.field.sub(Ehat, E))
+    assert (~outer_ok).any() and c.any() and not outside.any()
+
+
+def test_mc_runs_no_dense_stage(monkeypatch):
+    """mc_error_rate calls none of the dense pipeline's stages, nor
+    gathers Y."""
+    cp = _cp_90_28()
+    ctxs = [DecoderContext(cp, side=side) for side in (1, 2)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense stage on the Monte-Carlo path")
+    for name in ("full_syndrome", "stage1", "outer_stage"):
+        monkeypatch.setattr(DecoderContext, name, refuse)
+    monkeypatch.setattr(DecoderContext, "Y", property(refuse))
+    monkeypatch.setattr(decode, "success_oracle_rows", refuse)
+    ch = AdditiveChannel.symmetric(F2, 0.03)
+    for ctx in ctxs:
+        assert mc_error_rate(ctx, ch, 300, 3).failures > 0
 
 
 def test_wilson_interval():

@@ -474,7 +474,7 @@ def test_inner_block_rate_matches_dense_count(make_cp, side):
 @pytest.mark.parametrize("make_cp", ORACLE_CASES)
 def test_mc_path_runs_no_elimination(monkeypatch, make_cp):
     """Once the contexts are built, mc_error_rate eliminates nothing on
-    either side, the first call that gathers Y included."""
+    either side, the first call that builds the symbol tables included."""
     cp = make_cp()
     ctxs = [DecoderContext(cp, side=side) for side in (1, 2)]
     calls = []
@@ -485,7 +485,7 @@ def test_mc_path_runs_no_elimination(monkeypatch, make_cp):
         monkeypatch.setitem(matrix._RREF, kind, spy)
     ch = AdditiveChannel.symmetric(cp.inner.field, 0.03)
     for ctx in ctxs:
-        assert "Y" not in vars(ctx)
+        assert "_symbol_tables" not in vars(ctx)
         assert mc_error_rate(ctx, ch, 200, 3).failures > 0
         assert calls == []
-        assert "Y" in vars(ctx)
+        assert "_symbol_tables" in vars(ctx)
