@@ -11,10 +11,13 @@ blocks.  Success is judged modulo the stabilizer: an estimate is correct iff
 it differs from the channel error by a vector orthogonal to the opposite
 concatenated code.
 
-:func:`decode_batch` is the one decoder: :meth:`DecoderContext.stage1` on all
-rows, then :meth:`DecoderContext.outer_stage` on those with a nonzero residual,
-which hands them to :meth:`GrsCode.bd_decode_batch` in one call.  The scalar
-:func:`two_stage_decode` is a one-row batch.
+:func:`decode_batch` is the one decoder of syndromes:
+:meth:`DecoderContext.stage1` on all rows, then
+:meth:`DecoderContext.outer_stage` on those with a nonzero residual, which
+hands them to :meth:`GrsCode.bd_decode_batch` in one call.  The scalar
+:func:`two_stage_decode` is a one-row batch.  Monte-Carlo, which knows its
+errors, decodes their symbols instead (below), and this pipeline is its
+reference.
 
 Block-level success test.  On side 1 the opposite code is L2 = pi_2(D2) +
 blockwise dual(C1), generated by N diagonal copies of C1.H and by the rows

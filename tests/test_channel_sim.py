@@ -10,6 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from cssconcat import decode
 from cssconcat.channel_sim import (
     AdditiveChannel,
     _error_triples,
@@ -28,7 +29,6 @@ from cssconcat.channel_sim import (
     union_bound_pe,
     wilson_interval,
 )
-from cssconcat import decode
 from cssconcat.codes import bvector_pair
 from cssconcat.concat import concatenate
 from cssconcat.decode import DecoderContext
@@ -310,9 +310,9 @@ def test_mc_rejects_chunk_below_one():
 
 # -- the symbol-level Monte-Carlo against the dense decoder pipeline ----------
 
-def _cp(q_field, n, k, N, K):
-    ext = Extension(q_field, k)
-    return concatenate(bvector_pair(q_field, [1] * n, [1] * n),
+def _cp(field, n, k, N, K):
+    ext = Extension(field, k)
+    return concatenate(bvector_pair(field, [1] * n, [1] * n),
                        nested_grs_pair(ext, N, K, K), ext)
 
 
