@@ -51,10 +51,10 @@ the g-coefficients are left.  Those of the miss are c_b = e_b.g^T -
 leader_b.g^T: one product of the nonzero blocks e_b by [H; g]^T gives
 e_b.g^T in its last k columns and the stage-1 syndrome s_b in its first m,
 and the leader's part is the row s_b of the (q^m, k) table
-LG = leaders.g^T.  Let z_b be the
-symbol whose coordinates are c_b, z_b = from_coords(c_b) on side 1 and
-from_dual_coords(c_b) on side 2, since pi_1[x] = coords(x) g1 and
-pi_2[x] = dual_table[x] g2 with g'.g^T = I.  The block is bad iff z_b != 0.
+LG = leaders.g^T.  Let z_b be the symbol whose coordinates are c_b,
+z_b = from_coords(c_b) on side 1 and from_dual_coords(c_b) on side 2, since
+pi_1[x] = coords(x) g1 and pi_2[x] = dual_table[x] g2 with g'.g^T = I.  The
+block is bad iff z_b != 0.
 The dense outer stage reads the residual u.Gp^T; by (B) of the concat
 docstring a block of Gp is its W part times g plus a row of dual(C), so
 block j of the residual is the coordinate vector of the symbol
