@@ -38,6 +38,7 @@ import numpy as np
 
 from .decode import DecoderContext, _nonzero_rows
 from .errors import DomainError, EmptyFeasibleSet
+from .matrix import chunk_rows
 from .outer_grs import MESSAGES
 
 
@@ -226,7 +227,8 @@ def _sparse_matmul(f, A, B):
     """``A·B`` over ``f`` from the nonzero entries of each row of ``A``: the
     entries and the rows of ``B`` they pick, padded with zeros to the
     longest row, meet in one ``f.mul`` and one ``f.add_reduce`` over the
-    pad axis."""
+    pad axis.  Rows go in slices that keep each (rows, pad, cols) gather
+    within ``chunk_rows`` at 8 bytes an entry."""
     rows, cols = np.nonzero(A)
     counts = np.bincount(rows, minlength=len(A))
     slot = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
@@ -234,7 +236,12 @@ def _sparse_matmul(f, A, B):
     values = np.zeros(pick.shape, dtype=f.dtype)
     pick[rows, slot] = cols
     values[rows, slot] = A[rows, cols]
-    return f.add_reduce(f.mul(B[pick], values[:, :, None]), axis=1)
+    out = np.empty((len(A), B.shape[1]), dtype=f.dtype)
+    step = chunk_rows(pick.shape[1] * B.shape[1])
+    for lo in range(0, len(A), step):
+        hi = lo + step
+        out[lo:hi] = f.add_reduce(f.mul(B[pick[lo:hi]], values[lo:hi, :, None]), axis=1)
+    return out
 
 
 def mc_error_rate(ctx: DecoderContext, channel: AdditiveChannel, trials: int,

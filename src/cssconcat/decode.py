@@ -78,7 +78,7 @@ import numpy as np
 from .codes import TABLE_CAP, CosetLeaderTable
 from .concat import ConcatPair, _block_factor, _subfield_rows
 from .errors import DomainError
-from .matrix import as_codes, pack
+from .matrix import as_codes, chunk_rows, pack
 
 
 def _nonzero_rows(A):
@@ -137,28 +137,36 @@ class DecoderContext:
                 np.ascontiguousarray(Hout.T, dtype=fQ.dtype),
                 np.ascontiguousarray(D.G.T, dtype=fQ.dtype))
 
+    def _block_product(self, V):
+        """``(ids, P)``: the flat indices row * N + block of the nonzero
+        blocks of rows ``V``, and the product of those blocks by [H; g]^T,
+        whose first m columns are the products with H and the rest the
+        g-coefficients."""
+        blocks = V.reshape(-1, self.n)
+        ids = np.flatnonzero(_nonzero_rows(blocks))
+        return ids, self.field.matmul(blocks[ids], self._HgT)
+
     def miss_symbols(self, E):
         """The (rows, N) GF(Q) symbols z of the stage-1 misses of error rows
         ``E`` (module docstring), from one product of their nonzero blocks
-        by [H; g]^T; z_b is zero for a good block."""
-        f, m = self.field, self._m
-        blocks = E.reshape(-1, self.n)
-        ids = np.flatnonzero(_nonzero_rows(blocks))
-        P = f.matmul(blocks[ids], self._HgT)
-        c = f.sub(P[:, m:], self._symbol_tables[0][pack(P[:, :m], f.q)])
+        by [H; g]^T; z_b is zero for a good block.  The blocks become
+        symbols in slices of ``chunk_rows`` int64 coordinate rows."""
+        f, m, LG = self.field, self._m, self._symbol_tables[0]
+        ids, P = self._block_product(E)
         Z = np.zeros((len(E), self.N), dtype=self.ext.as_field().dtype)
-        Z.reshape(-1)[ids] = (self.ext.from_dual_coords(c) if self.side == 2
-                              else self.ext.from_coords(c))
+        step = chunk_rows(self.k)
+        for lo in range(0, len(ids), step):
+            part = P[lo:lo + step]
+            c = f.sub(part[:, m:], LG[pack(part[:, :m], f.q)])
+            Z.reshape(-1)[ids[lo:lo + step]] = self.reassemble_symbols(c)
         return Z
 
     def block_split(self, V):
         """The nonzero blocks of rows ``V`` of differences, split by one
-        product with [H; g]^T: ``(ids, outside, c)``, with ``ids`` the flat
-        indices row * N + block of those blocks, ``outside`` whether each
-        fails (i) of the module docstring, and ``c`` their g-coefficients."""
-        blocks = V.reshape(-1, self.n)
-        ids = np.flatnonzero(_nonzero_rows(blocks))
-        P = self.field.matmul(blocks[ids], self._HgT)
+        product with [H; g]^T: ``(ids, outside, c)``, with ``ids`` as in
+        :meth:`_block_product`, ``outside`` whether each block fails (i) of
+        the module docstring, and ``c`` their g-coefficients."""
+        ids, P = self._block_product(V)
         return ids, _nonzero_rows(P[:, :self._m]), P[:, self._m:]
 
     def full_syndrome(self, E):
@@ -192,9 +200,9 @@ class DecoderContext:
         return outer_ok
 
     def reassemble_symbols(self, resid):
-        """Turn the residual lower syndrome into outer GRS syndrome symbols:
-        its k-entry blocks are power-basis coordinates on side 1 and
-        trace-dual coordinates on side 2."""
+        """Turn the residual lower syndrome, or g-coefficients, into GF(Q)
+        symbols: their k-entry blocks are power-basis coordinates on side 1
+        and trace-dual coordinates on side 2."""
         coords = np.reshape(resid, (-1, self.k))
         if self.side == 2:
             return self.ext.from_dual_coords(coords)

@@ -10,7 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cssconcat import decode
+from cssconcat import decode, matrix
 from cssconcat.channel_sim import (
     AdditiveChannel,
     _error_triples,
@@ -297,6 +297,30 @@ def test_mc_heap_holds_narrow_codes():
     assert peak - start <= 1.0e6
 
 
+def test_mc_heap_bounded_at_high_noise():
+    """On [[2550,1016]] at p = 0.2 nearly nine blocks in ten are bad and
+    every outer decoding fails.  The coordinates of the 110k bad blocks
+    become symbols in slices, and the GF(Q) product of 512 rows of over 200
+    nonzero symbols by Hout^T runs in row slices, so the call peaks within
+    13 MB of its start: about 9.8 MB, 19 MB with all symbols made at once
+    and 35 MB with the product in one slice."""
+    ext = Extension(F2, 8)
+    cp = concatenate(bvector_pair(F2, [1] * 10, [1] * 10),
+                     nested_grs_pair(ext, 255, 191, 191), ext)
+    ctx = DecoderContext(cp, side=2)
+    ch = AdditiveChannel.symmetric(F2, 0.2)
+    mc_error_rate(ctx, ch, 8, 1)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        r = mc_error_rate(ctx, ch, 512, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert r.outer_decode_failures == 512 and r.inner_block_rate > 0.85
+    assert peak - start <= 13.0e6
+
+
 def test_mc_rejects_chunk_below_one():
     """A chunk below 1 raises DomainError, on a channel where every trial
     fails, rather than returning no failures or failing inside range."""
@@ -342,8 +366,11 @@ def _mc_tuple(r):
 
 
 @pytest.mark.parametrize("field", [Field(2, 4), Field(3, 4), Field(3), Field(2, 10)])
-def test_sparse_matmul_matches_field_product(field):
-    """Rows of every weight, all-zero rows and batches of 0 and 1 rows."""
+@pytest.mark.parametrize("chunk_bytes", [256, 1 << 19])
+def test_sparse_matmul_matches_field_product(monkeypatch, field, chunk_bytes):
+    """Rows of every weight, all-zero rows and batches of 0 and 1 rows, in
+    one slice and in slices of a few rows."""
+    monkeypatch.setattr(matrix, "_CHUNK_BYTES", chunk_bytes)
     rng = np.random.default_rng(field.q)
     A = rng.integers(0, field.q, size=(40, 25)) * (rng.random((40, 25)) < 0.2)
     A[::7] = 0
@@ -354,6 +381,25 @@ def test_sparse_matmul_matches_field_product(field):
         got = _sparse_matmul(field, A[:rows], B)
         assert got.dtype == field.dtype and got.shape == (rows, 9)
         assert np.array_equal(got, field.matmul(A[:rows], B))
+
+
+def test_sparse_matmul_heap_is_sliced():
+    """256 full-weight rows of 255 GF(256) symbols by a 255 x 191 matrix:
+    the 12.5M-entry gather runs a row at a time, so the product peaks
+    within 4 MB (about 2 MB; 52 MB in one slice)."""
+    f = Extension(F2, 8).as_field()
+    rng = np.random.default_rng(255)
+    A = rng.integers(1, f.q, size=(256, 255)).astype(f.dtype)
+    B = rng.integers(0, f.q, size=(255, 191)).astype(f.dtype)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        got = _sparse_matmul(f, A, B)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - start <= 4.0e6
+    assert np.array_equal(got[:8], f.matmul(A[:8], B))
 
 
 @pytest.mark.parametrize("make_cp", [_cp_90_28, _cp_96_32_gf3, _cp_60_14_gf4])
