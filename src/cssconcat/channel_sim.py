@@ -38,7 +38,6 @@ import numpy as np
 
 from .decode import DecoderContext, _nonzero_rows
 from .errors import DomainError, EmptyFeasibleSet
-from .matrix import chunk_rows
 from .outer_grs import MESSAGES
 
 
@@ -223,27 +222,6 @@ def wilson_interval(failures: int, trials: int):
     return max(0.0, center - half), min(1.0, center + half)
 
 
-def _sparse_matmul(f, A, B):
-    """``A·B`` over ``f`` from the nonzero entries of each row of ``A``: the
-    entries and the rows of ``B`` they pick, padded with zeros to the
-    longest row, meet in one ``f.mul`` and one ``f.add_reduce`` over the
-    pad axis.  Rows go in slices that keep each (rows, pad, cols) gather
-    within ``chunk_rows`` at 8 bytes an entry."""
-    rows, cols = np.nonzero(A)
-    counts = np.bincount(rows, minlength=len(A))
-    slot = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    pick = np.zeros((len(A), counts.max(initial=0)), dtype=np.intp)
-    values = np.zeros(pick.shape, dtype=f.dtype)
-    pick[rows, slot] = cols
-    values[rows, slot] = A[rows, cols]
-    out = np.empty((len(A), B.shape[1]), dtype=f.dtype)
-    step = chunk_rows(pick.shape[1] * B.shape[1])
-    for lo in range(0, len(A), step):
-        hi = lo + step
-        out[lo:hi] = f.add_reduce(f.mul(B[pick[lo:hi]], values[lo:hi, :, None]), axis=1)
-    return out
-
-
 def mc_error_rate(ctx: DecoderContext, channel: AdditiveChannel, trials: int,
                   seed, chunk: int = 2048) -> MCResult:
     """Monte-Carlo estimate of the decoding failure rate with a Wilson CI.
@@ -251,13 +229,14 @@ def mc_error_rate(ctx: DecoderContext, channel: AdditiveChannel, trials: int,
     A trial fails when the two-stage estimate does not match the sampled
     error modulo the stabilizer.  Each chunk of trials is decoded on the
     symbols z of its stage-1 misses (:meth:`DecoderContext.miss_symbols`):
-    the outer syndrome is Hout.z, the rows where it is nonzero go to
+    the rows whose outer syndrome Hout.z is nonzero go to
     :meth:`GrsCode.bd_decode_batch` in one call, and a trial succeeds iff
-    the decoded word X equals z or (X - z).D_o.G^T = 0 over GF(Q) (the
-    :mod:`decode` docstring).  The measured inner-stage block error rate,
-    the fraction of nonzero z_b, is reported alongside for comparison with
-    the union bound; so are the outer decode failures, by reason, and the
-    miscorrections, trials whose outer decoding succeeded but which fail.
+    X - z passes test (ii) of the :mod:`decode` docstring
+    (:meth:`DecoderContext.outside_dual`), X the decoded word.  The
+    measured inner-stage block error rate, the fraction of nonzero z_b, is
+    reported alongside for comparison with the union bound; so are the
+    outer decode failures, by reason, and the miscorrections, trials whose
+    outer decoding succeeded but which fail.
     """
     if trials < 1:
         raise DomainError("trials must be >= 1")
@@ -265,8 +244,6 @@ def mc_error_rate(ctx: DecoderContext, channel: AdditiveChannel, trials: int,
         raise DomainError("chunk must be >= 1")
     if channel.field != ctx.field:
         raise DomainError("channel and decoder fields differ")
-    fQ = ctx.ext.as_field()
-    _, HoutT, DoT = ctx._symbol_tables
     failures = bad_blocks = miscorrections = 0
     reasons = np.zeros(len(MESSAGES), dtype=np.int64)
     for start in range(0, trials, chunk):
@@ -274,16 +251,14 @@ def mc_error_rate(ctx: DecoderContext, channel: AdditiveChannel, trials: int,
         Z = ctx.miss_symbols(_sample_block(channel, seed, start, count, ctx.N * ctx.n))
         bad_blocks += int(np.count_nonzero(Z))
         Z = Z[_nonzero_rows(Z)]
-        sigma = _sparse_matmul(fQ, Z, HoutT)
+        sigma = ctx.outer_syndromes(Z)
         decoded = np.flatnonzero(_nonzero_rows(sigma))
         X, ok, reason = ctx.grs.bd_decode_batch(sigma[decoded])
         failed, passed = decoded[~ok], decoded[ok]
-        wrong = np.zeros(len(Z), dtype=bool)
-        wrong[failed] = True  # Hout.z != 0: z is outside dual(D_o)
         Z[failed] = 0
-        Z[passed] = fQ.sub(Z[passed], X[ok])
-        left = np.flatnonzero(_nonzero_rows(Z))
-        wrong[left] = _nonzero_rows(_sparse_matmul(fQ, Z[left], DoT))
+        Z[passed] = ctx.ext.as_field().sub(Z[passed], X[ok])
+        wrong = ctx.outside_dual(Z)
+        wrong[failed] = True  # Hout.z != 0: z is outside dual(D_o)
         failures += int(np.count_nonzero(wrong))
         miscorrections += int(np.count_nonzero(wrong[passed]))
         reasons += np.bincount(reason[~ok], minlength=len(MESSAGES))

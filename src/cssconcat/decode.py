@@ -23,50 +23,44 @@ Block-level success test.  On side 1 the opposite code is L2 = pi_2(D2) +
 blockwise dual(C1), generated by N diagonal copies of C1.H and by the rows
 PI2[alpha^l D2.G]; on side 2 it is L1, generated by copies of C2.H and the
 rows PI1[alpha^l D1.G].  Write [H; g] for [C1.H; g2] on side 1 and
-[C2.H; g1] on side 2 (concat._block_factor of the other side), and wtab for
-the extension's dual_table on side 1 and its coord_table on side 2, so that
-PI_o[x] = wtab[x] g for the opposite table PI_o, as pi_map builds it.  A
-difference v = estimate - e is then orthogonal to L_o iff
+[C2.H; g1] on side 2 (concat._block_factor of the other side), and w_b for
+the GF(Q) symbol whose coordinates are the g-coefficients c_b = v_b.g^T of
+block b: w_b = from_coords(c_b) on side 1 and from_dual_coords(c_b) on
+side 2.  A difference v = estimate - e is then orthogonal to L_o iff
 
   (i) every block v_b is orthogonal to the rows of H, and
-  (ii) c.Y^T = 0, with c_b = v_b.g^T the g-coefficients of the blocks and Y
-       the (k K_o, k N) matrix wtab[alpha^l D_o.G],
+  (ii) w.D_o.G^T = 0 over GF(Q), D_o = D2 on side 1 and D1 on side 2.
 
-since <v_b, wtab[x] g> = wtab[x].c_b.  One product of the nonzero blocks of
-v by [H; g]^T gives both (i) and c; only rows that pass (i) with some
-c_b != 0 meet Y, in one GF(q) product.  Y is gathered on the first such row.
-The same product scores stage 1.  A stage-1 miss e_b - leader_b has the
-syndrome zero, so it lies in the side's inner code C = dual(C_o) + span(g'),
-g' the side's own coset generators; by (P) of the concat docstring,
-g'.g^T = I and dual(C_o).g^T = 0, so c_b is its g'-coefficient, and the
-block is bad, outside dual(C_o), iff c_b != 0.  Neither test eliminates.
+The opposite table is PI_o[x] = wtab[x] g, wtab the extension's dual_table
+on side 1 and its coord_table on side 2, as pi_map builds it, so
+<v_b, PI_o[x]> = wtab[x].c_b = Tr(x w_b): each pairs dual coordinates with
+power-basis ones.  Against the row PI_o[alpha^l D_o.G[r]], v gives
+Tr(alpha^l (w.D_o.G^T)_r), which vanishes for every l iff (w.D_o.G^T)_r = 0,
+as the trace form is nondegenerate.  One product of the nonzero blocks of v
+by [H; g]^T gives (i) and w (:meth:`DecoderContext.block_symbols`); only
+rows that pass (i) with some w_b != 0 meet D_o.G^T, in one sparse GF(Q)
+product (:meth:`DecoderContext.outside_dual`).  The same product scores
+stage 1.  A stage-1 miss e_b - leader_b has the syndrome zero, so it lies
+in the side's inner code C = dual(C_o) + span(g'), g' the side's own coset
+generators; by (P) of the concat docstring, g'.g^T = I and dual(C_o).g^T =
+0, so c_b is its g'-coefficient, and the block is bad, outside dual(C_o),
+iff c_b != 0.  Neither test eliminates.
 
 Monte-Carlo symbols.  :func:`channel_sim.mc_error_rate` specialises the
 test to its own estimates, which are stage-1 leaders plus pi_side[X], X the
 outer decoder's word (zero where it fails or does not run).  Block b of
 v = estimate - e is then pi_side[X_b] - u_b, u_b = e_b - leader_b the
 stage-1 miss.  Both terms lie in C: pi_side[x] is a combination of g', and
-u_b has the syndrome zero.  So (i) holds on every Monte-Carlo row, and only
-the g-coefficients are left.  Those of the miss are c_b = e_b.g^T -
-leader_b.g^T: one product of the nonzero blocks e_b by [H; g]^T gives
-e_b.g^T in its last k columns and the stage-1 syndrome s_b in its first m,
-and the leader's part is the row s_b of the (q^m, k) table
-LG = leaders.g^T.  Let z_b be the symbol whose coordinates are c_b,
-z_b = from_coords(c_b) on side 1 and from_dual_coords(c_b) on side 2, since
-pi_1[x] = coords(x) g1 and pi_2[x] = dual_table[x] g2 with g'.g^T = I.  The
-block is bad iff z_b != 0.
-The dense outer stage reads the residual u.Gp^T; by (B) of the concat
+u_b has the syndrome zero.  So (i) holds on every Monte-Carlo row, and
+w = X - z, z_b the symbol of the miss (:meth:`DecoderContext.miss_symbols`):
+the symbol of e_b's g-coefficients less that of the leader of its stage-1
+syndrome, both maps to symbols being GF(q)-linear.  By (B) of the concat
 docstring a block of Gp is its W part times g plus a row of dual(C), so
-block j of the residual is the coordinate vector of the symbol
-sigma_j = sum_b Hout[j, b] z_b: the outer syndrome is sigma = Hout.z, with
-Hout the side's outer check.  The g-coefficients of v are the coordinates
-of X - z, and <wtab[y], those coordinates> = Tr(y (X_b - z_b)), so (ii)
-reads Tr(alpha^l sum_b D_o.G[r, b] (X_b - z_b)) = 0 for every l and r.  The
-trace form is nondegenerate, so a trial succeeds iff X = z or
-(X - z).D_o.G^T = 0 over GF(Q), D_o = D2 on side 1 and D1 on side 2.  A
-row whose outer decoding fails has X = 0 and Hout.z = sigma != 0, so z lies
-outside D_side, which contains dual(D_o), and the row fails without the
-product.  No array nN columns wide is formed past the sampled errors.
+block j of the dense residual u.Gp^T holds the coordinates of
+sum_b Hout[j, b] z_b: the outer syndrome is Hout.z, Hout the side's outer
+check.  A row whose outer decoding fails has X = 0 and Hout.z != 0, so z
+lies outside D_side, which contains dual(D_o), and the row fails without
+test (ii).  No array nN columns wide is formed past the sampled errors.
 """
 
 from __future__ import annotations
@@ -76,7 +70,7 @@ from functools import cached_property
 import numpy as np
 
 from .codes import TABLE_CAP, CosetLeaderTable
-from .concat import ConcatPair, _block_factor, _subfield_rows
+from .concat import ConcatPair, _block_factor
 from .errors import DomainError
 from .matrix import as_codes, chunk_rows, pack
 
@@ -86,6 +80,27 @@ def _nonzero_rows(A):
     transposed copy: numpy ORs its rows whole, where ``A.any(axis=1)`` pays
     a step per row of a few entries."""
     return np.ascontiguousarray(A.T).any(axis=0)
+
+
+def _sparse_matmul(f, A, B):
+    """``A·B`` over ``f`` from the nonzero entries of each row of ``A``: the
+    entries and the rows of ``B`` they pick, padded with zeros to the
+    longest row, meet in one ``f.mul`` and one ``f.add_reduce`` over the
+    pad axis.  Rows go in slices that keep each (rows, pad, cols) gather
+    within ``chunk_rows`` at 8 bytes an entry."""
+    rows, cols = np.nonzero(A)
+    counts = np.bincount(rows, minlength=len(A))
+    slot = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    pick = np.zeros((len(A), counts.max(initial=0)), dtype=np.intp)
+    values = np.zeros(pick.shape, dtype=f.dtype)
+    pick[rows, slot] = cols
+    values[rows, slot] = A[rows, cols]
+    out = np.empty((len(A), B.shape[1]), dtype=f.dtype)
+    step = chunk_rows(pick.shape[1] * B.shape[1])
+    for lo in range(0, len(A), step):
+        hi = lo + step
+        out[lo:hi] = f.add_reduce(f.mul(B[pick[lo:hi]], values[lo:hi, :, None]), axis=1)
+    return out
 
 
 class DecoderContext:
@@ -119,55 +134,55 @@ class DecoderContext:
         self._m, self._HgT = _block_factor(cp.inner, 3 - side)
 
     @cached_property
-    def Y(self):
-        """The (k K_o, k N) matrix wtab[alpha^l D_o.G] of the block-level
-        success test, in the field's dtype, gathered on first use."""
-        ext, D = self.ext, self.cp.D2 if self.side == 1 else self.cp.D1
-        wtab = (ext.dual_table if self.side == 1 else ext.coord_table).astype(self.field.dtype)
-        return np.take(wtab, _subfield_rows(ext, D.G), axis=0).reshape(-1, self.N * self.k)
-
-    @cached_property
     def _symbol_tables(self):
-        """The tables of the Monte-Carlo symbols (module docstring), built on
-        first use: LG = leaders.g^T in the field's dtype, and Hout^T and
-        D_o.G^T in the dtype of GF(Q)."""
+        """The tables of the symbol algebra (module docstring), built on first
+        use in the dtype of GF(Q): the (q^m,) symbols LZ of the leaders'
+        g-coefficients, indexed by packed syndrome, Hout^T and D_o.G^T."""
         fQ = self.ext.as_field()
         Hout, D = (self.cp.Hout1, self.cp.D2) if self.side == 1 else (self.cp.Hout2, self.cp.D1)
-        return (self.field.matmul(self.table.leaders, self._HgT[:, self._m:]),
+        LG = self.field.matmul(self.table.leaders, self._HgT[:, self._m:])
+        return (self.reassemble_symbols(LG).astype(fQ.dtype),
                 np.ascontiguousarray(Hout.T, dtype=fQ.dtype),
                 np.ascontiguousarray(D.G.T, dtype=fQ.dtype))
 
-    def _block_product(self, V):
-        """``(ids, P)``: the flat indices row * N + block of the nonzero
-        blocks of rows ``V``, and the product of those blocks by [H; g]^T,
-        whose first m columns are the products with H and the rest the
-        g-coefficients."""
+    def block_symbols(self, V):
+        """``(ids, H, w)`` for the nonzero blocks of rows ``V``, from one
+        product by [H; g]^T: their flat indices row * N + block, their
+        products with H, and the GF(Q) symbols of their g-coefficients
+        (module docstring), made in slices of ``chunk_rows`` coordinate
+        rows."""
         blocks = V.reshape(-1, self.n)
         ids = np.flatnonzero(_nonzero_rows(blocks))
-        return ids, self.field.matmul(blocks[ids], self._HgT)
+        P = self.field.matmul(blocks[ids], self._HgT)
+        w = np.empty(len(ids), dtype=self.ext.as_field().dtype)
+        step = chunk_rows(self.k)
+        for lo in range(0, len(ids), step):
+            w[lo:lo + step] = self.reassemble_symbols(P[lo:lo + step, self._m:])
+        return ids, P[:, :self._m], w
 
     def miss_symbols(self, E):
         """The (rows, N) GF(Q) symbols z of the stage-1 misses of error rows
-        ``E`` (module docstring), from one product of their nonzero blocks
-        by [H; g]^T; z_b is zero for a good block.  The blocks become
-        symbols in slices of ``chunk_rows`` int64 coordinate rows."""
-        f, m, LG = self.field, self._m, self._symbol_tables[0]
-        ids, P = self._block_product(E)
-        Z = np.zeros((len(E), self.N), dtype=self.ext.as_field().dtype)
-        step = chunk_rows(self.k)
-        for lo in range(0, len(ids), step):
-            part = P[lo:lo + step]
-            c = f.sub(part[:, m:], LG[pack(part[:, :m], f.q)])
-            Z.reshape(-1)[ids[lo:lo + step]] = self.reassemble_symbols(c)
+        ``E`` (module docstring): the symbols of the nonzero blocks less
+        the leader symbols of their syndromes; z_b is zero for a good
+        block."""
+        ids, H, w = self.block_symbols(E)
+        Z = np.zeros((len(E), self.N), dtype=w.dtype)
+        LZ = self._symbol_tables[0]
+        Z.reshape(-1)[ids] = self.ext.as_field().sub(w, LZ[pack(H, self.field.q)])
         return Z
 
-    def block_split(self, V):
-        """The nonzero blocks of rows ``V`` of differences, split by one
-        product with [H; g]^T: ``(ids, outside, c)``, with ``ids`` as in
-        :meth:`_block_product`, ``outside`` whether each block fails (i) of
-        the module docstring, and ``c`` their g-coefficients."""
-        ids, P = self._block_product(V)
-        return ids, _nonzero_rows(P[:, :self._m]), P[:, self._m:]
+    def outer_syndromes(self, Z):
+        """The outer syndromes Hout.z over GF(Q) of rows ``Z`` of symbols."""
+        return _sparse_matmul(self.ext.as_field(), Z, self._symbol_tables[1])
+
+    def outside_dual(self, W):
+        """Which rows of GF(Q) symbols ``W`` fail test (ii) of the module
+        docstring, W.D_o.G^T != 0; the zero rows pass without a product."""
+        bad = np.zeros(len(W), dtype=bool)
+        rows = np.flatnonzero(_nonzero_rows(W))
+        bad[rows] = _nonzero_rows(_sparse_matmul(self.ext.as_field(), W[rows],
+                                                 self._symbol_tables[2]))
+        return bad
 
     def full_syndrome(self, E):
         """Syndromes of error vectors (rows) against this side's structured check."""
@@ -236,16 +251,17 @@ def success_oracle(ctx: DecoderContext, e, estimate) -> bool:
     The estimate succeeds exactly when its difference v from the channel
     error is orthogonal to the opposite-side concatenated code L_o: every
     block of v is orthogonal to the opposite inner dual's rows H, and the
-    g-coefficients c_b = v_b.g^T satisfy c.Y^T = 0 (module docstring).
+    symbols w of the blocks' g-coefficients satisfy w.D_o.G^T = 0 over
+    GF(Q) (module docstring).
     """
     return bool(success_oracle_rows(ctx, np.reshape(e, (1, -1)),
                                     np.reshape(estimate, (1, -1)))[0])
 
 
 def success_oracle_rows(ctx: DecoderContext, E, estimates):
-    """:func:`success_oracle` over matching rows, by one product of the
-    nonzero blocks and one product with :attr:`DecoderContext.Y` of the rows
-    that need it."""
+    """:func:`success_oracle` over matching rows: test (i) on the products
+    of the nonzero blocks with H, then :meth:`DecoderContext.outside_dual`
+    on the symbols of the rows that pass it."""
     E = np.asarray(E)
     estimates = np.asarray(estimates)
     if E.shape != estimates.shape or E.ndim != 2 or E.shape[1] != ctx.Ho.shape[1]:
@@ -253,16 +269,13 @@ def success_oracle_rows(ctx: DecoderContext, E, estimates):
                           f"length {ctx.Ho.shape[1]}")
     E = as_codes(ctx.field, E, "error entries")
     estimates = as_codes(ctx.field, estimates, "estimate entries")
-    f = ctx.field
-    V = f.sub(estimates, E)
+    V = ctx.field.sub(estimates, E)
     ok = np.ones(len(E), dtype=bool)
     if not V.any():  # every estimate is exact
         return ok
-    ids, outside, c = ctx.block_split(V)
-    ok[ids[outside] // ctx.N] = False
-    C = np.zeros((len(E), ctx.N * ctx.k), dtype=f.dtype)
-    C.reshape(-1, ctx.k)[ids] = c
-    rows = np.flatnonzero(ok & _nonzero_rows(C))
-    if rows.size:
-        ok[rows] = ~f.matmul(ctx.Y, C[rows].T).any(axis=0)
+    ids, H, w = ctx.block_symbols(V)
+    ok[ids[_nonzero_rows(H)] // ctx.N] = False
+    W = np.zeros((len(E), ctx.N), dtype=w.dtype)
+    W.reshape(-1)[ids] = w
+    ok[ok] = ~ctx.outside_dual(W[ok])
     return ok

@@ -599,8 +599,9 @@ class Extension:
         return np.take(self.coord_table, check_codes(a, self.Q, "element codes"), axis=0)
 
     def from_coords(self, coords):
-        """The element codes of power-basis coordinate vectors (last axis)."""
-        return pack(np.asarray(coords, dtype=np.int64) % self.q, self.q)
+        """The element codes of power-basis coordinate vectors (last axis),
+        each coordinate a code of the base field."""
+        return pack(check_codes(coords, self.q, "coordinates"), self.q)
 
     def from_dual_coords(self, coords):
         """The element codes of coordinate vectors (last axis) in the dual of

@@ -27,7 +27,7 @@ def dense_mc_error_rate(ctx, channel, trials, seed, chunk=2048):
         E = _sample_block(channel, seed, start, count, ctx.N * ctx.n)
         S = ctx.full_syndrome(E)
         Ehat = ctx.stage1(S[:, : ctx.upper_len])
-        bad_blocks += int(np.count_nonzero(ctx.block_split(f.sub(E, Ehat))[2].any(axis=1)))
+        bad_blocks += int(np.count_nonzero(ctx.block_symbols(f.sub(E, Ehat))[2]))
         resid = f.sub(S[:, ctx.upper_len:], f.matmul(Ehat, ctx.Gp.T))
         decoded = resid.any(axis=1)
         outer_ok = ctx.outer_stage(S, Ehat)

@@ -18,7 +18,6 @@ from cssconcat.channel_sim import (
     _philox,
     _round_keys,
     _sample_block,
-    _sparse_matmul,
     _uniforms,
     capacity,
     concat_exponent,
@@ -31,7 +30,7 @@ from cssconcat.channel_sim import (
 )
 from cssconcat.codes import bvector_pair
 from cssconcat.concat import concatenate
-from cssconcat.decode import DecoderContext
+from cssconcat.decode import DecoderContext, _sparse_matmul
 from cssconcat.errors import DomainError, EmptyFeasibleSet
 from cssconcat.galois import Extension, Field
 from cssconcat.outer_grs import MESSAGES, nested_grs_pair
@@ -184,7 +183,7 @@ def test_mc_path_loads_no_numpy_random():
         from cssconcat.channel_sim import AdditiveChannel, mc_error_rate
         from cssconcat.codes import bvector_pair
         from cssconcat.concat import concatenate
-        from cssconcat.decode import DecoderContext
+        from cssconcat.decode import DecoderContext, _sparse_matmul
         from cssconcat.galois import Extension, Field
         from cssconcat.outer_grs import nested_grs_pair
 
@@ -467,13 +466,15 @@ def test_mc_rows_pass_the_inner_check(make_cp, side):
     S = ctx.full_syndrome(E)
     Ehat = ctx.stage1(S[:, : ctx.upper_len])
     outer_ok = ctx.outer_stage(S, Ehat)
-    ids, outside, c = ctx.block_split(ctx.field.sub(Ehat, E))
-    assert (~outer_ok).any() and c.any() and not outside.any()
+    ids, H, w = ctx.block_symbols(ctx.field.sub(Ehat, E))
+    assert (~outer_ok).any() and w.any() and not H.any()
 
 
 def test_mc_runs_no_dense_stage(monkeypatch):
-    """mc_error_rate calls none of the dense pipeline's stages, nor
-    gathers Y."""
+    """mc_error_rate calls none of the dense pipeline's stages, and no
+    operand of a field product it runs is wider than an inner block over
+    GF(q) or than N over GF(Q): nothing like the (k K_o, k N) matrix the
+    success test once gathered."""
     cp = _cp_90_28()
     ctxs = [DecoderContext(cp, side=side) for side in (1, 2)]
 
@@ -481,11 +482,18 @@ def test_mc_runs_no_dense_stage(monkeypatch):
         raise AssertionError("dense stage on the Monte-Carlo path")
     for name in ("full_syndrome", "stage1", "outer_stage"):
         monkeypatch.setattr(DecoderContext, name, refuse)
-    monkeypatch.setattr(DecoderContext, "Y", property(refuse))
     monkeypatch.setattr(decode, "success_oracle_rows", refuse)
+    widths, matmul = [], Field.matmul
+
+    def spy(self, A, B):
+        widths.append((self.q, max(np.shape(A)[-1:] + np.shape(B)[1:])))
+        return matmul(self, A, B)
+    monkeypatch.setattr(Field, "matmul", spy)
     ch = AdditiveChannel.symmetric(F2, 0.03)
     for ctx in ctxs:
         assert mc_error_rate(ctx, ch, 300, 3).failures > 0
+    assert (2, cp.n) in widths
+    assert all(w <= (cp.n if q == 2 else cp.N) for q, w in widths)
 
 
 def test_wilson_interval():

@@ -1,6 +1,7 @@
 """Two-stage decoding: guarantees, failure flags, success oracle."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -384,6 +385,13 @@ def _logical_errors(ctx, rng, rows):
     return E
 
 
+def _dual_shift(ctx, rng, rows):
+    """Random elements of dual(L_o), the row space of the opposite
+    structured check: shifting an estimate by one keeps its verdict."""
+    f, Ho_other = ctx.field, ctx.cp.Ho2 if ctx.side == 1 else ctx.cp.Ho1
+    return f.matmul(rng.integers(0, f.q, size=(rows, len(Ho_other))), Ho_other)
+
+
 def _oracle_batch(ctx, rng):
     """Decoded _mixed_errors and _logical_errors rows: ``(E, Ehat, outer_ok)``."""
     E = np.concatenate([_mixed_errors(ctx, rng, 90), _logical_errors(ctx, rng, 12)])
@@ -396,7 +404,7 @@ def _oracle_batch(ctx, rng):
 def test_block_oracle_matches_dense_reference(make_cp, side):
     """Decoded batches with outer failures and miscorrections, and the same
     estimates shifted by random elements of dual(L_o): degenerate successes
-    whose blocks have nonzero g-coefficients, so Y decides them."""
+    whose blocks have nonzero g-coefficients, so test (ii) decides them."""
     ctx = DecoderContext(make_cp(), side=side)
     f = ctx.field
     rng = np.random.default_rng(60 + side)
@@ -404,10 +412,9 @@ def test_block_oracle_matches_dense_reference(make_cp, side):
     want = _dense_oracle(ctx, E, Ehat)
     assert np.array_equal(success_oracle_rows(ctx, E, Ehat), want)
     assert want.any() and (~outer_ok).any() and (outer_ok & ~want).any()
-    Ho_other = ctx.cp.Ho2 if side == 1 else ctx.cp.Ho1
-    shift = f.matmul(rng.integers(0, f.q, size=(len(E), len(Ho_other))), Ho_other)
-    ids, outside, c = ctx.block_split(shift)
-    assert not outside.any() and set(ids[c.any(axis=1)] // ctx.N) == set(range(len(E)))
+    shift = _dual_shift(ctx, rng, len(E))
+    ids, H, w = ctx.block_symbols(shift)
+    assert not H.any() and set(ids[w != 0] // ctx.N) == set(range(len(E)))
     shifted = f.add(Ehat, shift)
     assert np.array_equal(_dense_oracle(ctx, E, shifted), want)
     assert np.array_equal(success_oracle_rows(ctx, E, shifted), want)
@@ -432,9 +439,9 @@ def test_block_oracle_inner_and_symbol_failures(make_cp, side):
     V = np.concatenate([np.eye(1, L, 0, dtype=np.int64), np.eye(1, L, L - 1, dtype=np.int64),
                         pi_rows(side, ctx.cp.inner, ctx.ext, Z)])
     zero = np.zeros_like(V)
-    ids, outside, c = ctx.block_split(f.sub(V, zero))
+    ids, H, w = ctx.block_symbols(f.sub(V, zero))
     rows = ids // ctx.N
-    assert set(rows[outside]) == {0, 1} and set(rows[c.any(axis=1)]) >= set(range(2, 10))
+    assert set(rows[H.any(axis=1)]) == {0, 1} and set(rows[w != 0]) >= set(range(2, 10))
     want = _dense_oracle(ctx, zero, V)
     assert want.tolist() == [False] * 6 + [True] * 4
     assert np.array_equal(success_oracle_rows(ctx, zero, V), want)
@@ -443,14 +450,46 @@ def test_block_oracle_inner_and_symbol_failures(make_cp, side):
 
 @pytest.mark.parametrize("make_cp", ORACLE_CASES)
 def test_block_oracle_across_chunk_boundaries(monkeypatch, make_cp):
-    """With 256-byte chunks every product of the test runs in several row
-    chunks, the Y product included."""
+    """With 256-byte chunks the block symbols are made a few blocks a slice,
+    and the symbol product by D_o.G^T runs a row a slice for every row of
+    two or more nonzero symbols, as the estimates shifted by elements of
+    dual(L_o) all are."""
     ctx = DecoderContext(make_cp(), side=1)
-    E, Ehat, _ = _oracle_batch(ctx, np.random.default_rng(80))
-    want = _dense_oracle(ctx, E, Ehat)
+    rng = np.random.default_rng(80)
+    E, Ehat, _ = _oracle_batch(ctx, rng)
+    shifted = ctx.field.add(Ehat, _dual_shift(ctx, rng, len(E)))
+    want = _dense_oracle(ctx, E, shifted)
     monkeypatch.setattr(matrix, "_CHUNK_BYTES", 256)
-    assert matrix.chunk_rows(ctx.Y.shape[1], 4) < len(ctx.Y)
+    assert matrix.chunk_rows(ctx.k) < len(E) and matrix.chunk_rows(2 * ctx.cp.D2.dim) == 1
+    assert np.array_equal(success_oracle_rows(ctx, E, shifted), want)
     assert np.array_equal(success_oracle_rows(ctx, E, Ehat), want)
+
+
+@pytest.mark.parametrize("side", [1, 2])
+def test_first_oracle_row_heap_is_small(side):
+    """The first one-row call on [[2550,1016]], its tables built inside it,
+    peaks within 1 MB of its start (about 0.5 MB): the estimate, shifted by
+    an element of dual(L_o), has nonzero symbols in nearly every block, so
+    it meets D_o.G^T; no GF(q) matrix k N columns wide is gathered."""
+    ext = Extension(F2, 8)
+    cp = concatenate(bvector_pair(F2, [1] * 10, [1] * 10),
+                     nested_grs_pair(ext, 255, 191, 191), ext)
+    ctx = DecoderContext(cp, side=side)
+    rng = np.random.default_rng(90 + side)
+    e = (rng.random((1, cp.block_length)) < 0.005).astype(F2.dtype)
+    estimate = F2.add(e, _dual_shift(ctx, rng, 1))
+    wrong = estimate.copy()
+    wrong[0, 0] ^= 1
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        ok = success_oracle_rows(ctx, e, estimate)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ok.tolist() == [True] and peak - start <= 1.0e6
+    assert np.count_nonzero(ctx.block_symbols(F2.sub(estimate, e))[2]) > cp.N // 2
+    assert success_oracle_rows(ctx, e, wrong).tolist() == [False]
 
 
 @pytest.mark.parametrize("make_cp", ORACLE_CASES)

@@ -276,6 +276,38 @@ def test_coords_roundtrip():
     assert np.array_equal(ext.from_coords(ext.coords(xs).astype(np.int8)), xs)
 
 
+@pytest.mark.parametrize("p", [2, 3])
+def test_from_coords_rejects_codes_outside_the_base_field(p):
+    """Coordinates outside [0, q) raise DomainError in both coordinate
+    systems, as coords does for element codes outside [0, Q), rather than
+    wrapping to some element; in-range coordinates of any integer dtype
+    give the same codes."""
+    ext = Extension(Field(p), 4)
+    for bad in ([p, 0, 0, 0], [-1, 0, 0, 0], [[0, 0, 0, 0], [0, 0, 0, p + 5]]):
+        for decode in (ext.from_coords, ext.from_dual_coords):
+            for dtype in (np.int64, np.int8):
+                with pytest.raises(DomainError, match="coordinates"):
+                    decode(np.asarray(bad, dtype=dtype))
+            with pytest.raises(DomainError, match="coordinates"):
+                decode(bad)
+    table = ext.coord_table
+    for dtype in (np.int8, np.uint8, np.int64):
+        assert np.array_equal(ext.from_coords(table.astype(dtype)), np.arange(ext.Q))
+        assert np.array_equal(ext.from_dual_coords(ext.dual_table.astype(dtype)),
+                              np.arange(ext.Q))
+    assert ext.from_coords([p - 1, 0, 0, 0]) == p - 1
+    # int8 coordinates are read in place: only the int64 codes are made
+    rows = np.tile(table.astype(np.int8), (100_000 // ext.Q + 1, 1))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        codes = ext.from_coords(rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - start <= 1.1 * codes.nbytes + 65536
+
+
 @pytest.mark.parametrize("base, k", [(Field(2), 6), (Field(3), 4), (Field(2, 2), 2)])
 def test_coord_table_matches_digit_definition(base, k):
     """coords gathers from the lazy (Q, k) table: the base-q digits of every
