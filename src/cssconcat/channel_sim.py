@@ -255,10 +255,10 @@ def mc_error_rate(ctx: DecoderContext, channel: AdditiveChannel, trials: int,
         decoded = np.flatnonzero(_nonzero_rows(sigma))
         X, ok, reason = ctx.grs.bd_decode_batch(sigma[decoded])
         failed, passed = decoded[~ok], decoded[ok]
-        Z[failed] = 0
+        Z[failed] = 0  # Hout.z != 0 puts z outside dual(D_o): no test (ii)
         Z[passed] = ctx.ext.as_field().sub(Z[passed], X[ok])
         wrong = ctx.outside_dual(Z)
-        wrong[failed] = True  # Hout.z != 0: z is outside dual(D_o)
+        wrong[failed] = True
         failures += int(np.count_nonzero(wrong))
         miscorrections += int(np.count_nonzero(wrong[passed]))
         reasons += np.bincount(reason[~ok], minlength=len(MESSAGES))

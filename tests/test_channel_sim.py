@@ -183,7 +183,7 @@ def test_mc_path_loads_no_numpy_random():
         from cssconcat.channel_sim import AdditiveChannel, mc_error_rate
         from cssconcat.codes import bvector_pair
         from cssconcat.concat import concatenate
-        from cssconcat.decode import DecoderContext, _sparse_matmul
+        from cssconcat.decode import DecoderContext
         from cssconcat.galois import Extension, Field
         from cssconcat.outer_grs import nested_grs_pair
 
