@@ -28,8 +28,9 @@ alpha^c): the trace-dual coordinates of h beta_r, and the row is
 PI_2[h beta_r].  The checks Ho_i are written in place, Gp_i is a row view of
 Ho_i, and the nN-column generators of L1/L2 are built from the tables and
 the inner duals only when first read: ``cssconcat concat`` and ``mindist``
-and :func:`verify_duality` read them, the decoder and the Monte-Carlo path
-never do.
+read them, the decoder and the Monte-Carlo path never do.
+:func:`verify_duality` builds its own generators, one side at a time, and
+keeps nothing on the pair.
 
 Codes.  Ho_i, Gp_i, the pi tables and the generators and checks of L1/L2
 hold codes of the inner field's dtype, ``field.dtype``: ``np.int8`` for
@@ -475,15 +476,21 @@ def verify_duality(cp: ConcatPair) -> bool:
 
     Verifies that the dual of L1 equals pi_2(dual D1) + blockwise dual(C1)
     and symmetrically for L2, and that the structured parity checks span
-    exactly those duals.
+    exactly those duals.  One side at a time: each side builds the
+    generators of L_i from the pi tables as a local, eliminates them once
+    for the null space and frees every nN-column matrix before the next
+    side starts.  Nothing is read from or cached on ``cp.L1``/``cp.L2``.
     """
     f = cp.inner.field
     fQ = cp.ext.as_field()
     ok = True
-    for L, Ho, D, table, H in ((cp.L1, cp.Ho1, cp.D1, cp.PI2, cp.inner.C1.H),
-                               (cp.L2, cp.Ho2, cp.D2, cp.PI1, cp.inner.C2.H)):
-        dual = L.Gmat.null_space()  # eliminated once: its cached rref serves both checks
+    for table, D, H, table_opp, H_opp, Ho in (
+            (cp.PI1, cp.D1, cp.inner.C2.H, cp.PI2, cp.inner.C1.H, cp.Ho1),
+            (cp.PI2, cp.D2, cp.inner.C1.H, cp.PI1, cp.inner.C2.H, cp.Ho2)):
+        # the generators and their rref die as soon as the null space is taken
+        dual = MatGF(f, _concatenated_rows(cp.ext, table, D.G, H)).null_space()
         Dperp = MatGF(fQ, D.G).null_space().a
-        ok &= dual.same_row_space(MatGF(f, _concatenated_rows(cp.ext, table, Dperp, H)))
+        ok &= dual.same_row_space(MatGF(f, _concatenated_rows(cp.ext, table_opp, Dperp, H_opp)))
         ok &= MatGF(f, Ho).same_row_space(dual)
+        del dual  # and the null space with its rref before the next side
     return bool(ok)

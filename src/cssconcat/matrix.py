@@ -108,9 +108,13 @@ def chunk_rows(width, itemsize=8):
 def check_codes(X, q, what="entries"):
     """``X`` as an integer array checked against ``[0, q)``, in its own dtype
     when that holds q - 1; lists, non-integer arrays and narrower signed
-    arrays are read as int64."""
+    arrays are read as int64.  A float entry must be an integer in range
+    before the cast: 0.5, 1.9, inf and NaN raise DomainError."""
     X = np.asarray(X)
     if X.dtype.kind not in "biu" or (X.dtype.kind == "i" and 1 << 8 * X.dtype.itemsize - 1 < q):
+        # NaN fails every comparison, so it is rejected with no warning
+        if X.dtype.kind == "f" and not ((X >= 0) & (X < q) & (np.trunc(X) == X)).all():
+            raise DomainError(f"{what} must be integers in [0, {q})")
         X = X.astype(np.int64)
     # read as unsigned, a negative entry is at least 2**(bits - 1) >= q, so
     # one max checks both ends
@@ -158,7 +162,8 @@ def _rref_gf2(f, a):
     order).  Rows stay where they are: a pivot clears its column from every
     other row by one masked XOR over the words from its own on, which is
     exact because a pivot row vanishes left of its column.  The pivot rows
-    are put in order once at the end.
+    are put in order once at the end and unpacked, with the rows left zero
+    below them, into the one (rows, cols) array that is ``R``.
     """
     rows, cols = a.shape
     P8 = np.zeros((rows, -(-cols // 64) * 8), dtype=np.uint8)
@@ -182,9 +187,11 @@ def _rref_gf2(f, a):
         P[:, w:] ^= bits.astype(np.uint64)[:, None] * P[piv, w:]
         order.append(piv)
         pivots.append(col)
-    R = np.zeros((rows, cols), dtype=f.dtype)
-    R[:len(order)] = np.unpackbits(P8[order], axis=1, count=cols)
-    return R, tuple(pivots), len(order)
+    rank = len(order)
+    if rank < rows:  # every other row is zero by now: it fills R below them
+        order += np.flatnonzero(free).tolist()
+    R = np.unpackbits(P8[order], axis=1, count=cols).view(f.dtype)
+    return R, tuple(pivots), rank
 
 
 def _free_columns(cols, pivots):

@@ -170,6 +170,25 @@ def test_cli_concat_verify_and_files(tmp_path):
     assert Ho1.shape[1] == 12
 
 
+@pytest.mark.parametrize("shape", [{}, {"n": 6, "N": 15, "K1": 11, "K2": 11, "deg": 4}],
+                         ids=["12_2", "90_28"])
+def test_cli_concat_verify_changes_no_output(tmp_path, shape):
+    """--verify adds its one line to stdout and nothing else: stdout and the
+    exported generators and checks match the same command without it."""
+    cfg = _write_config(tmp_path, **shape)
+    runs = []
+    for flags in ([], ["--verify"]):
+        prefix = tmp_path / f"cc{len(flags)}"
+        code, text = run_cli(["--out", str(prefix), "concat", "--config", str(cfg)] + flags)
+        assert code == 0
+        files = [(tmp_path / f"{prefix.name}.{name}.txt").read_bytes()
+                 for name in ("l1", "l2", "ho1", "ho2")]
+        runs.append((text, files))
+    (plain, plain_files), (verified, verified_files) = runs
+    assert verified == plain + "duality: ok\n"
+    assert verified_files == plain_files
+
+
 def test_cli_mindist_config_product_law(tmp_path):
     cfg = _write_config(tmp_path, K1=2, K2=2)
     code, text = run_cli(["mindist", "--config", str(cfg)])

@@ -3,6 +3,7 @@ and the quotient-distance product law."""
 
 import copy
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -355,6 +356,32 @@ def test_verify_duality_elimination_count(monkeypatch, name):
         monkeypatch.setitem(matrix._RREF, kind, spy)
     assert verify_duality(cp)
     assert len(calls) == 10
+
+
+@pytest.mark.parametrize("name, bound_mb", [("504_186", 0.8), ("480_160_gf3", 1.7)])
+def test_verify_duality_memory_is_bounded(name, bound_mb):
+    """verify_duality holds one side's nN-column matrices at a time and keeps
+    none: its traced peak is bounded, traced memory comes back to where it
+    started, and nothing is written onto the pair, its outer codes or its
+    inner pair -- L1/L2 are not built."""
+    inputs = _inputs(name)
+    assert verify_duality(concatenate(*inputs))  # the extension's lazy tables
+    cp = concatenate(*inputs)
+    owners = (cp, cp.D1, cp.D2, cp.D1.Gmat, cp.D2.Gmat, cp.inner, cp.inner.C1, cp.inner.C2)
+    before = [dict(vars(o)) for o in owners]
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        assert verify_duality(cp)
+        end, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - start <= bound_mb * 2**20
+    assert end - start <= 65536
+    assert "L1" not in vars(cp) and "L2" not in vars(cp)
+    for o, attrs in zip(owners, before):
+        assert vars(o).keys() == attrs.keys()
+        assert all(vars(o)[key] is value for key, value in attrs.items())
 
 
 @pytest.mark.parametrize("name", ["90_28", "96_32_gf3_linear"])

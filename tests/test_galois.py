@@ -2,6 +2,7 @@
 
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -306,6 +307,24 @@ def test_from_coords_rejects_codes_outside_the_base_field(p):
     finally:
         tracemalloc.stop()
     assert peak - start <= 1.1 * codes.nbytes + 65536
+
+
+def test_float_coordinates_are_not_truncated():
+    """Over GF(2)^4 a float coordinate or code that is not an integer raises
+    DomainError instead of being cut to one (0.5 -> 0, 1.9 -> 1, 3.7 -> 3);
+    NaN raises without a cast warning; integral floats keep working."""
+    ext = Extension(Field(2), 4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad in ([0.5, 1, 0, 0], [1.9, 0, 0, 0], [np.nan, 0, 0, 0]):
+            for decode in (ext.from_coords, ext.from_dual_coords):
+                with pytest.raises(DomainError, match="coordinates"):
+                    decode(np.array(bad))
+        for bad in ([3.7], [np.nan]):
+            with pytest.raises(DomainError, match="element codes"):
+                ext.coords(np.array(bad))
+        assert ext.from_coords(np.array([1.0, 1.0, 0, 0])) == 3
+        assert np.array_equal(ext.coords(np.array([3.0])), ext.coords([3]))
 
 
 @pytest.mark.parametrize("base, k", [(Field(2), 6), (Field(3), 4), (Field(2, 2), 2)])

@@ -2,6 +2,7 @@
 
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -100,6 +101,24 @@ def test_narrow_signed_codes_are_checked_in_a_wider_dtype():
         with pytest.raises(DomainError):
             matrix.check_codes(a[0], F.q)
     assert MatGF(F, np.array([[3, 127]], dtype=np.int8)).a.tolist() == [[3, 127]]
+
+
+def test_float_codes_must_be_integers():
+    """A float entry is rejected unless it is an integer in range, with no
+    cast warning for NaN or inf; integral floats are read as their codes."""
+    F3 = Field(3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad in ([[1.5, 2.2]], [[np.nan, 0.0]], [[np.inf, 1.0]], [[1e300, 0.0]],
+                    [[-1.0, 0.0]], [[3.0, 0.0]]):
+            with pytest.raises(DomainError, match="integers"):
+                MatGF(F3, bad)
+            with pytest.raises(DomainError, match="integers"):
+                matrix.check_codes(np.array(bad), 3)
+        with pytest.raises(DomainError, match="integers"):
+            matrix.check_codes(np.array([0.5], dtype=np.float32), 3)
+        assert MatGF(F3, [[1.0, 2.0]]).a.tolist() == [[1, 2]]
+        assert MatGF(F3, np.zeros((0, 2))).a.shape == (0, 2)
 
 
 def test_same_row_space():
@@ -490,6 +509,26 @@ def test_gf2_packed_kernel_matches_references(case):
         assert np.array_equal(inside, Mt.span_contains_rows(X_in))
         assert inside[:4].all() and inside[-2:].all()
         assert np.array_equal(GF2.matmul(A_in, B_in), (A @ B) % 2)
+
+
+@pytest.mark.parametrize("r", [400, 300])
+def test_gf2_kernel_unpacks_into_one_array(r):
+    """The packed GF(2) elimination makes one (rows, cols) array, R itself,
+    with the zero rows left below the pivot rows: at full and at low rank its
+    traced peak stays under 1.5 bytes an entry."""
+    rows, cols = 400, 600
+    rng = np.random.default_rng(5)
+    A = GF2.matmul(rng.integers(0, 2, (rows, r)), rng.integers(0, 2, (r, cols)))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        R, pivots, rank = matrix._rref_gf2(GF2, A)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rank <= r and R.shape == (rows, cols) and R.dtype == GF2.dtype
+    assert not R[rank:].any()
+    assert peak - start <= 1.5 * rows * cols
 
 
 def test_gf2_rank_at_scale():
