@@ -41,7 +41,6 @@ from .errors import (
     NotPrimitive,
     PremiseViolation,
     RankDeficient,
-    Singular,
     TooLarge,
     ZeroEntry,
     ZeroMultiplier,
@@ -70,7 +69,6 @@ __all__ = [
     "NotPrimitive",
     "PremiseViolation",
     "RankDeficient",
-    "Singular",
     "TooLarge",
     "ZeroEntry",
     "ZeroMultiplier",

@@ -5,11 +5,11 @@ every coordinate.  Monte-Carlo estimation feeds sampled errors through the
 two-stage decoder and scores them with the stabilizer-aware success oracle,
 on one GF(Q) symbol per inner block as derived in the :mod:`decode`
 docstring, with no array nN columns wide past the sampled errors.  The
-dense pipeline of :mod:`decode` (``full_syndrome``, ``stage1``,
-``outer_stage``, ``success_oracle_rows``) is its reference.  The analytic
-side provides the random-coding error exponent, its concatenated-scheme
-optimization, and the classical union bound on bounded-distance outer
-decoding.
+dense pipeline (``full_syndrome``, ``stage1``, the residual ``S_low -
+Ehat.Gp^T`` and ``success_oracle_rows``) is its reference in the tests.
+The analytic side provides the random-coding error exponent, its
+concatenated-scheme optimization, and the classical union bound on
+bounded-distance outer decoding.
 
 Random streams.  Trial i of a run with seed s reads its own stream of
 Philox4x64-10 (Salmon et al., SC'11), computed here in numpy and bit-exact
@@ -229,8 +229,8 @@ def mc_error_rate(ctx: DecoderContext, channel: AdditiveChannel, trials: int,
     A trial fails when the two-stage estimate does not match the sampled
     error modulo the stabilizer.  Each chunk of trials is decoded on the
     symbols z of its stage-1 misses (:meth:`DecoderContext.miss_symbols`):
-    the rows whose outer syndrome Hout.z is nonzero go to
-    :meth:`GrsCode.bd_decode_batch` in one call, and a trial succeeds iff
+    :meth:`DecoderContext.outer_decode` decodes the rows whose outer
+    syndrome Hout.z is nonzero, and a trial succeeds iff
     X - z passes test (ii) of the :mod:`decode` docstring
     (:meth:`DecoderContext.outside_dual`), X the decoded word.  The
     measured inner-stage block error rate, the fraction of nonzero z_b, is
@@ -251,9 +251,7 @@ def mc_error_rate(ctx: DecoderContext, channel: AdditiveChannel, trials: int,
         Z = ctx.miss_symbols(_sample_block(channel, seed, start, count, ctx.N * ctx.n))
         bad_blocks += int(np.count_nonzero(Z))
         Z = Z[_nonzero_rows(Z)]
-        sigma = ctx.outer_syndromes(Z)
-        decoded = np.flatnonzero(_nonzero_rows(sigma))
-        X, ok, reason = ctx.grs.bd_decode_batch(sigma[decoded])
+        decoded, X, ok, reason = ctx.outer_decode(ctx.outer_syndromes(Z))
         failed, passed = decoded[~ok], decoded[ok]
         Z[failed] = 0  # Hout.z != 0 puts z outside dual(D_o): no test (ii)
         Z[passed] = ctx.ext.as_field().sub(Z[passed], X[ok])

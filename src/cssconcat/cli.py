@@ -98,7 +98,7 @@ def cmd_concat(args, out):
 
 def cmd_mindist(args, out):
     cap = args.cap
-    if args.config:
+    if args.config is not None:
         cp = _build_concat(args.config)
         d = min_weight_excluding(cp.L1, cp.L2.dual(), cap)
         print(f"w(L1 \\ dual L2) = {d}", file=out)
@@ -119,12 +119,13 @@ def cmd_mindist(args, out):
 def cmd_decode(args, out):
     cp = _build_concat(args.config)
     ctx = DecoderContext(cp, side=args.side, cap=args.cap)
-    v = _load(fileio.read_vector, args.error or args.syndrome)
+    is_error = args.error is not None
+    v = _load(fileio.read_vector, args.error if is_error else args.syndrome)
     if v.size and (v.min() < 0 or v.max() >= ctx.field.q):
         raise _ParseError(f"vector entries must lie in [0, {ctx.field.q})")
-    est, ok = two_stage_decode(ctx, ctx.full_syndrome(v) if args.error else v)
+    est, ok = two_stage_decode(ctx, ctx.full_syndrome(v) if is_error else v)
     line = f"outer_ok {int(ok)}"
-    if args.error:
+    if is_error:
         line += f" success {int(success_oracle(ctx, v, est))}"
     print(line, file=out)
     if args.out:
@@ -279,14 +280,16 @@ def _make_parser():
     s.add_argument("--verify", action="store_true")
 
     s = sub.add_parser("mindist", help="quotient minimum distances")
-    s.add_argument("--pair", default=None)
-    s.add_argument("--config", default=None)
+    g = s.add_mutually_exclusive_group(required=True)
+    g.add_argument("--pair", default=None)
+    g.add_argument("--config", default=None)
 
     s = sub.add_parser("decode", help="two-stage decode a syndrome or error")
     s.add_argument("--config", required=True)
     s.add_argument("--side", type=int, default=1, choices=(1, 2))
-    s.add_argument("--error", default=None)
-    s.add_argument("--syndrome", default=None)
+    g = s.add_mutually_exclusive_group(required=True)
+    g.add_argument("--error", default=None)
+    g.add_argument("--syndrome", default=None)
 
     s = sub.add_parser("simulate", help="Monte-Carlo failure-rate estimation")
     s.add_argument("--pair", required=True, help="concat config file")
@@ -323,19 +326,15 @@ _DISPATCH = {
 
 def main(argv=None, out=None):
     out = out or sys.stdout
-    parser = _make_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = _make_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse's usage errors exit 2, --help 0
+        return exc.code
     if args.cmd == "simulate" and args.seed is None:
         print("error: --seed is required for simulate", file=sys.stderr)
         return EXIT_PARSE
     if args.seed is not None and not 0 <= args.seed < SEED_LIMIT:
         print("error: --seed must lie in [0, 2**64)", file=sys.stderr)
-        return EXIT_PARSE
-    if args.cmd == "mindist" and not (args.pair or args.config):
-        print("error: mindist needs --pair or --config", file=sys.stderr)
-        return EXIT_PARSE
-    if args.cmd == "decode" and not (args.error or args.syndrome):
-        print("error: decode needs --error or --syndrome", file=sys.stderr)
         return EXIT_PARSE
     try:
         return _DISPATCH[args.cmd](args, out)

@@ -11,13 +11,8 @@ blocks.  Success is judged modulo the stabilizer: an estimate is correct iff
 it differs from the channel error by a vector orthogonal to the opposite
 concatenated code.
 
-:func:`decode_batch` is the one decoder of syndromes:
-:meth:`DecoderContext.stage1` on all rows, then
-:meth:`DecoderContext.outer_stage` on those with a nonzero residual, which
-hands them to :meth:`GrsCode.bd_decode_batch` in one call.  The scalar
-:func:`two_stage_decode` is a one-row batch.  Monte-Carlo, which knows its
-errors, decodes their symbols instead (below), and this pipeline is its
-reference.
+:func:`decode_batch` is the one decoder of syndromes, stage 1 and then the
+outer stage below; the scalar :func:`two_stage_decode` is a one-row batch.
 
 Block-level success test.  On side 1 the opposite code is L2 = pi_2(D2) +
 blockwise dual(C1), generated by N diagonal copies of C1.H and by the rows
@@ -46,6 +41,24 @@ generators; by (P) of the concat docstring, g'.g^T = I and dual(C_o).g^T =
 0, so c_b is its g'-coefficient, and the block is bad, outside dual(C_o),
 iff c_b != 0.  Neither test eliminates.
 
+Outer stage.  It needs (G): Gp = PI_o[y], block b of row j k + r of the
+side's Gp being PI_o[y] with no dual(C) part, y = Hout[j, b] beta_r on side
+1 and Hout[j, b] alpha^r on side 2 (beta the trace-dual basis), as
+:func:`concat.concatenate` builds and compares it ((B') there).  Then
+<u_b, PI_o[y]> = Tr(y w(u)_b), w(u) the symbols w_b of the blocks of u, so
+block j of u.Gp^T holds the coordinates of (Hout.w(u))_j that
+:meth:`DecoderContext.reassemble_symbols` reads.  The outer syndrome of an
+error e with stage-1 estimate Ehat is then
+
+  sigma = Hout.w(e - Ehat) = reassemble(S_low) - Hout.zeta,
+
+S_low = e.Gp^T and zeta_b = w(Ehat)_b the symbol of block b's leader, from
+the (q^m,) table LZ of leader symbols: :func:`decode_batch` forms no
+product nN columns wide, and Monte-Carlo, which knows e, forms sigma as
+Hout.z, z = w(e) - zeta (below).  :meth:`DecoderContext.outer_decode` hands
+the nonzero rows of sigma to :meth:`GrsCode.bd_decode_batch` in one call,
+for both; a decoded word X adds pi_side[X] to the estimate.
+
 Monte-Carlo symbols.  :func:`channel_sim.mc_error_rate` specialises the
 test to its own estimates, which are stage-1 leaders plus pi_side[X], X the
 outer decoder's word (zero where it fails or does not run).  Block b of
@@ -54,13 +67,11 @@ stage-1 miss.  Both terms lie in C: pi_side[x] is a combination of g', and
 u_b has the syndrome zero.  So (i) holds on every Monte-Carlo row, and
 w = X - z, z_b the symbol of the miss (:meth:`DecoderContext.miss_symbols`):
 the symbol of e_b's g-coefficients less that of the leader of its stage-1
-syndrome, both maps to symbols being GF(q)-linear.  By (B) of the concat
-docstring a block of Gp is its W part times g plus a row of dual(C), so
-block j of the dense residual u.Gp^T holds the coordinates of
-sum_b Hout[j, b] z_b: the outer syndrome is Hout.z, Hout the side's outer
-check.  A row whose outer decoding fails has X = 0 and Hout.z != 0, so z
-lies outside D_side, which contains dual(D_o), and the row fails without
-test (ii).  No array nN columns wide is formed past the sampled errors.
+syndrome, both maps to symbols being GF(q)-linear, and the outer syndrome
+is Hout.z, as above.  A row whose outer decoding fails has X = 0 and
+Hout.z != 0, so z lies outside D_side, which contains dual(D_o), and the
+row fails without test (ii).  No array nN columns wide is formed past the
+sampled errors.
 """
 
 from __future__ import annotations
@@ -107,7 +118,9 @@ class DecoderContext:
     """Precomputed tables for decoding one side of a concatenated pair.
 
     Side 1 decodes errors checked by the parity matrix of L1 (inner leaders
-    for C1, outer decoding of D1); side 2 is symmetric.
+    for C1, outer decoding of D1); side 2 is symmetric.  The pair must hold
+    (G) of the module docstring, Gp_i = PI_o[y_i], as every pair that
+    :func:`concat.concatenate` returns does.
     """
 
     def __init__(self, cp: ConcatPair, side: int = 1, cap: int = TABLE_CAP):
@@ -188,36 +201,33 @@ class DecoderContext:
         """Syndromes of error vectors (rows) against this side's structured check."""
         return self.field.matmul(E, self.Ho.T)
 
-    def stage1(self, upper):
-        """Blockwise coset-leader estimates from upper syndromes ``(..., N*m)``."""
+    def _leaders(self, upper):
+        """``(estimates, packed)`` of upper syndromes ``(..., N*m)``: the
+        blockwise coset leaders and the packed block syndromes ``(..., N)``
+        that index them."""
         upper = np.asarray(upper)
         if upper.shape[-1:] != (self.upper_len,):
             raise DomainError(f"upper syndrome must have length {self.upper_len}")
         lead = upper.shape[:-1]
         packed = self.table.pack(upper.reshape(*lead, self.N, self.table.m))
-        return self.table.leaders[packed].reshape(*lead, self.N * self.n)
+        return self.table.leaders[packed].reshape(*lead, self.N * self.n), packed
 
-    def outer_stage(self, S, Ehat):
-        """Outer bounded-distance stage, in place on the stage-1 estimates
-        ``Ehat`` of the full syndromes ``S``; returns the per-row ``outer_ok``
-        mask.  The rows with a nonzero residual go to the GRS decoder in one
-        batch; rows whose outer decoding fails keep their stage-1 estimate."""
-        f = self.field
-        resid = f.sub(S[:, self.upper_len:], f.matmul(Ehat, self.Gp.T))
-        rows = np.flatnonzero(resid.any(axis=1))
-        symbols = self.reassemble_symbols(resid[rows])
-        symbols = symbols.reshape(rows.size, resid.shape[1] // self.k)
-        X, ok, _ = self.grs.bd_decode_batch(symbols)
-        # a failed row's X is zero, and pi maps zero to zero
-        Ehat[rows] = f.add(Ehat[rows], self.pi[X].reshape(rows.size, Ehat.shape[1]))
-        outer_ok = np.ones(len(S), dtype=bool)
-        outer_ok[rows] = ok
-        return outer_ok
+    def stage1(self, upper):
+        """Blockwise coset-leader estimates from upper syndromes ``(..., N*m)``."""
+        return self._leaders(upper)[0]
+
+    def outer_decode(self, sigma):
+        """Bounded-distance decoding of the rows of outer syndromes ``sigma``
+        over GF(Q) that are nonzero, in one :meth:`GrsCode.bd_decode_batch`
+        call; returns ``(rows, X, ok, reason)``, ``rows`` their indices."""
+        rows = np.flatnonzero(_nonzero_rows(sigma))
+        X, ok, reason = self.grs.bd_decode_batch(sigma[rows])
+        return rows, X, ok, reason
 
     def reassemble_symbols(self, resid):
-        """Turn the residual lower syndrome, or g-coefficients, into GF(Q)
-        symbols: their k-entry blocks are power-basis coordinates on side 1
-        and trace-dual coordinates on side 2."""
+        """Turn a lower syndrome, or g-coefficients, into GF(Q) symbols:
+        their k-entry blocks are power-basis coordinates on side 1 and
+        trace-dual coordinates on side 2."""
         coords = np.reshape(resid, (-1, self.k))
         if self.side == 2:
             return self.ext.from_dual_coords(coords)
@@ -235,8 +245,16 @@ def decode_batch(ctx: DecoderContext, S):
     if S.ndim != 2 or S.shape[1] != ctx.Ho.shape[0]:
         raise DomainError("syndrome length does not match the parity check")
     S = as_codes(ctx.field, S, "syndrome entries")
-    Ehat = ctx.stage1(S[:, : ctx.upper_len])
-    return Ehat, ctx.outer_stage(S, Ehat)
+    Ehat, packed = ctx._leaders(S[:, : ctx.upper_len])
+    zeta = ctx._symbol_tables[0][packed]
+    del packed  # (rows, N) int64, freed before the outer stage
+    lower = ctx.reassemble_symbols(S[:, ctx.upper_len:]).reshape(len(S), ctx.grs.N - ctx.grs.K)
+    rows, X, ok, _ = ctx.outer_decode(ctx.ext.as_field().sub(lower, ctx.outer_syndromes(zeta)))
+    # a failed row's X is zero, and pi maps zero to zero
+    Ehat[rows] = ctx.field.add(Ehat[rows], ctx.pi[X].reshape(rows.size, Ehat.shape[1]))
+    outer_ok = np.ones(len(S), dtype=bool)
+    outer_ok[rows] = ok
+    return Ehat, outer_ok
 
 
 def two_stage_decode(ctx: DecoderContext, s):

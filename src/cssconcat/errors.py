@@ -23,10 +23,6 @@ class NotABasis(ValueError):
     """The supplied elements do not form a basis."""
 
 
-class Singular(ValueError):
-    """Matrix is not invertible."""
-
-
 class LengthMismatch(ValueError):
     """Vectors/codes have incompatible lengths."""
 

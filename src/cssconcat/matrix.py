@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError, FieldMismatch, Singular
+from .errors import DomainError, FieldMismatch
 
 _PANEL = 64  # pivots per delayed update in the odd-prime elimination
 _CHUNK_BYTES = 1 << 19  # bytes per chunked temporary
@@ -327,10 +327,6 @@ class MatGF:
     # -- constructors --------------------------------------------------------
 
     @classmethod
-    def zeros(cls, field, rows, cols):
-        return cls(field, np.zeros((rows, cols), dtype=field.dtype))
-
-    @classmethod
     def identity(cls, field, n):
         return cls(field, np.eye(n, dtype=field.dtype))
 
@@ -372,10 +368,6 @@ class MatGF:
         self._check_field(other)
         return MatGF(self.field, np.concatenate([self.a, other.a], axis=0))
 
-    def hstack(self, other):
-        self._check_field(other)
-        return MatGF(self.field, np.concatenate([self.a, other.a], axis=1))
-
     # -- elimination ---------------------------------------------------------
 
     def rref(self):
@@ -399,16 +391,6 @@ class MatGF:
     @property
     def rank(self):
         return self._rref()[2]
-
-    def invert(self):
-        """Matrix inverse; raises Singular unless square and full rank."""
-        if self.rows != self.cols:
-            raise Singular("only square matrices can be inverted")
-        aug = self.hstack(MatGF.identity(self.field, self.rows))
-        R, pivots, rank = aug.rref()
-        if rank < self.rows or any(p >= self.rows for p in pivots[: self.rows]):
-            raise Singular("matrix is singular")
-        return MatGF(self.field, R.a[:, self.rows:])
 
     def null_space(self):
         """Full-rank matrix whose rows span {y : self @ y^t = 0}."""

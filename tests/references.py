@@ -7,13 +7,26 @@ import numpy as np
 from cssconcat.channel_sim import _sample_block
 from cssconcat.decode import success_oracle_rows
 from cssconcat.errors import DomainError
+from cssconcat.matrix import MatGF
 from cssconcat.outer_grs import MESSAGES
+
+
+def inverse(f, A):
+    """The inverse of the square matrix ``A`` over ``f`` from the rref of
+    ``[A | I]``, or None when ``A`` is singular."""
+    A = np.asarray(A, dtype=np.int64)
+    n = len(A)
+    R, pivots, _ = MatGF(f, np.concatenate([A, np.eye(n, dtype=np.int64)], axis=1)).rref()
+    if tuple(pivots[:n]) != tuple(range(n)):
+        return None
+    return R.a[:, n:]
 
 
 def dense_mc_error_rate(ctx, channel, trials, seed, chunk=2048):
     """``mc_error_rate`` through the dense decoder pipeline: the full
-    syndrome, stage 1, the outer stage on the nN-column residual and the
-    block-level success oracle, chunk by chunk over the same trials.
+    syndrome, stage 1, bounded-distance decoding of the nN-column residual
+    ``S_low - Ehat.Gp^T`` and the block-level success oracle, chunk by
+    chunk over the same trials.
 
     Returns ``(failures, outer_decode_failures, inner_block_rate,
     miscorrections, outer_failures_by_reason)``; a miscorrection is a row
@@ -29,14 +42,16 @@ def dense_mc_error_rate(ctx, channel, trials, seed, chunk=2048):
         Ehat = ctx.stage1(S[:, : ctx.upper_len])
         bad_blocks += int(np.count_nonzero(ctx.block_symbols(f.sub(E, Ehat))[2]))
         resid = f.sub(S[:, ctx.upper_len:], f.matmul(Ehat, ctx.Gp.T))
-        decoded = resid.any(axis=1)
-        outer_ok = ctx.outer_stage(S, Ehat)
-        ok = success_oracle_rows(ctx, E, Ehat)
-        failures += int((~ok).sum())
-        outer_fail += int((~outer_ok).sum())
-        miscorrections += int((decoded & outer_ok & ~ok).sum())
-        symbols = ctx.reassemble_symbols(resid[~outer_ok]).reshape(-1, ctx.grs.N - ctx.grs.K)
-        reasons += np.bincount(ctx.grs.bd_decode_batch(symbols)[2], minlength=len(MESSAGES))
+        decoded = np.flatnonzero(resid.any(axis=1))
+        symbols = ctx.reassemble_symbols(resid[decoded])
+        X, ok, reason = ctx.grs.bd_decode_batch(
+            symbols.reshape(decoded.size, ctx.grs.N - ctx.grs.K))
+        Ehat[decoded] = f.add(Ehat[decoded], ctx.pi[X].reshape(decoded.size, Ehat.shape[1]))
+        good = success_oracle_rows(ctx, E, Ehat)
+        failures += int((~good).sum())
+        outer_fail += int((~ok).sum())
+        miscorrections += int((ok & ~good[decoded]).sum())
+        reasons += np.bincount(reason[~ok], minlength=len(MESSAGES))
     assert reasons.sum() == outer_fail and reasons[0] == 0
     return (failures, outer_fail, bad_blocks / (trials * ctx.N), miscorrections,
             tuple(int(r) for r in reasons))

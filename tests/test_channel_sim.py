@@ -30,7 +30,7 @@ from cssconcat.channel_sim import (
 )
 from cssconcat.codes import bvector_pair
 from cssconcat.concat import concatenate
-from cssconcat.decode import DecoderContext, _sparse_matmul
+from cssconcat.decode import DecoderContext, _sparse_matmul, decode_batch
 from cssconcat.errors import DomainError, EmptyFeasibleSet
 from cssconcat.galois import Extension, Field
 from cssconcat.outer_grs import MESSAGES, nested_grs_pair
@@ -458,14 +458,13 @@ def test_mc_without_errors(make_cp):
 @pytest.mark.parametrize("side", [1, 2])
 def test_mc_rows_pass_the_inner_check(make_cp, side):
     """Condition (i) of the decode docstring holds on every Monte-Carlo
-    row: the dense estimates of sampled trials differ from the errors by
+    row: the decode_batch estimates of sampled trials differ from the errors by
     blocks orthogonal to H, outer failures and miscorrections included."""
     ctx = DecoderContext(make_cp(), side=side)
     ch = AdditiveChannel.symmetric(ctx.field, 0.05)
     E = _sample_block(ch, 3, 0, 400, ctx.N * ctx.n)
     S = ctx.full_syndrome(E)
-    Ehat = ctx.stage1(S[:, : ctx.upper_len])
-    outer_ok = ctx.outer_stage(S, Ehat)
+    Ehat, outer_ok = decode_batch(ctx, S)
     ids, H, w = ctx.block_symbols(ctx.field.sub(Ehat, E))
     assert (~outer_ok).any() and w.any() and not H.any()
 
@@ -480,7 +479,7 @@ def test_mc_runs_no_dense_stage(monkeypatch):
 
     def refuse(*args, **kwargs):
         raise AssertionError("dense stage on the Monte-Carlo path")
-    for name in ("full_syndrome", "stage1", "outer_stage"):
+    for name in ("full_syndrome", "stage1", "_leaders"):
         monkeypatch.setattr(DecoderContext, name, refuse)
     monkeypatch.setattr(decode, "success_oracle_rows", refuse)
     widths, matmul = [], Field.matmul

@@ -227,6 +227,25 @@ def test_cli_decode_rejects_out_of_range_entries(tmp_path):
     assert code == 0 and text == "outer_ok 1\n" + " ".join(["0"] * 12) + "\n"
 
 
+def test_cli_exclusive_input_flags(tmp_path, capsys):
+    """decode takes exactly one of --error and --syndrome, and mindist
+    exactly one of --pair and --config: both, or neither, exit 2 with a
+    usage error and print nothing, where both once ran on the first."""
+    cfg = _write_config(tmp_path)
+    pair = tmp_path / "pair.txt"
+    fileio.write_pair(pair, bvector_pair(F2, [1] * 4, [1] * 4))
+    err, syn = tmp_path / "e.txt", tmp_path / "s.txt"
+    fileio.write_vector(err, [1] + [0] * 11)
+    fileio.write_vector(syn, [0] * 7)
+    decode = ["decode", "--config", str(cfg)]
+    for argv in (decode + ["--error", str(err), "--syndrome", str(syn)], decode,
+                 ["mindist", "--pair", str(pair), "--config", str(cfg)], ["mindist"]):
+        assert run_cli(argv) == (EXIT_PARSE, "")
+        assert "usage:" in capsys.readouterr().err
+    assert run_cli(decode + ["--syndrome", str(syn)])[0] == 0
+    assert run_cli(["mindist", "--pair", str(pair)])[0] == 0
+
+
 def test_cli_simulate_deterministic(tmp_path):
     cfg = _write_config(tmp_path)
     argv = ["--seed", "7", "simulate", "--pair", str(cfg),

@@ -29,6 +29,7 @@ from cssconcat.errors import (
 )
 from cssconcat.galois import Field
 from cssconcat.matrix import MatGF
+from references import inverse
 
 F2 = Field(2)
 
@@ -301,7 +302,7 @@ def greedy_pair(C1, C2, g1=None):
         if not span.span_contains(e):
             completion.append(e)
             span = span.stack(MatGF(f, e[None, :]))
-    Ainv = span.invert().a
+    Ainv = inverse(f, span.a)
     m = len(C2.H)
     return g1, Ainv[:, m:m + k].T, Ainv[:, C1.dim:].T
 

@@ -316,27 +316,51 @@ def _mixed_errors(ctx, rng, rows):
     return E
 
 
-@pytest.mark.parametrize("make_cp", [_cp_90_28, _cp_96_32_gf3])
+@pytest.mark.parametrize("make_cp", [_cp_90_28, _cp_96_32_gf3, _cp_60_14_gf4])
 @pytest.mark.parametrize("side", [1, 2])
 def test_decode_batch_matches_scalar_reference(make_cp, side):
+    """Mixed errors' syndromes and uniformly random syndromes decode as the
+    dense scalar reference decodes them, in batches of 0, 1 and all rows."""
     ctx = DecoderContext(make_cp(), side=side)
-    E = _mixed_errors(ctx, np.random.default_rng(40 + side), 90)
+    rng = np.random.default_rng(40 + side)
+    E = _mixed_errors(ctx, rng, 90)
     S = ctx.full_syndrome(E)
-    ref = [_reference_two_stage_decode(ctx, s) for s in S]
-    for rows in (0, 1, len(S)):
-        Ehat, outer_ok = decode_batch(ctx, S[:rows])
-        assert Ehat.shape == (rows, ctx.N * ctx.n) and outer_ok.shape == (rows,)
-        for i in range(rows):
-            assert np.array_equal(Ehat[i], ref[i][0]) and outer_ok[i] == ref[i][1]
-    # the batch covers every path through the outer stage
+    for T in (S, rng.integers(0, ctx.field.q, size=S.shape)):
+        ref = [_reference_two_stage_decode(ctx, s) for s in T]
+        for rows in (0, 1, len(T)):
+            Ehat, outer_ok = decode_batch(ctx, T[:rows])
+            assert Ehat.shape == (rows, ctx.N * ctx.n) and outer_ok.shape == (rows,)
+            for i in range(rows):
+                assert np.array_equal(Ehat[i], ref[i][0]) and outer_ok[i] == ref[i][1]
+    # the mixed batch covers every path through the outer stage
+    Ehat, outer_ok = decode_batch(ctx, S)
     f = ctx.field
     stage1 = ctx.stage1(S[:, : ctx.upper_len])
     needs_outer = f.sub(S[:, ctx.upper_len:], f.matmul(stage1, ctx.Gp.T)).any(axis=1)
     corrected = (Ehat != stage1).any(axis=1)
     assert (~needs_outer).any() and (outer_ok & corrected).any() and (~outer_ok).any()
     est, ok = two_stage_decode(ctx, S[4])
-    assert np.array_equal(est, ref[4][0]) and ok == ref[4][1]
+    assert np.array_equal(est, Ehat[4]) and ok == outer_ok[4]
     assert success_oracle(ctx, E[4], est) == success_oracle_rows(ctx, E, Ehat)[4]
+
+
+def test_decode_batch_forms_no_nN_wide_product(monkeypatch):
+    """decode_batch hands Field.matmul no operand nN columns wide: the
+    outer syndromes come from the leader symbols over GF(Q), not from the
+    residual Ehat.Gp^T."""
+    cp = _cp_90_28()
+    ctxs = [DecoderContext(cp, side=side) for side in (1, 2)]
+    widths, matmul = [], Field.matmul
+
+    def spy(self, A, B):
+        widths.append(max(np.shape(A)[-1:] + np.shape(B)[1:]))
+        return matmul(self, A, B)
+    monkeypatch.setattr(Field, "matmul", spy)
+    rng = np.random.default_rng(5)
+    for ctx in ctxs:
+        S = rng.integers(0, 2, size=(50, ctx.Ho.shape[0]))
+        assert not decode_batch(ctx, S)[1].all()
+    assert widths and max(widths) < cp.N * cp.n
 
 
 def test_mc_counts_pinned_90_28():

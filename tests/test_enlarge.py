@@ -27,6 +27,7 @@ from cssconcat.errors import (
 from cssconcat.galois import Extension, Field, _shift_matrix
 from cssconcat.matrix import MatGF, enumerate_span
 from cssconcat.outer_grs import GrsCode, self_dual_multiplier_grs
+from references import inverse
 
 F2 = Field(2)
 F4 = Field(2, 2)
@@ -265,7 +266,7 @@ def _expand_rows_reference(C1, g1, ext, Grows):
     (row r k + l), symbol by symbol through self-dual coordinates and g1."""
     f, fQ = C1.field, ext.as_field()
     rows = np.array([ext.coords(b) for b in ext.self_dual_basis()], dtype=np.int64)
-    change = MatGF(f, rows).invert().a
+    change = inverse(f, rows)
     out = []
     for row in Grows:
         for l in range(ext.k):

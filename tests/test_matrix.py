@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cssconcat.errors import DomainError, Singular, TooLarge
+from cssconcat.errors import DomainError, TooLarge
 from cssconcat import galois, matrix
 from cssconcat.galois import Extension, Field
 from cssconcat.matrix import MatGF, enumerate_span
@@ -40,24 +40,6 @@ def test_nullspace_random_fields():
             N = M.null_space()
             assert M.rank + N.rows == 7
             assert not f.matmul(A, N.a.T).any()
-
-
-def test_invert_roundtrip():
-    rng = np.random.default_rng(4)
-    f = Field(3)
-    while True:
-        A = rng.integers(0, 3, size=(5, 5))
-        M = MatGF(f, A)
-        if M.rank == 5:
-            break
-    inv = M.invert()
-    assert np.array_equal(f.matmul(A, inv.a), np.eye(5, dtype=np.int64))
-
-
-def test_invert_singular():
-    f = Field(2)
-    with pytest.raises(Singular):
-        MatGF(f, [[1, 1], [1, 1]]).invert()
 
 
 def test_span_membership():
