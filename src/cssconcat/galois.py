@@ -302,8 +302,10 @@ class Field:
 
     The element-code dtype ``dtype`` follows from the order (see the module
     docstring).  :meth:`Extension.as_field` builds the GF(Q) field of an
-    extension, whose ``ext`` is that extension (``None`` here) and whose
-    ``modulus`` is ``None``.
+    extension, whose ``ext_key`` is that extension's value key
+    ``(base, k, f)`` (``None`` here) and whose ``modulus`` is ``None``.  It
+    keeps the key and the extension's repr, not the extension, which holds
+    the field: no reference cycle keeps a dropped extension's tables alive.
     """
 
     def __init__(self, p: int, e: int = 1, modulus=None):
@@ -328,7 +330,8 @@ class Field:
     @classmethod
     def _of_extension(cls, ext):
         field = cls.__new__(cls)
-        field._setup(ext.base.p, ext.base.e * ext.k, None, ext, ext.exp, ext.log)
+        field._setup(ext.base.p, ext.base.e * ext.k, None, ext._key(), ext.exp, ext.log)
+        field._ext_repr = repr(ext)
         return field
 
     @property
@@ -336,19 +339,19 @@ class Field:
         """Arithmetic kind, which picks the elimination kernel in :mod:`matrix`:
         ``"gf2"``, ``"prime"`` (codes are integers mod p) or ``"tables"``
         (GF(p^e) with e > 1, and every field of an extension)."""
-        if self.e > 1 or self.ext is not None:
+        if self.e > 1 or self.ext_key is not None:
             return "tables"
         return "gf2" if self.p == 2 else "prime"
 
     # -- construction -------------------------------------------------------
 
-    def _setup(self, p, e, modulus, ext, exp, log):
+    def _setup(self, p, e, modulus, ext_key, exp, log):
         """The multiplication and inverse tables from the power table
         ``exp``/``log`` of a generator, the negation and addition tables
         composed digit by digit; in characteristic 2 addition is XOR and has
         no table."""
         self.p, self.e, self.q = p, e, p ** e
-        self.modulus, self.ext = modulus, ext
+        self.modulus, self.ext_key = modulus, ext_key
         self.dtype = code_dtype(self.q)
         self.mul_table = _log_mul_table(exp, log)
         q = self.q
@@ -486,8 +489,8 @@ class Field:
     # -- misc ----------------------------------------------------------------
 
     def _key(self):
-        if self.ext is not None:
-            return ("view", self.ext)
+        if self.ext_key is not None:
+            return ("view", self.ext_key)
         return (self.p, self.e, self.modulus)
 
     def __eq__(self, other):
@@ -497,8 +500,8 @@ class Field:
         return hash(self._key())
 
     def __repr__(self):
-        if self.ext is not None:
-            return f"Field(GF({self.q}) of {self.ext!r})"
+        if self.ext_key is not None:
+            return f"Field(GF({self.q}) of {self._ext_repr})"
         return f"Field(p={self.p}, e={self.e}, modulus={list(self.modulus)})"
 
 
@@ -758,12 +761,14 @@ class Extension:
         """
         return self._field
 
+    def _key(self):
+        return (self.base, self.k, self.f)
+
     def __eq__(self, other):
-        return (isinstance(other, Extension) and self.base == other.base
-                and self.k == other.k and self.f == other.f)
+        return isinstance(other, Extension) and self._key() == other._key()
 
     def __hash__(self):
-        return hash((self.base, self.k, self.f))
+        return hash(self._key())
 
     def __repr__(self):
         return f"Extension(GF({self.q})^{self.k}, f={list(self.f)})"

@@ -26,9 +26,12 @@ at most ``(width + 1) * (p - 1)**2`` for a panel of ``width`` pivots, so the
 kernel runs in float32 where :func:`blas_dtype` finds that exact (p <= 251
 with a full panel) and in float64 beyond; :func:`reduce_mod` brings each
 value back into ``[0, p)`` exactly, and the result is the same reduced
-row-echelon form.  Span reduction against the rref over any prime field,
-GF(2) included, is one matmul per chunk of rows on BLAS as well, with its
-float type from the same rule.
+row-echelon form.  The matrix itself stays in codes of ``field.dtype``
+throughout: floats live only in the panel, the column and pivot-row vectors
+and two flush buffers, which together stay within ``_CHUNK_BYTES`` and are
+reused across the chunks of a flush.  Span reduction against the rref over
+any prime field, GF(2) included, is one matmul per chunk of rows on BLAS as
+well, with its float type from the same rule.
 
 :func:`digits` and :func:`pack` are the one coding of a vector over GF(q) as
 an integer, little-endian base q, for every layer of the library.
@@ -65,7 +68,7 @@ def pack(digits, q):
     return out[()]
 
 
-def reduce_mod(x, p):
+def reduce_mod(x, p, scratch=None):
     """Reduce the integer-valued float array ``x`` modulo ``p`` in place.
 
     ``(x + 0.5) / p`` lies at least ``0.5 / p`` away from every integer, so
@@ -78,8 +81,11 @@ def reduce_mod(x, p):
     * float32 (u = 24): exact while ``|x| < 2**22 - 1`` (``_F32_SUM``), as
       then ``|x + 0.5| * (1 + 2**-24) < 2**22``.  ``x + 0.5`` and
       ``floor(t) * p <= |x| + p`` are exact below ``2**23``, so is ``x - t``.
+
+    ``t`` is written into ``scratch``, an array of ``x``'s shape and dtype,
+    when one is given, and is a new temporary otherwise.
     """
-    t = x + 0.5
+    t = np.add(x, 0.5, out=scratch)
     t *= 1.0 / p
     np.floor(t, out=t)
     t *= p
@@ -230,23 +236,27 @@ def _blas_residuals(p, pivots, free, R, X):
 def _rref_prime(f, a):
     """Blocked Gauss-Jordan over GF(p), p odd (see the module docstring).
 
-    The true matrix is ``A - U[:, :t] @ V[:t]`` (mod p): ``V`` holds the
-    panel's normalized pivot rows, which vanish left of their pivot column,
-    and ``U`` the multiples of them still owed by every row.  A pivot row's
-    stored row is exact when it is chosen.
+    The true matrix is ``A - U[:, :t] @ V[:t]`` (mod p): ``A`` is one copy
+    of the input in codes of ``field.dtype``, ``V`` holds the panel's
+    normalized pivot rows, which vanish left of their pivot column, and
+    ``U`` the multiples of them still owed by every row.  A pivot row's
+    stored row is exact when it is chosen.  The input is not modified.
 
     ``A``, ``U`` and ``V`` hold codes in ``[0, p)``, and ``t`` never exceeds
     the panel width, so the column update, the pivot row and the panel
     flush are each a code minus at most ``width`` products of codes:
     ``blas_dtype(width + 1, p)`` keeps them exact.  The pivot row is reduced
     before it is scaled by the pivot's inverse, so the product of two codes
-    stays below ``p**2``.
+    stays below ``p**2``.  Floats live only in ``U``, ``V``, the column and
+    pivot-row vectors, and the two buffers of a flush, which hold ``U @ V``
+    and :func:`reduce_mod`'s temporary for one chunk of rows, together
+    within ``_CHUNK_BYTES``, and are reused across its chunks.
     """
     p = f.p
     rows, cols = a.shape
     width = min(_PANEL, rows, cols)  # no panel holds more pivots than that
     dtype = blas_dtype(width + 1, p)
-    A = a.astype(dtype)
+    A = a.astype(f.dtype)
     U = np.zeros((rows, width), dtype=dtype)
     V = np.zeros((width, cols), dtype=dtype)
     pivots = []
@@ -255,18 +265,22 @@ def _rref_prime(f, a):
     def flush():
         # apply the panel to every column right of its first pivot
         lo = pivots[-t]
-        step = chunk_rows(cols - lo, A.itemsize)
+        step = min(rows, chunk_rows(cols - lo, 2 * U.itemsize))
+        prod = np.empty((step, cols - lo), dtype=dtype)
+        scratch = np.empty_like(prod)
         for r0 in range(0, rows, step):
             blk = A[r0:r0 + step, lo:]
-            blk -= U[r0:r0 + step, :t] @ V[:t, lo:]
-            reduce_mod(blk, p)
+            n = blk.shape[0]
+            x = np.matmul(U[r0:r0 + n, :t], V[:t, lo:], out=prod[:n])
+            np.subtract(blk, x, out=x)
+            np.copyto(blk, reduce_mod(x, p, scratch[:n]), casting="unsafe")
         U[:, :t] = 0
 
     for col in range(cols):
         if row >= rows:
             break
-        c = A[:, col] - U[:, :t] @ V[:t, col]
-        reduce_mod(c, p)
+        c = U[:, :t] @ V[:t, col]
+        reduce_mod(np.subtract(A[:, col], c, out=c), p)
         nz = np.flatnonzero(c[row:])
         if not nz.size:
             continue
@@ -275,8 +289,8 @@ def _rref_prime(f, a):
             A[[row, piv]] = A[[piv, row]]
             U[[row, piv]] = U[[piv, row]]
             c[[row, piv]] = c[[piv, row]]
-        lead = A[row, col:] - U[row, :t] @ V[:t, col:]
-        reduce_mod(lead, p)
+        lead = U[row, :t] @ V[:t, col:]
+        reduce_mod(np.subtract(A[row, col:], lead, out=lead), p)
         lead *= f.inv(int(c[row]))
         reduce_mod(lead, p)
         V[t, :col] = 0
@@ -294,7 +308,7 @@ def _rref_prime(f, a):
             t = 0
     if t:
         flush()
-    return A.astype(f.dtype), tuple(pivots), row
+    return A, tuple(pivots), row
 
 
 # Field.kind -> elimination kernel

@@ -358,7 +358,7 @@ def test_verify_duality_elimination_count(monkeypatch, name):
     assert len(calls) == 10
 
 
-@pytest.mark.parametrize("name, bound_mb", [("504_186", 0.8), ("480_160_gf3", 1.7)])
+@pytest.mark.parametrize("name, bound_mb", [("504_186", 0.8), ("480_160_gf3", 1.2)])
 def test_verify_duality_memory_is_bounded(name, bound_mb):
     """verify_duality holds one side's nN-column matrices at a time and keeps
     none: its traced peak is bounded, traced memory comes back to where it

@@ -1,8 +1,10 @@
 """Field and extension arithmetic tests."""
 
+import gc
 import time
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -624,6 +626,29 @@ def test_extension_field_matches_polynomial_reduction(p, k):
     fQ = ext.as_field()
     assert fQ.kind == "tables"
     _assert_tables_match_reference(fQ, ext.f)
+
+
+def test_extension_field_holds_no_reference_cycle():
+    """The GF(Q) field keeps its extension's value key and repr, not the
+    extension, which holds the field: with the cyclic collector off, a
+    dropped extension and its field are freed once their last reference
+    goes.  Fields of equal extensions compare and hash as the extensions do."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        ext = Extension(Field(3), 4)
+        refs = weakref.ref(ext), weakref.ref(ext.as_field())
+        del ext
+        assert [r() for r in refs] == [None, None]
+    finally:
+        if enabled:
+            gc.enable()
+    ext, other = Extension(Field(2), 4), Extension(Field(2), 4, [1, 0, 0, 1, 1])
+    assert ext.f != other.f
+    fQ, same = ext.as_field(), Extension(Field(2), 4).as_field()
+    assert fQ == same and hash(fQ) == hash(same) == hash(("view", ext))
+    assert fQ != other.as_field() and fQ != Field(2, 4)
+    assert repr(fQ) == f"Field(GF(16) of {ext!r})"
 
 
 @pytest.mark.parametrize("p, e, modulus", [(3, 2, (1, 0, 1)),

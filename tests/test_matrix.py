@@ -359,31 +359,55 @@ def test_prime_kernel_past_the_panel_width(p):
         assert np.array_equal(R.a, ref[0]) and (piv, rank) == ref[1:]
         Rt, pivt, rankt = Mt.rref()
         assert np.array_equal(R.a, Rt.a) and (piv, rank) == (pivt, rankt)
-        assert np.array_equal(M.null_space().a, Mt.null_space().a)
+        assert R.a.dtype == Rt.a.dtype == fast.dtype
+        N, Nt = M.null_space().a, Mt.null_space().a
+        assert np.array_equal(N, Nt) and N.dtype == Nt.dtype
         # rows of A (in the span), random rows (mostly outside) and zeros
         X = np.concatenate([A[:20], rng.integers(0, p, (40, A.shape[1])),
                             np.zeros((3, A.shape[1]), dtype=np.int64)])
-        got = M.reduce_rows(X)
-        assert np.array_equal(got, Mt.reduce_rows(X))
+        got, want = M.reduce_rows(X), Mt.reduce_rows(X)
+        assert np.array_equal(got, want) and got.dtype == want.dtype
         inside = M.span_contains_rows(X)
         assert np.array_equal(inside, Mt.span_contains_rows(X))
         assert inside[:A[:20].shape[0]].all() and inside[-3:].all()
         assert np.array_equal(M.reduce_rows(X[:0]), X[:0])
 
 
-def test_prime_kernel_memory_peak():
-    """A 320 x 480 GF(3) matrix is eliminated on float32 panels: its working
-    copy takes 0.6 MB and the tracemalloc peak stays near 1.6 MB, where
-    float64 panels reach 2.5 MB."""
-    f = Field(3)
-    A = np.random.default_rng(320).integers(0, 3, (320, 480))
+@pytest.mark.parametrize("p", (3, 257))
+def test_prime_kernel_flush_in_small_chunks(monkeypatch, p):
+    """Under a 5000-byte chunk budget each flush runs through its two buffers
+    a few rows at a time, often with a short last chunk: R, pivots and rank
+    are those of the table kernel."""
+    rng = np.random.default_rng(2000 + p)
+    monkeypatch.setattr(matrix, "_CHUNK_BYTES", 5000)
+    f = Field(p)
+    for A in _panel_cases(p, rng)[:3]:
+        a = A.astype(f.dtype)
+        R, piv, rank = matrix._rref_prime(f, a)
+        ref = matrix._rref_rows(f, a)
+        assert np.array_equal(R, ref[0]) and (piv, rank) == ref[1:]
+
+
+@pytest.mark.parametrize("p, bound_mb", [(3, 1.1), (257, 1.5)], ids=["GF3", "GF257"])
+def test_prime_kernel_memory_peak(p, bound_mb):
+    """A 320 x 480 matrix is eliminated in its codes, int8 with a float32
+    panel over GF(3) and int16 with a float64 panel over GF(257): floats
+    live only in the panel, the column vectors and two flush buffers within
+    ``_CHUNK_BYTES``.  The traced peak is near 0.9 and 1.3 MB, where a float
+    copy of the matrix and a temporary per chunk reach 1.4 and 2.3 MB.  The
+    kernel leaves its input as it was and returns R in the field's codes."""
+    f = Field(p)
+    M = MatGF(f, np.random.default_rng(320).integers(0, p, (320, 480)))
+    before = M.a.copy()
     tracemalloc.start()
     try:
-        MatGF(f, A).rref()
+        R = M.rref()[0]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2 * 10 ** 6
+    assert peak <= bound_mb * 10 ** 6
+    assert np.array_equal(M.a, before) and M.a.dtype == f.dtype
+    assert R.a.dtype == M._rref()[0].dtype == f.dtype
 
 
 def _f32_top(p):
