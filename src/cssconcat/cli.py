@@ -34,15 +34,28 @@ class _ParseError(Exception):
 
 
 def _load(fn, *args):
-    """Run a loader; any failure counts as a parse error (exit 2)."""
+    """Run a loader; a file that cannot be read or parsed (OSError,
+    DomainError) is a parse error (exit 2).  Other errors, such as a
+    well-formed file whose content breaks an invariant, pass through."""
     try:
         return fn(*args)
-    except (OSError, DomainError, ValueError) as exc:
+    except (OSError, DomainError) as exc:
+        raise _ParseError(str(exc)) from exc
+
+
+def _number(parse, text):
+    """``parse(text)`` (int, float or Fraction), a parse error if it fails;
+    a zero denominator such as ``1/0`` fails too."""
+    try:
+        return parse(text)
+    except (ValueError, ZeroDivisionError) as exc:
         raise _ParseError(str(exc)) from exc
 
 
 def _build_concat(cfg_path):
-    inner, ext, N, K1, K2 = fileio.read_concat_config(cfg_path)
+    """The concatenated pair of a config file, read through :func:`_load`;
+    the outer pair and the concatenation are built outside it."""
+    inner, ext, N, K1, K2 = _load(fileio.read_concat_config, cfg_path)
     D1, D2 = nested_grs_pair(ext, N, K1, K2)
     return concatenate(inner, (D1, D2), ext)
 
@@ -136,7 +149,7 @@ def cmd_decode(args, out):
 
 
 def cmd_simulate(args, out):
-    probs = _load(lambda s: [float(x) for x in s.split(",")], args.channel)
+    probs = [_number(float, x) for x in args.channel.split(",")]
     cp = _build_concat(args.pair)
     ctx = DecoderContext(cp, side=args.side, cap=args.cap)
     ch = AdditiveChannel(ctx.field, probs)
@@ -185,7 +198,7 @@ def _parse_params(s):
 def _parse_grid(s):
     try:
         lo, hi, step = (Fraction(x) for x in s.split(":"))
-    except ValueError as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise _ParseError(f"bad grid {s!r}") from exc
     if step <= 0 or hi < lo:
         raise _ParseError("grid must be lo:hi:step with step > 0")
@@ -206,7 +219,7 @@ def cmd_bounds(args, out):
             if default is None:
                 raise _ParseError(f"missing parameter {name}")
             return default
-        return int(params[name])
+        return _number(int, params[name])
 
     fam = args.family
     if fam == "gv":
@@ -230,7 +243,7 @@ def cmd_bounds(args, out):
                                [bnd.bound_general(n, k, d1, d2, q, r) for r in grid])
     elif fam == "enlarged":
         q, n, k, d = ival("q"), ival("n"), ival("k"), ival("d")
-        gh = Fraction(params.get("gamma_hat", "0"))
+        gh = _number(Fraction, params.get("gamma_hat", "0"))
         vals = []
         for r in grid:
             try:

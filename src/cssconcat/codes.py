@@ -403,36 +403,3 @@ def bvector_pair(field, b1, b2) -> CssPair:
     C1 = LinearCode.from_parity_check(field, b1[None, :])
     C2 = LinearCode.from_parity_check(field, b2[None, :])
     return CssPair.build(C1, C2)
-
-
-def random_css_pair(rng, field, n, k):
-    """A uniformly-random-flavored CSS pair of length n with k logical dims.
-
-    Test helper: samples a random full-rank C1, a random subspace of it for
-    dual(C2), and builds the paired generators.
-    """
-    if not 0 <= k <= n:
-        raise ValueError("need 0 <= k <= n")
-    for _ in range(1000):
-        k1 = int(rng.integers(k, n + 1))
-        k2 = n + k - k1
-        if not 0 <= k2 <= n:
-            continue
-        G1 = rng.integers(0, field.q, size=(k1, n))
-        m1 = MatGF(field, G1)
-        if m1.rank != k1:
-            continue
-        C1 = LinearCode(field, m1.rref()[0].a[:k1])
-        # dual(C2): a (k1 - k)-dim subspace of C1
-        r = k1 - k
-        coeff = rng.integers(0, field.q, size=(r, k1))
-        B = field.matmul(np.asarray(coeff, dtype=np.int64), C1.G)
-        if r and MatGF(field, B).rank != r:
-            continue
-        C2 = LinearCode.from_parity_check(field, B) if r else \
-            LinearCode.full_space(field, n)
-        try:
-            return CssPair.build(C1, C2)
-        except BadComplement:
-            continue
-    raise RuntimeError("failed to sample a CSS pair")

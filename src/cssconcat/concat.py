@@ -144,6 +144,7 @@ import numpy as np
 from .codes import CssPair, LinearCode, _pairing
 from .errors import (
     BadComplement,
+    DomainError,
     FieldMismatch,
     LengthMismatch,
     NotOrthogonal,
@@ -161,7 +162,7 @@ def pi_map(m: int, pair: CssPair, ext: Extension, x) -> np.ndarray:
     2 contracts trace-dual coordinates against g2.
     """
     if m not in (1, 2):
-        raise ValueError("side must be 1 or 2")
+        raise DomainError("side must be 1 or 2")
     if ext.base != pair.field:
         raise FieldMismatch("inner pair and extension base differ")
     if pair.k != ext.k:
@@ -238,7 +239,7 @@ def build_parity_check(inner: CssPair, ext: Extension, Hout, side: int = 1):
     of ``Ho``.
     """
     if side not in (1, 2):
-        raise ValueError("side must be 1 or 2")
+        raise DomainError("side must be 1 or 2")
     Hout = np.asarray(Hout, dtype=np.int64)
     if Hout.ndim != 2:
         raise RankDeficient("outer parity check must be a matrix")

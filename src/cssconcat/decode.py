@@ -33,8 +33,9 @@ power-basis ones.  Against the row PI_o[alpha^l D_o.G[r]], v gives
 Tr(alpha^l (w.D_o.G^T)_r), which vanishes for every l iff (w.D_o.G^T)_r = 0,
 as the trace form is nondegenerate.  One product of the nonzero blocks of v
 by [H; g]^T gives (i) and w (:meth:`DecoderContext.block_symbols`); only
-rows that pass (i) with some w_b != 0 meet D_o.G^T, in one sparse GF(Q)
-product (:meth:`DecoderContext.outside_dual`).  The same product scores
+rows that pass (i) with some w_b != 0 meet D_o.G^T, in one GF(Q)
+product that reads only their nonzero symbols (:meth:`Field.matmul`, in
+:meth:`DecoderContext.outside_dual`).  The same product scores
 stage 1.  A stage-1 miss e_b - leader_b has the syndrome zero, so it lies
 in the side's inner code C = dual(C_o) + span(g'), g' the side's own coset
 generators; by (P) of the concat docstring, g'.g^T = I and dual(C_o).g^T =
@@ -91,27 +92,6 @@ def _nonzero_rows(A):
     transposed copy: numpy ORs its rows whole, where ``A.any(axis=1)`` pays
     a step per row of a few entries."""
     return np.ascontiguousarray(A.T).any(axis=0)
-
-
-def _sparse_matmul(f, A, B):
-    """``A·B`` over ``f`` from the nonzero entries of each row of ``A``: the
-    entries and the rows of ``B`` they pick, padded with zeros to the
-    longest row, meet in one ``f.mul`` and one ``f.add_reduce`` over the
-    pad axis.  Rows go in slices that keep each (rows, pad, cols) gather
-    within ``chunk_rows`` at 8 bytes an entry."""
-    rows, cols = np.nonzero(A)
-    counts = np.bincount(rows, minlength=len(A))
-    slot = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    pick = np.zeros((len(A), counts.max(initial=0)), dtype=np.intp)
-    values = np.zeros(pick.shape, dtype=f.dtype)
-    pick[rows, slot] = cols
-    values[rows, slot] = A[rows, cols]
-    out = np.empty((len(A), B.shape[1]), dtype=f.dtype)
-    step = chunk_rows(pick.shape[1] * B.shape[1])
-    for lo in range(0, len(A), step):
-        hi = lo + step
-        out[lo:hi] = f.add_reduce(f.mul(B[pick[lo:hi]], values[lo:hi, :, None]), axis=1)
-    return out
 
 
 class DecoderContext:
@@ -186,15 +166,14 @@ class DecoderContext:
 
     def outer_syndromes(self, Z):
         """The outer syndromes Hout.z over GF(Q) of rows ``Z`` of symbols."""
-        return _sparse_matmul(self.ext.as_field(), Z, self._symbol_tables[1])
+        return self.ext.as_field().matmul(Z, self._symbol_tables[1])
 
     def outside_dual(self, W):
         """Which rows of GF(Q) symbols ``W`` fail test (ii) of the module
         docstring, W.D_o.G^T != 0; the zero rows pass without a product."""
         bad = np.zeros(len(W), dtype=bool)
         rows = np.flatnonzero(_nonzero_rows(W))
-        bad[rows] = _nonzero_rows(_sparse_matmul(self.ext.as_field(), W[rows],
-                                                 self._symbol_tables[2]))
+        bad[rows] = _nonzero_rows(self.ext.as_field().matmul(W[rows], self._symbol_tables[2]))
         return bad
 
     def full_syndrome(self, E):

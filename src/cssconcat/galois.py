@@ -42,6 +42,12 @@ and so do matrix products.  It is signed so that the difference of two codes
 cannot wrap.  Arithmetic other than a gather (products, sums of products)
 widens first.
 
+:meth:`Field.matmul` is the one matrix product.  Prime fields run it on
+BLAS; every other field (``kind == "tables"``) gathers from its
+multiplication table, reading each row of the left operand by its nonzero
+entries only, so a sparse row, such as a short error locator or the symbols
+of a few bad blocks, costs its weight.
+
 All operations accept plain ints or numpy integer arrays and are pure; field
 objects are immutable after construction and safe to share across threads.
 """
@@ -458,28 +464,47 @@ class Field:
         return terms[0].astype(self.dtype)[()]  # a numpy scalar for a 1-D sum
 
     def matmul(self, A, B):
-        """Matrix product over the field; ``A`` is (m, n), ``B`` is (n, r).
+        """Matrix product over the field; ``A`` is (m, n) or (n,), ``B`` is
+        (n, r).
 
         Integer codes of any dtype go in; codes of :attr:`dtype` come out.
+        Prime fields multiply on BLAS (:func:`_matmul_blas`).  Table fields
+        (``kind == "tables"``) read each row of ``A`` by its nonzero entries
+        only: the entries and the rows of ``B`` they pick, padded with zeros
+        to the longest row, meet in one gather from the flattened
+        multiplication table, at ``a * q + b``, and one :meth:`add_reduce`
+        over the pad axis, so a row costs its weight, not n.  Both operands
+        are checked to be codes (DomainError), since a flat index would not
+        catch a code past q.  Rows go in slices whose (rows, pad, r) index,
+        8 bytes an entry against the codes' 1 or 2, takes an eighth of the
+        ``matrix.chunk_rows`` budget, 64 KB: a slice that size fits in heap
+        the decoder already holds, so a Monte-Carlo run's peak memory does
+        not grow.
         """
         A = np.asarray(A)
         B = np.asarray(B)
         if A.shape[-1] != B.shape[0]:
             raise DomainError(f"shape mismatch {A.shape} @ {B.shape}")
-        if self.e == 1:
+        if self.kind != "tables":
             return _matmul_blas(A, B, self.p, self.dtype)
-        single = A.ndim == 1
-        if single:
-            A = A[None, :]
-        m, n = A.shape
-        r = B.shape[1]
-        out = np.empty((m, r), dtype=self.dtype)
-        chunk = max(1, (1 << 22) // max(1, n * r))
-        for lo in range(0, m, chunk):
-            hi = min(m, lo + chunk)
-            prod = self.mul_table[A[lo:hi, :, None], B[None, :, :]]
-            out[lo:hi] = self.add_reduce(prod, axis=1)
-        return out[0] if single else out
+        if A.ndim == 1:
+            return self.matmul(A[None], B)[0]
+        A = check_codes(A, self.q, "matrix entries")
+        B = check_codes(B, self.q, "matrix entries")
+        rows, cols = np.nonzero(A)  # row by row
+        slot = np.arange(rows.size) - np.searchsorted(rows, rows)  # place in its row
+        pick = np.zeros((len(A), slot.max(initial=-1) + 1), dtype=np.intp)
+        offset = np.zeros(pick.shape, dtype=np.intp)  # a * q: the table row of a
+        pick[rows, slot] = cols
+        offset[rows, slot] = A[rows, cols].astype(np.intp) * self.q
+        flat = self.mul_table.reshape(-1)
+        out = np.empty((len(A), B.shape[1]), dtype=self.dtype)
+        step = chunk_rows(pick.shape[1] * B.shape[1], 64)
+        for lo in range(0, len(A), step):
+            index = B[pick[lo:lo + step]].astype(np.intp)
+            index += offset[lo:lo + step, :, None]
+            out[lo:lo + step] = self.add_reduce(flat[index], axis=1)
+        return out
 
     def dot(self, u, v):
         u = np.asarray(u, dtype=np.int64)

@@ -10,11 +10,13 @@ The decoder, :meth:`GrsCode.bd_decode_batch`, takes a batch of syndrome rows:
 Berlekamp-Massey (Massey, 1969) in lockstep over the rows for all N - K steps,
 ``np.where`` masks where rows differ; the Chien search as one
 :meth:`Field.matmul` product against a cached power table of the inverse
-points; Forney's formula (Forney, 1965) at the roots found, with the formal
-derivative's coefficient i times i mod p.  Every row is re-verified (locator
-degree <= t, that many distinct roots, re-encoded syndrome equal to the
-input); a row that fails gets a zero error row and an int8 reason code
-indexing :data:`MESSAGES`, never a silent miscorrection.
+points, which reads only the locator's nonzero coefficients; Forney's formula
+(Forney, 1965) at the roots found, with the formal derivative's coefficient
+i times i mod p.  Every row is re-verified (locator degree <= t, that many
+distinct roots, and a re-encoded syndrome, one product of the decoded error
+rows by H^T, equal to the input); a row that fails gets a zero error row and
+an int8 reason code indexing :data:`MESSAGES`, never a silent
+miscorrection.
 :meth:`GrsCode.bd_decode` is the one-row call and raises DecodeFailure.
 """
 
@@ -214,7 +216,7 @@ class GrsCode:
             i = np.arange(self.t + 1, dtype=np.int64)[:, None]
             P = self.ext.exp[(-i * self.ext.log[self.points]) % (self.ext.Q - 1)]
             c = f.neg(f.mul(self.points, f.inv_table[self.dual_multipliers]))
-            self._chien = P.astype(f.dtype), c, self.H.T.astype(f.dtype)
+            self._chien = P.astype(f.dtype), c, np.ascontiguousarray(self.H.T, dtype=f.dtype)
         return self._chien
 
     def bd_decode_batch(self, S):
@@ -254,8 +256,9 @@ class GrsCode:
         dlam = f.mul(lam[:, 1:], np.arange(1, t + 1) % f.p)
         P, c, Ht = self._chien_tables()
         roots = f.matmul(lam, P) == 0
-        # a locator of degree <= t has at most t roots: put them first
-        pos = np.argsort(~roots, axis=1, kind="stable")[:, :t]
+        # a locator of degree <= t has at most t roots: put them first (a
+        # copy, so that the (rows, N) sort is freed)
+        pos = np.argsort(~roots, axis=1, kind="stable")[:, :t].copy()
         at = np.take_along_axis(roots, pos, axis=1)
         x = P[1][pos]  # 1/a_j at those positions
         num = den = np.zeros(pos.shape, dtype=f.dtype)
@@ -266,12 +269,9 @@ class GrsCode:
         vals = np.where(at, f.mul(f.mul(num, c[pos]), f.inv_table[den]), 0)
         why = np.select([(at & (den == 0)).any(axis=1), roots.sum(axis=1) != L],
                         [_REPEATED_ROOT, _ROOT_COUNT], 0).astype(np.int8)
-        resyn = np.zeros_like(S)
-        for k in range(t):
-            resyn = f.add(resyn, f.mul(vals[:, k, None], Ht[pos[:, k]]))
-        why[(why == 0) & (resyn != S).any(axis=1)] = _MISMATCH
-        vals[why != 0] = 0
         E[rows[:, None], pos] = vals
+        why[(why == 0) & (f.matmul(E[rows], Ht) != S).any(axis=1)] = _MISMATCH
+        E[rows[why != 0]] = 0
         reason[rows] = why
         return E, reason == 0, reason
 

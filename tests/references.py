@@ -5,9 +5,10 @@ import math
 import numpy as np
 
 from cssconcat.channel_sim import _sample_block
+from cssconcat.codes import CssPair, LinearCode
 from cssconcat.decode import success_oracle_rows
-from cssconcat.errors import DomainError
-from cssconcat.matrix import MatGF
+from cssconcat.errors import BadComplement, DomainError
+from cssconcat.matrix import MatGF, as_codes
 from cssconcat.outer_grs import MESSAGES
 
 
@@ -20,6 +21,118 @@ def inverse(f, A):
     if tuple(pivots[:n]) != tuple(range(n)):
         return None
     return R.a[:, n:]
+
+
+def dense_matmul(f, A, B):
+    """``A·B`` over ``f`` (``A`` 1-D or 2-D) by one dense multiplication-table
+    gather of every (row, k, column) product and a sum over k."""
+    A = np.asarray(A)
+    if A.ndim == 1:
+        return dense_matmul(f, A[None], B)[0]
+    return f.add_reduce(f.mul_table[A[:, :, None], np.asarray(B)[None, :, :]], axis=1)
+
+
+def random_css_pair(rng, field, n, k):
+    """A random CSS pair of length n with k logical dims: a random full-rank
+    C1, a random subspace of it for dual(C2), and the paired generators."""
+    if not 0 <= k <= n:
+        raise ValueError("need 0 <= k <= n")
+    for _ in range(1000):
+        k1 = int(rng.integers(k, n + 1))
+        k2 = n + k - k1
+        if not 0 <= k2 <= n:
+            continue
+        G1 = rng.integers(0, field.q, size=(k1, n))
+        m1 = MatGF(field, G1)
+        if m1.rank != k1:
+            continue
+        C1 = LinearCode(field, m1.rref()[0].a[:k1])
+        # dual(C2): a (k1 - k)-dim subspace of C1
+        r = k1 - k
+        coeff = rng.integers(0, field.q, size=(r, k1))
+        B = field.matmul(np.asarray(coeff, dtype=np.int64), C1.G)
+        if r and MatGF(field, B).rank != r:
+            continue
+        C2 = LinearCode.from_parity_check(field, B) if r else \
+            LinearCode.full_space(field, n)
+        try:
+            return CssPair.build(C1, C2)
+        except BadComplement:
+            continue
+    raise RuntimeError("failed to sample a CSS pair")
+
+
+# the reason codes of bd_decode_batch, indices into MESSAGES
+_ZERO_RADIUS, _DEGREE, _REPEATED_ROOT, _ROOT_COUNT, _MISMATCH = range(1, len(MESSAGES))
+
+
+def _berlekamp_massey(f, S, t):
+    """Lockstep Berlekamp-Massey over the rows of ``S``, all R steps, with
+    the connection polynomials cut to t + 1 coefficients: ``(lam, L)``."""
+    rows, R = S.shape
+    lam = np.zeros((rows, t + 1), dtype=f.dtype)
+    lam[:, 0] = 1
+    B = np.zeros_like(lam)
+    B[:, 1] = 1
+    b = np.ones(rows, dtype=f.dtype)
+    L = np.zeros(rows, dtype=np.int64)
+    for n in range(R):
+        w = min(n, t) + 1
+        d = f.add_reduce(f.mul(lam[:, :w], S[:, n::-1][:, :w]), axis=1)
+        grow = (d != 0) & (2 * L <= n)
+        old = lam
+        lam = f.sub(lam, f.mul(f.mul(d, f.inv_table[b])[:, None], B))
+        shifted = np.where(grow[:, None], old[:, :-1], B[:, :-1])
+        B = np.zeros_like(B)
+        B[:, 1:] = shifted
+        b = np.where(grow, d, b)
+        L = np.where(grow, n + 1 - L, L)
+    return lam, L
+
+
+def bd_decode_batch(code, S):
+    """The lockstep bounded-distance decoder with the Chien search as a
+    dense gather against all t + 1 powers and the re-encoded syndrome as a
+    t-step sum over the roots: ``GrsCode.bd_decode_batch`` must return the
+    same ``(E, ok, reason)``.  Reads the code's ``_chien_tables``."""
+    f = code.ext.as_field()
+    S = as_codes(f, S, "syndrome entries")
+    E = np.zeros((len(S), code.N), dtype=f.dtype)
+    reason = np.zeros(len(S), dtype=np.int8)
+    rows = np.flatnonzero(S.any(axis=1))
+    t = code.t
+    if t == 0:
+        reason[rows] = _ZERO_RADIUS
+        return E, reason == 0, reason
+    lam, L = _berlekamp_massey(f, S[rows], t)
+    reason[rows[L > t]] = _DEGREE
+    keep = L <= t
+    rows, lam, L = rows[keep], lam[keep], L[keep]
+    S = S[rows]
+    omega = np.zeros((rows.size, t), dtype=f.dtype)
+    for i in range(t):
+        omega[:, i:] = f.add(omega[:, i:], f.mul(lam[:, i:i + 1], S[:, :t - i]))
+    dlam = f.mul(lam[:, 1:], np.arange(1, t + 1) % f.p)
+    P, c, Ht = code._chien_tables()
+    roots = dense_matmul(f, lam, P) == 0
+    pos = np.argsort(~roots, axis=1, kind="stable")[:, :t]
+    at = np.take_along_axis(roots, pos, axis=1)
+    x = P[1][pos]
+    num = den = np.zeros(pos.shape, dtype=f.dtype)
+    for i in reversed(range(t)):
+        num = f.add(f.mul(num, x), omega[:, i, None])
+        den = f.add(f.mul(den, x), dlam[:, i, None])
+    vals = np.where(at, f.mul(f.mul(num, c[pos]), f.inv_table[den]), 0)
+    why = np.select([(at & (den == 0)).any(axis=1), roots.sum(axis=1) != L],
+                    [_REPEATED_ROOT, _ROOT_COUNT], 0).astype(np.int8)
+    resyn = np.zeros_like(S)
+    for k in range(t):
+        resyn = f.add(resyn, f.mul(vals[:, k, None], Ht[pos[:, k]]))
+    why[(why == 0) & (resyn != S).any(axis=1)] = _MISMATCH
+    vals[why != 0] = 0
+    E[rows[:, None], pos] = vals
+    reason[rows] = why
+    return E, reason == 0, reason
 
 
 def dense_mc_error_rate(ctx, channel, trials, seed, chunk=2048):

@@ -33,7 +33,6 @@ from cssconcat.codes import (
     LinearCode,
     bvector_pair,
     min_weight_excluding,
-    random_css_pair,
 )
 from cssconcat.concat import concatenate, verify_duality
 from cssconcat.decode import (
@@ -53,7 +52,7 @@ from cssconcat.enlarge import (
 )
 from cssconcat.galois import Extension, Field
 from cssconcat.outer_grs import GrsCode, nested_grs_pair
-from references import simplex_grid_exponent
+from references import random_css_pair, simplex_grid_exponent
 
 F2 = Field(2)
 F4 = Field(2, 2)

@@ -30,11 +30,11 @@ from cssconcat.channel_sim import (
 )
 from cssconcat.codes import bvector_pair
 from cssconcat.concat import concatenate
-from cssconcat.decode import DecoderContext, _sparse_matmul, decode_batch
+from cssconcat.decode import DecoderContext, decode_batch
 from cssconcat.errors import DomainError, EmptyFeasibleSet
 from cssconcat.galois import Extension, Field
 from cssconcat.outer_grs import MESSAGES, nested_grs_pair
-from references import dense_mc_error_rate, simplex_grid_exponent
+from references import dense_matmul, dense_mc_error_rate, simplex_grid_exponent
 
 F2 = Field(2)
 
@@ -364,12 +364,18 @@ def _mc_tuple(r):
             r.outer_failures_by_reason)
 
 
-@pytest.mark.parametrize("field", [Field(2, 4), Field(3, 4), Field(3), Field(2, 10)])
+@pytest.mark.parametrize("field", [Field(2, 2), Field(2, 4), Field(3, 4), Field(3, 5),
+                                   Field(2, 10)])
 @pytest.mark.parametrize("chunk_bytes", [256, 1 << 19])
 def test_sparse_matmul_matches_field_product(monkeypatch, field, chunk_bytes):
-    """Rows of every weight, all-zero rows and batches of 0 and 1 rows, in
-    one slice and in slices of a few rows."""
+    """Differential test of ``Field.matmul`` over table fields, whose
+    product skips zero entries, against the dense multiplication-table
+    gather of ``references.dense_matmul``: GF(4), GF(16), GF(81), GF(3^5)
+    and GF(1024) (int16 codes); rows of every weight, all-zero and
+    full-weight rows, batches of 0 and 1 rows, a 1-D row and inner
+    dimension 0; one slice and slices of a few rows."""
     monkeypatch.setattr(matrix, "_CHUNK_BYTES", chunk_bytes)
+    assert field.kind == "tables"
     rng = np.random.default_rng(field.q)
     A = rng.integers(0, field.q, size=(40, 25)) * (rng.random((40, 25)) < 0.2)
     A[::7] = 0
@@ -377,15 +383,23 @@ def test_sparse_matmul_matches_field_product(monkeypatch, field, chunk_bytes):
     A = A.astype(field.dtype)
     B = rng.integers(0, field.q, size=(25, 9)).astype(field.dtype)
     for rows in (0, 1, len(A)):
-        got = _sparse_matmul(field, A[:rows], B)
+        got = field.matmul(A[:rows], B)
         assert got.dtype == field.dtype and got.shape == (rows, 9)
-        assert np.array_equal(got, field.matmul(A[:rows], B))
+        assert np.array_equal(got, dense_matmul(field, A[:rows], B))
+    assert np.array_equal(field.matmul(A[3].astype(np.int64), B), dense_matmul(field, A[3], B))
+    assert not A[::7].any() and not field.matmul(A[::7], B).any()
+    empty = field.matmul(np.zeros((5, 0), dtype=field.dtype), np.zeros((0, 9), dtype=field.dtype))
+    assert empty.shape == (5, 9) and not empty.any()
+    with pytest.raises(DomainError):
+        field.matmul(A, np.full((25, 9), field.q))
+    with pytest.raises(DomainError):
+        field.matmul(np.full((2, 25), -1), B)
 
 
 def test_sparse_matmul_heap_is_sliced():
-    """256 full-weight rows of 255 GF(256) symbols by a 255 x 191 matrix:
-    the 12.5M-entry gather runs a row at a time, so the product peaks
-    within 4 MB (about 2 MB; 52 MB in one slice)."""
+    """256 full-weight rows of 255 GF(256) symbols by a 255 x 191 matrix
+    through ``Field.matmul``: the 12.5M-entry gather runs a row at a time,
+    so the product peaks within 4 MB (52 MB in one slice)."""
     f = Extension(F2, 8).as_field()
     rng = np.random.default_rng(255)
     A = rng.integers(1, f.q, size=(256, 255)).astype(f.dtype)
@@ -393,12 +407,12 @@ def test_sparse_matmul_heap_is_sliced():
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        got = _sparse_matmul(f, A, B)
+        got = f.matmul(A, B)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak - start <= 4.0e6
-    assert np.array_equal(got[:8], f.matmul(A[:8], B))
+    assert np.array_equal(got[:8], dense_matmul(f, A[:8], B))
 
 
 @pytest.mark.parametrize("make_cp", [_cp_90_28, _cp_96_32_gf3, _cp_60_14_gf4])

@@ -323,6 +323,63 @@ def test_cli_debug_reraises_invariant_violations(tmp_path):
         == EXIT_TOO_LARGE
 
 
+def test_cli_config_file_errors_exit_2(tmp_path, capsys):
+    """A missing or malformed config file is a parse error for every
+    subcommand that reads one; an outer code the config's numbers cannot
+    build still violates a precondition (exit 3)."""
+    cfg = _write_config(tmp_path)
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("inner.txt\n2 1 1 1\n3 x 3\n")
+    e = tmp_path / "e.txt"
+    e.write_text(" ".join(["0"] * 12) + "\n")
+    for path in (tmp_path / "nope.cfg", bad):
+        for argv in (["concat", "--config", str(path)],
+                     ["decode", "--config", str(path), "--error", str(e)],
+                     ["--seed", "1", "simulate", "--pair", str(path),
+                      "--channel", "0.9,0.1", "--trials", "10"],
+                     ["mindist", "--config", str(path)]):
+            assert run_cli(argv) == (EXIT_PARSE, "")
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "Error:" not in err
+    too_long = tmp_path / "long.cfg"
+    fileio.write_concat_config(too_long, "inner.txt", Extension(F2, 2), 4, 2, 2)
+    assert run_cli(["concat", "--config", str(too_long)])[0] == EXIT_INVARIANT
+    assert run_cli(["concat", "--config", str(cfg)])[0] == 0
+
+
+def test_cli_well_formed_files_breaking_invariants_exit_3(tmp_path, capsys):
+    """A file that parses but breaks an invariant exits 3 whichever
+    subcommand reads it: a non-CSS pair through mindist --pair and through a
+    concat config, a rank-deficient generator, a non-primitive polynomial."""
+    noncss = tmp_path / "noncss.txt"
+    noncss.write_text("2 1 0 1\n2 3\n1 0 0\n0 1 0\n2 3\n1 0 0\n0 1 0\n")
+    cfg = tmp_path / "noncss.cfg"
+    cfg.write_text("noncss.txt\n2 1 1 1\n3 2 2\n")
+    rankdef = tmp_path / "rankdef.txt"
+    rankdef.write_text("2 1 0 1\n2 3\n1 1 0\n1 1 0\n")
+    for argv, name in ((["mindist", "--pair", str(noncss)], "NotOrthogonal"),
+                       (["concat", "--config", str(cfg)], "NotOrthogonal"),
+                       (["construct", "--c1", str(rankdef), "--c2", str(rankdef)],
+                        "RankDeficient"),
+                       (["field", "--spec", "2 1 0 1", "--ext", "2 0 0 1"], "NotPrimitive")):
+        assert run_cli(argv)[0] == EXIT_INVARIANT
+        assert capsys.readouterr().err.startswith(f"error: {name}: ")
+
+
+def test_cli_bounds_unparsable_numbers_exit_2(capsys):
+    grid = "0:1/10:1/20"
+    for family, params, g in (("flx", "q=x", grid), ("main", "t=3,q=2.5", grid),
+                              ("enlarged", "q=4,n=4,k=2,d=2,gamma_hat=x", grid),
+                              ("enlarged", "q=4,n=4,k=2,d=2,gamma_hat=1/0", grid),
+                              ("main", "t=3,q=2", "0:1/0:1")):
+        argv = ["bounds", "--family", family, "--params", params, "--grid", g]
+        assert run_cli(argv) == (EXIT_PARSE, "")
+        assert capsys.readouterr().err.startswith("error: ")
+    argv = ["bounds", "--family", "enlarged", "--params", "q=4,n=4,k=2,d=2,gamma_hat=1/3",
+            "--grid", grid]
+    assert run_cli(argv)[0] == 0
+
+
 def test_cli_seed_range(tmp_path):
     """Seeds outside [0, 2**64) are parse errors: the trial substream key
     (trial << 64) + seed would alias 2**64 + s with seed s of the next trial."""

@@ -16,7 +16,6 @@ from cssconcat.codes import (
     coset_generators,
     css_min_distance,
     min_weight_excluding,
-    random_css_pair,
     validate_css,
 )
 from cssconcat.errors import (
@@ -29,7 +28,7 @@ from cssconcat.errors import (
 )
 from cssconcat.galois import Field
 from cssconcat.matrix import MatGF
-from references import inverse
+from references import inverse, random_css_pair
 
 F2 = Field(2)
 

@@ -14,7 +14,6 @@ from cssconcat.codes import (
     LinearCode,
     bvector_pair,
     min_weight_excluding,
-    random_css_pair,
     validate_css,
 )
 from hypothesis import given, settings, strategies as st
@@ -29,10 +28,17 @@ from cssconcat.concat import (
     verify_duality,
 )
 from cssconcat.decode import DecoderContext
-from cssconcat.errors import BadComplement, FieldMismatch, NotOrthogonal, RankDeficient
+from cssconcat.errors import (
+    BadComplement,
+    DomainError,
+    FieldMismatch,
+    NotOrthogonal,
+    RankDeficient,
+)
 from cssconcat.galois import Extension, Field
 from cssconcat.matrix import MatGF, chunk_rows
 from cssconcat.outer_grs import GrsCode, nested_grs_pair
+from references import random_css_pair
 
 F2 = Field(2)
 
@@ -51,6 +57,18 @@ def test_golden_expanded_parity_block():
     assert lower.tolist() == [[1, 0, 0, 0, 0, 1],
                              [0, 1, 0, 1, 0, 1],
                              [0, 0, 1, 0, 1, 0]]
+
+
+def test_side_outside_one_and_two_is_a_domain_error():
+    """pi_map and build_parity_check reject a side other than 1 or 2 as
+    DecoderContext does, with DomainError (a ValueError)."""
+    inner = trivial_pair(3)
+    e8 = Extension(F2, 3)
+    for side in (0, 3, -1):
+        with pytest.raises(DomainError, match="side must be 1 or 2"):
+            pi_map(side, inner, e8, [1, 2])
+        with pytest.raises(DomainError, match="side must be 1 or 2"):
+            build_parity_check(inner, e8, np.array([[1, 2]]), side=side)
 
 
 def _nested_on_points(ext, N, K1, K2):

@@ -16,6 +16,7 @@ from cssconcat.errors import (
 )
 from cssconcat.galois import Extension, Field
 from cssconcat.matrix import enumerate_span
+import references
 from cssconcat.outer_grs import (
     MESSAGES,
     GrsCode,
@@ -419,6 +420,55 @@ def test_bd_decode_batch_of_zero_and_one_rows(name):
         E, ok, reason = code.bd_decode_batch(S)
         E_ref, ok_ref = _reference_batch(code, S)
         assert np.array_equal(ok, ok_ref) and np.array_equal(E, E_ref)
+
+
+_DENSE_CHIEN_CODES = {  # id: (extension, N, K)
+    "GF16": (Extension(Field(2), 4), 15, 9),
+    "GF81": (Extension(Field(3), 4), 80, 60),
+    "GF1024": (Extension(Field(2), 10), 120, 90),
+}
+
+
+@pytest.mark.parametrize("name", list(_DENSE_CHIEN_CODES))
+def test_bd_decode_batch_matches_dense_chien_decoder(name):
+    """``(E, ok, reason)``, dtypes included, equal those of the decoder
+    with a dense Chien product and a t-step re-encoding
+    (``references.bd_decode_batch``) on a batch mixing zero syndromes
+    (L = 0), weights 1 and 2, weight t (L = t), weights past t, and
+    syndromes whose first nonzero entry is at m >= t (L = m + 1 > t); then
+    again with one Forney factor corrupted, so that rows with an error at
+    that point fail the re-encoding check."""
+    ext, N, K = _DENSE_CHIEN_CODES[name]
+    f = ext.as_field()
+    rng = np.random.default_rng(ext.Q + N)
+    code = _random_grs(ext, N, K, rng)
+    t = code.t
+    weights = rng.permutation(np.repeat([0, 1, 2, t, t + 1, t + 3], 40))
+    E_true = np.zeros((len(weights), N), dtype=np.int64)
+    for i, w in enumerate(weights):
+        E_true[i, rng.choice(N, w, replace=False)] = rng.integers(1, ext.Q, w)
+    late = rng.integers(0, ext.Q, (N - K - t, N - K))
+    late[np.tril_indices(N - K - t, t - 1, N - K)] = 0  # row m - t starts at m
+    late[np.arange(N - K - t), np.arange(t, N - K)] = rng.integers(1, ext.Q, N - K - t)
+    S = np.concatenate([code.syndrome(E_true), late]).astype(f.dtype)
+    weights = np.concatenate([weights, np.full(len(late), -1)])
+    nonzero = S.any(axis=1)
+    _, L = references._berlekamp_massey(f, S[nonzero], t)
+    assert not nonzero.all() and {1, 2, t} <= set(L.tolist()) and (L > t).any()
+    got = code.bd_decode_batch(S)
+    for a, b in zip(got, references.bd_decode_batch(code, S)):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    P, c, Ht = code._chien_tables()
+    j = int(np.flatnonzero(got[0][weights == t].any(axis=0))[0])
+    c = c.copy()
+    c[j] = f.mul(int(c[j]), ext.alpha)
+    code._chien = P, c, Ht
+    E, ok, reason = code.bd_decode_batch(S)
+    for a, b in zip((E, ok, reason), references.bd_decode_batch(code, S)):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    mismatch = MESSAGES.index("re-encoded syndrome mismatch")
+    assert np.array_equal(reason == mismatch, got[1] & (got[0][:, j] != 0))
+    assert not E[reason == mismatch].any()
 
 
 def test_outer_code_inputs_range_checked():
