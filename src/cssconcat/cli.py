@@ -136,6 +136,9 @@ def cmd_decode(args, out):
     v = _load(fileio.read_vector, args.error if is_error else args.syndrome)
     if v.size and (v.min() < 0 or v.max() >= ctx.field.q):
         raise _ParseError(f"vector entries must lie in [0, {ctx.field.q})")
+    length = ctx.Ho.shape[1] if is_error else len(ctx.Ho)
+    if v.size != length:
+        raise _ParseError(f"vector must have {length} entries, not {v.size}")
     est, ok = two_stage_decode(ctx, ctx.full_syndrome(v) if is_error else v)
     line = f"outer_ok {int(ok)}"
     if is_error:

@@ -139,7 +139,7 @@ class LinearCode:
         return bool(other.contains_rows(self.G).all())
 
     def syndrome(self, e):
-        return self.field.matmul(np.asarray(e, dtype=np.int64), self.H.T)
+        return self.field.matmul(as_codes(self.field, e, "error entries"), self.H.T)
 
     def __repr__(self):
         return f"LinearCode[{self.n},{self.dim}] over GF({self.field.q})"
@@ -299,9 +299,7 @@ def min_weight_excluding(C: LinearCode, B: LinearCode, cap: int = ENUM_CAP) -> i
         raise TooLarge(f"enumeration of q^{C.dim} codewords exceeds cap")
     best = None
     for chunk in enumerate_span(f, C.G):
-        in_b = B.Gmat.span_contains_rows(chunk) if B.dim else \
-            ~chunk.any(axis=1)
-        outside = chunk[~in_b]
+        outside = chunk[~B.contains_rows(chunk)]
         if outside.size:
             w = np.count_nonzero(outside, axis=1).min()
             best = int(w) if best is None else min(best, int(w))

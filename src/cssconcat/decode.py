@@ -178,7 +178,7 @@ class DecoderContext:
 
     def full_syndrome(self, E):
         """Syndromes of error vectors (rows) against this side's structured check."""
-        return self.field.matmul(E, self.Ho.T)
+        return self.field.matmul(as_codes(self.field, E, "error entries"), self.Ho.T)
 
     def _leaders(self, upper):
         """``(estimates, packed)`` of upper syndromes ``(..., N*m)``: the

@@ -21,7 +21,7 @@ import numpy as np
 from .codes import CssPair, LinearCode
 from .errors import DomainError
 from .galois import Extension, Field
-from .matrix import MatGF
+from .matrix import as_codes
 
 
 class _Tokens:
@@ -73,7 +73,7 @@ def matrix_from_tokens(field, toks: _Tokens) -> np.ndarray:
         raise DomainError("negative matrix dimensions")
     vals = toks.take_ints(rows * cols)
     a = np.array(vals, dtype=np.int64).reshape(rows, cols)
-    return MatGF(field, a).a  # validates entry range
+    return as_codes(field, a)
 
 
 def matrix_to_text(M) -> str:

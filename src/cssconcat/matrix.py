@@ -29,9 +29,15 @@ value back into ``[0, p)`` exactly, and the result is the same reduced
 row-echelon form.  The matrix itself stays in codes of ``field.dtype``
 throughout: floats live only in the panel, the column and pivot-row vectors
 and two flush buffers, which together stay within ``_CHUNK_BYTES`` and are
-reused across the chunks of a flush.  Span reduction against the rref over
-any prime field, GF(2) included, is one matmul per chunk of rows on BLAS as
-well, with its float type from the same rule.
+reused across the chunks of a flush.
+
+Span membership (:meth:`MatGF.span_contains_rows`) is one path for every
+kind.  A row ``x`` lies in the row space iff it is ``x[P] @ R[:rank]`` for
+the rref ``R`` with pivot columns ``P``, which holds on ``P`` by
+construction: so a row with no entry in ``P`` lies in it iff it is zero,
+and any other iff ``x[F] == x[P] @ R[:rank, F]`` on the free columns ``F``,
+one :meth:`Field.matmul` per chunk of rows.  That is ``x`` times the null
+space, its identity block done as a comparison.
 
 :func:`digits` and :func:`pack` are the one coding of a vector over GF(q) as
 an integer, little-endian base q, for every layer of the library.
@@ -206,33 +212,6 @@ def _free_columns(cols, pivots):
     return np.flatnonzero(free)
 
 
-def _blas_residuals(p, pivots, free, R, X):
-    """Residuals of the rows of ``X`` against the reduced rows ``R`` over
-    GF(p), on BLAS (exact: see :func:`blas_dtype`), one chunk of rows at a
-    time.
-
-    ``pivots`` and ``free`` are the pivot columns of ``R`` and the others.
-    Since ``R`` is reduced, eliminating pivot by pivot subtracts exactly
-    ``X[:, pivots] @ R``, and the residual vanishes on the pivot columns.
-    Yields ``(rows, resid)``: the indices of the rows with a nonzero entry
-    in a pivot column and their residuals on the free columns, as floats in
-    ``[0, p)``.  Every other row is its own residual.
-    """
-    dtype = blas_dtype(X.shape[1], p)
-    step = chunk_rows(X.shape[1], np.dtype(dtype).itemsize)
-    Rf = None  # converted only once a row needs it
-    for lo in range(0, X.shape[0], step):
-        x = X[lo:lo + step]
-        rows = np.flatnonzero(x[:, pivots].any(axis=1))
-        if rows.size:
-            if Rf is None:
-                Rf = R[:, free].astype(dtype)
-            x = x[rows]
-            resid = x[:, free].astype(dtype)
-            resid -= x[:, pivots].astype(dtype) @ Rf
-            yield lo + rows, reduce_mod(resid, p)
-
-
 def _rref_prime(f, a):
     """Blocked Gauss-Jordan over GF(p), p odd (see the module docstring).
 
@@ -336,7 +315,7 @@ class MatGF:
         self.field = field
         self.a = a
         self._rref_cache = None
-        self._span_cache = None  # pivot and free column indices for reduce_rows
+        self._span_cache = None  # pivots, free columns and R[:rank, free]
 
     # -- constructors --------------------------------------------------------
 
@@ -418,71 +397,32 @@ class MatGF:
 
     # -- span queries --------------------------------------------------------
 
-    def reduce_vector(self, v):
-        """Residual of ``v`` after elimination against this matrix's rref rows."""
-        return self.reduce_rows(np.asarray(v)[None, :])[0]
-
     def span_contains(self, v):
         """True iff ``v`` lies in the row space."""
-        v = np.asarray(v).reshape(-1)
-        if v.shape[0] != self.cols:
-            raise DomainError("vector length mismatch")
-        return not self.reduce_vector(v).any()
-
-    def _checked_rows(self, X):
-        X = as_codes(self.field, X)
-        if X.shape[-1] != self.cols:
-            raise DomainError("vector length mismatch")
-        return X
-
-    def _residuals(self, X):
-        """:func:`_blas_residuals` of ``X`` against the cached rref (prime
-        fields)."""
-        R, pivots, rank = self._rref()
-        if self._span_cache is None:
-            self._span_cache = (np.array(pivots, dtype=np.intp),
-                                _free_columns(self.cols, pivots))
-        return _blas_residuals(self.field.p, *self._span_cache, R[:rank], X)
-
-    def reduce_rows(self, X):
-        """Vectorized :meth:`reduce_vector` for a batch of row vectors."""
-        return self._reduce(self._checked_rows(X))
-
-    def _reduce(self, X):
-        """:meth:`reduce_rows` of rows already checked by :meth:`_checked_rows`."""
-        f = self.field
-        if f.kind != "tables":
-            out = X.copy()
-            residuals = self._residuals(X)
-            pivots, free = self._span_cache
-            for rows, resid in residuals:
-                x = out[rows]
-                x[:, pivots] = 0
-                x[:, free] = resid
-                out[rows] = x
-            return out
-        R, pivots, rank = self._rref()
-        X = X.copy()
-        for r, pc in enumerate(pivots):
-            nz = np.flatnonzero(X[:, pc])
-            if nz.size:
-                X[nz] = f.sub(X[nz], f.mul(X[nz, pc][:, None], R[r][None, :]))
-        return X
+        return bool(self.span_contains_rows(np.asarray(v).reshape(1, -1))[0])
 
     def span_contains_rows(self, X):
-        """Boolean mask: which rows of ``X`` lie in the row space.
-
-        Over a prime field the mask is filled chunk by chunk from the
-        residuals, with no residual copy of the batch.
-        """
-        X = self._checked_rows(X)
-        if self.field.kind == "tables":
-            return ~self._reduce(X).any(axis=1)
+        """Boolean mask: which rows of ``X`` lie in the row space (see the
+        module docstring).  The pivot and free columns and ``R[:rank, free]``
+        are worked out on the first call and kept.  Rows go in chunks whose
+        float32 operand and product on a prime field, ``cols`` columns
+        together, stay within ``_CHUNK_BYTES``: temporaries for a whole batch
+        at once would be fresh memory, slower to touch on a first call."""
+        X = as_codes(self.field, X)
+        if X.ndim != 2 or X.shape[1] != self.cols:
+            raise DomainError(f"expected a 2-D array of rows of length {self.cols}")
+        if self._span_cache is None:
+            R, pivots, rank = self._rref()
+            free = _free_columns(self.cols, pivots)
+            self._span_cache = np.array(pivots, dtype=np.intp), free, R[:rank, free]
+        pivots, free, R_free = self._span_cache
         mask = ~X.any(axis=1)  # right for every row with no pivot entry
-        if mask.all():
-            return mask
-        for rows, resid in self._residuals(X):
-            mask[rows] = ~resid.any(axis=1)
+        rows = np.flatnonzero(X[:, pivots].any(axis=1))
+        step = chunk_rows(self.cols, 4)
+        for lo in range(0, rows.size, step):
+            r = rows[lo:lo + step]
+            x = X[r]
+            mask[r] = (x[:, free] == self.field.matmul(x[:, pivots], R_free)).all(axis=1)
         return mask
 
     def same_row_space(self, other):

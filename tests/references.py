@@ -32,6 +32,21 @@ def dense_matmul(f, A, B):
     return f.add_reduce(f.mul_table[A[:, :, None], np.asarray(B)[None, :, :]], axis=1)
 
 
+def reduce_rows(f, A, X):
+    """The residuals of the rows of ``X`` against the rref ``R`` of ``A``,
+    pivot by pivot through the tables: each row that has an entry in a pivot
+    column loses that entry times the pivot's row of ``R``.  A residual
+    vanishes on every pivot column, differs from its row by a combination of
+    the rows of ``A``, and is zero exactly when the row is in their span."""
+    R, pivots, _ = MatGF(f, A).rref()
+    X = as_codes(f, X).copy()
+    for r, pc in enumerate(pivots):
+        nz = np.flatnonzero(X[:, pc])
+        if nz.size:
+            X[nz] = f.sub(X[nz], f.mul(X[nz, pc][:, None], R.a[r][None, :]))
+    return X
+
+
 def random_css_pair(rng, field, n, k):
     """A random CSS pair of length n with k logical dims: a random full-rank
     C1, a random subspace of it for dual(C2), and the paired generators."""

@@ -207,7 +207,7 @@ def test_cli_decode_success(tmp_path):
 
 def test_cli_decode_rejects_out_of_range_entries(tmp_path):
     """Vector entries outside [0, q) are parse errors (exit 2), not wrapped
-    table indices or codes; a vector of the wrong length still exits 3."""
+    table indices or codes; so is a vector of the wrong length."""
     cfg = _write_config(tmp_path)  # length 12, syndrome length 7, q = 2
     vec = tmp_path / "v.txt"
     cases = [("--syndrome", [-1] + [0] * 6, EXIT_PARSE),
@@ -217,14 +217,26 @@ def test_cli_decode_rejects_out_of_range_entries(tmp_path):
              # 257 and -255 are the code 1 once narrowed to int8
              ("--error", [257] + [0] * 11, EXIT_PARSE),
              ("--syndrome", [0] * 6 + [-255], EXIT_PARSE),
-             ("--syndrome", [0] * 6, EXIT_INVARIANT),
-             ("--error", [0] * 11, EXIT_INVARIANT)]
+             ("--syndrome", [0] * 6, EXIT_PARSE),
+             ("--error", [0] * 11, EXIT_PARSE)]
     for flag, v, want in cases:
         fileio.write_vector(vec, v)
         assert run_cli(["decode", "--config", str(cfg), flag, str(vec)]) == (want, "")
     fileio.write_vector(vec, [0] * 7)
     code, text = run_cli(["decode", "--config", str(cfg), "--syndrome", str(vec)])
     assert code == 0 and text == "outer_ok 1\n" + " ".join(["0"] * 12) + "\n"
+
+
+@pytest.mark.parametrize("flag, length", [("--error", 12), ("--syndrome", 7)])
+def test_cli_decode_rejects_wrong_length(tmp_path, capsys, flag, length):
+    """A short, long or empty vector file exits 2 with a message naming the
+    expected length, where it once exited 3 with a shape mismatch."""
+    cfg = _write_config(tmp_path)  # length 12, syndrome length 7, q = 2
+    vec = tmp_path / "v.txt"
+    for size in (length - 1, length + 1, 0):
+        vec.write_text(" ".join(["0"] * size) + "\n")
+        assert run_cli(["decode", "--config", str(cfg), flag, str(vec)]) == (EXIT_PARSE, "")
+        assert f"must have {length} entries, not {size}" in capsys.readouterr().err
 
 
 def test_cli_exclusive_input_flags(tmp_path, capsys):

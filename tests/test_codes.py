@@ -20,6 +20,7 @@ from cssconcat.codes import (
 )
 from cssconcat.errors import (
     BadComplement,
+    DomainError,
     LengthMismatch,
     NotOrthogonal,
     RankDeficient,
@@ -88,6 +89,20 @@ def test_min_weight_excluding_full_vs_sub():
     even = LinearCode.from_parity_check(F2, np.ones((1, 4), dtype=np.int64))
     assert min_weight_excluding(full, even, 1 << 20) == 1
     assert min_weight_excluding(even, even.dual(), 1 << 20) == 2
+
+
+def test_min_weight_excluding_zero_subcode():
+    """With C2 the full space, B = dual(C2) is the zero code and w(C \\ B) is
+    the minimum weight of C, found here by brute force over every message."""
+    for f, H in ((F2, HAMMING_H), (Field(3), [[1, 1, 1, 1, 0], [0, 1, 2, 0, 1]]),
+                 (Field(2, 2), [[1, 1, 1, 1], [0, 1, 2, 3]])):
+        for C in (LinearCode.from_parity_check(f, H), LinearCode.full_space(f, len(H[0]))):
+            B = LinearCode.full_space(f, C.n).dual()
+            assert B.dim == 0 and B.G.shape == (0, C.n)
+            msgs = np.array(list(itertools.product(range(f.q), repeat=C.dim)))
+            weights = np.count_nonzero(f.matmul(msgs, C.G), axis=1)
+            assert weights[0] == 0  # the zero message comes first
+            assert min_weight_excluding(C, B, 1 << 20) == weights[1:].min()
 
 
 def test_min_weight_cap():
@@ -180,6 +195,26 @@ def test_leader_table_decodes_within_radius():
         e[i] = 1
         s = C.syndrome(e)
         assert np.array_equal(table.leader(s), e)
+
+
+def test_syndrome_rejects_entries_outside_the_field():
+    """2, 3, -1 and 0.5 over GF(2), and 4 over GF(3), once gave syndromes
+    [0], [1], [1], [0] and [1]: they raise DomainError, as contains does."""
+    for f, bads in ((F2, (2, 3, -1, 0.5)), (Field(3), (4,))):
+        C = LinearCode.from_parity_check(f, np.ones((1, 6), dtype=np.int64))
+        for bad in bads:
+            e = [bad, 0, 0, 0, 0, 0]
+            for call in (C.syndrome, C.contains):
+                with pytest.raises(DomainError):
+                    call(e)
+            with pytest.raises(DomainError):
+                C.syndrome([e, [0] * 6])
+        e = np.array([[1, 1, 0, 0, 0, 0], [1, 0, 0, 0, 0, 0]])
+        want = (e @ C.H.T) % f.p
+        for E in (e, e.astype(np.int8), e.astype(bool), e.astype(float)):
+            got = C.syndrome(E)
+            assert got.dtype == f.dtype and np.array_equal(got, want)
+        assert np.array_equal(C.syndrome(e[1]), want[1])
 
 
 def test_leader_table_q3():

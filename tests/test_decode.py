@@ -136,6 +136,27 @@ def test_syndrome_length_validation():
             two_stage_decode(ctx, s[1])
 
 
+def test_full_syndrome_rejects_entries_outside_field():
+    """Over GF(2) an error entry 2 or 0.5 once gave the syndrome of 0, and 3
+    or -1 that of 1; over GF(3) a 4 gave that of 1.  Each raises DomainError
+    now, and codes of any dtype give the syndrome of their values."""
+    for cp, bads in ((_cp_12_2(1, 3), (2, 3, -1, 0.5)), (_cp_96_32_gf3(), (4,))):
+        ctx = DecoderContext(cp, side=1)
+        for bad in bads:
+            E = np.zeros((2, ctx.Ho.shape[1]))
+            E[1, 0] = bad
+            for e in (E, E[1]):
+                with pytest.raises(DomainError):
+                    ctx.full_syndrome(e)
+        E = np.zeros((2, ctx.Ho.shape[1]), dtype=np.int64)
+        E[1, [0, 5]] = 1
+        want = (E @ ctx.Ho.T.astype(np.int64)) % ctx.field.p
+        for e in (E, E.astype(np.int8), E.astype(bool), E.astype(float)):
+            got = ctx.full_syndrome(e)
+            assert got.dtype == ctx.field.dtype and np.array_equal(got, want)
+            assert np.array_equal(ctx.full_syndrome(e[1]), want[1])
+
+
 def test_table_and_stage1_reject_entries_outside_field():
     """A -1 used to wrap around to the leader of syndrome 1, a 2 to raise a
     bare IndexError."""

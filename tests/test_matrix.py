@@ -12,6 +12,7 @@ from cssconcat.errors import DomainError, TooLarge
 from cssconcat import galois, matrix
 from cssconcat.galois import Extension, Field
 from cssconcat.matrix import MatGF, enumerate_span
+from references import reduce_rows
 
 
 def test_rref_identity():
@@ -53,8 +54,8 @@ def test_span_membership():
     for bad in ([1, 1, 0, 256], [1, 1, 0, -1], [0, 0, 0, 2]):
         with pytest.raises(DomainError):
             M.span_contains(bad)
-    # so are rows of the wrong length
-    for bad in ([[1, 1, 0]], [[1, 1, 0, 0, 0]]):
+    # so are rows of the wrong length, and batches that are not 2-D
+    for bad in ([[1, 1, 0]], [[1, 1, 0, 0, 0]], [1, 1, 0, 0], [[[1, 1, 0, 0]]]):
         with pytest.raises(DomainError):
             M.span_contains_rows(np.array(bad))
 
@@ -241,53 +242,58 @@ def test_null_space_matches_reference(case):
 @settings(max_examples=225, deadline=None)
 @given(matrices(), st.data())
 def test_reduce_rows_matches_reference(case, data):
+    """span_contains_rows and span_contains, on every kernel's field, hold
+    exactly for the rows whose per-pivot reference residual is zero."""
     key, A = case
     fast, table_view = FIELDS[key]
     m = data.draw(st.integers(0, 6))
     X = np.array(data.draw(st.lists(st.integers(0, fast.q - 1), min_size=m * A.shape[1],
                                     max_size=m * A.shape[1])),
                  dtype=np.int64).reshape(m, A.shape[1])
-    results = []
-    for A_in, X_in in zip(_as_input_dtypes(fast, A), _as_input_dtypes(fast, X)):
-        M = MatGF(fast, A_in)
-        got = M.reduce_rows(X_in)
-        assert got.dtype == fast.dtype
-        results.append(got)
-        # the residual differs from X by a combination of the rows of A and
-        # vanishes on every pivot column
-        R, piv, rank = M.rref()
-        assert not got[:, list(piv)].any()
-        for x, resid in zip(X_in, got):
-            assert M.span_contains(fast.sub(x, resid))
-            assert np.array_equal(M.reduce_vector(x), resid)
-        if table_view is not None:
-            assert np.array_equal(got, MatGF(table_view, A_in).reduce_rows(X_in))
-    assert np.array_equal(*results)
+    resid = reduce_rows(fast, A, X)
+    assert resid.dtype == fast.dtype and resid.shape == X.shape
+    # the residual vanishes on every pivot column
+    assert not resid[:, list(MatGF(fast, A).rref()[1])].any()
+    want = ~resid.any(axis=1)
+    for f in (fast, table_view) if table_view is not None else (fast,):
+        for A_in, X_in in zip(_as_input_dtypes(f, A), _as_input_dtypes(f, X)):
+            M = MatGF(f, A_in)
+            got = M.span_contains_rows(X_in)
+            assert got.dtype == bool and np.array_equal(got, want)
+            assert [M.span_contains(x) for x in X_in] == want.tolist()
+            # and differs from its row by a combination of the rows of A
+            assert M.span_contains_rows(f.sub(X_in, resid)).all()
 
 
-SPAN_FIELDS = (FIELDS[2], FIELDS[3], (Field(31), Extension(Field(31), 1).as_field()))
+# 257 and 1021 eliminate in float64 panels
+SPAN_FIELDS = (FIELDS[2], FIELDS[3]) + tuple(
+    (Field(p), Extension(Field(p), 1).as_field()) for p in (31, 257, 1021))
 
 
 @st.composite
 def span_batches(draw):
-    """A matrix of low or full rank and a batch of rows of its span, random
-    rows, all-zero rows and rows with no entry in a pivot column; the batch
-    is empty, small, or one to three rows past a chunk of residuals."""
+    """A matrix with no rows, of low rank, random, or of full column rank
+    with no free column, and a batch of rows of its span, random rows,
+    all-zero rows and rows with no entry in a pivot column; the batch is
+    empty, small, or three chunks of rows, so that its rows with a pivot
+    entry usually fill more than one."""
     fast, tables = draw(st.sampled_from(SPAN_FIELDS))
     p = fast.p
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     rows, cols = draw(st.integers(0, 6)), draw(st.integers(1, 10))
     A = rng.integers(0, p, (rows, cols))
-    if rows > 1 and draw(st.booleans()):  # low rank
+    shape = draw(st.sampled_from(("random", "low_rank", "no_free_column")))
+    if shape == "low_rank" and rows > 1:
         A = rng.integers(0, p, (rows, 1)) * A[:1] % p
+    elif shape == "no_free_column":
+        A = np.concatenate([np.eye(cols, dtype=np.int64)[rng.permutation(cols)], A])
     if draw(st.booleans()):
-        itemsize = np.dtype(matrix.blas_dtype(cols, p)).itemsize
-        m = matrix.chunk_rows(cols, itemsize) + draw(st.integers(1, 3))
+        m = 3 * matrix.chunk_rows(cols, 4) + draw(st.integers(1, 3))
     else:
         m = draw(st.integers(0, 12))
     kind = rng.integers(0, 4, m)
     X = rng.integers(0, p, (m, cols))
-    X[kind == 0] = rng.integers(0, p, ((kind == 0).sum(), rows)) @ A % p
+    X[kind == 0] = rng.integers(0, p, ((kind == 0).sum(), len(A))) @ A % p
     X[kind == 2] = 0
     pivots = list(MatGF(fast, A).rref()[1])
     no_pivot = X[kind == 3]
@@ -300,7 +306,7 @@ def span_batches(draw):
 @given(span_batches())
 def test_span_contains_rows_matches_residuals(case):
     fast, tables, A, X, kind = case
-    want = ~MatGF(fast, A).reduce_rows(X).any(axis=1)
+    want = ~reduce_rows(tables, A, X).any(axis=1)
     for f in (fast, tables):
         for A_in, X_in in zip(_as_input_dtypes(f, A), _as_input_dtypes(f, X)):
             got = MatGF(f, A_in).span_contains_rows(X_in)
@@ -321,7 +327,12 @@ def test_kernels_agree_on_larger_low_rank_matrices():
         assert np.array_equal(M.rref()[0].a, Mt.rref()[0].a)
         assert M.rref()[1:] == Mt.rref()[1:] and M.rank <= 25
         assert np.array_equal(M.null_space().a, Mt.null_space().a)
-        assert np.array_equal(M.reduce_rows(X), Mt.reduce_rows(X))
+        # random rows (mostly outside the span) and combinations of rows of A
+        X = np.concatenate([X, fast.matmul(rng.integers(0, q, (10, 40)), A)])
+        want = ~reduce_rows(table_view, A, X).any(axis=1)
+        assert want[30:].all()
+        assert np.array_equal(M.span_contains_rows(X), want)
+        assert np.array_equal(Mt.span_contains_rows(X), want)
 
 
 # -- the blocked odd-prime kernel past one panel of pivots ---------------------
@@ -365,12 +376,12 @@ def test_prime_kernel_past_the_panel_width(p):
         # rows of A (in the span), random rows (mostly outside) and zeros
         X = np.concatenate([A[:20], rng.integers(0, p, (40, A.shape[1])),
                             np.zeros((3, A.shape[1]), dtype=np.int64)])
-        got, want = M.reduce_rows(X), Mt.reduce_rows(X)
-        assert np.array_equal(got, want) and got.dtype == want.dtype
+        want = ~reduce_rows(fast, A, X).any(axis=1)
         inside = M.span_contains_rows(X)
-        assert np.array_equal(inside, Mt.span_contains_rows(X))
+        assert np.array_equal(inside, want)
+        assert np.array_equal(Mt.span_contains_rows(X), want)
         assert inside[:A[:20].shape[0]].all() and inside[-3:].all()
-        assert np.array_equal(M.reduce_rows(X[:0]), X[:0])
+        assert M.span_contains_rows(X[:0]).shape == Mt.span_contains_rows(X[:0]).shape == (0,)
 
 
 @pytest.mark.parametrize("p", (3, 257))
@@ -500,6 +511,7 @@ def test_gf2_packed_kernel_matches_references(case):
                         rng.integers(0, 2, (5, A.shape[1])),
                         np.zeros((2, A.shape[1]), dtype=np.int64)])
     B = rng.integers(0, 2, (A.shape[1], 3))
+    want = ~reduce_rows(GF2_TABLES, A, X).any(axis=1)
     for A_in, X_in, B_in in zip(*(_as_input_dtypes(GF2, Y) for Y in (A, X, B))):
         M, Mt = MatGF(GF2, A_in), MatGF(GF2_TABLES, A_in)
         R, piv, rank = M.rref()
@@ -509,10 +521,9 @@ def test_gf2_packed_kernel_matches_references(case):
         N = M.null_space()
         assert np.array_equal(N.a, Mt.null_space().a)
         assert N.rows + rank == A.shape[1] and not GF2.matmul(A_in, N.a.T).any()
-        got = M.reduce_rows(X_in)
-        assert got.dtype == GF2.dtype and np.array_equal(got, Mt.reduce_rows(X_in))
         inside = M.span_contains_rows(X_in)
-        assert np.array_equal(inside, Mt.span_contains_rows(X_in))
+        assert np.array_equal(inside, want)
+        assert np.array_equal(Mt.span_contains_rows(X_in), want)
         assert inside[:4].all() and inside[-2:].all()
         assert np.array_equal(GF2.matmul(A_in, B_in), (A @ B) % 2)
 
