@@ -101,13 +101,15 @@ def bound_flx(q: int, R) -> Fraction:
 
 
 def envelope_rt(q: int, deltas, ts) -> "BoundCurve":
-    """Pointwise-max over t of R_t(delta) = (t/(t+1))(1-2/(q^t-1)) - 2t*delta."""
-    values = []
-    for d in deltas:
-        dd = _frac(d)
-        best = max(Fraction(t, t + 1) * (1 - Fraction(2, q ** t - 1)) - 2 * t * dd
-                   for t in ts)
-        values.append(best)
+    """Pointwise-max over t of R_t(delta) = (t/(t+1))(1-2/(q^t-1)) - 2t*delta,
+    over a nonempty range ``ts`` of t >= 1."""
+    if not _is_prime_power(q):
+        raise DomainError("q must be a prime power")
+    ts = list(ts)
+    if not ts or min(ts) < 1:
+        raise DomainError("need a nonempty range of t >= 1")
+    lines = [(Fraction(t, t + 1) * (1 - Fraction(2, q ** t - 1)), 2 * t) for t in ts]
+    values = [max(head - slope * _frac(d) for head, slope in lines) for d in deltas]
     return BoundCurve(name=f"envelope_q{q}", grid=list(deltas), raw=values)
 
 
@@ -144,8 +146,8 @@ def gv_curves(kind: str, deltas) -> "BoundCurve":
     vals = []
     for d in deltas:
         d = float(d)
-        if kind == "css_binary":
-            v = 1.0 - 2.0 * _h(d, 2)
+        if kind == "css_binary":  # _h mirrors about 1/2: past it the curve is below 0
+            v = 1.0 - 2.0 * _h(min(d, 0.5), 2)
         elif kind == "quantum_binary":
             v = 1.0 - _h(d, 2) - d * math.log2(3)
         elif kind == "quantum_quaternary":

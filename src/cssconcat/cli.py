@@ -27,6 +27,7 @@ EXIT_PARSE = 2
 EXIT_INVARIANT = 3
 EXIT_TOO_LARGE = 4
 SEED_LIMIT = 1 << 64  # trial substreams are keyed by (trial << 64) + seed
+TMAX_CAP = 1000  # bounds --family envelope: largest tmax (exact q^t arithmetic)
 
 
 class _ParseError(Exception):
@@ -257,6 +258,10 @@ def cmd_bounds(args, out):
     elif fam == "envelope":
         q = ival("q")
         tmax = ival("tmax", 20)
+        if tmax < 2:
+            raise _ParseError("tmax must be at least 2")
+        if tmax > TMAX_CAP:
+            raise TooLarge(f"tmax {tmax} exceeds cap {TMAX_CAP}")
         curve = bnd.envelope_rt(q, list(grid), range(2, tmax + 1))
     else:
         raise _ParseError(f"unknown family {fam!r}")

@@ -13,8 +13,9 @@ depends only on the characteristic.  In characteristic 2 a code is the bit
 string of those coordinates: addition and subtraction are XOR, negation is
 the identity, and no add table is stored.  In odd characteristic addition is
 a digit-wise sum mod p, read from a dense add table that is composed digit
-by digit from the p x p table of GF(p), one broadcast sum per digit with no
-chunked digit temporaries (:func:`_digit_sum_tables`); negation likewise.
+by digit from the p x p table of GF(p), one broadcast sum per digit, run in
+int64 in row chunks and narrowed into the table (:func:`_digit_sum_tables`);
+negation likewise.
 Sums along an axis (:meth:`Field.add_reduce`) add pairwise through it.
 
 :class:`Field` is the only class that does element arithmetic, and every
@@ -250,21 +251,33 @@ def _digit_sum_tables(p, e, dtype):
 
     The tables of the low j digits, of order m = p^j, extend to j + 1 digits
     by the GF(p) tables of the top digit: a code is low + m high, so the sum
-    of two codes is T[a_low, b_low] + m T1[a_high, b_high], a broadcast sum
-    whose reshape is the next table.  Every entry is a code below q, so the
-    sums fit ``dtype``; the GF(p) sums, below 2p <= 2^14, are formed in int16.
+    of two codes is T[a_low, b_low] + m T1[a_high, b_high].  The rows of the
+    next table with top digit h and low digits in a chunk are the broadcast
+    sum ``m T1[h][:, None] + T[chunk][:, None, :]``, formed in int64, as
+    every other sum of codes is, in one buffer of ``matrix.chunk_rows`` rows
+    and narrowed into the table, so no int64 array of the table's size is
+    made.  T1, whose row i holds i + j mod p, is a sliding window over
+    ``arange(2p - 1) % p``, a view, so no p x p int64 array is made for a
+    large prime either.  Only the stored tables are in ``dtype``.
     """
-    a = np.arange(p, dtype=np.int16)
-    T1 = np.add.outer(a, a)
-    np.remainder(T1, p, out=T1)
-    T1 = T1.astype(dtype, copy=False)
-    N1 = (-a % p).astype(dtype)
-    T, N, m = T1, N1, p
+    T1 = np.lib.stride_tricks.sliding_window_view(np.arange(2 * p - 1) % p, p)
+    N1 = -np.arange(p) % p
+    T, N, m = T1.astype(dtype), N1, p
     for _ in range(e - 1):
-        T = (m * T1[:, None, :, None] + T[None, :, None, :]).reshape(m * p, m * p)
-        N = (m * N1[:, None] + N[None, :]).reshape(m * p)
-        m *= p
-    return T, N
+        M = m * p
+        top = m * T1
+        step = min(m, chunk_rows(M))
+        buf = np.empty((step, p, m), dtype=np.int64)
+        nxt = np.empty((M, M), dtype=dtype)
+        for h in range(p):
+            for lo in range(0, m, step):
+                rows = buf[:min(step, m - lo)]
+                np.add(top[h][:, None], T[lo:lo + len(rows), None, :], out=rows)
+                nxt[h * m + lo:h * m + lo + len(rows)] = rows.reshape(len(rows), M)
+        T = nxt
+        N = (m * N1[:, None] + N).reshape(M)
+        m = M
+    return T, N.astype(dtype)
 
 
 def _matmul_blas(A, B, p, dtype):

@@ -1,5 +1,6 @@
 """Rational bound calculators, specialization identities, curve emission."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -71,8 +72,24 @@ def test_envelope_dominates_single_t():
         for t in range(1, 9):
             single = Fraction(t, t + 1) * (1 - Fraction(2, 2 ** t - 1)) - 2 * t * d
             assert v >= single
+        assert v == max(Fraction(t, t + 1) * (1 - Fraction(2, 2 ** t - 1)) - 2 * t * d
+                        for t in range(1, 9))
     # at delta = 0 large t strictly beats t = 1 (which gives 0 for q=2)
     assert env.raw[0] > 0
+
+
+def test_envelope_rejects_bad_q_and_empty_t_range():
+    """q must be a prime power, as for bound_main and bound_clx (q = 1 used to
+    divide by q^t - 1 = 0, q = 0 and 6 gave a curve), and the t range must be
+    nonempty with t >= 1 (an empty one made max() fail)."""
+    deltas = [Fraction(0), Fraction(1, 10)]
+    for q in (0, 1, 6, 12):
+        with pytest.raises(DomainError, match="prime power"):
+            envelope_rt(q, deltas, range(2, 5))
+    for ts in (range(2, 2), range(2, -2), [], [0, 1], [-1]):
+        with pytest.raises(DomainError, match="t >= 1"):
+            envelope_rt(2, deltas, ts)
+    assert envelope_rt(2, deltas, [1]).raw == [Fraction(-1, 2), Fraction(-7, 10)]
 
 
 def test_rate_floor_and_enlarged():
@@ -109,6 +126,21 @@ def test_gv_values():
     assert 0.0 < qq.raw[0] < 1.0
     with pytest.raises(DomainError):
         gv_curves("nope", [0.1])
+
+
+def test_gv_css_binary_does_not_mirror_past_half():
+    """1 - 2 h(delta) takes h(min(delta, 1/2)): on [0, 1/2] the values are
+    those of the formula, and past 1/2 the curve stays at -1 (clamped to 0),
+    where the entropy's mirror image rose again to 1 at delta = 1."""
+    def h2(x):
+        return 0.0 if x in (0.0, 1.0) else -x * math.log2(x) - (1 - x) * math.log2(1 - x)
+
+    low = [0.0, 0.05, 0.11, 0.25, 0.4999, 0.5]
+    c = gv_curves("css_binary", low)
+    assert c.raw == pytest.approx([1.0 - 2.0 * h2(d) for d in low], abs=1e-12)
+    high = [0.5001, 0.6, 0.9, 0.99, 1.0]
+    c = gv_curves("css_binary", high)
+    assert c.raw == [-1.0] * len(high) and c.clamped == [0.0] * len(high)
 
 
 def test_curve_validation_and_clamp():

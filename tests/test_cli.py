@@ -392,6 +392,37 @@ def test_cli_bounds_unparsable_numbers_exit_2(capsys):
     assert run_cli(argv)[0] == 0
 
 
+def test_cli_bounds_envelope_edge_inputs(capsys):
+    """q not a prime power exits 3 (q = 1 used to raise ZeroDivisionError,
+    q = 0 and 6 printed a curve), tmax below 2 exits 2 (an empty t range made
+    max() fail) and tmax above the cap exits 4 at once (100000 did not finish
+    in 60 s)."""
+    from cssconcat.cli import TMAX_CAP
+
+    grid = "0:1/10:1/20"
+    for params, want in (("q=0", EXIT_INVARIANT), ("q=6", EXIT_INVARIANT),
+                         ("q=1", EXIT_INVARIANT), ("q=2,tmax=1", EXIT_PARSE),
+                         ("q=2,tmax=-3", EXIT_PARSE), ("q=2,tmax=100000", EXIT_TOO_LARGE),
+                         (f"q=2,tmax={TMAX_CAP + 1}", EXIT_TOO_LARGE)):
+        argv = ["bounds", "--family", "envelope", "--params", params, "--grid", grid]
+        assert run_cli(argv) == (want, ""), params
+        assert capsys.readouterr().err.startswith("error: ")
+    code, text = run_cli(["bounds", "--family", "envelope", "--params",
+                          f"q=2,tmax={TMAX_CAP}", "--grid", grid])
+    assert code == 0 and len(text.splitlines()) == 3
+    # t = 2 alone: (2/3)(1 - 2/15) - 4 delta = 26/45 - 4 delta
+    code, text = run_cli(["bounds", "--family", "envelope", "--params", "q=4,tmax=2",
+                          "--grid", grid])
+    assert (code, text) == (0, "0,0.5777777778\n0.05,0.3777777778\n0.1,0.1777777778\n")
+
+
+def test_cli_bounds_gv_css_binary_past_half():
+    """The binary CSS GV curve is 0 past delta = 1/2, not the mirror image of
+    its first half (it printed 1 at delta = 1)."""
+    code, text = run_cli(["bounds", "--family", "gv", "--grid", "0:1:1/2"])
+    assert (code, text) == (0, "0,1\n0.5,0\n1,0\n")
+
+
 def test_cli_seed_range(tmp_path):
     """Seeds outside [0, 2**64) are parse errors: the trial substream key
     (trial << 64) + seed would alias 2**64 + s with seed s of the next trial."""

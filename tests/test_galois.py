@@ -510,6 +510,22 @@ def test_table_build_memory_peak(build, cap_mb):
     assert peak <= cap_mb * 10 ** 6
 
 
+def test_digit_sum_tables_memory_peak():
+    """The GF(3^7) sums run in int64 row chunks narrowed into the int16
+    table: the tracemalloc peak is the tables kept, the GF(3^6) table they
+    are composed from and at most 2 MB more.  An int64 table of sums,
+    4 x 9.6 MB, does not fit."""
+    tracemalloc.start()
+    try:
+        add, neg = galois._digit_sum_tables(3, 7, np.int16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    lower = 3 ** 12 * np.dtype(np.int16).itemsize
+    assert add.shape == (3 ** 7, 3 ** 7) and add.dtype == neg.dtype == np.int16
+    assert peak <= add.nbytes + neg.nbytes + lower + 2 * 2 ** 20
+
+
 # -- the power table by block doubling against the scalar recurrence ----------
 
 def _scalar_exp_table(base, k, f):
