@@ -28,6 +28,7 @@ EXIT_INVARIANT = 3
 EXIT_TOO_LARGE = 4
 SEED_LIMIT = 1 << 64  # trial substreams are keyed by (trial << 64) + seed
 TMAX_CAP = 1000  # bounds --family envelope: largest tmax (exact q^t arithmetic)
+GRID_CAP = 100_000  # bounds --grid: most points (one exact Fraction each)
 
 
 class _ParseError(Exception):
@@ -206,12 +207,10 @@ def _parse_grid(s):
         raise _ParseError(f"bad grid {s!r}") from exc
     if step <= 0 or hi < lo:
         raise _ParseError("grid must be lo:hi:step with step > 0")
-    pts = []
-    x = lo
-    while x <= hi:
-        pts.append(x)
-        x += step
-    return pts
+    count = (hi - lo) // step + 1
+    if count > GRID_CAP:
+        raise TooLarge(f"grid has more than {GRID_CAP} points")
+    return [lo + i * step for i in range(count)]
 
 
 def cmd_bounds(args, out):

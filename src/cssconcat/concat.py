@@ -95,24 +95,24 @@ symbol; both come from the extension, not from the pi tables.
       is c g2 + d, d in dual(C1), with c = block.g1^T its W1 part.  Every
       block of Gp2 times [C1.H; g2]^T is [0 | its W2 part], symmetrically.
 
-(B) is certified by lookups, not block by block.  Write y1 and y2 for the
-scaled symbols Hout1[j] beta_r and Hout2[j] alpha^r, row j k + r.  Block b
-of that row of Gp1 is PI2[y1[j k + r, b]], whose W1 part is the dual_table
-row of the same symbol, and symmetrically for Gp2 with PI1 and coord_table.
-So (B) holds for every block once
+(B) is certified on the pi tables, not block by block.  Write y1 and y2
+for the scaled symbols Hout1[j] beta_r and Hout2[j] alpha^r, row j k + r.
+Gp1 is built as the gather PI2[y1]: block b of that row is PI2[y1[j k + r,
+b]], whose W1 part is the dual_table row of the same symbol, and
+symmetrically Gp2 = PI1[y2] with coord_table.  So the block's product with
+[C2.H; g1]^T is row y1[j k + r, b] of
 
-  (B') PI2.[C2.H; g1]^T = [0 | dual_table] and PI1.[C1.H; g2]^T =
-       [0 | coord_table] on all Q rows, one (Q, n) by (n, m + k) product a
-       side, and Gp1 = PI2[y1], Gp2 = PI1[y2], compared entry for entry in
-       row chunks of bounded bytes.
+  (B') P2 = PI2.[C2.H; g1]^T, which should be [0 | dual_table], and
+       P1 = PI1.[C1.H; g2]^T, which should be [0 | coord_table], on all Q
+       rows: one (Q, n) by (n, m + k) product a side.
 
-Tables built by pi_map satisfy (B') by (P): PI2[x] = dual_table[x] g2, with
-g2 C2.H^T = 0 and g2 g1^T = I, and PI1[x] = coords(x) g1 likewise.  When
-(B') holds the pi tables the decoder gathers from are certified too.  Only
-when (B') or the comparison fails are the blocks of Gp_i multiplied by
-[H; g]^T one by one, to find the rows failing (B) and classify them; a
-corrupted table row that no y_i reads fails (B') but leaves every block
-passing (B), and the pair is accepted.
+A row of Gp_i fails (B) exactly when one of its symbols reads a row of P
+failing (B'), and the g-parts of the failing rows are gathered from P; no
+block is multiplied.  Tables built by pi_map satisfy (B') by (P): PI2[x] =
+dual_table[x] g2, with g2 C2.H^T = 0 and g2 g1^T = I, and PI1[x] =
+coords(x) g1 likewise.  When (B') holds the pi tables the decoder gathers
+from are certified too.  A corrupted table row that no y_i reads fails (B')
+but leaves every block passing (B), and the pair is accepted.
 
 By (P) the d parts pair to zero with g1, g2 and each other, so Gp1.Gp2^T =
 W1.W2^T, pi_1(D1).Gp1^T = X1.W1^T and pi_2(D2).Gp2^T = Y2.W2^T, with X1 and
@@ -151,7 +151,7 @@ from .errors import (
     RankDeficient,
 )
 from .galois import Extension
-from .matrix import MatGF, chunk_rows
+from .matrix import MatGF
 from .outer_grs import GrsCode
 
 
@@ -380,49 +380,22 @@ def _block_factor(inner: CssPair, side: int):
     return len(H), np.concatenate([H, g]).T
 
 
-def _table_accepts(inner: CssPair, Gp, side: int, table, y, wtab):
-    """(B') of the module docstring for ``table`` against ``wtab``, and
-    ``Gp == table[y]`` blockwise, compared in row chunks of bounded bytes."""
-    m, HgT = _block_factor(inner, side)
-    P = inner.field.matmul(table, HgT)
-    if (P[:, :m].any() or not np.array_equal(P[:, m:], wtab)
-            or Gp.shape != (len(y), y.shape[1] * table.shape[1])):
-        return False
-    step = chunk_rows(Gp.shape[1], Gp.itemsize)
-    buf = np.empty((min(step, len(y)), Gp.shape[1]), dtype=table.dtype)
-    for lo in range(0, len(y), step):
-        rows = y[lo:lo + step]
-        if not np.array_equal(Gp[lo:lo + step], _expand(table, rows, buf[:len(rows)])):
-            return False
-    return True
-
-
-def _block_check(inner: CssPair, Gp, side: int, W):
-    """The g-parts, (rows, N k), of the rows of ``Gp`` failing (B) of the
-    module docstring: a nonzero dual part or a g-part other than ``W``."""
-    f, n, k = inner.field, inner.n, inner.k
-    m, HgT = _block_factor(inner, side)
-    rows, N = len(Gp), Gp.shape[1] // n
-    P = f.matmul(Gp.reshape(rows * N, n), HgT).reshape(rows, N, m + k)
-    failing = (P[:, :, :m].any(axis=(1, 2))
-               | (P[:, :, m:] != W.reshape(rows, N, k)).any(axis=(1, 2)))
-    return P[failing, :, m:].reshape(-1, N * k)
-
-
-def _certify_outer(inner: CssPair, ext: Extension, D, y, Gp, PI):
+def _certify_outer(inner: CssPair, ext: Extension, D, y, PI):
     """The trace-form certificate of the module docstring; ``D``, the scaled
-    symbols ``y`` (:func:`_scaled` of Hout_i), ``Gp`` and the pi tables
-    ``PI`` are pairs (side 1, side 2).  The blocks of Gp_i are multiplied
-    one by one only when (B') or the comparison fails.
-    Raises NotOrthogonal or RankDeficient."""
+    symbols ``y`` (:func:`_scaled` of Hout_i) and the pi tables ``PI`` are
+    pairs (side 1, side 2).  The rows of Gp_i failing (B) are the rows of
+    y_i that read a table row failing (B'), and their g-parts are gathered
+    from the (B') product.  Raises NotOrthogonal or RankDeficient."""
     f, k, N = inner.field, inner.k, y[0].shape[1]
     dual, coord = ext.dual_table.astype(f.dtype), ext.coord_table.astype(f.dtype)
     W, V = [], []
     for side, wtab, table in ((1, dual, PI[1]), (2, coord, PI[0])):
-        W.append(np.take(wtab, y[side - 1], axis=0).reshape(-1, N * k))
-        V.append(W[-1][:0] if _table_accepts(inner, Gp[side - 1], side, table,
-                                             y[side - 1], wtab)
-                 else _block_check(inner, Gp[side - 1], side, W[-1]))
+        m, HgT = _block_factor(inner, side)
+        P = f.matmul(table, HgT)
+        bad = P[:, :m].any(axis=1) | (P[:, m:] != wtab).any(axis=1)
+        ys = y[side - 1]
+        W.append(np.take(wtab, ys, axis=0).reshape(-1, N * k))
+        V.append(P[ys[np.take(bad, ys).any(axis=1)], m:].reshape(-1, N * k))
     (W1, W2), (V1, V2) = W, V
     failing = len(V1) or len(V2)
     if f.matmul(W1, W2[::k].T).any() or failing and (
@@ -466,7 +439,7 @@ def concatenate(inner: CssPair, outer, ext: Extension) -> ConcatPair:
     y1, y2 = _scaled(ext, Hout1, 1), _scaled(ext, Hout2, 2)
     Ho1, Gp1 = _expanded_check(inner, y1, 1, PI2)
     Ho2, Gp2 = _expanded_check(inner, y2, 2, PI1)
-    _certify_outer(inner, ext, (D1, D2), (y1, y2), (Gp1, Gp2), (PI1, PI2))
+    _certify_outer(inner, ext, (D1, D2), (y1, y2), (PI1, PI2))
     return ConcatPair(inner=inner, ext=ext, D1=D1, D2=D2, Ho1=Ho1, Ho2=Ho2,
                       Gp1=Gp1, Gp2=Gp2, Hout1=Hout1, Hout2=Hout2, PI1=PI1, PI2=PI2,
                       grs1=grs1, grs2=grs2)

@@ -44,8 +44,9 @@ iff c_b != 0.  Neither test eliminates.
 
 Outer stage.  It needs (G): Gp = PI_o[y], block b of row j k + r of the
 side's Gp being PI_o[y] with no dual(C) part, y = Hout[j, b] beta_r on side
-1 and Hout[j, b] alpha^r on side 2 (beta the trace-dual basis), as
-:func:`concat.concatenate` builds and compares it ((B') there).  Then
+1 and Hout[j, b] alpha^r on side 2 (beta the trace-dual basis):
+:func:`concat.concatenate` builds Gp by that gather and certifies every
+table row it reads ((B) and (B') there).  Then
 <u_b, PI_o[y]> = Tr(y w(u)_b), w(u) the symbols w_b of the blocks of u, so
 block j of u.Gp^T holds the coordinates of (Hout.w(u))_j that
 :meth:`DecoderContext.reassemble_symbols` reads.  The outer syndrome of an

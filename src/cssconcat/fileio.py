@@ -140,8 +140,10 @@ def read_concat_config(path):
     inner = read_pair(inner_path)
     toks = _Tokens(lines[1])
     ext = extension_from_tokens(inner.field, toks)
-    nums = _Tokens(lines[2]).take_ints(3)
-    return inner, ext, nums[0], nums[1], nums[2]
+    N, K1, K2 = _Tokens(lines[2]).take_ints(3)
+    if min(N, K1, K2) < 0:
+        raise DomainError("negative concat dimensions")
+    return inner, ext, N, K1, K2
 
 
 def write_vector(path, v) -> None:

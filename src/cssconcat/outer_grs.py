@@ -289,6 +289,8 @@ class GrsCode:
 
 def default_points(ext: Extension, N: int):
     """The first N powers of the primitive root: (1, alpha, alpha^2, ...)."""
+    if N < 1:
+        raise BadDimension(f"default points need N >= 1, not {N}")
     if N > ext.Q - 1:
         raise DomainError(f"default points need N <= Q-1 = {ext.Q - 1}")
     return ext.exp[np.arange(N)].tolist()

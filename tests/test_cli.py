@@ -8,7 +8,7 @@ import pytest
 from cssconcat import fileio
 from cssconcat.cli import EXIT_INVARIANT, EXIT_PARSE, EXIT_TOO_LARGE, main
 from cssconcat.codes import CssPair, LinearCode, bvector_pair
-from cssconcat.errors import BadComplement, NotOrthogonal
+from cssconcat.errors import BadComplement, DomainError, NotOrthogonal
 from cssconcat.galois import Extension, Field
 
 F2 = Field(2)
@@ -359,6 +359,31 @@ def test_cli_config_file_errors_exit_2(tmp_path, capsys):
     assert run_cli(["concat", "--config", str(cfg)])[0] == 0
 
 
+def test_cli_negative_config_dimensions_exit_2(tmp_path, capsys):
+    """A negative N, K1 or K2 in a concat config is a parse error for every
+    subcommand that reads one (N = -3 exited 3 with numpy's "negative
+    dimensions are not allowed"); N = 0 reads, and building its outer pair
+    violates a precondition (exit 3)."""
+    _write_config(tmp_path)
+    e = tmp_path / "e.txt"
+    e.write_text(" ".join(["0"] * 12) + "\n")
+    for N, K1, K2, want in ((-3, 1, 3, EXIT_PARSE), (3, -1, 3, EXIT_PARSE),
+                            (3, 1, -2, EXIT_PARSE), (0, 0, 0, EXIT_INVARIANT)):
+        cfg = tmp_path / "dims.cfg"
+        fileio.write_concat_config(cfg, "inner.txt", Extension(F2, 2), N, K1, K2)
+        if want == EXIT_PARSE:
+            with pytest.raises(DomainError, match="negative concat dimensions"):
+                fileio.read_concat_config(cfg)
+        for argv in (["concat", "--config", str(cfg)],
+                     ["decode", "--config", str(cfg), "--error", str(e)],
+                     ["--seed", "1", "simulate", "--pair", str(cfg),
+                      "--channel", "0.9,0.1", "--trials", "10"],
+                     ["mindist", "--config", str(cfg)]):
+            assert run_cli(argv) == (want, ""), (N, K1, K2, argv[0])
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "not allowed" not in err
+
+
 def test_cli_well_formed_files_breaking_invariants_exit_3(tmp_path, capsys):
     """A file that parses but breaks an invariant exits 3 whichever
     subcommand reads it: a non-CSS pair through mindist --pair and through a
@@ -421,6 +446,24 @@ def test_cli_bounds_gv_css_binary_past_half():
     its first half (it printed 1 at delta = 1)."""
     code, text = run_cli(["bounds", "--family", "gv", "--grid", "0:1:1/2"])
     assert (code, text) == (0, "0,1\n0.5,0\n1,0\n")
+
+
+def test_cli_bounds_grid_cap(monkeypatch, capsys):
+    """A grid of more than GRID_CAP points exits 4 at once, before any point
+    is built (0:1:1/300000 took 8 s, and a step of 1/10^9 would need a
+    billion Fractions); a grid of exactly the cap is printed."""
+    from cssconcat import cli
+
+    argv = ["bounds", "--family", "main", "--params", "t=3,q=2", "--grid"]
+    for step in (f"1/{cli.GRID_CAP}", "1/300000", "1/1000000000"):
+        assert run_cli(argv + [f"0:1:{step}"]) == (EXIT_TOO_LARGE, ""), step
+        assert capsys.readouterr().err.startswith("error: grid has ")
+    monkeypatch.setattr(cli, "GRID_CAP", 10)
+    assert run_cli(argv + ["0:1:1/10"])[0] == EXIT_TOO_LARGE
+    code, text = run_cli(argv + ["0:1:1/9"])
+    lines = text.splitlines()
+    assert code == 0 and len(lines) == 10
+    assert lines[1].startswith("0.1111111111,") and lines[-1].startswith("1,")
 
 
 def test_cli_seed_range(tmp_path):

@@ -4,6 +4,7 @@ and the quotient-distance product law."""
 import copy
 import dataclasses
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -419,25 +420,16 @@ def test_outer_pair_without_containment_rejected(name):
 
 @pytest.mark.parametrize("flip", [1, 2])
 @pytest.mark.parametrize("name", ["12_2", "90_28", "96_32_gf3_linear"])
-def test_flipped_expanded_check_rejected(monkeypatch, name, flip):
+def test_flipped_expanded_check_rejected(name, flip):
+    """One flipped entry of Gp1 or Gp2, in the check Ho_i too: verify_duality
+    rejects the pair.  concatenate gathers Gp_i from the pi table it
+    certifies, so the flip reaches it only as a flipped table row
+    (test_trace_certificate_flipped_gp_matches_reference)."""
     inner, outer, ext = _inputs(name)
-    q = inner.field.q
     good = concatenate(inner, outer, ext)
-    build = concat._expanded_check
-
-    def flipped(inner, y, side, table):
-        Ho, lower = build(inner, y, side, table)
-        if side == flip:
-            lower = lower.copy()
-            lower[0, 0] = (lower[0, 0] + 1) % q
-            Ho = np.concatenate([Ho[:len(Ho) - len(lower)], lower])
-        return Ho, lower
-
-    monkeypatch.setattr(concat, "_expanded_check", flipped)
-    with pytest.raises((NotOrthogonal, RankDeficient)):
-        concatenate(inner, outer, ext)
-    Hout, table = (good.Hout1, good.PI2) if flip == 1 else (good.Hout2, good.PI1)
-    Ho, lower = flipped(inner, concat._scaled(ext, Hout, flip), flip, table)
+    Ho = (good.Ho1 if flip == 1 else good.Ho2).copy()
+    lower = Ho[len(Ho) - len(good.Gp1 if flip == 1 else good.Gp2):]
+    lower[0, 0] = (lower[0, 0] + 1) % inner.field.q
     fields = {"Ho1": Ho, "Gp1": lower} if flip == 1 else {"Ho2": Ho, "Gp2": lower}
     assert not verify_duality(dataclasses.replace(good, **fields))
 
@@ -632,7 +624,7 @@ def _outcome(certify, *args):
 
 
 class _Case:
-    """Inputs of the outer certificate, with Gp built from Hout."""
+    """Inputs of the outer certificate."""
 
     def __init__(self, inner, outer, ext):
         self.inner, self.ext = inner, ext
@@ -643,21 +635,18 @@ class _Case:
     def scaled(self, Hout):
         return tuple(concat._scaled(self.ext, H, side) for side, H in ((1, Hout[0]), (2, Hout[1])))
 
-    def gp(self, Hout):
-        return tuple(concat._expanded_check(self.inner, y, side,
-                                            concat.pi_table(3 - side, self.inner, self.ext))[1]
-                     for side, y in zip((1, 2), self.scaled(Hout)))
-
-    def certify(self, Hout, Gp, PI):
+    def outcomes(self, Hout=None, PI=None, D=None):
         """:func:`concat._certify_outer` and the nN-column reference on the
-        same inputs; returns their outcomes."""
-        return (_outcome(concat._certify_outer, self.inner, self.ext, self.D,
-                         self.scaled(Hout), Gp, PI),
-                _outcome(_nN_certificate, self.inner, self.ext, self.D, Hout, Gp))
-
-    def outcomes(self, Hout=None, Gp=None):
+        same inputs, the case's own where one is not given; the reference
+        reads Gp_i = PI[y_i] gathered from the tables.  Returns their
+        outcomes."""
         Hout = self.Hout if Hout is None else Hout
-        return self.certify(Hout, self.gp(Hout) if Gp is None else Gp, self.PI)
+        PI = self.PI if PI is None else PI
+        D = self.D if D is None else D
+        y = self.scaled(Hout)
+        Gp = (concat._expand(PI[1], y[0]), concat._expand(PI[0], y[1]))
+        return (_outcome(concat._certify_outer, self.inner, self.ext, D, y, PI),
+                _outcome(_nN_certificate, self.inner, self.ext, D, Hout, Gp))
 
 
 def _case(name):
@@ -677,7 +666,9 @@ DIFFERENTIAL = CERTIFIED + ["12_2_K2=N", "12_2_K1=N", "60_14_gf4"]
 @pytest.mark.parametrize("name", DIFFERENTIAL)
 def test_trace_certificate_matches_reference(name):
     """Both certificates accept the built pair, with a 0-row Hout on one side
-    for the 12_2_K*=N cases, and classify the same flipped Hout entries."""
+    for the 12_2_K*=N cases, and classify the same flipped Hout entries and
+    flipped symbols of D1.G and D2.G.  A flip of D_i.G passes exactly when
+    Hout_i has no rows."""
     case = _case(name)
     if name.startswith("12_2_"):
         assert min(len(H) for H in case.Hout) == 0
@@ -690,54 +681,116 @@ def test_trace_certificate_matches_reference(name):
             Hout = [h.copy() for h in case.Hout]
             j, b = rng.integers(0, H.shape[0]), rng.integers(0, H.shape[1])
             Hout[side][j, b] = fQ.add(int(H[j, b]), int(rng.integers(1, fQ.q)))
-            new, ref = case.outcomes(tuple(Hout))
+            new, ref = case.outcomes(Hout=tuple(Hout))
             assert new is ref is not None
+    rng = np.random.default_rng(8)
+    for side in (0, 1):
+        G = case.D[side].G
+        for _ in range(6):
+            D = list(case.D)
+            D[side] = SimpleNamespace(G=G.copy())
+            j, b = rng.integers(0, G.shape[0]), rng.integers(0, G.shape[1])
+            D[side].G[j, b] = fQ.add(int(G[j, b]), int(rng.integers(1, fQ.q)))
+            new, ref = case.outcomes(D=tuple(D))
+            assert new is ref
+            assert (new is None) is (len(case.Hout[side]) == 0), (side, j, b)
+
+
+# -- corrupted pi tables: Gp_i is gathered from them --------------------------
+
+def _corrupted(table, x, row):
+    bad = table.copy()
+    bad[x] = row
+    return bad
+
+
+def _table_outcomes(case, side, x, row):
+    """Both verdicts with row ``x`` of the pi table that y_side reads, PI2
+    for side 1 and PI1 for side 2, replaced by ``row``."""
+    PI = list(case.PI)
+    PI[2 - side] = _corrupted(PI[2 - side], x, row)
+    return case.outcomes(PI=tuple(PI))
 
 
 @pytest.mark.parametrize("name", DIFFERENTIAL)
 def test_trace_certificate_flipped_gp_matches_reference(name):
-    """Every single-entry flip of a Gp_i gets the same verdict from both
-    certificates: the whole of Gp_i on the small cases, all n columns of a
-    block and a sample elsewhere on the others.  None passes: a flip that
-    keeps every postcondition adds an element of the opposite inner dual to
-    a block, and on these pairs that dual is spanned by the all-ones vector
-    (see test_inner_dual_shift_passes_both_certificates)."""
+    """Gp_i is gathered from a pi table, so a flipped entry of Gp_i is a
+    flipped entry of a table row that y_i reads, repeated in every block
+    that reads it.  Each of the n entries of one used row, and the first
+    entry of up to 40 more used rows, flipped: both certificates give the
+    same verdict, and none passes.  A change that keeps every
+    postcondition adds an element of the opposite inner dual, and on these
+    pairs that dual is spanned by the all-ones vector (see
+    test_corrupted_pi_table_matches_reference)."""
     case = _case(name)
-    Gp = case.gp(case.Hout)
     q, n = case.inner.field.q, case.inner.n
     rng = np.random.default_rng(11)
-    for side in (0, 1):
-        rows, cols = Gp[side].shape
-        entries = [(r, c) for r in range(rows) for c in range(cols)]
-        if len(entries) > 200:
-            b = int(rng.integers(0, cols // n))
-            picks = rng.choice(len(entries), 40, replace=False)
-            entries = [(0, b * n + t) for t in range(n)] + [entries[i] for i in picks]
-        for r, c in entries:
-            flipped = list(Gp)
-            flipped[side] = Gp[side].copy()
-            flipped[side][r, c] = (flipped[side][r, c] + rng.integers(1, q)) % q
-            new, ref = case.outcomes(Gp=tuple(flipped))
-            assert new is ref is not None, (side, r, c)
+    for side, y in zip((1, 2), case.scaled(case.Hout)):
+        used = np.unique(y)
+        if not used.size:  # a 0-row Hout reads no row
+            continue
+        x = int(rng.choice(used))
+        flips = [(x, c) for c in range(n)] + [(int(u), 0) for u in rng.permutation(used)[:40]]
+        for x, c in flips:
+            row = case.PI[2 - side][x].copy()
+            row[c] = (row[c] + rng.integers(1, q)) % q
+            new, ref = _table_outcomes(case, side, x, row)
+            assert new is ref is not None, (side, x, c)
 
 
 @pytest.mark.parametrize("name", DIFFERENTIAL)
 def test_trace_certificate_g_part_shift_matches_reference(name):
-    """Adding a row of g2 to a block of Gp1 (of g1 to a block of Gp2) keeps
-    the block in its inner code but changes its g-part: both certificates
-    reject it with the same class, NotOrthogonal unless the other side's
-    Hout has no rows."""
+    """Adding a row of g2 to a row of PI2 that y1 reads (of g1 to a row of
+    PI1 that y2 reads) keeps its blocks in their inner code but changes
+    their g-part, so (B) fails and the certificate rejects every such
+    shift.  Where the reference rejects it too the classes agree,
+    NotOrthogonal unless the other side's Hout has no rows.  The reference
+    checks products, not g-parts: on 12_2 every block of a row of y2 reads
+    one code, so the shifted row is the expansion of another multiple of
+    the Hout2 row, Ho2 keeps its row space and the reference accepts; the
+    shifted g-parts pair to zero with W1, so the certificate raises
+    RankDeficient."""
     case = _case(name)
-    Gp = case.gp(case.Hout)
-    f, n = case.inner.field, case.inner.n
-    for side, g in ((0, case.inner.g2), (1, case.inner.g1)):
-        if not len(Gp[side]):
-            continue
-        shifted = list(Gp)
-        shifted[side] = Gp[side].copy()
-        shifted[side][-1, :n] = f.add(shifted[side][-1, :n], g[0])
-        new, ref = case.outcomes(Gp=tuple(shifted))
-        assert new is ref is (NotOrthogonal if len(Gp[1 - side]) else RankDeficient)
+    f = case.inner.field
+    for side, y, g in zip((1, 2), case.scaled(case.Hout), (case.inner.g2, case.inner.g1)):
+        for x in np.unique(y):
+            new, ref = _table_outcomes(case, side, x, f.add(case.PI[2 - side][x], g[0]))
+            if ref is None:
+                assert new is RankDeficient and name == "12_2", (side, x)
+            else:
+                want = NotOrthogonal if len(case.Hout[2 - side]) else RankDeficient
+                assert new is ref is want, (side, x)
+
+
+@pytest.mark.parametrize("name", DIFFERENTIAL)
+def test_corrupted_pi_table_matches_reference(name):
+    """A used pi-table row shifted by a row of the opposite inner dual: (B')
+    fails on it, but every block still passes (B), so both certificates
+    accept.  A row that no y_i reads, flipped: Gp_i is unchanged and both
+    accept, though (B') fails on the table.  Flips and g-part shifts of a
+    used row are in the two tests above."""
+    case = _case(name)
+    inner, ext = case.inner, case.ext
+    f, q = inner.field, inner.field.q
+    unused_seen = False
+    for side, y in zip((1, 2), case.scaled(case.Hout)):
+        table = case.PI[2 - side]
+        H_other = inner.C1.H if side == 1 else inner.C2.H
+        used = np.zeros(ext.Q, dtype=bool)
+        used[y] = True
+        for x in np.flatnonzero(used)[-1:]:  # the 0-row Hout sides use none
+            assert _table_outcomes(case, side, x, f.add(table[x], H_other[0])) == (None, None)
+        unused = np.flatnonzero(~used)
+        if unused.size:
+            unused_seen = True
+            x = unused[0]
+            row = (table[x] + 1) % q
+            assert np.array_equal(concat._expand(_corrupted(table, x, row), y),
+                                  concat._expand(table, y))
+            assert _table_outcomes(case, side, x, row) == (None, None)
+    if not unused_seen:
+        pytest.skip("the scaled Hout entries use every code of GF(Q) on both "
+                    "sides: no pi-table row is left to corrupt unseen")
 
 
 @pytest.mark.parametrize("name", ["90_28", "96_32_gf3_linear"])
@@ -754,16 +807,16 @@ def test_trace_certificate_containment_break_matches_reference(name):
 def test_inner_dual_shift_passes_both_certificates(name):
     """Adding a row of dual(C1) to a block of Gp1 (or of dual(C2) to a
     block of Gp2) keeps each block in its inner code with the same g-part,
-    so every postcondition holds: both certificates accept it, and so does
-    the elimination-based verify_duality."""
+    so every postcondition holds: the elimination-based verify_duality
+    accepts it.  The trace-form certificate and the nN-column reference
+    accept the same shift of a pi-table row
+    (test_corrupted_pi_table_matches_reference)."""
     inner, outer, ext = _inputs(name)
     good = concatenate(inner, outer, ext)
-    case = _Case(inner, outer, ext)
     f, n = inner.field, inner.n
     for side, H in ((0, inner.C1.H), (1, inner.C2.H)):
         Gp = [good.Gp1.copy(), good.Gp2.copy()]
         Gp[side][0, n:2 * n] = f.add(Gp[side][0, n:2 * n], H[0])
-        assert case.outcomes(Gp=tuple(Gp)) == (None, None)
         Ho = good.Ho1 if side == 0 else good.Ho2
         Ho = np.concatenate([Ho[:len(Ho) - len(Gp[side])], Gp[side]])
         fields = ({"Ho1": Ho, "Gp1": Gp[0]} if side == 0 else {"Ho2": Ho, "Gp2": Gp[1]})
@@ -786,54 +839,6 @@ def test_concatenate_products_at_most_kN_wide(monkeypatch, name):
     assert widths and max(widths) <= cp.k * cp.N < cp.block_length
 
 
-# -- acceptance by pi-table lookups against the nN-column reference -----------
-
-def _corrupted(table, x, delta):
-    bad = table.copy()
-    bad[x] = delta(bad[x])
-    return bad
-
-
-@pytest.mark.parametrize("name", DIFFERENTIAL)
-def test_corrupted_pi_table_matches_reference(name):
-    """A pi table with one corrupted row, and Gp_i gathered from it.  A row
-    that some y_i uses, with one entry flipped: (B') and the per-block
-    product both fail, and both certificates raise the same class.  The same
-    row shifted by a row of the opposite inner dual: (B') fails, but every
-    block still passes (B), so both accept.  A row that no y_i uses: Gp_i is
-    unchanged and both accept, though (B') fails on the table."""
-    case = _case(name)
-    inner, ext = case.inner, case.ext
-    f, q, Q = inner.field, inner.field.q, ext.Q
-    unused_seen = False
-    for i, side in ((0, 1), (1, 2)):
-        y = concat._scaled(ext, case.Hout[i], side)
-        H_other = inner.C1.H if side == 1 else inner.C2.H
-        used = np.zeros(Q, dtype=bool)
-        used[y] = True
-        for x in np.flatnonzero(used)[-1:]:  # the 0-row Hout sides use none
-            for delta, accepted in ((lambda r: np.r_[(r[0] + 1) % q, r[1:]], False),
-                                    (lambda r: f.add(r, H_other[0]), True)):
-                PI = list(case.PI)
-                PI[2 - side] = _corrupted(PI[2 - side], x, delta)
-                Gp = list(case.gp(case.Hout))
-                Gp[i] = concat._expand(PI[2 - side], y)
-                new, ref = case.certify(case.Hout, tuple(Gp), tuple(PI))
-                assert new is ref
-                assert (new is None) is accepted, (side, x)
-        unused = np.flatnonzero(~used)
-        if unused.size:
-            unused_seen = True
-            PI = list(case.PI)
-            PI[2 - side] = _corrupted(PI[2 - side], unused[0], lambda r: (r + 1) % q)
-            Gp = case.gp(case.Hout)
-            assert np.array_equal(Gp[i], concat._expand(PI[2 - side], y))
-            assert case.certify(case.Hout, Gp, tuple(PI)) == (None, None)
-    if not unused_seen:
-        pytest.skip("the scaled Hout entries use every code of GF(Q) on both "
-                    "sides: no pi-table row is left to corrupt unseen")
-
-
 def _matmul_rows(monkeypatch):
     rows = []
     matmul = Field.matmul
@@ -848,26 +853,28 @@ def _matmul_rows(monkeypatch):
 
 @pytest.mark.parametrize("name", ["90_28", "504_186", "480_160_gf3", "96_32_gf3_linear"])
 def test_concatenate_multiplies_blocks_only_after_a_failed_lookup(monkeypatch, name):
-    """On a valid pair no product in concatenate has more than max(Q, kM)
-    rows: the blocks of Gp_i are accepted by (B') and the gather.  With one
-    flipped entry of Gp1 the per-block product, kMN rows, runs."""
+    """No product in concatenate has more than max(Q, kM) rows, on a valid
+    pair and when PI1 has a flipped entry in a row that y2 reads: the
+    blocks of Gp_i are never multiplied, the rows failing (B) are read off
+    the (B') product of the table."""
     inner, outer, ext = _inputs(name)
     good = concatenate(inner, outer, ext)
-    k, N = good.k, good.N
+    k, N, Q = good.k, good.N, ext.Q
     M = max(len(good.Hout1), len(good.Hout2))
+    x = int(concat._scaled(ext, good.Hout2, 2)[0, 0])
     rows = _matmul_rows(monkeypatch)
     concatenate(inner, outer, ext)
-    assert rows and max(rows) <= max(ext.Q, k * M) < k * M * N
-    build = concat._expanded_check
+    assert rows and max(rows) <= max(Q, k * M) < k * M * N
+    table = concat.pi_table
 
-    def flipped(inner, y, side, table):
-        Ho, lower = build(inner, y, side, table)
-        if side == 1:
-            lower[0, 0] = (lower[0, 0] + 1) % inner.field.q
-        return Ho, lower
+    def corrupt(m, pair, ext):
+        PI = table(m, pair, ext)
+        if m == 1:
+            PI[x, 0] = (PI[x, 0] + 1) % pair.field.q
+        return PI
 
-    monkeypatch.setattr(concat, "_expanded_check", flipped)
+    monkeypatch.setattr(concat, "pi_table", corrupt)
     rows.clear()
     with pytest.raises((NotOrthogonal, RankDeficient)):
         concatenate(inner, outer, ext)
-    assert k * len(good.Hout1) * N in rows
+    assert rows and max(rows) <= max(Q, k * M)

@@ -155,6 +155,11 @@ def test_construction_errors():
         GrsCode(E8, pts, [1] * 4, 0)
     with pytest.raises(BadDimension):
         GrsCode(E8, pts, [1] * 4, 5)
+    for N in (0, -3):  # -3 reached np.ones(-3) through nested_grs_pair
+        with pytest.raises(BadDimension):
+            default_points(E8, N)
+        with pytest.raises(BadDimension):
+            nested_grs_pair(E8, N, 0, 0)
 
 
 def test_full_space_has_empty_H():
