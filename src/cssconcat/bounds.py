@@ -2,9 +2,11 @@
 
 The algebraic bounds are affine in the rate argument and are evaluated in
 exact rational arithmetic (`fractions.Fraction`); entropy-based curves use
-floating point.  Raw (unclamped) values are returned by the point
-evaluators so roots can be located exactly; clamping to [0, 1] happens only
-when curves are materialized for emission.
+floating point.  The named concatenated bounds are `bound_general` at their
+inner codes.  Rates outside [0, 1] raise DomainError.  Raw (unclamped)
+values are returned by the point evaluators so roots can be located
+exactly; clamping to [0, 1] happens only when curves are materialized for
+emission.
 """
 
 from __future__ import annotations
@@ -37,24 +39,10 @@ def _is_prime_power(n: int) -> bool:
 
 def gamma_k(q: int, k: int) -> Fraction:
     """1 / (q^(k/2) - 1); defined when q^k is a perfect square."""
-    if (k % 2 == 0) or _is_square(q):
-        root = _isqrt_pow(q, k)
-        return Fraction(1, root - 1)
-    raise DomainError("q^k must be a perfect square")
-
-
-def _is_square(q: int) -> bool:
-    r = math.isqrt(q)
-    return r * r == q
-
-
-def _isqrt_pow(q: int, k: int) -> int:
-    # integer square root of q^k, assuming it is a perfect square
-    val = q ** k
-    r = math.isqrt(val)
-    if r * r != val:
-        raise DomainError("q^k is not a perfect square")
-    return r
+    root = math.isqrt(q ** k)
+    if root * root != q ** k:
+        raise DomainError("q^k must be a perfect square")
+    return Fraction(1, root - 1)
 
 
 def bound_general(n: int, k: int, d1: int, d2: int, q: int, R) -> Fraction:
@@ -75,29 +63,25 @@ def bound_general(n: int, k: int, d1: int, d2: int, q: int, R) -> Fraction:
 
 
 def bound_clx(t: int, q: int, R) -> Fraction:
-    """(2/(3(2t+1))) * (1 - 2/(q^t - 1) - ((2t+1)/(2t)) R)."""
-    if t < 1 or not _is_prime_power(q):
-        raise DomainError("need t >= 1 and prime-power q")
-    R = _frac(R)
-    return Fraction(2, 3 * (2 * t + 1)) * (
-        1 - Fraction(2, q ** t - 1) - Fraction(2 * t + 1, 2 * t) * R)
+    """(2/(3(2t+1))) * (1 - 2/(q^t - 1) - ((2t+1)/(2t)) R): the general
+    bound at inner [2t+1, 2t] with d1 = 1, d2 = 2."""
+    if t < 1:
+        raise DomainError("need t >= 1")
+    return bound_general(2 * t + 1, 2 * t, 1, 2, q, R)
 
 
 def bound_main(t: int, q: int, R) -> Fraction:
-    """(1/(t+1)) * (1/2 - 1/(q^t - 1) - ((t+1)/(2t)) R)."""
-    if t < 1 or not _is_prime_power(q) or q ** t < 3:
-        raise DomainError("need prime-power q with q^t >= 3")
-    R = _frac(R)
-    return Fraction(1, t + 1) * (
-        Fraction(1, 2) - Fraction(1, q ** t - 1) - Fraction(t + 1, 2 * t) * R)
+    """(1/(t+1)) * (1/2 - 1/(q^t - 1) - ((t+1)/(2t)) R): the general bound
+    at inner [2t+2, 2t] with d1 = d2 = 2."""
+    if t < 1 or q ** t < 3:
+        raise DomainError("need t >= 1 and q^t >= 3")
+    return bound_general(2 * t + 2, 2 * t, 2, 2, q, R)
 
 
 def bound_flx(q: int, R) -> Fraction:
-    """(1/2) * (1 - 2/(sqrt(q) - 1) - R); q must be a perfect square."""
-    if not _is_square(q) or not _is_prime_power(q):
-        raise DomainError("q must be a square prime power")
-    R = _frac(R)
-    return Fraction(1, 2) * (1 - Fraction(2, math.isqrt(q) - 1) - R)
+    """(1/2) * (1 - 2/(sqrt(q) - 1) - R): the general bound at inner
+    [1, 1] with d1 = d2 = 1, so q must be a square prime power."""
+    return bound_general(1, 1, 1, 1, q, R)
 
 
 def envelope_rt(q: int, deltas, ts) -> "BoundCurve":
@@ -122,11 +106,14 @@ def rate_floor(q: int, n: int, k: int, gamma_hat) -> Fraction:
 def bound_enlarged(q: int, n: int, k: int, d: int, gamma_hat, R_o) -> Fraction:
     """((q+1)d / ((2q+1)n)) * (1 - 2*gamma_hat - (n/k) R_o), raw value.
 
-    Raises BelowRateFloor when R_o is below the stated validity floor.
+    Raises DomainError when R_o lies outside [0, 1], and BelowRateFloor
+    when it is below the stated validity floor.
     """
     if not (n >= 1 and 1 <= k <= n and d >= 1 and _is_prime_power(q)):
         raise DomainError("invalid parameters")
     R_o = _frac(R_o)
+    if not 0 <= R_o <= 1:
+        raise DomainError("rate must lie in [0, 1]")
     gh = _frac(gamma_hat)
     floor = rate_floor(q, n, k, gamma_hat)
     if R_o < floor:

@@ -77,35 +77,26 @@ _LOW32 = np.array(0xFFFFFFFF, dtype=np.uint64)
 _SHIFT32 = np.array(32, dtype=np.uint64)
 _SHIFT11 = np.array(11, dtype=np.uint64)
 # Philox4x64-10 constants: the multipliers of the two words a round
-# multiplies, split in 32-bit halves, and the per-round key increments
+# multiplies, split in 32-bit halves, and the key's per-round (Weyl) bump
 _PHILOX_M = np.array([0xD2E7470EE14C6C93, 0xCA5A826395121157], dtype=np.uint64)[:, None, None]
 _PHILOX_M_LO = _PHILOX_M & _LOW32
 _PHILOX_M_HI = _PHILOX_M >> _SHIFT32
-_PHILOX_BUMPS = (np.arange(10, dtype=np.uint64)[:, None]
-                 * np.array([0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B], dtype=np.uint64))
+_PHILOX_BUMP = np.array([0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B], dtype=np.uint64)[:, None, None]
 _KEY_LIMIT = 1 << 128
 # Philox blocks per call: bounds a round's uint64 temporaries (about 80 bytes
 # a block) for long or noisy trials; 2048 trials of [[504,186]] take one call
 _ROUND_BLOCKS = 1 << 15
 
 
-def _round_keys(key_lo, key_hi):
-    """Philox round keys ``(10, 2, len(key_hi))`` for the 128-bit keys
-    ``(key_hi << 64) + key_lo`` (``key_hi`` a uint64 array)."""
-    key = np.empty((2, key_hi.size), dtype=np.uint64)
-    key[0], key[1] = key_lo, key_hi
-    return _PHILOX_BUMPS[:, :, None] + key
-
-
-def _philox(counters, keys):
+def _philox(counters, key):
     """Philox4x64-10 blocks for counters ``(nb,)`` (the low counter word;
-    the others are 0) under round keys ``(10, 2, A, 1)``: words
-    ``(x0, x2)`` and ``(x1, x3)`` of every block, each ``(2, A, nb)``."""
-    shape = (2, keys.shape[2], counters.size)
+    the others are 0) under the keys ``(2, A, 1)``, low and high words:
+    words ``(x0, x2)`` and ``(x1, x3)`` of every block, each ``(2, A, nb)``."""
+    shape = (2, key.shape[1], counters.size)
     pair = np.zeros(shape, dtype=np.uint64)  # (x0, x2), the words multiplied
     pair[0] = counters
     rest = np.zeros(shape, dtype=np.uint64)  # (x1, x3)
-    for key in keys:
+    for _ in range(10):
         # both 64 x 64 -> 128-bit products of the round at once, from halves
         lo, hi = pair & _LOW32, pair >> _SHIFT32
         mid = hi * _PHILOX_M_LO
@@ -121,6 +112,7 @@ def _philox(counters, keys):
         hi ^= rest
         hi ^= key
         pair, rest = hi, pair[::-1]
+        key = key + _PHILOX_BUMP
     return pair, rest
 
 
@@ -152,8 +144,9 @@ def _error_triples(channel, seed, start, count, length):
     nonzero_cdf = np.cumsum(channel.probs[1:])[:-1]
     mean = length * p_nz
     nb = math.ceil((mean + 4.0 * math.sqrt(mean) + 2.0) / 2.0)
-    keys = _round_keys(seed & (2 ** 64 - 1),
-                       np.arange(count, dtype=np.uint64) + np.uint64(start + (seed >> 64)))
+    key = np.empty((2, count, 1), dtype=np.uint64)
+    key[0] = seed & (2 ** 64 - 1)
+    key[1, :, 0] = np.arange(count, dtype=np.uint64) + np.uint64(start + (seed >> 64))
     step = max(1, _ROUND_BLOCKS // nb)
     for begin in range(0, count, step):
         active = np.arange(begin, min(begin + step, count))
@@ -161,7 +154,7 @@ def _error_triples(channel, seed, start, count, length):
         first = 1
         while active.size:
             gap_words, value_words = _philox(
-                np.arange(first, first + nb, dtype=np.uint64), keys[:, :, active, None])
+                np.arange(first, first + nb, dtype=np.uint64), key[:, active])
             first += nb
             # pair 2j + s of a trial is block j's (x_2s, x_2s+1)
             gaps = _gaps(_uniforms(gap_words.transpose(1, 2, 0).reshape(active.size, -1)),

@@ -34,7 +34,9 @@ raises NotOrthogonal, any other failing block BadComplement.
 
 Brute-force oracles (`min_weight_excluding`, `CosetLeaderTable`) enumerate
 codewords or error patterns and are capped; they are meant as ground truth
-for desk-size instances, not production decoders.
+for desk-size instances, not production decoders.  Every brute-force
+distance, Hamming here and symplectic in :mod:`enlarge`, is one capped
+enumeration, `min_weight_outside`, given its weight function.
 """
 
 from __future__ import annotations
@@ -282,28 +284,37 @@ class CssPair:
         return f"CssPair[[{self.n},{self.k}]] over GF({self.field.q})"
 
 
+def min_weight_outside(field, basis, sub: MatGF, weight, cap: int):
+    """The least ``weight(rows)`` over span(``basis``) minus span(``sub``),
+    or None when the span lies inside it: the one brute-force distance
+    enumerator.  ``basis`` must be independent rows; the q^rows codewords
+    are enumerated in chunks, TooLarge above the cap."""
+    if field.q ** len(basis) > cap:
+        raise TooLarge(f"enumerating {field.q}^{len(basis)} codewords exceeds cap")
+    best = None
+    for chunk in enumerate_span(field, basis):
+        outside = chunk[~sub.span_contains_rows(chunk)]
+        if len(outside):
+            w = int(weight(outside).min())
+            best = w if best is None else min(best, w)
+    return best
+
+
 def min_weight_excluding(C: LinearCode, B: LinearCode, cap: int = ENUM_CAP) -> int:
     """w(C \\ B): minimum Hamming weight over codewords of C outside B.
 
-    This equals the distance of the quotient code C/B.  Enumerates all of C;
-    raises TooLarge above the cap and Degenerate when C = B.
+    This equals the distance of the quotient code C/B.  Enumerates all of C
+    by `min_weight_outside`; raises TooLarge above the cap and Degenerate
+    when C = B.
     """
-    f = C.field
     if C.n != B.n:
         raise LengthMismatch("codes of different length")
     if not B.is_subcode(C):
         raise NotOrthogonal("B must be a subcode of C")
     if B.dim == C.dim:
         raise Degenerate("C equals B; nothing to minimize over")
-    if f.q ** C.dim > cap:
-        raise TooLarge(f"enumeration of q^{C.dim} codewords exceeds cap")
-    best = None
-    for chunk in enumerate_span(f, C.G):
-        outside = chunk[~B.contains_rows(chunk)]
-        if outside.size:
-            w = np.count_nonzero(outside, axis=1).min()
-            best = int(w) if best is None else min(best, int(w))
-    return best
+    return min_weight_outside(C.field, C.G, B.Gmat,
+                              lambda rows: np.count_nonzero(rows, axis=1), cap)
 
 
 def css_min_distance(pair: CssPair, cap: int = ENUM_CAP) -> int:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .codes import ENUM_CAP, LinearCode, _row_profile, min_weight_excluding
+from .codes import ENUM_CAP, LinearCode, _row_profile, min_weight_excluding, min_weight_outside
 from .concat import _concatenated_rows
 from .errors import (
     BadField,
@@ -32,13 +32,10 @@ from .errors import (
     Degenerate,
     DomainError,
     PremiseViolation,
-    TooLarge,
 )
 from .galois import Extension, Field, _shift_matrix
-from .matrix import MatGF, digits, enumerate_span
+from .matrix import MatGF, digits
 from .outer_grs import GrsCode
-
-SYMP_ENUM_CAP = 1 << 24
 
 
 def _has_root(field, coeffs):
@@ -149,33 +146,27 @@ def steane_enlarge(C: LinearCode, Cprime: LinearCode) -> EnlargedCode:
 def symplectic_dual(field, G) -> np.ndarray:
     """Basis of the dual of the row space under the standard symplectic form.
 
-    The form pairs (u1,v1) with (u2,v2) as <u1,v2> - <v1,u2>.
+    The form pairs (u1,v1) with (u2,v2) as <u1,v2> - <v1,u2>; the rows of G
+    are (u, v) pairs, so G must have an even number of columns (DomainError).
     """
     G = np.asarray(G, dtype=np.int64)
+    if G.shape[1] % 2:
+        raise DomainError("a symplectic generator needs an even number of columns")
     n = G.shape[1] // 2
     twisted = np.concatenate([field.neg(G[:, n:]), G[:, :n]], axis=1)
     return MatGF(field, twisted).null_space().a
 
 
-def symplectic_min_distance(field, G, cap: int = SYMP_ENUM_CAP) -> int:
-    """Minimum pair weight over the span of G excluding its symplectic dual."""
-    G = np.asarray(G, dtype=np.int64)
-    Gm = MatGF(field, G)
-    R, _, rank = Gm.rref()
-    basis = R.a[:rank]
-    if field.q ** rank > cap:
-        raise TooLarge(f"enumerating {field.q}^{rank} codewords exceeds cap")
+def symplectic_min_distance(field, G, cap: int = ENUM_CAP) -> int:
+    """Minimum pair weight (the positions i where u_i or v_i is nonzero)
+    over the span of G excluding its symplectic dual, by the enumerator
+    `codes.min_weight_outside`."""
     H = MatGF(field, symplectic_dual(field, G))
-    n = G.shape[1] // 2
-    best = None
-    for chunk in enumerate_span(field, basis):
-        inside = H.span_contains_rows(chunk)
-        outside = chunk[~inside]
-        if outside.shape[0]:
-            w = (outside[:, :n].astype(bool) | outside[:, n:].astype(bool)).sum(axis=1)
-            m = int(w.min())
-            if best is None or m < best:
-                best = m
+    R, _, rank = MatGF(field, G).rref()
+    n = H.cols // 2
+    best = min_weight_outside(field, R.a[:rank], H,
+                              lambda rows: np.count_nonzero(rows[:, :n] | rows[:, n:], axis=1),
+                              cap)
     if best is None:
         raise Degenerate("the span lies entirely inside its symplectic dual")
     return best

@@ -1,5 +1,6 @@
 """Slow reference implementations that the tests hold library code against."""
 
+import itertools
 import math
 
 import numpy as np
@@ -45,6 +46,35 @@ def reduce_rows(f, A, X):
         if nz.size:
             X[nz] = f.sub(X[nz], f.mul(X[nz, pc][:, None], R.a[r][None, :]))
     return X
+
+
+def span_rows(f, G):
+    """Every combination c·G of the rows of ``G``, one row per coefficient
+    vector c in ``itertools.product`` order, repeats included."""
+    G = np.asarray(G, dtype=np.int64)
+    coeffs = np.array(list(itertools.product(range(f.q), repeat=len(G))), dtype=np.int64)
+    return f.matmul(coeffs.reshape(f.q ** len(G), len(G)), G)
+
+
+def min_weight_outside(f, G, B):
+    """The least Hamming weight over span(``G``) minus span(``B``), or None:
+    both spans listed in full, membership by a set of rows."""
+    inside = {tuple(row) for row in span_rows(f, B)}
+    return min((int(np.count_nonzero(row)) for row in span_rows(f, G)
+                if tuple(row) not in inside), default=None)
+
+
+def symplectic_min_distance(f, G):
+    """The least pair weight over span(``G``) minus its symplectic dual, or
+    None: a row x of the span lies in the dual iff <x_u, g_v> - <x_v, g_u>
+    vanishes for every row (g_u, g_v) of ``G``."""
+    G = np.asarray(G, dtype=np.int64)
+    n = G.shape[1] // 2
+    X = span_rows(f, G)
+    form = f.sub(f.matmul(X[:, :n], G[:, n:].T), f.matmul(X[:, n:], G[:, :n].T))
+    outside = X[form.any(axis=1)]
+    return min((int(w) for w in np.count_nonzero(outside[:, :n] | outside[:, n:], axis=1)),
+               default=None)
 
 
 def random_css_pair(rng, field, n, k):

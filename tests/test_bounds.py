@@ -64,6 +64,45 @@ def test_general_validation():
         bound_general(4, 2, 1, 1, 2, 2)  # rate out of range
 
 
+def test_named_bounds_reject_rates_outside_unit_interval():
+    """Every named bound is bound_general at its inner code, so each rejects
+    a rate outside [0, 1] as bound_general does; bound_enlarged does too
+    (main, clx, flx and enlarged used to return values there, and enlarged
+    a negative rate whenever gamma_hat > 1/2 puts its floor below 0)."""
+    gh = Fraction(1, 3)
+    calls = {"main": lambda R: bound_main(3, 2, R), "clx": lambda R: bound_clx(3, 2, R),
+             "flx": lambda R: bound_flx(9, R),
+             "general": lambda R: bound_general(8, 6, 2, 2, 2, R),
+             "enlarged": lambda R: bound_enlarged(4, 4, 2, 2, gh, R)}
+    for name, call in calls.items():
+        for R in (Fraction(-1, 2), Fraction(-1, 10 ** 9), Fraction(1) + Fraction(1, 10 ** 9),
+                  Fraction(3, 2), 2):
+            with pytest.raises(DomainError, match="rate must lie in"):
+                call(R)
+        assert isinstance(call(1), Fraction), name
+        if name != "enlarged":  # 0 is below the enlarged floor
+            assert isinstance(call(0), Fraction), name
+    assert rate_floor(4, 4, 2, Fraction(3, 4)) < 0
+    with pytest.raises(DomainError):
+        bound_enlarged(4, 4, 2, 2, Fraction(3, 4), Fraction(-1, 100))
+    assert bound_enlarged(4, 4, 2, 2, Fraction(3, 4), 0) == Fraction(10, 36) * Fraction(-1, 2)
+
+
+def test_named_bounds_keep_their_checks():
+    """main needs t >= 1 and q^t >= 3, clx t >= 1, and every family a
+    prime-power q (flx a square one)."""
+    for t, q in ((0, 2), (-1, 4), (1, 2), (2, 6), (1, 1)):
+        with pytest.raises(DomainError):
+            bound_main(t, q, 0)
+    for t, q in ((0, 2), (-2, 3), (2, 6), (1, 0)):
+        with pytest.raises(DomainError):
+            bound_clx(t, q, 0)
+    assert bound_clx(1, 2, 0) == Fraction(-2, 9)
+    for q in (0, 1, 2, 6, 8, 36):
+        with pytest.raises(DomainError):
+            bound_flx(q, 0)
+
+
 def test_envelope_dominates_single_t():
     deltas = [Fraction(i, 200) for i in range(31)]  # [0, 0.15]
     env = envelope_rt(2, deltas, ts=range(1, 9))

@@ -16,7 +16,6 @@ from cssconcat.channel_sim import (
     _error_triples,
     _gaps,
     _philox,
-    _round_keys,
     _sample_block,
     _uniforms,
     capacity,
@@ -102,8 +101,8 @@ def test_philox_matches_numpy(seed):
     keyed (trial << 64) + seed, counters from 1 and continued across calls,
     for trial indices past 2**32 too; its uniforms are Generator.random's."""
     trials = [0, 1, 2 ** 32 + 3, 2 ** 64 - 1]
-    keys = _round_keys(seed, np.array(trials, dtype=np.uint64))[:, :, :, None]
-    blocks = [_philox(np.arange(a, b, dtype=np.uint64), keys) for a, b in ((1, 7), (7, 10))]
+    key = np.array([[seed] * len(trials), trials], dtype=np.uint64)[:, :, None]
+    blocks = [_philox(np.arange(a, b, dtype=np.uint64), key) for a, b in ((1, 7), (7, 10))]
     words = np.concatenate([np.stack([pair[0], rest[0], pair[1], rest[1]], axis=-1)
                             for pair, rest in blocks], axis=1).reshape(len(trials), -1)
     for row, t in zip(words, trials):

@@ -478,6 +478,22 @@ def test_cli_seed_range(tmp_path):
     assert code == 0 and ",20," in text
 
 
+def test_cli_bounds_rates_outside_unit_interval_exit_3(capsys):
+    """A grid reaching outside [0, 1] exits 3 for every family routed through
+    bound_general and for enlarged (main printed five lines for 0:2:1/2 and
+    exited 0, while general exited 3); inside [0, 1] each prints its grid."""
+    for family, params, grid in (("main", "t=3,q=2", "0:2:1/2"),
+                                 ("clx", "t=3,q=2", "-1/2:1/2:1/2"),
+                                 ("flx", "q=9", "0:3/2:1/2"),
+                                 ("enlarged", "q=4,n=4,k=2,d=2,gamma_hat=1/3", "1/2:3/2:1/2"),
+                                 ("general", "n=8,k=6,d1=2,d2=2,q=2", "0:2:1/2")):
+        argv = ["bounds", "--family", family, "--params", params, f"--grid={grid}"]
+        assert run_cli(argv) == (EXIT_INVARIANT, ""), family
+        assert capsys.readouterr().err == "error: DomainError: rate must lie in [0, 1]\n"
+        code, text = run_cli(argv[:-1] + ["--grid=0:1:1/2"])
+        assert code == 0 and len(text.splitlines()) == 3, family
+
+
 def test_cli_bounds_enlarged_floor_and_errors():
     # below the rate floor the curve is 0; invalid parameters are not masked
     grid = "0:1/10:1/20"

@@ -29,6 +29,7 @@ from cssconcat.errors import (
 )
 from cssconcat.galois import Field
 from cssconcat.matrix import MatGF
+import references
 from references import inverse, random_css_pair
 
 F2 = Field(2)
@@ -106,9 +107,39 @@ def test_min_weight_excluding_zero_subcode():
 
 
 def test_min_weight_cap():
+    """q^dim C above the cap raises TooLarge; equal to it is enumerated."""
     C = LinearCode.full_space(F2, 30)
     with pytest.raises(TooLarge):
         min_weight_excluding(C, C.dual(), 1 << 10)
+    for f, n in ((F2, 5), (Field(3), 4), (Field(2, 2), 3)):
+        C = LinearCode.full_space(f, n)
+        B = C.dual()
+        assert min_weight_excluding(C, B, f.q ** n) == 1
+        with pytest.raises(TooLarge):
+            min_weight_excluding(C, B, f.q ** n - 1)
+
+
+@pytest.mark.parametrize("q", [(2, 1), (3, 1), (2, 2)])
+def test_min_weight_excluding_matches_direct_reference(q):
+    """Random C and random subcodes B (the zero code included) over GF(2),
+    GF(3) and GF(4): the shared enumerator against the least weight over the
+    listed rows of C outside the listed rows of B."""
+    f = Field(*q)
+    rng = np.random.default_rng(30 + f.q)
+    checked = 0
+    while checked < 25:
+        n = int(rng.integers(2, 7))
+        k = int(rng.integers(1, min(n, {2: 7, 3: 5, 4: 4}[f.q]) + 1))
+        G = rng.integers(0, f.q, size=(k, n))
+        if MatGF(f, G).rank != k:
+            continue
+        b = int(rng.integers(0, k))
+        Bg = f.matmul(rng.integers(0, f.q, size=(b, k)), G)
+        if MatGF(f, Bg).rank != b:
+            continue
+        C, B = LinearCode(f, G), LinearCode(f, Bg)
+        assert min_weight_excluding(C, B, 1 << 20) == references.min_weight_outside(f, G, Bg)
+        checked += 1
 
 
 def test_validate_css():

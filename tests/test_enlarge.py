@@ -20,6 +20,7 @@ from cssconcat.errors import (
     BadField,
     BadLength,
     ConditionViolation,
+    Degenerate,
     DomainError,
     PremiseViolation,
     TooLarge,
@@ -27,6 +28,7 @@ from cssconcat.errors import (
 from cssconcat.galois import Extension, Field, _shift_matrix
 from cssconcat.matrix import MatGF, enumerate_span
 from cssconcat.outer_grs import GrsCode, self_dual_multiplier_grs
+import references
 from references import inverse
 
 F2 = Field(2)
@@ -107,8 +109,53 @@ def test_symplectic_distance_full_space():
 
 
 def test_symplectic_distance_cap():
+    """q^rank above the cap raises TooLarge; equal to it is enumerated.  The
+    rank counts, not the rows: a dependent row adds nothing."""
     with pytest.raises(TooLarge):
         symplectic_min_distance(F2, np.eye(40, dtype=np.int64), cap=1 << 10)
+    for f in (F2, Field(3), Field(2, 2)):
+        # (e1, 0), (0, e1), (e2, 0) and their dependent sum (e1, e1): rank 3;
+        # (e1, 0) pairs with (0, e1), so it lies outside the dual: weight 1
+        G = np.array([[1, 0, 0, 0, 0, 0], [0, 0, 0, 1, 0, 0], [0, 1, 0, 0, 0, 0],
+                      [1, 0, 0, 1, 0, 0]])
+        assert symplectic_min_distance(f, G, cap=f.q ** 3) == 1
+        with pytest.raises(TooLarge):
+            symplectic_min_distance(f, G, cap=f.q ** 3 - 1)
+
+
+def test_symplectic_odd_width_rejected():
+    """A symplectic generator holds (u, v) pairs; an odd width was split at
+    cols // 2 (the dual of [[1,0,1],[0,1,1]] came out [[1,1,1]] and its
+    distance 2)."""
+    G = [[1, 0, 1], [0, 1, 1]]
+    for call in (symplectic_dual, symplectic_min_distance):
+        with pytest.raises(DomainError, match="even number of columns"):
+            call(F2, G)
+    with pytest.raises(DomainError):
+        symplectic_min_distance(F2, np.eye(41, dtype=np.int64), cap=1 << 10)
+
+
+@pytest.mark.parametrize("q", [(2, 1), (3, 1), (2, 2)])
+def test_symplectic_distance_matches_direct_reference(q):
+    """Random generators of 1-4 rows and width 2n, n in 1..4, over GF(2),
+    GF(3) and GF(4), rank-deficient ones included: the shared enumerator
+    against the least pair weight over the listed span outside its
+    symplectic dual, read off the form with each row of G; a span inside
+    its dual raises Degenerate."""
+    f = Field(*q)
+    rng = np.random.default_rng(31 + f.q)
+    degenerate = 0
+    for _ in range(40):
+        n = int(rng.integers(1, 5))
+        G = rng.integers(0, f.q, size=(int(rng.integers(1, 5)), 2 * n))
+        want = references.symplectic_min_distance(f, G)
+        if want is None:
+            degenerate += 1
+            with pytest.raises(Degenerate):
+                symplectic_min_distance(f, G)
+        else:
+            assert symplectic_min_distance(f, G) == want
+    assert 0 < degenerate < 40
 
 
 def _floor_check(C, Cp, cap=1 << 22):
