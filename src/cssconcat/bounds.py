@@ -98,16 +98,21 @@ def envelope_rt(q: int, deltas, ts) -> "BoundCurve":
 
 
 def rate_floor(q: int, n: int, k: int, gamma_hat) -> Fraction:
-    """Smallest outer rate the enlarged-family bound is stated for."""
+    """Smallest outer rate the enlarged-family bound is stated for.
+
+    Raises DomainError for a negative ``gamma_hat``."""
     gh = _frac(gamma_hat)
+    if gh < 0:
+        raise DomainError("gamma_hat must be nonnegative")
     return Fraction(k, 2 * (q + 1) * n) * (1 - 2 * gh)
 
 
 def bound_enlarged(q: int, n: int, k: int, d: int, gamma_hat, R_o) -> Fraction:
     """((q+1)d / ((2q+1)n)) * (1 - 2*gamma_hat - (n/k) R_o), raw value.
 
-    Raises DomainError when R_o lies outside [0, 1], and BelowRateFloor
-    when it is below the stated validity floor.
+    Raises DomainError when R_o lies outside [0, 1] or gamma_hat is
+    negative, and BelowRateFloor when R_o is below the stated validity
+    floor.
     """
     if not (n >= 1 and 1 <= k <= n and d >= 1 and _is_prime_power(q)):
         raise DomainError("invalid parameters")

@@ -95,7 +95,7 @@ def cmd_construct(args, out):
 def cmd_concat(args, out):
     cp = _build_concat(args.config)
     print(f"[[{cp.block_length},{cp.logical_dims}]] over GF({cp.inner.field.q}) "
-          f"(inner [[{cp.n},{cp.k}]], outer [{cp.N},{cp.D1.dim}]/[{cp.N},{cp.D2.dim}])",
+          f"(inner [[{cp.n},{cp.k}]], outer [{cp.N},{cp.D1.K}]/[{cp.N},{cp.D2.K}])",
           file=out)
     if args.verify:
         ok = verify_duality(cp)
@@ -118,7 +118,7 @@ def cmd_mindist(args, out):
         d = min_weight_excluding(cp.L1, cp.L2.dual(), cap)
         print(f"w(L1 \\ dual L2) = {d}", file=out)
         d1 = min_weight_excluding(cp.inner.C1, cp.inner.C2.dual(), cap)
-        Dq = min_weight_excluding(cp.D1, cp.D2.dual(), cap)
+        Dq = min_weight_excluding(cp.D1.as_linear_code(), cp.D2.as_linear_code().dual(), cap)
         print(f"product law: inner {d1} x outer {Dq} = {d1 * Dq} "
               f"{'== observed' if d1 * Dq == d else '!= observed'}", file=out)
         return 0

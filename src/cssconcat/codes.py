@@ -213,15 +213,6 @@ def _row_profile(C1: LinearCode, C2: LinearCode, g1=None):
     return X[pivots[m:m + k] - m], E[m:m + k].copy(), E[m + k:].copy()
 
 
-def coset_generators(C1: LinearCode, C2: LinearCode, g1):
-    """``(g2, basis_c1_perp)`` for a ``g1`` spanning a complement of dual(C2)
-    inside C1, by the row profile of the module docstring: g2 pairs with g1
-    and the rows of ``basis_c1_perp`` span dual(C1).  Raises BadComplement if
-    ``g1`` is not k x n or [C2.H; g1] is rank deficient."""
-    _, g2, basis_c1_perp = _row_profile(C1, C2, g1)
-    return g2, basis_c1_perp
-
-
 @dataclass
 class CssPair:
     """A CSS code pair with paired coset generators (see module docstring)."""

@@ -1,4 +1,5 @@
-"""Concatenation of an inner CSS pair with an outer pair over GF(q^k).
+"""Concatenation of an inner CSS pair with an outer pair of GRS codes over
+GF(q^k).
 
 Each outer symbol is expanded to an inner block through the maps pi_1/pi_2:
 the symbol's coordinates -- in the power basis for side 1, in its trace-dual
@@ -40,17 +41,15 @@ codes cannot wrap; products widen to float on their own (see
 of Ho1 and Ho2: 4 MB at [[2550,1016]], where int64 codes took 31 MB.
 
 Certified set-up.  :func:`concatenate` proves its postconditions from the
-block structure.  On a valid pair it eliminates nothing but, for a
-LinearCode outer code, the N-column generator behind its null-space H; never
-a matrix nN columns wide, nor a GF(q^k) matrix of a GRS code.  Write
-K_i = dim D_i, and gen_i for the generators of L_i (the subfield rows of D_i
-expanded, over N diagonal copies of a basis of dual(C2) for i = 1, of
-dual(C1) for i = 2).  The factor facts are
+block structure.  On a valid pair it eliminates nothing: no matrix nN
+columns wide, and no GF(q^k) matrix of its GRS outer codes.  Write
+Hout_i = D_i.H, K_i = dim D_i, and gen_i for the generators of L_i (the
+subfield rows of D_i expanded, over N diagonal copies of a basis of dual(C2)
+for i = 1, of dual(C1) for i = 2).  The factor facts are
 
   (R) D_i.G and Hout_i have full rank over GF(q^k), and Hout_i has N - K_i
-      rows: a GRS code by construction (distinct points, nonzero
-      multipliers); a LinearCode when its G and H have N rows together,
-      since one of them spans the null space of the other;
+      rows: by construction of a GRS code (distinct points, nonzero
+      multipliers);
   (I) [C2.H; g1] and [C1.H; g2] have full rank, so each g_i is independent
       modulo the opposite dual;
   (P) C2.H.C1.H^T = 0, g_i lies in C_i, and g1.g2^T = I: the one n-column
@@ -182,12 +181,6 @@ def pi_table(m: int, pair: CssPair, ext: Extension) -> np.ndarray:
     return pi_map(m, pair, ext, np.arange(ext.Q)).reshape(ext.Q, pair.n)
 
 
-def pi_rows(m: int, pair: CssPair, ext: Extension, M) -> np.ndarray:
-    """Apply :func:`pi_map` to every row of a matrix over GF(q^k)."""
-    M = np.asarray(M)
-    return pi_table(m, pair, ext)[M].reshape(M.shape[0], pair.n * M.shape[1])
-
-
 def _expand(table, M, out=None):
     """The rows of ``M`` over GF(q^k) expanded through a pi table, written
     into ``out`` (a row block of a C-ordered array) when it is given.
@@ -279,28 +272,23 @@ def _scaled(ext: Extension, Hout, side: int):
 class ConcatPair:
     """The concatenated CSS pair with its structured parity checks.
 
-    ``Ho1``/``Ho2`` are the parity checks of L1/L2; ``Gp1``/``Gp2`` their
-    lower (expanded outer) parts; ``Hout1``/``Hout2`` the outer parity
-    checks they were built from; ``PI1``/``PI2`` the (Q, n) tables of
-    pi_1/pi_2.  ``grs1``/``grs2`` hold bounded-distance decodable handles
-    when the outer codes are GRS.  The codes ``L1``/``L2`` are built on
-    first access.
+    ``D1``/``D2`` are the outer GRS codes, which also decode the outer
+    stage; ``Ho1``/``Ho2`` are the parity checks of L1/L2; ``Gp1``/``Gp2``
+    their lower (expanded outer) parts, built from the outer parity checks
+    ``Hout1``/``Hout2`` = ``D1.H``/``D2.H``; ``PI1``/``PI2`` the (Q, n)
+    tables of pi_1/pi_2.  The codes ``L1``/``L2`` are built on first access.
     """
 
     inner: CssPair
     ext: Extension
-    D1: LinearCode
-    D2: LinearCode
+    D1: GrsCode
+    D2: GrsCode
     Ho1: np.ndarray
     Ho2: np.ndarray
     Gp1: np.ndarray
     Gp2: np.ndarray
-    Hout1: np.ndarray
-    Hout2: np.ndarray
     PI1: np.ndarray
     PI2: np.ndarray
-    grs1: GrsCode | None = None
-    grs2: GrsCode | None = None
 
     @cached_property
     def L1(self) -> LinearCode:
@@ -315,6 +303,14 @@ class ConcatPair:
             self.ext, self.PI2, self.D2.G, self.inner.C1.H))
 
     @property
+    def Hout1(self) -> np.ndarray:
+        return self.D1.H
+
+    @property
+    def Hout2(self) -> np.ndarray:
+        return self.D2.H
+
+    @property
     def n(self):
         return self.inner.n
 
@@ -324,11 +320,11 @@ class ConcatPair:
 
     @property
     def N(self):
-        return self.D1.n
+        return self.D1.N
 
     @property
     def K(self):
-        return self.D1.dim + self.D2.dim - self.N
+        return self.D1.K + self.D2.K - self.N
 
     @property
     def block_length(self):
@@ -341,18 +337,6 @@ class ConcatPair:
     def __repr__(self):
         return (f"ConcatPair[[{self.block_length},{self.logical_dims}]] "
                 f"(inner [[{self.n},{self.k}]], outer N={self.N})")
-
-
-def _unwrap_outer(D):
-    """``(code, Hout, grs)`` of an outer code, with the facts (R) of the
-    module docstring checked for a LinearCode."""
-    if isinstance(D, GrsCode):
-        return D.as_linear_code(), D.H, D
-    if not isinstance(D, LinearCode):
-        raise TypeError("outer codes must be GrsCode or LinearCode")
-    if D.H.shape[0] != D.n - D.dim:
-        raise RankDeficient("outer parity check is not full rank")
-    return D, D.H, None
 
 
 def _check_inner(inner: CssPair):
@@ -411,8 +395,10 @@ def _certify_outer(inner: CssPair, ext: Extension, D, y, PI):
 def concatenate(inner: CssPair, outer, ext: Extension) -> ConcatPair:
     """Concatenate an inner CSS pair with an outer pair over GF(q^k).
 
-    ``outer`` is a pair (D1, D2) of GrsCode or LinearCode objects over the
-    extension field, themselves satisfying the CSS containment.
+    ``outer`` is a pair (D1, D2) of GrsCode objects over ``ext``,
+    themselves satisfying the CSS containment; the pair keeps them as
+    ``D1``/``D2``.  Any other type raises TypeError, codes over another
+    extension FieldMismatch.
 
     The result is certified as derived in the module docstring, from the
     factor ranks and products over GF(q): ``dim L1 = k K1 + N(n - k2)`` and
@@ -424,25 +410,25 @@ def concatenate(inner: CssPair, outer, ext: Extension) -> ConcatPair:
     RankDeficient or BadComplement when a factor or product fails its
     certificate.
     """
-    D1, Hout1, grs1 = _unwrap_outer(outer[0])
-    D2, Hout2, grs2 = _unwrap_outer(outer[1])
+    D1, D2 = outer
+    if not (isinstance(D1, GrsCode) and isinstance(D2, GrsCode)):
+        raise TypeError("outer codes must be GrsCode")
     if ext.base != inner.field:
         raise FieldMismatch("inner pair and extension base differ")
     if inner.k != ext.k:
         raise FieldMismatch(f"inner k={inner.k} does not match extension degree {ext.k}")
-    if D1.field != ext.as_field() or D2.field != ext.as_field():
+    if D1.ext != ext or D2.ext != ext:
         raise FieldMismatch("outer codes must live over the extension field")
-    if D1.n != D2.n:
+    if D1.N != D2.N:
         raise LengthMismatch("outer codes of different length")
     _check_inner(inner)
     PI1, PI2 = pi_table(1, inner, ext), pi_table(2, inner, ext)
-    y1, y2 = _scaled(ext, Hout1, 1), _scaled(ext, Hout2, 2)
+    y1, y2 = _scaled(ext, D1.H, 1), _scaled(ext, D2.H, 2)
     Ho1, Gp1 = _expanded_check(inner, y1, 1, PI2)
     Ho2, Gp2 = _expanded_check(inner, y2, 2, PI1)
     _certify_outer(inner, ext, (D1, D2), (y1, y2), (PI1, PI2))
     return ConcatPair(inner=inner, ext=ext, D1=D1, D2=D2, Ho1=Ho1, Ho2=Ho2,
-                      Gp1=Gp1, Gp2=Gp2, Hout1=Hout1, Hout2=Hout2, PI1=PI1, PI2=PI2,
-                      grs1=grs1, grs2=grs2)
+                      Gp1=Gp1, Gp2=Gp2, PI1=PI1, PI2=PI2)
 
 
 def verify_duality(cp: ConcatPair) -> bool:

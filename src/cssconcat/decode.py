@@ -107,9 +107,6 @@ class DecoderContext:
     def __init__(self, cp: ConcatPair, side: int = 1, cap: int = TABLE_CAP):
         if side not in (1, 2):
             raise DomainError("side must be 1 or 2")
-        grs = cp.grs1 if side == 1 else cp.grs2
-        if grs is None:
-            raise DomainError("outer code on this side has no bounded-distance decoder")
         self.cp = cp
         self.side = side
         self.field = cp.inner.field
@@ -119,7 +116,7 @@ class DecoderContext:
         self.Ho = cp.Ho1 if side == 1 else cp.Ho2
         self.Gp = cp.Gp1 if side == 1 else cp.Gp2
         self.pi = cp.PI1 if side == 1 else cp.PI2  # row x is pi_side(x)
-        self.grs = grs
+        self.grs = cp.D1 if side == 1 else cp.D2
         self.N = cp.N
         self.n = cp.n
         self.k = cp.k

@@ -357,10 +357,6 @@ class MatGF:
     def T(self):
         return MatGF(self.field, self.a.T.copy())
 
-    def stack(self, other):
-        self._check_field(other)
-        return MatGF(self.field, np.concatenate([self.a, other.a], axis=0))
-
     # -- elimination ---------------------------------------------------------
 
     def rref(self):

@@ -6,7 +6,8 @@ import math
 import numpy as np
 
 from cssconcat.channel_sim import _sample_block
-from cssconcat.codes import CssPair, LinearCode
+from cssconcat.codes import CssPair, LinearCode, _row_profile
+from cssconcat.concat import pi_table
 from cssconcat.decode import success_oracle_rows
 from cssconcat.errors import BadComplement, DomainError
 from cssconcat.matrix import MatGF, as_codes
@@ -75,6 +76,22 @@ def symplectic_min_distance(f, G):
     outside = X[form.any(axis=1)]
     return min((int(w) for w in np.count_nonzero(outside[:, :n] | outside[:, n:], axis=1)),
                default=None)
+
+
+def coset_generators(C1, C2, g1):
+    """``(g2, basis_c1_perp)`` for a ``g1`` spanning a complement of dual(C2)
+    inside C1, read off :func:`codes._row_profile`: g2 pairs with g1 and the
+    rows of ``basis_c1_perp`` span dual(C1).  Raises BadComplement if ``g1``
+    is not k x n or [C2.H; g1] is rank deficient."""
+    _, g2, basis_c1_perp = _row_profile(C1, C2, g1)
+    return g2, basis_c1_perp
+
+
+def pi_rows(m, pair, ext, M):
+    """:func:`concat.pi_map` of every row of a matrix over GF(q^k), gathered
+    from :func:`concat.pi_table`."""
+    M = np.asarray(M)
+    return pi_table(m, pair, ext)[M].reshape(M.shape[0], pair.n * M.shape[1])
 
 
 def random_css_pair(rng, field, n, k):

@@ -193,7 +193,7 @@ def test_acceptance_04_duality_randomized(capsys):
 
 def _product_law_holds(cp, cap=1 << 24):
     d1 = min_weight_excluding(cp.inner.C1, cp.inner.C2.dual(), cap)
-    Dq = min_weight_excluding(cp.D1, cp.D2.dual(), cap)
+    Dq = min_weight_excluding(cp.D1.as_linear_code(), cp.D2.as_linear_code().dual(), cap)
     lhs = min_weight_excluding(cp.L1, cp.L2.dual(), cap)
     return lhs, d1 * Dq
 

@@ -142,6 +142,19 @@ def test_rate_floor_and_enlarged():
     assert v == Fraction(5 * 2, 9 * 4) * (1 - 2 * gh - 2 * fl)
 
 
+def test_negative_gamma_hat_rejected():
+    """gamma_hat < 0 raises DomainError in rate_floor and bound_enlarged, at
+    every rate; gamma_hat = 0 is accepted."""
+    for gh in (-1, Fraction(-1, 10 ** 9)):
+        with pytest.raises(DomainError, match="gamma_hat"):
+            rate_floor(4, 4, 2, gh)
+        for R in (0, Fraction(1, 2), 1):
+            with pytest.raises(DomainError, match="gamma_hat"):
+                bound_enlarged(4, 4, 2, 2, gh, R)
+    assert rate_floor(4, 4, 2, 0) == Fraction(1, 20)
+    assert bound_enlarged(4, 4, 2, 2, 0, 1) == Fraction(5, 18) * (1 - 2)
+
+
 def test_enlarged_specialization_two_paths():
     """q=4, d=2, n=k+2: the enlarged bound agrees with its reduced form
     (10/(9(k+2))) (1 - 2 gamma_hat - ((k+2)/k) R) for k in {2, 4}."""

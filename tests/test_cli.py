@@ -504,3 +504,7 @@ def test_cli_bounds_enlarged_floor_and_errors():
     code, _ = run_cli(["bounds", "--family", "enlarged",
                        "--params", "q=6,n=4,k=2,d=2", "--grid", grid])
     assert code == EXIT_INVARIANT  # 6 is not a prime power
+    # a negative gamma_hat is outside the bound's domain
+    code, text = run_cli(["bounds", "--family", "enlarged",
+                          "--params", "q=4,n=4,k=2,d=2,gamma_hat=-1", "--grid", "0:1:1/2"])
+    assert (code, text) == (EXIT_INVARIANT, "")

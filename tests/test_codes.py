@@ -13,7 +13,6 @@ from cssconcat.codes import (
     LinearCode,
     QuotientCode,
     bvector_pair,
-    coset_generators,
     css_min_distance,
     min_weight_excluding,
     validate_css,
@@ -30,7 +29,7 @@ from cssconcat.errors import (
 from cssconcat.galois import Field
 from cssconcat.matrix import MatGF
 import references
-from references import inverse, random_css_pair
+from references import coset_generators, inverse, random_css_pair
 
 F2 = Field(2)
 
@@ -352,11 +351,11 @@ def greedy_pair(C1, C2, g1=None):
                 break
             if not span.span_contains(row):
                 chosen.append(row)
-                span = span.stack(MatGF(f, row[None, :]))
+                span = MatGF(f, np.concatenate([span.a, row[None, :]]))
         assert len(chosen) == k
         g1 = np.array(chosen, dtype=f.dtype).reshape(k, n)
     else:
-        span = span.stack(MatGF(f, g1))
+        span = MatGF(f, np.concatenate([span.a, g1]))
     assert span.rank == span.rows
     completion = []
     for i in range(n):
@@ -366,7 +365,7 @@ def greedy_pair(C1, C2, g1=None):
         e[i] = 1
         if not span.span_contains(e):
             completion.append(e)
-            span = span.stack(MatGF(f, e[None, :]))
+            span = MatGF(f, np.concatenate([span.a, e[None, :]]))
     Ainv = inverse(f, span.a)
     m = len(C2.H)
     return g1, Ainv[:, m:m + k].T, Ainv[:, C1.dim:].T

@@ -25,7 +25,6 @@ from cssconcat.concat import (
     build_parity_check,
     concatenate,
     pi_map,
-    pi_rows,
     verify_duality,
 )
 from cssconcat.decode import DecoderContext
@@ -39,7 +38,7 @@ from cssconcat.errors import (
 from cssconcat.galois import Extension, Field
 from cssconcat.matrix import MatGF, chunk_rows
 from cssconcat.outer_grs import GrsCode, nested_grs_pair
-from references import random_css_pair
+from references import pi_rows, random_css_pair
 
 F2 = Field(2)
 
@@ -94,7 +93,7 @@ def _instance_12_2(K1=1, K2=3):
 def test_dimensions_12_2():
     cp = _instance_12_2(2, 2)
     assert (cp.block_length, cp.logical_dims) == (12, 2)
-    assert cp.L1.dim == cp.k * cp.D1.dim + (cp.n - cp.inner.k2) * cp.N
+    assert cp.L1.dim == cp.k * cp.D1.K + (cp.n - cp.inner.k2) * cp.N
 
 
 def test_dimensions_90_28():
@@ -190,7 +189,7 @@ def test_syndrome_identity_three_concatenations():
 
 def product_law_value(cp, cap=1 << 24):
     d1 = min_weight_excluding(cp.inner.C1, cp.inner.C2.dual(), cap)
-    Dq = min_weight_excluding(cp.D1, cp.D2.dual(), cap)
+    Dq = min_weight_excluding(cp.D1.as_linear_code(), cp.D2.as_linear_code().dual(), cap)
     lhs = min_weight_excluding(cp.L1, cp.L2.dual(), cap)
     return lhs, d1 * Dq
 
@@ -318,7 +317,7 @@ def test_concatenate_retains_no_generator():
     eye = np.eye(cp.N, dtype=np.int64)
     for L, m, D, H_other in ((cp.L1, 1, cp.D1, inner.C2.H), (cp.L2, 2, cp.D2, inner.C1.H)):
         rows = [pi_map(m, inner, ext, ext.as_field().mul(ext.alpha_pow(l), D.G[r]))
-                for r in range(D.dim) for l in range(ext.k)]
+                for r in range(D.K) for l in range(ext.k)]
         want = np.concatenate([np.array(rows), np.kron(eye, H_other)])
         assert L.G.dtype == F2.dtype and np.array_equal(L.G, want)
     assert "L1" in vars(cp) and vars(cp)["L1"] is cp.L1
@@ -341,12 +340,11 @@ def _inputs(name):
     inner = bvector_pair(F3, [1] * 6, [1] * 6)
     if name == "480_160_gf3":
         return inner, nested_grs_pair(ext, 80, 60, 60), ext
-    assert name == "96_32_gf3_linear"
-    outer = tuple(LinearCode(ext.as_field(), D.G) for D in nested_grs_pair(ext, 16, 12, 12))
-    return inner, outer, ext
+    assert name == "96_32_gf3"
+    return inner, nested_grs_pair(ext, 16, 12, 12), ext
 
 
-CERTIFIED = ["12_2", "90_28", "480_160_gf3", "96_32_gf3_linear"]
+CERTIFIED = ["12_2", "90_28", "480_160_gf3", "96_32_gf3"]
 
 
 @pytest.mark.parametrize("name", CERTIFIED)
@@ -354,7 +352,8 @@ def test_certified_setup_matches_generic_path(name):
     cp = concatenate(*_inputs(name))
     f = cp.inner.field
     assert verify_duality(cp)
-    assert validate_css(cp.D1, cp.D2) and validate_css(cp.L1, cp.L2)
+    assert validate_css(cp.D1.as_linear_code(), cp.D2.as_linear_code())
+    assert validate_css(cp.L1, cp.L2)
     for L, Ho in ((cp.L1, cp.Ho1), (cp.L2, cp.Ho2)):
         assert LinearCode(f, L.G).dim == L.dim
         assert MatGF(f, Ho).rank == len(Ho) == cp.block_length - L.dim
@@ -386,7 +385,7 @@ def test_verify_duality_memory_is_bounded(name, bound_mb):
     inputs = _inputs(name)
     assert verify_duality(concatenate(*inputs))  # the extension's lazy tables
     cp = concatenate(*inputs)
-    owners = (cp, cp.D1, cp.D2, cp.D1.Gmat, cp.D2.Gmat, cp.inner, cp.inner.C1, cp.inner.C2)
+    owners = (cp, cp.D1, cp.D2, cp.inner, cp.inner.C1, cp.inner.C2)
     before = [dict(vars(o)) for o in owners]
     tracemalloc.start()
     try:
@@ -403,23 +402,19 @@ def test_verify_duality_memory_is_bounded(name, bound_mb):
         assert all(vars(o)[key] is value for key, value in attrs.items())
 
 
-@pytest.mark.parametrize("name", ["90_28", "96_32_gf3_linear"])
+@pytest.mark.parametrize("name", ["90_28", "96_32_gf3"])
 def test_outer_pair_without_containment_rejected(name):
     """dual(D2) = RS_4 is not inside D1 = RS_2: both paths reject it."""
     inner, (_, D2), ext = _inputs(name)
     N = D2.G.shape[1]
     D1 = GrsCode(ext, [ext.alpha_pow(j) for j in range(N)], [1] * N, 2)
-    if isinstance(D2, LinearCode):
-        D1 = LinearCode(ext.as_field(), D1.G)
-        assert not validate_css(D1, D2)
-    else:
-        assert not validate_css(D1.as_linear_code(), D2.as_linear_code())
+    assert not validate_css(D1.as_linear_code(), D2.as_linear_code())
     with pytest.raises(NotOrthogonal):
         concatenate(inner, (D1, D2), ext)
 
 
 @pytest.mark.parametrize("flip", [1, 2])
-@pytest.mark.parametrize("name", ["12_2", "90_28", "96_32_gf3_linear"])
+@pytest.mark.parametrize("name", ["12_2", "90_28", "96_32_gf3"])
 def test_flipped_expanded_check_rejected(name, flip):
     """One flipped entry of Gp1 or Gp2, in the check Ho_i too: verify_duality
     rejects the pair.  concatenate gathers Gp_i from the pi table it
@@ -434,7 +429,7 @@ def test_flipped_expanded_check_rejected(name, flip):
     assert not verify_duality(dataclasses.replace(good, **fields))
 
 
-@pytest.mark.parametrize("name", ["12_2", "90_28", "96_32_gf3_linear"])
+@pytest.mark.parametrize("name", ["12_2", "90_28", "96_32_gf3"])
 def test_dependent_inner_generator_rejected(name):
     """A CssPair whose second g1 row lies in the first plus dual(C2), built
     without its own validation."""
@@ -447,14 +442,25 @@ def test_dependent_inner_generator_rejected(name):
         concatenate(bad, outer, ext)
 
 
-def test_outer_code_with_redundant_parity_check_rejected():
-    """A LinearCode outer code whose H repeats a row: its G and H do not have
-    N rows together, so the expanded check would not have full rank."""
-    inner, (D1, D2), ext = _inputs("96_32_gf3_linear")
-    H = np.concatenate([D2.H, D2.H[:1]])
-    redundant = LinearCode.from_parity_check(ext.as_field(), H)
-    with pytest.raises(RankDeficient):
-        concatenate(inner, (D1, redundant), ext)
+def test_outer_codes_are_grs_codes_over_the_extension():
+    """concatenate takes two GrsCode objects over its extension and keeps
+    them as the pair's outer codes, with their H as Hout1/Hout2.  A
+    LinearCode on either side raises TypeError; GrsCodes over another
+    extension of the same order raise FieldMismatch."""
+    inner, outer, ext = _inputs("96_32_gf3")
+    for side in (0, 1):
+        mixed = list(outer)
+        mixed[side] = outer[side].as_linear_code()
+        with pytest.raises(TypeError):
+            concatenate(inner, tuple(mixed), ext)
+    other = Extension(F3, 4, [2, 2, 0, 0, 1])
+    assert other != ext and other.Q == ext.Q
+    with pytest.raises(FieldMismatch):
+        concatenate(inner, nested_grs_pair(other, 16, 12, 12), ext)
+    cp = concatenate(inner, outer, ext)
+    assert cp.D1 is outer[0] and cp.D2 is outer[1]
+    assert cp.Hout1 is outer[0].H and cp.Hout2 is outer[1].H
+    assert DecoderContext(cp, side=1).grs is cp.D1 and DecoderContext(cp, side=2).grs is cp.D2
 
 
 @pytest.mark.parametrize("name", ["90_28", "504_186", "480_160_gf3"])
@@ -628,8 +634,8 @@ class _Case:
 
     def __init__(self, inner, outer, ext):
         self.inner, self.ext = inner, ext
-        self.D = tuple(concat._unwrap_outer(Dm)[0] for Dm in outer)
-        self.Hout = tuple(np.array(concat._unwrap_outer(Dm)[1]) for Dm in outer)
+        self.D = outer
+        self.Hout = tuple(D.H for D in outer)
         self.PI = (concat.pi_table(1, inner, ext), concat.pi_table(2, inner, ext))
 
     def scaled(self, Hout):
@@ -793,7 +799,7 @@ def test_corrupted_pi_table_matches_reference(name):
                     "sides: no pi-table row is left to corrupt unseen")
 
 
-@pytest.mark.parametrize("name", ["90_28", "96_32_gf3_linear"])
+@pytest.mark.parametrize("name", ["90_28", "96_32_gf3"])
 def test_trace_certificate_containment_break_matches_reference(name):
     """The outer pair of test_outer_pair_without_containment_rejected."""
     inner, (_, D2), ext = _inputs(name)
@@ -803,7 +809,7 @@ def test_trace_certificate_containment_break_matches_reference(name):
     assert case.outcomes() == (NotOrthogonal, NotOrthogonal)
 
 
-@pytest.mark.parametrize("name", ["12_2", "90_28", "96_32_gf3_linear"])
+@pytest.mark.parametrize("name", ["12_2", "90_28", "96_32_gf3"])
 def test_inner_dual_shift_passes_both_certificates(name):
     """Adding a row of dual(C1) to a block of Gp1 (or of dual(C2) to a
     block of Gp2) keeps each block in its inner code with the same g-part,
@@ -823,7 +829,7 @@ def test_inner_dual_shift_passes_both_certificates(name):
         assert verify_duality(dataclasses.replace(good, **fields))
 
 
-@pytest.mark.parametrize("name", ["90_28", "504_186", "480_160_gf3", "96_32_gf3_linear"])
+@pytest.mark.parametrize("name", ["90_28", "504_186", "480_160_gf3", "96_32_gf3"])
 def test_concatenate_products_at_most_kN_wide(monkeypatch, name):
     """No product in concatenate has an inner dimension above kN."""
     inner, outer, ext = _inputs(name)
@@ -851,7 +857,7 @@ def _matmul_rows(monkeypatch):
     return rows
 
 
-@pytest.mark.parametrize("name", ["90_28", "504_186", "480_160_gf3", "96_32_gf3_linear"])
+@pytest.mark.parametrize("name", ["90_28", "504_186", "480_160_gf3", "96_32_gf3"])
 def test_concatenate_multiplies_blocks_only_after_a_failed_lookup(monkeypatch, name):
     """No product in concatenate has more than max(Q, kM) rows, on a valid
     pair and when PI1 has a flipped entry in a row that y2 reads: the
