@@ -138,7 +138,7 @@ def cmd_decode(args, out):
     v = _load(fileio.read_vector, args.error if is_error else args.syndrome)
     if v.size and (v.min() < 0 or v.max() >= ctx.field.q):
         raise _ParseError(f"vector entries must lie in [0, {ctx.field.q})")
-    length = ctx.Ho.shape[1] if is_error else len(ctx.Ho)
+    length = ctx.N * ctx.n if is_error else ctx.syndrome_len
     if v.size != length:
         raise _ParseError(f"vector must have {length} entries, not {v.size}")
     est, ok = two_stage_decode(ctx, ctx.full_syndrome(v) if is_error else v)

@@ -26,30 +26,31 @@ against g1, that is PI_1[h alpha^r].  For L1 it is the r-th coordinates of
 h alpha^c, c = 0..k-1, contracted against g2.  With beta the trace-dual
 basis, coords(y)_r = Tr(y beta_r), so coords(h alpha^c)_r = Tr((h beta_r)
 alpha^c): the trace-dual coordinates of h beta_r, and the row is
-PI_2[h beta_r].  The checks Ho_i are written in place, Gp_i is a row view of
-Ho_i, and the nN-column generators of L1/L2 are built from the tables and
-the inner duals only when first read: ``cssconcat concat`` and ``mindist``
-read them, the decoder and the Monte-Carlo path never do.
-:func:`verify_duality` builds its own generators, one side at a time, and
-keeps nothing on the pair.
+PI_2[h beta_r].
 
-Codes.  Ho_i, Gp_i, the pi tables and the generators and checks of L1/L2
-hold codes of the inner field's dtype, ``field.dtype``: ``np.int8`` for
-q <= 128, ``np.int16`` above.  It is signed so that the difference of two
-codes cannot wrap; products widen to float on their own (see
-:meth:`galois.Field.matmul`).  So a pair keeps about one byte per entry
-of Ho1 and Ho2: 4 MB at [[2550,1016]], where int64 codes took 31 MB.
+Codes.  A pair keeps its outer codes and its pi tables, (Q, n) each.  The
+checks Ho_i, written in place with Gp_i a row view, and the generators of
+L1/L2 are built from the tables when first read and then kept:
+``cssconcat concat --out`` reads both, ``mindist`` the generators,
+:func:`verify_duality` and :meth:`decode.DecoderContext.full_syndrome`
+Ho_i; set-up, decoding and Monte-Carlo read none of them (Ho1 and Ho2 are
+4 MB at [[2550,1016]] and 84 MB at [[12276,5110]]).  Ho_i, the pi tables
+and the generators and checks of L1/L2 hold codes of the inner field's
+dtype, ``field.dtype``: ``np.int8`` for q <= 128, ``np.int16`` above.  It
+is signed so that the difference of two codes cannot wrap; products widen
+to float on their own (see :meth:`galois.Field.matmul`).
 
 Certified set-up.  :func:`concatenate` proves its postconditions from the
-block structure.  On a valid pair it eliminates nothing: no matrix nN
-columns wide, and no GF(q^k) matrix of its GRS outer codes.  Write
-Hout_i = D_i.H, K_i = dim D_i, and gen_i for the generators of L_i (the
-subfield rows of D_i expanded, over N diagonal copies of a basis of dual(C2)
-for i = 1, of dual(C1) for i = 2).  The factor facts are
+block structure.  On a valid pair it eliminates nothing, forms no matrix
+nN columns wide and no product wider than n.  Write Hout_i = D_i.H,
+K_i = dim D_i, and gen_i for the generators of L_i (the subfield rows of
+D_i expanded, over N diagonal copies of a basis of dual(C2) for i = 1, of
+dual(C1) for i = 2).  The factor facts are
 
   (R) D_i.G and Hout_i have full rank over GF(q^k), and Hout_i has N - K_i
-      rows: by construction of a GRS code (distinct points, nonzero
-      multipliers);
+      rows: read off the arrays of the GRS codes by the exact certificate
+      below, and by construction of a GRS code (distinct points, nonzero
+      multipliers) where that certificate does not prove the pair;
   (I) [C2.H; g1] and [C1.H; g2] have full rank, so each g_i is independent
       modulo the opposite dual;
   (P) C2.H.C1.H^T = 0, g_i lies in C_i, and g1.g2^T = I: the one n-column
@@ -82,36 +83,31 @@ so y = 0 by (R).  Hence, with k2 = n - k1 + k,
 
 Ho1 has full row rank, and symmetrically rank Ho2 = nN - dim L2.
 
-Trace-form certificate.  By (P) the only blocks of gen1.Ho1^T, gen2.Ho2^T
-and Ho1.Ho2^T left to check are pi_1(D1).Gp1^T, pi_2(D2).Gp2^T and
-Gp1.Gp2^T, each nN columns wide; they are certified over kN columns.  Row
-j k + r of W1 holds the trace-dual coordinates dual_table[Hout1[j] beta_r],
-and of W2 the power-basis coordinates coords(Hout2[j] alpha^r), of every
-symbol; both come from the extension, not from the pi tables.
+Outer facts.  By (P) the only blocks of gen1.Ho1^T, gen2.Ho2^T and
+Ho1.Ho2^T left to check are pi_1(D1).Gp1^T, pi_2(D2).Gp2^T and Gp1.Gp2^T,
+each nN columns wide.  Row j k + r of W1 holds the trace-dual coordinates
+dual_table[Hout1[j] beta_r], and of W2 the power-basis coordinates
+coords(Hout2[j] alpha^r), of every symbol; both come from the extension,
+not from the pi tables.
 
   (B) Every n-column block of Gp1 times [C2.H; g1]^T is [0 | its W1 part],
       so by (P), as for a CssPair, it lies in C2 = dual(C1) + span(g2) and
       is c g2 + d, d in dual(C1), with c = block.g1^T its W1 part.  Every
       block of Gp2 times [C1.H; g2]^T is [0 | its W2 part], symmetrically.
 
-(B) is certified on the pi tables, not block by block.  Write y1 and y2
-for the scaled symbols Hout1[j] beta_r and Hout2[j] alpha^r, row j k + r.
-Gp1 is built as the gather PI2[y1]: block b of that row is PI2[y1[j k + r,
-b]], whose W1 part is the dual_table row of the same symbol, and
-symmetrically Gp2 = PI1[y2] with coord_table.  So the block's product with
-[C2.H; g1]^T is row y1[j k + r, b] of
+Write y1 and y2 for the scaled symbols Hout1[j] beta_r and Hout2[j]
+alpha^r, row j k + r.  Gp1 is the gather PI2[y1]: block b of that row is
+PI2[y1[j k + r, b]], whose W1 part is the dual_table row of the same
+symbol, and symmetrically Gp2 = PI1[y2] with coord_table.  So the block's
+product with [C2.H; g1]^T is row y1[j k + r, b] of
 
   (B') P2 = PI2.[C2.H; g1]^T, which should be [0 | dual_table], and
        P1 = PI1.[C1.H; g2]^T, which should be [0 | coord_table], on all Q
        rows: one (Q, n) by (n, m + k) product a side.
 
-A row of Gp_i fails (B) exactly when one of its symbols reads a row of P
-failing (B'), and the g-parts of the failing rows are gathered from P; no
-block is multiplied.  Tables built by pi_map satisfy (B') by (P): PI2[x] =
-dual_table[x] g2, with g2 C2.H^T = 0 and g2 g1^T = I, and PI1[x] =
-coords(x) g1 likewise.  When (B') holds the pi tables the decoder gathers
-from are certified too.  A corrupted table row that no y_i reads fails (B')
-but leaves every block passing (B), and the pair is accepted.
+Tables built by pi_map satisfy (B') by (P): PI2[x] = dual_table[x] g2,
+with g2 C2.H^T = 0 and g2 g1^T = I, and PI1[x] = coords(x) g1 likewise.
+When (B') holds the pi tables the decoder gathers from are certified too.
 
 By (P) the d parts pair to zero with g1, g2 and each other, so Gp1.Gp2^T =
 W1.W2^T, pi_1(D1).Gp1^T = X1.W1^T and pi_2(D2).Gp2^T = Y2.W2^T, with X1 and
@@ -119,18 +115,56 @@ Y2 the power-basis and trace-dual coordinates of the rows alpha^l D_i.G.  As
 sum_c Tr(x alpha^c) coords(y)_c = Tr(x y), their entries are
 Tr(beta_r alpha^s z), Tr(beta_r alpha^l z) and Tr(alpha^(l+r) z) for the
 entries z of Hout1.Hout2^T, D1.G.Hout1^T and D2.G.Hout2^T over GF(q^k).  The
-trace form is nondegenerate, so each product vanishes exactly when its rows
-s = 0 or l = 0 do, and exactly when its GF(q^k) product does:
+trace form is nondegenerate, so each product vanishes exactly when its
+GF(q^k) product does:
 
-  (O) W1.coords(Hout2)^T = 0, coords(Hout2) being the rows r = 0 of W2;
-  (C) W1.coords(D1.G)^T = 0 and W2.dual_table[D2.G]^T = 0.
+  (O) Hout1.Hout2^T = 0;
+  (C) D1.G.Hout1^T = 0 and D2.G.Hout2^T = 0.
 
 With the ranks above, row space(Ho_i) = dual(L_i), and Ho1.Ho2^T = 0 is the
 containment dual(L2) <= L1; :func:`verify_duality` checks the same by
-elimination.  A row failing (B) raises NotOrthogonal when its g-part pairs
-nonzero with the other side's W, its share of Gp1.Gp2^T, and RankDeficient
-otherwise, as the nN-column products would.  Adding an element of the
-opposite inner dual to a block passes (B) and keeps every postcondition.
+elimination.  Adding an element of the opposite inner dual to a block
+passes (B) and keeps every postcondition.
+
+Exact GRS certificate.  :func:`concatenate` first proves (B), (R), (C)
+and (O) from the pi tables and the arrays of the two GRS codes, in O(N^2)
+table work and O(Q) products n wide, with no y_i, no Ho_i and no W_i:
+
+  - (B') on all Q rows of both tables, which gives (B) whatever y_i reads;
+  - D1.points equals D2.points, and the points a are distinct codes;
+  - in each of D1.G, D1.H, D2.G, D2.H row 0 has no zero entry and row
+    i + 1 is row i times a, entry by entry, so the matrix is V.diag(s):
+    V the Vandermonde rows a^i (0^0 = 1), s nonzero.  With distinct points
+    V has full rank, and with K_i and N - K_i rows this is (R);
+  - entry (i, l) of G.H^T is sum_j v_j u_j a_j^(i+l), v and u the rows 0
+    of G and H.  The N - 1 sums for i + l = 0..N-2 vanish exactly when
+    v_j u_j prod_{m != j} (a_j - a_m) is a constant, as the weights
+    1/prod_{m != j} (a_j - a_m) span the kernel of the (N - 1)-row
+    Vandermonde matrix (Lagrange interpolation; the dual of a GRS code,
+    MacWilliams and Sloane, ch. 10 section 8).  So (C) is the O(N) check
+    that log v_j + log u_j + GrsCode._log_diff_j is constant mod Q - 1;
+  - entry (i, l) of Hout1.Hout2^T is sum_j u1_j u2_j a_j^(i+l): (O) is the
+    2N - K1 - K2 - 1 power sums for i + l = 0..2N-K1-K2-2, which vanish.
+
+A side with K_i = N has no rows in Hout_i and nothing to check in (C) or
+(O).  Only when one of these checks fails does concatenate run the
+trace-form certificate, which classifies the failure.
+
+Trace-form certificate.  It forms y_i and W_i and certifies over kN
+columns, with (R) taken from GRS construction, so its verdicts do not
+depend on the points: a GRS pair on different points is judged here.  The
+rows of Gp_i failing (B) are those with a symbol that reads a row of P
+failing (B'), and their g-parts are gathered from P; no block is
+multiplied.  A corrupted table row that no y_i reads fails (B') but leaves
+every block passing (B), and the pair is accepted.  Over kN columns,
+
+  (O) is W1.coords(Hout2)^T = 0, coords(Hout2) being the rows r = 0 of W2;
+  (C) is W1.coords(D1.G)^T = 0 and W2.dual_table[D2.G]^T = 0,
+
+as the products above vanish exactly when their rows s = 0 or l = 0 do.
+A row failing (B) raises NotOrthogonal when its g-part pairs nonzero with
+the other side's W, its share of Gp1.Gp2^T, and RankDeficient otherwise,
+as the nN-column products would.
 """
 
 from __future__ import annotations
@@ -151,7 +185,7 @@ from .errors import (
 )
 from .galois import Extension
 from .matrix import MatGF
-from .outer_grs import GrsCode
+from .outer_grs import GrsCode, _distinct_codes, _scaled_powers
 
 
 def pi_map(m: int, pair: CssPair, ext: Extension, x) -> np.ndarray:
@@ -273,22 +307,40 @@ class ConcatPair:
     """The concatenated CSS pair with its structured parity checks.
 
     ``D1``/``D2`` are the outer GRS codes, which also decode the outer
-    stage; ``Ho1``/``Ho2`` are the parity checks of L1/L2; ``Gp1``/``Gp2``
-    their lower (expanded outer) parts, built from the outer parity checks
-    ``Hout1``/``Hout2`` = ``D1.H``/``D2.H``; ``PI1``/``PI2`` the (Q, n)
-    tables of pi_1/pi_2.  The codes ``L1``/``L2`` are built on first access.
+    stage, with parity checks ``Hout1``/``Hout2`` = ``D1.H``/``D2.H``;
+    ``PI1``/``PI2`` the (Q, n) tables of pi_1/pi_2.  The parity checks
+    ``Ho1``/``Ho2`` of L1/L2, with their lower (expanded outer) parts
+    ``Gp1``/``Gp2`` as row views, and the codes ``L1``/``L2`` are built
+    from the tables on first access; set-up, decoding and Monte-Carlo
+    read none of them.
     """
 
     inner: CssPair
     ext: Extension
     D1: GrsCode
     D2: GrsCode
-    Ho1: np.ndarray
-    Ho2: np.ndarray
-    Gp1: np.ndarray
-    Gp2: np.ndarray
     PI1: np.ndarray
     PI2: np.ndarray
+
+    @cached_property
+    def Ho1(self) -> np.ndarray:
+        """The structured parity check of L1, gathered from PI2."""
+        return _expanded_check(self.inner, _scaled(self.ext, self.D1.H, 1), 1, self.PI2)[0]
+
+    @cached_property
+    def Ho2(self) -> np.ndarray:
+        """The structured parity check of L2, gathered from PI1."""
+        return _expanded_check(self.inner, _scaled(self.ext, self.D2.H, 2), 2, self.PI1)[0]
+
+    @property
+    def Gp1(self) -> np.ndarray:
+        """The expanded outer rows of Ho1, a row view."""
+        return self.Ho1[self.N * len(self.inner.C1.H):]
+
+    @property
+    def Gp2(self) -> np.ndarray:
+        """The expanded outer rows of Ho2, a row view."""
+        return self.Ho2[self.N * len(self.inner.C2.H):]
 
     @cached_property
     def L1(self) -> LinearCode:
@@ -364,6 +416,19 @@ def _block_factor(inner: CssPair, side: int):
     return len(H), np.concatenate([H, g]).T
 
 
+def _table_marks(inner: CssPair, ext: Extension, PI):
+    """(B') on both sides, side 1 then side 2: ``(m, P, bad)`` a side, P
+    the (Q, m + k) product of the pi table that y_side reads by [H; g]^T
+    (:func:`_block_factor`) and ``bad`` its rows other than [0 | dual_table]
+    on side 1, [0 | coord_table] on side 2."""
+    marks = []
+    for side, wtab, table in ((1, ext.dual_table, PI[1]), (2, ext.coord_table, PI[0])):
+        m, HgT = _block_factor(inner, side)
+        P = inner.field.matmul(table, HgT)
+        marks.append((m, P, P[:, :m].any(axis=1) | (P[:, m:] != wtab).any(axis=1)))
+    return marks
+
+
 def _certify_outer(inner: CssPair, ext: Extension, D, y, PI):
     """The trace-form certificate of the module docstring; ``D``, the scaled
     symbols ``y`` (:func:`_scaled` of Hout_i) and the pi tables ``PI`` are
@@ -373,11 +438,7 @@ def _certify_outer(inner: CssPair, ext: Extension, D, y, PI):
     f, k, N = inner.field, inner.k, y[0].shape[1]
     dual, coord = ext.dual_table.astype(f.dtype), ext.coord_table.astype(f.dtype)
     W, V = [], []
-    for side, wtab, table in ((1, dual, PI[1]), (2, coord, PI[0])):
-        m, HgT = _block_factor(inner, side)
-        P = f.matmul(table, HgT)
-        bad = P[:, :m].any(axis=1) | (P[:, m:] != wtab).any(axis=1)
-        ys = y[side - 1]
+    for (m, P, bad), wtab, ys in zip(_table_marks(inner, ext, PI), (dual, coord), y):
         W.append(np.take(wtab, ys, axis=0).reshape(-1, N * k))
         V.append(P[ys[np.take(bad, ys).any(axis=1)], m:].reshape(-1, N * k))
     (W1, W2), (V1, V2) = W, V
@@ -392,6 +453,46 @@ def _certify_outer(inner: CssPair, ext: Extension, D, y, PI):
                             "concatenated code")
 
 
+def _grs_pair_holds(ext: Extension, D):
+    """Whether (R), (C) and (O) of the module docstring hold for the GRS
+    pair ``D``, read off its points and the arrays of its two codes."""
+    fQ, a = ext.as_field(), D[0].points
+    N = a.size
+    if not (np.array_equal(a, D[1].points) and _distinct_codes(ext, a)):
+        return False
+    for code in D:
+        G, H = code.G, code.H
+        if G.shape != (code.K, N) or H.shape != (N - code.K, N):
+            return False
+        # (R): row 0 holds the nonzero multipliers, row i + 1 = row i * a
+        if not all(M[0].all() and np.array_equal(fQ.mul_table[M[:-1], a], M[1:])
+                   for M in (G, H) if len(M)):
+            return False
+        # (C): v_j u_j prod_{m != j} (a_j - a_m) is constant
+        if len(H):
+            c = (ext.log[G[0]] + ext.log[H[0]] + code._log_diff) % (ext.Q - 1)
+            if (c != c[0]).any():
+                return False
+    # (O): the power sums of u1 u2 that Hout1.Hout2^T holds vanish
+    H1, H2 = D[0].H, D[1].H
+    if not (len(H1) and len(H2)):
+        return True
+    logs = (ext.log[H1[0]] + ext.log[H2[0]]) % (ext.Q - 1)
+    return not fQ.add_reduce(_scaled_powers(ext, logs, a, len(H1) + len(H2) - 1), axis=1).any()
+
+
+def _certify(inner: CssPair, ext: Extension, D, PI):
+    """The outer half of the certified set-up for the GRS pair ``D`` and
+    the pi tables ``PI``: the exact GRS certificate, (B') on every table
+    row and then :func:`_grs_pair_holds`, and only when it fails the
+    trace-form certificate :func:`_certify_outer`, which raises
+    NotOrthogonal or RankDeficient or accepts."""
+    tables_hold = not any(bad.any() for _, _, bad in _table_marks(inner, ext, PI))
+    if tables_hold and _grs_pair_holds(ext, D):
+        return
+    _certify_outer(inner, ext, D, (_scaled(ext, D[0].H, 1), _scaled(ext, D[1].H, 2)), PI)
+
+
 def concatenate(inner: CssPair, outer, ext: Extension) -> ConcatPair:
     """Concatenate an inner CSS pair with an outer pair over GF(q^k).
 
@@ -403,9 +504,11 @@ def concatenate(inner: CssPair, outer, ext: Extension) -> ConcatPair:
     The result is certified as derived in the module docstring, from the
     factor ranks and products over GF(q): ``dim L1 = k K1 + N(n - k2)`` and
     ``dim L2 = k K2 + N(n - k1)``, ``rank Ho_i = nN - dim L_i``, and the
-    duality and containment by the trace-form certificate, whose products
-    are at most kN columns wide.  The generators of L1/L2 are built from
-    the pi tables when first read.
+    duality and containment by the exact GRS certificate, from the points
+    and arrays of D1/D2 and products at most n wide.  Only where it fails
+    does the trace-form certificate run, with products at most kN wide.
+    The checks Ho_i and the generators of L1/L2 are built from the pi
+    tables when first read.
     Raises NotOrthogonal when the outer pair violates the CSS containment,
     RankDeficient or BadComplement when a factor or product fails its
     certificate.
@@ -423,12 +526,8 @@ def concatenate(inner: CssPair, outer, ext: Extension) -> ConcatPair:
         raise LengthMismatch("outer codes of different length")
     _check_inner(inner)
     PI1, PI2 = pi_table(1, inner, ext), pi_table(2, inner, ext)
-    y1, y2 = _scaled(ext, D1.H, 1), _scaled(ext, D2.H, 2)
-    Ho1, Gp1 = _expanded_check(inner, y1, 1, PI2)
-    Ho2, Gp2 = _expanded_check(inner, y2, 2, PI1)
-    _certify_outer(inner, ext, (D1, D2), (y1, y2), (PI1, PI2))
-    return ConcatPair(inner=inner, ext=ext, D1=D1, D2=D2, Ho1=Ho1, Ho2=Ho2,
-                      Gp1=Gp1, Gp2=Gp2, PI1=PI1, PI2=PI2)
+    _certify(inner, ext, (D1, D2), (PI1, PI2))
+    return ConcatPair(inner=inner, ext=ext, D1=D1, D2=D2, PI1=PI1, PI2=PI2)
 
 
 def verify_duality(cp: ConcatPair) -> bool:
@@ -439,7 +538,9 @@ def verify_duality(cp: ConcatPair) -> bool:
     exactly those duals.  One side at a time: each side builds the
     generators of L_i from the pi tables as a local, eliminates them once
     for the null space and frees every nN-column matrix before the next
-    side starts.  Nothing is read from or cached on ``cp.L1``/``cp.L2``.
+    side starts.  Nothing is read from or cached on ``cp.L1``/``cp.L2``;
+    ``cp.Ho1``/``cp.Ho2`` are read, and so built on the pair if they were
+    not yet.
     """
     f = cp.inner.field
     fQ = cp.ext.as_field()

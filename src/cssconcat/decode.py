@@ -45,8 +45,11 @@ iff c_b != 0.  Neither test eliminates.
 Outer stage.  It needs (G): Gp = PI_o[y], block b of row j k + r of the
 side's Gp being PI_o[y] with no dual(C) part, y = Hout[j, b] beta_r on side
 1 and Hout[j, b] alpha^r on side 2 (beta the trace-dual basis):
-:func:`concat.concatenate` builds Gp by that gather and certifies every
-table row it reads ((B) and (B') there).  Then
+:class:`concat.ConcatPair` builds Gp by that gather when it is first
+read, and :func:`concat.concatenate` certifies every table row the gather
+can read ((B) and (B') there: every row in the exact GRS certificate, the
+rows y reads in the trace-form one).  The decoder reads neither Gp nor Ho:
+its lengths are N m + k (N - K) for a syndrome and N n for an error.  Then
 <u_b, PI_o[y]> = Tr(y w(u)_b), w(u) the symbols w_b of the blocks of u, so
 block j of u.Gp^T holds the coordinates of (Hout.w(u))_j that
 :meth:`DecoderContext.reassemble_symbols` reads.  The outer syndrome of an
@@ -113,16 +116,26 @@ class DecoderContext:
         self.ext = cp.ext
         self.inner_code = cp.inner.C1 if side == 1 else cp.inner.C2
         self.table = CosetLeaderTable(self.inner_code, cap=cap)
-        self.Ho = cp.Ho1 if side == 1 else cp.Ho2
-        self.Gp = cp.Gp1 if side == 1 else cp.Gp2
         self.pi = cp.PI1 if side == 1 else cp.PI2  # row x is pi_side(x)
         self.grs = cp.D1 if side == 1 else cp.D2
         self.N = cp.N
         self.n = cp.n
         self.k = cp.k
         self.upper_len = self.N * self.table.m
+        self.syndrome_len = self.upper_len + self.k * (self.N - self.grs.K)
         # [H; g]^T of the block-level success test (module docstring)
         self._m, self._HgT = _block_factor(cp.inner, 3 - side)
+
+    @property
+    def Ho(self):
+        """This side's structured parity check, built on the pair on first
+        read; :meth:`full_syndrome` reads it, decoding does not."""
+        return self.cp.Ho1 if self.side == 1 else self.cp.Ho2
+
+    @property
+    def Gp(self):
+        """The expanded outer rows of :attr:`Ho`, a row view."""
+        return self.cp.Gp1 if self.side == 1 else self.cp.Gp2
 
     @cached_property
     def _symbol_tables(self):
@@ -219,7 +232,7 @@ def decode_batch(ctx: DecoderContext, S):
     only) guess.
     """
     S = np.asarray(S)
-    if S.ndim != 2 or S.shape[1] != ctx.Ho.shape[0]:
+    if S.ndim != 2 or S.shape[1] != ctx.syndrome_len:
         raise DomainError("syndrome length does not match the parity check")
     S = as_codes(ctx.field, S, "syndrome entries")
     Ehat, packed = ctx._leaders(S[:, : ctx.upper_len])
@@ -259,9 +272,10 @@ def success_oracle_rows(ctx: DecoderContext, E, estimates):
     on the symbols of the rows that pass it."""
     E = np.asarray(E)
     estimates = np.asarray(estimates)
-    if E.shape != estimates.shape or E.ndim != 2 or E.shape[1] != ctx.Ho.shape[1]:
+    length = ctx.N * ctx.n
+    if E.shape != estimates.shape or E.ndim != 2 or E.shape[1] != length:
         raise DomainError(f"errors and estimates must be matching rows of "
-                          f"length {ctx.Ho.shape[1]}")
+                          f"length {length}")
     E = as_codes(ctx.field, E, "error entries")
     estimates = as_codes(ctx.field, estimates, "estimate entries")
     V = ctx.field.sub(estimates, E)

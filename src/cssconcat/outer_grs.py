@@ -72,24 +72,27 @@ def _as_int64(x):
     return np.asarray(x).astype(np.int64).reshape(-1)
 
 
+def _distinct_codes(ext, a):
+    """Whether the 1-D integer array ``a`` holds distinct codes of the
+    field, checked by a Q-length boolean scatter, not a sort."""
+    if not ((a >= 0) & (a < ext.Q)).all():
+        return False
+    seen = np.zeros(ext.Q, dtype=bool)
+    seen[a] = True
+    return np.count_nonzero(seen) == a.size
+
+
 def _checked_points(ext, points):
     """The points as a 1-D int64 array, checked distinct (DuplicatePoint),
     then codes of the field (DomainError).
 
-    Codes of the field are checked distinct by a Q-length boolean scatter,
-    not a sort; with a point out of range, which raises anyway, by a set.
+    Codes of the field are checked distinct by :func:`_distinct_codes`;
+    with a point out of range, which raises anyway, by a set.
     """
     a = _as_int64(points)
-    inside = (a >= 0) & (a < ext.Q)
-    if inside.all():
-        seen = np.zeros(ext.Q, dtype=bool)
-        seen[a] = True
-        distinct = np.count_nonzero(seen) == a.size
-    else:
-        distinct = len(set(a.tolist())) == a.size
-    if not distinct:
-        raise DuplicatePoint("evaluation points must be distinct")
-    if not inside.all():
+    if not _distinct_codes(ext, a):
+        if ((a >= 0) & (a < ext.Q)).all() or len(set(a.tolist())) != a.size:
+            raise DuplicatePoint("evaluation points must be distinct")
         raise DomainError("points and multipliers must be codes of the field")
     return a
 

@@ -2,9 +2,7 @@
 and the quotient-distance product law."""
 
 import copy
-import dataclasses
 import tracemalloc
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -381,10 +379,12 @@ def test_verify_duality_memory_is_bounded(name, bound_mb):
     """verify_duality holds one side's nN-column matrices at a time and keeps
     none: its traced peak is bounded, traced memory comes back to where it
     started, and nothing is written onto the pair, its outer codes or its
-    inner pair -- L1/L2 are not built."""
+    inner pair -- L1/L2 are not built.  Ho1/Ho2, which the pair builds on
+    first read, are read before the traced call."""
     inputs = _inputs(name)
     assert verify_duality(concatenate(*inputs))  # the extension's lazy tables
     cp = concatenate(*inputs)
+    cp.Ho1, cp.Ho2  # built on first read and kept, as verify_duality reads them
     owners = (cp, cp.D1, cp.D2, cp.inner, cp.inner.C1, cp.inner.C2)
     before = [dict(vars(o)) for o in owners]
     tracemalloc.start()
@@ -416,17 +416,20 @@ def test_outer_pair_without_containment_rejected(name):
 @pytest.mark.parametrize("flip", [1, 2])
 @pytest.mark.parametrize("name", ["12_2", "90_28", "96_32_gf3"])
 def test_flipped_expanded_check_rejected(name, flip):
-    """One flipped entry of Gp1 or Gp2, in the check Ho_i too: verify_duality
-    rejects the pair.  concatenate gathers Gp_i from the pi table it
-    certifies, so the flip reaches it only as a flipped table row
+    """One flipped entry of Gp1 or Gp2, in the check Ho_i too, assigned to
+    the cached Ho_i of a copy of the pair: verify_duality rejects it.
+    concatenate gathers Gp_i from the pi table it certifies, so the flip
+    reaches it only as a flipped table row
     (test_trace_certificate_flipped_gp_matches_reference)."""
     inner, outer, ext = _inputs(name)
     good = concatenate(inner, outer, ext)
     Ho = (good.Ho1 if flip == 1 else good.Ho2).copy()
     lower = Ho[len(Ho) - len(good.Gp1 if flip == 1 else good.Gp2):]
     lower[0, 0] = (lower[0, 0] + 1) % inner.field.q
-    fields = {"Ho1": Ho, "Gp1": lower} if flip == 1 else {"Ho2": Ho, "Gp2": lower}
-    assert not verify_duality(dataclasses.replace(good, **fields))
+    bad = copy.copy(good)
+    setattr(bad, f"Ho{flip}", Ho)
+    assert np.shares_memory(getattr(bad, f"Gp{flip}"), lower)
+    assert not verify_duality(bad)
 
 
 @pytest.mark.parametrize("name", ["12_2", "90_28", "96_32_gf3"])
@@ -629,6 +632,15 @@ def _outcome(certify, *args):
     return None
 
 
+def _altered(code, **arrays):
+    """A shallow copy of the GrsCode ``code`` with the named arrays
+    replaced, as if set after construction."""
+    new = copy.copy(code)
+    for name, value in arrays.items():
+        setattr(new, name, value)
+    return new
+
+
 class _Case:
     """Inputs of the outer certificate."""
 
@@ -638,21 +650,24 @@ class _Case:
         self.Hout = tuple(D.H for D in outer)
         self.PI = (concat.pi_table(1, inner, ext), concat.pi_table(2, inner, ext))
 
-    def scaled(self, Hout):
-        return tuple(concat._scaled(self.ext, H, side) for side, H in ((1, Hout[0]), (2, Hout[1])))
-
-    def outcomes(self, Hout=None, PI=None, D=None):
-        """:func:`concat._certify_outer` and the nN-column reference on the
-        same inputs, the case's own where one is not given; the reference
-        reads Gp_i = PI[y_i] gathered from the tables.  Returns their
-        outcomes."""
-        Hout = self.Hout if Hout is None else Hout
-        PI = self.PI if PI is None else PI
+    def scaled(self, D=None):
         D = self.D if D is None else D
-        y = self.scaled(Hout)
+        return concat._scaled(self.ext, D[0].H, 1), concat._scaled(self.ext, D[1].H, 2)
+
+    def outcomes(self, D=None, PI=None):
+        """:func:`concat._certify`, which concatenate runs, and the
+        nN-column reference on the same outer pair and pi tables, the
+        case's own where one is not given; the reference reads Hout_i =
+        D_i.H and Gp_i = PI[y_i] gathered from the tables.  The trace-form
+        certificate alone, the parent of the exact path, gives the same
+        verdict as concat._certify.  Returns the two outcomes."""
+        D = self.D if D is None else D
+        PI = self.PI if PI is None else PI
+        y = self.scaled(D)
         Gp = (concat._expand(PI[1], y[0]), concat._expand(PI[0], y[1]))
-        return (_outcome(concat._certify_outer, self.inner, self.ext, D, y, PI),
-                _outcome(_nN_certificate, self.inner, self.ext, D, Hout, Gp))
+        new = _outcome(concat._certify, self.inner, self.ext, D, PI)
+        assert new is _outcome(concat._certify_outer, self.inner, self.ext, D, y, PI)
+        return new, _outcome(_nN_certificate, self.inner, self.ext, D, tuple(c.H for c in D), Gp)
 
 
 def _case(name):
@@ -663,43 +678,140 @@ def _case(name):
     if name == "60_14_gf4":
         inner, ext = EXPANSIONS[3]
         return _Case(inner, nested_grs_pair(ext, 15, 11, 11), ext)
+    if name.startswith("90_28_at_0"):  # the points 0..14 of GF(16), 0 among them
+        inner, ext = EXPANSIONS[1]
+        K2 = 15 if name.endswith("K2=N") else 11
+        return _Case(inner, _nested_on_points(ext, 15, 11, K2), ext)
     return _Case(*_inputs(name))
 
 
-DIFFERENTIAL = CERTIFIED + ["12_2_K2=N", "12_2_K1=N", "60_14_gf4"]
+DIFFERENTIAL = CERTIFIED + ["12_2_K2=N", "12_2_K1=N", "60_14_gf4", "90_28_at_0", "90_28_at_0_K2=N"]
 
 
 @pytest.mark.parametrize("name", DIFFERENTIAL)
 def test_trace_certificate_matches_reference(name):
     """Both certificates accept the built pair, with a 0-row Hout on one side
-    for the 12_2_K*=N cases, and classify the same flipped Hout entries and
-    flipped symbols of D1.G and D2.G.  A flip of D_i.G passes exactly when
-    Hout_i has no rows."""
+    for the 12_2_K*=N and 90_28_at_0_K2=N cases, the exact path proving it,
+    and classify the same flipped Hout entries and flipped symbols of D1.G
+    and D2.G.  A flip of D_i.G passes exactly when Hout_i has no rows."""
     case = _case(name)
-    if name.startswith("12_2_"):
+    if name.endswith("=N"):
         assert min(len(H) for H in case.Hout) == 0
+    assert concat._grs_pair_holds(case.ext, case.D)
     assert case.outcomes() == (None, None)
     rng = np.random.default_rng(7)
     fQ = case.ext.as_field()
     for side in (0, 1):
         H = case.Hout[side]
         for _ in range(min(H.size, 6)):
-            Hout = [h.copy() for h in case.Hout]
+            D = list(case.D)
+            D[side] = _altered(D[side], H=H.copy())
             j, b = rng.integers(0, H.shape[0]), rng.integers(0, H.shape[1])
-            Hout[side][j, b] = fQ.add(int(H[j, b]), int(rng.integers(1, fQ.q)))
-            new, ref = case.outcomes(Hout=tuple(Hout))
+            D[side].H[j, b] = fQ.add(int(H[j, b]), int(rng.integers(1, fQ.q)))
+            new, ref = case.outcomes(D=tuple(D))
             assert new is ref is not None
     rng = np.random.default_rng(8)
     for side in (0, 1):
         G = case.D[side].G
         for _ in range(6):
             D = list(case.D)
-            D[side] = SimpleNamespace(G=G.copy())
+            D[side] = _altered(D[side], G=G.copy())
             j, b = rng.integers(0, G.shape[0]), rng.integers(0, G.shape[1])
             D[side].G[j, b] = fQ.add(int(G[j, b]), int(rng.integers(1, fQ.q)))
             new, ref = case.outcomes(D=tuple(D))
             assert new is ref
             assert (new is None) is (len(case.Hout[side]) == 0), (side, j, b)
+
+
+# -- the exact GRS certificate: its arrays changed after construction --------
+
+@pytest.mark.parametrize("name", DIFFERENTIAL)
+def test_exact_certificate_row_flips_match_reference(name):
+    """A changed entry of row 0 of D_i.G or D_i.H, the multipliers, to
+    another code or to 0 -- every entry where G or H has one row (K = 1,
+    N - K = 1) -- and a zeroed column, a zeroed multiplier: the exact path
+    proves none of them, and the verdict of concatenate's certificate
+    equals the nN-column reference's."""
+    case = _case(name)
+    fQ = case.ext.as_field()
+    rng = np.random.default_rng(12)
+    one_row = set()
+    for side in (0, 1):
+        for key in ("G", "H"):
+            M = getattr(case.D[side], key)
+            if not len(M):
+                continue
+            if len(M) == 1:
+                one_row.add(key)
+            cols = range(M.shape[1]) if len(M) == 1 else rng.permutation(M.shape[1])[:4]
+            changes = [(b, fQ.add(int(M[0, b]), int(rng.integers(1, fQ.q)))) for b in cols]
+            changes += [(int(rng.integers(M.shape[1])), 0), (None, 0)]
+            for b, value in changes:
+                bad = M.copy()
+                if b is None:
+                    bad[:, int(rng.integers(M.shape[1]))] = 0
+                else:
+                    bad[0, b] = value
+                D = list(case.D)
+                D[side] = _altered(D[side], **{key: bad})
+                assert not concat._grs_pair_holds(case.ext, tuple(D)), (side, key, b)
+                new, ref = case.outcomes(D=tuple(D))
+                assert new is ref, (side, key, b, value)
+    if name.startswith("12_2"):
+        assert one_row == ({"H"} if name == "12_2" else {"G"})
+
+
+@pytest.mark.parametrize("name", DIFFERENTIAL)
+def test_exact_certificate_points_match_reference(name):
+    """Points the exact path cannot use send the pair down the trace-form
+    path, which reads no points: a point duplicated on both codes, and a
+    point moved on D2 alone, leave the arrays a valid pair, accepted by
+    both certificates; D2 rebuilt on the points in reverse order, with
+    its multipliers reversed, is on other points, and both codes built on
+    the duplicated points, with the logs of the difference products of the
+    distinct ones, have arrays of the right form, but (R) fails: each
+    gets the reference's verdict."""
+    case = _case(name)
+    D1, D2 = case.D
+    ext = case.ext
+    dup = D1.points.copy()
+    dup[1] = dup[0]
+    moved = D2.points.copy()
+    moved[0] = np.setdiff1d(np.arange(ext.Q), moved)[0] if D2.N < ext.Q else moved[1]
+    reversed_D2 = GrsCode(ext, D2.points[::-1], D2.multipliers[::-1], D2.K)
+    on_dup = tuple(GrsCode._on_points(ext, dup, c.multipliers, c.K, c._log_diff) for c in case.D)
+    for D, accepted in (((_altered(D1, points=dup), _altered(D2, points=dup)), True),
+                        ((D1, _altered(D2, points=moved)), True),
+                        ((D1, reversed_D2), None),
+                        (on_dup, None)):
+        assert not concat._grs_pair_holds(ext, D)
+        new, ref = case.outcomes(D=D)
+        assert new is ref
+        if accepted:
+            assert new is None
+
+
+@pytest.mark.parametrize("name", DIFFERENTIAL)
+def test_exact_certificate_row_counts_match_reference(name):
+    """A row appended to D_i.G or D_i.H that continues its powers keeps the
+    form the exact path reads, but G has more than K_i rows or H more than
+    N - K_i: the exact path proves neither, and the verdict equals the
+    reference's (an extra row of H meets G in the power sum of degree
+    N - 1, which is nonzero)."""
+    case = _case(name)
+    fQ = case.ext.as_field()
+    for side in (0, 1):
+        code = case.D[side]
+        for key in ("G", "H"):
+            M = getattr(code, key)
+            row = fQ.mul_table[M[-1], code.points] if len(M) else code.dual_multipliers
+            D = list(case.D)
+            D[side] = _altered(code, **{key: np.concatenate([M, row[None]])})
+            assert not concat._grs_pair_holds(case.ext, tuple(D)), (side, key)
+            new, ref = case.outcomes(D=tuple(D))
+            assert new is ref, (side, key)
+            if key == "H":
+                assert new is not None
 
 
 # -- corrupted pi tables: Gp_i is gathered from them --------------------------
@@ -731,7 +843,7 @@ def test_trace_certificate_flipped_gp_matches_reference(name):
     case = _case(name)
     q, n = case.inner.field.q, case.inner.n
     rng = np.random.default_rng(11)
-    for side, y in zip((1, 2), case.scaled(case.Hout)):
+    for side, y in zip((1, 2), case.scaled()):
         used = np.unique(y)
         if not used.size:  # a 0-row Hout reads no row
             continue
@@ -758,7 +870,7 @@ def test_trace_certificate_g_part_shift_matches_reference(name):
     RankDeficient."""
     case = _case(name)
     f = case.inner.field
-    for side, y, g in zip((1, 2), case.scaled(case.Hout), (case.inner.g2, case.inner.g1)):
+    for side, y, g in zip((1, 2), case.scaled(), (case.inner.g2, case.inner.g1)):
         for x in np.unique(y):
             new, ref = _table_outcomes(case, side, x, f.add(case.PI[2 - side][x], g[0]))
             if ref is None:
@@ -768,7 +880,8 @@ def test_trace_certificate_g_part_shift_matches_reference(name):
                 assert new is ref is want, (side, x)
 
 
-@pytest.mark.parametrize("name", DIFFERENTIAL)
+# on 90_28_at_0 the scaled Hout entries read every row of both tables
+@pytest.mark.parametrize("name", [name for name in DIFFERENTIAL if name != "90_28_at_0"])
 def test_corrupted_pi_table_matches_reference(name):
     """A used pi-table row shifted by a row of the opposite inner dual: (B')
     fails on it, but every block still passes (B), so both certificates
@@ -779,7 +892,7 @@ def test_corrupted_pi_table_matches_reference(name):
     inner, ext = case.inner, case.ext
     f, q = inner.field, inner.field.q
     unused_seen = False
-    for side, y in zip((1, 2), case.scaled(case.Hout)):
+    for side, y in zip((1, 2), case.scaled()):
         table = case.PI[2 - side]
         H_other = inner.C1.H if side == 1 else inner.C2.H
         used = np.zeros(ext.Q, dtype=bool)
@@ -801,12 +914,18 @@ def test_corrupted_pi_table_matches_reference(name):
 
 @pytest.mark.parametrize("name", ["90_28", "96_32_gf3"])
 def test_trace_certificate_containment_break_matches_reference(name):
-    """The outer pair of test_outer_pair_without_containment_rejected."""
-    inner, (_, D2), ext = _inputs(name)
+    """The outer pair of test_outer_pair_without_containment_rejected, and
+    D2 built as in nested_grs_pair but with K2 = N - 1 - K1: every power
+    sum of u1 u2 in Hout1.Hout2^T vanishes but the one of degree N - 1."""
+    inner, (D1_nested, D2), ext = _inputs(name)
     N = D2.G.shape[1]
     D1 = GrsCode(ext, [ext.alpha_pow(j) for j in range(N)], [1] * N, 2)
     case = _Case(inner, (D1, D2), ext)
     assert case.outcomes() == (NotOrthogonal, NotOrthogonal)
+    short = GrsCode._on_points(ext, D1_nested.points, D1_nested.dual_multipliers,
+                               N - 1 - D1_nested.K, D1_nested._log_diff)
+    assert not concat._grs_pair_holds(ext, (D1_nested, short))
+    assert case.outcomes(D=(D1_nested, short)) == (NotOrthogonal, NotOrthogonal)
 
 
 @pytest.mark.parametrize("name", ["12_2", "90_28", "96_32_gf3"])
@@ -814,9 +933,9 @@ def test_inner_dual_shift_passes_both_certificates(name):
     """Adding a row of dual(C1) to a block of Gp1 (or of dual(C2) to a
     block of Gp2) keeps each block in its inner code with the same g-part,
     so every postcondition holds: the elimination-based verify_duality
-    accepts it.  The trace-form certificate and the nN-column reference
-    accept the same shift of a pi-table row
-    (test_corrupted_pi_table_matches_reference)."""
+    accepts it, on a copy of the pair with the shifted Ho_i assigned.  The
+    trace-form certificate and the nN-column reference accept the same
+    shift of a pi-table row (test_corrupted_pi_table_matches_reference)."""
     inner, outer, ext = _inputs(name)
     good = concatenate(inner, outer, ext)
     f, n = inner.field, inner.n
@@ -824,16 +943,21 @@ def test_inner_dual_shift_passes_both_certificates(name):
         Gp = [good.Gp1.copy(), good.Gp2.copy()]
         Gp[side][0, n:2 * n] = f.add(Gp[side][0, n:2 * n], H[0])
         Ho = good.Ho1 if side == 0 else good.Ho2
-        Ho = np.concatenate([Ho[:len(Ho) - len(Gp[side])], Gp[side]])
-        fields = ({"Ho1": Ho, "Gp1": Gp[0]} if side == 0 else {"Ho2": Ho, "Gp2": Gp[1]})
-        assert verify_duality(dataclasses.replace(good, **fields))
+        shifted = copy.copy(good)
+        setattr(shifted, f"Ho{side + 1}", np.concatenate([Ho[:len(Ho) - len(Gp[side])], Gp[side]]))
+        assert np.array_equal(getattr(shifted, f"Gp{side + 1}"), Gp[side])
+        assert verify_duality(shifted)
 
 
-@pytest.mark.parametrize("name", ["90_28", "504_186", "480_160_gf3", "96_32_gf3"])
+@pytest.mark.parametrize("name", ["90_28", "504_186", "480_160_gf3", "96_32_gf3",
+                                  "60_14_gf4", "12_2_K2=N", "90_28_at_0"])
 def test_concatenate_products_at_most_kN_wide(monkeypatch, name):
-    """No product in concatenate has an inner dimension above kN."""
-    inner, outer, ext = _inputs(name)
-    widths = []
+    """No product in concatenate has an inner dimension above kN; on these
+    valid pairs none is above n, as the exact path proves the outer pair
+    and never calls the trace-form certificate.  The structured checks
+    are not built."""
+    case = _case(name)
+    widths, fallbacks = [], []
     matmul = Field.matmul
 
     def spy(self, A, B):
@@ -841,8 +965,10 @@ def test_concatenate_products_at_most_kN_wide(monkeypatch, name):
         return matmul(self, A, B)
 
     monkeypatch.setattr(Field, "matmul", spy)
-    cp = concatenate(inner, outer, ext)
-    assert widths and max(widths) <= cp.k * cp.N < cp.block_length
+    monkeypatch.setattr(concat, "_certify_outer", lambda *args: fallbacks.append(args))
+    cp = concatenate(case.inner, case.D, case.ext)
+    assert widths and max(widths) <= cp.n <= cp.k * cp.N < cp.block_length and not fallbacks
+    assert "Ho1" not in vars(cp) and "Ho2" not in vars(cp)
 
 
 def _matmul_rows(monkeypatch):

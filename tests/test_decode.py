@@ -1,12 +1,13 @@
 """Two-stage decoding: guarantees, failure flags, success oracle."""
 
+import io
 import itertools
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from cssconcat import matrix
+from cssconcat import cli, fileio, matrix
 from cssconcat.channel_sim import AdditiveChannel, _sample_block, mc_error_rate
 from cssconcat.codes import bvector_pair
 from cssconcat.concat import concatenate, pi_map
@@ -373,6 +374,43 @@ def test_decode_batch_forms_no_nN_wide_product(monkeypatch):
         S = rng.integers(0, 2, size=(50, ctx.Ho.shape[0]))
         assert not decode_batch(ctx, S)[1].all()
     assert widths and max(widths) < cp.N * cp.n
+
+
+@pytest.mark.parametrize("make_cp", [_cp_90_28, _cp_96_32_gf3])
+def test_decoding_builds_no_structured_check(monkeypatch, tmp_path, make_cp):
+    """DecoderContext, mc_error_rate, decode_batch, success_oracle_rows and
+    CLI decode --syndrome take their lengths from N m + k (N - K) and N n:
+    none of them builds Ho1 or Ho2 on the pair."""
+    cp = make_cp()
+    ctxs = [DecoderContext(cp, side=side) for side in (1, 2)]
+    rng = np.random.default_rng(9)
+    f = cp.inner.field
+    for ctx in ctxs:
+        assert ctx.syndrome_len == ctx.N * ctx.table.m + ctx.k * len(ctx.grs.H)
+        mc_error_rate(ctx, AdditiveChannel.symmetric(f, 0.02), 32, 1)
+        Ehat, _ = decode_batch(ctx, rng.integers(0, f.q, size=(8, ctx.syndrome_len)))
+        success_oracle_rows(ctx, np.zeros_like(Ehat), Ehat)
+        with pytest.raises(DomainError):
+            decode_batch(ctx, np.zeros((1, ctx.syndrome_len + 1), dtype=np.int64))
+        with pytest.raises(DomainError):
+            success_oracle_rows(ctx, Ehat[:, 1:], Ehat[:, 1:])
+    assert "Ho1" not in vars(cp) and "Ho2" not in vars(cp)
+    assert all(len(ctx.Ho) == ctx.syndrome_len and ctx.Ho.shape[1] == cp.block_length
+               for ctx in ctxs)
+
+    built = []
+
+    def build(cfg):
+        built.append(make_cp())
+        return built[-1]
+    monkeypatch.setattr(cli, "_build_concat", build)
+    vec = tmp_path / "s.txt"
+    fileio.write_vector(vec, [0] * ctxs[1].syndrome_len)
+    out = io.StringIO()
+    assert cli.main(["decode", "--config", "unused.cfg", "--side", "2",
+                     "--syndrome", str(vec)], out=out) == 0
+    assert out.getvalue().startswith("outer_ok 1\n")
+    assert "Ho1" not in vars(built[0]) and "Ho2" not in vars(built[0])
 
 
 def test_mc_counts_pinned_90_28():
