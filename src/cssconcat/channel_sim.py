@@ -4,9 +4,10 @@ The channel adds an i.i.d. symbol drawn from a distribution W over GF(q) to
 every coordinate.  Monte-Carlo estimation feeds sampled errors through the
 two-stage decoder and scores them with the stabilizer-aware success oracle,
 on one GF(Q) symbol per inner block as derived in the :mod:`decode`
-docstring, with no array nN columns wide past the sampled errors.  The
-dense pipeline (``full_syndrome``, ``stage1``, the residual ``S_low -
-Ehat.Gp^T`` and ``success_oracle_rows``) is its reference in the tests.
+docstring, with no array nN columns wide past the sampled errors.  Its
+reference in the tests is the dense pipeline: the syndromes E.Ho^T with Ho
+from :meth:`concat.ConcatPair.parity_check`, ``stage1``, the residual
+``S_low - Ehat.Gp^T`` and ``success_oracle_rows``.
 The analytic side provides the random-coding error exponent, its
 concatenated-scheme optimization, and the classical union bound on
 bounded-distance outer decoding.

@@ -105,9 +105,9 @@ def cmd_concat(args, out):
     if args.out:
         fileio.write_code(args.out + ".l1.txt", cp.L1)
         fileio.write_code(args.out + ".l2.txt", cp.L2)
-        for name, M in (("ho1", cp.Ho1), ("ho2", cp.Ho2)):
-            with open(f"{args.out}.{name}.txt", "w") as fh:
-                fh.write(fileio.matrix_to_text(M))
+        for side in (1, 2):
+            with open(f"{args.out}.ho{side}.txt", "w") as fh:
+                fh.write(fileio.matrix_to_text(cp.parity_check(side)))
     return 0
 
 

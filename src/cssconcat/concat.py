@@ -28,13 +28,12 @@ basis, coords(y)_r = Tr(y beta_r), so coords(h alpha^c)_r = Tr((h beta_r)
 alpha^c): the trace-dual coordinates of h beta_r, and the row is
 PI_2[h beta_r].
 
-Codes.  A pair keeps its outer codes and its pi tables, (Q, n) each.  The
-checks Ho_i, written in place with Gp_i a row view, and the generators of
-L1/L2 are built from the tables when first read and then kept:
-``cssconcat concat --out`` reads both, ``mindist`` the generators,
-:func:`verify_duality` and :meth:`decode.DecoderContext.full_syndrome`
-Ho_i; set-up, decoding and Monte-Carlo read none of them (Ho1 and Ho2 are
-4 MB at [[2550,1016]] and 84 MB at [[12276,5110]]).  Ho_i, the pi tables
+Codes.  A pair keeps its outer codes and its pi tables, (Q, n) each, and
+no check Ho_i (Ho1 and Ho2 are 84 MB at [[12276,5110]]):
+:meth:`ConcatPair.parity_check` builds one for ``cssconcat concat --out``
+and :func:`verify_duality`, and decoding and syndromes read the tables.
+The generators of L1/L2, read by ``concat --out`` and ``mindist``, are
+built from the tables when first read and then kept.  Ho_i, the pi tables
 and the generators and checks of L1/L2 hold codes of the inner field's
 dtype, ``field.dtype``: ``np.int8`` for q <= 128, ``np.int16`` above.  It
 is signed so that the difference of two codes cannot wrap; products widen
@@ -184,7 +183,7 @@ from .errors import (
     RankDeficient,
 )
 from .galois import Extension
-from .matrix import MatGF
+from .matrix import MatGF, chunk_rows
 from .outer_grs import GrsCode, _distinct_codes, _scaled_powers
 
 
@@ -236,18 +235,10 @@ def _blockwise(H, out):
     out.reshape(N, m, N, n)[i, :, i, :] = H
 
 
-def _subfield_rows(ext: Extension, M) -> np.ndarray:
-    """Base-field generating set of a GF(q^k)-row space: all alpha^l * row.
-
-    Row ``r * k + l`` is ``alpha^l * M[r]``.
-    """
-    return _scaled(ext, np.asarray(M), 2)
-
-
 def _concatenated_rows(ext, table, G, H):
     """Generators of pi(row space of G) + blockwise row space of H over GF(q):
     the expanded subfield rows of ``G`` above N diagonal copies of ``H``."""
-    S = _subfield_rows(ext, G)
+    S = _scaled(ext, G, 2)  # the subfield rows: row r k + l is alpha^l G[r]
     N = S.shape[1]
     m, n = H.shape
     out = np.zeros((len(S) + N * m, N * n), dtype=table.dtype)
@@ -273,26 +264,20 @@ def build_parity_check(inner: CssPair, ext: Extension, Hout, side: int = 1):
     M = Hout.shape[0]
     if M and MatGF(ext.as_field(), Hout).rank != M:
         raise RankDeficient("outer parity check is not full rank")
-    return _expanded_check(inner, _scaled(ext, Hout, side), side,
-                           pi_table(3 - side, inner, ext))
+    return _expanded_check(inner, ext, Hout, side, pi_table(3 - side, inner, ext))
 
 
-def _expanded_check(inner: CssPair, y, side: int, table):
-    """:func:`build_parity_check` from the scaled symbols ``y`` =
-    :func:`_scaled` of ``Hout``, without the rank check of ``Hout``, with
-    ``table`` the pi table of the other side, PI_2 for side 1 and PI_1 for
-    side 2.
-
-    Row ``j * k + r`` of ``lower`` is PI_2[Hout[j] * beta_r] on side 1 and
-    PI_1[Hout[j] * alpha^r] on side 2 (see the module docstring).
-    """
-    n, N = inner.n, y.shape[1]
+def _expanded_check(inner: CssPair, ext: Extension, Hout, side: int, table):
+    """:func:`build_parity_check` without the rank check of ``Hout``, with
+    ``table`` the pi table of the other side: row ``j * k + r`` of
+    ``lower`` is PI_2[Hout[j] * beta_r] on side 1 and PI_1[Hout[j] *
+    alpha^r] on side 2 (module docstring)."""
+    y = _scaled(ext, Hout, side)
     H_in = inner.C1.H if side == 1 else inner.C2.H
-    top = N * len(H_in)
-    Ho = np.zeros((top + len(y), n * N), dtype=inner.field.dtype)
+    top = y.shape[1] * len(H_in)
+    Ho = np.zeros((top + len(y), inner.n * y.shape[1]), dtype=inner.field.dtype)
     _blockwise(H_in, Ho[:top])
-    lower = _expand(table, y, Ho[top:])
-    return Ho, lower
+    return Ho, _expand(table, y, Ho[top:])
 
 
 def _scaled(ext: Extension, Hout, side: int):
@@ -304,15 +289,14 @@ def _scaled(ext: Extension, Hout, side: int):
 
 @dataclass
 class ConcatPair:
-    """The concatenated CSS pair with its structured parity checks.
+    """The concatenated CSS pair, kept as its factors.
 
     ``D1``/``D2`` are the outer GRS codes, which also decode the outer
     stage, with parity checks ``Hout1``/``Hout2`` = ``D1.H``/``D2.H``;
-    ``PI1``/``PI2`` the (Q, n) tables of pi_1/pi_2.  The parity checks
-    ``Ho1``/``Ho2`` of L1/L2, with their lower (expanded outer) parts
-    ``Gp1``/``Gp2`` as row views, and the codes ``L1``/``L2`` are built
-    from the tables on first access; set-up, decoding and Monte-Carlo
-    read none of them.
+    ``PI1``/``PI2`` the (Q, n) tables of pi_1/pi_2.  The codes
+    ``L1``/``L2`` are built from the tables on first access and kept;
+    :meth:`parity_check` builds a structured check on every call and keeps
+    none.  Set-up, decoding and Monte-Carlo read none of them.
     """
 
     inner: CssPair
@@ -322,25 +306,14 @@ class ConcatPair:
     PI1: np.ndarray
     PI2: np.ndarray
 
-    @cached_property
-    def Ho1(self) -> np.ndarray:
-        """The structured parity check of L1, gathered from PI2."""
-        return _expanded_check(self.inner, _scaled(self.ext, self.D1.H, 1), 1, self.PI2)[0]
-
-    @cached_property
-    def Ho2(self) -> np.ndarray:
-        """The structured parity check of L2, gathered from PI1."""
-        return _expanded_check(self.inner, _scaled(self.ext, self.D2.H, 2), 2, self.PI1)[0]
-
-    @property
-    def Gp1(self) -> np.ndarray:
-        """The expanded outer rows of Ho1, a row view."""
-        return self.Ho1[self.N * len(self.inner.C1.H):]
-
-    @property
-    def Gp2(self) -> np.ndarray:
-        """The expanded outer rows of Ho2, a row view."""
-        return self.Ho2[self.N * len(self.inner.C2.H):]
+    def parity_check(self, side: int) -> np.ndarray:
+        """A fresh structured parity check Ho_side of L_side, gathered from
+        the other side's pi table; its last k (N - K_side) rows are the
+        expanded outer check Gp_side."""
+        if side not in (1, 2):
+            raise DomainError("side must be 1 or 2")
+        D, table = (self.D1, self.PI2) if side == 1 else (self.D2, self.PI1)
+        return _expanded_check(self.inner, self.ext, D.H, side, table)[0]
 
     @cached_property
     def L1(self) -> LinearCode:
@@ -473,12 +446,15 @@ def _grs_pair_holds(ext: Extension, D):
             c = (ext.log[G[0]] + ext.log[H[0]] + code._log_diff) % (ext.Q - 1)
             if (c != c[0]).any():
                 return False
-    # (O): the power sums of u1 u2 that Hout1.Hout2^T holds vanish
+    # (O): the power sums of u1 u2 that Hout1.Hout2^T holds vanish, summed a
+    # slice of degrees at a time so that no (degrees, N) int64 matrix is formed
     H1, H2 = D[0].H, D[1].H
     if not (len(H1) and len(H2)):
         return True
     logs = (ext.log[H1[0]] + ext.log[H2[0]]) % (ext.Q - 1)
-    return not fQ.add_reduce(_scaled_powers(ext, logs, a, len(H1) + len(H2) - 1), axis=1).any()
+    degrees, step = len(H1) + len(H2) - 1, chunk_rows(N)
+    return not any(fQ.add_reduce(_scaled_powers(ext, logs, a, min(step, degrees - lo), lo),
+                                 axis=1).any() for lo in range(0, degrees, step))
 
 
 def _certify(inner: CssPair, ext: Extension, D, PI):
@@ -507,8 +483,8 @@ def concatenate(inner: CssPair, outer, ext: Extension) -> ConcatPair:
     duality and containment by the exact GRS certificate, from the points
     and arrays of D1/D2 and products at most n wide.  Only where it fails
     does the trace-form certificate run, with products at most kN wide.
-    The checks Ho_i and the generators of L1/L2 are built from the pi
-    tables when first read.
+    The generators of L1/L2 are built from the pi tables when first read,
+    the checks Ho_i by :meth:`ConcatPair.parity_check`.
     Raises NotOrthogonal when the outer pair violates the CSS containment,
     RankDeficient or BadComplement when a factor or product fails its
     certificate.
@@ -536,22 +512,21 @@ def verify_duality(cp: ConcatPair) -> bool:
     Verifies that the dual of L1 equals pi_2(dual D1) + blockwise dual(C1)
     and symmetrically for L2, and that the structured parity checks span
     exactly those duals.  One side at a time: each side builds the
-    generators of L_i from the pi tables as a local, eliminates them once
-    for the null space and frees every nN-column matrix before the next
-    side starts.  Nothing is read from or cached on ``cp.L1``/``cp.L2``;
-    ``cp.Ho1``/``cp.Ho2`` are read, and so built on the pair if they were
-    not yet.
+    generators of L_i and the check Ho_i (:meth:`ConcatPair.parity_check`)
+    from the pi tables as locals, eliminates the generators once for the
+    null space and frees every nN-column matrix before the next side
+    starts.  Nothing is read from or cached on the pair.
     """
     f = cp.inner.field
     fQ = cp.ext.as_field()
     ok = True
-    for table, D, H, table_opp, H_opp, Ho in (
-            (cp.PI1, cp.D1, cp.inner.C2.H, cp.PI2, cp.inner.C1.H, cp.Ho1),
-            (cp.PI2, cp.D2, cp.inner.C1.H, cp.PI1, cp.inner.C2.H, cp.Ho2)):
+    for side, table, D, H, table_opp, H_opp in (
+            (1, cp.PI1, cp.D1, cp.inner.C2.H, cp.PI2, cp.inner.C1.H),
+            (2, cp.PI2, cp.D2, cp.inner.C1.H, cp.PI1, cp.inner.C2.H)):
         # the generators and their rref die as soon as the null space is taken
         dual = MatGF(f, _concatenated_rows(cp.ext, table, D.G, H)).null_space()
         Dperp = MatGF(fQ, D.G).null_space().a
         ok &= dual.same_row_space(MatGF(f, _concatenated_rows(cp.ext, table_opp, Dperp, H_opp)))
-        ok &= MatGF(f, Ho).same_row_space(dual)
+        ok &= MatGF(f, cp.parity_check(side)).same_row_space(dual)
         del dual  # and the null space with its rref before the next side
     return bool(ok)

@@ -45,15 +45,17 @@ iff c_b != 0.  Neither test eliminates.
 Outer stage.  It needs (G): Gp = PI_o[y], block b of row j k + r of the
 side's Gp being PI_o[y] with no dual(C) part, y = Hout[j, b] beta_r on side
 1 and Hout[j, b] alpha^r on side 2 (beta the trace-dual basis):
-:class:`concat.ConcatPair` builds Gp by that gather when it is first
-read, and :func:`concat.concatenate` certifies every table row the gather
-can read ((B) and (B') there: every row in the exact GRS certificate, the
-rows y reads in the trace-form one).  The decoder reads neither Gp nor Ho:
-its lengths are N m + k (N - K) for a syndrome and N n for an error.  Then
-<u_b, PI_o[y]> = Tr(y w(u)_b), w(u) the symbols w_b of the blocks of u, so
-block j of u.Gp^T holds the coordinates of (Hout.w(u))_j that
-:meth:`DecoderContext.reassemble_symbols` reads.  The outer syndrome of an
-error e with stage-1 estimate Ehat is then
+:meth:`concat.ConcatPair.parity_check` builds Gp by that gather, and
+:func:`concat.concatenate` certifies every table row the gather can read
+((B) and (B') there: every row in the exact GRS certificate, the rows y
+reads in the trace-form one).  Then <u_b, PI_o[y]> = Tr(y w(u)_b), w(u)
+the symbols w_b of the blocks of u, so block j of u.Gp^T holds the
+coordinates of (Hout.w(u))_j that :meth:`DecoderContext.reassemble_symbols`
+reads: power-basis on side 1, trace-dual on side 2.  The decoder reads
+neither Gp nor Ho: its lengths are N m + k (N - K) for a syndrome and N n
+for an error, and :meth:`DecoderContext.full_syndrome` forms e.Ho^T as the
+blockwise products e_b.H_side^T followed by those coordinates of Hout.w(e).
+The outer syndrome of an error e with stage-1 estimate Ehat is then
 
   sigma = Hout.w(e - Ehat) = reassemble(S_low) - Hout.zeta,
 
@@ -126,16 +128,19 @@ class DecoderContext:
         # [H; g]^T of the block-level success test (module docstring)
         self._m, self._HgT = _block_factor(cp.inner, 3 - side)
 
-    @property
+    @cached_property
     def Ho(self):
-        """This side's structured parity check, built on the pair on first
-        read; :meth:`full_syndrome` reads it, decoding does not."""
-        return self.cp.Ho1 if self.side == 1 else self.cp.Ho2
+        """This side's structured parity check, built on the context on first
+        read.  Nothing in the library reads it: it stays for the benchmark's
+        traced replay (``perfbench/pipeline.py``), until that replay forms
+        its syndromes with :meth:`full_syndrome`."""
+        return self.cp.parity_check(self.side)
 
     @property
     def Gp(self):
-        """The expanded outer rows of :attr:`Ho`, a row view."""
-        return self.cp.Gp1 if self.side == 1 else self.cp.Gp2
+        """The expanded outer rows of :attr:`Ho`, a row view, for the same
+        replay."""
+        return self.Ho[self.upper_len:]
 
     @cached_property
     def _symbol_tables(self):
@@ -188,8 +193,24 @@ class DecoderContext:
         return bad
 
     def full_syndrome(self, E):
-        """Syndromes of error vectors (rows) against this side's structured check."""
-        return self.field.matmul(as_codes(self.field, E, "error entries"), self.Ho.T)
+        """Syndromes e.Ho^T of error vectors ``E`` (rows, or one vector),
+        formed without Ho (module docstring): the blockwise products with
+        the inner check, then the coordinates of Hout.w(e)."""
+        E = as_codes(self.field, E, "error entries")
+        if E.shape[-1:] != (self.N * self.n,):
+            raise DomainError(f"error vectors must have length {self.N * self.n}")
+        rows = E.reshape(-1, self.N * self.n)
+        ids, H, w = self.block_symbols(rows)
+        blocks = np.zeros((len(rows) * self.N, self._m), dtype=self.field.dtype)
+        blocks[ids] = H
+        W = np.zeros((len(rows), self.N), dtype=w.dtype)
+        W.reshape(-1)[ids] = w
+        wtab = self.ext.coord_table if self.side == 1 else self.ext.dual_table
+        S = np.empty((len(rows), self.syndrome_len), dtype=self.field.dtype)
+        upper, lower = S[:, :self.upper_len], S[:, self.upper_len:]
+        upper[...] = blocks.reshape(upper.shape)
+        lower[...] = wtab[self.outer_syndromes(W)].reshape(lower.shape)
+        return S.reshape(*E.shape[:-1], self.syndrome_len)
 
     def _leaders(self, upper):
         """``(estimates, packed)`` of upper syndromes ``(..., N*m)``: the

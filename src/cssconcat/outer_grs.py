@@ -127,11 +127,12 @@ def _berlekamp_massey(f, S, t):
     return lam, L
 
 
-def _scaled_powers(ext, log_scale, points, rows):
-    """The (rows, N) matrix ``s_j * a_j^i`` for column scales given by logs."""
-    i = np.arange(rows, dtype=np.int64)[:, None]
+def _scaled_powers(ext, log_scale, points, rows, start=0):
+    """The (rows, N) matrix ``s_j * a_j^i``, i = start .. start + rows - 1,
+    for column scales given by logs."""
+    i = np.arange(start, start + rows, dtype=np.int64)[:, None]
     out = ext.exp[(log_scale[None, :] + i * ext.log[points][None, :]) % (ext.Q - 1)]
-    out[1:, points == 0] = 0  # 0^0 = 1, every higher power is 0
+    out[int(start == 0):, points == 0] = 0  # 0^0 = 1, every higher power is 0
     return out
 
 

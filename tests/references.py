@@ -197,10 +197,27 @@ def bd_decode_batch(code, S):
     return E, reason == 0, reason
 
 
+def wide_arrays(cp):
+    """The names of the arrays the pair ``cp`` keeps with an axis nN long,
+    such as a structured check Ho_i: a lean pair keeps none."""
+    return [name for name, v in vars(cp).items()
+            if isinstance(v, np.ndarray) and cp.block_length in v.shape]
+
+
+def dense_full_syndrome(ctx, E, Ho=None):
+    """``E.Ho^T`` for the side's structured check ``Ho``, by default
+    ``ctx.cp.parity_check(ctx.side)``: the reference for
+    ``DecoderContext.full_syndrome``."""
+    if Ho is None:
+        Ho = ctx.cp.parity_check(ctx.side)
+    return ctx.field.matmul(as_codes(ctx.field, E, "error entries"), Ho.T)
+
+
 def dense_mc_error_rate(ctx, channel, trials, seed, chunk=2048):
-    """``mc_error_rate`` through the dense decoder pipeline: the full
-    syndrome, stage 1, bounded-distance decoding of the nN-column residual
-    ``S_low - Ehat.Gp^T`` and the block-level success oracle, chunk by
+    """``mc_error_rate`` through the dense decoder pipeline: the syndromes
+    ``E.Ho^T`` (:func:`dense_full_syndrome`), stage 1, bounded-distance
+    decoding of the nN-column residual ``S_low - Ehat.Gp^T``, Gp the lower
+    rows of the same ``Ho``, and the block-level success oracle, chunk by
     chunk over the same trials.
 
     Returns ``(failures, outer_decode_failures, inner_block_rate,
@@ -208,15 +225,17 @@ def dense_mc_error_rate(ctx, channel, trials, seed, chunk=2048):
     with a nonzero residual whose outer decoding succeeds but which fails.
     """
     f = ctx.field
+    Ho = ctx.cp.parity_check(ctx.side)
+    Gp = Ho[ctx.upper_len:]
     failures = outer_fail = bad_blocks = miscorrections = 0
     reasons = np.zeros(len(MESSAGES), dtype=np.int64)
     for start in range(0, trials, chunk):
         count = min(chunk, trials - start)
         E = _sample_block(channel, seed, start, count, ctx.N * ctx.n)
-        S = ctx.full_syndrome(E)
+        S = dense_full_syndrome(ctx, E, Ho)
         Ehat = ctx.stage1(S[:, : ctx.upper_len])
         bad_blocks += int(np.count_nonzero(ctx.block_symbols(f.sub(E, Ehat))[2]))
-        resid = f.sub(S[:, ctx.upper_len:], f.matmul(Ehat, ctx.Gp.T))
+        resid = f.sub(S[:, ctx.upper_len:], f.matmul(Ehat, Gp.T))
         decoded = np.flatnonzero(resid.any(axis=1))
         symbols = ctx.reassemble_symbols(resid[decoded])
         X, ok, reason = ctx.grs.bd_decode_batch(

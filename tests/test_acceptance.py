@@ -286,8 +286,9 @@ def test_acceptance_07_syndrome_identity(capsys):
             f = cp.inner.field
             ext = cp.ext
             X = rng.integers(0, ext.Q, size=(per_cp, cp.N))
+            Gp1 = cp.parity_check(1)[cp.N * len(cp.inner.C1.H):]
             for x in X:
-                lhs = f.matmul(pi_map(1, cp.inner, ext, x), cp.Gp1.T)
+                lhs = f.matmul(pi_map(1, cp.inner, ext, x), Gp1.T)
                 symbols = ext.as_field().matmul(x, cp.Hout1.T)
                 rhs = ext.coords(symbols).reshape(-1)
                 assert np.array_equal(lhs, rhs)

@@ -281,7 +281,7 @@ def test_mc_heap_holds_narrow_codes():
     inner = bvector_pair(F2, [1] * 6, [1] * 6)
     e16 = Extension(F2, 4)
     cp = concatenate(inner, nested_grs_pair(e16, 15, 11, 11), e16)
-    assert cp.Ho1.dtype == F2.dtype
+    assert cp.parity_check(1).dtype == F2.dtype
     ctx = DecoderContext(cp, side=1)
     ch = AdditiveChannel.symmetric(F2, 0.01)
     mc_error_rate(ctx, ch, 512, 1)

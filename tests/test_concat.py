@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 from cssconcat.channel_sim import AdditiveChannel, mc_error_rate
 from cssconcat.concat import (
-    _subfield_rows,
+    _scaled,
     build_parity_check,
     concatenate,
     pi_map,
@@ -36,7 +36,7 @@ from cssconcat.errors import (
 from cssconcat.galois import Extension, Field
 from cssconcat.matrix import MatGF, chunk_rows
 from cssconcat.outer_grs import GrsCode, nested_grs_pair
-from references import pi_rows, random_css_pair
+from references import pi_rows, random_css_pair, wide_arrays
 
 F2 = Field(2)
 
@@ -58,15 +58,19 @@ def test_golden_expanded_parity_block():
 
 
 def test_side_outside_one_and_two_is_a_domain_error():
-    """pi_map and build_parity_check reject a side other than 1 or 2 as
-    DecoderContext does, with DomainError (a ValueError)."""
+    """pi_map, build_parity_check and ConcatPair.parity_check reject a side
+    other than 1 or 2 as DecoderContext does, with DomainError (a
+    ValueError)."""
     inner = trivial_pair(3)
     e8 = Extension(F2, 3)
+    cp = _instance_12_2(2, 2)
     for side in (0, 3, -1):
         with pytest.raises(DomainError, match="side must be 1 or 2"):
             pi_map(side, inner, e8, [1, 2])
         with pytest.raises(DomainError, match="side must be 1 or 2"):
             build_parity_check(inner, e8, np.array([[1, 2]]), side=side)
+        with pytest.raises(DomainError, match="side must be 1 or 2"):
+            cp.parity_check(side)
 
 
 def _nested_on_points(ext, N, K1, K2):
@@ -153,17 +157,23 @@ def test_pairing_preserved_by_expansion():
         assert lhs == rhs
 
 
+def _gp(cp, side):
+    """The expanded outer rows Gp_side of a freshly built check Ho_side."""
+    return cp.parity_check(side)[cp.N * len((cp.inner.C1 if side == 1 else cp.inner.C2).H):]
+
+
 def _syndrome_identity_holds(cp, rng, trials):
     f = cp.inner.field
     ext = cp.ext
+    Gp1, Gp2 = _gp(cp, 1), _gp(cp, 2)
     for _ in range(trials):
         x = rng.integers(0, ext.Q, size=cp.N)
-        lhs = f.matmul(pi_map(1, cp.inner, ext, x), cp.Gp1.T)
+        lhs = f.matmul(pi_map(1, cp.inner, ext, x), Gp1.T)
         symbols = ext.as_field().matmul(x, cp.Hout1.T)
         rhs = ext.coords(symbols).reshape(-1)
         if not np.array_equal(lhs, rhs):
             return False
-        lhs2 = f.matmul(pi_map(2, cp.inner, ext, x), cp.Gp2.T)
+        lhs2 = f.matmul(pi_map(2, cp.inner, ext, x), Gp2.T)
         symbols2 = ext.as_field().matmul(x, cp.Hout2.T)
         rhs2 = (np.concatenate([ext.phi_dual(int(s)) for s in symbols2])
                 if len(symbols2) else np.zeros(0, dtype=np.int64))
@@ -270,7 +280,7 @@ def test_subfield_rows_matches_row_loop(case):
     _, ext, M = case
     want = [[ext.as_field().mul(ext.alpha_pow(l), int(x)) for x in row]
             for row in M for l in range(ext.k)]
-    got = _subfield_rows(ext, M)
+    got = _scaled(ext, M, 2)  # the subfield rows
     assert got.shape == (M.shape[0] * ext.k, M.shape[1])
     assert got.tolist() == want
 
@@ -297,21 +307,23 @@ def _parity_block_loop(inner, ext, Hout, side):
 ])
 def test_build_parity_check_matches_block_loop(inner, ext, N, K):
     cp = concatenate(inner, nested_grs_pair(ext, N, K, K), ext)
-    for side, Hout, Ho, Gp in ((1, cp.Hout1, cp.Ho1, cp.Gp1), (2, cp.Hout2, cp.Ho2, cp.Gp2)):
+    for side, Hout in ((1, cp.Hout1), (2, cp.Hout2)):
         want = _parity_block_loop(inner, ext, Hout, side)
-        assert np.array_equal(Gp, want)
-        assert np.array_equal(Ho[-want.shape[0]:], want)
+        assert np.array_equal(_gp(cp, side), want)
+        assert np.array_equal(cp.parity_check(side), build_parity_check(inner, ext, Hout, side)[0])
 
 
 def test_concatenate_retains_no_generator():
-    """Set-up, decoding and MC never build L1/L2; Gp_i is a row view of Ho_i;
-    the generators built on first access match the eager construction."""
+    """Set-up, decoding and MC never build L1/L2; parity_check builds a new
+    Ho_i on each call and keeps none; the generators built on first access
+    match the eager construction."""
     inner, ext = EXPANSIONS[1]
     cp = concatenate(inner, nested_grs_pair(ext, 15, 11, 11), ext)
     ctxs = (DecoderContext(cp, side=1), DecoderContext(cp, side=2))
     mc_error_rate(ctxs[0], AdditiveChannel.symmetric(F2, 0.05), 64, 3)
     assert "L1" not in vars(cp) and "L2" not in vars(cp)
-    assert np.shares_memory(cp.Gp1, cp.Ho1) and np.shares_memory(cp.Gp2, cp.Ho2)
+    assert not np.shares_memory(cp.parity_check(1), cp.parity_check(1))
+    assert wide_arrays(cp) == []
     eye = np.eye(cp.N, dtype=np.int64)
     for L, m, D, H_other in ((cp.L1, 1, cp.D1, inner.C2.H), (cp.L2, 2, cp.D2, inner.C1.H)):
         rows = [pi_map(m, inner, ext, ext.as_field().mul(ext.alpha_pow(l), D.G[r]))
@@ -352,7 +364,7 @@ def test_certified_setup_matches_generic_path(name):
     assert verify_duality(cp)
     assert validate_css(cp.D1.as_linear_code(), cp.D2.as_linear_code())
     assert validate_css(cp.L1, cp.L2)
-    for L, Ho in ((cp.L1, cp.Ho1), (cp.L2, cp.Ho2)):
+    for L, Ho in ((cp.L1, cp.parity_check(1)), (cp.L2, cp.parity_check(2))):
         assert LinearCode(f, L.G).dim == L.dim
         assert MatGF(f, Ho).rank == len(Ho) == cp.block_length - L.dim
         assert MatGF(f, Ho).same_row_space(L.Gmat.null_space())
@@ -379,12 +391,10 @@ def test_verify_duality_memory_is_bounded(name, bound_mb):
     """verify_duality holds one side's nN-column matrices at a time and keeps
     none: its traced peak is bounded, traced memory comes back to where it
     started, and nothing is written onto the pair, its outer codes or its
-    inner pair -- L1/L2 are not built.  Ho1/Ho2, which the pair builds on
-    first read, are read before the traced call."""
+    inner pair -- L1/L2 are not built, and each Ho_i is a local too."""
     inputs = _inputs(name)
     assert verify_duality(concatenate(*inputs))  # the extension's lazy tables
     cp = concatenate(*inputs)
-    cp.Ho1, cp.Ho2  # built on first read and kept, as verify_duality reads them
     owners = (cp, cp.D1, cp.D2, cp.inner, cp.inner.C1, cp.inner.C2)
     before = [dict(vars(o)) for o in owners]
     tracemalloc.start()
@@ -396,7 +406,7 @@ def test_verify_duality_memory_is_bounded(name, bound_mb):
         tracemalloc.stop()
     assert peak - start <= bound_mb * 2**20
     assert end - start <= 65536
-    assert "L1" not in vars(cp) and "L2" not in vars(cp)
+    assert "L1" not in vars(cp) and "L2" not in vars(cp) and wide_arrays(cp) == []
     for o, attrs in zip(owners, before):
         assert vars(o).keys() == attrs.keys()
         assert all(vars(o)[key] is value for key, value in attrs.items())
@@ -416,20 +426,21 @@ def test_outer_pair_without_containment_rejected(name):
 @pytest.mark.parametrize("flip", [1, 2])
 @pytest.mark.parametrize("name", ["12_2", "90_28", "96_32_gf3"])
 def test_flipped_expanded_check_rejected(name, flip):
-    """One flipped entry of Gp1 or Gp2, in the check Ho_i too, assigned to
-    the cached Ho_i of a copy of the pair: verify_duality rejects it.
-    concatenate gathers Gp_i from the pi table it certifies, so the flip
-    reaches it only as a flipped table row
+    """One flipped entry of Hout1 or Hout2, set on a copy of the outer code
+    of a copy of the pair: the check Ho_i that verify_duality builds from
+    it has k rows outside dual(L_i), and verify_duality rejects it.
+    concatenate gathers Gp_i from the pi table it certifies, so a flipped
+    entry of Gp_i reaches it only as a flipped table row
     (test_trace_certificate_flipped_gp_matches_reference)."""
     inner, outer, ext = _inputs(name)
     good = concatenate(inner, outer, ext)
-    Ho = (good.Ho1 if flip == 1 else good.Ho2).copy()
-    lower = Ho[len(Ho) - len(good.Gp1 if flip == 1 else good.Gp2):]
-    lower[0, 0] = (lower[0, 0] + 1) % inner.field.q
+    D = outer[flip - 1]
+    H = D.H.copy()
+    H[0, 0] = (H[0, 0] + 1) % ext.Q
     bad = copy.copy(good)
-    setattr(bad, f"Ho{flip}", Ho)
-    assert np.shares_memory(getattr(bad, f"Gp{flip}"), lower)
-    assert not verify_duality(bad)
+    setattr(bad, f"D{flip}", _altered(D, H=H))
+    assert not np.array_equal(_gp(bad, flip), _gp(good, flip))
+    assert verify_duality(good) and not verify_duality(bad)
 
 
 @pytest.mark.parametrize("name", ["12_2", "90_28", "96_32_gf3"])
@@ -604,7 +615,7 @@ def _pi_product_nonzero(ext, table, G, Gp):
     time."""
     f = ext.base
     step = max(chunk_rows(ext.k * Gp.shape[1], table.itemsize), len(Gp) // ext.k)
-    return any(f.matmul(concat._expand(table, _subfield_rows(ext, G[lo:lo + step])), Gp.T).any()
+    return any(f.matmul(concat._expand(table, _scaled(ext, G[lo:lo + step], 2)), Gp.T).any()
                for lo in range(0, len(G), step))
 
 
@@ -928,24 +939,41 @@ def test_trace_certificate_containment_break_matches_reference(name):
     assert case.outcomes(D=(D1_nested, short)) == (NotOrthogonal, NotOrthogonal)
 
 
+@pytest.mark.parametrize("step", [1, 2, 5])
+def test_power_sums_in_row_slices(monkeypatch, step):
+    """(O) sums the power sums of u1 u2 in slices of chunk_rows(N) degrees,
+    with 0^0 = 1 in degree 0 only: slices of 1, 2 and 5 degrees accept the
+    valid pairs, with a point 0 among them, and reject the pair that fails
+    only at degree N - 1 (the last slice)."""
+    monkeypatch.setattr(concat, "chunk_rows", lambda width, itemsize=8: step)
+    for name in ("90_28", "96_32_gf3", "90_28_at_0", "12_2"):
+        case = _case(name)
+        assert concat._grs_pair_holds(case.ext, case.D), name
+    for name in ("90_28", "96_32_gf3"):
+        _, (D1, _), ext = _inputs(name)
+        short = GrsCode._on_points(ext, D1.points, D1.dual_multipliers,
+                                   D1.N - 1 - D1.K, D1._log_diff)
+        assert not concat._grs_pair_holds(ext, (D1, short)), name
+
+
 @pytest.mark.parametrize("name", ["12_2", "90_28", "96_32_gf3"])
 def test_inner_dual_shift_passes_both_certificates(name):
-    """Adding a row of dual(C1) to a block of Gp1 (or of dual(C2) to a
-    block of Gp2) keeps each block in its inner code with the same g-part,
-    so every postcondition holds: the elimination-based verify_duality
-    accepts it, on a copy of the pair with the shifted Ho_i assigned.  The
+    """Adding a row of dual(C1) to the row of PI2 that block 1 of the first
+    row of Gp1 reads (of dual(C2) to a row of PI1, for Gp2) keeps every
+    block that reads it in its inner code with the same g-part, so every
+    postcondition holds: the elimination-based verify_duality accepts the
+    checks it builds from the shifted table of a copy of the pair.  The
     trace-form certificate and the nN-column reference accept the same
-    shift of a pi-table row (test_corrupted_pi_table_matches_reference)."""
+    shift (test_corrupted_pi_table_matches_reference)."""
     inner, outer, ext = _inputs(name)
     good = concatenate(inner, outer, ext)
-    f, n = inner.field, inner.n
-    for side, H in ((0, inner.C1.H), (1, inner.C2.H)):
-        Gp = [good.Gp1.copy(), good.Gp2.copy()]
-        Gp[side][0, n:2 * n] = f.add(Gp[side][0, n:2 * n], H[0])
-        Ho = good.Ho1 if side == 0 else good.Ho2
+    f = inner.field
+    for side, H, D, table in ((1, inner.C1.H, good.D1, "PI2"), (2, inner.C2.H, good.D2, "PI1")):
+        x = concat._scaled(ext, D.H, side)[0, 1]
         shifted = copy.copy(good)
-        setattr(shifted, f"Ho{side + 1}", np.concatenate([Ho[:len(Ho) - len(Gp[side])], Gp[side]]))
-        assert np.array_equal(getattr(shifted, f"Gp{side + 1}"), Gp[side])
+        setattr(shifted, table, _corrupted(getattr(good, table), x, f.add(getattr(good, table)[x], H[0])))
+        moved = f.sub(_gp(shifted, side), _gp(good, side)).reshape(-1, inner.n)
+        assert moved.any() and (moved[moved.any(axis=1)] == H[0]).all()
         assert verify_duality(shifted)
 
 
@@ -968,7 +996,7 @@ def test_concatenate_products_at_most_kN_wide(monkeypatch, name):
     monkeypatch.setattr(concat, "_certify_outer", lambda *args: fallbacks.append(args))
     cp = concatenate(case.inner, case.D, case.ext)
     assert widths and max(widths) <= cp.n <= cp.k * cp.N < cp.block_length and not fallbacks
-    assert "Ho1" not in vars(cp) and "Ho2" not in vars(cp)
+    assert wide_arrays(cp) == []
 
 
 def _matmul_rows(monkeypatch):

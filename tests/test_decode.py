@@ -10,7 +10,7 @@ import pytest
 from cssconcat import cli, fileio, matrix
 from cssconcat.channel_sim import AdditiveChannel, _sample_block, mc_error_rate
 from cssconcat.codes import bvector_pair
-from cssconcat.concat import concatenate, pi_map
+from cssconcat.concat import concatenate, pi_map, verify_duality
 from cssconcat.decode import (
     DecoderContext,
     decode_batch,
@@ -21,7 +21,7 @@ from cssconcat.decode import (
 from cssconcat.errors import DecodeFailure, DomainError
 from cssconcat.galois import Extension, Field
 from cssconcat.outer_grs import nested_grs_pair
-from references import pi_rows
+from references import dense_full_syndrome, pi_rows, wide_arrays
 
 F2 = Field(2)
 F3 = Field(3)
@@ -127,10 +127,10 @@ def test_syndrome_length_validation():
     with pytest.raises(DomainError):
         two_stage_decode(ctx, np.zeros(3, dtype=np.int64))
     with pytest.raises(DomainError):
-        decode_batch(ctx, np.zeros(ctx.Ho.shape[0], dtype=np.int64))  # not rows
+        decode_batch(ctx, np.zeros(ctx.syndrome_len, dtype=np.int64))  # not rows
     # entries outside [0, q) would wrap around the packed leader index
     for bad in (-1, 2):
-        s = np.zeros((3, ctx.Ho.shape[0]), dtype=np.int64)
+        s = np.zeros((3, ctx.syndrome_len), dtype=np.int64)
         s[1, 0] = bad
         with pytest.raises(DomainError):
             decode_batch(ctx, s)
@@ -145,18 +145,37 @@ def test_full_syndrome_rejects_entries_outside_field():
     for cp, bads in ((_cp_12_2(1, 3), (2, 3, -1, 0.5)), (_cp_96_32_gf3(), (4,))):
         ctx = DecoderContext(cp, side=1)
         for bad in bads:
-            E = np.zeros((2, ctx.Ho.shape[1]))
+            E = np.zeros((2, cp.block_length))
             E[1, 0] = bad
             for e in (E, E[1]):
                 with pytest.raises(DomainError):
                     ctx.full_syndrome(e)
-        E = np.zeros((2, ctx.Ho.shape[1]), dtype=np.int64)
+        E = np.zeros((2, cp.block_length), dtype=np.int64)
         E[1, [0, 5]] = 1
-        want = (E @ ctx.Ho.T.astype(np.int64)) % ctx.field.p
+        want = (E @ cp.parity_check(1).T.astype(np.int64)) % ctx.field.p
         for e in (E, E.astype(np.int8), E.astype(bool), E.astype(float)):
             got = ctx.full_syndrome(e)
             assert got.dtype == ctx.field.dtype and np.array_equal(got, want)
             assert np.array_equal(ctx.full_syndrome(e[1]), want[1])
+
+
+@pytest.mark.parametrize("make_cp", [_cp_12_2, _cp_90_28, _cp_96_32_gf3, _cp_60_14_gf4])
+@pytest.mark.parametrize("side", [1, 2])
+def test_full_syndrome_matches_dense_product(make_cp, side):
+    """full_syndrome, formed from the block symbols, equals the dense
+    E.Ho^T over GF(2), GF(3) and GF(4) inner fields, on batches of 0, 1 and
+    60 rows of sparse and dense errors and on a single vector; _cp_12_2 has
+    no Hout rows on side 2, so no lower syndrome there."""
+    ctx = DecoderContext(make_cp(), side=side)
+    f, L = ctx.field, ctx.N * ctx.n
+    rng = np.random.default_rng(30 + side)
+    E = rng.integers(0, f.q, size=(60, L)) * (rng.random((60, L)) < [[0.02], [0.3], [1.0]] * 20)
+    want = dense_full_syndrome(ctx, E)
+    for rows in (0, 1, len(E)):
+        got = ctx.full_syndrome(E[:rows])
+        assert got.shape == (rows, ctx.syndrome_len) and got.dtype == f.dtype
+        assert np.array_equal(got, want[:rows])
+    assert np.array_equal(ctx.full_syndrome(E[1]), want[1])
 
 
 def test_table_and_stage1_reject_entries_outside_field():
@@ -195,7 +214,7 @@ def test_entries_that_narrowing_would_wrap_are_rejected():
     zero = np.zeros((2, 12), dtype=np.int64)
     bad_values = [np.int64(257), np.int64(-129), np.uint64(2), np.uint64(2 ** 64 - 255)]
     for bad in bad_values:
-        S = np.zeros((2, ctx.Ho.shape[0]), dtype=bad.dtype)
+        S = np.zeros((2, ctx.syndrome_len), dtype=bad.dtype)
         S[1, 0] = bad
         with pytest.raises(DomainError):
             decode_batch(ctx, S)
@@ -291,14 +310,20 @@ def test_reassemble_symbols_side2_matches_dual_basis_product(make_cp):
     assert np.array_equal(ctx.reassemble_symbols(ext.dual_table), np.arange(ext.Q))
 
 
-def _reference_two_stage_decode(ctx, s):
+def _lower_check(ctx):
+    """The side's expanded outer check Gp, the lower rows of a freshly built
+    structured check."""
+    return ctx.cp.parity_check(ctx.side)[ctx.upper_len:]
+
+
+def _reference_two_stage_decode(ctx, s, Gp):
     """The scalar two-stage decoder, one syndrome at a time (the reference
-    for :func:`decode_batch`)."""
+    for :func:`decode_batch`), with ``Gp`` from :func:`_lower_check`."""
     s = np.asarray(s, dtype=np.int64).reshape(-1)
     upper, lower = s[: ctx.upper_len], s[ctx.upper_len:]
     blocks = upper.reshape(ctx.N, ctx.table.m)
     ehat = ctx.table.leaders[ctx.table.pack(blocks)].reshape(-1)
-    resid = ctx.field.sub(lower, ctx.field.matmul(ehat, ctx.Gp.T))
+    resid = ctx.field.sub(lower, ctx.field.matmul(ehat, Gp.T))
     coords = resid.reshape(-1, ctx.k)
     if ctx.side == 2:  # trace-dual coordinates: sum_j c_j b'_j, b' the dual basis
         coords = ctx.field.matmul(coords, ctx.ext.coords(ctx.ext.dual_basis()))
@@ -338,8 +363,9 @@ def test_decode_batch_matches_scalar_reference(make_cp, side):
     rng = np.random.default_rng(40 + side)
     E = _mixed_errors(ctx, rng, 90)
     S = ctx.full_syndrome(E)
+    Gp = _lower_check(ctx)
     for T in (S, rng.integers(0, ctx.field.q, size=S.shape)):
-        ref = [_reference_two_stage_decode(ctx, s) for s in T]
+        ref = [_reference_two_stage_decode(ctx, s, Gp) for s in T]
         for rows in (0, 1, len(T)):
             Ehat, outer_ok = decode_batch(ctx, T[:rows])
             assert Ehat.shape == (rows, ctx.N * ctx.n) and outer_ok.shape == (rows,)
@@ -349,7 +375,7 @@ def test_decode_batch_matches_scalar_reference(make_cp, side):
     Ehat, outer_ok = decode_batch(ctx, S)
     f = ctx.field
     stage1 = ctx.stage1(S[:, : ctx.upper_len])
-    needs_outer = f.sub(S[:, ctx.upper_len:], f.matmul(stage1, ctx.Gp.T)).any(axis=1)
+    needs_outer = f.sub(S[:, ctx.upper_len:], f.matmul(stage1, Gp.T)).any(axis=1)
     corrected = (Ehat != stage1).any(axis=1)
     assert (~needs_outer).any() and (outer_ok & corrected).any() and (~outer_ok).any()
     est, ok = two_stage_decode(ctx, S[4])
@@ -371,7 +397,7 @@ def test_decode_batch_forms_no_nN_wide_product(monkeypatch):
     monkeypatch.setattr(Field, "matmul", spy)
     rng = np.random.default_rng(5)
     for ctx in ctxs:
-        S = rng.integers(0, 2, size=(50, ctx.Ho.shape[0]))
+        S = rng.integers(0, 2, size=(50, ctx.syndrome_len))
         assert not decode_batch(ctx, S)[1].all()
     assert widths and max(widths) < cp.N * cp.n
 
@@ -379,8 +405,10 @@ def test_decode_batch_forms_no_nN_wide_product(monkeypatch):
 @pytest.mark.parametrize("make_cp", [_cp_90_28, _cp_96_32_gf3])
 def test_decoding_builds_no_structured_check(monkeypatch, tmp_path, make_cp):
     """DecoderContext, mc_error_rate, decode_batch, success_oracle_rows and
-    CLI decode --syndrome take their lengths from N m + k (N - K) and N n:
-    none of them builds Ho1 or Ho2 on the pair."""
+    full_syndrome take their lengths from N m + k (N - K) and N n, and
+    verify_duality builds each Ho_i as a local: none of them, nor CLI
+    decode --syndrome or --error or concat --verify --out, leaves an array
+    nN wide on the pair or a check on a context."""
     cp = make_cp()
     ctxs = [DecoderContext(cp, side=side) for side in (1, 2)]
     rng = np.random.default_rng(9)
@@ -390,13 +418,15 @@ def test_decoding_builds_no_structured_check(monkeypatch, tmp_path, make_cp):
         mc_error_rate(ctx, AdditiveChannel.symmetric(f, 0.02), 32, 1)
         Ehat, _ = decode_batch(ctx, rng.integers(0, f.q, size=(8, ctx.syndrome_len)))
         success_oracle_rows(ctx, np.zeros_like(Ehat), Ehat)
+        assert ctx.full_syndrome(Ehat).shape == (8, ctx.syndrome_len)
         with pytest.raises(DomainError):
             decode_batch(ctx, np.zeros((1, ctx.syndrome_len + 1), dtype=np.int64))
         with pytest.raises(DomainError):
             success_oracle_rows(ctx, Ehat[:, 1:], Ehat[:, 1:])
-    assert "Ho1" not in vars(cp) and "Ho2" not in vars(cp)
-    assert all(len(ctx.Ho) == ctx.syndrome_len and ctx.Ho.shape[1] == cp.block_length
-               for ctx in ctxs)
+        with pytest.raises(DomainError):
+            ctx.full_syndrome(Ehat[:, 1:])
+    assert verify_duality(cp)
+    assert wide_arrays(cp) == [] and not any("Ho" in vars(ctx) for ctx in ctxs)
 
     built = []
 
@@ -404,13 +434,21 @@ def test_decoding_builds_no_structured_check(monkeypatch, tmp_path, make_cp):
         built.append(make_cp())
         return built[-1]
     monkeypatch.setattr(cli, "_build_concat", build)
-    vec = tmp_path / "s.txt"
-    fileio.write_vector(vec, [0] * ctxs[1].syndrome_len)
-    out = io.StringIO()
-    assert cli.main(["decode", "--config", "unused.cfg", "--side", "2",
-                     "--syndrome", str(vec)], out=out) == 0
-    assert out.getvalue().startswith("outer_ok 1\n")
-    assert "Ho1" not in vars(built[0]) and "Ho2" not in vars(built[0])
+    syn, err = tmp_path / "s.txt", tmp_path / "e.txt"
+    fileio.write_vector(syn, [0] * ctxs[1].syndrome_len)
+    e = np.zeros(cp.block_length, dtype=np.int64)
+    e[[0, 7]] = 1
+    fileio.write_vector(err, e)
+    for argv, head in ((["decode", "--config", "c.cfg", "--side", "2", "--syndrome", str(syn)],
+                        "outer_ok 1\n"),
+                       (["decode", "--config", "c.cfg", "--error", str(err)],
+                        "outer_ok 1 success 1\n"),
+                       (["--out", str(tmp_path / "cc"), "concat", "--config", "c.cfg",
+                         "--verify"], "[[")):
+        out = io.StringIO()
+        assert cli.main(argv, out=out) == 0 and out.getvalue().startswith(head), argv
+        assert wide_arrays(built[-1]) == [], argv
+    assert len(built) == 3
 
 
 def test_mc_counts_pinned_90_28():
@@ -442,7 +480,7 @@ ORACLE_CASES = [_cp_90_28, _cp_96_32_gf3, _cp_60_14_gf4]
 def _dense_oracle(ctx, E, estimates):
     """The reference for success_oracle_rows: the difference lies in the row
     space of the opposite structured check, dual(L_o), by elimination."""
-    Ho_other = ctx.cp.Ho2 if ctx.side == 1 else ctx.cp.Ho1
+    Ho_other = ctx.cp.parity_check(3 - ctx.side)
     return matrix.MatGF(ctx.field, Ho_other).span_contains_rows(ctx.field.sub(estimates, E))
 
 
@@ -462,7 +500,7 @@ def _logical_errors(ctx, rng, rows):
 def _dual_shift(ctx, rng, rows):
     """Random elements of dual(L_o), the row space of the opposite
     structured check: shifting an estimate by one keeps its verdict."""
-    f, Ho_other = ctx.field, ctx.cp.Ho2 if ctx.side == 1 else ctx.cp.Ho1
+    f, Ho_other = ctx.field, ctx.cp.parity_check(3 - ctx.side)
     return f.matmul(rng.integers(0, f.q, size=(rows, len(Ho_other))), Ho_other)
 
 
