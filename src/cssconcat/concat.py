@@ -146,24 +146,18 @@ table work and O(Q) products n wide, with no y_i, no Ho_i and no W_i:
     2N - K1 - K2 - 1 power sums for i + l = 0..2N-K1-K2-2, which vanish.
 
 A side with K_i = N has no rows in Hout_i and nothing to check in (C) or
-(O).  Only when one of these checks fails does concatenate run the
-trace-form certificate, which classifies the failure.
+(O).
 
-Trace-form certificate.  It forms y_i and W_i and certifies over kN
-columns, with (R) taken from GRS construction, so its verdicts do not
-depend on the points: a GRS pair on different points is judged here.  The
-rows of Gp_i failing (B) are those with a symbol that reads a row of P
-failing (B'), and their g-parts are gathered from P; no block is
-multiplied.  A corrupted table row that no y_i reads fails (B') but leaves
-every block passing (B), and the pair is accepted.  Over kN columns,
-
-  (O) is W1.coords(Hout2)^T = 0, coords(Hout2) being the rows r = 0 of W2;
-  (C) is W1.coords(D1.G)^T = 0 and W2.dual_table[D2.G]^T = 0,
-
-as the products above vanish exactly when their rows s = 0 or l = 0 do.
-A row failing (B) raises NotOrthogonal when its g-part pairs nonzero with
-the other side's W, its share of Gp1.Gp2^T, and RankDeficient otherwise,
-as the nN-column products would.
+Other pairs.  A pair the exact certificate does not prove, on other points
+or with arrays changed after construction, is judged by (O) and (C)
+themselves, two products over GF(q^k) at most N wide: NotOrthogonal if
+Hout1.Hout2^T != 0, then RankDeficient if D_i.G.Hout_i^T != 0 on either
+side.  With (B') on every table row the nN-column products are their trace
+forms (Outer facts), so they vanish exactly when these do; (R) is taken
+from GRS construction.  A table row failing (B') raises RankDeficient before
+either: the tables are built here from the certified inner pair, so such
+a row is a fault, and decoding adds PI[X] for any decoded symbol X, not
+only for those y_i reads.
 """
 
 from __future__ import annotations
@@ -389,41 +383,16 @@ def _block_factor(inner: CssPair, side: int):
     return len(H), np.concatenate([H, g]).T
 
 
-def _table_marks(inner: CssPair, ext: Extension, PI):
-    """(B') on both sides, side 1 then side 2: ``(m, P, bad)`` a side, P
-    the (Q, m + k) product of the pi table that y_side reads by [H; g]^T
-    (:func:`_block_factor`) and ``bad`` its rows other than [0 | dual_table]
-    on side 1, [0 | coord_table] on side 2."""
-    marks = []
+def _tables_hold(inner: CssPair, ext: Extension, PI) -> bool:
+    """(B') on every row of both pi tables ``PI``: PI2.[C2.H; g1]^T =
+    [0 | dual_table] on side 1 and PI1.[C1.H; g2]^T = [0 | coord_table] on
+    side 2, [H; g]^T by :func:`_block_factor`."""
     for side, wtab, table in ((1, ext.dual_table, PI[1]), (2, ext.coord_table, PI[0])):
         m, HgT = _block_factor(inner, side)
         P = inner.field.matmul(table, HgT)
-        marks.append((m, P, P[:, :m].any(axis=1) | (P[:, m:] != wtab).any(axis=1)))
-    return marks
-
-
-def _certify_outer(inner: CssPair, ext: Extension, D, y, PI):
-    """The trace-form certificate of the module docstring; ``D``, the scaled
-    symbols ``y`` (:func:`_scaled` of Hout_i) and the pi tables ``PI`` are
-    pairs (side 1, side 2).  The rows of Gp_i failing (B) are the rows of
-    y_i that read a table row failing (B'), and their g-parts are gathered
-    from the (B') product.  Raises NotOrthogonal or RankDeficient."""
-    f, k, N = inner.field, inner.k, y[0].shape[1]
-    dual, coord = ext.dual_table.astype(f.dtype), ext.coord_table.astype(f.dtype)
-    W, V = [], []
-    for (m, P, bad), wtab, ys in zip(_table_marks(inner, ext, PI), (dual, coord), y):
-        W.append(np.take(wtab, ys, axis=0).reshape(-1, N * k))
-        V.append(P[ys[np.take(bad, ys).any(axis=1)], m:].reshape(-1, N * k))
-    (W1, W2), (V1, V2) = W, V
-    failing = len(V1) or len(V2)
-    if f.matmul(W1, W2[::k].T).any() or failing and (
-            f.matmul(W2, V1.T).any() or f.matmul(W1, V2.T).any()):
-        raise NotOrthogonal("outer pair violates the CSS containment")
-    X1 = np.take(coord, D[0].G, axis=0).reshape(-1, N * k)
-    Y2 = np.take(dual, D[1].G, axis=0).reshape(-1, N * k)
-    if failing or f.matmul(W1, X1.T).any() or f.matmul(W2, Y2.T).any():
-        raise RankDeficient("expanded outer check is not orthogonal to the "
-                            "concatenated code")
+        if P[:, :m].any() or (P[:, m:] != wtab).any():
+            return False
+    return True
 
 
 def _grs_pair_holds(ext: Extension, D):
@@ -458,15 +427,21 @@ def _grs_pair_holds(ext: Extension, D):
 
 
 def _certify(inner: CssPair, ext: Extension, D, PI):
-    """The outer half of the certified set-up for the GRS pair ``D`` and
-    the pi tables ``PI``: the exact GRS certificate, (B') on every table
-    row and then :func:`_grs_pair_holds`, and only when it fails the
-    trace-form certificate :func:`_certify_outer`, which raises
-    NotOrthogonal or RankDeficient or accepts."""
-    tables_hold = not any(bad.any() for _, _, bad in _table_marks(inner, ext, PI))
-    if tables_hold and _grs_pair_holds(ext, D):
+    """The outer half of the certified set-up for the GRS pair ``D`` and the
+    pi tables ``PI``: (B') on every table row, then
+    :func:`_grs_pair_holds`, and only when it fails (O) and (C) by their
+    products over GF(q^k) (module docstring, "Other pairs").  Raises
+    RankDeficient or NotOrthogonal, or accepts."""
+    if not _tables_hold(inner, ext, PI):
+        raise RankDeficient("a pi-table row fails (B')")
+    if _grs_pair_holds(ext, D):
         return
-    _certify_outer(inner, ext, D, (_scaled(ext, D[0].H, 1), _scaled(ext, D[1].H, 2)), PI)
+    fQ = ext.as_field()
+    if fQ.matmul(D[0].H, D[1].H.T).any():
+        raise NotOrthogonal("outer pair violates the CSS containment")
+    if any(fQ.matmul(code.G, code.H.T).any() for code in D):
+        raise RankDeficient("expanded outer check is not orthogonal to the "
+                            "concatenated code")
 
 
 def concatenate(inner: CssPair, outer, ext: Extension) -> ConcatPair:
@@ -482,7 +457,7 @@ def concatenate(inner: CssPair, outer, ext: Extension) -> ConcatPair:
     ``dim L2 = k K2 + N(n - k1)``, ``rank Ho_i = nN - dim L_i``, and the
     duality and containment by the exact GRS certificate, from the points
     and arrays of D1/D2 and products at most n wide.  Only where it fails
-    does the trace-form certificate run, with products at most kN wide.
+    are (O) and (C) checked by their products over GF(q^k), at most N wide.
     The generators of L1/L2 are built from the pi tables when first read,
     the checks Ho_i by :meth:`ConcatPair.parity_check`.
     Raises NotOrthogonal when the outer pair violates the CSS containment,

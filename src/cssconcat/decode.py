@@ -46,9 +46,9 @@ Outer stage.  It needs (G): Gp = PI_o[y], block b of row j k + r of the
 side's Gp being PI_o[y] with no dual(C) part, y = Hout[j, b] beta_r on side
 1 and Hout[j, b] alpha^r on side 2 (beta the trace-dual basis):
 :meth:`concat.ConcatPair.parity_check` builds Gp by that gather, and
-:func:`concat.concatenate` certifies every table row the gather can read
-((B) and (B') there: every row in the exact GRS certificate, the rows y
-reads in the trace-form one).  Then <u_b, PI_o[y]> = Tr(y w(u)_b), w(u)
+:func:`concat.concatenate` certifies every row of both tables ((B) and
+(B') there), the rows the gather reads and those decoding adds for a
+decoded symbol.  Then <u_b, PI_o[y]> = Tr(y w(u)_b), w(u)
 the symbols w_b of the blocks of u, so block j of u.Gp^T holds the
 coordinates of (Hout.w(u))_j that :meth:`DecoderContext.reassemble_symbols`
 reads: power-basis on side 1, trace-dual on side 2.  The decoder reads

@@ -71,6 +71,8 @@ def matrix_from_tokens(field, toks: _Tokens) -> np.ndarray:
     rows, cols = toks.take_ints(2)
     if rows < 0 or cols < 0:
         raise DomainError("negative matrix dimensions")
+    if rows and not cols:
+        raise DomainError("a matrix with rows has no columns")
     vals = toks.take_ints(rows * cols)
     a = np.array(vals, dtype=np.int64).reshape(rows, cols)
     return as_codes(field, a)

@@ -403,6 +403,19 @@ def test_cli_well_formed_files_breaking_invariants_exit_3(tmp_path, capsys):
         assert capsys.readouterr().err.startswith(f"error: {name}: ")
 
 
+def test_cli_matrix_with_rows_and_no_columns_exits_2(tmp_path, capsys):
+    """A matrix header with rows but no columns is a parse error (exit 2):
+    it reads no entries, and construct on "1000000000000 0" exited 3 with
+    a MemoryError.  A header with no rows, as a 0-row g1 is written,
+    still reads."""
+    code = tmp_path / "c.txt"
+    code.write_text("2 1 0 1\n1000000000000 0\n")
+    assert run_cli(["construct", "--c1", str(code), "--c2", str(code)]) == (EXIT_PARSE, "")
+    assert capsys.readouterr().err == "error: a matrix with rows has no columns\n"
+    assert fileio.matrix_from_tokens(F2, fileio._Tokens("0 5")).shape == (0, 5)
+    assert fileio.matrix_from_tokens(F2, fileio._Tokens("0 0")).shape == (0, 0)
+
+
 def test_cli_bounds_unparsable_numbers_exit_2(capsys):
     grid = "0:1/10:1/20"
     for family, params, g in (("flx", "q=x", grid), ("main", "t=3,q=2.5", grid),

@@ -607,7 +607,7 @@ def test_setup_on_valid_grs_pair_eliminates_nothing(monkeypatch, name):
     assert calls == []
 
 
-# -- the trace-form certificate against the nN-column reference ----------------
+# -- concatenate's certificate against the nN-column reference ----------------
 
 def _pi_product_nonzero(ext, table, G, Gp):
     """Whether ``pi(G).Gp^T`` is nonzero over GF(q), for the rows of ``G``
@@ -669,15 +669,13 @@ class _Case:
         """:func:`concat._certify`, which concatenate runs, and the
         nN-column reference on the same outer pair and pi tables, the
         case's own where one is not given; the reference reads Hout_i =
-        D_i.H and Gp_i = PI[y_i] gathered from the tables.  The trace-form
-        certificate alone, the parent of the exact path, gives the same
-        verdict as concat._certify.  Returns the two outcomes."""
+        D_i.H and Gp_i = PI[y_i] gathered from the tables.  Returns the
+        two outcomes."""
         D = self.D if D is None else D
         PI = self.PI if PI is None else PI
         y = self.scaled(D)
         Gp = (concat._expand(PI[1], y[0]), concat._expand(PI[0], y[1]))
         new = _outcome(concat._certify, self.inner, self.ext, D, PI)
-        assert new is _outcome(concat._certify_outer, self.inner, self.ext, D, y, PI)
         return new, _outcome(_nN_certificate, self.inner, self.ext, D, tuple(c.H for c in D), Gp)
 
 
@@ -774,8 +772,8 @@ def test_exact_certificate_row_flips_match_reference(name):
 
 @pytest.mark.parametrize("name", DIFFERENTIAL)
 def test_exact_certificate_points_match_reference(name):
-    """Points the exact path cannot use send the pair down the trace-form
-    path, which reads no points: a point duplicated on both codes, and a
+    """Points the exact path cannot use send the pair to the two products
+    over GF(q^k), which read no points: a point duplicated on both codes, and a
     point moved on D2 alone, leave the arrays a valid pair, accepted by
     both certificates; D2 rebuilt on the points in reverse order, with
     its multipliers reversed, is on other points, and both codes built on
@@ -834,11 +832,12 @@ def _corrupted(table, x, row):
 
 
 def _table_outcomes(case, side, x, row):
-    """Both verdicts with row ``x`` of the pi table that y_side reads, PI2
-    for side 1 and PI1 for side 2, replaced by ``row``."""
+    """Whether (B') holds on the tables, and both verdicts, with row ``x``
+    of the pi table that y_side reads, PI2 for side 1 and PI1 for side 2,
+    replaced by ``row``."""
     PI = list(case.PI)
     PI[2 - side] = _corrupted(PI[2 - side], x, row)
-    return case.outcomes(PI=tuple(PI))
+    return (concat._tables_hold(case.inner, case.ext, PI), *case.outcomes(PI=tuple(PI)))
 
 
 @pytest.mark.parametrize("name", DIFFERENTIAL)
@@ -846,10 +845,11 @@ def test_trace_certificate_flipped_gp_matches_reference(name):
     """Gp_i is gathered from a pi table, so a flipped entry of Gp_i is a
     flipped entry of a table row that y_i reads, repeated in every block
     that reads it.  Each of the n entries of one used row, and the first
-    entry of up to 40 more used rows, flipped: both certificates give the
-    same verdict, and none passes.  A change that keeps every
-    postcondition adds an element of the opposite inner dual, and on these
-    pairs that dual is spanned by the all-ones vector (see
+    entry of up to 40 more used rows, flipped: (B') fails on the table, so
+    concatenate's certificate raises RankDeficient, and the nN-column
+    reference rejects it too.  A change that keeps every postcondition adds
+    an element of the opposite inner dual, and on these pairs that dual is
+    spanned by the all-ones vector (see
     test_corrupted_pi_table_matches_reference)."""
     case = _case(name)
     q, n = case.inner.field.q, case.inner.n
@@ -863,42 +863,40 @@ def test_trace_certificate_flipped_gp_matches_reference(name):
         for x, c in flips:
             row = case.PI[2 - side][x].copy()
             row[c] = (row[c] + rng.integers(1, q)) % q
-            new, ref = _table_outcomes(case, side, x, row)
-            assert new is ref is not None, (side, x, c)
+            holds, new, ref = _table_outcomes(case, side, x, row)
+            assert not holds and new is RankDeficient and ref is not None, (side, x, c)
 
 
 @pytest.mark.parametrize("name", DIFFERENTIAL)
 def test_trace_certificate_g_part_shift_matches_reference(name):
     """Adding a row of g2 to a row of PI2 that y1 reads (of g1 to a row of
     PI1 that y2 reads) keeps its blocks in their inner code but changes
-    their g-part, so (B) fails and the certificate rejects every such
-    shift.  Where the reference rejects it too the classes agree,
-    NotOrthogonal unless the other side's Hout has no rows.  The reference
-    checks products, not g-parts: on 12_2 every block of a row of y2 reads
-    one code, so the shifted row is the expansion of another multiple of
-    the Hout2 row, Ho2 keeps its row space and the reference accepts; the
-    shifted g-parts pair to zero with W1, so the certificate raises
-    RankDeficient."""
+    their g-part, so (B') fails on the row and the certificate raises
+    RankDeficient for every such shift.  The reference rejects it too,
+    except on 12_2: it checks products, not g-parts, and there every block
+    of a row of y2 reads one code, so the shifted row is the expansion of
+    another multiple of the Hout2 row, Ho2 keeps its row space and the
+    reference accepts."""
     case = _case(name)
     f = case.inner.field
     for side, y, g in zip((1, 2), case.scaled(), (case.inner.g2, case.inner.g1)):
         for x in np.unique(y):
-            new, ref = _table_outcomes(case, side, x, f.add(case.PI[2 - side][x], g[0]))
-            if ref is None:
-                assert new is RankDeficient and name == "12_2", (side, x)
-            else:
-                want = NotOrthogonal if len(case.Hout[2 - side]) else RankDeficient
-                assert new is ref is want, (side, x)
+            holds, new, ref = _table_outcomes(case, side, x, f.add(case.PI[2 - side][x], g[0]))
+            assert not holds and new is RankDeficient, (side, x)
+            assert ref is not None or name == "12_2", (side, x)
 
 
 # on 90_28_at_0 the scaled Hout entries read every row of both tables
 @pytest.mark.parametrize("name", [name for name in DIFFERENTIAL if name != "90_28_at_0"])
 def test_corrupted_pi_table_matches_reference(name):
-    """A used pi-table row shifted by a row of the opposite inner dual: (B')
-    fails on it, but every block still passes (B), so both certificates
-    accept.  A row that no y_i reads, flipped: Gp_i is unchanged and both
-    accept, though (B') fails on the table.  Flips and g-part shifts of a
-    used row are in the two tests above."""
+    """A used pi-table row shifted by a row of the opposite inner dual, and
+    a row that no y_i reads plus the all-ones vector: on these pairs the
+    all-ones vector spans the inner duals, so (B') holds on both rows and
+    both certificates accept.  One entry of a row that no y_i reads,
+    flipped: Gp_i is unchanged and the nN-column reference accepts, but
+    (B') fails on the table and concatenate's certificate raises
+    RankDeficient, as decoding may read every row.  Flips and g-part
+    shifts of a used row are in the two tests above."""
     case = _case(name)
     inner, ext = case.inner, case.ext
     f, q = inner.field, inner.field.q
@@ -909,7 +907,7 @@ def test_corrupted_pi_table_matches_reference(name):
         used = np.zeros(ext.Q, dtype=bool)
         used[y] = True
         for x in np.flatnonzero(used)[-1:]:  # the 0-row Hout sides use none
-            assert _table_outcomes(case, side, x, f.add(table[x], H_other[0])) == (None, None)
+            assert _table_outcomes(case, side, x, f.add(table[x], H_other[0])) == (True, None, None)
         unused = np.flatnonzero(~used)
         if unused.size:
             unused_seen = True
@@ -917,7 +915,10 @@ def test_corrupted_pi_table_matches_reference(name):
             row = (table[x] + 1) % q
             assert np.array_equal(concat._expand(_corrupted(table, x, row), y),
                                   concat._expand(table, y))
-            assert _table_outcomes(case, side, x, row) == (None, None)
+            assert _table_outcomes(case, side, x, row) == (True, None, None)
+            row = table[x].copy()
+            row[0] = (row[0] + 1) % q
+            assert _table_outcomes(case, side, x, row) == (False, RankDeficient, None)
     if not unused_seen:
         pytest.skip("the scaled Hout entries use every code of GF(Q) on both "
                     "sides: no pi-table row is left to corrupt unseen")
@@ -962,9 +963,10 @@ def test_inner_dual_shift_passes_both_certificates(name):
     row of Gp1 reads (of dual(C2) to a row of PI1, for Gp2) keeps every
     block that reads it in its inner code with the same g-part, so every
     postcondition holds: the elimination-based verify_duality accepts the
-    checks it builds from the shifted table of a copy of the pair.  The
-    trace-form certificate and the nN-column reference accept the same
-    shift (test_corrupted_pi_table_matches_reference)."""
+    checks it builds from the shifted table of a copy of the pair.
+    concatenate's certificate, with (B') holding on the shifted row, and
+    the nN-column reference accept the same shift
+    (test_corrupted_pi_table_matches_reference)."""
     inner, outer, ext = _inputs(name)
     good = concatenate(inner, outer, ext)
     f = inner.field
@@ -980,23 +982,39 @@ def test_inner_dual_shift_passes_both_certificates(name):
 @pytest.mark.parametrize("name", ["90_28", "504_186", "480_160_gf3", "96_32_gf3",
                                   "60_14_gf4", "12_2_K2=N", "90_28_at_0"])
 def test_concatenate_products_at_most_kN_wide(monkeypatch, name):
-    """No product in concatenate has an inner dimension above kN; on these
-    valid pairs none is above n, as the exact path proves the outer pair
-    and never calls the trace-form certificate.  The structured checks
-    are not built."""
+    """No product in concatenate over GF(q) has an inner dimension above n,
+    and none over GF(q^k) above N: on the valid pair, which the exact path
+    proves with products over GF(q) alone, and on pairs it does not prove
+    -- D2 with K2 = N - 1 - K1, D2 rebuilt on the points in reverse order,
+    a flipped entry of D1.G -- judged by the two GF(q^k) products.  The
+    structured checks are not built."""
     case = _case(name)
-    widths, fallbacks = [], []
+    D1, D2 = case.D
+    ext, fQ = case.ext, case.ext.as_field()
+    calls = []
     matmul = Field.matmul
 
     def spy(self, A, B):
-        widths.append(np.shape(A)[-1])
+        calls.append((self is fQ, np.shape(A)[-1]))
         return matmul(self, A, B)
 
     monkeypatch.setattr(Field, "matmul", spy)
-    monkeypatch.setattr(concat, "_certify_outer", lambda *args: fallbacks.append(args))
-    cp = concatenate(case.inner, case.D, case.ext)
-    assert widths and max(widths) <= cp.n <= cp.k * cp.N < cp.block_length and not fallbacks
+    cp = concatenate(case.inner, case.D, ext)
+    assert calls and all(not over_Q and width <= cp.n for over_Q, width in calls)
     assert wide_arrays(cp) == []
+    G = D1.G.copy()
+    G[0, 0] = fQ.add(int(G[0, 0]), 1)
+    unproved = [(D1, GrsCode(ext, D2.points[::-1], D2.multipliers[::-1], D2.K)),
+                (_altered(D1, G=G), D2)]
+    if D1.K < cp.N - 1:
+        unproved.append((D1, GrsCode._on_points(ext, D1.points, D1.dual_multipliers,
+                                                cp.N - 1 - D1.K, D1._log_diff)))
+    for D in unproved:
+        assert not concat._grs_pair_holds(ext, D)
+        calls.clear()
+        _outcome(concatenate, case.inner, D, ext)
+        assert any(over_Q for over_Q, _ in calls)
+        assert all(width <= (cp.N if over_Q else cp.n) for over_Q, width in calls)
 
 
 def _matmul_rows(monkeypatch):
@@ -1015,8 +1033,8 @@ def _matmul_rows(monkeypatch):
 def test_concatenate_multiplies_blocks_only_after_a_failed_lookup(monkeypatch, name):
     """No product in concatenate has more than max(Q, kM) rows, on a valid
     pair and when PI1 has a flipped entry in a row that y2 reads: the
-    blocks of Gp_i are never multiplied, the rows failing (B) are read off
-    the (B') product of the table."""
+    blocks of Gp_i are never multiplied, the flipped row fails (B') in the
+    product of the table and raises RankDeficient."""
     inner, outer, ext = _inputs(name)
     good = concatenate(inner, outer, ext)
     k, N, Q = good.k, good.N, ext.Q
@@ -1035,6 +1053,6 @@ def test_concatenate_multiplies_blocks_only_after_a_failed_lookup(monkeypatch, n
 
     monkeypatch.setattr(concat, "pi_table", corrupt)
     rows.clear()
-    with pytest.raises((NotOrthogonal, RankDeficient)):
+    with pytest.raises(RankDeficient, match="fails"):
         concatenate(inner, outer, ext)
     assert rows and max(rows) <= max(Q, k * M)
