@@ -28,8 +28,8 @@ basis, coords(y)_r = Tr(y beta_r), so coords(h alpha^c)_r = Tr((h beta_r)
 alpha^c): the trace-dual coordinates of h beta_r, and the row is
 PI_2[h beta_r].
 
-Codes.  A pair keeps its outer codes and its pi tables, (Q, n) each, and
-no check Ho_i (Ho1 and Ho2 are 84 MB at [[12276,5110]]):
+Codes.  A pair keeps its outer codes, which hold no matrix, its pi tables,
+(Q, n) each, and no check Ho_i (Ho1 and Ho2 are 84 MB at [[12276,5110]]):
 :meth:`ConcatPair.parity_check` builds one for ``cssconcat concat --out``
 and :func:`verify_duality`, and decoding and syndromes read the tables.
 The generators of L1/L2, read by ``concat --out`` and ``mindist``, are
@@ -47,9 +47,8 @@ D_i expanded, over N diagonal copies of a basis of dual(C2) for i = 1, of
 dual(C1) for i = 2).  The factor facts are
 
   (R) D_i.G and Hout_i have full rank over GF(q^k), and Hout_i has N - K_i
-      rows: read off the arrays of the GRS codes by the exact certificate
-      below, and by construction of a GRS code (distinct points, nonzero
-      multipliers) where that certificate does not prove the pair;
+      rows: a GRS code builds them as V.diag(v) and V.diag(u), V the K_i or
+      N - K_i Vandermonde rows a^i (0^0 = 1) of its distinct points;
   (I) [C2.H; g1] and [C1.H; g2] have full rank, so each g_i is independent
       modulo the opposite dual;
   (P) C2.H.C1.H^T = 0, g_i lies in C_i, and g1.g2^T = I: the one n-column
@@ -125,39 +124,36 @@ containment dual(L2) <= L1; :func:`verify_duality` checks the same by
 elimination.  Adding an element of the opposite inner dual to a block
 passes (B) and keeps every postcondition.
 
-Exact GRS certificate.  :func:`concatenate` first proves (B), (R), (C)
-and (O) from the pi tables and the arrays of the two GRS codes, in O(N^2)
-table work and O(Q) products n wide, with no y_i, no Ho_i and no W_i:
+Exact GRS certificate.  :func:`concatenate` first proves (B), (C) and
+(O) from the pi tables and the points and multipliers of the GRS codes, in
+O(N^2) table work and O(Q) products n wide, with no y_i, Ho_i, W_i, G or H:
 
   - (B') on all Q rows of both tables, which gives (B) whatever y_i reads;
   - D1.points equals D2.points, and the points a are distinct codes;
-  - in each of D1.G, D1.H, D2.G, D2.H row 0 has no zero entry and row
-    i + 1 is row i times a, entry by entry, so the matrix is V.diag(s):
-    V the Vandermonde rows a^i (0^0 = 1), s nonzero.  With distinct points
-    V has full rank, and with K_i and N - K_i rows this is (R);
-  - entry (i, l) of G.H^T is sum_j v_j u_j a_j^(i+l), v and u the rows 0
-    of G and H.  The N - 1 sums for i + l = 0..N-2 vanish exactly when
-    v_j u_j prod_{m != j} (a_j - a_m) is a constant, as the weights
-    1/prod_{m != j} (a_j - a_m) span the kernel of the (N - 1)-row
-    Vandermonde matrix (Lagrange interpolation; the dual of a GRS code,
-    MacWilliams and Sloane, ch. 10 section 8).  So (C) is the O(N) check
-    that log v_j + log u_j + GrsCode._log_diff_j is constant mod Q - 1;
-  - entry (i, l) of Hout1.Hout2^T is sum_j u1_j u2_j a_j^(i+l): (O) is the
-    2N - K1 - K2 - 1 power sums for i + l = 0..2N-K1-K2-2, which vanish.
+  - entry (i, l) of Hout1.Hout2^T is sum_j u1_j u2_j a_j^(i+l), u the
+    dual multipliers: (O) is the 2N - K1 - K2 - 1 power sums for i + l =
+    0..2N-K1-K2-2, which vanish (none where a side has K_i = N, as its
+    Hout_i has no rows).  A nonzero one is a nonzero entry of
+    Hout1.Hout2^T: NotOrthogonal, with no product over GF(q^k);
+  - entry (i, l) of G.H^T is sum_j v_j u_j a_j^(i+l).  The N - 1 sums for
+    i + l = 0..N-2 vanish exactly when v_j u_j prod_{m != j} (a_j - a_m)
+    is a constant, as the weights 1/prod_{m != j} (a_j - a_m) span the
+    kernel of the (N - 1)-row Vandermonde matrix (Lagrange interpolation;
+    the dual of a GRS code, MacWilliams and Sloane, ch. 10 section 8).  So
+    (C) is the O(N) check that this is a nonzero constant, which also makes
+    v and u nonzero as (R) needs, the products read from their logs
+    GrsCode._log_diff, computed from the points when the code was built.
 
-A side with K_i = N has no rows in Hout_i and nothing to check in (C) or
-(O).
-
-Other pairs.  A pair the exact certificate does not prove, on other points
-or with arrays changed after construction, is judged by (O) and (C)
-themselves, two products over GF(q^k) at most N wide: NotOrthogonal if
-Hout1.Hout2^T != 0, then RankDeficient if D_i.G.Hout_i^T != 0 on either
-side.  With (B') on every table row the nN-column products are their trace
-forms (Outer facts), so they vanish exactly when these do; (R) is taken
-from GRS construction.  A table row failing (B') raises RankDeficient before
-either: the tables are built here from the certified inner pair, so such
-a row is a fault, and decoding adds PI[X] for any decoded symbol X, not
-only for those y_i reads.
+Other pairs.  A pair the exact certificate neither proves nor rejects, on
+other points or with multipliers changed after construction, is judged by
+(O) and (C) themselves, two products over GF(q^k) at most N wide:
+NotOrthogonal if Hout1.Hout2^T != 0, then RankDeficient if
+D_i.G.Hout_i^T != 0 on either side.  With (B') on every table row the
+nN-column products are their trace forms (Outer facts), so they vanish
+exactly when these do; (R) is taken from GRS construction.  A table row
+failing (B') raises RankDeficient before either: the tables are built here
+from the certified inner pair, so such a row is a fault, and decoding adds
+PI[X] for any decoded symbol X, not only for those y_i reads.
 """
 
 from __future__ import annotations
@@ -396,42 +392,35 @@ def _tables_hold(inner: CssPair, ext: Extension, PI) -> bool:
 
 
 def _grs_pair_holds(ext: Extension, D):
-    """Whether (R), (C) and (O) of the module docstring hold for the GRS
-    pair ``D``, read off its points and the arrays of its two codes."""
+    """Whether the exact GRS certificate (module docstring) proves (C) and
+    (O) for the GRS pair ``D``, from its points, multipliers and
+    ``_log_diff``; NotOrthogonal where it finds a nonzero power sum."""
     fQ, a = ext.as_field(), D[0].points
     N = a.size
     if not (np.array_equal(a, D[1].points) and _distinct_codes(ext, a)):
         return False
-    for code in D:
-        G, H = code.G, code.H
-        if G.shape != (code.K, N) or H.shape != (N - code.K, N):
-            return False
-        # (R): row 0 holds the nonzero multipliers, row i + 1 = row i * a
-        if not all(M[0].all() and np.array_equal(fQ.mul_table[M[:-1], a], M[1:])
-                   for M in (G, H) if len(M)):
-            return False
-        # (C): v_j u_j prod_{m != j} (a_j - a_m) is constant
-        if len(H):
-            c = (ext.log[G[0]] + ext.log[H[0]] + code._log_diff) % (ext.Q - 1)
-            if (c != c[0]).any():
-                return False
     # (O): the power sums of u1 u2 that Hout1.Hout2^T holds vanish, summed a
-    # slice of degrees at a time so that no (degrees, N) int64 matrix is formed
-    H1, H2 = D[0].H, D[1].H
-    if not (len(H1) and len(H2)):
-        return True
-    logs = (ext.log[H1[0]] + ext.log[H2[0]]) % (ext.Q - 1)
-    degrees, step = len(H1) + len(H2) - 1, chunk_rows(N)
-    return not any(fQ.add_reduce(_scaled_powers(ext, logs, a, min(step, degrees - lo), lo),
-                                 axis=1).any() for lo in range(0, degrees, step))
+    # slice of degrees at a time so that no (degrees, N) matrix is formed
+    s = fQ.mul(D[0].dual_multipliers, D[1].dual_multipliers)
+    degrees, step = 2 * N - D[0].K - D[1].K - 1, chunk_rows(N)
+    if max(D[0].K, D[1].K) < N and any(
+            fQ.add_reduce(_scaled_powers(ext, s, a, min(step, degrees - lo), lo), axis=1).any()
+            for lo in range(0, degrees, step)):
+        raise NotOrthogonal("outer pair violates the CSS containment")
+    # (C): v_j u_j prod_{m != j} (a_j - a_m) is a nonzero constant
+    for code in D:
+        c = fQ.mul(fQ.mul(code.multipliers, code.dual_multipliers), ext.exp[code._log_diff])
+        if not (c[0] and (c == c[0]).all()):
+            return False
+    return True
 
 
 def _certify(inner: CssPair, ext: Extension, D, PI):
     """The outer half of the certified set-up for the GRS pair ``D`` and the
     pi tables ``PI``: (B') on every table row, then
-    :func:`_grs_pair_holds`, and only when it fails (O) and (C) by their
-    products over GF(q^k) (module docstring, "Other pairs").  Raises
-    RankDeficient or NotOrthogonal, or accepts."""
+    :func:`_grs_pair_holds`, and only when it neither proves nor rejects
+    the pair, (O) and (C) by their products over GF(q^k) (module docstring,
+    "Other pairs").  Raises RankDeficient or NotOrthogonal, or accepts."""
     if not _tables_hold(inner, ext, PI):
         raise RankDeficient("a pi-table row fails (B')")
     if _grs_pair_holds(ext, D):
@@ -456,8 +445,9 @@ def concatenate(inner: CssPair, outer, ext: Extension) -> ConcatPair:
     factor ranks and products over GF(q): ``dim L1 = k K1 + N(n - k2)`` and
     ``dim L2 = k K2 + N(n - k1)``, ``rank Ho_i = nN - dim L_i``, and the
     duality and containment by the exact GRS certificate, from the points
-    and arrays of D1/D2 and products at most n wide.  Only where it fails
-    are (O) and (C) checked by their products over GF(q^k), at most N wide.
+    and multipliers of D1/D2 and products at most n wide.  Only where it
+    neither proves nor rejects the pair are (O) and (C) checked by their
+    products over GF(q^k), at most N wide.
     The generators of L1/L2 are built from the pi tables when first read,
     the checks Ho_i by :meth:`ConcatPair.parity_check`.
     Raises NotOrthogonal when the outer pair violates the CSS containment,

@@ -2,9 +2,10 @@
 
 A GRS code of dimension K evaluates polynomials of degree < K at N distinct
 points, scaling column j by a nonzero multiplier v_j.  The dual is again GRS
-on the same points with the classical dual multipliers; the canonical parity
-check stored here is that dual's Vandermonde-style generator, and syndromes
-fed to the bounded-distance decoder must be computed against it.
+on the same points with the classical dual multipliers u_j.  A code holds
+no matrix: its generator ``G`` and its canonical parity check ``H``, the
+dual's Vandermonde-style generator, against which the bounded-distance
+decoder's syndromes are computed, are built from a, v and u on every read.
 
 The decoder, :meth:`GrsCode.bd_decode_batch`, takes a batch of syndrome rows:
 Berlekamp-Massey (Massey, 1969) in lockstep over the rows for all N - K steps,
@@ -127,12 +128,21 @@ def _berlekamp_massey(f, S, t):
     return lam, L
 
 
-def _scaled_powers(ext, log_scale, points, rows, start=0):
+def _scaled_powers(ext, scale, points, rows, start=0):
     """The (rows, N) matrix ``s_j * a_j^i``, i = start .. start + rows - 1,
-    for column scales given by logs."""
-    i = np.arange(start, start + rows, dtype=np.int64)[:, None]
-    out = ext.exp[(log_scale[None, :] + i * ext.log[points][None, :]) % (ext.Q - 1)]
+    for the column scales ``scale``, in the dtype of GF(Q), gathered from
+    the power table chunk_rows(N) rows at a time through int64 logs."""
+    log_s, log_a = ext.log[scale], ext.log[points]
+    out = np.empty((rows, points.size), dtype=ext.as_field().dtype)
+    exp = ext.exp.astype(out.dtype)
+    step = chunk_rows(points.size)
+    for lo in range(0, rows, step):
+        e = np.arange(start + lo, start + min(rows, lo + step), dtype=np.int64)[:, None] * log_a
+        e += log_s
+        e %= ext.Q - 1
+        np.take(exp, e, out=out[lo:lo + step], mode="clip")  # in range: no buffer
     out[int(start == 0):, points == 0] = 0  # 0^0 = 1, every higher power is 0
+    out[:, scale == 0] = 0
     return out
 
 
@@ -171,14 +181,8 @@ class GrsCode:
         self.points = points
         self.multipliers = multipliers
         self._log_diff = log_diff
-        # generator: row i = (v_j * a_j^i); the dual multipliers are
-        # u_j = v_j^{-1} * prod_{m != j} (a_j - a_m)^{-1}
-        log_v = ext.log[multipliers]
-        log_u = (-log_v - log_diff) % (ext.Q - 1)
-        self.G = _scaled_powers(ext, log_v, points, K)
-        self.dual_multipliers = ext.exp[log_u]
-        self.H = _scaled_powers(ext, log_u, points, N - K)
-        self._code = None
+        # the dual multipliers u_j = v_j^{-1} * prod_{m != j} (a_j - a_m)^{-1}
+        self.dual_multipliers = ext.exp[(-ext.log[multipliers] - log_diff) % (ext.Q - 1)]
         self._chien = None
 
     @property
@@ -186,23 +190,27 @@ class GrsCode:
         """Bounded-distance correction radius."""
         return (self.N - self.K) // 2
 
+    @property
+    def G(self):
+        """The generator, row i = (v_j * a_j^i) for i < K, built on every read."""
+        return _scaled_powers(self.ext, self.multipliers, self.points, self.K)
+
+    @property
+    def H(self):
+        """The canonical parity check, row i = (u_j * a_j^i) for i < N - K."""
+        return _scaled_powers(self.ext, self.dual_multipliers, self.points, self.N - self.K)
+
     def as_linear_code(self) -> LinearCode:
         """The code as a LinearCode; ``G`` is full rank by construction
         (distinct points, nonzero multipliers).  Its ``H`` is the null space
         of ``G``, not the canonical parity check."""
-        if self._code is None:
-            self._code = LinearCode._full_rank(self.ext.as_field(), self.G)
-        return self._code
+        return LinearCode._full_rank(self.ext.as_field(), self.G)
 
     def dual(self) -> "GrsCode":
         if self.K == self.N:
             raise BadDimension("dual of the full space has dimension 0")
         return GrsCode._on_points(self.ext, self.points, self.dual_multipliers,
                                   self.N - self.K, self._log_diff)
-
-    def encode(self, msg):
-        f = self.ext.as_field()
-        return f.matmul(as_codes(f, msg, "message entries"), self.G)
 
     def syndrome(self, e):
         """Syndrome of an error vector against the canonical parity check."""
@@ -217,10 +225,10 @@ class GrsCode:
         only multiply zeros."""
         if self._chien is None:
             f = self.ext.as_field()
-            i = np.arange(self.t + 1, dtype=np.int64)[:, None]
-            P = self.ext.exp[(-i * self.ext.log[self.points]) % (self.ext.Q - 1)]
+            P = _scaled_powers(self.ext, np.ones(self.N, dtype=np.int64),
+                               f.inv_table[self.points], self.t + 1)
             c = f.neg(f.mul(self.points, f.inv_table[self.dual_multipliers]))
-            self._chien = P.astype(f.dtype), c, np.ascontiguousarray(self.H.T, dtype=f.dtype)
+            self._chien = P, c, np.ascontiguousarray(self.H.T)
         return self._chien
 
     def bd_decode_batch(self, S):

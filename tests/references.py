@@ -128,6 +128,16 @@ def random_css_pair(rng, field, n, k):
 _ZERO_RADIUS, _DEGREE, _REPEATED_ROOT, _ROOT_COUNT, _MISMATCH = range(1, len(MESSAGES))
 
 
+def scaled_powers(ext, log_scale, points, rows, start=0):
+    """The (rows, N) int64 matrix ``s_j * a_j^i``, i = start .. start +
+    rows - 1, for column scales given by their logs, in one piece: the
+    reference for the generator and parity check a GrsCode builds."""
+    i = np.arange(start, start + rows, dtype=np.int64)[:, None]
+    out = ext.exp[(log_scale[None, :] + i * ext.log[points][None, :]) % (ext.Q - 1)]
+    out[int(start == 0):, points == 0] = 0  # 0^0 = 1, every higher power is 0
+    return out
+
+
 def _berlekamp_massey(f, S, t):
     """Lockstep Berlekamp-Massey over the rows of ``S``, all R steps, with
     the connection polynomials cut to t + 1 coefficients: ``(lam, L)``."""

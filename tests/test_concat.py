@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cssconcat import concat, matrix
+from cssconcat import concat, matrix, outer_grs
 from cssconcat.codes import (
     CssPair,
     LinearCode,
@@ -426,19 +426,20 @@ def test_outer_pair_without_containment_rejected(name):
 @pytest.mark.parametrize("flip", [1, 2])
 @pytest.mark.parametrize("name", ["12_2", "90_28", "96_32_gf3"])
 def test_flipped_expanded_check_rejected(name, flip):
-    """One flipped entry of Hout1 or Hout2, set on a copy of the outer code
-    of a copy of the pair: the check Ho_i that verify_duality builds from
-    it has k rows outside dual(L_i), and verify_duality rejects it.
-    concatenate gathers Gp_i from the pi table it certifies, so a flipped
-    entry of Gp_i reaches it only as a flipped table row
+    """The first dual multiplier of D1 or D2 changed on a copy of the outer
+    code of a copy of the pair, which changes column 0 of Hout1 or Hout2:
+    the check Ho_i that verify_duality builds from it has rows outside
+    dual(L_i), and verify_duality rejects it.  concatenate gathers Gp_i
+    from the pi table it certifies, so a flipped entry of Gp_i reaches it
+    only as a flipped table row
     (test_trace_certificate_flipped_gp_matches_reference)."""
     inner, outer, ext = _inputs(name)
     good = concatenate(inner, outer, ext)
     D = outer[flip - 1]
-    H = D.H.copy()
-    H[0, 0] = (H[0, 0] + 1) % ext.Q
+    u = D.dual_multipliers.copy()
+    u[0] = ext.as_field().mul(int(u[0]), ext.alpha)
     bad = copy.copy(good)
-    setattr(bad, f"D{flip}", _altered(D, H=H))
+    setattr(bad, f"D{flip}", _altered(D, dual_multipliers=u))
     assert not np.array_equal(_gp(bad, flip), _gp(good, flip))
     assert verify_duality(good) and not verify_duality(bad)
 
@@ -473,7 +474,7 @@ def test_outer_codes_are_grs_codes_over_the_extension():
         concatenate(inner, nested_grs_pair(other, 16, 12, 12), ext)
     cp = concatenate(inner, outer, ext)
     assert cp.D1 is outer[0] and cp.D2 is outer[1]
-    assert cp.Hout1 is outer[0].H and cp.Hout2 is outer[1].H
+    assert np.array_equal(cp.Hout1, outer[0].H) and np.array_equal(cp.Hout2, outer[1].H)
     assert DecoderContext(cp, side=1).grs is cp.D1 and DecoderContext(cp, side=2).grs is cp.D2
 
 
@@ -643,13 +644,29 @@ def _outcome(certify, *args):
     return None
 
 
-def _altered(code, **arrays):
-    """A shallow copy of the GrsCode ``code`` with the named arrays
-    replaced, as if set after construction."""
+def _altered(code, **fields):
+    """A shallow copy of the GrsCode ``code`` with the named fields
+    (points, multipliers, dual multipliers, ``_log_diff``, K) replaced, as
+    if set after construction; its G and H are built from them."""
     new = copy.copy(code)
-    for name, value in arrays.items():
+    for name, value in fields.items():
         setattr(new, name, value)
     return new
+
+
+def _exact(ext, D):
+    """The exact path's verdict on the outer pair ``D``: True when it
+    proves the pair, NotOrthogonal when it rejects it, False when it
+    leaves it to the products over GF(q^k)."""
+    try:
+        return concat._grs_pair_holds(ext, D)
+    except NotOrthogonal:
+        return NotOrthogonal
+
+
+def _changed(fQ, x, rng):
+    """The nonzero code ``x`` times a random code other than 0 and 1."""
+    return fQ.mul(int(x), int(rng.integers(2, fQ.q)))
 
 
 class _Case:
@@ -701,8 +718,10 @@ DIFFERENTIAL = CERTIFIED + ["12_2_K2=N", "12_2_K1=N", "60_14_gf4", "90_28_at_0",
 def test_trace_certificate_matches_reference(name):
     """Both certificates accept the built pair, with a 0-row Hout on one side
     for the 12_2_K*=N and 90_28_at_0_K2=N cases, the exact path proving it,
-    and classify the same flipped Hout entries and flipped symbols of D1.G
-    and D2.G.  A flip of D_i.G passes exactly when Hout_i has no rows."""
+    and classify the same changed dual multipliers, which change a column
+    of Hout_i, and changed multipliers, which change a column of D_i.G.  A
+    change of a multiplier of D_i passes exactly when Hout_i has no rows; a
+    change of a dual multiplier never passes where Hout_i has rows."""
     case = _case(name)
     if name.endswith("=N"):
         assert min(len(H) for H in case.Hout) == 0
@@ -711,116 +730,118 @@ def test_trace_certificate_matches_reference(name):
     rng = np.random.default_rng(7)
     fQ = case.ext.as_field()
     for side in (0, 1):
-        H = case.Hout[side]
-        for _ in range(min(H.size, 6)):
-            D = list(case.D)
-            D[side] = _altered(D[side], H=H.copy())
-            j, b = rng.integers(0, H.shape[0]), rng.integers(0, H.shape[1])
-            D[side].H[j, b] = fQ.add(int(H[j, b]), int(rng.integers(1, fQ.q)))
-            new, ref = case.outcomes(D=tuple(D))
-            assert new is ref is not None
-    rng = np.random.default_rng(8)
-    for side in (0, 1):
-        G = case.D[side].G
-        for _ in range(6):
-            D = list(case.D)
-            D[side] = _altered(D[side], G=G.copy())
-            j, b = rng.integers(0, G.shape[0]), rng.integers(0, G.shape[1])
-            D[side].G[j, b] = fQ.add(int(G[j, b]), int(rng.integers(1, fQ.q)))
-            new, ref = case.outcomes(D=tuple(D))
-            assert new is ref
-            assert (new is None) is (len(case.Hout[side]) == 0), (side, j, b)
+        code = case.D[side]
+        for key in ("dual_multipliers", "multipliers"):
+            if key == "dual_multipliers" and code.K == code.N:
+                continue
+            for b in rng.permutation(code.N)[:6]:
+                x = getattr(code, key).copy()
+                x[b] = _changed(fQ, x[b], rng)
+                D = list(case.D)
+                D[side] = _altered(code, **{key: x})
+                new, ref = case.outcomes(D=tuple(D))
+                assert new is ref, (side, key, b)
+                if key == "multipliers":
+                    assert (new is None) is (code.K == code.N), (side, b)
+                else:
+                    assert new is not None, (side, b)
 
 
-# -- the exact GRS certificate: its arrays changed after construction --------
+# -- the exact GRS certificate: fields changed after construction ------------
 
 @pytest.mark.parametrize("name", DIFFERENTIAL)
 def test_exact_certificate_row_flips_match_reference(name):
-    """A changed entry of row 0 of D_i.G or D_i.H, the multipliers, to
-    another code or to 0 -- every entry where G or H has one row (K = 1,
-    N - K = 1) -- and a zeroed column, a zeroed multiplier: the exact path
-    proves none of them, and the verdict of concatenate's certificate
-    equals the nN-column reference's."""
+    """A multiplier or dual multiplier of D_i, which row 0 of D_i.G or
+    Hout_i holds, changed to another code or to 0 -- at every point where
+    G or H has one row (K = 1, N - K = 1) -- and a changed ``_log_diff``
+    entry, which the exact path reads in (C): the exact path proves none
+    of them, and the verdict of concatenate's certificate equals the
+    nN-column reference's."""
     case = _case(name)
     fQ = case.ext.as_field()
     rng = np.random.default_rng(12)
     one_row = set()
     for side in (0, 1):
-        for key in ("G", "H"):
-            M = getattr(case.D[side], key)
-            if not len(M):
+        code = case.D[side]
+        for key, rows in (("multipliers", code.K), ("dual_multipliers", code.N - code.K)):
+            if not rows:
                 continue
-            if len(M) == 1:
+            if rows == 1:
                 one_row.add(key)
-            cols = range(M.shape[1]) if len(M) == 1 else rng.permutation(M.shape[1])[:4]
-            changes = [(b, fQ.add(int(M[0, b]), int(rng.integers(1, fQ.q)))) for b in cols]
-            changes += [(int(rng.integers(M.shape[1])), 0), (None, 0)]
+            M = getattr(code, key)
+            cols = range(code.N) if rows == 1 else rng.permutation(code.N)[:4]
+            changes = [(b, _changed(fQ, M[b], rng)) for b in cols]
+            changes += [(int(rng.integers(code.N)), 0)]
             for b, value in changes:
                 bad = M.copy()
-                if b is None:
-                    bad[:, int(rng.integers(M.shape[1]))] = 0
-                else:
-                    bad[0, b] = value
+                bad[b] = value
                 D = list(case.D)
-                D[side] = _altered(D[side], **{key: bad})
-                assert not concat._grs_pair_holds(case.ext, tuple(D)), (side, key, b)
+                D[side] = _altered(code, **{key: bad})
+                assert _exact(case.ext, tuple(D)) is not True, (side, key, b)
                 new, ref = case.outcomes(D=tuple(D))
                 assert new is ref, (side, key, b, value)
+        log_diff = code._log_diff.copy()
+        log_diff[0] = (log_diff[0] + 1) % (case.ext.Q - 1)
+        D = list(case.D)
+        D[side] = _altered(code, _log_diff=log_diff)
+        assert _exact(case.ext, tuple(D)) is False, side
+        assert case.outcomes(D=tuple(D)) == (None, None), side
     if name.startswith("12_2"):
-        assert one_row == ({"H"} if name == "12_2" else {"G"})
+        assert one_row == ({"dual_multipliers"} if name == "12_2" else {"multipliers"})
 
 
 @pytest.mark.parametrize("name", DIFFERENTIAL)
 def test_exact_certificate_points_match_reference(name):
     """Points the exact path cannot use send the pair to the two products
-    over GF(q^k), which read no points: a point duplicated on both codes, and a
-    point moved on D2 alone, leave the arrays a valid pair, accepted by
-    both certificates; D2 rebuilt on the points in reverse order, with
-    its multipliers reversed, is on other points, and both codes built on
-    the duplicated points, with the logs of the difference products of the
-    distinct ones, have arrays of the right form, but (R) fails: each
-    gets the reference's verdict."""
+    over GF(q^k): a point duplicated on both codes, a point moved on D2
+    alone, and D2 rebuilt on the points in reverse order, with its
+    multipliers reversed.  Both codes rebuilt on points with one moved to
+    a code no point uses, with their multipliers kept, are on shared
+    distinct points with (C) holding on each, so the exact path decides
+    the pair at (O).  Each gets the reference's verdict."""
     case = _case(name)
     D1, D2 = case.D
     ext = case.ext
     dup = D1.points.copy()
     dup[1] = dup[0]
     moved = D2.points.copy()
-    moved[0] = np.setdiff1d(np.arange(ext.Q), moved)[0] if D2.N < ext.Q else moved[1]
+    moved[0] = np.setdiff1d(np.arange(ext.Q), moved)[0]
+    log_diff = outer_grs._log_difference_products(ext, moved)
+    rebuilt = tuple(GrsCode._on_points(ext, moved, c.multipliers, c.K, log_diff) for c in case.D)
     reversed_D2 = GrsCode(ext, D2.points[::-1], D2.multipliers[::-1], D2.K)
-    on_dup = tuple(GrsCode._on_points(ext, dup, c.multipliers, c.K, c._log_diff) for c in case.D)
-    for D, accepted in (((_altered(D1, points=dup), _altered(D2, points=dup)), True),
-                        ((D1, _altered(D2, points=moved)), True),
-                        ((D1, reversed_D2), None),
-                        (on_dup, None)):
-        assert not concat._grs_pair_holds(ext, D)
+    for D in ((_altered(D1, points=dup), _altered(D2, points=dup)),
+              (D1, _altered(D2, points=moved)),
+              (D1, reversed_D2)):
+        assert _exact(ext, D) is False
         new, ref = case.outcomes(D=D)
         assert new is ref
-        if accepted:
-            assert new is None
+    new, ref = case.outcomes(D=rebuilt)
+    assert new is ref and _exact(ext, rebuilt) is (True if new is None else NotOrthogonal)
 
 
 @pytest.mark.parametrize("name", DIFFERENTIAL)
 def test_exact_certificate_row_counts_match_reference(name):
-    """A row appended to D_i.G or D_i.H that continues its powers keeps the
-    form the exact path reads, but G has more than K_i rows or H more than
-    N - K_i: the exact path proves neither, and the verdict equals the
-    reference's (an extra row of H meets G in the power sum of degree
-    N - 1, which is nonzero)."""
+    """K_i changed by one on a copy of D_i, so that G has one row more or
+    less and H one row less or more: the exact path proves the pair or
+    rejects it at a power sum of (O), and the verdict equals the
+    reference's.  Where D2 has D1's dual multipliers, as nested_grs_pair
+    builds it for K2 < N, the pair passes exactly when K1 + K2 >= N still
+    holds."""
     case = _case(name)
-    fQ = case.ext.as_field()
+    N = case.D[0].N
+    nested = np.array_equal(case.D[1].multipliers, case.D[0].dual_multipliers)
     for side in (0, 1):
         code = case.D[side]
-        for key in ("G", "H"):
-            M = getattr(code, key)
-            row = fQ.mul_table[M[-1], code.points] if len(M) else code.dual_multipliers
+        for K in (code.K - 1, code.K + 1):
+            if not 1 <= K <= N:
+                continue
             D = list(case.D)
-            D[side] = _altered(code, **{key: np.concatenate([M, row[None]])})
-            assert not concat._grs_pair_holds(case.ext, tuple(D)), (side, key)
+            D[side] = _altered(code, K=K)
             new, ref = case.outcomes(D=tuple(D))
-            assert new is ref, (side, key)
-            if key == "H":
-                assert new is not None
+            assert new is ref and new in (None, NotOrthogonal), (side, K)
+            assert _exact(case.ext, tuple(D)) is (True if new is None else NotOrthogonal)
+            if nested:
+                assert (new is None) is (D[0].K + D[1].K >= N), (side, K)
 
 
 # -- corrupted pi tables: Gp_i is gathered from them --------------------------
@@ -936,7 +957,7 @@ def test_trace_certificate_containment_break_matches_reference(name):
     assert case.outcomes() == (NotOrthogonal, NotOrthogonal)
     short = GrsCode._on_points(ext, D1_nested.points, D1_nested.dual_multipliers,
                                N - 1 - D1_nested.K, D1_nested._log_diff)
-    assert not concat._grs_pair_holds(ext, (D1_nested, short))
+    assert _exact(ext, (D1_nested, short)) is NotOrthogonal
     assert case.outcomes(D=(D1_nested, short)) == (NotOrthogonal, NotOrthogonal)
 
 
@@ -954,7 +975,7 @@ def test_power_sums_in_row_slices(monkeypatch, step):
         _, (D1, _), ext = _inputs(name)
         short = GrsCode._on_points(ext, D1.points, D1.dual_multipliers,
                                    D1.N - 1 - D1.K, D1._log_diff)
-        assert not concat._grs_pair_holds(ext, (D1, short)), name
+        assert _exact(ext, (D1, short)) is NotOrthogonal, name
 
 
 @pytest.mark.parametrize("name", ["12_2", "90_28", "96_32_gf3"])
@@ -985,9 +1006,11 @@ def test_concatenate_products_at_most_kN_wide(monkeypatch, name):
     """No product in concatenate over GF(q) has an inner dimension above n,
     and none over GF(q^k) above N: on the valid pair, which the exact path
     proves with products over GF(q) alone, and on pairs it does not prove
-    -- D2 with K2 = N - 1 - K1, D2 rebuilt on the points in reverse order,
-    a flipped entry of D1.G -- judged by the two GF(q^k) products.  The
-    structured checks are not built."""
+    -- D2 rebuilt on the points in reverse order, a changed multiplier of
+    D1, which changes column 0 of D1.G -- judged by the two GF(q^k)
+    products.  D2 with K2 = N - 1 - K1 fails a power sum of (O) and is
+    rejected with no product over GF(q^k).  The structured checks are not
+    built."""
     case = _case(name)
     D1, D2 = case.D
     ext, fQ = case.ext, case.ext.as_field()
@@ -1002,19 +1025,50 @@ def test_concatenate_products_at_most_kN_wide(monkeypatch, name):
     cp = concatenate(case.inner, case.D, ext)
     assert calls and all(not over_Q and width <= cp.n for over_Q, width in calls)
     assert wide_arrays(cp) == []
-    G = D1.G.copy()
-    G[0, 0] = fQ.add(int(G[0, 0]), 1)
-    unproved = [(D1, GrsCode(ext, D2.points[::-1], D2.multipliers[::-1], D2.K)),
-                (_altered(D1, G=G), D2)]
-    if D1.K < cp.N - 1:
-        unproved.append((D1, GrsCode._on_points(ext, D1.points, D1.dual_multipliers,
-                                                cp.N - 1 - D1.K, D1._log_diff)))
-    for D in unproved:
-        assert not concat._grs_pair_holds(ext, D)
+    v = D1.multipliers.copy()
+    v[0] = fQ.mul(int(v[0]), ext.alpha)
+    for D in ((D1, GrsCode(ext, D2.points[::-1], D2.multipliers[::-1], D2.K)),
+              (_altered(D1, multipliers=v), D2)):
+        assert _exact(ext, D) is False
         calls.clear()
         _outcome(concatenate, case.inner, D, ext)
         assert any(over_Q for over_Q, _ in calls)
         assert all(width <= (cp.N if over_Q else cp.n) for over_Q, width in calls)
+    if D1.K < cp.N - 1:
+        short = GrsCode._on_points(ext, D1.points, D1.dual_multipliers,
+                                   cp.N - 1 - D1.K, D1._log_diff)
+        calls.clear()
+        assert _outcome(concatenate, case.inner, (D1, short), ext) is NotOrthogonal
+        assert calls and all(not over_Q and width <= cp.n for over_Q, width in calls)
+
+
+def test_power_sum_rejection_runs_no_product_over_the_extension(monkeypatch):
+    """The pair of inner [[12,10]] with RS[1023,767]/GF(1024) and D2 built
+    with K2 = N - 1 - K1 fails (O) only at the power sum of degree N - 1:
+    concatenate raises NotOrthogonal with no product over GF(q^k).  The
+    nN-column reference raises NotOrthogonal as soon as Gp1.Gp2^T has a
+    nonzero entry, and the block of the last row of Hout1 against the last
+    row of Hout2, whose entry is that power sum, has one."""
+    ext = Extension(F2, 10)
+    inner = bvector_pair(F2, [1] * 12, [1] * 12)
+    D1, _ = nested_grs_pair(ext, 1023, 767, 767)
+    short = GrsCode._on_points(ext, D1.points, D1.dual_multipliers, 1023 - 1 - 767, D1._log_diff)
+    fQ = ext.as_field()
+    over_Q = []
+    matmul = Field.matmul
+
+    def spy(self, A, B):
+        over_Q.append(self is fQ)
+        return matmul(self, A, B)
+
+    monkeypatch.setattr(Field, "matmul", spy)
+    with pytest.raises(NotOrthogonal):
+        concatenate(inner, (D1, short), ext)
+    assert over_Q and not any(over_Q)
+    PI1, PI2 = concat.pi_table(1, inner, ext), concat.pi_table(2, inner, ext)
+    Gp1_last = concat._expand(PI2, _scaled(ext, D1.H[-1:], 1))
+    Gp2_last = concat._expand(PI1, _scaled(ext, short.H[-1:], 2))
+    assert F2.matmul(Gp1_last, Gp2_last.T).any()
 
 
 def _matmul_rows(monkeypatch):

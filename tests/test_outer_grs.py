@@ -484,9 +484,7 @@ def test_outer_code_inputs_range_checked():
     rs8 = GrsCode(E8, default_points(E8, 7), [1] * 7, 3)
     for call in (lambda: rs81.syndrome([-1] + [0] * 9),
                  lambda: rs81.syndrome([81] + [0] * 9),
-                 lambda: rs81.encode([0, 0, 0, -1, 0, 0]),
                  lambda: rs81.bd_decode([0, 0, 0, -1]),
-                 lambda: rs8.encode([8, 0, 0]),
                  lambda: rs8.bd_decode([8, 0, 0, 0]),
                  lambda: rs8.bd_decode_batch([[0, 0, 0, 0], [0, 9, 0, 0]])):
         with pytest.raises(DomainError):
@@ -530,8 +528,8 @@ def _per_point_grs(ext, points, multipliers, K):
     v = np.array(multipliers, dtype=np.int64)
     log_v = ext.log[v]
     log_u = (-log_v - outer_grs._log_difference_products(ext, a)) % (ext.Q - 1)
-    return (a, v, outer_grs._scaled_powers(ext, log_v, a, K),
-            outer_grs._scaled_powers(ext, log_u, a, N - K), ext.exp[log_u])
+    return (a, v, references.scaled_powers(ext, log_v, a, K),
+            references.scaled_powers(ext, log_u, a, N - K), ext.exp[log_u])
 
 
 def _per_point_nested(ext, N, K1, K2):
@@ -547,9 +545,12 @@ _ARRAYS = ("points", "multipliers", "G", "H", "dual_multipliers")
 
 
 def _same_arrays(code, ref):
+    """The code's arrays equal the reference's: G and H, built on request,
+    in the dtype of GF(Q), the vectors in the reference's dtype."""
     for name, want in zip(_ARRAYS, ref):
         got = getattr(code, name)
-        assert got.dtype == want.dtype and np.array_equal(got, want), name
+        dtype = code.ext.as_field().dtype if name in ("G", "H") else want.dtype
+        assert got.dtype == dtype and np.array_equal(got, want), name
 
 
 @pytest.mark.parametrize("name", list(_FIELDS))
@@ -600,3 +601,52 @@ def test_array_built_grs_keeps_exception_classes(as_array):
         if exc is DuplicatePoint or points[2] in (-1, 16):
             with pytest.raises(exc):
                 self_dual_multiplier_grs(ext, wrap(points), 2)
+
+
+# -- G and H built on request ---------------------------------------------------
+
+_ON_REQUEST = {"GF16": Extension(Field(2), 4), "GF81": Extension(Field(3), 4),
+               "GF3^5": Extension(Field(3), 5), "GF1024": Extension(Field(2), 10)}
+
+
+@pytest.mark.parametrize("step", [None, 1, 2, 5], ids=["chunk_rows", "1", "2", "5"])
+@pytest.mark.parametrize("name", list(_ON_REQUEST))
+def test_grs_arrays_built_on_request(monkeypatch, name, step):
+    """G, H, dual().G and as_linear_code().G equal the one-piece int64
+    reference (references.scaled_powers) and are in the dtype of GF(Q), on
+    random points with 0 among them, for K = 1, a middle K and K = N; row
+    slices of 1, 2 and 5 rows give the same arrays."""
+    if step is not None:
+        monkeypatch.setattr(outer_grs, "chunk_rows", lambda width, itemsize=8: step)
+    ext = _ON_REQUEST[name]
+    rng = np.random.default_rng(ext.Q)
+    N = min(ext.Q, 40)
+    points = np.concatenate([[0], rng.choice(np.arange(1, ext.Q), N - 1, replace=False)])
+    v = rng.integers(1, ext.Q, N)
+    log_v = ext.log[v]
+    log_u = (-log_v - outer_grs._log_difference_products(ext, points)) % (ext.Q - 1)
+    for K in (1, N // 2, N):
+        D = GrsCode(ext, points, v, K)
+        G = references.scaled_powers(ext, log_v, points, K)
+        H = references.scaled_powers(ext, log_u, points, N - K)
+        pairs = [(D.G, G), (D.H, H), (D.as_linear_code().G, G)]
+        if K < N:
+            pairs.append((D.dual().G, H))
+        for got, want in pairs:
+            assert got.dtype == ext.as_field().dtype and np.array_equal(got, want), K
+        assert np.array_equal(D.dual_multipliers, ext.exp[log_u])
+
+
+def test_grs_codes_hold_no_matrix():
+    """Codes from nested_grs_pair and self_dual_multiplier_grs, and their
+    duals, keep no 2-D array, also after G, H and as_linear_code() are read:
+    each read builds a new array."""
+    ext = Extension(Field(2), 6)
+    codes = [*nested_grs_pair(ext, 63, 47, 47), *nested_grs_pair(ext, 63, 20, 63),
+             self_dual_multiplier_grs(ext, default_points(ext, 40), 25)]
+    codes += [code.dual() for code in codes if code.K < code.N]
+    for code in codes:
+        assert code.G is not code.G and code.H is not code.H
+        code.as_linear_code()
+        assert not [key for key, value in vars(code).items()
+                    if isinstance(value, np.ndarray) and value.ndim >= 2], code
