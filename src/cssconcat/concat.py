@@ -129,7 +129,8 @@ Exact GRS certificate.  :func:`concatenate` first proves (B), (C) and
 O(N^2) table work and O(Q) products n wide, with no y_i, Ho_i, W_i, G or H:
 
   - (B') on all Q rows of both tables, which gives (B) whatever y_i reads;
-  - D1.points equals D2.points, and the points a are distinct codes;
+  - D1.points equals D2.points, the points a are distinct codes, and
+    both codes' GrsCode._log_diff were computed from a;
   - entry (i, l) of Hout1.Hout2^T is sum_j u1_j u2_j a_j^(i+l), u the
     dual multipliers: (O) is the 2N - K1 - K2 - 1 power sums for i + l =
     0..2N-K1-K2-2, which vanish (none where a side has K_i = N, as its
@@ -142,10 +143,10 @@ O(N^2) table work and O(Q) products n wide, with no y_i, Ho_i, W_i, G or H:
     the dual of a GRS code, MacWilliams and Sloane, ch. 10 section 8).  So
     (C) is the O(N) check that this is a nonzero constant, which also makes
     v and u nonzero as (R) needs, the products read from their logs
-    GrsCode._log_diff, computed from the points when the code was built.
+    GrsCode._log_diff.
 
 Other pairs.  A pair the exact certificate neither proves nor rejects, on
-other points or with multipliers changed after construction, is judged by
+other points or with fields changed after construction, is judged by
 (O) and (C) themselves, two products over GF(q^k) at most N wide:
 NotOrthogonal if Hout1.Hout2^T != 0, then RankDeficient if
 D_i.G.Hout_i^T != 0 on either side.  With (B') on every table row the
@@ -397,7 +398,8 @@ def _grs_pair_holds(ext: Extension, D):
     ``_log_diff``; NotOrthogonal where it finds a nonzero power sum."""
     fQ, a = ext.as_field(), D[0].points
     N = a.size
-    if not (np.array_equal(a, D[1].points) and _distinct_codes(ext, a)):
+    if not (np.array_equal(a, D[1].points) and _distinct_codes(ext, a)
+            and all(np.array_equal(code._log_diff_points, a) for code in D)):
         return False
     # (O): the power sums of u1 u2 that Hout1.Hout2^T holds vanish, summed a
     # slice of degrees at a time so that no (degrees, N) matrix is formed

@@ -32,15 +32,14 @@ on side 1 and its coord_table on side 2, as pi_map builds it, so
 power-basis ones.  Against the row PI_o[alpha^l D_o.G[r]], v gives
 Tr(alpha^l (w.D_o.G^T)_r), which vanishes for every l iff (w.D_o.G^T)_r = 0,
 as the trace form is nondegenerate.  One product of the nonzero blocks of v
-by [H; g]^T gives (i) and w (:meth:`DecoderContext.block_symbols`); only
-rows that pass (i) with some w_b != 0 meet D_o.G^T, in one GF(Q)
-product that reads only their nonzero symbols (:meth:`Field.matmul`, in
-:meth:`DecoderContext.outside_dual`).  The same product scores
-stage 1.  A stage-1 miss e_b - leader_b has the syndrome zero, so it lies
-in the side's inner code C = dual(C_o) + span(g'), g' the side's own coset
-generators; by (P) of the concat docstring, g'.g^T = I and dual(C_o).g^T =
-0, so c_b is its g'-coefficient, and the block is bad, outside dual(C_o),
-iff c_b != 0.  Neither test eliminates.
+by [H; g]^T gives (i) and w (:meth:`DecoderContext.block_symbols`); only rows
+that pass (i) with some w_b != 0 meet D_o.G^T, in one GF(Q) product (D_o's
+:meth:`GrsCode.dual_syndrome`, in :meth:`DecoderContext.outside_dual`).
+The same product scores stage 1.  A stage-1 miss e_b - leader_b has the
+syndrome zero, so it lies in the side's inner code C = dual(C_o) + span(g'),
+g' the side's own coset generators; by (P) of the concat docstring, g'.g^T =
+I and dual(C_o).g^T = 0, so c_b is its g'-coefficient, and the block is bad,
+outside dual(C_o), iff c_b != 0.  Neither test eliminates.
 
 Outer stage.  It needs (G): Gp = PI_o[y], block b of row j k + r of the
 side's Gp being PI_o[y] with no dual(C) part, y = Hout[j, b] beta_r on side
@@ -64,7 +63,9 @@ the (q^m,) table LZ of leader symbols: :func:`decode_batch` forms no
 product nN columns wide, and Monte-Carlo, which knows e, forms sigma as
 Hout.z, z = w(e) - zeta (below).  :meth:`DecoderContext.outer_decode` hands
 the nonzero rows of sigma to :meth:`GrsCode.bd_decode_batch` in one call,
-for both; a decoded word X adds pi_side[X] to the estimate.
+for both; a decoded word X adds pi_side[X] to the estimate.  Hout.z is the
+side code's :meth:`GrsCode.syndrome`, so a context keeps no outer-code
+array, and a decode builds no G^T.
 
 Monte-Carlo symbols.  :func:`channel_sim.mc_error_rate` specialises the
 test to its own estimates, which are stage-1 leaders plus pi_side[X], X the
@@ -119,7 +120,7 @@ class DecoderContext:
         self.inner_code = cp.inner.C1 if side == 1 else cp.inner.C2
         self.table = CosetLeaderTable(self.inner_code, cap=cap)
         self.pi = cp.PI1 if side == 1 else cp.PI2  # row x is pi_side(x)
-        self.grs = cp.D1 if side == 1 else cp.D2
+        self.grs, self._opposite = (cp.D1, cp.D2) if side == 1 else (cp.D2, cp.D1)
         self.N = cp.N
         self.n = cp.n
         self.k = cp.k
@@ -143,16 +144,10 @@ class DecoderContext:
         return self.Ho[self.upper_len:]
 
     @cached_property
-    def _symbol_tables(self):
-        """The tables of the symbol algebra (module docstring), built on first
-        use in the dtype of GF(Q): the (q^m,) symbols LZ of the leaders'
-        g-coefficients, indexed by packed syndrome, Hout^T and D_o.G^T."""
-        fQ = self.ext.as_field()
-        Hout, D = (self.cp.Hout1, self.cp.D2) if self.side == 1 else (self.cp.Hout2, self.cp.D1)
+    def _leader_symbols(self):
+        """The GF(Q) symbols LZ of the leaders, by packed syndrome, built on first use."""
         LG = self.field.matmul(self.table.leaders, self._HgT[:, self._m:])
-        return (self.reassemble_symbols(LG).astype(fQ.dtype),
-                np.ascontiguousarray(Hout.T, dtype=fQ.dtype),
-                np.ascontiguousarray(D.G.T, dtype=fQ.dtype))
+        return self.reassemble_symbols(LG).astype(self.ext.as_field().dtype)
 
     def block_symbols(self, V):
         """``(ids, H, w)`` for the nonzero blocks of rows ``V``, from one
@@ -176,20 +171,21 @@ class DecoderContext:
         block."""
         ids, H, w = self.block_symbols(E)
         Z = np.zeros((len(E), self.N), dtype=w.dtype)
-        LZ = self._symbol_tables[0]
+        LZ = self._leader_symbols
         Z.reshape(-1)[ids] = self.ext.as_field().sub(w, LZ[pack(H, self.field.q)])
         return Z
 
     def outer_syndromes(self, Z):
         """The outer syndromes Hout.z over GF(Q) of rows ``Z`` of symbols."""
-        return self.ext.as_field().matmul(Z, self._symbol_tables[1])
+        return self.grs.syndrome(Z)
 
     def outside_dual(self, W):
         """Which rows of GF(Q) symbols ``W`` fail test (ii) of the module
         docstring, W.D_o.G^T != 0; the zero rows pass without a product."""
         bad = np.zeros(len(W), dtype=bool)
         rows = np.flatnonzero(_nonzero_rows(W))
-        bad[rows] = _nonzero_rows(self.ext.as_field().matmul(W[rows], self._symbol_tables[2]))
+        if rows.size:  # so that no G^T is built for zero rows
+            bad[rows] = _nonzero_rows(self._opposite.dual_syndrome(W[rows]))
         return bad
 
     def full_syndrome(self, E):
@@ -257,7 +253,7 @@ def decode_batch(ctx: DecoderContext, S):
         raise DomainError("syndrome length does not match the parity check")
     S = as_codes(ctx.field, S, "syndrome entries")
     Ehat, packed = ctx._leaders(S[:, : ctx.upper_len])
-    zeta = ctx._symbol_tables[0][packed]
+    zeta = ctx._leader_symbols[packed]
     del packed  # (rows, N) int64, freed before the outer stage
     lower = ctx.reassemble_symbols(S[:, ctx.upper_len:]).reshape(len(S), ctx.grs.N - ctx.grs.K)
     rows, X, ok, _ = ctx.outer_decode(ctx.ext.as_field().sub(lower, ctx.outer_syndromes(zeta)))

@@ -4,7 +4,9 @@ Formats (all whitespace-separated decimal integers, parsed as token streams):
 
 * field line:      ``p e m_0 ... m_e``        (modulus low-degree first)
 * extension line:  ``k f_0 ... f_k``          (over the preceding field)
-* matrix:          ``rows cols`` then row-major element codes
+* matrix:          ``rows cols`` then row-major element codes; more than
+                   :data:`LENGTH_CAP` columns raise TooLarge before anything
+                   is read or allocated
 * code file:       field line, then generator matrix
 * pair file:       field line, generator of C1, generator of C2,
                    optionally the k coset-generator rows g1
@@ -19,9 +21,14 @@ import os
 import numpy as np
 
 from .codes import CssPair, LinearCode
-from .errors import DomainError
+from .errors import DomainError, TooLarge
 from .galois import Extension, Field
 from .matrix import as_codes
+
+# Most columns of a matrix in a file, checked before its entries are read: a
+# code gets an n x n null space.  2^16 admits nN = 57330 of [[57330,24564]],
+# the longest concatenated code built in CI.
+LENGTH_CAP = 1 << 16
 
 
 class _Tokens:
@@ -73,6 +80,8 @@ def matrix_from_tokens(field, toks: _Tokens) -> np.ndarray:
         raise DomainError("negative matrix dimensions")
     if rows and not cols:
         raise DomainError("a matrix with rows has no columns")
+    if cols > LENGTH_CAP:
+        raise TooLarge(f"a matrix of {cols} columns exceeds the length cap {LENGTH_CAP}")
     vals = toks.take_ints(rows * cols)
     a = np.array(vals, dtype=np.int64).reshape(rows, cols)
     return as_codes(field, a)

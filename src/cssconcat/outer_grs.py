@@ -2,10 +2,11 @@
 
 A GRS code of dimension K evaluates polynomials of degree < K at N distinct
 points, scaling column j by a nonzero multiplier v_j.  The dual is again GRS
-on the same points with the classical dual multipliers u_j.  A code holds
-no matrix: its generator ``G`` and its canonical parity check ``H``, the
-dual's Vandermonde-style generator, against which the bounded-distance
-decoder's syndromes are computed, are built from a, v and u on every read.
+on the same points with the classical dual multipliers u_j.  Its generator
+``G`` and canonical parity check ``H``, the dual's Vandermonde-style
+generator, are built from a, v and u on every read.  :meth:`GrsCode.syndrome`
+(e.H^T, also the re-encode check below) and :meth:`GrsCode.dual_syndrome`
+(w.G^T) keep the transpose built on their first call.
 
 The decoder, :meth:`GrsCode.bd_decode_batch`, takes a batch of syndrome rows:
 Berlekamp-Massey (Massey, 1969) in lockstep over the rows for all N - K steps,
@@ -14,14 +15,15 @@ Berlekamp-Massey (Massey, 1969) in lockstep over the rows for all N - K steps,
 points, which reads only the locator's nonzero coefficients; Forney's formula
 (Forney, 1965) at the roots found, with the formal derivative's coefficient
 i times i mod p.  Every row is re-verified (locator degree <= t, that many
-distinct roots, and a re-encoded syndrome, one product of the decoded error
-rows by H^T, equal to the input); a row that fails gets a zero error row and
-an int8 reason code indexing :data:`MESSAGES`, never a silent
-miscorrection.
+distinct roots, and a re-encoded syndrome equal to the input); a row that
+fails gets a zero error row and an int8 reason code indexing
+:data:`MESSAGES`, never a silent miscorrection.
 :meth:`GrsCode.bd_decode` is the one-row call and raises DecodeFailure.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 
@@ -105,7 +107,11 @@ def _berlekamp_massey(f, S, t):
 
     The length never falls and bounds the degree, so a row that ends with
     L <= t never had a coefficient past t; coefficients past t are dropped,
-    which changes only rows that end with L > t, and those fail.
+    which changes only rows that end with L > t, and those fail.  For the
+    same reason each step reads the locators only up to the largest L of
+    the batch: the discrepancy over min(n, t, max L) + 1 coefficients, and
+    the update over min(t, max L) + 1 columns, max L taken after the step's
+    length change.
     """
     rows, R = S.shape
     lam = np.zeros((rows, t + 1), dtype=f.dtype)
@@ -114,17 +120,19 @@ def _berlekamp_massey(f, S, t):
     B[:, 1] = 1
     b = np.ones(rows, dtype=f.dtype)  # the discrepancy at that change
     L = np.zeros(rows, dtype=np.int64)
+    top = 0  # the largest L
     for n in range(R):
-        w = min(n, t) + 1
+        w = min(n, t, top) + 1
         d = f.add_reduce(f.mul(lam[:, :w], S[:, n::-1][:, :w]), axis=1)
         grow = (d != 0) & (2 * L <= n)
-        old = lam
-        lam = f.sub(lam, f.mul(f.mul(d, f.inv_table[b])[:, None], B))
-        shifted = np.where(grow[:, None], old[:, :-1], B[:, :-1])
+        L = np.where(grow, n + 1 - L, L)
+        top = int(L.max(initial=0))
+        shifted = np.where(grow[:, None], lam[:, :-1], B[:, :-1])
+        w = min(t, top) + 1
+        lam[:, :w] = f.sub(lam[:, :w], f.mul(f.mul(d, f.inv_table[b])[:, None], B[:, :w]))
         B = np.zeros_like(B)
         B[:, 1:] = shifted
         b = np.where(grow, d, b)
-        L = np.where(grow, n + 1 - L, L)
     return lam, L
 
 
@@ -149,7 +157,10 @@ def _scaled_powers(ext, scale, points, rows, start=0):
 class GrsCode:
     """A generalized Reed-Solomon code (see module docstring).
 
-    :func:`nested_grs_pair` builds the CSS-compatible pairs.
+    :func:`nested_grs_pair` builds the CSS-compatible pairs.  A code is fixed
+    after construction: its kept H^T, G^T and decoder tables follow its
+    fields only as they were at their first read, and ``_log_diff`` is
+    trusted only for the points it was computed from.
     """
 
     def __init__(self, ext: Extension, points, multipliers, K: int):
@@ -181,9 +192,9 @@ class GrsCode:
         self.points = points
         self.multipliers = multipliers
         self._log_diff = log_diff
+        self._log_diff_points = points  # the points _log_diff was computed from
         # the dual multipliers u_j = v_j^{-1} * prod_{m != j} (a_j - a_m)^{-1}
         self.dual_multipliers = ext.exp[(-ext.log[multipliers] - log_diff) % (ext.Q - 1)]
-        self._chien = None
 
     @property
     def t(self):
@@ -212,24 +223,27 @@ class GrsCode:
         return GrsCode._on_points(self.ext, self.points, self.dual_multipliers,
                                   self.N - self.K, self._log_diff)
 
-    def syndrome(self, e):
-        """Syndrome of an error vector against the canonical parity check."""
-        f = self.ext.as_field()
-        return f.matmul(as_codes(f, e, "error entries"), self.H.T)
+    _Ht = cached_property(lambda self: np.ascontiguousarray(self.H.T))
+    _Gt = cached_property(lambda self: np.ascontiguousarray(self.G.T))
 
-    def _chien_tables(self):
-        """The decoder's tables, in the field dtype, built on the first decode
-        and kept: the power table ``P[i, j] = a_j^-i`` (i <= t) of the
-        inverse points, the Forney factors ``c_j = -a_j / u_j`` and ``H.T``.
-        A locator that can pass has degree at most t, so powers past t would
-        only multiply zeros."""
-        if self._chien is None:
-            f = self.ext.as_field()
-            P = _scaled_powers(self.ext, np.ones(self.N, dtype=np.int64),
-                               f.inv_table[self.points], self.t + 1)
-            c = f.neg(f.mul(self.points, f.inv_table[self.dual_multipliers]))
-            self._chien = P, c, np.ascontiguousarray(self.H.T)
-        return self._chien
+    def syndrome(self, e):
+        """Syndromes e.H^T of error vectors ``e`` (rows, or one vector)."""
+        return self.ext.as_field().matmul(e, self._Ht)  # checks the codes of e
+
+    def dual_syndrome(self, w):
+        """w.G^T, the syndromes of vectors ``w`` against the dual code."""
+        return self.ext.as_field().matmul(w, self._Gt)
+
+    @cached_property
+    def _chien(self):
+        """The decoder's tables, built on the first decode and kept: the power
+        table ``P[i, j] = a_j^-i`` of the inverse points for i <= t, the
+        largest degree of a locator that can pass, and the Forney factors
+        ``c_j = -a_j / u_j``."""
+        f = self.ext.as_field()
+        P = _scaled_powers(self.ext, np.ones(self.N, dtype=np.int64),
+                           f.inv_table[self.points], self.t + 1)
+        return P, f.neg(f.mul(self.points, f.inv_table[self.dual_multipliers]))
 
     def bd_decode_batch(self, S):
         """Errors-only bounded-distance decoding of syndrome rows ``S``
@@ -266,7 +280,7 @@ class GrsCode:
             omega[:, i:] = f.add(omega[:, i:], f.mul(lam[:, i:i + 1], S[:, :t - i]))
         # coefficient i - 1 of Lambda' is i * lambda_i, i read mod p
         dlam = f.mul(lam[:, 1:], np.arange(1, t + 1) % f.p)
-        P, c, Ht = self._chien_tables()
+        P, c = self._chien
         roots = f.matmul(lam, P) == 0
         # a locator of degree <= t has at most t roots: put them first (a
         # copy, so that the (rows, N) sort is freed)
@@ -282,7 +296,7 @@ class GrsCode:
         why = np.select([(at & (den == 0)).any(axis=1), roots.sum(axis=1) != L],
                         [_REPEATED_ROOT, _ROOT_COUNT], 0).astype(np.int8)
         E[rows[:, None], pos] = vals
-        why[(why == 0) & (f.matmul(E[rows], Ht) != S).any(axis=1)] = _MISMATCH
+        why[(why == 0) & (self.syndrome(E[rows]) != S).any(axis=1)] = _MISMATCH
         E[rows[why != 0]] = 0
         reason[rows] = why
         return E, reason == 0, reason

@@ -166,7 +166,8 @@ def bd_decode_batch(code, S):
     """The lockstep bounded-distance decoder with the Chien search as a
     dense gather against all t + 1 powers and the re-encoded syndrome as a
     t-step sum over the roots: ``GrsCode.bd_decode_batch`` must return the
-    same ``(E, ok, reason)``.  Reads the code's ``_chien_tables``."""
+    same ``(E, ok, reason)``.  Reads the code's ``_chien`` tables and a
+    fresh ``H``."""
     f = code.ext.as_field()
     S = as_codes(f, S, "syndrome entries")
     E = np.zeros((len(S), code.N), dtype=f.dtype)
@@ -185,7 +186,8 @@ def bd_decode_batch(code, S):
     for i in range(t):
         omega[:, i:] = f.add(omega[:, i:], f.mul(lam[:, i:i + 1], S[:, :t - i]))
     dlam = f.mul(lam[:, 1:], np.arange(1, t + 1) % f.p)
-    P, c, Ht = code._chien_tables()
+    P, c = code._chien
+    Ht = code.H.T
     roots = dense_matmul(f, lam, P) == 0
     pos = np.argsort(~roots, axis=1, kind="stable")[:, :t]
     at = np.take_along_axis(roots, pos, axis=1)

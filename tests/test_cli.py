@@ -416,6 +416,21 @@ def test_cli_matrix_with_rows_and_no_columns_exits_2(tmp_path, capsys):
     assert fileio.matrix_from_tokens(F2, fileio._Tokens("0 0")).shape == (0, 0)
 
 
+def test_cli_matrix_past_length_cap_exits_4(tmp_path, capsys):
+    """A matrix header with more columns than fileio.LENGTH_CAP exits 4
+    before anything is allocated: construct on "0 1000000000000" exited 3
+    with a MemoryError from the n x n null space of the empty generator.
+    A 0-row header at the cap still reads."""
+    cap = fileio.LENGTH_CAP
+    for cols in (10 ** 12, cap + 1):
+        code = tmp_path / "c.txt"
+        code.write_text(f"2 1 0 1\n0 {cols}\n")
+        assert run_cli(["construct", "--c1", str(code), "--c2", str(code)]) == (EXIT_TOO_LARGE, "")
+        assert capsys.readouterr().err == (
+            f"error: a matrix of {cols} columns exceeds the length cap {cap}\n")
+    assert fileio.matrix_from_tokens(F2, fileio._Tokens(f"0 {cap}")).shape == (0, cap)
+
+
 def test_cli_bounds_unparsable_numbers_exit_2(capsys):
     grid = "0:1/10:1/20"
     for family, params, g in (("flx", "q=x", grid), ("main", "t=3,q=2.5", grid),

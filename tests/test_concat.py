@@ -819,6 +819,20 @@ def test_exact_certificate_points_match_reference(name):
     assert new is ref and _exact(ext, rebuilt) is (True if new is None else NotOrthogonal)
 
 
+@pytest.mark.parametrize("name", ["12_2", "12_2_K2=N", "90_28_at_0_K2=N"])
+def test_log_diff_bound_to_its_points(name):
+    """Both codes with their last point moved to a code no point uses and
+    their ``_log_diff`` kept: (C) would pass on the stale logs, so the exact
+    path does not prove the pair but leaves it to the products over
+    GF(q^k), whose verdict, RankDeficient, is the nN-column reference's."""
+    case = _case(name)
+    moved = case.D[0].points.copy()
+    moved[-1] = np.setdiff1d(np.arange(case.ext.Q), moved)[0]
+    D = tuple(_altered(code, points=moved) for code in case.D)
+    assert _exact(case.ext, D) is False
+    assert case.outcomes(D=D) == (RankDeficient, RankDeficient)
+
+
 @pytest.mark.parametrize("name", DIFFERENTIAL)
 def test_exact_certificate_row_counts_match_reference(name):
     """K_i changed by one on a copy of D_i, so that G has one row more or

@@ -625,7 +625,8 @@ def test_inner_block_rate_matches_dense_count(make_cp, side):
 @pytest.mark.parametrize("make_cp", ORACLE_CASES)
 def test_mc_path_runs_no_elimination(monkeypatch, make_cp):
     """Once the contexts are built, mc_error_rate eliminates nothing on
-    either side, the first call that builds the symbol tables included."""
+    either side, the first call that builds the leader symbols and the GRS
+    codes' H^T included."""
     cp = make_cp()
     ctxs = [DecoderContext(cp, side=side) for side in (1, 2)]
     calls = []
@@ -636,7 +637,64 @@ def test_mc_path_runs_no_elimination(monkeypatch, make_cp):
         monkeypatch.setitem(matrix._RREF, kind, spy)
     ch = AdditiveChannel.symmetric(cp.inner.field, 0.03)
     for ctx in ctxs:
-        assert "_symbol_tables" not in vars(ctx)
+        assert "_leader_symbols" not in vars(ctx) and "_Ht" not in vars(ctx.grs)
         assert mc_error_rate(ctx, ch, 200, 3).failures > 0
         assert calls == []
-        assert "_symbol_tables" in vars(ctx)
+        assert "_leader_symbols" in vars(ctx) and "_Ht" in vars(ctx.grs)
+
+
+def _cp_504_186():
+    """Inner [[8,6]] over GF(2), outer RS[63,47] over GF(64)."""
+    ext = Extension(F2, 6)
+    return concatenate(bvector_pair(F2, [1] * 8, [1] * 8), nested_grs_pair(ext, 63, 47, 47), ext)
+
+
+def test_outer_products_read_the_codes_transposes(monkeypatch):
+    """After mc_error_rate on both sides of [[504,186]], every GF(Q) product
+    by an array with an axis N long read one of the codes' kept tables: the
+    outer syndromes and the decoder's re-encode check the same H^T of the
+    side's code, test (ii) the G^T of the opposite code, the Chien search
+    its power table.  No context keeps an array with an axis N long."""
+    cp = _cp_504_186()
+    fQ = cp.ext.as_field()
+    seen = []
+    matmul = fQ.matmul
+
+    def spy(A, B):
+        seen.append(np.asarray(B))
+        return matmul(A, B)
+
+    monkeypatch.setattr(fQ, "matmul", spy)
+    ch = AdditiveChannel.symmetric(F2, 0.015)
+    for side in (1, 2):
+        ctx = DecoderContext(cp, side=side)
+        D, D_o = (cp.D1, cp.D2) if side == 1 else (cp.D2, cp.D1)
+        seen.clear()
+        r = mc_error_rate(ctx, ch, 300, 11)
+        assert r.failures > 0
+        wide = [B for B in seen if cp.N in B.shape]
+        Ht = [B for B in wide if np.shares_memory(B, D._Ht)]
+        assert len(Ht) >= 2 and all(B.shape == (cp.N, cp.N - D.K) for B in Ht)
+        assert all(np.shares_memory(B, D._Ht) or np.shares_memory(B, D_o._Gt)
+                   or np.shares_memory(B, D._chien[0]) for B in wide)
+        assert not [key for key, value in vars(ctx).items()
+                    if isinstance(value, np.ndarray) and cp.N in value.shape]
+
+
+def test_decode_builds_no_success_test_table():
+    """decode_batch and full_syndrome build the side's H^T and decoder
+    tables and no G^T of either code, nor does outside_dual on zero rows;
+    the success oracle then builds the opposite code's G^T."""
+    cp = _cp_90_28()
+    rng = np.random.default_rng(5)
+    E = (rng.random((20, cp.block_length)) < 0.02).astype(F2.dtype)
+    ctxs = [DecoderContext(cp, side=side) for side in (1, 2)]
+    for ctx in ctxs:
+        Ehat, ok = decode_batch(ctx, ctx.full_syndrome(E))
+        assert not ctx.outside_dual(np.zeros((3, cp.N), dtype=np.int8)).any()
+        assert "_Ht" in vars(ctx.grs) and "_chien" in vars(ctx.grs)
+        assert "_Gt" not in vars(cp.D1) and "_Gt" not in vars(cp.D2)
+    for ctx in ctxs:
+        Ehat, ok = decode_batch(ctx, ctx.full_syndrome(E))
+        success_oracle_rows(ctx, E, Ehat)
+        assert "_Gt" in vars(cp.D2 if ctx.side == 1 else cp.D1)

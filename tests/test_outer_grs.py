@@ -463,17 +463,56 @@ def test_bd_decode_batch_matches_dense_chien_decoder(name):
     got = code.bd_decode_batch(S)
     for a, b in zip(got, references.bd_decode_batch(code, S)):
         assert a.dtype == b.dtype and np.array_equal(a, b)
-    P, c, Ht = code._chien_tables()
+    P, c = code._chien
     j = int(np.flatnonzero(got[0][weights == t].any(axis=0))[0])
     c = c.copy()
     c[j] = f.mul(int(c[j]), ext.alpha)
-    code._chien = P, c, Ht
+    code._chien = P, c
     E, ok, reason = code.bd_decode_batch(S)
     for a, b in zip((E, ok, reason), references.bd_decode_batch(code, S)):
         assert a.dtype == b.dtype and np.array_equal(a, b)
     mismatch = MESSAGES.index("re-encoded syndrome mismatch")
     assert np.array_equal(reason == mismatch, got[1] & (got[0][:, j] != 0))
     assert not E[reason == mismatch].any()
+
+
+@pytest.mark.parametrize("name", list(_DENSE_CHIEN_CODES))
+def test_berlekamp_massey_widths_bounded_by_length(name):
+    """_berlekamp_massey, whose steps read the locators only up to the
+    largest L of the batch, gives the full-width reference's locators and
+    lengths (references._berlekamp_massey) on every row, and
+    bd_decode_batch the reference's (E, ok, reason): on batches of rows with
+    L = 0, with small L, with L = t, of weight t + 1, with L > t (a first
+    nonzero syndrome entry at m >= t), of random syndromes, of each alone,
+    all mixed and one row at a time."""
+    ext, N, K = _DENSE_CHIEN_CODES[name]
+    f = ext.as_field()
+    rng = np.random.default_rng(ext.Q * 3 + N)
+    code = _random_grs(ext, N, K, rng)
+    t = code.t
+    groups = []
+    for w in (0, 1, 2, t, t + 1):
+        E = np.zeros((6, N), dtype=np.int64)
+        for row in E:
+            row[rng.choice(N, w, replace=False)] = rng.integers(1, ext.Q, w)
+        groups.append(code.syndrome(E))
+    groups.append(rng.integers(0, ext.Q, (6, N - K)).astype(f.dtype))
+    late = rng.integers(0, ext.Q, (6, N - K)).astype(f.dtype)
+    for row, m in zip(late, rng.integers(t, N - K, 6)):  # L = m + 1 > t
+        row[:m] = 0
+        row[m] = rng.integers(1, ext.Q)
+    groups.append(late)
+    batches = groups + [np.concatenate(groups)]
+    batches += [S[None] for S in np.concatenate(groups)[::5]]
+    lengths = set()
+    for S in batches:
+        lam, L = outer_grs._berlekamp_massey(f, S, t)
+        lam_ref, L_ref = references._berlekamp_massey(f, S, t)
+        assert np.array_equal(lam, lam_ref) and np.array_equal(L, L_ref)
+        for a, b in zip(code.bd_decode_batch(S), references.bd_decode_batch(code, S)):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        lengths |= set(L.tolist())
+    assert {0, 1, 2, t} <= lengths and max(lengths) > t
 
 
 def test_outer_code_inputs_range_checked():
@@ -650,3 +689,46 @@ def test_grs_codes_hold_no_matrix():
         code.as_linear_code()
         assert not [key for key, value in vars(code).items()
                     if isinstance(value, np.ndarray) and value.ndim >= 2], code
+
+
+# -- products by the code's own arrays ------------------------------------------
+
+@pytest.mark.parametrize("name", ["GF16", "GF81", "GF1024"])
+def test_syndromes_equal_dense_products(name):
+    """syndrome and dual_syndrome equal the products by a fresh H^T and G^T,
+    dtypes included, on 0, 1 and 7 rows and on one vector, for K = 1, a
+    middle K and K = N (an empty H); each builds its kept transpose on its
+    first call, the other not."""
+    ext = _ON_REQUEST[name]
+    fQ = ext.as_field()
+    rng = np.random.default_rng(ext.Q + 1)
+    N = min(ext.Q - 1, 40)
+    points = rng.choice(np.arange(1, ext.Q), N, replace=False)
+    v = rng.integers(1, ext.Q, N)
+    for K in (1, N // 2, N):
+        D = GrsCode(ext, points, v, K)
+        x = rng.integers(0, ext.Q, N)
+        assert np.array_equal(D.syndrome(x), fQ.matmul(x, D.H.T))
+        assert "_Ht" in vars(D) and "_Gt" not in vars(D)
+        Ht = D._Ht
+        assert np.array_equal(D.dual_syndrome(x), fQ.matmul(x, D.G.T))
+        for rows in (0, 1, 7):
+            X = rng.integers(0, ext.Q, (rows, N))
+            for got, want in ((D.syndrome(X), fQ.matmul(X, D.H.T)),
+                              (D.dual_syndrome(X), fQ.matmul(X, D.G.T))):
+                assert got.dtype == want.dtype == fQ.dtype, K
+                assert got.shape == want.shape and np.array_equal(got, want), (K, rows)
+        assert D._Ht is Ht and D._Ht.shape == (N, N - K)
+        with pytest.raises(DomainError):
+            D.dual_syndrome([ext.Q] + [0] * (N - 1))
+
+
+def test_decoding_builds_no_generator():
+    """bd_decode_batch builds H^T and the Chien tables, and no G^T."""
+    ext = Extension(Field(2), 6)
+    D1, D2 = nested_grs_pair(ext, 63, 47, 47)
+    e = np.zeros(63, dtype=np.int64)
+    e[[3, 40]] = [5, 7]
+    assert np.array_equal(D2.bd_decode(D2.syndrome(e)), e)
+    assert {"_Ht", "_chien"} <= set(vars(D2)) and "_Gt" not in vars(D2)
+    assert not {"_Ht", "_Gt", "_chien"} & set(vars(D1))
