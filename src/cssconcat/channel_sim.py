@@ -223,14 +223,15 @@ def mc_error_rate(ctx: DecoderContext, channel: AdditiveChannel, trials: int,
     A trial fails when the two-stage estimate does not match the sampled
     error modulo the stabilizer.  Each chunk of trials is decoded on the
     symbols z of its stage-1 misses (:meth:`DecoderContext.miss_symbols`):
-    :meth:`DecoderContext.outer_decode` decodes the rows whose outer
-    syndrome Hout.z is nonzero, and a trial succeeds iff
+    the side code's :meth:`GrsCode.bd_decode_batch` decodes their outer
+    syndromes Hout.z (:meth:`GrsCode.syndrome`), and a trial succeeds iff
     X - z passes test (ii) of the :mod:`decode` docstring
-    (:meth:`DecoderContext.outside_dual`), X the decoded word.  The
-    measured inner-stage block error rate, the fraction of nonzero z_b, is
-    reported alongside for comparison with the union bound; so are the
-    outer decode failures, by reason, and the miscorrections, trials whose
-    outer decoding succeeded but which fail.
+    (:meth:`DecoderContext.outside_dual`), X the decoded word, zero for a
+    zero syndrome.  The measured inner-stage block error rate, the
+    fraction of nonzero z_b, is reported alongside for comparison with the
+    union bound; so are the outer decode failures, by reason, and the
+    miscorrections, trials with a nonzero outer syndrome whose outer
+    decoding succeeded but which fail.
     """
     if trials < 1:
         raise DomainError("trials must be >= 1")
@@ -245,14 +246,13 @@ def mc_error_rate(ctx: DecoderContext, channel: AdditiveChannel, trials: int,
         Z = ctx.miss_symbols(_sample_block(channel, seed, start, count, ctx.N * ctx.n))
         bad_blocks += int(np.count_nonzero(Z))
         Z = Z[_nonzero_rows(Z)]
-        decoded, X, ok, reason = ctx.outer_decode(ctx.outer_syndromes(Z))
-        failed, passed = decoded[~ok], decoded[ok]
-        Z[failed] = 0  # Hout.z != 0 puts z outside dual(D_o): no test (ii)
-        Z[passed] = ctx.ext.as_field().sub(Z[passed], X[ok])
-        wrong = ctx.outside_dual(Z)
-        wrong[failed] = True
+        sigma = ctx.grs.syndrome(Z)
+        X, ok, reason = ctx.grs.bd_decode_batch(sigma)
+        Z = ctx.ext.as_field().sub(Z, X)  # X is zero where decoding fails
+        Z[~ok] = 0  # Hout.z != 0 puts z outside dual(D_o): no test (ii)
+        wrong = ctx.outside_dual(Z) | ~ok
         failures += int(np.count_nonzero(wrong))
-        miscorrections += int(np.count_nonzero(wrong[passed]))
+        miscorrections += int(np.count_nonzero(wrong & ok & _nonzero_rows(sigma)))
         reasons += np.bincount(reason[~ok], minlength=len(MESSAGES))
     lo, hi = wilson_interval(failures, trials)
     outer_fail = int(reasons.sum())

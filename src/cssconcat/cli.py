@@ -16,7 +16,7 @@ from fractions import Fraction
 from . import bounds as bnd
 from . import fileio
 from .channel_sim import AdditiveChannel, mc_error_rate
-from .codes import ENUM_CAP, min_weight_excluding
+from .codes import ENUM_CAP, LinearCode, min_weight_excluding
 from .concat import concatenate, verify_duality
 from .decode import DecoderContext, two_stage_decode, success_oracle
 from .enlarge import enlargement_distance_floor, steane_enlarge, symplectic_min_distance
@@ -118,7 +118,9 @@ def cmd_mindist(args, out):
         d = min_weight_excluding(cp.L1, cp.L2.dual(), cap)
         print(f"w(L1 \\ dual L2) = {d}", file=out)
         d1 = min_weight_excluding(cp.inner.C1, cp.inner.C2.dual(), cap)
-        Dq = min_weight_excluding(cp.D1.as_linear_code(), cp.D2.as_linear_code().dual(), cap)
+        # dual(D2) is the row space of D2.H, which has no rows when K2 = N
+        dual_D2 = LinearCode._full_rank(cp.ext.as_field(), cp.Hout2)
+        Dq = min_weight_excluding(cp.D1.as_linear_code(), dual_D2, cap)
         print(f"product law: inner {d1} x outer {Dq} = {d1 * Dq} "
               f"{'== observed' if d1 * Dq == d else '!= observed'}", file=out)
         return 0

@@ -47,8 +47,7 @@ D_i expanded, over N diagonal copies of a basis of dual(C2) for i = 1, of
 dual(C1) for i = 2).  The factor facts are
 
   (R) D_i.G and Hout_i have full rank over GF(q^k), and Hout_i has N - K_i
-      rows: a GRS code builds them as V.diag(v) and V.diag(u), V the K_i or
-      N - K_i Vandermonde rows a^i (0^0 = 1) of its distinct points;
+      rows (:mod:`outer_grs`, "CSS certificate");
   (I) [C2.H; g1] and [C1.H; g2] have full rank, so each g_i is independent
       modulo the opposite dual;
   (P) C2.H.C1.H^T = 0, g_i lies in C_i, and g1.g2^T = I: the one n-column
@@ -124,37 +123,13 @@ containment dual(L2) <= L1; :func:`verify_duality` checks the same by
 elimination.  Adding an element of the opposite inner dual to a block
 passes (B) and keeps every postcondition.
 
-Exact GRS certificate.  :func:`concatenate` first proves (B), (C) and
-(O) from the pi tables and the points and multipliers of the GRS codes, in
-O(N^2) table work and O(Q) products n wide, with no y_i, Ho_i, W_i, G or H:
-
-  - (B') on all Q rows of both tables, which gives (B) whatever y_i reads;
-  - D1.points equals D2.points, the points a are distinct codes, and
-    both codes' GrsCode._log_diff were computed from a;
-  - entry (i, l) of Hout1.Hout2^T is sum_j u1_j u2_j a_j^(i+l), u the
-    dual multipliers: (O) is the 2N - K1 - K2 - 1 power sums for i + l =
-    0..2N-K1-K2-2, which vanish (none where a side has K_i = N, as its
-    Hout_i has no rows).  A nonzero one is a nonzero entry of
-    Hout1.Hout2^T: NotOrthogonal, with no product over GF(q^k);
-  - entry (i, l) of G.H^T is sum_j v_j u_j a_j^(i+l).  The N - 1 sums for
-    i + l = 0..N-2 vanish exactly when v_j u_j prod_{m != j} (a_j - a_m)
-    is a constant, as the weights 1/prod_{m != j} (a_j - a_m) span the
-    kernel of the (N - 1)-row Vandermonde matrix (Lagrange interpolation;
-    the dual of a GRS code, MacWilliams and Sloane, ch. 10 section 8).  So
-    (C) is the O(N) check that this is a nonzero constant, which also makes
-    v and u nonzero as (R) needs, the products read from their logs
-    GrsCode._log_diff.
-
-Other pairs.  A pair the exact certificate neither proves nor rejects, on
-other points or with fields changed after construction, is judged by
-(O) and (C) themselves, two products over GF(q^k) at most N wide:
-NotOrthogonal if Hout1.Hout2^T != 0, then RankDeficient if
-D_i.G.Hout_i^T != 0 on either side.  With (B') on every table row the
+Outer certificate.  :func:`concatenate` checks (B') on all Q rows of both
+tables, which gives (B) whatever y_i reads, then (O) and (C) by
+:func:`outer_grs.certify_css_pair`.  With (B') on every table row the
 nN-column products are their trace forms (Outer facts), so they vanish
-exactly when these do; (R) is taken from GRS construction.  A table row
-failing (B') raises RankDeficient before either: the tables are built here
-from the certified inner pair, so such a row is a fault, and decoding adds
-PI[X] for any decoded symbol X, not only for those y_i reads.
+exactly when (O) and (C) hold.  A row failing (B') raises RankDeficient:
+the tables are built here from the certified inner pair, so such a row is
+a fault, and decoding adds PI[X] for any decoded symbol X.
 """
 
 from __future__ import annotations
@@ -170,12 +145,17 @@ from .errors import (
     DomainError,
     FieldMismatch,
     LengthMismatch,
-    NotOrthogonal,
     RankDeficient,
+    TooLarge,
 )
 from .galois import Extension
-from .matrix import MatGF, chunk_rows
-from .outer_grs import GrsCode, _distinct_codes, _scaled_powers
+from .matrix import MatGF
+from .outer_grs import GrsCode, certify_css_pair
+
+# The longest block length nN that verify_duality eliminates: with one BLAS
+# thread on 2 shared vCPUs, [[2550,1016]] takes 1.1 s at a 13.3 MiB traced peak,
+# [[8184,3400]] 34 s at 136 MiB and [[12276,5110]] 95 s at 306 MiB.
+VERIFY_CAP = 1 << 13
 
 
 def pi_map(m: int, pair: CssPair, ext: Extension, x) -> np.ndarray:
@@ -392,49 +372,6 @@ def _tables_hold(inner: CssPair, ext: Extension, PI) -> bool:
     return True
 
 
-def _grs_pair_holds(ext: Extension, D):
-    """Whether the exact GRS certificate (module docstring) proves (C) and
-    (O) for the GRS pair ``D``, from its points, multipliers and
-    ``_log_diff``; NotOrthogonal where it finds a nonzero power sum."""
-    fQ, a = ext.as_field(), D[0].points
-    N = a.size
-    if not (np.array_equal(a, D[1].points) and _distinct_codes(ext, a)
-            and all(np.array_equal(code._log_diff_points, a) for code in D)):
-        return False
-    # (O): the power sums of u1 u2 that Hout1.Hout2^T holds vanish, summed a
-    # slice of degrees at a time so that no (degrees, N) matrix is formed
-    s = fQ.mul(D[0].dual_multipliers, D[1].dual_multipliers)
-    degrees, step = 2 * N - D[0].K - D[1].K - 1, chunk_rows(N)
-    if max(D[0].K, D[1].K) < N and any(
-            fQ.add_reduce(_scaled_powers(ext, s, a, min(step, degrees - lo), lo), axis=1).any()
-            for lo in range(0, degrees, step)):
-        raise NotOrthogonal("outer pair violates the CSS containment")
-    # (C): v_j u_j prod_{m != j} (a_j - a_m) is a nonzero constant
-    for code in D:
-        c = fQ.mul(fQ.mul(code.multipliers, code.dual_multipliers), ext.exp[code._log_diff])
-        if not (c[0] and (c == c[0]).all()):
-            return False
-    return True
-
-
-def _certify(inner: CssPair, ext: Extension, D, PI):
-    """The outer half of the certified set-up for the GRS pair ``D`` and the
-    pi tables ``PI``: (B') on every table row, then
-    :func:`_grs_pair_holds`, and only when it neither proves nor rejects
-    the pair, (O) and (C) by their products over GF(q^k) (module docstring,
-    "Other pairs").  Raises RankDeficient or NotOrthogonal, or accepts."""
-    if not _tables_hold(inner, ext, PI):
-        raise RankDeficient("a pi-table row fails (B')")
-    if _grs_pair_holds(ext, D):
-        return
-    fQ = ext.as_field()
-    if fQ.matmul(D[0].H, D[1].H.T).any():
-        raise NotOrthogonal("outer pair violates the CSS containment")
-    if any(fQ.matmul(code.G, code.H.T).any() for code in D):
-        raise RankDeficient("expanded outer check is not orthogonal to the "
-                            "concatenated code")
-
-
 def concatenate(inner: CssPair, outer, ext: Extension) -> ConcatPair:
     """Concatenate an inner CSS pair with an outer pair over GF(q^k).
 
@@ -446,10 +383,8 @@ def concatenate(inner: CssPair, outer, ext: Extension) -> ConcatPair:
     The result is certified as derived in the module docstring, from the
     factor ranks and products over GF(q): ``dim L1 = k K1 + N(n - k2)`` and
     ``dim L2 = k K2 + N(n - k1)``, ``rank Ho_i = nN - dim L_i``, and the
-    duality and containment by the exact GRS certificate, from the points
-    and multipliers of D1/D2 and products at most n wide.  Only where it
-    neither proves nor rejects the pair are (O) and (C) checked by their
-    products over GF(q^k), at most N wide.
+    duality and containment by (B') on the pi tables and
+    :func:`outer_grs.certify_css_pair` on D1/D2.
     The generators of L1/L2 are built from the pi tables when first read,
     the checks Ho_i by :meth:`ConcatPair.parity_check`.
     Raises NotOrthogonal when the outer pair violates the CSS containment,
@@ -469,7 +404,9 @@ def concatenate(inner: CssPair, outer, ext: Extension) -> ConcatPair:
         raise LengthMismatch("outer codes of different length")
     _check_inner(inner)
     PI1, PI2 = pi_table(1, inner, ext), pi_table(2, inner, ext)
-    _certify(inner, ext, (D1, D2), (PI1, PI2))
+    if not _tables_hold(inner, ext, (PI1, PI2)):
+        raise RankDeficient("a pi-table row fails (B')")
+    certify_css_pair(D1, D2)
     return ConcatPair(inner=inner, ext=ext, D1=D1, D2=D2, PI1=PI1, PI2=PI2)
 
 
@@ -482,8 +419,11 @@ def verify_duality(cp: ConcatPair) -> bool:
     generators of L_i and the check Ho_i (:meth:`ConcatPair.parity_check`)
     from the pi tables as locals, eliminates the generators once for the
     null space and frees every nN-column matrix before the next side
-    starts.  Nothing is read from or cached on the pair.
+    starts.  Nothing is read from or cached on the pair.  A pair longer
+    than :data:`VERIFY_CAP` raises TooLarge before any elimination.
     """
+    if cp.block_length > VERIFY_CAP:
+        raise TooLarge(f"verify_duality of nN = {cp.block_length} exceeds the cap {VERIFY_CAP}")
     f = cp.inner.field
     fQ = cp.ext.as_field()
     ok = True

@@ -61,15 +61,15 @@ The outer syndrome of an error e with stage-1 estimate Ehat is then
 S_low = e.Gp^T and zeta_b = w(Ehat)_b the symbol of block b's leader, from
 the (q^m,) table LZ of leader symbols: :func:`decode_batch` forms no
 product nN columns wide, and Monte-Carlo, which knows e, forms sigma as
-Hout.z, z = w(e) - zeta (below).  :meth:`DecoderContext.outer_decode` hands
-the nonzero rows of sigma to :meth:`GrsCode.bd_decode_batch` in one call,
-for both; a decoded word X adds pi_side[X] to the estimate.  Hout.z is the
-side code's :meth:`GrsCode.syndrome`, so a context keeps no outer-code
-array, and a decode builds no G^T.
+Hout.z, z = w(e) - zeta (below).  Both form Hout.zeta or Hout.z by the side
+code's :meth:`GrsCode.syndrome` and hand every row of sigma to its
+:meth:`GrsCode.bd_decode_batch`, which returns X = 0 and ok for a zero row;
+a decoded word X adds pi_side[X] to the estimate.  A context keeps no
+outer-code array, and a decode builds no G^T.
 
 Monte-Carlo symbols.  :func:`channel_sim.mc_error_rate` specialises the
 test to its own estimates, which are stage-1 leaders plus pi_side[X], X the
-outer decoder's word (zero where it fails or does not run).  Block b of
+outer decoder's word (zero where it fails or sigma is zero).  Block b of
 v = estimate - e is then pi_side[X_b] - u_b, u_b = e_b - leader_b the
 stage-1 miss.  Both terms lie in C: pi_side[x] is a combination of g', and
 u_b has the syndrome zero.  So (i) holds on every Monte-Carlo row, and
@@ -175,10 +175,6 @@ class DecoderContext:
         Z.reshape(-1)[ids] = self.ext.as_field().sub(w, LZ[pack(H, self.field.q)])
         return Z
 
-    def outer_syndromes(self, Z):
-        """The outer syndromes Hout.z over GF(Q) of rows ``Z`` of symbols."""
-        return self.grs.syndrome(Z)
-
     def outside_dual(self, W):
         """Which rows of GF(Q) symbols ``W`` fail test (ii) of the module
         docstring, W.D_o.G^T != 0; the zero rows pass without a product."""
@@ -205,7 +201,7 @@ class DecoderContext:
         S = np.empty((len(rows), self.syndrome_len), dtype=self.field.dtype)
         upper, lower = S[:, :self.upper_len], S[:, self.upper_len:]
         upper[...] = blocks.reshape(upper.shape)
-        lower[...] = wtab[self.outer_syndromes(W)].reshape(lower.shape)
+        lower[...] = wtab[self.grs.syndrome(W)].reshape(lower.shape)
         return S.reshape(*E.shape[:-1], self.syndrome_len)
 
     def _leaders(self, upper):
@@ -222,14 +218,6 @@ class DecoderContext:
     def stage1(self, upper):
         """Blockwise coset-leader estimates from upper syndromes ``(..., N*m)``."""
         return self._leaders(upper)[0]
-
-    def outer_decode(self, sigma):
-        """Bounded-distance decoding of the rows of outer syndromes ``sigma``
-        over GF(Q) that are nonzero, in one :meth:`GrsCode.bd_decode_batch`
-        call; returns ``(rows, X, ok, reason)``, ``rows`` their indices."""
-        rows = np.flatnonzero(_nonzero_rows(sigma))
-        X, ok, reason = self.grs.bd_decode_batch(sigma[rows])
-        return rows, X, ok, reason
 
     def reassemble_symbols(self, resid):
         """Turn a lower syndrome, or g-coefficients, into GF(Q) symbols:
@@ -256,12 +244,9 @@ def decode_batch(ctx: DecoderContext, S):
     zeta = ctx._leader_symbols[packed]
     del packed  # (rows, N) int64, freed before the outer stage
     lower = ctx.reassemble_symbols(S[:, ctx.upper_len:]).reshape(len(S), ctx.grs.N - ctx.grs.K)
-    rows, X, ok, _ = ctx.outer_decode(ctx.ext.as_field().sub(lower, ctx.outer_syndromes(zeta)))
-    # a failed row's X is zero, and pi maps zero to zero
-    Ehat[rows] = ctx.field.add(Ehat[rows], ctx.pi[X].reshape(rows.size, Ehat.shape[1]))
-    outer_ok = np.ones(len(S), dtype=bool)
-    outer_ok[rows] = ok
-    return Ehat, outer_ok
+    X, outer_ok, _ = ctx.grs.bd_decode_batch(ctx.ext.as_field().sub(lower, ctx.grs.syndrome(zeta)))
+    # X is zero on a failed row and on a zero syndrome, and pi maps zero to zero
+    return ctx.field.add(Ehat, ctx.pi[X].reshape(Ehat.shape)), outer_ok
 
 
 def two_stage_decode(ctx: DecoderContext, s):

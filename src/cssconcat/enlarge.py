@@ -31,11 +31,13 @@ from .errors import (
     ConditionViolation,
     Degenerate,
     DomainError,
+    NotOrthogonal,
     PremiseViolation,
+    RankDeficient,
 )
 from .galois import Extension, Field, _shift_matrix
 from .matrix import MatGF, digits
-from .outer_grs import GrsCode
+from .outer_grs import GrsCode, certify_css_pair
 
 
 def _has_root(field, coeffs):
@@ -224,13 +226,23 @@ def distance2_inner_generator(field, n: int):
     return MatGF(field, G), b, [row.copy() for row in gs]
 
 
+def _contains_dual(D1: GrsCode, D2: GrsCode) -> bool:
+    """Whether :func:`outer_grs.certify_css_pair` accepts dual(D2) <= D1."""
+    try:
+        certify_css_pair(D1, D2)
+    except (NotOrthogonal, RankDeficient):
+        return False
+    return True
+
+
 def enlarged_concat(C1: LinearCode, g1, ext: Extension, D: GrsCode,
                     Dprime: GrsCode, cap: int = ENUM_CAP) -> EnlargedCode:
     """Concatenate-then-enlarge with a nested GRS outer tower.
 
     Conditions: (A) C1 contains its dual; (B) ``g1`` is an orthonormal set
     completing dual(C1) to C1; (C) the extension admits a self-dual basis.
-    ``D`` and ``Dprime`` must satisfy dual(D) <= D < Dprime on shared points.
+    ``D`` and ``Dprime`` must satisfy dual(D) <= D < Dprime on shared points
+    (:func:`outer_grs.certify_css_pair` on (D, D) and (Dprime, D.dual())).
     With a self-dual basis paired with orthonormal generators the two
     expansion maps coincide, so both codes of the tower use the same map.
     """
@@ -250,13 +262,12 @@ def enlarged_concat(C1: LinearCode, g1, ext: Extension, D: GrsCode,
     sdb = ext.self_dual_basis()
     if sdb is None:
         raise ConditionViolation("(C) extension has no self-dual basis")
-    Dlin, Dplin = D.as_linear_code(), Dprime.as_linear_code()
     if not (np.array_equal(D.points, Dprime.points)
             and np.array_equal(D.multipliers, Dprime.multipliers)):
         raise ConditionViolation("(B) outer tower must share points and multipliers")
-    if not Dlin.dual().is_subcode(Dlin):
+    if not _contains_dual(D, D):
         raise ConditionViolation("(B) outer code does not contain its dual")
-    if not Dlin.is_subcode(Dplin) or Dprime.K < D.K + 1:
+    if Dprime.K <= D.K or not _contains_dual(Dprime, D.dual()):
         raise ConditionViolation("(B) outer codes do not nest")
     # expansion table: symbol -> self-dual coordinates contracted with g1; the
     # coordinates of x in a self-dual basis b are Tr(x b_i) = dual_table[x].coords(b_i)

@@ -19,6 +19,40 @@ distinct roots, and a re-encoded syndrome equal to the input); a row that
 fails gets a zero error row and an int8 reason code indexing
 :data:`MESSAGES`, never a silent miscorrection.
 :meth:`GrsCode.bd_decode` is the one-row call and raises DecodeFailure.
+
+CSS certificate.  :func:`certify_css_pair` decides dual(D2) <= D1 for GRS
+codes of one length over one extension.  With Hout_i = D_i.H it checks
+
+  (O) Hout1.Hout2^T = 0 and (C) D_i.G.Hout_i^T = 0 on both codes.
+
+D_i.G and Hout_i are K_i and N - K_i Vandermonde rows a^i (0^0 = 1) of
+distinct points scaled by nonzero multipliers, so they have full rank (R);
+by (C) Hout_i spans dual(D_i), and (O) puts dual(D2) in D1.  So (D, D)
+decides dual(D) <= D, and (D', D.dual()), whose Hout_2 is D.G, D <= D'.
+
+Exact path.  When D1.points equals D2.points, the points a are distinct
+codes, and both codes' ``_log_diff`` were computed from a, the certificate
+reads no G or H and does O(N^2) table work:
+
+  - entry (i, l) of Hout1.Hout2^T is sum_j u1_j u2_j a_j^(i+l), u the
+    dual multipliers: (O) is the 2N - K1 - K2 - 1 power sums for i + l =
+    0..2N-K1-K2-2, which vanish (none where a code has K_i = N, as its
+    Hout_i has no rows).  A nonzero one is a nonzero entry of
+    Hout1.Hout2^T: NotOrthogonal, with no product over GF(Q);
+  - entry (i, l) of G.H^T is sum_j v_j u_j a_j^(i+l).  The N - 1 sums for
+    i + l = 0..N-2 vanish exactly when v_j u_j prod_{m != j} (a_j - a_m)
+    is a constant, as the weights 1/prod_{m != j} (a_j - a_m) span the
+    kernel of the (N - 1)-row Vandermonde matrix (Lagrange interpolation;
+    the dual of a GRS code, MacWilliams and Sloane, ch. 10 section 8).  So
+    (C) is the O(N) check that this is a nonzero constant, which also makes
+    v and u nonzero as (R) needs, the products read from their logs
+    ``_log_diff``.
+
+Other pairs.  A pair the exact path neither proves nor rejects, on other
+points, failing (C) there, or with fields changed after construction, is
+judged by (O) and (C) themselves, two products over GF(Q) at most N wide:
+NotOrthogonal if Hout1.Hout2^T != 0, then RankDeficient if D_i.G.Hout_i^T
+!= 0 on either code.
 """
 
 from __future__ import annotations
@@ -34,6 +68,8 @@ from .errors import (
     DimensionConflict,
     DomainError,
     DuplicatePoint,
+    NotOrthogonal,
+    RankDeficient,
     ZeroMultiplier,
 )
 from .codes import LinearCode
@@ -311,6 +347,35 @@ class GrsCode:
 
     def __repr__(self):
         return f"GrsCode[{self.N},{self.K}] over GF({self.ext.Q})"
+
+
+def certify_css_pair(D1: GrsCode, D2: GrsCode):
+    """Certify dual(D2) <= D1 for GRS codes of one length over one
+    extension (module docstring): the exact path, and only when it neither
+    proves nor rejects the pair, (O) and (C) by their products over GF(Q).
+    Accepts, or raises NotOrthogonal when Hout1.Hout2^T != 0 and
+    RankDeficient when a code's G.H^T != 0."""
+    ext, a = D1.ext, D1.points
+    fQ, N = ext.as_field(), a.size
+    if (np.array_equal(a, D2.points) and _distinct_codes(ext, a)
+            and all(np.array_equal(code._log_diff_points, a) for code in (D1, D2))):
+        # (O): the power sums of u1 u2 that Hout1.Hout2^T holds vanish, summed
+        # a slice of degrees at a time so that no (degrees, N) matrix is formed
+        s = fQ.mul(D1.dual_multipliers, D2.dual_multipliers)
+        degrees, step = 2 * N - D1.K - D2.K - 1, chunk_rows(N)
+        if max(D1.K, D2.K) < N and any(
+                fQ.add_reduce(_scaled_powers(ext, s, a, min(step, degrees - lo), lo), axis=1).any()
+                for lo in range(0, degrees, step)):
+            raise NotOrthogonal("outer pair violates the CSS containment")
+        # (C): v_j u_j prod_{m != j} (a_j - a_m) is a nonzero constant
+        c = [fQ.mul(fQ.mul(code.multipliers, code.dual_multipliers), ext.exp[code._log_diff])
+             for code in (D1, D2)]
+        if all(x[0] and (x == x[0]).all() for x in c):
+            return
+    if fQ.matmul(D1.H, D2.H.T).any():
+        raise NotOrthogonal("outer pair violates the CSS containment")
+    if any(fQ.matmul(code.G, code.H.T).any() for code in (D1, D2)):
+        raise RankDeficient("a GRS generator is not orthogonal to its parity check")
 
 
 def default_points(ext: Extension, N: int):

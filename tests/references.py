@@ -9,7 +9,7 @@ from cssconcat.channel_sim import _sample_block
 from cssconcat.codes import CssPair, LinearCode, _row_profile
 from cssconcat.concat import pi_table
 from cssconcat.decode import success_oracle_rows
-from cssconcat.errors import BadComplement, DomainError
+from cssconcat.errors import BadComplement, DomainError, NotOrthogonal
 from cssconcat.matrix import MatGF, as_codes
 from cssconcat.outer_grs import MESSAGES
 
@@ -122,6 +122,16 @@ def random_css_pair(rng, field, n, k):
         except BadComplement:
             continue
     raise RuntimeError("failed to sample a CSS pair")
+
+
+def outer_css_outcome(D1, D2):
+    """dual(D2) <= D1 for GRS codes, decided by elimination over GF(Q) as
+    enlarged_concat decided its outer tower before the GRS certificate:
+    None when the null space of D2.G lies in the row space of D1.G, else
+    NotOrthogonal.  It reads G alone, so it is the reference for codes whose
+    H generates their dual, as every GrsCode constructor builds them."""
+    C1, C2 = D1.as_linear_code(), D2.as_linear_code()
+    return None if C2.dual().is_subcode(C1) else NotOrthogonal
 
 
 # the reason codes of bd_decode_batch, indices into MESSAGES

@@ -10,7 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cssconcat import decode, matrix
+from cssconcat import channel_sim, decode, matrix
 from cssconcat.channel_sim import (
     AdditiveChannel,
     _error_triples,
@@ -33,6 +33,7 @@ from cssconcat.decode import DecoderContext, decode_batch
 from cssconcat.errors import DomainError, EmptyFeasibleSet
 from cssconcat.galois import Extension, Field
 from cssconcat.outer_grs import MESSAGES, nested_grs_pair
+import references
 from references import dense_matmul, dense_mc_error_rate, simplex_grid_exponent
 
 F2 = Field(2)
@@ -465,6 +466,31 @@ def test_mc_without_errors(make_cp):
         r = mc_error_rate(ctx, ch, 300, 2, chunk=128)
         assert _mc_tuple(r) == dense_mc_error_rate(ctx, ch, 300, 2, chunk=128)
         assert _mc_tuple(r) == (0, 0, 0.0, 0, (0,) * len(MESSAGES))
+
+
+@pytest.mark.parametrize("side", [1, 2])
+def test_mc_logical_error_is_no_miscorrection(monkeypatch, side):
+    """A trial whose miss symbols are a codeword of D_side outside
+    dual(D_o) has a zero outer syndrome: the outer decoder leaves it, and
+    it fails as an undetected logical error, not as a miscorrection.  The
+    chunk pi_side of the last row of D_side.G, a zero row, and pi_side of a
+    row of dual(D_o), a stabilizer, gives one failure, no outer failure and
+    no miscorrection, as the dense reference does."""
+    cp = _cp_90_28()
+    ctx = DecoderContext(cp, side=side)
+    D, D_o = (cp.D1, cp.D2) if side == 1 else (cp.D2, cp.D1)
+    Z = np.stack([D.G[-1], np.zeros(cp.N, dtype=D_o.H.dtype), D_o.H[0]])
+    E = ctx.pi[Z].reshape(len(Z), -1)
+
+    def sample(channel, seed, start, count, length):
+        return E[start:start + count]
+
+    monkeypatch.setattr(channel_sim, "_sample_block", sample)
+    monkeypatch.setattr(references, "_sample_block", sample)
+    ch = AdditiveChannel.symmetric(F2, 0.01)
+    r = mc_error_rate(ctx, ch, len(E), 1)
+    assert _mc_tuple(r) == dense_mc_error_rate(ctx, ch, len(E), 1)
+    assert (r.failures, r.outer_decode_failures, r.miscorrections) == (1, 0, 0)
 
 
 @pytest.mark.parametrize("make_cp", [_cp_90_28, _cp_96_32_gf3, _cp_60_14_gf4])

@@ -8,6 +8,7 @@ import pytest
 from cssconcat import fileio
 from cssconcat.cli import EXIT_INVARIANT, EXIT_PARSE, EXIT_TOO_LARGE, main
 from cssconcat.codes import CssPair, LinearCode, bvector_pair
+from cssconcat.concat import VERIFY_CAP
 from cssconcat.errors import BadComplement, DomainError, NotOrthogonal
 from cssconcat.galois import Extension, Field
 
@@ -189,11 +190,27 @@ def test_cli_concat_verify_changes_no_output(tmp_path, shape):
     assert verified_files == plain_files
 
 
+def test_cli_concat_verify_past_cap_exits_4(tmp_path, capsys):
+    """concat --verify on [[57330,24564]] (inner [[14,12]], RS[4095,3071]
+    over GF(4096)), longer than concat.VERIFY_CAP, prints the pair and exits
+    4 before any elimination; without --verify it exits 0."""
+    cfg = _write_config(tmp_path, n=14, N=4095, K1=3071, K2=3071, deg=12)
+    header = "[[57330,24564]] over GF(2) (inner [[14,12]], outer [4095,3071]/[4095,3071])\n"
+    assert run_cli(["concat", "--config", str(cfg), "--verify"]) == (EXIT_TOO_LARGE, header)
+    assert capsys.readouterr().err == (
+        f"error: verify_duality of nN = 57330 exceeds the cap {VERIFY_CAP}\n")
+    assert run_cli(["concat", "--config", str(cfg)]) == (0, header)
+
+
 def test_cli_mindist_config_product_law(tmp_path):
     cfg = _write_config(tmp_path, K1=2, K2=2)
     code, text = run_cli(["mindist", "--config", str(cfg)])
     assert code == 0
     assert "== observed" in text
+    # K2 = N: dual(D2) is the zero code, and the outer quotient is D1 itself
+    code, text = run_cli(["mindist", "--config", str(_write_config(tmp_path))])
+    assert (code, text) == (0, "w(L1 \\ dual L2) = 6\nproduct law: inner 2 x outer 3 = 6 "
+                                "== observed\n")
 
 
 def test_cli_decode_success(tmp_path):

@@ -3,6 +3,7 @@ and the quotient-distance product law."""
 
 import copy
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from cssconcat.errors import (
     FieldMismatch,
     NotOrthogonal,
     RankDeficient,
+    TooLarge,
 )
 from cssconcat.galois import Extension, Field
 from cssconcat.matrix import MatGF, chunk_rows
@@ -386,6 +388,26 @@ def test_verify_duality_elimination_count(monkeypatch, name):
     assert len(calls) == 10
 
 
+def test_verify_duality_past_cap_eliminates_nothing(monkeypatch):
+    """A pair longer than concat.VERIFY_CAP raises TooLarge before any
+    elimination; a pair of exactly that length is verified.  The cap admits
+    [[2550,1016]], the longest pair CI verifies."""
+    assert concat.VERIFY_CAP >= 2550
+    cp = concatenate(*_inputs("90_28"))
+    calls = []
+    for kind, rref in list(matrix._RREF.items()):
+        def spy(*args, _rref=rref):
+            calls.append(1)
+            return _rref(*args)
+        monkeypatch.setitem(matrix._RREF, kind, spy)
+    monkeypatch.setattr(concat, "VERIFY_CAP", cp.block_length - 1)
+    with pytest.raises(TooLarge):
+        verify_duality(cp)
+    assert calls == []
+    monkeypatch.setattr(concat, "VERIFY_CAP", cp.block_length)
+    assert verify_duality(cp) and len(calls) == 10
+
+
 @pytest.mark.parametrize("name, bound_mb", [("504_186", 0.8), ("480_160_gf3", 1.2)])
 def test_verify_duality_memory_is_bounded(name, bound_mb):
     """verify_duality holds one side's nN-column matrices at a time and keeps
@@ -654,14 +676,32 @@ def _altered(code, **fields):
     return new
 
 
-def _exact(ext, D):
-    """The exact path's verdict on the outer pair ``D``: True when it
-    proves the pair, NotOrthogonal when it rejects it, False when it
-    leaves it to the products over GF(q^k)."""
-    try:
-        return concat._grs_pair_holds(ext, D)
-    except NotOrthogonal:
-        return NotOrthogonal
+def _exact(D):
+    """The exact path's verdict on the outer pair ``D``: True when
+    :func:`outer_grs.certify_css_pair` proves the pair, NotOrthogonal when
+    it rejects it, with no product over GF(q^k) either way, and False when
+    it leaves the pair to those products."""
+    fQ, over_Q = D[0].ext.as_field(), []
+    matmul = Field.matmul
+
+    def spy(self, A, B):
+        over_Q.append(self is fQ)
+        return matmul(self, A, B)
+
+    with mock.patch.object(Field, "matmul", spy):
+        outcome = _outcome(outer_grs.certify_css_pair, *D)
+    if any(over_Q):
+        return False
+    return True if outcome is None else outcome
+
+
+def _certify(inner, ext, D, PI):
+    """The outer half of concatenate's certificate on the GRS pair ``D``
+    and the pi tables ``PI``: (B') on every table row, then
+    :func:`outer_grs.certify_css_pair`."""
+    if not concat._tables_hold(inner, ext, PI):
+        raise RankDeficient("a pi-table row fails (B')")
+    outer_grs.certify_css_pair(*D)
 
 
 def _changed(fQ, x, rng):
@@ -683,7 +723,7 @@ class _Case:
         return concat._scaled(self.ext, D[0].H, 1), concat._scaled(self.ext, D[1].H, 2)
 
     def outcomes(self, D=None, PI=None):
-        """:func:`concat._certify`, which concatenate runs, and the
+        """:func:`_certify`, which concatenate runs, and the
         nN-column reference on the same outer pair and pi tables, the
         case's own where one is not given; the reference reads Hout_i =
         D_i.H and Gp_i = PI[y_i] gathered from the tables.  Returns the
@@ -692,7 +732,7 @@ class _Case:
         PI = self.PI if PI is None else PI
         y = self.scaled(D)
         Gp = (concat._expand(PI[1], y[0]), concat._expand(PI[0], y[1]))
-        new = _outcome(concat._certify, self.inner, self.ext, D, PI)
+        new = _outcome(_certify, self.inner, self.ext, D, PI)
         return new, _outcome(_nN_certificate, self.inner, self.ext, D, tuple(c.H for c in D), Gp)
 
 
@@ -725,7 +765,7 @@ def test_trace_certificate_matches_reference(name):
     case = _case(name)
     if name.endswith("=N"):
         assert min(len(H) for H in case.Hout) == 0
-    assert concat._grs_pair_holds(case.ext, case.D)
+    assert _exact(case.D) is True
     assert case.outcomes() == (None, None)
     rng = np.random.default_rng(7)
     fQ = case.ext.as_field()
@@ -777,14 +817,14 @@ def test_exact_certificate_row_flips_match_reference(name):
                 bad[b] = value
                 D = list(case.D)
                 D[side] = _altered(code, **{key: bad})
-                assert _exact(case.ext, tuple(D)) is not True, (side, key, b)
+                assert _exact(tuple(D)) is not True, (side, key, b)
                 new, ref = case.outcomes(D=tuple(D))
                 assert new is ref, (side, key, b, value)
         log_diff = code._log_diff.copy()
         log_diff[0] = (log_diff[0] + 1) % (case.ext.Q - 1)
         D = list(case.D)
         D[side] = _altered(code, _log_diff=log_diff)
-        assert _exact(case.ext, tuple(D)) is False, side
+        assert _exact(tuple(D)) is False, side
         assert case.outcomes(D=tuple(D)) == (None, None), side
     if name.startswith("12_2"):
         assert one_row == ({"dual_multipliers"} if name == "12_2" else {"multipliers"})
@@ -812,11 +852,11 @@ def test_exact_certificate_points_match_reference(name):
     for D in ((_altered(D1, points=dup), _altered(D2, points=dup)),
               (D1, _altered(D2, points=moved)),
               (D1, reversed_D2)):
-        assert _exact(ext, D) is False
+        assert _exact(D) is False
         new, ref = case.outcomes(D=D)
         assert new is ref
     new, ref = case.outcomes(D=rebuilt)
-    assert new is ref and _exact(ext, rebuilt) is (True if new is None else NotOrthogonal)
+    assert new is ref and _exact(rebuilt) is (True if new is None else NotOrthogonal)
 
 
 @pytest.mark.parametrize("name", ["12_2", "12_2_K2=N", "90_28_at_0_K2=N"])
@@ -829,7 +869,7 @@ def test_log_diff_bound_to_its_points(name):
     moved = case.D[0].points.copy()
     moved[-1] = np.setdiff1d(np.arange(case.ext.Q), moved)[0]
     D = tuple(_altered(code, points=moved) for code in case.D)
-    assert _exact(case.ext, D) is False
+    assert _exact(D) is False
     assert case.outcomes(D=D) == (RankDeficient, RankDeficient)
 
 
@@ -853,7 +893,7 @@ def test_exact_certificate_row_counts_match_reference(name):
             D[side] = _altered(code, K=K)
             new, ref = case.outcomes(D=tuple(D))
             assert new is ref and new in (None, NotOrthogonal), (side, K)
-            assert _exact(case.ext, tuple(D)) is (True if new is None else NotOrthogonal)
+            assert _exact(tuple(D)) is (True if new is None else NotOrthogonal)
             if nested:
                 assert (new is None) is (D[0].K + D[1].K >= N), (side, K)
 
@@ -971,7 +1011,7 @@ def test_trace_certificate_containment_break_matches_reference(name):
     assert case.outcomes() == (NotOrthogonal, NotOrthogonal)
     short = GrsCode._on_points(ext, D1_nested.points, D1_nested.dual_multipliers,
                                N - 1 - D1_nested.K, D1_nested._log_diff)
-    assert _exact(ext, (D1_nested, short)) is NotOrthogonal
+    assert _exact((D1_nested, short)) is NotOrthogonal
     assert case.outcomes(D=(D1_nested, short)) == (NotOrthogonal, NotOrthogonal)
 
 
@@ -981,15 +1021,15 @@ def test_power_sums_in_row_slices(monkeypatch, step):
     with 0^0 = 1 in degree 0 only: slices of 1, 2 and 5 degrees accept the
     valid pairs, with a point 0 among them, and reject the pair that fails
     only at degree N - 1 (the last slice)."""
-    monkeypatch.setattr(concat, "chunk_rows", lambda width, itemsize=8: step)
+    monkeypatch.setattr(outer_grs, "chunk_rows", lambda width, itemsize=8: step)
     for name in ("90_28", "96_32_gf3", "90_28_at_0", "12_2"):
         case = _case(name)
-        assert concat._grs_pair_holds(case.ext, case.D), name
+        assert _exact(case.D) is True, name
     for name in ("90_28", "96_32_gf3"):
         _, (D1, _), ext = _inputs(name)
         short = GrsCode._on_points(ext, D1.points, D1.dual_multipliers,
                                    D1.N - 1 - D1.K, D1._log_diff)
-        assert _exact(ext, (D1, short)) is NotOrthogonal, name
+        assert _exact((D1, short)) is NotOrthogonal, name
 
 
 @pytest.mark.parametrize("name", ["12_2", "90_28", "96_32_gf3"])
@@ -1043,7 +1083,7 @@ def test_concatenate_products_at_most_kN_wide(monkeypatch, name):
     v[0] = fQ.mul(int(v[0]), ext.alpha)
     for D in ((D1, GrsCode(ext, D2.points[::-1], D2.multipliers[::-1], D2.K)),
               (_altered(D1, multipliers=v), D2)):
-        assert _exact(ext, D) is False
+        assert _exact(D) is False
         calls.clear()
         _outcome(concatenate, case.inner, D, ext)
         assert any(over_Q for over_Q, _ in calls)

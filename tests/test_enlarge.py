@@ -1,5 +1,7 @@
 """Enlargement, fixed-point-free matrices, distance-2 generator family."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -260,6 +262,28 @@ def test_enlarged_concat_conditions():
     # D = Dprime leaves no enlargement gap
     with pytest.raises(ConditionViolation):
         enlarged_concat(C1, gs4, e16, D, D)
+
+
+def test_enlarged_concat_outer_tower_rejections():
+    """Each outer-tower condition is rejected with its own message: Dprime
+    with other multipliers or on other points; D with K < N - K, which
+    does not contain its dual; and Dprime of dimension K or less."""
+    G4m, _, gs4 = distance2_inner_generator(F4, 4)
+    C1 = LinearCode(F4, G4m.a)
+    e16, D, _ = _tower_gf4(5, 3, 5)
+    pts, v = D.points, D.multipliers
+    moved = pts.copy()
+    moved[0] = np.setdiff1d(np.arange(e16.Q), pts)[0]
+    small = self_dual_multiplier_grs(e16, pts, 2)
+    for (D_, Dp), why in (
+            ((D, GrsCode(e16, pts, e16.as_field().mul(v, e16.alpha), 5)),
+             "outer tower must share points and multipliers"),
+            ((D, GrsCode(e16, moved, v, 5)), "outer tower must share points and multipliers"),
+            ((small, GrsCode(e16, pts, small.multipliers, 5)), "outer code does not contain its dual"),
+            ((D, GrsCode(e16, pts, v, 3)), "outer codes do not nest"),
+            ((D, GrsCode(e16, pts, v, 2)), "outer codes do not nest")):
+        with pytest.raises(ConditionViolation, match=re.escape(f"(B) {why}")):
+            enlarged_concat(C1, gs4, e16, D_, Dp)
 
 
 def test_enlarged_concat_tiny_brute():

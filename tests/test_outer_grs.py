@@ -12,6 +12,8 @@ from cssconcat.errors import (
     DimensionConflict,
     DomainError,
     DuplicatePoint,
+    NotOrthogonal,
+    RankDeficient,
     ZeroMultiplier,
 )
 from cssconcat.galois import Extension, Field
@@ -280,6 +282,60 @@ def test_self_dual_multipliers():
     assert Dlin.dual().is_subcode(Dlin)  # K=3 >= N-K=2
     with pytest.raises(BadField):
         self_dual_multiplier_grs(Extension(Field(3), 2), [0, 1, 2], 2)
+
+
+@pytest.mark.parametrize("ext", [Extension(Field(2), 4), Extension(Field(3), 4),
+                                 Extension(Field(2, 2), 3)], ids=["GF16", "GF81", "GF4^3"])
+def test_css_certificate_matches_elimination(ext, monkeypatch):
+    """certify_css_pair gives the verdict and exception class of the
+    elimination over GF(Q) (references.outer_css_outcome).  On shared
+    points its exact path decides, with no product over GF(Q): nested pairs,
+    K = N on either side or both, K1 + K2 = N - 1, D2 with other
+    multipliers, and the towers (D, D) and (D', D.dual()) that
+    enlarged_concat certifies.  D2 on D1's points permuted, with its
+    multipliers, and on one point moved to a code no point uses, goes to
+    the products over GF(Q)."""
+    N = min(ext.Q - 1, 15)
+    pts = np.array(default_points(ext, N))
+    rng = np.random.default_rng(ext.Q)
+    v = rng.integers(1, ext.Q, size=N)
+    D1 = nested_grs_pair(ext, N, 8, 8)[0]
+    exact = [nested_grs_pair(ext, N, K1, K2) for K1, K2 in
+             ((N - 4, 4), (N - 4, 6), (N // 2, N - N // 2), (N, 1), (1, N), (N, N))]
+    exact += [(D1, GrsCode(ext, pts, D1.dual_multipliers, N - 9)),
+              (D1, GrsCode(ext, pts, v, N - 6))]
+    towers = [GrsCode(ext, pts, v, K) for K in (9, 11)]
+    if ext.base.p == 2:
+        towers += [self_dual_multiplier_grs(ext, pts, K) for K in (5, 9)]
+    for D in towers:
+        wider = GrsCode(ext, pts, D.multipliers, D.K + 2)
+        exact += [(D, D), (wider, D.dual()), (D, wider.dual())]
+    perm = rng.permutation(N)
+    moved = pts.copy()
+    moved[0] = np.setdiff1d(np.arange(ext.Q), pts)[0]
+    products = [(D1, GrsCode(ext, pts[perm], D1.dual_multipliers[perm], K2)) for K2 in (8, N)]
+    products += [(D1, GrsCode(ext, moved, D1.dual_multipliers, 8))]
+    fQ, over_Q = ext.as_field(), []
+    matmul = Field.matmul
+
+    def spy(self, A, B):
+        over_Q.append(self is fQ)
+        return matmul(self, A, B)
+
+    monkeypatch.setattr(Field, "matmul", spy)
+    for pairs, by_products in ((exact, False), (products, True)):
+        verdicts = set()
+        for D in pairs:
+            over_Q.clear()
+            try:
+                outer_grs.certify_css_pair(*D)
+                got = None
+            except (NotOrthogonal, RankDeficient) as e:
+                got = type(e)
+            assert any(over_Q) is by_products, (D, got)
+            assert got is references.outer_css_outcome(*D), D
+            verdicts.add(got)
+        assert verdicts == {None, NotOrthogonal}
 
 
 def _scalar_grs(ext, points, v, K):
