@@ -17,98 +17,96 @@ check coefficient h is turned into its k x k multiplication matrix and each
 row of that matrix is contracted against the opposite side's coset
 generators.
 
-pi tables.  Both maps act symbol by symbol, so one set-up expands every
-GF(q^k) matrix by gathers from the two (Q, n) tables PI_m[x] = pi_m(x),
-built once by :func:`pi_map` on all Q codes.  The subfield rows of D_i are
-PI_i[alpha^l . D_i.G].  Row r of the k x n block of the expanded check of L2
-at a coefficient h is the power-basis coordinates of h alpha^r contracted
-against g1, that is PI_1[h alpha^r].  For L1 it is the r-th coordinates of
-h alpha^c, c = 0..k-1, contracted against g2.  With beta the trace-dual
-basis, coords(y)_r = Tr(y beta_r), so coords(h alpha^c)_r = Tr((h beta_r)
-alpha^c): the trace-dual coordinates of h beta_r, and the row is
-PI_2[h beta_r].
+Sides.  The sides differ by a convention alone, chosen in one place,
+:func:`_conventions`: side 1 reads power-basis coordinates (``coord_table``,
+inverted by ``from_coords``) against g1 and scales its lower check by the
+trace-dual basis beta; side 2 reads trace-dual coordinates (``dual_table``,
+inverted by ``from_dual_coords``) against g2 and scales it by alpha^r.
+:func:`_sides` builds from it one :class:`Side` record per side s, o the
+other side: the inner code C_s; the block factor HgT_s = [C_s.H; g_o]^T, with
+m_s = len(C_s.H); the (Q, k) table coords_s and its inverse; the (Q, n) pi
+table PI_s[x] = coords_s[x] g_s = pi_s(x); and the scales.  A pair keeps
+both records, and :func:`pi_map`, the checks, the certificate,
+:func:`verify_duality` and the decoder read them instead of choosing again.
+The maps act symbol by symbol, so every GF(q^k) matrix is expanded by
+gathers from the pi tables: the subfield rows of D_s are PI_s[alpha^l D_s.G],
+and row r of the k x n block of the lower check of L_s at a coefficient h
+is PI_o[h scales_s[r]].  For L1 it is the r-th coordinates of h alpha^c,
+c = 0..k-1, against g2: as coords(y)_r = Tr(y beta_r), these are the
+trace-dual coordinates of h beta_r.
 
-Codes.  A pair keeps its outer codes, which hold no matrix, its pi tables,
-(Q, n) each, and no check Ho_i (Ho1 and Ho2 are 84 MB at [[12276,5110]]):
-:meth:`ConcatPair.parity_check` builds one for ``cssconcat concat --out``
-and :func:`verify_duality`, and decoding and syndromes read the tables.
-The generators of L1/L2, read by ``concat --out`` and ``mindist``, are
-built from the tables when first read and then kept.  Ho_i, the pi tables
-and the generators and checks of L1/L2 hold codes of the inner field's
-dtype, ``field.dtype``: ``np.int8`` for q <= 128, ``np.int16`` above.  It
-is signed so that the difference of two codes cannot wrap; products widen
+Codes.  A pair keeps its outer codes, which hold no matrix, its records,
+(Q, n) arrays at most, and no check Ho_s (Ho1 and Ho2 are 84 MB at
+[[12276,5110]]): :meth:`ConcatPair.parity_check` builds one for ``cssconcat
+concat --out`` and :func:`verify_duality`, and decoding and syndromes read
+the tables.  The generators of L1/L2, read by ``concat --out`` and
+``mindist``, are built from the tables when first read and then kept.  Ho_s,
+the pi tables and the generators and checks of L1/L2 hold codes of the inner
+field's dtype, ``field.dtype``: ``np.int8`` for q <= 128, ``np.int16`` above.
+It is signed so that the difference of two codes cannot wrap; products widen
 to float on their own (see :meth:`galois.Field.matmul`).
 
 Certified set-up.  :func:`concatenate` proves its postconditions from the
 block structure.  On a valid pair it eliminates nothing, forms no matrix
-nN columns wide and no product wider than n.  Write Hout_i = D_i.H,
-K_i = dim D_i, and gen_i for the generators of L_i (the subfield rows of
-D_i expanded, over N diagonal copies of a basis of dual(C2) for i = 1, of
-dual(C1) for i = 2).  The factor facts are
+nN columns wide and no product wider than n.  Write Hout_s = D_s.H,
+K_s = dim D_s, and gen_s for the generators of L_s: the subfield rows of
+D_s expanded, over N diagonal copies of a basis of dual(C_o).  The factor
+facts are
 
-  (R) D_i.G and Hout_i have full rank over GF(q^k), and Hout_i has N - K_i
+  (R) D_s.G and Hout_s have full rank over GF(q^k), and Hout_s has N - K_s
       rows (:mod:`outer_grs`, "CSS certificate");
-  (I) [C2.H; g1] and [C1.H; g2] have full rank, so each g_i is independent
-      modulo the opposite dual;
-  (P) C2.H.C1.H^T = 0, g_i lies in C_i, and g1.g2^T = I: the one n-column
+  (I) [C_s.H; g_o] = HgT_s^T has full rank, so g_o is independent modulo
+      dual(C_s);
+  (P) C2.H.C1.H^T = 0, g_s lies in C_s, and g1.g2^T = I: the one n-column
       product [C2.H; g1].[C1.H; g2]^T = [[0, 0], [0, I]], the product that
       also certifies a CssPair when it is built (codes._pairing).
 
-(I) follows from (P) and the row counts len(C_i.H) = n - k_i.  The row
-space of C_i.H is dual(C_i), of dimension n - k_i, so with that many rows
-C_i.H has full rank.  If a.C2.H + b.g1 = 0, multiplying by g2^T gives b = 0,
-as C2.H.g2^T = 0 and g1.g2^T = I; then a.C2.H = 0, so a = 0.  The same
-holds for [C1.H; g2] with g1^T.  So a valid pair costs one product and no
-elimination.  Only when the product fails are the two ranks computed, to
-raise RankDeficient for a dependent row and BadComplement otherwise; a row
-count above n - k_i, a repeated row of C_i.H, raises RankDeficient.
+(I) follows from (P) and the row counts len(C_s.H) = n - k_s.  The row
+space of C_s.H is dual(C_s), of dimension n - k_s, so with that many rows
+C_s.H has full rank.  If a.C_s.H + b.g_o = 0, multiplying by g_s^T gives
+b = 0, as C_s.H.g_s^T = 0 and g_o.g_s^T = I; then a.C_s.H = 0, so a = 0.
+So a valid pair costs one product and no elimination.  Only when the
+product fails are the two ranks computed, to raise RankDeficient for a
+dependent row and BadComplement otherwise; a row count above n - k_s, a
+repeated row of C_s.H, raises RankDeficient.
 
-Dimensions.  A vanishing GF(q)-combination of the rows of gen1 is, in every
-block, a combination of the g1 rows modulo dual(C2), so by (I) the power-
-basis coordinates of each symbol of the combined D1-word vanish; by (R) the
-GF(q^k)-combination of the rows of D1.G is trivial, and what is left is a
-combination of the diagonal copies of a basis.  Hence
+Dimensions.  A vanishing GF(q)-combination of the rows of gen_s is, in
+every block, a combination of the g_s rows modulo dual(C_o), so by (I) the
+coordinates coords_s of each symbol of the combined D_s-word vanish; by (R)
+the GF(q^k)-combination of the rows of D_s.G is trivial, and what is left
+is a combination of the diagonal copies of a basis.  The lower rows of Ho_s
+are, in every block and modulo dual(C_s), combinations of the g_o rows
+whose coefficients form the GF(q)-expansion of Hout_s; by (I) a vanishing
+combination of Ho_s's rows reduces to y^T Hout_s = 0 over GF(q^k), so y = 0
+by (R).  Hence, with k1 + k2 = n + k, Ho_s has full row rank and
 
-    dim L1 = k K1 + N (n - k2),    dim L2 = k K2 + N (n - k1).
-
-The lower rows of Ho1 are, in every block and modulo dual(C1), combinations
-of the g2 rows whose coefficients form the GF(q)-expansion of Hout1; by (I)
-a vanishing combination of Ho1's rows reduces to y^T Hout1 = 0 over GF(q^k),
-so y = 0 by (R).  Hence, with k2 = n - k1 + k,
-
-    rank Ho1 = N (n - k1) + k (N - K1) = nN - dim L1,
-
-Ho1 has full row rank, and symmetrically rank Ho2 = nN - dim L2.
+    dim L_s = k K_s + N (n - k_o),
+    rank Ho_s = N (n - k_s) + k (N - K_s) = nN - dim L_s.
 
 Outer facts.  By (P) the only blocks of gen1.Ho1^T, gen2.Ho2^T and
 Ho1.Ho2^T left to check are pi_1(D1).Gp1^T, pi_2(D2).Gp2^T and Gp1.Gp2^T,
-each nN columns wide.  Row j k + r of W1 holds the trace-dual coordinates
-dual_table[Hout1[j] beta_r], and of W2 the power-basis coordinates
-coords(Hout2[j] alpha^r), of every symbol; both come from the extension,
-not from the pi tables.
+each nN columns wide.  Write y_s for the scaled symbols Hout_s[j]
+scales_s[r], row j k + r; row j k + r of W_s holds coords_o[y_s], the
+coordinates of every symbol in the other side's convention, from the
+extension, not from the pi tables.
 
-  (B) Every n-column block of Gp1 times [C2.H; g1]^T is [0 | its W1 part],
-      so by (P), as for a CssPair, it lies in C2 = dual(C1) + span(g2) and
-      is c g2 + d, d in dual(C1), with c = block.g1^T its W1 part.  Every
-      block of Gp2 times [C1.H; g2]^T is [0 | its W2 part], symmetrically.
+  (B) Every n-column block of Gp_s times HgT_o is [0 | its W_s part], so by
+      (P), as for a CssPair, it lies in C_o = dual(C_s) + span(g_o) and is
+      c g_o + d, d in dual(C_s), with c = block.g_s^T its W_s part.
 
-Write y1 and y2 for the scaled symbols Hout1[j] beta_r and Hout2[j]
-alpha^r, row j k + r.  Gp1 is the gather PI2[y1]: block b of that row is
-PI2[y1[j k + r, b]], whose W1 part is the dual_table row of the same
-symbol, and symmetrically Gp2 = PI1[y2] with coord_table.  So the block's
-product with [C2.H; g1]^T is row y1[j k + r, b] of
+Gp_s is the gather PI_o[y_s], and the W_s part of its block b in row j k + r
+is the coords_o row of the same symbol y_s[j k + r, b].  So (B) asks
 
-  (B') P2 = PI2.[C2.H; g1]^T, which should be [0 | dual_table], and
-       P1 = PI1.[C1.H; g2]^T, which should be [0 | coord_table], on all Q
-       rows: one (Q, n) by (n, m + k) product a side.
+  (B') PI_s.HgT_s = [0 | coords_s] for s = 1, 2, on all Q rows: one (Q, n)
+       by (n, m_s + k) product a side.
 
-Tables built by pi_map satisfy (B') by (P): PI2[x] = dual_table[x] g2,
-with g2 C2.H^T = 0 and g2 g1^T = I, and PI1[x] = coords(x) g1 likewise.
-When (B') holds the pi tables the decoder gathers from are certified too.
+Tables built by :func:`_sides` satisfy it by (P), as PI_s[x] = coords_s[x]
+g_s, g_s C_s.H^T = 0 and g_s g_o^T = I; when (B') holds, the pi tables the
+decoder gathers from are certified too.
 
 By (P) the d parts pair to zero with g1, g2 and each other, so Gp1.Gp2^T =
 W1.W2^T, pi_1(D1).Gp1^T = X1.W1^T and pi_2(D2).Gp2^T = Y2.W2^T, with X1 and
-Y2 the power-basis and trace-dual coordinates of the rows alpha^l D_i.G.  As
+Y2 the power-basis and trace-dual coordinates of the rows alpha^l D_s.G.  As
 sum_c Tr(x alpha^c) coords(y)_c = Tr(x y), their entries are
 Tr(beta_r alpha^s z), Tr(beta_r alpha^l z) and Tr(alpha^(l+r) z) for the
 entries z of Hout1.Hout2^T, D1.G.Hout1^T and D2.G.Hout2^T over GF(q^k).  The
@@ -118,13 +116,13 @@ GF(q^k) product does:
   (O) Hout1.Hout2^T = 0;
   (C) D1.G.Hout1^T = 0 and D2.G.Hout2^T = 0.
 
-With the ranks above, row space(Ho_i) = dual(L_i), and Ho1.Ho2^T = 0 is the
+With the ranks above, row space(Ho_s) = dual(L_s), and Ho1.Ho2^T = 0 is the
 containment dual(L2) <= L1; :func:`verify_duality` checks the same by
 elimination.  Adding an element of the opposite inner dual to a block
 passes (B) and keeps every postcondition.
 
 Outer certificate.  :func:`concatenate` checks (B') on all Q rows of both
-tables, which gives (B) whatever y_i reads, then (O) and (C) by
+tables, which gives (B) whatever y_s reads, then (O) and (C) by
 :func:`outer_grs.certify_css_pair`.  With (B') on every table row the
 nN-column products are their trace forms (Outer facts), so they vanish
 exactly when (O) and (C) hold.  A row failing (B') raises RankDeficient:
@@ -136,6 +134,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -149,7 +148,7 @@ from .errors import (
     TooLarge,
 )
 from .galois import Extension
-from .matrix import MatGF
+from .matrix import MatGF, check_codes
 from .outer_grs import GrsCode, certify_css_pair
 
 # The longest block length nN that verify_duality eliminates: with one BLAS
@@ -158,31 +157,56 @@ from .outer_grs import GrsCode, certify_css_pair
 VERIFY_CAP = 1 << 13
 
 
-def pi_map(m: int, pair: CssPair, ext: Extension, x) -> np.ndarray:
-    """Expand a length-N vector over GF(q^k) to a length-nN vector over GF(q).
+def _conventions(inner: CssPair, ext: Extension):
+    """The one choice of convention (module docstring, "Sides"): for side 1
+    and then side 2, ``(C_s, g_s, coords_s, its inverse, scales_s)``."""
+    if ext.base != inner.field:
+        raise FieldMismatch("inner pair and extension base differ")
+    if inner.k != ext.k:
+        raise LengthMismatch(f"inner pair has k={inner.k} but extension degree is {ext.k}")
+    return ((inner.C1, inner.g1, ext.coord_table, ext.from_coords, ext.dual_basis),
+            (inner.C2, inner.g2, ext.dual_table, ext.from_dual_coords, ext.power_basis))
 
-    ``m`` selects the side: 1 contracts power-basis coordinates against g1,
-    2 contracts trace-dual coordinates against g2.
-    """
+
+@dataclass(frozen=True, eq=False)
+class Side:
+    """One side s of a concatenated pair, o the other (module docstring,
+    "Sides"); ``scales`` and ``from_coords`` are the extension's methods,
+    so the trace-dual basis and the inverse of ``dual_table`` stay lazy."""
+
+    code: LinearCode  # the inner code C_s, whose check tops Ho_s
+    HgT: np.ndarray  # [C_s.H; g_o]^T, the block factor of (B')
+    coords: np.ndarray  # (Q, k) coordinates: coord_table, dual_table
+    from_coords: Callable  # their inverse: from_coords, from_dual_coords
+    PI: np.ndarray  # (Q, n): PI[x] = coords[x] . g_s
+    scales: Callable  # the k scales of the lower check: dual_basis, power_basis
+
+    @property
+    def m(self) -> int:
+        return len(self.code.H)
+
+
+def _sides(inner: CssPair, ext: Extension):
+    """The two :class:`Side` records of ``inner`` over ``ext``, side 1 first."""
+    conv = _conventions(inner, ext)
+    return tuple(Side(C, np.concatenate([C.H, g_o]).T, coords, inverse,
+                      inner.field.matmul(coords, g), scales)
+                 for (C, g, coords, inverse, scales), (_, g_o, *_) in zip(conv, conv[::-1]))
+
+
+def _facing(pair, side: int):
+    """The entries of the per-side ``pair`` for ``side`` and the other side."""
+    return pair[side - 1], pair[2 - side]
+
+
+def pi_map(m: int, pair: CssPair, ext: Extension, x) -> np.ndarray:
+    """Expand a length-N vector over GF(q^k) to a length-nN vector over GF(q)
+    by pi_m, ``m`` the side (module docstring, "Sides")."""
     if m not in (1, 2):
         raise DomainError("side must be 1 or 2")
-    if ext.base != pair.field:
-        raise FieldMismatch("inner pair and extension base differ")
-    if pair.k != ext.k:
-        raise LengthMismatch(f"inner pair has k={pair.k} but extension degree is {ext.k}")
-    x = np.asarray(x, dtype=np.int64).reshape(-1)
-    if m == 1:
-        coords = ext.coords(x)  # (N, k) power-basis coordinates
-        g = pair.g1
-    else:
-        coords = ext.dual_table[x]  # (N, k) trace-dual coordinates
-        g = pair.g2
-    return pair.field.matmul(coords, g).reshape(-1)
-
-
-def pi_table(m: int, pair: CssPair, ext: Extension) -> np.ndarray:
-    """The (Q, n) table whose row x is :func:`pi_map` of the code x."""
-    return pi_map(m, pair, ext, np.arange(ext.Q)).reshape(ext.Q, pair.n)
+    _, g, coords, _, _ = _conventions(pair, ext)[m - 1]
+    x = check_codes(x, ext.Q, "element codes").reshape(-1)
+    return pair.field.matmul(np.take(coords, x, axis=0), g).reshape(-1)
 
 
 def _expand(table, M, out=None):
@@ -209,7 +233,7 @@ def _blockwise(H, out):
 def _concatenated_rows(ext, table, G, H):
     """Generators of pi(row space of G) + blockwise row space of H over GF(q):
     the expanded subfield rows of ``G`` above N diagonal copies of ``H``."""
-    S = _scaled(ext, G, 2)  # the subfield rows: row r k + l is alpha^l G[r]
+    S = _scaled(ext, G, ext.power_basis())  # the subfield rows: row r k + l is alpha^l G[r]
     N = S.shape[1]
     m, n = H.shape
     out = np.zeros((len(S) + N * m, N * n), dtype=table.dtype)
@@ -235,27 +259,26 @@ def build_parity_check(inner: CssPair, ext: Extension, Hout, side: int = 1):
     M = Hout.shape[0]
     if M and MatGF(ext.as_field(), Hout).rank != M:
         raise RankDeficient("outer parity check is not full rank")
-    return _expanded_check(inner, ext, Hout, side, pi_table(3 - side, inner, ext))
+    return _expanded_check(ext, *_facing(_sides(inner, ext), side), Hout)
 
 
-def _expanded_check(inner: CssPair, ext: Extension, Hout, side: int, table):
-    """:func:`build_parity_check` without the rank check of ``Hout``, with
-    ``table`` the pi table of the other side: row ``j * k + r`` of
-    ``lower`` is PI_2[Hout[j] * beta_r] on side 1 and PI_1[Hout[j] *
-    alpha^r] on side 2 (module docstring)."""
-    y = _scaled(ext, Hout, side)
-    H_in = inner.C1.H if side == 1 else inner.C2.H
-    top = y.shape[1] * len(H_in)
-    Ho = np.zeros((top + len(y), inner.n * y.shape[1]), dtype=inner.field.dtype)
-    _blockwise(H_in, Ho[:top])
-    return Ho, _expand(table, y, Ho[top:])
+def _expanded_check(ext: Extension, this: Side, other: Side, Hout):
+    """:func:`build_parity_check` without the rank check of ``Hout``: N
+    diagonal copies of this side's inner check above ``lower``, whose row
+    ``j * k + r`` is the other side's PI[Hout[j] * scales_r] (module
+    docstring)."""
+    y = _scaled(ext, Hout, this.scales())
+    top = y.shape[1] * this.m
+    Ho = np.zeros((top + len(y), other.PI.shape[1] * y.shape[1]), dtype=other.PI.dtype)
+    _blockwise(this.code.H, Ho[:top])
+    return Ho, _expand(other.PI, y, Ho[top:])
 
 
-def _scaled(ext: Extension, Hout, side: int):
-    """Row ``j * k + r`` is Hout[j] * beta_r on side 1, Hout[j] * alpha^r on side 2."""
-    basis = np.asarray(ext.dual_basis() if side == 1 else ext.power_basis(), dtype=np.int64)
-    rows = np.take(ext.as_field().mul_table[basis], Hout, axis=1)  # (k, M, N)
-    return rows.transpose(1, 0, 2).reshape(-1, Hout.shape[1])
+def _scaled(ext: Extension, M, scales):
+    """Row ``j * k + r`` is M[j] * scales[r] over GF(q^k)."""
+    basis = np.asarray(scales, dtype=np.int64)
+    rows = np.take(ext.as_field().mul_table[basis], M, axis=1)  # (k, rows, N)
+    return rows.transpose(1, 0, 2).reshape(-1, M.shape[1])
 
 
 @dataclass
@@ -264,18 +287,22 @@ class ConcatPair:
 
     ``D1``/``D2`` are the outer GRS codes, which also decode the outer
     stage, with parity checks ``Hout1``/``Hout2`` = ``D1.H``/``D2.H``;
-    ``PI1``/``PI2`` the (Q, n) tables of pi_1/pi_2.  The codes
-    ``L1``/``L2`` are built from the tables on first access and kept;
-    :meth:`parity_check` builds a structured check on every call and keeps
-    none.  Set-up, decoding and Monte-Carlo read none of them.
+    ``sides`` the two :class:`Side` records, whose pi tables are
+    ``PI1``/``PI2``.  The codes ``L1``/``L2`` are built from the tables on
+    first access and kept; :meth:`parity_check` builds a structured check on
+    every call and keeps none.  Set-up, decoding and Monte-Carlo read none
+    of them.
     """
 
     inner: CssPair
     ext: Extension
     D1: GrsCode
     D2: GrsCode
-    PI1: np.ndarray
-    PI2: np.ndarray
+    sides: tuple[Side, Side]
+
+    @property
+    def outer(self):
+        return self.D1, self.D2
 
     def parity_check(self, side: int) -> np.ndarray:
         """A fresh structured parity check Ho_side of L_side, gathered from
@@ -283,20 +310,30 @@ class ConcatPair:
         expanded outer check Gp_side."""
         if side not in (1, 2):
             raise DomainError("side must be 1 or 2")
-        D, table = (self.D1, self.PI2) if side == 1 else (self.D2, self.PI1)
-        return _expanded_check(self.inner, self.ext, D.H, side, table)[0]
+        return _expanded_check(self.ext, *_facing(self.sides, side), self.outer[side - 1].H)[0]
+
+    def _concatenated(self, side: int) -> LinearCode:
+        """L_side = pi_side(D_side) + blockwise dual(C_other), full rank by
+        the certificate."""
+        this, other = _facing(self.sides, side)
+        return LinearCode._full_rank(self.inner.field, _concatenated_rows(
+            self.ext, this.PI, self.outer[side - 1].G, other.code.H))
 
     @cached_property
     def L1(self) -> LinearCode:
-        """L1 = pi_1(D1) + blockwise dual(C2), full rank by the certificate."""
-        return LinearCode._full_rank(self.inner.field, _concatenated_rows(
-            self.ext, self.PI1, self.D1.G, self.inner.C2.H))
+        return self._concatenated(1)
 
     @cached_property
     def L2(self) -> LinearCode:
-        """L2 = pi_2(D2) + blockwise dual(C1), full rank by the certificate."""
-        return LinearCode._full_rank(self.inner.field, _concatenated_rows(
-            self.ext, self.PI2, self.D2.G, self.inner.C1.H))
+        return self._concatenated(2)
+
+    @property
+    def PI1(self) -> np.ndarray:
+        return self.sides[0].PI
+
+    @property
+    def PI2(self) -> np.ndarray:
+        return self.sides[1].PI
 
     @property
     def Hout1(self) -> np.ndarray:
@@ -354,20 +391,12 @@ def _check_inner(inner: CssPair):
                             "g1.dual(C1)^T, dual(C2).g2^T or g1.g2^T - I is nonzero")
 
 
-def _block_factor(inner: CssPair, side: int):
-    """``(m, [H; g]^T)`` of (B): H = C2.H, g = g1 on side 1, C1.H, g2 on side 2."""
-    H, g = (inner.C2.H, inner.g1) if side == 1 else (inner.C1.H, inner.g2)
-    return len(H), np.concatenate([H, g]).T
-
-
-def _tables_hold(inner: CssPair, ext: Extension, PI) -> bool:
-    """(B') on every row of both pi tables ``PI``: PI2.[C2.H; g1]^T =
-    [0 | dual_table] on side 1 and PI1.[C1.H; g2]^T = [0 | coord_table] on
-    side 2, [H; g]^T by :func:`_block_factor`."""
-    for side, wtab, table in ((1, ext.dual_table, PI[1]), (2, ext.coord_table, PI[0])):
-        m, HgT = _block_factor(inner, side)
-        P = inner.field.matmul(table, HgT)
-        if P[:, :m].any() or (P[:, m:] != wtab).any():
+def _tables_hold(sides) -> bool:
+    """(B') on every row of the pi table of each :class:`Side`:
+    PI.HgT = [0 | coords]."""
+    for side in sides:
+        P = side.code.field.matmul(side.PI, side.HgT)
+        if P[:, :side.m].any() or (P[:, side.m:] != side.coords).any():
             return False
     return True
 
@@ -403,11 +432,11 @@ def concatenate(inner: CssPair, outer, ext: Extension) -> ConcatPair:
     if D1.N != D2.N:
         raise LengthMismatch("outer codes of different length")
     _check_inner(inner)
-    PI1, PI2 = pi_table(1, inner, ext), pi_table(2, inner, ext)
-    if not _tables_hold(inner, ext, (PI1, PI2)):
+    sides = _sides(inner, ext)
+    if not _tables_hold(sides):
         raise RankDeficient("a pi-table row fails (B')")
     certify_css_pair(D1, D2)
-    return ConcatPair(inner=inner, ext=ext, D1=D1, D2=D2, PI1=PI1, PI2=PI2)
+    return ConcatPair(inner=inner, ext=ext, D1=D1, D2=D2, sides=sides)
 
 
 def verify_duality(cp: ConcatPair) -> bool:
@@ -427,13 +456,12 @@ def verify_duality(cp: ConcatPair) -> bool:
     f = cp.inner.field
     fQ = cp.ext.as_field()
     ok = True
-    for side, table, D, H, table_opp, H_opp in (
-            (1, cp.PI1, cp.D1, cp.inner.C2.H, cp.PI2, cp.inner.C1.H),
-            (2, cp.PI2, cp.D2, cp.inner.C1.H, cp.PI1, cp.inner.C2.H)):
+    for side, D in ((1, cp.D1), (2, cp.D2)):
+        this, other = _facing(cp.sides, side)
         # the generators and their rref die as soon as the null space is taken
-        dual = MatGF(f, _concatenated_rows(cp.ext, table, D.G, H)).null_space()
+        dual = MatGF(f, _concatenated_rows(cp.ext, this.PI, D.G, other.code.H)).null_space()
         Dperp = MatGF(fQ, D.G).null_space().a
-        ok &= dual.same_row_space(MatGF(f, _concatenated_rows(cp.ext, table_opp, Dperp, H_opp)))
+        ok &= dual.same_row_space(MatGF(f, _concatenated_rows(cp.ext, other.PI, Dperp, this.code.H)))
         ok &= MatGF(f, cp.parity_check(side)).same_row_space(dual)
         del dual  # and the null space with its rref before the next side
     return bool(ok)

@@ -14,46 +14,42 @@ concatenated code.
 :func:`decode_batch` is the one decoder of syndromes, stage 1 and then the
 outer stage below; the scalar :func:`two_stage_decode` is a one-row batch.
 
-Block-level success test.  On side 1 the opposite code is L2 = pi_2(D2) +
-blockwise dual(C1), generated by N diagonal copies of C1.H and by the rows
-PI2[alpha^l D2.G]; on side 2 it is L1, generated by copies of C2.H and the
-rows PI1[alpha^l D1.G].  Write [H; g] for [C1.H; g2] on side 1 and
-[C2.H; g1] on side 2 (concat._block_factor of the other side), and w_b for
-the GF(Q) symbol whose coordinates are the g-coefficients c_b = v_b.g^T of
-block b: w_b = from_coords(c_b) on side 1 and from_dual_coords(c_b) on
-side 2.  A difference v = estimate - e is then orthogonal to L_o iff
+Block-level success test.  Sides are as in the :mod:`concat` docstring
+("Sides"): s is the context's side, o the other, and the context reads the
+:class:`concat.Side` record of s.  The opposite code L_o = pi_o(D_o) +
+blockwise dual(C_s) is generated by N diagonal copies of C_s.H and by the
+rows PI_o[alpha^l D_o.G].  Write [H; g] = [C_s.H; g_o], the transpose of the
+record's HgT, and w_b = from_coords_s(c_b) for the GF(Q) symbol whose
+coordinates are the g-coefficients c_b = v_b.g^T of block b.  A difference
+v = estimate - e is then orthogonal to L_o iff
 
   (i) every block v_b is orthogonal to the rows of H, and
-  (ii) w.D_o.G^T = 0 over GF(Q), D_o = D2 on side 1 and D1 on side 2.
+  (ii) w.D_o.G^T = 0 over GF(Q).
 
-The opposite table is PI_o[x] = wtab[x] g, wtab the extension's dual_table
-on side 1 and its coord_table on side 2, as pi_map builds it, so
-<v_b, PI_o[x]> = wtab[x].c_b = Tr(x w_b): each pairs dual coordinates with
-power-basis ones.  Against the row PI_o[alpha^l D_o.G[r]], v gives
-Tr(alpha^l (w.D_o.G^T)_r), which vanishes for every l iff (w.D_o.G^T)_r = 0,
-as the trace form is nondegenerate.  One product of the nonzero blocks of v
-by [H; g]^T gives (i) and w (:meth:`DecoderContext.block_symbols`); only rows
-that pass (i) with some w_b != 0 meet D_o.G^T, in one GF(Q) product (D_o's
-:meth:`GrsCode.dual_syndrome`, in :meth:`DecoderContext.outside_dual`).
-The same product scores stage 1.  A stage-1 miss e_b - leader_b has the
-syndrome zero, so it lies in the side's inner code C = dual(C_o) + span(g'),
-g' the side's own coset generators; by (P) of the concat docstring, g'.g^T =
-I and dual(C_o).g^T = 0, so c_b is its g'-coefficient, and the block is bad,
-outside dual(C_o), iff c_b != 0.  Neither test eliminates.
+As PI_o[x] = coords_o[x] g, <v_b, PI_o[x]> = coords_o[x].c_b = Tr(x w_b):
+one side's coordinates are power-basis, the other's trace-dual.  Against
+the row PI_o[alpha^l D_o.G[r]], v gives Tr(alpha^l (w.D_o.G^T)_r), which
+vanishes for every l iff (w.D_o.G^T)_r = 0, as the trace form is
+nondegenerate.  One product of the nonzero blocks of v by [H; g]^T gives
+(i) and w (:meth:`DecoderContext.block_symbols`); only rows that pass (i)
+with some w_b != 0 meet D_o.G^T, in one GF(Q) product (D_o's
+:meth:`GrsCode.dual_syndrome`, in :meth:`DecoderContext.outside_dual`).  The
+same product scores stage 1.  A stage-1 miss e_b - leader_b has the
+syndrome zero, so it lies in C_s = dual(C_o) + span(g_s); by (P) of the
+concat docstring, g_s.g^T = I and dual(C_o).g^T = 0, so c_b is its
+g_s-coefficient, and the block is bad, outside dual(C_o), iff c_b != 0.
+Neither test eliminates.
 
-Outer stage.  It needs (G): Gp = PI_o[y], block b of row j k + r of the
-side's Gp being PI_o[y] with no dual(C) part, y = Hout[j, b] beta_r on side
-1 and Hout[j, b] alpha^r on side 2 (beta the trace-dual basis):
-:meth:`concat.ConcatPair.parity_check` builds Gp by that gather, and
-:func:`concat.concatenate` certifies every row of both tables ((B) and
-(B') there), the rows the gather reads and those decoding adds for a
-decoded symbol.  Then <u_b, PI_o[y]> = Tr(y w(u)_b), w(u)
-the symbols w_b of the blocks of u, so block j of u.Gp^T holds the
-coordinates of (Hout.w(u))_j that :meth:`DecoderContext.reassemble_symbols`
-reads: power-basis on side 1, trace-dual on side 2.  The decoder reads
-neither Gp nor Ho: its lengths are N m + k (N - K) for a syndrome and N n
-for an error, and :meth:`DecoderContext.full_syndrome` forms e.Ho^T as the
-blockwise products e_b.H_side^T followed by those coordinates of Hout.w(e).
+Outer stage.  It needs (G): block b of row j k + r of Gp is PI_o[y], y =
+Hout[j, b] scales_s[r], with no dual(C_s) part, as
+:meth:`concat.ConcatPair.parity_check` gathers it from a table that
+:func:`concat.concatenate` certifies on every row ((B') there).  Then
+<u_b, PI_o[y]> = Tr(y w(u)_b), w(u) the symbols w_b of the blocks of u, so
+block j of u.Gp^T holds coords_s of (Hout.w(u))_j, which
+:meth:`DecoderContext.reassemble_symbols` reads.  The decoder reads neither
+Gp nor Ho: its lengths are N m + k (N - K) for a syndrome and N n for an
+error, and :meth:`DecoderContext.full_syndrome` forms e.Ho^T as the
+blockwise products e_b.C_s.H^T followed by those coordinates of Hout.w(e).
 The outer syndrome of an error e with stage-1 estimate Ehat is then
 
   sigma = Hout.w(e - Ehat) = reassemble(S_low) - Hout.zeta,
@@ -64,20 +60,20 @@ product nN columns wide, and Monte-Carlo, which knows e, forms sigma as
 Hout.z, z = w(e) - zeta (below).  Both form Hout.zeta or Hout.z by the side
 code's :meth:`GrsCode.syndrome` and hand every row of sigma to its
 :meth:`GrsCode.bd_decode_batch`, which returns X = 0 and ok for a zero row;
-a decoded word X adds pi_side[X] to the estimate.  A context keeps no
+a decoded word X adds PI_s[X] to the estimate.  A context keeps no
 outer-code array, and a decode builds no G^T.
 
 Monte-Carlo symbols.  :func:`channel_sim.mc_error_rate` specialises the
-test to its own estimates, which are stage-1 leaders plus pi_side[X], X the
+test to its own estimates, which are stage-1 leaders plus PI_s[X], X the
 outer decoder's word (zero where it fails or sigma is zero).  Block b of
-v = estimate - e is then pi_side[X_b] - u_b, u_b = e_b - leader_b the
-stage-1 miss.  Both terms lie in C: pi_side[x] is a combination of g', and
+v = estimate - e is then PI_s[X_b] - u_b, u_b = e_b - leader_b the
+stage-1 miss.  Both terms lie in C_s: PI_s[x] is a combination of g_s, and
 u_b has the syndrome zero.  So (i) holds on every Monte-Carlo row, and
 w = X - z, z_b the symbol of the miss (:meth:`DecoderContext.miss_symbols`):
 the symbol of e_b's g-coefficients less that of the leader of its stage-1
 syndrome, both maps to symbols being GF(q)-linear, and the outer syndrome
 is Hout.z, as above.  A row whose outer decoding fails has X = 0 and
-Hout.z != 0, so z lies outside D_side, which contains dual(D_o), and the
+Hout.z != 0, so z lies outside D_s, which contains dual(D_o), and the
 row fails without test (ii).  No array nN columns wide is formed past the
 sampled errors.
 """
@@ -89,7 +85,7 @@ from functools import cached_property
 import numpy as np
 
 from .codes import TABLE_CAP, CosetLeaderTable
-from .concat import ConcatPair, _block_factor
+from .concat import ConcatPair, _facing
 from .errors import DomainError
 from .matrix import as_codes, chunk_rows, pack
 
@@ -104,9 +100,10 @@ def _nonzero_rows(A):
 class DecoderContext:
     """Precomputed tables for decoding one side of a concatenated pair.
 
-    Side 1 decodes errors checked by the parity matrix of L1 (inner leaders
-    for C1, outer decoding of D1); side 2 is symmetric.  The pair must hold
-    (G) of the module docstring, Gp_i = PI_o[y_i], as every pair that
+    Side s decodes errors checked by the parity matrix of L_s: inner leaders
+    for C_s, outer decoding of D_s, with ``cp.sides[s - 1]`` as
+    :attr:`record` (:mod:`concat` docstring, "Sides").  The pair must hold
+    (G) of the module docstring, Gp_s = PI_o[y_s], as every pair that
     :func:`concat.concatenate` returns does.
     """
 
@@ -117,17 +114,14 @@ class DecoderContext:
         self.side = side
         self.field = cp.inner.field
         self.ext = cp.ext
-        self.inner_code = cp.inner.C1 if side == 1 else cp.inner.C2
-        self.table = CosetLeaderTable(self.inner_code, cap=cap)
-        self.pi = cp.PI1 if side == 1 else cp.PI2  # row x is pi_side(x)
-        self.grs, self._opposite = (cp.D1, cp.D2) if side == 1 else (cp.D2, cp.D1)
+        self.record = cp.sides[side - 1]
+        self.table = CosetLeaderTable(self.record.code, cap=cap)
+        self.grs, self._opposite = _facing(cp.outer, side)
         self.N = cp.N
         self.n = cp.n
         self.k = cp.k
         self.upper_len = self.N * self.table.m
         self.syndrome_len = self.upper_len + self.k * (self.N - self.grs.K)
-        # [H; g]^T of the block-level success test (module docstring)
-        self._m, self._HgT = _block_factor(cp.inner, 3 - side)
 
     @cached_property
     def Ho(self):
@@ -146,7 +140,7 @@ class DecoderContext:
     @cached_property
     def _leader_symbols(self):
         """The GF(Q) symbols LZ of the leaders, by packed syndrome, built on first use."""
-        LG = self.field.matmul(self.table.leaders, self._HgT[:, self._m:])
+        LG = self.field.matmul(self.table.leaders, self.record.HgT[:, self.record.m:])
         return self.reassemble_symbols(LG).astype(self.ext.as_field().dtype)
 
     def block_symbols(self, V):
@@ -157,12 +151,12 @@ class DecoderContext:
         rows."""
         blocks = V.reshape(-1, self.n)
         ids = np.flatnonzero(_nonzero_rows(blocks))
-        P = self.field.matmul(blocks[ids], self._HgT)
+        P = self.field.matmul(blocks[ids], self.record.HgT)
         w = np.empty(len(ids), dtype=self.ext.as_field().dtype)
         step = chunk_rows(self.k)
         for lo in range(0, len(ids), step):
-            w[lo:lo + step] = self.reassemble_symbols(P[lo:lo + step, self._m:])
-        return ids, P[:, :self._m], w
+            w[lo:lo + step] = self.reassemble_symbols(P[lo:lo + step, self.record.m:])
+        return ids, P[:, :self.record.m], w
 
     def miss_symbols(self, E):
         """The (rows, N) GF(Q) symbols z of the stage-1 misses of error rows
@@ -193,15 +187,14 @@ class DecoderContext:
             raise DomainError(f"error vectors must have length {self.N * self.n}")
         rows = E.reshape(-1, self.N * self.n)
         ids, H, w = self.block_symbols(rows)
-        blocks = np.zeros((len(rows) * self.N, self._m), dtype=self.field.dtype)
+        blocks = np.zeros((len(rows) * self.N, self.record.m), dtype=self.field.dtype)
         blocks[ids] = H
         W = np.zeros((len(rows), self.N), dtype=w.dtype)
         W.reshape(-1)[ids] = w
-        wtab = self.ext.coord_table if self.side == 1 else self.ext.dual_table
         S = np.empty((len(rows), self.syndrome_len), dtype=self.field.dtype)
         upper, lower = S[:, :self.upper_len], S[:, self.upper_len:]
         upper[...] = blocks.reshape(upper.shape)
-        lower[...] = wtab[self.grs.syndrome(W)].reshape(lower.shape)
+        lower[...] = self.record.coords[self.grs.syndrome(W)].reshape(lower.shape)
         return S.reshape(*E.shape[:-1], self.syndrome_len)
 
     def _leaders(self, upper):
@@ -221,12 +214,8 @@ class DecoderContext:
 
     def reassemble_symbols(self, resid):
         """Turn a lower syndrome, or g-coefficients, into GF(Q) symbols:
-        their k-entry blocks are power-basis coordinates on side 1 and
-        trace-dual coordinates on side 2."""
-        coords = np.reshape(resid, (-1, self.k))
-        if self.side == 2:
-            return self.ext.from_dual_coords(coords)
-        return self.ext.from_coords(coords)
+        their k-entry blocks are coordinates in the record's convention."""
+        return self.record.from_coords(np.reshape(resid, (-1, self.k)))
 
 
 def decode_batch(ctx: DecoderContext, S):
@@ -246,7 +235,7 @@ def decode_batch(ctx: DecoderContext, S):
     lower = ctx.reassemble_symbols(S[:, ctx.upper_len:]).reshape(len(S), ctx.grs.N - ctx.grs.K)
     X, outer_ok, _ = ctx.grs.bd_decode_batch(ctx.ext.as_field().sub(lower, ctx.grs.syndrome(zeta)))
     # X is zero on a failed row and on a zero syndrome, and pi maps zero to zero
-    return ctx.field.add(Ehat, ctx.pi[X].reshape(Ehat.shape)), outer_ok
+    return ctx.field.add(Ehat, ctx.record.PI[X].reshape(Ehat.shape)), outer_ok
 
 
 def two_stage_decode(ctx: DecoderContext, s):
@@ -256,14 +245,9 @@ def two_stage_decode(ctx: DecoderContext, s):
 
 
 def success_oracle(ctx: DecoderContext, e, estimate) -> bool:
-    """True iff the estimate corrects ``e`` modulo the stabilizer.
-
-    The estimate succeeds exactly when its difference v from the channel
-    error is orthogonal to the opposite-side concatenated code L_o: every
-    block of v is orthogonal to the opposite inner dual's rows H, and the
-    symbols w of the blocks' g-coefficients satisfy w.D_o.G^T = 0 over
-    GF(Q) (module docstring).
-    """
+    """True iff the estimate corrects ``e`` modulo the stabilizer: its
+    difference from ``e`` is orthogonal to the opposite concatenated code
+    L_o, by tests (i) and (ii) of the module docstring."""
     return bool(success_oracle_rows(ctx, np.reshape(e, (1, -1)),
                                     np.reshape(estimate, (1, -1)))[0])
 

@@ -31,6 +31,7 @@ from .errors import (
     ConditionViolation,
     Degenerate,
     DomainError,
+    FieldMismatch,
     NotOrthogonal,
     PremiseViolation,
     RankDeficient,
@@ -242,7 +243,8 @@ def enlarged_concat(C1: LinearCode, g1, ext: Extension, D: GrsCode,
     Conditions: (A) C1 contains its dual; (B) ``g1`` is an orthonormal set
     completing dual(C1) to C1; (C) the extension admits a self-dual basis.
     ``D`` and ``Dprime`` must satisfy dual(D) <= D < Dprime on shared points
-    (:func:`outer_grs.certify_css_pair` on (D, D) and (Dprime, D.dual())).
+    (:func:`outer_grs.certify_css_pair` on (D, D) and (Dprime, D.dual())),
+    and live over ``ext``: codes over another extension raise FieldMismatch.
     With a self-dual basis paired with orthonormal generators the two
     expansion maps coincide, so both codes of the tower use the same map.
     """
@@ -259,6 +261,8 @@ def enlarged_concat(C1: LinearCode, g1, ext: Extension, D: GrsCode,
         raise ConditionViolation("(B) generators are not an orthonormal completion")
     if ext.base != f or ext.k != k:
         raise ConditionViolation("(B) generator count does not match the extension degree")
+    if D.ext != ext or Dprime.ext != ext:
+        raise FieldMismatch("outer codes must live over the extension field")
     sdb = ext.self_dual_basis()
     if sdb is None:
         raise ConditionViolation("(C) extension has no self-dual basis")

@@ -639,6 +639,13 @@ class Extension:
         """Base-q coordinate vector(s) in the power basis (length k)."""
         return np.take(self.coord_table, check_codes(a, self.Q, "element codes"), axis=0)
 
+    def _code(self, a):
+        """The one element code ``a`` as an int, checked as :meth:`coords`
+        checks its codes."""
+        if isinstance(a, _SCALAR_TYPES) and 0 <= a < self.Q:
+            return int(a)
+        return int(check_codes(a, self.Q, "element codes"))
+
     def from_coords(self, coords):
         """The element codes of power-basis coordinate vectors (last axis),
         each coordinate a code of the base field."""
@@ -665,8 +672,8 @@ class Extension:
     def trace(self, a):
         """Field trace down to GF(q), returned as a base-field code."""
         if isinstance(a, _SCALAR_TYPES):
-            return int(self.trace_table[a])
-        return self.trace_table[np.asarray(a)]
+            return int(self.trace_table[self._code(a)])
+        return self.trace_table[check_codes(a, self.Q, "element codes")]
 
     def alpha_pow(self, j):
         if self.Q == 2:
@@ -687,13 +694,13 @@ class Extension:
         phi(alpha) equals the companion matrix and phi is a ring homomorphism.
         """
         basis = np.asarray(self.power_basis(), dtype=np.int64)
-        return self.coords(self.as_field().mul(int(a), basis)).T
+        return self.coords(self.as_field().mul(self._code(a), basis)).T
 
     @cached_property
     def dual_table(self):
         """The (Q, k) table of :meth:`phi_dual` for every element code."""
         basis = np.asarray(self.power_basis(), dtype=np.int64)
-        return self.trace(self.as_field().mul(np.arange(self.Q)[:, None], basis))
+        return self.trace_table[self.as_field().mul(np.arange(self.Q)[:, None], basis)]
 
     @cached_property
     def from_dual_table(self):
@@ -708,7 +715,7 @@ class Extension:
 
         These are the traces ``(Tr a, Tr alpha*a, ..., Tr alpha^(k-1)*a)``.
         """
-        return self.dual_table[int(a)].copy()
+        return self.dual_table[self._code(a)].copy()
 
     # -- dual and self-dual bases -------------------------------------------
 

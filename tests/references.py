@@ -7,7 +7,7 @@ import numpy as np
 
 from cssconcat.channel_sim import _sample_block
 from cssconcat.codes import CssPair, LinearCode, _row_profile
-from cssconcat.concat import pi_table
+from cssconcat.concat import _sides
 from cssconcat.decode import success_oracle_rows
 from cssconcat.errors import BadComplement, DomainError, NotOrthogonal
 from cssconcat.matrix import MatGF, as_codes
@@ -89,9 +89,9 @@ def coset_generators(C1, C2, g1):
 
 def pi_rows(m, pair, ext, M):
     """:func:`concat.pi_map` of every row of a matrix over GF(q^k), gathered
-    from :func:`concat.pi_table`."""
+    from the pi table of side ``m``'s :class:`concat.Side` record."""
     M = np.asarray(M)
-    return pi_table(m, pair, ext)[M].reshape(M.shape[0], pair.n * M.shape[1])
+    return _sides(pair, ext)[m - 1].PI[M].reshape(M.shape[0], pair.n * M.shape[1])
 
 
 def random_css_pair(rng, field, n, k):
@@ -262,7 +262,7 @@ def dense_mc_error_rate(ctx, channel, trials, seed, chunk=2048):
         symbols = ctx.reassemble_symbols(resid[decoded])
         X, ok, reason = ctx.grs.bd_decode_batch(
             symbols.reshape(decoded.size, ctx.grs.N - ctx.grs.K))
-        Ehat[decoded] = f.add(Ehat[decoded], ctx.pi[X].reshape(decoded.size, Ehat.shape[1]))
+        Ehat[decoded] = f.add(Ehat[decoded], ctx.record.PI[X].reshape(decoded.size, Ehat.shape[1]))
         good = success_oracle_rows(ctx, E, Ehat)
         failures += int((~good).sum())
         outer_fail += int((~ok).sum())

@@ -480,7 +480,7 @@ def test_mc_logical_error_is_no_miscorrection(monkeypatch, side):
     ctx = DecoderContext(cp, side=side)
     D, D_o = (cp.D1, cp.D2) if side == 1 else (cp.D2, cp.D1)
     Z = np.stack([D.G[-1], np.zeros(cp.N, dtype=D_o.H.dtype), D_o.H[0]])
-    E = ctx.pi[Z].reshape(len(Z), -1)
+    E = ctx.record.PI[Z].reshape(len(Z), -1)
 
     def sample(channel, seed, start, count, length):
         return E[start:start + count]

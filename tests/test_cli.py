@@ -275,6 +275,66 @@ def test_cli_exclusive_input_flags(tmp_path, capsys):
     assert run_cli(["mindist", "--pair", str(pair)])[0] == 0
 
 
+def _write_gf3_config(tmp_path):
+    """Inner [[6,4]] over GF(3) with nested RS[8,6] codes over GF(81):
+    [[48,16]], t = 1 on both sides, syndrome length 16."""
+    fileio.write_pair(tmp_path / "inner3.txt", bvector_pair(Field(3), [1] * 6, [1] * 6))
+    cfg = tmp_path / "gf3.cfg"
+    fileio.write_concat_config(cfg, "inner3.txt", Extension(Field(3), 4), 8, 6, 6)
+    return cfg
+
+
+def _line(v):
+    return " ".join(map(str, v)) + "\n"
+
+
+def test_cli_decode_side_2_exact(tmp_path):
+    """decode --side 2, by --error and by --syndrome, on a GF(2) config
+    with t = 1 on side 2 (N = 3, K1 = 3, K2 = 1) and on a GF(3) config:
+    exact stdout, a corrected error, one the outer stage cannot decode and
+    a random syndrome each."""
+    vec = tmp_path / "v.txt"
+    gf2 = _write_config(tmp_path, K1=3, K2=1)
+    gf3 = _write_gf3_config(tmp_path)
+    z2, z3 = [0] * 4, [0] * 42
+    cases = [
+        (gf2, "--error", [0] * 4 + [1, 1, 0, 0] + z2,
+         "outer_ok 1 success 1\n" + _line([0] * 6 + [1, 1] + z2)),
+        (gf2, "--error", [0] * 4 + [1, 0, 0, 0] + z2,
+         "outer_ok 1 success 1\n" + _line([0] * 5 + [1, 1, 1] + z2)),
+        (gf2, "--error", [1] + [0] * 8 + [1, 0, 1],
+         "outer_ok 0 success 0\n" + _line([0, 0, 0, 1] + [0] * 8)),
+        (gf2, "--syndrome", [1, 1, 0, 1, 0, 1, 1],
+         "outer_ok 1\n" + _line([0, 0, 0, 1, 0, 0, 0, 1, 0, 1, 0, 1])),
+        (gf3, "--error", [0] * 4 + [1, 1] + z3,
+         "outer_ok 1 success 1\n" + _line([0] * 4 + [1, 1] + z3)),
+        (gf3, "--error", [0] * 4 + [1, 0] + z3,
+         "outer_ok 1 success 1\n" + _line([0] * 4 + [1, 0] + z3)),
+        (gf3, "--error", [1] + [0] * 44 + [1, 0, 1],
+         "outer_ok 0 success 0\n" + _line([0] * 5 + [1] + [0] * 41 + [2])),
+        (gf3, "--syndrome", [2, 2, 0, 2, 1, 1, 1, 0, 2, 0, 0, 1, 1, 1, 0, 0],
+         "outer_ok 0\n" + _line([0] * 5 + [2] + [0] * 5 + [2] + [0] * 11 + [2] + [0] * 5
+                                 + [1] + [0] * 5 + [1] + [0] * 5 + [1] + [0] * 6)),
+    ]
+    for cfg, flag, v, want in cases:
+        fileio.write_vector(vec, v)
+        assert run_cli(["decode", "--side", "2", "--config", str(cfg), flag, str(vec)]) == (0, want)
+
+
+def test_cli_simulate_side_2_exact(tmp_path):
+    """--seed 7 simulate --side 2: exact stdout on the two configs of
+    test_cli_decode_side_2_exact."""
+    header = "channel,trials,failures,estimate,ci_lo,ci_hi\n"
+    cases = [(_write_config(tmp_path, K1=3, K2=1), "0.98,0.02",
+              "\"0.98,0.02\",200,1,0.005,0.0008831687058,0.0277737047\n"),
+             (_write_gf3_config(tmp_path), "0.98,0.01,0.01",
+              "\"0.98,0.01,0.01\",200,34,0.17,0.1242790788,0.2281588368\n")]
+    for cfg, channel, row in cases:
+        argv = ["--seed", "7", "simulate", "--side", "2", "--pair", str(cfg),
+                "--channel", channel, "--trials", "200"]
+        assert run_cli(argv) == (0, header + row)
+
+
 def test_cli_simulate_deterministic(tmp_path):
     cfg = _write_config(tmp_path)
     argv = ["--seed", "7", "simulate", "--pair", str(cfg),

@@ -2,6 +2,7 @@
 and the quotient-distance product law."""
 
 import copy
+import dataclasses
 import tracemalloc
 from unittest import mock
 
@@ -73,6 +74,19 @@ def test_side_outside_one_and_two_is_a_domain_error():
             build_parity_check(inner, e8, np.array([[1, 2]]), side=side)
         with pytest.raises(DomainError, match="side must be 1 or 2"):
             cp.parity_check(side)
+
+
+@pytest.mark.parametrize("side", [1, 2])
+def test_pi_map_rejects_codes_outside_the_extension(side):
+    """pi_map checks its codes on both sides: -1 and Q raise DomainError on
+    [[6,4]] with GF(16), where side 2 once read -1 as the code 15 and raised
+    IndexError for Q."""
+    inner = bvector_pair(F2, [1] * 6, [1] * 6)
+    e16 = Extension(F2, 4)
+    for x in ([-1], [e16.Q], [3, -1], [[0], [e16.Q]]):
+        with pytest.raises(DomainError, match="element codes"):
+            pi_map(side, inner, e16, x)
+    assert pi_map(side, inner, e16, [e16.Q - 1]).shape == (6,)
 
 
 def _nested_on_points(ext, N, K1, K2):
@@ -282,7 +296,7 @@ def test_subfield_rows_matches_row_loop(case):
     _, ext, M = case
     want = [[ext.as_field().mul(ext.alpha_pow(l), int(x)) for x in row]
             for row in M for l in range(ext.k)]
-    got = _scaled(ext, M, 2)  # the subfield rows
+    got = _scaled(ext, M, ext.power_basis())  # the subfield rows
     assert got.shape == (M.shape[0] * ext.k, M.shape[1])
     assert got.tolist() == want
 
@@ -630,6 +644,21 @@ def test_setup_on_valid_grs_pair_eliminates_nothing(monkeypatch, name):
     assert calls == []
 
 
+@pytest.mark.parametrize("q, n", [(2, 6), (3, 6)])
+def test_contexts_share_the_pairs_records(q, n):
+    """concatenate builds one Side record per side and both decoder contexts
+    read the pair's: the HgT that (B') certifies is the one the decoder
+    multiplies by.  Set-up on a fresh extension builds neither the
+    trace-dual basis nor the inverse of dual_table."""
+    F = Field(q)
+    ext = Extension(F, n - 2)
+    cp = concatenate(bvector_pair(F, [1] * n, [1] * n), nested_grs_pair(ext, 15, 11, 11), ext)
+    ctxs = DecoderContext(cp, side=1), DecoderContext(cp, side=2)
+    assert [ctx.record for ctx in ctxs] == list(cp.sides)
+    assert cp.PI1 is cp.sides[0].PI and cp.PI2 is cp.sides[1].PI
+    assert "from_dual_table" not in vars(ext)
+
+
 # -- concatenate's certificate against the nN-column reference ----------------
 
 def _pi_product_nonzero(ext, table, G, Gp):
@@ -638,7 +667,8 @@ def _pi_product_nonzero(ext, table, G, Gp):
     time."""
     f = ext.base
     step = max(chunk_rows(ext.k * Gp.shape[1], table.itemsize), len(Gp) // ext.k)
-    return any(f.matmul(concat._expand(table, _scaled(ext, G[lo:lo + step], 2)), Gp.T).any()
+    return any(f.matmul(concat._expand(table, _scaled(ext, G[lo:lo + step], ext.power_basis())),
+                        Gp.T).any()
                for lo in range(0, len(G), step))
 
 
@@ -647,7 +677,7 @@ def _nN_certificate(inner, ext, D, Hout, Gp):
     Gp1.Gp2^T, pi_1(D1).Gp1^T, pi_2(D2).Gp2^T and every block of Gp_i
     against the opposite inner dual."""
     f, n = inner.field, inner.n
-    PI1, PI2 = concat.pi_table(1, inner, ext), concat.pi_table(2, inner, ext)
+    PI1, PI2 = (side.PI for side in concat._sides(inner, ext))
     if f.matmul(Gp[0], Gp[1].T).any():
         raise NotOrthogonal("outer pair violates the CSS containment")
     if (_pi_product_nonzero(ext, PI1, D[0].G, Gp[0])
@@ -695,11 +725,17 @@ def _exact(D):
     return True if outcome is None else outcome
 
 
-def _certify(inner, ext, D, PI):
+def _with_tables(sides, PI):
+    """The :class:`concat.Side` records ``sides`` with their pi tables
+    replaced by ``PI``, side 1 first."""
+    return tuple(dataclasses.replace(side, PI=table) for side, table in zip(sides, PI))
+
+
+def _certify(sides, D):
     """The outer half of concatenate's certificate on the GRS pair ``D``
-    and the pi tables ``PI``: (B') on every table row, then
+    and the records ``sides``: (B') on every row of their pi tables, then
     :func:`outer_grs.certify_css_pair`."""
-    if not concat._tables_hold(inner, ext, PI):
+    if not concat._tables_hold(sides):
         raise RankDeficient("a pi-table row fails (B')")
     outer_grs.certify_css_pair(*D)
 
@@ -716,11 +752,13 @@ class _Case:
         self.inner, self.ext = inner, ext
         self.D = outer
         self.Hout = tuple(D.H for D in outer)
-        self.PI = (concat.pi_table(1, inner, ext), concat.pi_table(2, inner, ext))
+        self.sides = concat._sides(inner, ext)
+        self.PI = tuple(side.PI for side in self.sides)
 
     def scaled(self, D=None):
         D = self.D if D is None else D
-        return concat._scaled(self.ext, D[0].H, 1), concat._scaled(self.ext, D[1].H, 2)
+        return tuple(concat._scaled(self.ext, code.H, side.scales())
+                     for code, side in zip(D, self.sides))
 
     def outcomes(self, D=None, PI=None):
         """:func:`_certify`, which concatenate runs, and the
@@ -732,7 +770,7 @@ class _Case:
         PI = self.PI if PI is None else PI
         y = self.scaled(D)
         Gp = (concat._expand(PI[1], y[0]), concat._expand(PI[0], y[1]))
-        new = _outcome(_certify, self.inner, self.ext, D, PI)
+        new = _outcome(_certify, _with_tables(self.sides, PI), D)
         return new, _outcome(_nN_certificate, self.inner, self.ext, D, tuple(c.H for c in D), Gp)
 
 
@@ -912,7 +950,7 @@ def _table_outcomes(case, side, x, row):
     replaced by ``row``."""
     PI = list(case.PI)
     PI[2 - side] = _corrupted(PI[2 - side], x, row)
-    return (concat._tables_hold(case.inner, case.ext, PI), *case.outcomes(PI=tuple(PI)))
+    return (concat._tables_hold(_with_tables(case.sides, PI)), *case.outcomes(PI=tuple(PI)))
 
 
 @pytest.mark.parametrize("name", DIFFERENTIAL)
@@ -1045,10 +1083,12 @@ def test_inner_dual_shift_passes_both_certificates(name):
     inner, outer, ext = _inputs(name)
     good = concatenate(inner, outer, ext)
     f = inner.field
-    for side, H, D, table in ((1, inner.C1.H, good.D1, "PI2"), (2, inner.C2.H, good.D2, "PI1")):
-        x = concat._scaled(ext, D.H, side)[0, 1]
+    for side, H, D in ((1, inner.C1.H, good.D1), (2, inner.C2.H, good.D2)):
+        x = concat._scaled(ext, D.H, good.sides[side - 1].scales())[0, 1]
+        PI = [this.PI for this in good.sides]
+        PI[2 - side] = _corrupted(PI[2 - side], x, f.add(PI[2 - side][x], H[0]))
         shifted = copy.copy(good)
-        setattr(shifted, table, _corrupted(getattr(good, table), x, f.add(getattr(good, table)[x], H[0])))
+        shifted.sides = _with_tables(good.sides, PI)
         moved = f.sub(_gp(shifted, side), _gp(good, side)).reshape(-1, inner.n)
         assert moved.any() and (moved[moved.any(axis=1)] == H[0]).all()
         assert verify_duality(shifted)
@@ -1119,9 +1159,9 @@ def test_power_sum_rejection_runs_no_product_over_the_extension(monkeypatch):
     with pytest.raises(NotOrthogonal):
         concatenate(inner, (D1, short), ext)
     assert over_Q and not any(over_Q)
-    PI1, PI2 = concat.pi_table(1, inner, ext), concat.pi_table(2, inner, ext)
-    Gp1_last = concat._expand(PI2, _scaled(ext, D1.H[-1:], 1))
-    Gp2_last = concat._expand(PI1, _scaled(ext, short.H[-1:], 2))
+    side1, side2 = concat._sides(inner, ext)
+    Gp1_last = concat._expand(side2.PI, _scaled(ext, D1.H[-1:], side1.scales()))
+    Gp2_last = concat._expand(side1.PI, _scaled(ext, short.H[-1:], side2.scales()))
     assert F2.matmul(Gp1_last, Gp2_last.T).any()
 
 
@@ -1147,19 +1187,18 @@ def test_concatenate_multiplies_blocks_only_after_a_failed_lookup(monkeypatch, n
     good = concatenate(inner, outer, ext)
     k, N, Q = good.k, good.N, ext.Q
     M = max(len(good.Hout1), len(good.Hout2))
-    x = int(concat._scaled(ext, good.Hout2, 2)[0, 0])
+    x = int(concat._scaled(ext, good.Hout2, good.sides[1].scales())[0, 0])
     rows = _matmul_rows(monkeypatch)
     concatenate(inner, outer, ext)
     assert rows and max(rows) <= max(Q, k * M) < k * M * N
-    table = concat.pi_table
+    build = concat._sides
 
-    def corrupt(m, pair, ext):
-        PI = table(m, pair, ext)
-        if m == 1:
-            PI[x, 0] = (PI[x, 0] + 1) % pair.field.q
-        return PI
+    def corrupt(pair, ext):
+        side1, side2 = build(pair, ext)
+        side1.PI[x, 0] = (side1.PI[x, 0] + 1) % pair.field.q
+        return side1, side2
 
-    monkeypatch.setattr(concat, "pi_table", corrupt)
+    monkeypatch.setattr(concat, "_sides", corrupt)
     rows.clear()
     with pytest.raises(RankDeficient, match="fails"):
         concatenate(inner, outer, ext)

@@ -24,6 +24,7 @@ from cssconcat.errors import (
     ConditionViolation,
     Degenerate,
     DomainError,
+    FieldMismatch,
     PremiseViolation,
     TooLarge,
 )
@@ -284,6 +285,23 @@ def test_enlarged_concat_outer_tower_rejections():
             ((D, GrsCode(e16, pts, v, 2)), "outer codes do not nest")):
         with pytest.raises(ConditionViolation, match=re.escape(f"(B) {why}")):
             enlarged_concat(C1, gs4, e16, D_, Dp)
+
+
+def test_enlarged_concat_outer_codes_over_another_extension():
+    """A tower over GF(2)^4 passed with ext = GF(4)^2, both GF(16) with
+    other codes, raises FieldMismatch before the tower checks, as
+    concatenate does; it once cleared them and failed in steane_enlarge
+    with a PremiseViolation naming another condition."""
+    G4m, _, gs4 = distance2_inner_generator(F4, 4)
+    C1 = LinearCode(F4, G4m.a)
+    e16, D, Dp = _tower_gf4(5, 3, 5)
+    other = Extension(F2, 4)
+    pts = [other.alpha_pow(j) for j in range(5)]
+    D2 = self_dual_multiplier_grs(other, pts, 3)
+    Dp2 = GrsCode(other, pts, D2.multipliers, 5)
+    for D_, Dp_ in ((D2, Dp2), (D, Dp2), (D2, Dp)):
+        with pytest.raises(FieldMismatch, match="extension field"):
+            enlarged_concat(C1, gs4, e16, D_, Dp_)
 
 
 def test_enlarged_concat_tiny_brute():

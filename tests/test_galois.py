@@ -247,6 +247,24 @@ def test_coords_reject_codes_outside_the_extension():
     assert ext.coords(ext.Q - 1).tolist() == [1, 1, 1]
 
 
+def test_per_code_lookups_reject_codes_outside_the_extension():
+    """phi_dual, trace and phi check their codes as coords does: -1 and Q
+    raise DomainError over GF(16), where -1 once read the row of Q - 1 and
+    Q raised IndexError; so do 1.5 and an array entry of the trace."""
+    ext = Extension(Field(2), 4)
+    for a in (-1, ext.Q, np.int8(-1), 1.5):
+        for lookup in (ext.phi_dual, ext.trace, ext.phi):
+            with pytest.raises(DomainError, match="element codes"):
+                lookup(a)
+    for a in (np.array([0, -1]), np.array([ext.Q])):
+        with pytest.raises(DomainError, match="element codes"):
+            ext.trace(a)
+    top = ext.Q - 1
+    assert ext.phi_dual(top).tolist() == ext.dual_table[top].tolist()
+    assert ext.trace(top) == ext.trace_table[top]
+    assert ext.phi(top).tolist() == ext.coords(ext.as_field().mul(top, ext.power_basis())).T.tolist()
+
+
 @pytest.mark.parametrize("build", [lambda: Field(2, 14), lambda: Field(2 ** 61 - 1),
                                    lambda: Extension(Field(2), 14),
                                    lambda: Extension(Field(2, 2), 7),
