@@ -7,8 +7,8 @@ The package is organized bottom-up:
   traces, companion matrices, multiplication-matrix homomorphism, dual and
   self-dual bases.
 * :mod:`cssconcat.matrix` -- dense exact linear algebra over a finite field.
-* :mod:`cssconcat.codes` -- linear codes, quotient codes, CSS pairs and the
-  paired coset generators, brute-force distance oracles.
+* :mod:`cssconcat.codes` -- linear codes, CSS pairs and the paired coset
+  generators, brute-force distance oracles.
 * :mod:`cssconcat.outer_grs` -- generalized Reed-Solomon outer codes with a
   bounded-distance syndrome decoder.
 * :mod:`cssconcat.concat` -- the two-level concatenation of an inner CSS pair

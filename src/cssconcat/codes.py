@@ -1,4 +1,4 @@
-"""Linear codes, quotient codes, CSS pairs and paired coset generators.
+"""Linear codes, CSS pairs and paired coset generators.
 
 The central object is :class:`CssPair`: two linear codes (C1, C2) of common
 length n with the containment dual(C2) <= C1, together with k = k1 + k2 - n
@@ -145,21 +145,6 @@ class LinearCode:
 
     def __repr__(self):
         return f"LinearCode[{self.n},{self.dim}] over GF({self.field.q})"
-
-
-@dataclass(frozen=True)
-class QuotientCode:
-    """A quotient C/B with B <= C; codewords are cosets of B inside C."""
-
-    C: LinearCode
-    B: LinearCode
-
-    def __post_init__(self):
-        if not self.B.is_subcode(self.C):
-            raise NotOrthogonal("B is not a subcode of C")
-
-    def distance(self):
-        return min_weight_excluding(self.C, self.B)
 
 
 def validate_css(C1: LinearCode, C2: LinearCode) -> bool:

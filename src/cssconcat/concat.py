@@ -163,7 +163,7 @@ def _conventions(inner: CssPair, ext: Extension):
     if ext.base != inner.field:
         raise FieldMismatch("inner pair and extension base differ")
     if inner.k != ext.k:
-        raise LengthMismatch(f"inner pair has k={inner.k} but extension degree is {ext.k}")
+        raise FieldMismatch(f"inner k={inner.k} does not match extension degree {ext.k}")
     return ((inner.C1, inner.g1, ext.coord_table, ext.from_coords, ext.dual_basis),
             (inner.C2, inner.g2, ext.dual_table, ext.from_dual_coords, ext.power_basis))
 
@@ -423,16 +423,12 @@ def concatenate(inner: CssPair, outer, ext: Extension) -> ConcatPair:
     D1, D2 = outer
     if not (isinstance(D1, GrsCode) and isinstance(D2, GrsCode)):
         raise TypeError("outer codes must be GrsCode")
-    if ext.base != inner.field:
-        raise FieldMismatch("inner pair and extension base differ")
-    if inner.k != ext.k:
-        raise FieldMismatch(f"inner k={inner.k} does not match extension degree {ext.k}")
+    sides = _sides(inner, ext)
     if D1.ext != ext or D2.ext != ext:
         raise FieldMismatch("outer codes must live over the extension field")
     if D1.N != D2.N:
         raise LengthMismatch("outer codes of different length")
     _check_inner(inner)
-    sides = _sides(inner, ext)
     if not _tables_hold(sides):
         raise RankDeficient("a pi-table row fails (B')")
     certify_css_pair(D1, D2)

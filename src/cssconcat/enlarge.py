@@ -91,16 +91,25 @@ def _verify_fixed_point_free(field, M) -> bool:
 
 @dataclass
 class EnlargedCode:
-    """A symplectic code enlarging a dual-containing CSS-type code."""
+    """A symplectic code enlarging a dual-containing CSS-type code, kept as
+    its factors: C, Cprime, the completion V of C to Cprime and the
+    fixed-point-free M."""
 
     field: Field
-    U: np.ndarray
     V: np.ndarray
     M: np.ndarray
-    G: np.ndarray
     C: LinearCode
     Cprime: LinearCode
     report: dict = dc_field(default_factory=dict)
+
+    @property
+    def G(self) -> np.ndarray:
+        """The generator [[U, 0], [0, U], [V, M V]] of the module docstring,
+        U = C.G, in codes of ``field.dtype``, stacked on every read and kept
+        nowhere."""
+        U = self.C.G
+        z = np.zeros(U.shape, dtype=self.field.dtype)
+        return np.block([[U, z], [z, U], [self.V, self.field.matmul(self.M, self.V)]])
 
     @property
     def length(self):
@@ -117,11 +126,10 @@ class EnlargedCode:
 def steane_enlarge(C: LinearCode, Cprime: LinearCode) -> EnlargedCode:
     """Enlarge dual-containing C using a strictly larger Cprime.
 
-    Requires dual(C) <= C <= Cprime and dim Cprime >= dim C + 2.  The
-    resulting generator has the block layout [[U, 0], [0, U], [V, M V]]
-    described in the module docstring.  V is the first rows of Cprime.G
-    independent modulo C: the g1 of the row profile of (Cprime, dual C),
-    which completes dual(dual C) = C inside Cprime.
+    Requires dual(C) <= C <= Cprime and dim Cprime >= dim C + 2, checked by
+    elimination: the codes are arbitrary, as read from files.  V is the
+    first rows of Cprime.G independent modulo C: the g1 of the row profile
+    of (Cprime, dual C), which completes dual(dual C) = C inside Cprime.
     """
     f = C.field
     if not C.dual().is_subcode(C):
@@ -131,19 +139,8 @@ def steane_enlarge(C: LinearCode, Cprime: LinearCode) -> EnlargedCode:
     extra = Cprime.dim - C.dim
     if extra < 2:
         raise PremiseViolation("enlargement needs dim Cprime >= dim C + 2")
-    U = C.G
-    V = _row_profile(Cprime, C.dual())[0]
-    M = fixed_point_free_matrix(f, extra)
-    MV = f.matmul(M, V)
-    n = C.n
-    K = C.dim
-    z = np.zeros((K, n), dtype=np.int64)
-    G = np.concatenate([
-        np.concatenate([U, z], axis=1),
-        np.concatenate([z, U], axis=1),
-        np.concatenate([V, MV], axis=1),
-    ], axis=0)
-    return EnlargedCode(field=f, U=U, V=V, M=M, G=G, C=C, Cprime=Cprime)
+    return EnlargedCode(field=f, V=_row_profile(Cprime, C.dual())[0],
+                        M=fixed_point_free_matrix(f, extra), C=C, Cprime=Cprime)
 
 
 def symplectic_dual(field, G) -> np.ndarray:
@@ -245,8 +242,26 @@ def enlarged_concat(C1: LinearCode, g1, ext: Extension, D: GrsCode,
     ``D`` and ``Dprime`` must satisfy dual(D) <= D < Dprime on shared points
     (:func:`outer_grs.certify_css_pair` on (D, D) and (Dprime, D.dual())),
     and live over ``ext``: codes over another extension raise FieldMismatch.
-    With a self-dual basis paired with orthonormal generators the two
-    expansion maps coincide, so both codes of the tower use the same map.
+
+    These checks are the one proof of the enlargement's premises; the code
+    is built from its factors, with no elimination nN columns wide.  Write
+    T[x] = coords(x).g1 for the self-dual coordinates of x, T(D) for the
+    expanded subfield rows alpha^l D.G[r] (row r k + l), C = T(D) +
+    dual(C1)^N and C' = T(Dprime) + dual(C1)^N.
+
+      - By (C) the coordinates are self-dual and by (B) g1 is orthonormal,
+        so <T[x], T[y]> = Tr(xy): one map serves both sides of the pairing.
+      - By (B) T[x] lies in C1, and by (A) dual(C1) <= C1.  So T(dual D) +
+        dual(C1)^N is orthogonal to C; by the dimensions below and
+        n - k1 + k = k1 it is dual(C), which lies in C as dual(D) <= D.
+        C <= C' as D <= Dprime.
+      - D.G and Dprime.G have full rank (distinct points, nonzero
+        multipliers), and so has [C1.H; g1] by (B) when C1.H has n - k1
+        rows.  So dim C = kK + N(n - k1) and dim C' = kK' + N(n - k1).
+      - Dprime shares D's points and multipliers, so its first K rows are
+        D.G.  In the rows of C', the first kK are the generator of C and
+        rows kK..kK'-1 complete C to C': they are V, the rows the row
+        profile of (C', dual C) picks in :func:`steane_enlarge`.
     """
     f = C1.field
     if not C1.dual().is_subcode(C1):
@@ -273,15 +288,18 @@ def enlarged_concat(C1: LinearCode, g1, ext: Extension, D: GrsCode,
         raise ConditionViolation("(B) outer code does not contain its dual")
     if Dprime.K <= D.K or not _contains_dual(Dprime, D.dual()):
         raise ConditionViolation("(B) outer codes do not nest")
+    if len(C1.H) != C1.n - C1.dim:  # a repeated row: the N copies of C1.H are dependent
+        raise RankDeficient("generator matrix is not full rank")
+    lo, hi = k * D.K, k * Dprime.K
+    if hi - lo < 2:
+        raise ConditionViolation("(B) tower gap below 2 after expansion")
     # expansion table: symbol -> self-dual coordinates contracted with g1; the
     # coordinates of x in a self-dual basis b are Tr(x b_i) = dual_table[x].coords(b_i)
     T = f.matmul(f.matmul(ext.dual_table, ext.coords(sdb).T), g1)
-    Cbig = LinearCode(f, _concatenated_rows(ext, T, D.G, C1.H))
-    Cprime_big = LinearCode(f, _concatenated_rows(ext, T, Dprime.G, C1.H))
-    # steane_enlarge checks dual(Cbig) <= Cbig <= Cprime_big as its premises
-    if Cprime_big.dim - Cbig.dim < 2:
-        raise ConditionViolation("(B) tower gap below 2 after expansion")
-    enl = steane_enlarge(Cbig, Cprime_big)
+    rows = _concatenated_rows(ext, T, Dprime.G, C1.H)
+    enl = EnlargedCode(field=f, V=rows[lo:hi], M=fixed_point_free_matrix(f, hi - lo),
+                       C=LinearCode._full_rank(f, np.concatenate([rows[:lo], rows[hi:]])),
+                       Cprime=LinearCode._full_rank(f, rows))
     # distance floors: inner quotient distance times outer code distances
     d1 = min_weight_excluding(C1, C1.dual(), cap)
     d_floor = d1 * (D.N - D.K + 1)

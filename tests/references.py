@@ -6,9 +6,10 @@ import math
 import numpy as np
 
 from cssconcat.channel_sim import _sample_block
-from cssconcat.codes import CssPair, LinearCode, _row_profile
+from cssconcat.codes import ENUM_CAP, CssPair, LinearCode, _row_profile, min_weight_excluding
 from cssconcat.concat import _sides
 from cssconcat.decode import success_oracle_rows
+from cssconcat.enlarge import enlargement_distance_floor, steane_enlarge
 from cssconcat.errors import BadComplement, DomainError, NotOrthogonal
 from cssconcat.matrix import MatGF, as_codes
 from cssconcat.outer_grs import MESSAGES
@@ -132,6 +133,36 @@ def outer_css_outcome(D1, D2):
     H generates their dual, as every GrsCode constructor builds them."""
     C1, C2 = D1.as_linear_code(), D2.as_linear_code()
     return None if C2.dual().is_subcode(C1) else NotOrthogonal
+
+
+def expand_rows(C1, g1, ext, Grows):
+    """The N blocks of C1.H under the expanded rows alpha^l Grows[r] (row
+    r k + l), symbol by symbol through self-dual coordinates and g1."""
+    f, fQ = C1.field, ext.as_field()
+    rows = np.array([ext.coords(b) for b in ext.self_dual_basis()], dtype=np.int64)
+    change = inverse(f, rows)
+    out = []
+    for row in Grows:
+        for l in range(ext.k):
+            coords = f.matmul(ext.coords(fQ.mul(ext.alpha_pow(l), row)), change)
+            out.append(f.matmul(coords, np.asarray(g1)).reshape(-1))
+    blocks = np.kron(np.eye(Grows.shape[1], dtype=np.int64), C1.H)
+    return np.concatenate([np.array(out, dtype=np.int64), blocks], axis=0)
+
+
+def enlarged_concat(C1, g1, ext, D, Dprime, cap=ENUM_CAP):
+    """``enlarge.enlarged_concat`` on a valid tower by elimination: both
+    expanded codes rank-checked nN columns wide, then
+    ``enlarge.steane_enlarge``, which proves dual(C) <= C <= C' again and
+    finds the completion V by a row profile."""
+    f = C1.field
+    enl = steane_enlarge(LinearCode(f, expand_rows(C1, g1, ext, D.G)),
+                         LinearCode(f, expand_rows(C1, g1, ext, Dprime.G)))
+    d1 = min_weight_excluding(C1, C1.dual(), cap)
+    d_floor, dprime_floor = d1 * (D.N - D.K + 1), d1 * (Dprime.N - Dprime.K + 1)
+    enl.report = {"d_floor": d_floor, "dprime_floor": dprime_floor,
+                  "guaranteed": enlargement_distance_floor(d_floor, dprime_floor, f.q)}
+    return enl
 
 
 # the reason codes of bd_decode_batch, indices into MESSAGES

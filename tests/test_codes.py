@@ -11,7 +11,6 @@ from cssconcat.codes import (
     CosetLeaderTable,
     CssPair,
     LinearCode,
-    QuotientCode,
     bvector_pair,
     css_min_distance,
     min_weight_excluding,
@@ -74,12 +73,6 @@ def test_contains():
     C = steane_code()
     assert C.contains(C.G[0])
     assert C.dual().is_subcode(C)  # Hamming contains its dual
-
-
-def test_quotient_distance_steane():
-    C = steane_code()
-    q = QuotientCode(C, C.dual())
-    assert q.distance() == 3
 
 
 def test_min_weight_excluding_full_vs_sub():

@@ -128,6 +128,22 @@ def test_field_mismatch():
         concatenate(inner, nested_grs_pair(e8, 5, 3, 3), e8)
 
 
+def test_inner_k_mismatch_is_one_field_mismatch():
+    """An inner k other than the extension degree is rejected by the one
+    convention check, with one class and message on every entry point:
+    pi_map and build_parity_check once raised LengthMismatch where
+    concatenate raised FieldMismatch."""
+    inner = bvector_pair(F2, [1] * 4, [1] * 4)
+    e8 = Extension(F2, 3)
+    why = "inner k=2 does not match extension degree 3"
+    for call in (lambda: concatenate(inner, nested_grs_pair(e8, 5, 3, 3), e8),
+                 lambda: pi_map(1, inner, e8, [1]),
+                 lambda: pi_map(2, inner, e8, [1]),
+                 lambda: build_parity_check(inner, e8, np.array([[1, 2]]))):
+        with pytest.raises(FieldMismatch, match=why):
+            call()
+
+
 def test_duality_small_instances():
     cp = _instance_12_2(2, 2)
     assert verify_duality(cp)

@@ -26,13 +26,13 @@ from cssconcat.errors import (
     DomainError,
     FieldMismatch,
     PremiseViolation,
+    RankDeficient,
     TooLarge,
 )
 from cssconcat.galois import Extension, Field, _shift_matrix
 from cssconcat.matrix import MatGF, enumerate_span
 from cssconcat.outer_grs import GrsCode, self_dual_multiplier_grs
 import references
-from references import inverse
 
 F2 = Field(2)
 F4 = Field(2, 2)
@@ -350,21 +350,6 @@ def _fixed_point_free_by_enumeration(field, M):
     return True
 
 
-def _expand_rows_reference(C1, g1, ext, Grows):
-    """Reference: the N blocks of C1.H under the expanded rows alpha^l Grows[r]
-    (row r k + l), symbol by symbol through self-dual coordinates and g1."""
-    f, fQ = C1.field, ext.as_field()
-    rows = np.array([ext.coords(b) for b in ext.self_dual_basis()], dtype=np.int64)
-    change = inverse(f, rows)
-    out = []
-    for row in Grows:
-        for l in range(ext.k):
-            coords = f.matmul(ext.coords(fQ.mul(ext.alpha_pow(l), row)), change)
-            out.append(f.matmul(coords, np.asarray(g1)).reshape(-1))
-    blocks = np.kron(np.eye(Grows.shape[1], dtype=np.int64), C1.H)
-    return np.concatenate([np.array(out, dtype=np.int64), blocks], axis=0)
-
-
 def _dual_containing_pairs():
     F3 = Field(3)
     return [
@@ -415,21 +400,76 @@ def test_fpf_certificate_matches_enumeration():
     assert not any(_verify_fixed_point_free(f, M) for f, M in fixed)
 
 
-def _distance2_tower(n, N, K, Kp):
+def _distance2_inputs(n, N, K, Kp):
     G, _, gs = distance2_inner_generator(F4, n)
     C1 = LinearCode(F4, G.a)
     ext = Extension(F4, n - 2)
     pts = [ext.alpha_pow(j) for j in range(N)]
     D = self_dual_multiplier_grs(ext, pts, K)
     Dp = GrsCode(ext, pts, D.multipliers, Kp)
-    return C1, np.array(gs), ext, D, Dp, enlarged_concat(C1, gs, ext, D, Dp)
+    return C1, np.array(gs), ext, D, Dp
+
+
+def _distance2_tower(n, N, K, Kp):
+    inputs = _distance2_inputs(n, N, K, Kp)
+    return *inputs, enlarged_concat(*inputs)
 
 
 @pytest.mark.parametrize("tower", [(4, 5, 3, 5), (4, 15, 9, 11)])
 def test_expansion_matches_expand_rows(tower):
     C1, g1, ext, D, Dp, enl = _distance2_tower(*tower)
-    assert np.array_equal(enl.C.G, _expand_rows_reference(C1, g1, ext, D.G))
-    assert np.array_equal(enl.Cprime.G, _expand_rows_reference(C1, g1, ext, Dp.G))
+    assert np.array_equal(enl.C.G, references.expand_rows(C1, g1, ext, D.G))
+    assert np.array_equal(enl.Cprime.G, references.expand_rows(C1, g1, ext, Dp.G))
+
+
+@pytest.mark.parametrize("tower", [(4, 15, 9, 11), (6, 63, 36, 38), (6, 127, 70, 72)])
+def test_enlarged_concat_matches_eliminating_reference(tower):
+    """The code built from its certified factors against the eliminating
+    build, [[60,10]], [[378,44]] and [[762,60]]: the same generator entry by
+    entry, the same dimensions and the same report."""
+    C1, g1, ext, D, Dp, enl = _distance2_tower(*tower)
+    ref = references.enlarged_concat(C1, g1, ext, D, Dp)
+    assert np.array_equal(enl.G, ref.G)
+    assert np.array_equal(enl.V, ref.V) and np.array_equal(enl.M, ref.M)
+    assert ((enl.length, enl.logical_dims, enl.C.dim, enl.Cprime.dim)
+            == (ref.length, ref.logical_dims, ref.C.dim, ref.Cprime.dim))
+    assert enl.report == ref.report
+
+
+def test_enlarged_concat_runs_no_wide_elimination(monkeypatch):
+    """Every elimination of a [[378,44]] build is narrower than nN = 378:
+    the (A) check and the quotient distance are n wide, the fixed-point-free
+    certificate k (K' - K) = 8 wide.  The eliminating build ran four rrefs
+    at least 378 columns wide: the ranks of both expanded generators and of
+    the dual's check, and the 800-wide row profile."""
+    C1, g1, ext, D, Dp = _distance2_inputs(6, 63, 36, 38)
+    widths = []
+    for kind, rref in list(matrix._RREF.items()):
+        def spy(f, a, _rref=rref):
+            widths.append(a.shape[1])
+            return _rref(f, a)
+        monkeypatch.setitem(matrix._RREF, kind, spy)
+    enl = enlarged_concat(C1, g1, ext, D, Dp)
+    assert (enl.length, enl.logical_dims) == (378, 44)
+    assert widths and max(widths) < enl.length
+
+
+def test_enlarged_concat_gap_and_dependent_check_rows():
+    """A tower gap of one expanded row, k (K' - K) = 1, raises the (B) gap
+    condition; an inner check with a repeated row makes the N copies of it
+    dependent and raises RankDeficient, as the rank-checked expanded
+    generator did."""
+    C1 = LinearCode.full_space(F4, 1)
+    e4 = Extension(F4, 1)
+    pts = [e4.alpha_pow(j) for j in range(3)] + [0]
+    D = self_dual_multiplier_grs(e4, pts, 2)
+    with pytest.raises(ConditionViolation, match=re.escape("(B) tower gap below 2")):
+        enlarged_concat(C1, [[1]], e4, D, GrsCode(e4, pts, D.multipliers, 3))
+    G4m, b4, gs4 = distance2_inner_generator(F4, 4)
+    e16, D, Dp = _tower_gf4(5, 3, 5)
+    repeated = LinearCode.from_parity_check(F4, np.array([b4, b4]))
+    with pytest.raises(RankDeficient, match="generator matrix is not full rank"):
+        enlarged_concat(repeated, gs4, e16, D, Dp)
 
 
 # -- pinned behaviour -----------------------------------------------------------
