@@ -18,7 +18,9 @@ last n columns are E = (A^-1)^T: the rows of E paired with g1 are g2, and
 the rows paired with the completion a basis of dual(C1).
 
 Product certificate.  A pair is checked by one product, with no
-elimination:
+elimination, and :meth:`CssPair.build` runs no other: the containment
+product C2.H C1.H^T alone runs only when the row profile fails, to raise
+NotOrthogonal rather than BadComplement for a pair that is not nested.
 
     [C2.H; g1] [C1.H; g2]^T = [[0, 0], [0, I_k]],
 
@@ -41,7 +43,8 @@ enumeration, `min_weight_outside`, given its weight function.
 
 from __future__ import annotations
 
-import itertools
+import bisect
+import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -63,14 +66,16 @@ TABLE_CAP = 1 << 20
 
 
 class LinearCode:
-    """An [n, k] linear code given by a full-rank generator matrix."""
+    """An [n, k] linear code given by a full-rank generator matrix, or by a
+    parity check (:meth:`from_parity_check`).  A code keeps the matrix it
+    was given and builds the other, a null space, on its first read."""
 
     def __init__(self, field, G):
         mat = G if isinstance(G, MatGF) else MatGF(field, G)
         if mat.rank != mat.rows:
             raise RankDeficient("generator matrix is not full rank")
         self.field = field
-        self.Gmat = mat
+        self._Gmat = mat
         self._Hmat = None
 
     @classmethod
@@ -79,16 +84,16 @@ class LinearCode:
         (no elimination)."""
         code = cls.__new__(cls)
         code.field = field
-        code.Gmat = G if isinstance(G, MatGF) else MatGF(field, G)
+        code._Gmat = G if isinstance(G, MatGF) else MatGF(field, G)
         code._Hmat = None
         return code
 
     @classmethod
     def from_parity_check(cls, field, H):
-        mat = H if isinstance(H, MatGF) else MatGF(field, H)
-        # a null-space basis is the identity on its free columns: full rank
-        code = cls._full_rank(field, mat.null_space())
-        code._Hmat = mat
+        code = cls.__new__(cls)
+        code.field = field
+        code._Gmat = None
+        code._Hmat = H if isinstance(H, MatGF) else MatGF(field, H)
         return code
 
     @classmethod
@@ -96,12 +101,22 @@ class LinearCode:
         return cls._full_rank(field, MatGF.identity(field, n))
 
     @property
+    def Gmat(self):
+        if self._Gmat is None:
+            # a null-space basis is the identity on its free columns: full rank
+            self._Gmat = self._Hmat.null_space()
+        return self._Gmat
+
+    @property
     def n(self):
-        return self.Gmat.cols
+        return (self._Hmat if self._Gmat is None else self._Gmat).cols
 
     @property
     def dim(self):
-        return self.Gmat.rows
+        """k: the rows of G, or n less the rank of H before G is built."""
+        if self._Gmat is None:
+            return self.n - self._Hmat.rank
+        return self._Gmat.rows
 
     @property
     def G(self):
@@ -158,13 +173,14 @@ def validate_css(C1: LinearCode, C2: LinearCode) -> bool:
 def _pairing(pair):
     """``(contained, paired)`` from the one product P = [C2.H; g1].[C1.H; g2]^T
     of the module docstring: whether its block C2.H.C1.H^T vanishes, and
-    whether P = [[0, 0], [0, I]]."""
+    whether P = [[0, 0], [0, I]], read as P less I on its lower-right block
+    being zero."""
     m, r = len(pair.C2.H), len(pair.C1.H)
     P = pair.field.matmul(np.concatenate([pair.C2.H, pair.g1]),
                           np.concatenate([pair.C1.H, pair.g2]).T)
-    want = np.zeros_like(P)
-    want[m:, r:] = np.eye(len(pair.g1), len(pair.g2), dtype=P.dtype)
-    return not P[:m, :r].any(), np.array_equal(P, want)
+    contained = not P[:m, :r].any()
+    P[m:, r:].flat[::len(pair.g2) + 1] -= 1  # codes: 1 - 1 is the only zero
+    return contained, not P.any()
 
 
 def _row_profile(C1: LinearCode, C2: LinearCode, g1=None):
@@ -187,15 +203,15 @@ def _row_profile(C1: LinearCode, C2: LinearCode, g1=None):
     B = C2.H
     m, r = len(B), len(X)
     M = np.concatenate([B.T, X.T, np.eye(n, dtype=f.dtype)], axis=1)
-    R, pivots, _ = MatGF(f, M).rref()
-    pivots = np.asarray(pivots, dtype=np.intp)
-    # the pivots left of I_n number rank [C2.H; X], at most (n - k2) + k
-    # (for X = C1.G by the containment): m + k exactly when the m rows of
-    # C2.H are independent and k rows of X independent modulo them
-    if np.count_nonzero(pivots < m + r) != m + k:
+    R, pivots, _ = MatGF(f, M)._rref()
+    # the pivots left of I_n, which come first in the ascending pivots, number
+    # rank [C2.H; X], at most (n - k2) + k (for X = C1.G by the containment):
+    # m + k exactly when the m rows of C2.H are independent and k rows of X
+    # independent modulo them
+    if bisect.bisect_left(pivots, m + r) != m + k:
         raise BadComplement("g1 does not complement dual(C2) inside C1")
-    E = R.a[:, m + r:]
-    return X[pivots[m:m + k] - m], E[m:m + k].copy(), E[m + k:].copy()
+    E = R[:, m + r:]
+    return X[[c - m for c in pivots[m:m + k]]], E[m:m + k].copy(), E[m + k:].copy()
 
 
 @dataclass
@@ -250,11 +266,20 @@ class CssPair:
     def build(cls, C1: LinearCode, C2: LinearCode, g1=None):
         """Construct a pair by the row profile of the module docstring; when
         ``g1`` is omitted it is the first k rows of C1.G independent modulo
-        dual(C2).  The result is checked by the product certificate."""
-        if not validate_css(C1, C2):
-            raise NotOrthogonal("dual(C2) is not contained in C1")
-        g1, g2, basis_c1_perp = _row_profile(C1, C2, g1)
-        return cls(C1, C2, g1, g2, basis_c1_perp)
+        dual(C2).  The result is checked by the product certificate, the
+        one product of a valid pair.  Only when the row profile fails is the
+        containment product run, so that a pair that is not nested raises
+        NotOrthogonal before anything else, as it does from the
+        certificate."""
+        if C1.n != C2.n:
+            raise LengthMismatch("codes of different length")
+        try:
+            profile = _row_profile(C1, C2, g1)
+        except (BadComplement, DomainError):
+            if not validate_css(C1, C2):
+                raise NotOrthogonal("dual(C2) is not contained in C1") from None
+            raise
+        return cls(C1, C2, *profile)
 
     def __repr__(self):
         return f"CssPair[[{self.n},{self.k}]] over GF({self.field.q})"
@@ -300,6 +325,35 @@ def css_min_distance(pair: CssPair, cap: int = ENUM_CAP) -> int:
     return min(d1, d2)
 
 
+def _weight_patterns(n, w, q, dtype, rows):
+    """The vectors of length ``n`` with ``w`` nonzero codes of GF(q), in
+    lexicographic order, as (rows, n) arrays of ``dtype`` of at most ``rows``
+    rows.
+
+    Read from the left, a zero precedes every nonzero entry, so the order
+    takes the first nonzero position latest first, then its value smallest
+    first, then the rest of the vector in the same order.  The vectors grow
+    one nonzero at a time, each prefix followed by its children in that
+    order, and a chunk is cut only between prefixes."""
+
+    def grow(pat, last, j):
+        if j == w:
+            yield pat
+            return
+        top = n - w + j  # the latest position nonzero j can take
+        positions = np.arange(top, -1, -1)
+        after = np.repeat((positions > last[:, None])[:, :, None], q - 1, axis=2)
+        parent, at, value = np.nonzero(after)
+        pat, last = pat[parent], positions[at]
+        pat[np.arange(len(pat)), last] = value + 1
+        below = math.comb(n - 1 - j, w - 1 - j) * (q - 1) ** (w - 1 - j)
+        step = max(1, rows // below)  # the descendants of a child are at most below
+        for lo in range(0, len(pat), step):
+            yield from grow(pat[lo:lo + step], last[lo:lo + step], j + 1)
+
+    yield from grow(np.zeros((1, n), dtype=dtype), np.array([-1]), 0)
+
+
 class CosetLeaderTable:
     """Minimum-weight coset leaders for every syndrome of a code.
 
@@ -323,41 +377,33 @@ class CosetLeaderTable:
         leaders = np.zeros((size, n), dtype=f.dtype)
         weights = np.full(size, -1, dtype=np.int64)
         weights[0] = 0
+        missing = size - 1  # syndromes without a leader yet
         for w in range(1, n + 1):
-            if (weights >= 0).all():
+            if not missing:
                 break
-            self._assign_weight(H, w, leaders, weights, cap)
+            missing -= self._assign_weight(H, w, leaders, weights, cap)
         self.leaders = leaders
         self.weights = weights
 
     def _assign_weight(self, H, w, leaders, weights, cap):
         """Give every syndrome without a leader of lower weight its
-        lexicographically smallest pattern of weight ``w``, if it has one:
-        per chunk of supports (about ``cap`` entries), the candidates and the
-        leaders of weight ``w`` found so far for their syndromes are sorted by
-        syndrome, then lexicographically, and the first of each is kept."""
-        f, n = self.field, self.n
-        values = np.array(list(itertools.product(range(1, f.q), repeat=w)), dtype=f.dtype)
-        step = max(1, cap // (len(values) * n))
-        supports = itertools.combinations(range(n), w)
-        while chunk := list(itertools.islice(supports, step)):
-            chunk = np.array(chunk)
-            pat = np.zeros((len(chunk), len(values), n), dtype=f.dtype)
-            for i in range(w):
-                pat[np.arange(len(chunk)), :, chunk[:, i]] = values[:, i]
-            pat = pat.reshape(-1, n)
-            s = self.pack(f.matmul(pat, H.T))
-            ws = weights[s]
-            keep = (ws < 0) | (ws == w)
-            earlier = s[ws == w]
-            pat = np.concatenate([pat[keep], leaders[earlier]])
-            s = np.concatenate([s[keep], earlier])
-            order = np.lexsort(tuple(pat[:, ::-1].T) + (s,))
-            s, pat = s[order], pat[order]
-            first = np.ones(len(s), dtype=bool)
-            first[1:] = s[1:] != s[:-1]
-            leaders[s[first]] = pat[first]
-            weights[s[first]] = w
+        lexicographically smallest pattern of weight ``w``, if it has one.
+        The patterns come in lexicographic order, in chunks of about ``cap``
+        entries (:func:`_weight_patterns`), so the first pattern met for a
+        syndrome is its leader: per chunk, one minimum over the pattern
+        indices of each syndrome, kept for the syndromes still without one.
+        Returns how many syndromes got a leader."""
+        f, n, size = self.field, self.n, len(weights)
+        assigned = 0
+        for pat in _weight_patterns(n, w, f.q, f.dtype, max(1, cap // n)):
+            s = pack(f.matmul(pat, H.T), f.q)
+            first = np.full(size, len(s))
+            np.minimum.at(first, s, np.arange(len(s)))
+            new = np.flatnonzero((first < len(s)) & (weights < 0))
+            leaders[new] = pat[first[new]]
+            weights[new] = w
+            assigned += len(new)
+        return assigned
 
     def pack(self, syndrome):
         """Table index of each syndrome along the last axis (int64): its
@@ -381,7 +427,7 @@ def bvector_pair(field, b1, b2) -> CssPair:
     b2 = np.asarray(b2, dtype=np.int64).reshape(-1)
     if b1.shape != b2.shape:
         raise LengthMismatch("b1 and b2 have different lengths")
-    if (b1 == 0).any() or (b2 == 0).any():
+    if not (b1.all() and b2.all()):
         raise ZeroEntry("b vectors must have all-nonzero entries")
     if field.dot(b1, b2) != 0:
         raise NotOrthogonal("b1 and b2 must be orthogonal")

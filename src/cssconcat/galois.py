@@ -32,6 +32,14 @@ primitive root, coordinates, trace, dual coordinates, bases and
 multiplication matrices.  One cap, ``_TABLE_CAP`` = 8192, bounds the order of
 every field and extension, checked when it is built.
 
+Trace form.  The trace is GF(q)-linear, so for x = sum_i c_i alpha^i,
+Tr(x alpha^j) = sum_i c_i Tr(alpha^(i+j)).  The (Q, k) table of trace-dual
+coordinates, ``dual_table``, is therefore ``coord_table . T`` over GF(q),
+with T[i, j] = Tr(alpha^(i+j)) the k x k Hankel matrix of the 2k - 1 traces
+of alpha^m, m < 2k - 1, each the sum of its k conjugates alpha^(m q^i).  The
+trace table is its column 0.  So the tables cost one (Q, k) x (k, k) product
+over GF(q) and no product or sum over GF(Q) per element.
+
 Codes split into digits and pack back through :func:`matrix.digits` and
 :func:`matrix.pack`, the one coding.  An extension inverts its trace-dual
 coordinates once: ``from_dual_table`` inverts the packed ``dual_table``.
@@ -195,8 +203,9 @@ def _power_table(P, p, Q):
         for lo in range(m, min(2 * m, Q), step):
             hi = min(lo + step, 2 * m, Q)
             D[lo:hi] = (D[lo - m:hi - m] @ P) % p
-        P = (P @ P) % p
         m *= 2
+        if m < Q:
+            P = (P @ P) % p
     codes = pack(D, p)
     exp = codes[:Q - 1]
     log = np.full(Q, -1, dtype=np.int64)
@@ -288,17 +297,18 @@ def _matmul_blas(A, B, p, dtype):
     below ``matrix._F32_SUM`` = 2**22 - 1 (n up to about 4·10⁶ over GF(2),
     10⁶ over GF(3)), and in float64 while it stays below 2**51 (n up to
     about 3·10⁷ for p below the 8192 table cap).  Rows go in chunks of
-    bounded bytes.
+    bounded bytes; a product of one chunk, as every desk-size operand is, is
+    formed whole, with no output buffer.
     """
     n = A.shape[-1]
     if n * (p - 1) ** 2 >= _EXACT_SUM:
         raise TooLarge(f"inner dimension {n} too large for exact GF({p}) products")
     fdtype = blas_dtype(n, p)
     Bf = B.astype(fdtype)
-    if A.ndim != 2:
+    step = chunk_rows(max(n, B.shape[-1]), Bf.itemsize)
+    if A.ndim != 2 or len(A) <= step:
         return reduce_mod(A.astype(fdtype) @ Bf, p).astype(dtype)
     out = np.empty(A.shape[:1] + B.shape[1:], dtype=dtype)
-    step = chunk_rows(max(n, B.shape[-1]), Bf.itemsize)
     for lo in range(0, A.shape[0], step):
         out[lo:lo + step] = reduce_mod(A[lo:lo + step].astype(fdtype) @ Bf, p)
     return out
@@ -353,24 +363,21 @@ class Field:
         field._ext_repr = repr(ext)
         return field
 
-    @property
-    def kind(self):
-        """Arithmetic kind, which picks the elimination kernel in :mod:`matrix`:
-        ``"gf2"``, ``"prime"`` (codes are integers mod p) or ``"tables"``
-        (GF(p^e) with e > 1, and every field of an extension)."""
-        if self.e > 1 or self.ext_key is not None:
-            return "tables"
-        return "gf2" if self.p == 2 else "prime"
-
     # -- construction -------------------------------------------------------
 
     def _setup(self, p, e, modulus, ext_key, exp, log):
         """The multiplication and inverse tables from the power table
         ``exp``/``log`` of a generator, the negation and addition tables
         composed digit by digit; in characteristic 2 addition is XOR and has
-        no table."""
+        no table.
+
+        ``kind`` is the arithmetic kind, which picks the product here and the
+        elimination kernel in :mod:`matrix`: ``"gf2"``, ``"prime"`` (codes
+        are integers mod p) or ``"tables"`` (GF(p^e) with e > 1, and every
+        field of an extension)."""
         self.p, self.e, self.q = p, e, p ** e
         self.modulus, self.ext_key = modulus, ext_key
+        self.kind = "tables" if e > 1 or ext_key is not None else "gf2" if p == 2 else "prime"
         self.dtype = code_dtype(self.q)
         self.mul_table = _log_mul_table(exp, log)
         q = self.q
@@ -496,14 +503,21 @@ class Field:
         """
         A = np.asarray(A)
         B = np.asarray(B)
+        if self.kind == "tables":
+            A = check_codes(A, self.q, "matrix entries")
+            B = check_codes(B, self.q, "matrix entries")
+        return self._matmul(A, B)
+
+    def _matmul(self, A, B):
+        """:meth:`matmul` of integer arrays without the check of their codes:
+        for operands the library built and checked once, such as the kept
+        tables of a GRS code, or has just checked."""
         if A.shape[-1] != B.shape[0]:
             raise DomainError(f"shape mismatch {A.shape} @ {B.shape}")
         if self.kind != "tables":
             return _matmul_blas(A, B, self.p, self.dtype)
         if A.ndim == 1:
-            return self.matmul(A[None], B)[0]
-        A = check_codes(A, self.q, "matrix entries")
-        B = check_codes(B, self.q, "matrix entries")
+            return self._matmul(A[None], B)[0]
         rows, cols = np.nonzero(A)  # row by row
         slot = np.arange(rows.size) - np.searchsorted(rows, rows)  # place in its row
         pick = np.zeros((len(A), slot.max(initial=-1) + 1), dtype=np.intp)
@@ -660,14 +674,9 @@ class Extension:
 
     @cached_property
     def trace_table(self):
-        """``Tr a = a + a^q + ... + a^(q^(k-1))`` for every element code."""
-        Q = self.Q
-        conj = self.exp[(self.log[1:, None] * self.q ** np.arange(self.k)) % (Q - 1)]
-        acc = np.zeros(Q, dtype=np.int64)
-        acc[1:] = self.as_field().add_reduce(conj, axis=1)
-        if np.any(acc >= self.q):
-            raise AssertionError("trace left the base field")  # pragma: no cover
-        return acc
+        """``Tr a = a + a^q + ... + a^(q^(k-1))`` for every element code:
+        column 0 of :attr:`dual_table`, as Tr(a alpha^0) = Tr a."""
+        return np.ascontiguousarray(self.dual_table[:, 0])
 
     def trace(self, a):
         """Field trace down to GF(q), returned as a base-field code."""
@@ -698,9 +707,17 @@ class Extension:
 
     @cached_property
     def dual_table(self):
-        """The (Q, k) table of :meth:`phi_dual` for every element code."""
-        basis = np.asarray(self.power_basis(), dtype=np.int64)
-        return self.trace_table[self.as_field().mul(np.arange(self.Q)[:, None], basis)]
+        """The (Q, k) int64 table of :meth:`phi_dual` for every element code,
+        from the trace form (module docstring): ``coord_table . T`` over
+        GF(q), T[i, j] = Tr(alpha^(i+j)) from the 2k - 1 traces of alpha^m,
+        each the sum of its k conjugates alpha^(m q^i)."""
+        k, m = self.k, np.arange(2 * self.k - 1)
+        conj = self.exp[m[:, None] * self.q ** m[:k] % (self.Q - 1)]
+        traces = self.as_field().add_reduce(conj, axis=1)
+        if (traces >= self.q).any():
+            raise AssertionError("trace left the base field")  # pragma: no cover
+        T = traces[m[:k, None] + m[:k]]
+        return self.base.matmul(self.coord_table, T).astype(np.int64)
 
     @cached_property
     def from_dual_table(self):

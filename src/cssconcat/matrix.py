@@ -12,24 +12,26 @@ of any integer dtype is checked against ``[0, q)`` in its own dtype before it
 is narrowed (:func:`as_codes`), so no out-of-range entry can wrap into a code.
 
 Elimination picks its kernel from the field's ``kind``.  GF(2) packs each
-row into 64-bit words and clears a pivot's column from every other row with
-one masked XOR over those words; GF(p^e) with e > 1 and the GF(Q) field of
-an extension go through the dense tables, one multiplication-table gather
-per pivot and a row update that is XOR in characteristic 2 and an add-table
-gather otherwise.  That kernel works for every field and is the reference
-the others are tested against.  Odd prime fields run a blocked Gauss-Jordan on
-BLAS: pivots are found column by column, each column is brought up to date
-with one mat-vec against the row updates pending in the current panel of at
-most ``_PANEL`` pivots, and each full panel is applied to the trailing
-columns as one matmul.  Every value formed there is an integer of magnitude
-at most ``(width + 1) * (p - 1)**2`` for a panel of ``width`` pivots, so the
-kernel runs in float32 where :func:`blas_dtype` finds that exact (p <= 251
-with a full panel) and in float64 beyond; :func:`reduce_mod` brings each
-value back into ``[0, p)`` exactly, and the result is the same reduced
-row-echelon form.  The matrix itself stays in codes of ``field.dtype``
-throughout: floats live only in the panel, the column and pivot-row vectors
-and two flush buffers, which together stay within ``_CHUNK_BYTES`` and are
-reused across the chunks of a flush.
+row into bytes (``np.packbits``) and clears a pivot's column from every
+other row with one masked XOR over those bytes; GF(p^e) with e > 1 and the
+GF(Q) field of an extension go through the dense tables, one
+multiplication-table gather per pivot and a row update that is XOR in
+characteristic 2 and an add-table gather otherwise.  That kernel works for
+every field and is the reference the others are tested against.  Odd prime
+fields run a blocked Gauss-Jordan on BLAS: pivots are found column by
+column, each column is brought up to date with one mat-vec against the row
+updates pending in the current panel of at most ``_PANEL`` pivots (none at
+the start of a panel, where the column is read with no product), and each
+full panel is applied to the trailing columns as one matmul.  Every value
+formed there is an integer of magnitude at most ``(width + 1) * (p - 1)**2``
+for a panel of ``width`` pivots, so the kernel runs in float32 where
+:func:`blas_dtype` finds that exact (p <= 251 with a full panel) and in
+float64 beyond; :func:`reduce_mod` brings each value back into ``[0, p)``
+exactly, and the result is the same reduced row-echelon form.  The matrix
+itself stays in codes of ``field.dtype`` throughout: floats live only in the
+panel, the column and pivot-row vectors and two flush buffers, which
+together stay within ``_CHUNK_BYTES`` and are reused across the chunks of a
+flush.
 
 Span membership (:meth:`MatGF.span_contains_rows`) is one path for every
 kind.  A row ``x`` lies in the row space iff it is ``x[P] @ R[:rank]`` for
@@ -65,10 +67,16 @@ def digits(codes, q, k):
 def pack(digits, q):
     """The codes of base-``q`` digit vectors along the last axis, little-endian
     (int64; a scalar for a 1-D input).  Digit j has weight ``q**j``, summed in
-    Horner form, since numpy reduces a short last axis one row at a time."""
+    Horner form from the top digit: numpy reduces a short last axis one row
+    at a time, and so does a product with a weight vector.  ``q`` is made a
+    0-d array once, as numpy converts a Python int anew for every operation."""
     digits = np.asarray(digits)
-    out = np.zeros(digits.shape[:-1], dtype=np.int64)
-    for j in range(digits.shape[-1] - 1, -1, -1):
+    k = digits.shape[-1]
+    if not k:
+        return np.zeros(digits.shape[:-1], dtype=np.int64)[()]
+    q = np.asarray(q, dtype=np.int64)
+    out = digits[..., k - 1].astype(np.int64)
+    for j in range(k - 2, -1, -1):
         out *= q
         out += digits[..., j]
     return out[()]
@@ -168,26 +176,24 @@ def _rref_rows(f, a):
 
 
 def _rref_gf2(f, a):
-    """Gauss-Jordan over GF(2) on rows packed 64 columns to a uint64 word.
+    """Gauss-Jordan over GF(2) on rows packed 8 columns to a byte.
 
     Column ``c`` is bit ``7 - c % 8`` of byte ``c // 8`` (``np.packbits``
     order).  Rows stay where they are: a pivot clears its column from every
-    other row by one masked XOR over the words from its own on, which is
+    other row by one masked XOR over the bytes from its own on, which is
     exact because a pivot row vanishes left of its column.  The pivot rows
     are put in order once at the end and unpacked, with the rows left zero
     below them, into the one (rows, cols) array that is ``R``.
     """
     rows, cols = a.shape
-    P8 = np.zeros((rows, -(-cols // 64) * 8), dtype=np.uint8)
-    P8[:, :-(-cols // 8)] = np.packbits(a, axis=1)
-    P = P8.view(np.uint64)
-    free = np.full(rows, 0xFF, dtype=np.uint8)  # rows not yet a pivot row
+    P = np.packbits(a, axis=1)
+    free = np.ones(rows, dtype=np.uint8)  # 1 on rows not yet a pivot row
     order, pivots = [], []
     for col in range(cols):
         if len(order) == rows:
             break
-        shift = 7 - (col & 7)
-        bits = P8[:, col >> 3] >> shift
+        byte = col >> 3
+        bits = P[:, byte] >> 7 - (col & 7)
         bits &= 1
         cand = bits & free
         piv = int(cand.argmax())
@@ -195,14 +201,13 @@ def _rref_gf2(f, a):
             continue
         free[piv] = 0
         bits[piv] = 0
-        w = col >> 6
-        P[:, w:] ^= bits.astype(np.uint64)[:, None] * P[piv, w:]
+        P[:, byte:] ^= bits[:, None] * P[piv, byte:]
         order.append(piv)
         pivots.append(col)
     rank = len(order)
     if rank < rows:  # every other row is zero by now: it fills R below them
         order += np.flatnonzero(free).tolist()
-    R = np.unpackbits(P8[order], axis=1, count=cols).view(f.dtype)
+    R = np.unpackbits(P[order], axis=1, count=cols).view(f.dtype)
     return R, tuple(pivots), rank
 
 
@@ -225,11 +230,14 @@ def _rref_prime(f, a):
     the panel width, so the column update, the pivot row and the panel
     flush are each a code minus at most ``width`` products of codes:
     ``blas_dtype(width + 1, p)`` keeps them exact.  The pivot row is reduced
-    before it is scaled by the pivot's inverse, so the product of two codes
-    stays below ``p**2``.  Floats live only in ``U``, ``V``, the column and
-    pivot-row vectors, and the two buffers of a flush, which hold ``U @ V``
-    and :func:`reduce_mod`'s temporary for one chunk of rows, together
-    within ``_CHUNK_BYTES``, and are reused across its chunks.
+    once and then scaled by the pivot's inverse through the multiplication
+    table.  At the start of a panel (``t == 0``) nothing is owed, so the
+    column and the pivot row are read from ``A`` with no product; a flush
+    zeroes the rows of ``U`` and ``V`` it applied, so a new pivot row of
+    ``V`` already vanishes left of its column.  Floats live only in ``U``,
+    ``V``, the column and pivot-row vectors, and the two buffers of a flush,
+    which hold ``U @ V`` and :func:`reduce_mod`'s temporary for one chunk of
+    rows, together within ``_CHUNK_BYTES``, and are reused across its chunks.
     """
     p = f.p
     rows, cols = a.shape
@@ -254,12 +262,15 @@ def _rref_prime(f, a):
             np.subtract(blk, x, out=x)
             np.copyto(blk, reduce_mod(x, p, scratch[:n]), casting="unsafe")
         U[:, :t] = 0
+        V[:t] = 0
 
     for col in range(cols):
         if row >= rows:
             break
-        c = U[:, :t] @ V[:t, col]
-        reduce_mod(np.subtract(A[:, col], c, out=c), p)
+        c = A[:, col].astype(dtype)
+        if t:
+            c -= U[:, :t] @ V[:t, col]
+            reduce_mod(c, p)
         nz = np.flatnonzero(c[row:])
         if not nz.size:
             continue
@@ -268,11 +279,10 @@ def _rref_prime(f, a):
             A[[row, piv]] = A[[piv, row]]
             U[[row, piv]] = U[[piv, row]]
             c[[row, piv]] = c[[piv, row]]
-        lead = U[row, :t] @ V[:t, col:]
-        reduce_mod(np.subtract(A[row, col:], lead, out=lead), p)
-        lead *= f.inv(int(c[row]))
-        reduce_mod(lead, p)
-        V[t, :col] = 0
+        lead = A[row, col:]
+        if t:
+            lead = reduce_mod(lead - U[row, :t] @ V[:t, col:], p).astype(np.intp)
+        lead = f.mul_table[f.inv(int(c[row]))][lead]
         V[t, col:] = lead
         A[row, :col] = 0
         A[row, col:] = lead

@@ -6,7 +6,9 @@ on the same points with the classical dual multipliers u_j.  Its generator
 ``G`` and canonical parity check ``H``, the dual's Vandermonde-style
 generator, are built from a, v and u on every read.  :meth:`GrsCode.syndrome`
 (e.H^T, also the re-encode check below) and :meth:`GrsCode.dual_syndrome`
-(w.G^T) keep the transpose built on their first call.
+(w.G^T) keep the transpose built on their first call.  Every kept table, the
+two transposes and the Chien table, is checked to hold codes once, when it
+is built; the products read it unchecked and check only the caller's rows.
 
 The decoder, :meth:`GrsCode.bd_decode_batch`, takes a batch of syndrome rows:
 Berlekamp-Massey (Massey, 1969) in lockstep over the rows for all N - K steps,
@@ -74,7 +76,7 @@ from .errors import (
 )
 from .codes import LinearCode
 from .galois import Extension
-from .matrix import as_codes, chunk_rows
+from .matrix import as_codes, check_codes, chunk_rows
 
 # The outcome of decoding one syndrome row: ``reason`` codes index this tuple.
 MESSAGES = (
@@ -259,16 +261,24 @@ class GrsCode:
         return GrsCode._on_points(self.ext, self.points, self.dual_multipliers,
                                   self.N - self.K, self._log_diff)
 
-    _Ht = cached_property(lambda self: np.ascontiguousarray(self.H.T))
-    _Gt = cached_property(lambda self: np.ascontiguousarray(self.G.T))
+    _Ht = cached_property(lambda self: self._checked(self.H.T))
+    _Gt = cached_property(lambda self: self._checked(self.G.T))
+
+    def _checked(self, table):
+        return check_codes(np.ascontiguousarray(table), self.ext.Q, "GRS table entries")
+
+    def _product(self, x, table):
+        """x.table over GF(Q) for caller rows ``x``, whose codes are checked,
+        and a kept table, whose codes are not."""
+        return self.ext.as_field()._matmul(check_codes(x, self.ext.Q, "matrix entries"), table)
 
     def syndrome(self, e):
         """Syndromes e.H^T of error vectors ``e`` (rows, or one vector)."""
-        return self.ext.as_field().matmul(e, self._Ht)  # checks the codes of e
+        return self._product(e, self._Ht)
 
     def dual_syndrome(self, w):
         """w.G^T, the syndromes of vectors ``w`` against the dual code."""
-        return self.ext.as_field().matmul(w, self._Gt)
+        return self._product(w, self._Gt)
 
     @cached_property
     def _chien(self):
@@ -279,7 +289,7 @@ class GrsCode:
         f = self.ext.as_field()
         P = _scaled_powers(self.ext, np.ones(self.N, dtype=np.int64),
                            f.inv_table[self.points], self.t + 1)
-        return P, f.neg(f.mul(self.points, f.inv_table[self.dual_multipliers]))
+        return self._checked(P), f.neg(f.mul(self.points, f.inv_table[self.dual_multipliers]))
 
     def bd_decode_batch(self, S):
         """Errors-only bounded-distance decoding of syndrome rows ``S``
@@ -317,7 +327,7 @@ class GrsCode:
         # coefficient i - 1 of Lambda' is i * lambda_i, i read mod p
         dlam = f.mul(lam[:, 1:], np.arange(1, t + 1) % f.p)
         P, c = self._chien
-        roots = f.matmul(lam, P) == 0
+        roots = f._matmul(lam, P) == 0  # lam holds codes, formed from checked S
         # a locator of degree <= t has at most t roots: put them first (a
         # copy, so that the (rows, N) sort is freed)
         pos = np.argsort(~roots, axis=1, kind="stable")[:, :t].copy()
@@ -332,7 +342,7 @@ class GrsCode:
         why = np.select([(at & (den == 0)).any(axis=1), roots.sum(axis=1) != L],
                         [_REPEATED_ROOT, _ROOT_COUNT], 0).astype(np.int8)
         E[rows[:, None], pos] = vals
-        why[(why == 0) & (self.syndrome(E[rows]) != S).any(axis=1)] = _MISMATCH
+        why[(why == 0) & (f._matmul(E[rows], self._Ht) != S).any(axis=1)] = _MISMATCH
         E[rows[why != 0]] = 0
         reason[rows] = why
         return E, reason == 0, reason

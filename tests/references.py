@@ -88,6 +88,65 @@ def coset_generators(C1, C2, g1):
     return g2, basis_c1_perp
 
 
+def merge_sort_leader_table(C, cap):
+    """``(leaders, weights)`` of ``CosetLeaderTable(C, cap)`` as the table
+    was built before its patterns came in lexicographic order: per chunk of
+    supports (about ``cap`` entries), the candidates and the leaders of
+    weight w found so far for their syndromes are sorted by syndrome, then
+    lexicographically (a lexsort on n + 1 keys), and the first of each is
+    kept."""
+    f, H = C.field, C.H
+    m, n = H.shape
+    leaders = np.zeros((f.q ** m, n), dtype=f.dtype)
+    weights = np.full(f.q ** m, -1, dtype=np.int64)
+    weights[0] = 0
+    qpows = f.q ** np.arange(m, dtype=np.int64)
+    for w in range(1, n + 1):
+        if (weights >= 0).all():
+            break
+        values = np.array(list(itertools.product(range(1, f.q), repeat=w)), dtype=f.dtype)
+        step = max(1, cap // (len(values) * n))
+        supports = itertools.combinations(range(n), w)
+        while chunk := list(itertools.islice(supports, step)):
+            chunk = np.array(chunk)
+            pat = np.zeros((len(chunk), len(values), n), dtype=f.dtype)
+            for i in range(w):
+                pat[np.arange(len(chunk)), :, chunk[:, i]] = values[:, i]
+            pat = pat.reshape(-1, n)
+            s = (f.matmul(pat, H.T).astype(np.int64) * qpows).sum(axis=1)
+            ws = weights[s]
+            keep = (ws < 0) | (ws == w)
+            earlier = s[ws == w]
+            pat = np.concatenate([pat[keep], leaders[earlier]])
+            s = np.concatenate([s[keep], earlier])
+            order = np.lexsort(tuple(pat[:, ::-1].T) + (s,))
+            s, pat = s[order], pat[order]
+            first = np.ones(len(s), dtype=bool)
+            first[1:] = s[1:] != s[:-1]
+            leaders[s[first]] = pat[first]
+            weights[s[first]] = w
+    return leaders, weights
+
+
+def conjugate_trace_table(ext):
+    """``Tr a`` for every element code as the sum of its k conjugates
+    a^(q^i), gathered from the power table and added pairwise over GF(Q)
+    (int64)."""
+    Q = ext.Q
+    conj = ext.exp[(ext.log[1:, None] * ext.q ** np.arange(ext.k)) % (Q - 1)]
+    acc = np.zeros(Q, dtype=np.int64)
+    acc[1:] = ext.as_field().add_reduce(conj, axis=1)
+    return acc
+
+
+def conjugate_dual_table(ext):
+    """Row a is (Tr a, Tr alpha a, ..., Tr alpha^(k-1) a), from the Q x k
+    products a alpha^j over GF(Q) and :func:`conjugate_trace_table`
+    (int64)."""
+    basis = np.asarray(ext.power_basis(), dtype=np.int64)
+    return conjugate_trace_table(ext)[ext.as_field().mul(np.arange(ext.Q)[:, None], basis)]
+
+
 def pi_rows(m, pair, ext, M):
     """:func:`concat.pi_map` of every row of a matrix over GF(q^k), gathered
     from the pi table of side ``m``'s :class:`concat.Side` record."""

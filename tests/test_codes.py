@@ -321,6 +321,33 @@ def test_leader_table_matches_pattern_loop(q):
         made += 1
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_leader_table_matches_merge_sort_reference(q):
+    """Leaders, weights and dtypes equal those of the merge-sort
+    construction (references.merge_sort_leader_table) on a full space
+    (m = 0), length 1, one check row, MERGED_CHUNKS over GF(5) and random
+    codes, under a cap of q^m, which cuts weight 2 and up into several
+    chunks, and under the default cap."""
+    f = Field(2, 2) if q == 4 else Field(q)
+    rng = np.random.default_rng(40 + q)
+    codes = [LinearCode.full_space(f, 3), LinearCode.from_parity_check(f, [[1]]),
+             LinearCode.from_parity_check(f, np.ones((1, 6), dtype=np.int64))]
+    if q == 5:
+        codes.append(LinearCode.from_parity_check(f, np.array(MERGED_CHUNKS)))
+    while len(codes) < 9:
+        n = int(rng.integers(3, 12 if q == 2 else 7))
+        H = rng.integers(0, q, size=(int(rng.integers(1, min(n, 5 if q == 2 else 3) + 1)), n))
+        if MatGF(f, H).rank == len(H):
+            codes.append(LinearCode.from_parity_check(f, H))
+    for C in codes:
+        for cap in (f.q ** len(C.H), 1 << 20):
+            leaders, weights = references.merge_sort_leader_table(C, cap)
+            table = CosetLeaderTable(C, cap=cap)
+            assert table.leaders.dtype == leaders.dtype and table.weights.dtype == weights.dtype
+            assert np.array_equal(table.leaders, leaders)
+            assert np.array_equal(table.weights, weights)
+
+
 def test_css_pair_invalid():
     even = LinearCode.from_parity_check(F2, np.ones((1, 7), dtype=np.int64))
     with pytest.raises(NotOrthogonal):
@@ -446,6 +473,37 @@ def test_rejected_g1_keeps_exception_classes(tmp_path):
     path.write_text("\n".join(text) + "\n")
     with pytest.raises(BadComplement):
         fileio.read_pair(path)
+
+
+@pytest.mark.parametrize("f", [Field(3), Field(2, 2)], ids=["GF3", "GF4"])
+def test_build_keeps_exception_classes_over_odd_and_extension_fields(f):
+    """Over GF(3) and GF(4), as over GF(2): codes of different lengths raise
+    LengthMismatch, codes that are not nested NotOrthogonal whatever g1 is
+    given, and a nested pair with a g1 that does not complement dual(C2)
+    inside C1, or mismatched generators, BadComplement."""
+    n = 3 if f.q == 3 else 4  # 1^n is self-orthogonal: n = 0 mod p
+    pair = bvector_pair(f, [1] * n, [1] * n)
+    C1, C2, k = pair.C1, pair.C2, pair.k
+    with pytest.raises(LengthMismatch):
+        CssPair.build(C1, LinearCode.full_space(f, n + 1))
+    with pytest.raises(LengthMismatch):
+        CssPair(C1, LinearCode.full_space(f, n - 1), pair.g1, pair.g2)
+    # span(1^m) with m = 1 mod p is not orthogonal to itself: dual(C2) is not in C1
+    lone = LinearCode.from_parity_check(f, np.ones((1, n + 1), dtype=np.int64))
+    g1 = np.eye(n + 1, dtype=np.int64)[:n - 1]
+    for args in ((), (g1,), (g1[:1],), (np.ones((2, n), dtype=np.int64),)):
+        with pytest.raises(NotOrthogonal):
+            CssPair.build(lone, lone, *args)
+    with pytest.raises(NotOrthogonal):
+        CssPair(lone, lone, g1, g1)
+    unit = np.eye(n, dtype=np.int64)[:k]  # independent of dual(C2) but outside C1
+    for g in (unit, pair.C2.H[:1].repeat(k, axis=0), pair.g1[[0] * k] if k > 1 else unit[:, :-1],
+              np.ones((k + 1, n), dtype=np.int64)):
+        with pytest.raises(BadComplement):
+            CssPair.build(C1, C2, g)
+    with pytest.raises(BadComplement):
+        CssPair(C1, C2, pair.g1, f.mul(2, pair.g2) if f.q > 2 else unit)
+    assert CssPair.build(C1, C2, pair.g1).k == k
 
 
 def test_pair_with_redundant_dual_rows_rejected():

@@ -606,6 +606,33 @@ def test_check_inner_keeps_exception_classes(name):
             concatenate(bad, outer, ext)
 
 
+@pytest.mark.parametrize("q", [2, 3])
+def test_inner_certificate_is_one_product_per_pair(monkeypatch, q):
+    """bvector_pair runs one product over GF(q), the certificate of its
+    CssPair (codes._pairing), and concatenate runs one more, in
+    _check_inner, beside the two pi tables and the two (B') products: no
+    containment product C2.H.C1.H^T runs on a valid pair."""
+    F = Field(q)
+    ext = Extension(F, 4)
+    ext.dual_table  # the extension's own tables are not counted here
+    outer = nested_grs_pair(ext, 15, 11, 11)
+    calls, matmul = [], Field.matmul
+
+    def spy(self, A, B):
+        calls.append((self.q, np.shape(A), np.shape(B)))
+        return matmul(self, A, B)
+
+    monkeypatch.setattr(Field, "matmul", spy)
+    inner = bvector_pair(F, [1] * 6, [1] * 6)
+    pairing = (q, (5, 6), (6, 5))  # [C2.H; g1] . [C1.H; g2]^T
+    assert calls == [pairing]
+    calls.clear()
+    concatenate(inner, outer, ext)
+    tables = [(q, (ext.Q, 4), (4, 6))] * 2  # PI_s = coords_s . g_s
+    checks = [(q, (ext.Q, 6), (6, 5))] * 2  # (B'): PI_s . HgT_s
+    assert sorted(calls) == sorted(tables + [pairing] + checks)
+
+
 @pytest.mark.parametrize("q", [2, 3, 4])
 def test_check_inner_matches_rank_reference_on_random_mutations(q):
     """Random CSS pairs and single-entry changes of g1 or g2 or an added

@@ -389,12 +389,12 @@ def test_decode_batch_forms_no_nN_wide_product(monkeypatch):
     residual Ehat.Gp^T."""
     cp = _cp_90_28()
     ctxs = [DecoderContext(cp, side=side) for side in (1, 2)]
-    widths, matmul = [], Field.matmul
+    widths, matmul = [], Field._matmul  # every product, the GRS codes' included
 
     def spy(self, A, B):
         widths.append(max(np.shape(A)[-1:] + np.shape(B)[1:]))
         return matmul(self, A, B)
-    monkeypatch.setattr(Field, "matmul", spy)
+    monkeypatch.setattr(Field, "_matmul", spy)
     rng = np.random.default_rng(5)
     for ctx in ctxs:
         S = rng.integers(0, 2, size=(50, ctx.syndrome_len))
@@ -658,13 +658,13 @@ def test_outer_products_read_the_codes_transposes(monkeypatch):
     cp = _cp_504_186()
     fQ = cp.ext.as_field()
     seen = []
-    matmul = fQ.matmul
+    matmul = fQ._matmul  # the product under Field.matmul and the GRS codes' products
 
     def spy(A, B):
         seen.append(np.asarray(B))
         return matmul(A, B)
 
-    monkeypatch.setattr(fQ, "matmul", spy)
+    monkeypatch.setattr(fQ, "_matmul", spy)
     ch = AdditiveChannel.symmetric(F2, 0.015)
     for side in (1, 2):
         ctx = DecoderContext(cp, side=side)

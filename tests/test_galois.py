@@ -13,6 +13,7 @@ from cssconcat import galois
 from cssconcat.errors import DomainError, NotABasis, NotPrimitive, TooLarge
 from cssconcat.galois import Extension, Field
 from cssconcat.matrix import chunk_rows, digits, pack
+import references
 from references import inverse
 
 
@@ -388,6 +389,21 @@ def test_dual_table_matches_trace_definition(base, k):
         assert ext.phi_dual(a).tolist() == want
     ext.phi_dual(1)[:] = 0  # a returned row is a copy, not a view of the table
     assert ext.dual_table[1].tolist() == [ext.trace(ext.alpha_pow(j)) for j in range(k)]
+
+
+@pytest.mark.parametrize("base, k", [(Field(2), 1), (Field(2), 4), (Field(2), 12), (Field(3), 1),
+                                     (Field(3), 4), (Field(5), 3), (Field(2, 2), 3), (Field(3, 2), 2)],
+                         ids=["2^1", "2^4", "2^12", "3^1", "3^4", "5^3", "4^3", "9^2"])
+def test_trace_form_tables_match_conjugate_sums(base, k):
+    """dual_table = coord_table . T over GF(q), T[i, j] = Tr(alpha^(i+j)),
+    and trace_table, its column 0, equal the conjugate-sum references entry
+    for entry, as int64."""
+    ext = Extension(base, k)
+    dual, trace = references.conjugate_dual_table(ext), references.conjugate_trace_table(ext)
+    assert ext.dual_table.dtype == dual.dtype == np.int64 and ext.dual_table.shape == (ext.Q, k)
+    assert ext.trace_table.dtype == trace.dtype == np.int64 and ext.trace_table.shape == (ext.Q,)
+    assert np.array_equal(ext.dual_table, dual)
+    assert np.array_equal(ext.trace_table, trace)
 
 
 def test_dual_basis_rejects_dependent_elements():

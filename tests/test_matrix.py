@@ -143,6 +143,26 @@ def test_pack_edge_shapes():
     assert matrix.digits(19, 3, 3).tolist() == [1, 0, 2]
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 4096])
+def test_pack_matches_python_integer_reference(q):
+    """pack equals sum_j d_j q**j summed in Python integers, on shapes with
+    0 rows, 1 row, 1 and 0 digits, several leading axes and a 1-D vector,
+    in int8 (where q allows), int16 and int64 digits, up to q**5 = 2**60."""
+    rng = np.random.default_rng(q)
+    for shape in [(0, 3), (1, 4), (6, 1), (5, 0), (2, 7, 3), (4,), (300, 5)]:
+        D = rng.integers(0, q, size=shape)
+        rows = D.reshape(int(np.prod(shape[:-1])), shape[-1])
+        want = np.array([sum(int(d) * q ** j for j, d in enumerate(row)) for row in rows],
+                        dtype=np.int64)
+        want = want.reshape(shape[:-1])
+        for dtype in [np.int8, np.int16, np.int64]:
+            if q > np.iinfo(dtype).max:
+                continue
+            got = matrix.pack(D.astype(dtype), q)
+            assert np.asarray(got).dtype == np.int64 and np.shape(got) == shape[:-1]
+            assert np.array_equal(got, want)
+
+
 def test_enumerate_span_counts():
     f = Field(3)
     G = np.array([[1, 0, 2], [0, 1, 1]])
@@ -455,6 +475,44 @@ def test_prime_matmul_matches_integer_reference(p):
             assert f.matmul(A_in[:, :0], B_in[:0]).shape == (rows, 7)
 
 
+def _rs80_generator():
+    """The 320 x 480 generator of L1 of [[480,160]]: inner [[6,4]] over
+    GF(3), RS[80,60] over GF(81)."""
+    from cssconcat.codes import bvector_pair
+    from cssconcat.concat import concatenate
+    from cssconcat.outer_grs import nested_grs_pair
+    f3 = Field(3)
+    ext = Extension(f3, 4)
+    cp = concatenate(bvector_pair(f3, [1] * 6, [1] * 6), nested_grs_pair(ext, 80, 60, 60), ext)
+    assert cp.L1.G.shape == (320, 480)
+    return cp.L1.G
+
+
+@pytest.mark.parametrize("p", (2, 3, 5))
+def test_blas_matmul_matches_table_reference(monkeypatch, p):
+    """The BLAS product equals the dense table product (references), in the
+    field's dtype, on 0 rows, 1 row, a 1-D row, 1 column, an inner
+    dimension of 1, and on several chunks: the rs80 generator against its
+    transpose, and a small chunk budget that cuts 40 rows into many."""
+    from references import dense_matmul
+    f = Field(p)
+    rng = np.random.default_rng(70 + p)
+    G = _rs80_generator() % p
+    cases = [(rng.integers(0, p, (0, 6)), rng.integers(0, p, (6, 5))),
+             (rng.integers(0, p, (1, 6)), rng.integers(0, p, (6, 5))),
+             (rng.integers(0, p, 6), rng.integers(0, p, (6, 5))),
+             (rng.integers(0, p, (8, 6)), rng.integers(0, p, (6, 1))),
+             (rng.integers(0, p, (8, 1)), rng.integers(0, p, (1, 4))),
+             (G[:40], G[:50].T), (G, G[:7].T)]
+    assert len(G) > matrix.chunk_rows(480, 4)  # two chunks of float32 rows
+    for budget in (matrix._CHUNK_BYTES, 1000):
+        monkeypatch.setattr(matrix, "_CHUNK_BYTES", budget)
+        for A, B in cases:
+            got = f.matmul(A, B)
+            assert got.dtype == f.dtype and got.shape == A.shape[:-1] + B.shape[1:]
+            assert np.array_equal(got, dense_matmul(f, A.astype(np.int64), B.astype(np.int64)))
+
+
 @pytest.mark.parametrize("p", (2, 3, 31, 103, 4093))
 def test_reduce_mod_float32_exact_below_bound(p):
     """Every integer of magnitude within 2**16 of the float32 bound."""
@@ -526,6 +584,31 @@ def test_gf2_packed_kernel_matches_references(case):
         assert np.array_equal(Mt.span_contains_rows(X_in), want)
         assert inside[:4].all() and inside[-2:].all()
         assert np.array_equal(GF2.matmul(A_in, B_in), (A @ B) % 2)
+
+
+@pytest.mark.parametrize("p", (2, 3, 5))
+def test_fast_kernels_match_table_kernel_at_edge_shapes(p):
+    """The packed GF(2) and blocked odd-prime kernels return the R, pivots,
+    rank and dtype of the table kernel (the reference path) on 0 rows, 1
+    row, 1 column, the [6,12] row-profile shape, several panels of pivots
+    and the 320 x 480 rs80 generator, reduced mod p, and its rank-deficient
+    stack on itself."""
+    f = Field(p)
+    kernel = matrix._RREF[f.kind]
+    rng = np.random.default_rng(90 + p)
+    profile = np.concatenate([np.ones((6, 1)), np.eye(6)[:, :5], np.eye(6)], axis=1)
+    G = _rs80_generator() % p
+    cases = [np.zeros((0, 5)), rng.integers(0, p, (1, 7)), rng.integers(0, p, (6, 1)),
+             np.zeros((3, 1)), profile, rng.integers(0, p, (150, 200)),
+             (rng.integers(0, p, (150, 70)) @ rng.integers(0, p, (70, 200))) % p,
+             G, np.concatenate([G[:100], G[:100]])]
+    for A in cases:
+        a = A.astype(f.dtype)
+        R, piv, rank = kernel(f, a)
+        ref = matrix._rref_rows(f, a)
+        assert R.dtype == ref[0].dtype == f.dtype and R.shape == a.shape
+        assert np.array_equal(R, ref[0]) and (piv, rank) == ref[1:]
+        assert np.array_equal(a, A.astype(f.dtype))  # the input is left as it was
 
 
 @pytest.mark.parametrize("r", [400, 300])

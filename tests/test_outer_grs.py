@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from cssconcat import outer_grs
+from cssconcat import galois, outer_grs
 from cssconcat.codes import validate_css
 from cssconcat.errors import (
     BadDimension,
@@ -588,6 +588,48 @@ def test_outer_code_inputs_range_checked():
         rs8.bd_decode([1, 0, 0])
     with pytest.raises(DomainError):  # a zero evaluation point
         GrsCode(E8, [0, 1, 2, 3, 4, 5, 6], [1] * 7, 3).bd_decode([1, 0, 0, 0])
+
+
+def test_kept_tables_are_checked_once_and_caller_codes_on_every_call(monkeypatch):
+    """H^T, G^T and the Chien table are checked to hold codes once, when
+    built; later products check only the caller's rows, and a code outside
+    [0, Q) passed to syndrome, dual_syndrome or bd_decode_batch still raises
+    DomainError, before and after the tables are built."""
+    ext = Extension(Field(2), 4)
+    D = nested_grs_pair(ext, 15, 11, 11)[0]
+    bad = [[ext.Q] + [0] * 14, [-1] + [0] * 14, [0.5] + [0] * 14]
+    calls = [D.syndrome, D.dual_syndrome, lambda e: D.bd_decode_batch(np.asarray(e)[:, :4])]
+    for built in (False, True):
+        for call in calls:
+            for e in bad:
+                with pytest.raises(DomainError):
+                    call([e])
+        if not built:
+            for call in calls:
+                call(np.zeros((1, 15), dtype=np.int64))
+    assert {"_Ht", "_Gt", "_chien"} <= set(vars(D))
+    checked = []
+    check = outer_grs.check_codes
+
+    def spy(X, q, what="entries"):
+        checked.append(np.shape(X))
+        return check(X, q, what)
+
+    monkeypatch.setattr(outer_grs, "check_codes", spy)
+    monkeypatch.setattr(galois, "check_codes", spy)
+    e = np.zeros((3, 15), dtype=np.int64)
+    e[:, [1, 4]] = 1
+    D.syndrome(e)
+    D.dual_syndrome(e)
+    assert checked == [(3, 15), (3, 15)]  # the caller's rows, not the kept tables
+    checked.clear()
+    E, ok, _ = D.bd_decode_batch(D.syndrome(e))
+    assert ok.all() and np.array_equal(E, e)
+    assert checked == [(3, 15)]  # the syndrome call; the decoder checks S with as_codes
+    fresh = GrsCode(ext, D.points, D.multipliers, D.K)
+    checked.clear()
+    fresh.syndrome(e)
+    assert sorted(checked) == [(3, 15), (15, 4)]  # e, and H^T once, as it is built
 
 
 def test_zero_radius_fails_with_its_reason():
