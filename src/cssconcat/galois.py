@@ -676,7 +676,7 @@ class Extension:
     def trace_table(self):
         """``Tr a = a + a^q + ... + a^(q^(k-1))`` for every element code:
         column 0 of :attr:`dual_table`, as Tr(a alpha^0) = Tr a."""
-        return np.ascontiguousarray(self.dual_table[:, 0])
+        return self.dual_table[:, 0].copy()
 
     def trace(self, a):
         """Field trace down to GF(q), returned as a base-field code."""

@@ -367,8 +367,10 @@ def certify_css_pair(D1: GrsCode, D2: GrsCode):
     RankDeficient when a code's G.H^T != 0."""
     ext, a = D1.ext, D1.points
     fQ, N = ext.as_field(), a.size
-    if (np.array_equal(a, D2.points) and _distinct_codes(ext, a)
-            and all(np.array_equal(code._log_diff_points, a) for code in (D1, D2))):
+    # codes built on one point array (nested_grs_pair) share it: no comparison
+    if (all(x is a or np.array_equal(x, a) for x in (D2.points, D1._log_diff_points,
+                                                      D2._log_diff_points))
+            and _distinct_codes(ext, a)):
         # (O): the power sums of u1 u2 that Hout1.Hout2^T holds vanish, summed
         # a slice of degrees at a time so that no (degrees, N) matrix is formed
         s = fQ.mul(D1.dual_multipliers, D2.dual_multipliers)
