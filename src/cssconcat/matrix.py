@@ -55,6 +55,8 @@ _PANEL = 64  # pivots per delayed update in the odd-prime elimination
 _CHUNK_BYTES = 1 << 19  # bytes per chunked temporary
 _F32_SUM = (1 << 22) - 1  # float32 sums of smaller magnitude reduce exactly
 _SPAN_CHUNK = 1 << 14  # codewords per chunk of enumerate_span
+# row c: bit c of every byte value, in np.packbits order (bit 0 the highest)
+_BYTE_BITS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).T.copy()
 
 
 def digits(codes, q, k):
@@ -193,8 +195,7 @@ def _rref_gf2(f, a):
         if len(order) == rows:
             break
         byte = col >> 3
-        bits = P[:, byte] >> 7 - (col & 7)
-        bits &= 1
+        bits = _BYTE_BITS[col & 7][P[:, byte]]  # the column, one gather
         cand = bits & free
         piv = int(cand.argmax())
         if not cand[piv]:
