@@ -13,9 +13,9 @@ is narrowed (:func:`as_codes`), so no out-of-range entry can wrap into a code.
 
 Elimination picks its kernel from the field's ``kind``.  GF(2) packs each
 row into bytes (``np.packbits``) and clears a pivot's column from every
-other row with one masked XOR over those bytes; GF(p^e) with e > 1 and the
-GF(Q) field of an extension go through the dense tables, one
-multiplication-table gather per pivot and a row update that is XOR in
+other row with one masked XOR over whole blocks of those bytes; GF(p^e)
+with e > 1 and the GF(Q) field of an extension go through the dense tables,
+one multiplication-table gather per pivot and a row update that is XOR in
 characteristic 2 and an add-table gather otherwise.  That kernel works for
 every field and is the reference the others are tested against.  Odd prime
 fields run a blocked Gauss-Jordan on BLAS: pivots are found column by
@@ -55,8 +55,10 @@ _PANEL = 64  # pivots per delayed update in the odd-prime elimination
 _CHUNK_BYTES = 1 << 19  # bytes per chunked temporary
 _F32_SUM = (1 << 22) - 1  # float32 sums of smaller magnitude reduce exactly
 _SPAN_CHUNK = 1 << 14  # codewords per chunk of enumerate_span
-# row c: bit c of every byte value, in np.packbits order (bit 0 the highest)
-_BYTE_BITS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).T.copy()
+_BLOCK = 32  # bytes: a GF(2) row update starts on a block, so it runs in whole vectors
+# row c: 0xFF for every byte value whose bit c, in np.packbits order, is set
+_BYTE_MASKS = np.ascontiguousarray(
+    np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).T * np.uint8(0xFF))
 
 
 def digits(codes, q, k):
@@ -181,28 +183,35 @@ def _rref_gf2(f, a):
     """Gauss-Jordan over GF(2) on rows packed 8 columns to a byte.
 
     Column ``c`` is bit ``7 - c % 8`` of byte ``c // 8`` (``np.packbits``
-    order).  Rows stay where they are: a pivot clears its column from every
-    other row by one masked XOR over the bytes from its own on, which is
-    exact because a pivot row vanishes left of its column.  The pivot rows
-    are put in order once at the end and unpacked, with the rows left zero
-    below them, into the one (rows, cols) array that is ``R``.
+    order), and every row is padded with zero bytes to whole blocks of
+    ``_BLOCK``.  A column is read as byte masks, 0 or 0xFF a row, by one
+    gather from ``_BYTE_MASKS``.  Rows stay where they are: a pivot clears
+    its column from every other row by one masked XOR over the bytes from
+    the block of its column on, which is exact because a pivot row vanishes
+    left of its column; starting on a block keeps every row update in whole
+    SIMD vectors, with no scalar tail.  The pivot rows are put in order once
+    at the end and unpacked, with the rows left zero below them, into the
+    one (rows, cols) array that is ``R``.
     """
     rows, cols = a.shape
-    P = np.packbits(a, axis=1)
-    free = np.ones(rows, dtype=np.uint8)  # 1 on rows not yet a pivot row
+    width = -(-cols // 8)
+    P = np.zeros((rows, -(-width // _BLOCK) * _BLOCK), dtype=np.uint8)
+    P[:, :width] = np.packbits(a, axis=1)
+    free = np.full(rows, 0xFF, dtype=np.uint8)  # rows not yet a pivot row
     order, pivots = [], []
     for col in range(cols):
         if len(order) == rows:
             break
         byte = col >> 3
-        bits = _BYTE_BITS[col & 7][P[:, byte]]  # the column, one gather
-        cand = bits & free
+        mask = _BYTE_MASKS[col & 7][P[:, byte]]
+        cand = mask & free
         piv = int(cand.argmax())
         if not cand[piv]:
             continue
         free[piv] = 0
-        bits[piv] = 0
-        P[:, byte:] ^= bits[:, None] * P[piv, byte:]
+        mask[piv] = 0
+        lo = byte - byte % _BLOCK
+        P[:, lo:] ^= mask[:, None] & P[piv, lo:]
         order.append(piv)
         pivots.append(col)
     rank = len(order)
