@@ -8,11 +8,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cssconcat.codes import bvector_pair
+from cssconcat.concat import concatenate
 from cssconcat.errors import DomainError, TooLarge
 from cssconcat import galois, matrix
 from cssconcat.galois import Extension, Field
 from cssconcat.matrix import MatGF, enumerate_span
-from references import reduce_rows
+from cssconcat.outer_grs import nested_grs_pair
+from references import dense_matmul, reduce_rows
 
 
 def test_rref_identity():
@@ -478,9 +481,6 @@ def test_prime_matmul_matches_integer_reference(p):
 def _rs80_generator():
     """The 320 x 480 generator of L1 of [[480,160]]: inner [[6,4]] over
     GF(3), RS[80,60] over GF(81)."""
-    from cssconcat.codes import bvector_pair
-    from cssconcat.concat import concatenate
-    from cssconcat.outer_grs import nested_grs_pair
     f3 = Field(3)
     ext = Extension(f3, 4)
     cp = concatenate(bvector_pair(f3, [1] * 6, [1] * 6), nested_grs_pair(ext, 80, 60, 60), ext)
@@ -494,7 +494,6 @@ def test_blas_matmul_matches_table_reference(monkeypatch, p):
     field's dtype, on 0 rows, 1 row, a 1-D row, 1 column, an inner
     dimension of 1, and on several chunks: the rs80 generator against its
     transpose, and a small chunk budget that cuts 40 rows into many."""
-    from references import dense_matmul
     f = Field(p)
     rng = np.random.default_rng(70 + p)
     G = _rs80_generator() % p
