@@ -23,7 +23,8 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .codes import ENUM_CAP, LinearCode, _row_profile, min_weight_excluding, min_weight_outside
+from .codes import (ENUM_CAP, LinearCode, _row_profile, min_weight_excluding, min_weight_outside,
+                    validate_css)
 from .concat import _concatenated_rows
 from .errors import (
     BadField,
@@ -126,13 +127,14 @@ class EnlargedCode:
 def steane_enlarge(C: LinearCode, Cprime: LinearCode) -> EnlargedCode:
     """Enlarge dual-containing C using a strictly larger Cprime.
 
-    Requires dual(C) <= C <= Cprime and dim Cprime >= dim C + 2, checked by
-    elimination: the codes are arbitrary, as read from files.  V is the
+    Requires dual(C) <= C <= Cprime and dim Cprime >= dim C + 2: the first
+    by the product C.H C.H^T = 0 (:func:`codes.validate_css`), the second by
+    elimination, as the codes are arbitrary, read from files.  V is the
     first rows of Cprime.G independent modulo C: the g1 of the row profile
     of (Cprime, dual C), which completes dual(dual C) = C inside Cprime.
     """
     f = C.field
-    if not C.dual().is_subcode(C):
+    if not validate_css(C, C):
         raise PremiseViolation("C must contain its dual")
     if not C.is_subcode(Cprime):
         raise PremiseViolation("C must be a subcode of Cprime")
@@ -237,8 +239,11 @@ def enlarged_concat(C1: LinearCode, g1, ext: Extension, D: GrsCode,
                     Dprime: GrsCode, cap: int = ENUM_CAP) -> EnlargedCode:
     """Concatenate-then-enlarge with a nested GRS outer tower.
 
-    Conditions: (A) C1 contains its dual; (B) ``g1`` is an orthonormal set
-    completing dual(C1) to C1; (C) the extension admits a self-dual basis.
+    Conditions: (A) C1 contains its dual, C1.H C1.H^T = 0
+    (:func:`codes.validate_css`); (B) ``g1`` is an orthonormal set
+    completing dual(C1) to C1; (C) the extension admits a self-dual basis,
+    decided exactly by :meth:`galois.Extension.self_dual_basis`: one exists
+    iff q is even or k is odd.
     ``D`` and ``Dprime`` must satisfy dual(D) <= D < Dprime on shared points
     (:func:`outer_grs.certify_css_pair` on (D, D) and (Dprime, D.dual())),
     and live over ``ext``: codes over another extension raise FieldMismatch.
@@ -264,7 +269,7 @@ def enlarged_concat(C1: LinearCode, g1, ext: Extension, D: GrsCode,
         profile of (C', dual C) picks in :func:`steane_enlarge`.
     """
     f = C1.field
-    if not C1.dual().is_subcode(C1):
+    if not validate_css(C1, C1):
         raise ConditionViolation("(A) inner code does not contain its dual")
     g1 = np.array(g1, dtype=np.int64)
     k = g1.shape[0]

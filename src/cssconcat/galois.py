@@ -40,6 +40,29 @@ of alpha^m, m < 2k - 1, each the sum of its k conjugates alpha^(m q^i).  The
 trace table is its column 0.  So the tables cost one (Q, k) x (k, k) product
 over GF(q) and no product or sum over GF(Q) per element.
 
+Self-dual bases.  :meth:`Extension.self_dual_basis` runs Gram-Schmidt on the
+trace form B(x, y) = Tr(xy) over a boolean mask of all Q codes.  A code is a
+candidate when B(x, x) is a nonzero square of GF(q) and x is orthogonal to
+every element chosen so far; each step appends v / c for the least candidate
+v and the least square root c of B(v, v), then clears the codes not
+orthogonal to it.  The chosen elements are orthonormal, so the complement W
+left over is nondegenerate.  In characteristic 2, B(x, x) = Tr(x)^2, and on
+W, Tr(x) = B(x, w) for w = 1 + sum of the chosen elements, the part of 1 in
+W.  So the form on W is alternating, and the pass stuck, exactly when w = 0,
+that is when 1 lies in the span of the chosen elements.  Until the last step
+the multiples of w are cleared too, which keeps 1 out of that span; they are
+never orthogonal to the next element b, as B(w, b) = Tr(b) = 1, so they are
+cleared for good.  With dim W = d >= 2, (q - 1) q^(d-1) codes of W have
+nonzero trace and at most q - 1 of them are multiples of w, so a candidate
+remains; at the last step W is spanned by w, and B(w, w) = Tr(w) = Tr(w)^2
+is nonzero, so 1.  For odd q a nondegenerate form of dimension >= 2 takes
+every nonzero square as a value, so only the last step can fail: W is
+spanned by some u, and B(u, u) is a square exactly when the discriminant of
+B is.  When it is not, no orthonormal basis exists, which happens exactly
+when k is even (Seroussi and Lempel, "Factorization of symmetric matrices
+and trace-orthogonal bases in finite fields", SIAM J. Comput. 9, 1980), and
+None is returned.
+
 Codes split into digits and pack back through :func:`matrix.digits` and
 :func:`matrix.pack`, the one coding.  An extension inverts its trace-dual
 coordinates once: ``from_dual_table`` inverts the packed ``dual_table``.
@@ -63,7 +86,6 @@ objects are immutable after construction and safe to share across threads.
 
 from __future__ import annotations
 
-import itertools
 from functools import cached_property
 
 import numpy as np
@@ -72,8 +94,6 @@ from .errors import DivisionByZero, DomainError, NotABasis, NotPrimitive, TooLar
 from .matrix import MatGF, blas_dtype, check_codes, chunk_rows, digits, pack, reduce_mod
 
 _TABLE_CAP = 1 << 13  # largest field or extension order: dense Q x Q tables
-_SDB_TRIES = 64  # self_dual_basis: search rounds, the first exhaustive
-_SDB_ENUM_CAP = 1 << 16  # self_dual_basis: candidates per basis element and round
 
 _SCALAR_TYPES = (int, np.integer)
 
@@ -442,12 +462,6 @@ class Field:
             n >>= 1
         return result
 
-    def is_square(self, a):
-        a = int(a)
-        if self.p == 2 or a == 0:
-            return True
-        return self.pow(a, (self.q - 1) // 2) == 1
-
     def sqrt(self, a):
         """A square root of ``a``, or None if ``a`` is a non-residue."""
         a = int(a)
@@ -758,54 +772,31 @@ class Extension:
         return [int(preimage[self.q ** j]) for j in range(self.k)]
 
     def self_dual_basis(self):
-        """Search for a basis whose trace Gram matrix is the identity.
-
-        Returns a list of k element codes, or None if the search fails (which
-        is a legitimate outcome for some odd-characteristic cases; for even q
-        a self-dual basis always exists and the search is expected to find
-        one at desk sizes); ``_SDB_TRIES`` rounds, ``_SDB_ENUM_CAP`` tries each.
-        """
-        base, k, q, fQ = self.base, self.k, self.q, self.as_field()
-        rng = np.random.default_rng(20240823)
-        for attempt in range(_SDB_TRIES):
-            sel: list[int] = []
-            while len(sel) < k:
-                if sel:
-                    comp = MatGF(base, self.dual_table[sel]).null_space().a
-                else:
-                    comp = np.eye(k, dtype=np.int64)
-                if comp.shape[0] == 0:
-                    break
-                found = None
-                combos = itertools.product(range(q), repeat=comp.shape[0])
-                if attempt > 0:
-                    combos = (tuple(rng.integers(0, q, comp.shape[0]))
-                              for _ in range(min(_SDB_ENUM_CAP, 4096)))
-                for count, cs in enumerate(combos):
-                    if count >= _SDB_ENUM_CAP:
-                        break
-                    if not any(cs):
-                        continue
-                    coords = base.add_reduce(
-                        base.mul(np.asarray(cs, dtype=np.int64)[:, None], comp), axis=0)
-                    v = int(self.from_coords(coords))
-                    t = self.trace(fQ.mul(v, v))
-                    if t == 0 or not base.is_square(t):
-                        continue
-                    c = base.sqrt(t)
-                    if c is None or c == 0:
-                        continue
-                    found = fQ.div(v, c)
-                    break
-                if found is None:
-                    break
-                sel.append(found)
-            if len(sel) == k:
-                b = np.asarray(sel, dtype=np.int64)
-                gram = self.trace(fQ.mul(b[:, None], b))
-                if np.array_equal(gram, np.eye(k, dtype=np.int64)):
-                    return sel
-        return None
+        """A basis whose trace Gram matrix is the identity, or None when none
+        exists, which is exactly when q is odd and k even: one Gram-Schmidt
+        pass on the trace form over a mask of all Q codes (module docstring,
+        "Self-dual bases").  The elements come in code order, each the least
+        candidate scaled by the least square root of its form value."""
+        fQ, tr, k = self.as_field(), self.trace_table, self.k
+        values, least = np.unique(self.base.mul_table.diagonal(), return_index=True)
+        root = np.zeros(self.q, dtype=np.int64)  # least square root; 0 off the squares
+        root[values] = least
+        mask = root[tr[fQ.mul_table.diagonal()]] > 0  # B(x, x) a nonzero square
+        basis, w = [], 1  # w = 1 + sum of the basis, in characteristic 2
+        for step in range(k):
+            if self.base.p == 2 and step < k - 1:
+                mask[fQ.mul_table[w, :self.q]] = False
+            hits = np.flatnonzero(mask)
+            if not hits.size:  # odd q: the last step, at a non-square discriminant
+                return None
+            v = int(hits[0])
+            basis.append(fQ.div(v, int(root[tr[fQ.mul(v, v)]])))
+            mask &= tr[fQ.mul_table[basis[-1]]] == 0
+            w ^= basis[-1]
+        b = np.asarray(basis)
+        if not np.array_equal(tr[fQ.mul(b[:, None], b)], np.eye(k, dtype=np.int64)):
+            raise AssertionError("self-dual basis is not orthonormal")  # pragma: no cover
+        return basis
 
     # -- bridge to the generic matrix layer ----------------------------------
 

@@ -147,6 +147,25 @@ def conjugate_dual_table(ext):
     return conjugate_trace_table(ext)[ext.as_field().mul(np.arange(ext.Q)[:, None], basis)]
 
 
+def self_dual_basis_exists(ext):
+    """Whether GF(Q) has a basis over GF(q) with Tr(b_i b_j) = delta_ij, by
+    a backtracking search over sets of mutually orthogonal elements of form
+    value 1 (orthonormal elements are independent), with the traces of
+    :func:`conjugate_trace_table`; for Q <= 81."""
+    if ext.Q > 81:
+        raise DomainError("the backtracking reference is for Q <= 81")
+    form = conjugate_trace_table(ext)[ext.as_field().mul_table]  # Tr(xy)
+    units = np.flatnonzero(form.diagonal() == 1)
+
+    def extend(chosen, start):
+        if len(chosen) == ext.k:
+            return True
+        return any(extend(chosen + [u], i + 1) for i, u in enumerate(units[start:], start)
+                   if not form[u, chosen].any())
+
+    return extend([], 0)
+
+
 def pi_rows(m, pair, ext, M):
     """:func:`concat.pi_map` of every row of a matrix over GF(q^k), gathered
     from the pi table of side ``m``'s :class:`concat.Side` record."""

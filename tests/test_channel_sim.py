@@ -174,18 +174,21 @@ def test_sampler_value_frequencies(q, probs):
 
 
 def test_mc_path_loads_no_numpy_random():
-    """Set-up and Monte-Carlo on both sides of [[90,28]] never import
-    numpy.random, whose extension modules would stay resident.  This needs
-    numpy >= 2.0 (the floor in pyproject.toml): its ``import numpy`` loads
-    ``numpy.random`` on first attribute access, where 1.x imports it eagerly."""
+    """Set-up and Monte-Carlo on both sides of [[90,28]], a [[20,6]]
+    enlargement with its self-dual basis, and the self-dual basis that GF(9)
+    lacks never import numpy.random, whose extension modules would stay
+    resident.  This needs numpy >= 2.0 (the floor in pyproject.toml): its
+    ``import numpy`` loads ``numpy.random`` on first attribute access, where
+    1.x imports it eagerly."""
     code = textwrap.dedent("""
         import sys
         from cssconcat.channel_sim import AdditiveChannel, mc_error_rate
-        from cssconcat.codes import bvector_pair
+        from cssconcat.codes import LinearCode, bvector_pair
         from cssconcat.concat import concatenate
         from cssconcat.decode import DecoderContext
+        from cssconcat.enlarge import distance2_inner_generator, enlarged_concat
         from cssconcat.galois import Extension, Field
-        from cssconcat.outer_grs import nested_grs_pair
+        from cssconcat.outer_grs import GrsCode, nested_grs_pair, self_dual_multiplier_grs
 
         f2, e16 = Field(2), Extension(Field(2), 4)
         cp = concatenate(bvector_pair(f2, [1] * 6, [1] * 6), nested_grs_pair(e16, 15, 11, 11), e16)
@@ -193,6 +196,16 @@ def test_mc_path_loads_no_numpy_random():
         ch = AdditiveChannel.symmetric(f2, 0.01)
         for side in (1, 2):
             mc_error_rate(DecoderContext(cp, side=side), ch, 300, 1)
+        assert "numpy.random" not in sys.modules
+        # an enlargement, which builds a self-dual basis of GF(16) over GF(4)
+        f4 = Field(2, 2)
+        G, _, gs = distance2_inner_generator(f4, 4)
+        e16 = Extension(f4, 2)
+        pts = [e16.alpha_pow(j) for j in range(5)]
+        D = self_dual_multiplier_grs(e16, pts, 3)
+        enl = enlarged_concat(LinearCode(f4, G.a), gs, e16, D, GrsCode(e16, pts, D.multipliers, 5))
+        assert (enl.length, enl.logical_dims) == (20, 6)
+        assert Extension(Field(3), 2).self_dual_basis() is None
         assert "numpy.random" not in sys.modules
     """)
     import cssconcat

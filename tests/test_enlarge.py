@@ -265,6 +265,17 @@ def test_enlarged_concat_conditions():
         enlarged_concat(C1, gs4, e16, D, D)
 
 
+def test_enlarged_concat_rejects_extension_without_self_dual_basis():
+    """Over GF(9) = GF(3)^2, odd q and even k, no self-dual basis exists, so
+    the full space GF(3)^2 with g1 = I, which meets (A) and (B), fails (C);
+    (C) is checked before the outer tower."""
+    f3, e9 = Field(3), Extension(Field(3), 2)
+    pts = [e9.alpha_pow(j) for j in range(8)]
+    D, Dp = GrsCode(e9, pts, [1] * 8, 4), GrsCode(e9, pts, [1] * 8, 6)
+    with pytest.raises(ConditionViolation, match=re.escape("(C) extension has no self-dual basis")):
+        enlarged_concat(LinearCode.full_space(f3, 2), np.eye(2, dtype=np.int64), e9, D, Dp)
+
+
 def test_enlarged_concat_outer_tower_rejections():
     """Each outer-tower condition is rejected with its own message: Dprime
     with other multipliers or on other points; D with K < N - K, which
