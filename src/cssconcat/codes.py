@@ -34,6 +34,11 @@ C1 = dual(C2) + span(g1).  By the same argument, with dual(C1) <= C2 the
 dual of the containment, C2 = dual(C1) + span(g2).  A nonzero C2.H C1.H^T
 raises NotOrthogonal, any other failing block BadComplement.
 
+Shared work.  :func:`bvector_pair` with equal checks returns one code as
+both C1 and C2, so the row profile ranks one check, and a code keeps its
+coset-leader table from the first request (:meth:`LinearCode.leader_table`),
+so the decoders of both sides of such a pair read one table.
+
 Brute-force oracles (`min_weight_excluding`, `CosetLeaderTable`) enumerate
 codewords or error patterns and are capped; they are meant as ground truth
 for desk-size instances, not production decoders.  Every brute-force
@@ -68,7 +73,11 @@ TABLE_CAP = 1 << 20
 class LinearCode:
     """An [n, k] linear code given by a full-rank generator matrix, or by a
     parity check (:meth:`from_parity_check`).  A code keeps the matrix it
-    was given and builds the other, a null space, on its first read."""
+    was given and builds the other, a null space, on its first read, and
+    keeps its coset-leader table from the first request
+    (:meth:`leader_table`)."""
+
+    _leaders = None  # the CosetLeaderTable, built on the first request
 
     def __init__(self, field, G):
         mat = G if isinstance(G, MatGF) else MatGF(field, G)
@@ -157,6 +166,17 @@ class LinearCode:
 
     def syndrome(self, e):
         return self.field.matmul(as_codes(self.field, e, "error entries"), self.H.T)
+
+    def leader_table(self, cap: int = TABLE_CAP) -> "CosetLeaderTable":
+        """The code's :class:`CosetLeaderTable`, built on the first request
+        and kept, so every decoder of this code reads one table.  Its entries
+        do not depend on ``cap``, but a request whose ``cap`` is below the
+        table's q^m syndromes raises TooLarge, built or not."""
+        if self._leaders is None:
+            self._leaders = CosetLeaderTable(self, cap)
+        else:
+            _table_size(self.field.q, self._leaders.m, cap)
+        return self._leaders
 
     def __repr__(self):
         return f"LinearCode[{self.n},{self.dim}] over GF({self.field.q})"
@@ -354,6 +374,15 @@ def _weight_patterns(n, w, q, dtype, rows):
     yield from grow(np.zeros((1, n), dtype=dtype), np.array([-1]), 0)
 
 
+def _table_size(q, m, cap):
+    """q^m, the entries of a leader table for m check rows; TooLarge above
+    ``cap``."""
+    size = q ** m
+    if size > cap:
+        raise TooLarge(f"syndrome table of size {size} exceeds cap")
+    return size
+
+
 class CosetLeaderTable:
     """Minimum-weight coset leaders for every syndrome of a code.
 
@@ -368,9 +397,7 @@ class CosetLeaderTable:
         n = C.n
         H = C.H
         m = H.shape[0]
-        size = f.q ** m
-        if size > cap:
-            raise TooLarge(f"syndrome table of size {size} exceeds cap")
+        size = _table_size(f.q, m, cap)
         self.field = f
         self.n = n
         self.m = m
@@ -432,5 +459,6 @@ def bvector_pair(field, b1, b2) -> CssPair:
     if field.dot(b1, b2) != 0:
         raise NotOrthogonal("b1 and b2 must be orthogonal")
     C1 = LinearCode.from_parity_check(field, b1[None, :])
-    C2 = LinearCode.from_parity_check(field, b2[None, :])
+    # equal checks give one code: one rank and one leader table for both sides
+    C2 = C1 if np.array_equal(b1, b2) else LinearCode.from_parity_check(field, b2[None, :])
     return CssPair.build(C1, C2)

@@ -84,7 +84,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .codes import TABLE_CAP, CosetLeaderTable
+from .codes import TABLE_CAP
 from .concat import ConcatPair, _facing
 from .errors import DomainError
 from .matrix import as_codes, chunk_rows, pack
@@ -104,7 +104,10 @@ class DecoderContext:
     for C_s, outer decoding of D_s, with ``cp.sides[s - 1]`` as
     :attr:`record` (:mod:`concat` docstring, "Sides").  The pair must hold
     (G) of the module docstring, Gp_s = PI_o[y_s], as every pair that
-    :func:`concat.concatenate` returns does.
+    :func:`concat.concatenate` returns does.  The leader table is the inner
+    code's own (:meth:`codes.LinearCode.leader_table`), so the contexts of
+    both sides share it when the pair has one inner code for both, as
+    ``bvector_pair(F, b, b)`` does; ``cap`` bounds its q^m entries.
     """
 
     def __init__(self, cp: ConcatPair, side: int = 1, cap: int = TABLE_CAP):
@@ -115,7 +118,7 @@ class DecoderContext:
         self.field = cp.inner.field
         self.ext = cp.ext
         self.record = cp.sides[side - 1]
-        self.table = CosetLeaderTable(self.record.code, cap=cap)
+        self.table = self.record.code.leader_table(cap)
         self.grs, self._opposite = _facing(cp.outer, side)
         self.N = cp.N
         self.n = cp.n

@@ -13,9 +13,9 @@ depends only on the characteristic.  In characteristic 2 a code is the bit
 string of those coordinates: addition and subtraction are XOR, negation is
 the identity, and no add table is stored.  In odd characteristic addition is
 a digit-wise sum mod p, read from a dense add table that is composed digit
-by digit from the p x p table of GF(p), one broadcast sum per digit, run in
-int64 in row chunks and narrowed into the table (:func:`_digit_sum_tables`);
-negation likewise.
+by digit from the p x p table of GF(p), one broadcast sum per digit written
+straight into the next table in the field dtype, where every sum fits
+(:func:`_digit_sum_tables`); negation likewise.
 Sums along an axis (:meth:`Field.add_reduce`) add pairwise through it.
 
 :class:`Field` is the only class that does element arithmetic, and every
@@ -278,35 +278,27 @@ def _digit_sum_tables(p, e, dtype):
     """The (q, q) addition and (q,) negation tables of the codes of GF(p^e),
     odd p, as codes of ``dtype``: digit-wise sums and negatives mod p.
 
-    The tables of the low j digits, of order m = p^j, extend to j + 1 digits
-    by the GF(p) tables of the top digit: a code is low + m high, so the sum
-    of two codes is T[a_low, b_low] + m T1[a_high, b_high].  The rows of the
-    next table with top digit h and low digits in a chunk are the broadcast
-    sum ``m T1[h][:, None] + T[chunk][:, None, :]``, formed in int64, as
-    every other sum of codes is, in one buffer of ``matrix.chunk_rows`` rows
-    and narrowed into the table, so no int64 array of the table's size is
-    made.  T1, whose row i holds i + j mod p, is a sliding window over
-    ``arange(2p - 1) % p``, a view, so no p x p int64 array is made for a
-    large prime either.  Only the stored tables are in ``dtype``.
+    T1, the GF(p) table whose row i holds i + j mod p, is a copy of a (p, p)
+    window with unit strides over ``arange(2p - 1) % p`` in ``dtype``.  The
+    tables of the low j digits, of order m = p^j, extend to j + 1 digits by
+    T1 on the top digit: a code is low + m high, so the sum of two codes is
+    T[a_low, b_low] + m T1[a_high, b_high].  That is one broadcast sum per
+    digit, of ``(m T1)[:, None, :, None]`` and ``T[None, :, None, :]``,
+    written straight into the next table viewed as (p, m, p, m).  Every sum
+    is below the order, so it fits ``dtype``, and no int64 array is made.
     """
-    T1 = np.lib.stride_tricks.sliding_window_view(np.arange(2 * p - 1) % p, p)
-    N1 = -np.arange(p) % p
-    T, N, m = T1.astype(dtype), N1, p
+    r = (np.arange(2 * p - 1) % p).astype(dtype)
+    T1 = np.ndarray((p, p), dtype, r, strides=(r.itemsize, r.itemsize)).copy()
+    N1 = r[p:0:-1].copy()  # -j mod p
+    T, N, m = T1, N1, p
     for _ in range(e - 1):
         M = m * p
-        top = m * T1
-        step = min(m, chunk_rows(M))
-        buf = np.empty((step, p, m), dtype=np.int64)
         nxt = np.empty((M, M), dtype=dtype)
-        for h in range(p):
-            for lo in range(0, m, step):
-                rows = buf[:min(step, m - lo)]
-                np.add(top[h][:, None], T[lo:lo + len(rows), None, :], out=rows)
-                nxt[h * m + lo:h * m + lo + len(rows)] = rows.reshape(len(rows), M)
+        np.add((m * T1)[:, None, :, None], T[None, :, None, :], out=nxt.reshape(p, m, p, m))
         T = nxt
         N = (m * N1[:, None] + N).reshape(M)
         m = M
-    return T, N.astype(dtype)
+    return T, N
 
 
 def _matmul_blas(A, B, p, dtype):

@@ -261,6 +261,12 @@ class GrsCode:
         return GrsCode._on_points(self.ext, self.points, self.dual_multipliers,
                                   self.N - self.K, self._log_diff)
 
+    def with_dimension(self, K: int) -> "GrsCode":
+        """The GRS code of dimension ``K`` on the same points and multipliers,
+        such as D' of a tower dual(D) <= D <= D'.  Like :meth:`dual`, it takes
+        this code's ``_log_diff`` and computes no difference products."""
+        return GrsCode._on_points(self.ext, self.points, self.multipliers, K, self._log_diff)
+
     _Ht = cached_property(lambda self: self._checked(self.H.T))
     _Gt = cached_property(lambda self: self._checked(self.G.T))
 

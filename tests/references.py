@@ -11,7 +11,8 @@ from cssconcat.concat import _sides
 from cssconcat.decode import success_oracle_rows
 from cssconcat.enlarge import enlargement_distance_floor, steane_enlarge
 from cssconcat.errors import BadComplement, DomainError, NotOrthogonal
-from cssconcat.matrix import MatGF, as_codes
+from cssconcat.galois import code_dtype
+from cssconcat.matrix import MatGF, as_codes, chunk_rows, digits, pack
 from cssconcat.outer_grs import MESSAGES
 
 
@@ -145,6 +146,47 @@ def conjugate_dual_table(ext):
     (int64)."""
     basis = np.asarray(ext.power_basis(), dtype=np.int64)
     return conjugate_trace_table(ext)[ext.as_field().mul(np.arange(ext.Q)[:, None], basis)]
+
+
+def digitwise_sum_tables(p, e, rows=None):
+    """The addition table (its ``rows``, default all) and the negation table
+    of GF(p^e) from all e base-p digits of every pair of codes at once, mod
+    p and packed, in row chunks, as the element-code dtype."""
+    q = p ** e
+    dtype = code_dtype(q)
+    D = digits(np.arange(q), p, e)
+    rows = np.arange(q) if rows is None else np.asarray(rows)
+    add = np.empty((len(rows), q), dtype=dtype)
+    step = chunk_rows(q * e)
+    for lo in range(0, len(rows), step):
+        add[lo:lo + step] = pack((D[rows[lo:lo + step], None] + D) % p, p)
+    return add, pack((-D) % p, p).astype(dtype)
+
+
+def chunked_digit_sum_tables(p, e, dtype):
+    """``galois._digit_sum_tables`` as it composed a digit before: per top
+    digit h and chunk of low rows, the sum ``m T1[h][:, None] +
+    T[chunk][:, None, :]`` in an int64 buffer of ``chunk_rows`` rows,
+    narrowed into the table, with T1 a sliding-window view of
+    ``arange(2p - 1) % p``."""
+    T1 = np.lib.stride_tricks.sliding_window_view(np.arange(2 * p - 1) % p, p)
+    N1 = -np.arange(p) % p
+    T, N, m = T1.astype(dtype), N1, p
+    for _ in range(e - 1):
+        M = m * p
+        top = m * T1
+        step = min(m, chunk_rows(M))
+        buf = np.empty((step, p, m), dtype=np.int64)
+        nxt = np.empty((M, M), dtype=dtype)
+        for h in range(p):
+            for lo in range(0, m, step):
+                rows = buf[:min(step, m - lo)]
+                np.add(top[h][:, None], T[lo:lo + len(rows), None, :], out=rows)
+                nxt[h * m + lo:h * m + lo + len(rows)] = rows.reshape(len(rows), M)
+        T = nxt
+        N = (m * N1[:, None] + N).reshape(M)
+        m = M
+    return T, N.astype(dtype)
 
 
 def self_dual_basis_exists(ext):

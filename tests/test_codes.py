@@ -201,6 +201,39 @@ def test_bvector_pair():
         bvector_pair(f3, [1, 1, 1, 1], [1, 1, 1, 2])
 
 
+def test_bvector_pair_with_equal_checks_is_one_code():
+    """Equal checks give one code as both C1 and C2; different checks give
+    two codes, each with its own check."""
+    for f, n in ((F2, 6), (Field(3), 6), (Field(2, 2), 4)):
+        pair = bvector_pair(f, [1] * n, [1] * n)
+        assert pair.C1 is pair.C2 and (pair.n, pair.k) == (n, n - 2)
+    f3 = Field(3)
+    pair = bvector_pair(f3, [1] * 6, [1, 2] * 3)
+    assert pair.C1 is not pair.C2 and (pair.n, pair.k) == (6, 4)
+    assert pair.C1.H.tolist() == [[1] * 6] and pair.C2.H.tolist() == [[1, 2] * 3]
+
+
+def test_leader_table_is_kept_on_the_code():
+    """leader_table builds the table on the first request and returns that
+    table after, whatever the cap; its entries are those of a fresh
+    CosetLeaderTable.  A cap below q^m raises TooLarge before and after the
+    table is built, as the constructor does."""
+    f3 = Field(3)
+    C = LinearCode.from_parity_check(f3, np.array([[1, 1, 1, 1, 1, 1], [0, 1, 2, 0, 1, 2]]))
+    with pytest.raises(TooLarge, match="syndrome table of size 9 exceeds cap"):
+        C.leader_table(cap=8)
+    table = C.leader_table()
+    assert C.leader_table() is table and C.leader_table(cap=9) is table
+    assert C.leader_table(cap=1 << 24) is table
+    fresh = CosetLeaderTable(C, cap=9)  # chunks of one pattern
+    assert np.array_equal(table.leaders, fresh.leaders)
+    assert np.array_equal(table.weights, fresh.weights)
+    for cap in (8, 1):
+        with pytest.raises(TooLarge, match="syndrome table of size 9 exceeds cap"):
+            C.leader_table(cap=cap)
+    assert C.leader_table() is table
+
+
 def test_leader_table_hamming():
     C = steane_code()
     table = CosetLeaderTable(C)

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cssconcat import cli, fileio, matrix
+from cssconcat import cli, codes, fileio, matrix
 from cssconcat.channel_sim import AdditiveChannel, _sample_block, mc_error_rate
 from cssconcat.codes import bvector_pair
 from cssconcat.concat import concatenate, pi_map, verify_duality
@@ -18,7 +18,7 @@ from cssconcat.decode import (
     success_oracle_rows,
     two_stage_decode,
 )
-from cssconcat.errors import DecodeFailure, DomainError
+from cssconcat.errors import DecodeFailure, DomainError, TooLarge
 from cssconcat.galois import Extension, Field
 from cssconcat.outer_grs import nested_grs_pair
 from references import dense_full_syndrome, pi_rows, wide_arrays
@@ -641,6 +641,70 @@ def test_mc_path_runs_no_elimination(monkeypatch, make_cp):
         assert mc_error_rate(ctx, ch, 200, 3).failures > 0
         assert calls == []
         assert "_leader_symbols" in vars(ctx) and "_Ht" in vars(ctx.grs)
+
+
+def _count_setup(monkeypatch, field, b1, b2):
+    """``(inner, contexts, eliminations, tables)`` of the set-up of
+    ``bvector_pair(field, b1, b2)``, ``concatenate`` with RS[15,11] and both
+    decoder contexts: the elimination shapes and the CosetLeaderTables
+    built, the extension and the outer pair made beforehand."""
+    ext = Extension(field, len(b1) - 2)
+    outer = nested_grs_pair(ext, 15, 11, 11)
+    calls, tables = [], []
+    for kind, kernel in list(matrix._RREF.items()):
+        def spy(f, a, kernel=kernel):
+            calls.append(a.shape)
+            return kernel(f, a)
+        monkeypatch.setitem(matrix._RREF, kind, spy)
+    init = codes.CosetLeaderTable.__init__
+
+    def spy_init(self, *args, **kwargs):
+        tables.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(codes.CosetLeaderTable, "__init__", spy_init)
+    inner = bvector_pair(field, b1, b2)
+    cp = concatenate(inner, outer, ext)
+    ctxs = DecoderContext(cp, side=1), DecoderContext(cp, side=2)
+    return inner, ctxs, calls, tables
+
+
+@pytest.mark.parametrize("field, n", [(F2, 6), (F3, 6), (F4, 4)])
+def test_equal_checks_set_up_two_eliminations_and_one_leader_table(monkeypatch, field, n):
+    """bvector_pair(F, b, b) has one inner code for both sides, so its whole
+    set-up, the pair, concatenate and both decoder contexts, runs 2
+    eliminations (the rank of the check and the row profile) and builds one
+    CosetLeaderTable, which both contexts hold."""
+    inner, ctxs, calls, tables = _count_setup(monkeypatch, field, [1] * n, [1] * n)
+    assert inner.C1 is inner.C2
+    assert calls == [(1, n), (n, 2 * n)]  # [C2.H^T | C1.G^T | I_n]
+    assert len(tables) == 1 and ctxs[0].table is ctxs[1].table is tables[0]
+    assert inner.C1.leader_table() is tables[0]
+
+
+def test_different_checks_set_up_two_codes_and_two_leader_tables(monkeypatch):
+    """Different checks keep two codes: the rank of each check, the row
+    profile, and a leader table per side, each from its own check."""
+    inner, ctxs, calls, tables = _count_setup(monkeypatch, F3, [1] * 6, [1, 2] * 3)
+    assert inner.C1 is not inner.C2 and len(calls) == 3
+    assert len(tables) == 2 and ctxs[0].table is not ctxs[1].table
+    assert ctxs[0].table is inner.C1.leader_table() and ctxs[1].table is inner.C2.leader_table()
+    for ctx, code in zip(ctxs, (inner.C1, inner.C2)):
+        fresh = codes.CosetLeaderTable(code)
+        assert np.array_equal(ctx.table.leaders, fresh.leaders)
+
+
+def test_context_cap_is_checked_against_the_shared_table():
+    """A context whose cap is below the q^m table entries raises TooLarge,
+    also after a default-cap context of either side built the table."""
+    cp = _cp_96_32_gf3()  # one check row over GF(3): 3 entries
+    with pytest.raises(TooLarge):
+        DecoderContext(cp, side=1, cap=2)
+    table = DecoderContext(cp, side=1).table
+    for side in (1, 2):
+        with pytest.raises(TooLarge):
+            DecoderContext(cp, side=side, cap=2)
+        assert DecoderContext(cp, side=side, cap=3).table is table
 
 
 def _cp_504_186():

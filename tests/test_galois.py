@@ -12,7 +12,7 @@ import pytest
 from cssconcat import galois
 from cssconcat.errors import DomainError, NotABasis, NotPrimitive, TooLarge
 from cssconcat.galois import Extension, Field
-from cssconcat.matrix import chunk_rows, digits, pack
+from cssconcat.matrix import digits
 import references
 from references import inverse
 
@@ -588,9 +588,9 @@ def test_table_build_memory_peak(build, cap_mb):
 
 
 def test_digit_sum_tables_memory_peak():
-    """The GF(3^7) sums run in int64 row chunks narrowed into the int16
-    table: the tracemalloc peak is the tables kept, the GF(3^6) table they
-    are composed from and at most 2 MB more.  An int64 table of sums,
+    """The GF(3^7) sums are written straight into the int16 table: the
+    tracemalloc peak is the tables kept, the GF(3^6) table they are
+    composed from and at most 2 MB more.  An int64 table of sums,
     4 x 9.6 MB, does not fit."""
     tracemalloc.start()
     try:
@@ -760,21 +760,6 @@ def test_nonprimitive_modulus_tables_match_reduction_reference(p, e, modulus):
 
 # -- odd-p add tables composed digit by digit, against the digit-wise builder
 
-def _digitwise_sum_tables(p, e, rows=None):
-    """The addition table (its ``rows``, default all) and the negation table
-    of GF(p^e) from all e base-p digits of every pair of codes at once, mod
-    p and packed, in row chunks, as the element-code dtype."""
-    q = p ** e
-    dtype = galois.code_dtype(q)
-    D = digits(np.arange(q), p, e)
-    rows = np.arange(q) if rows is None else np.asarray(rows)
-    add = np.empty((len(rows), q), dtype=dtype)
-    step = chunk_rows(q * e)
-    for lo in range(0, len(rows), step):
-        add[lo:lo + step] = pack((D[rows[lo:lo + step], None] + D) % p, p)
-    return add, pack((-D) % p, p).astype(dtype)
-
-
 _ODD_PRIMES = [p for p in _primes(1024) if p > 2]
 _ODD_FULL = [(p, e) for p in _ODD_PRIMES for e in range(1, 11) if p ** e <= 1024]
 # above 1024 every odd prime power with e >= 2; for e = 1 the table is the
@@ -788,7 +773,7 @@ def test_odd_sum_tables_match_digitwise_builder(p, e):
     """Every odd q <= 1024: a Field's add and neg tables, values and dtype,
     are those of the digit-wise builder."""
     F = Field(p, e)
-    add, neg = _digitwise_sum_tables(p, e)
+    add, neg = references.digitwise_sum_tables(p, e)
     assert F.add_table.dtype == F.neg_table.dtype == add.dtype == F.dtype
     assert F.add_table.shape == add.shape and neg.dtype == F.dtype
     assert np.array_equal(F.add_table, add) and np.array_equal(F.neg_table, neg)
@@ -803,9 +788,24 @@ def test_odd_sum_tables_match_digitwise_builder_sampled(p, e):
     q = p ** e
     T, N = galois._digit_sum_tables(p, e, galois.code_dtype(q))
     rows = np.random.default_rng(q).choice(q, 64, replace=False)
-    add, neg = _digitwise_sum_tables(p, e, rows)
+    add, neg = references.digitwise_sum_tables(p, e, rows)
     assert T.shape == (q, q) and T.dtype == N.dtype == add.dtype
     assert np.array_equal(T[rows], add) and np.array_equal(N, neg)
+
+
+@pytest.mark.parametrize("p, e", [(3, 1), (3, 2), (3, 4), (3, 5), (5, 2), (7, 3), (251, 1)])
+def test_digit_sum_tables_match_references(p, e):
+    """The add and neg tables of the one-pass-per-digit composition equal,
+    entry for entry and in dtype, both the digit-wise reference (digits,
+    sum mod p, pack) and the composition in int64 row chunks that it
+    replaced."""
+    dtype = galois.code_dtype(p ** e)
+    got = galois._digit_sum_tables(p, e, dtype)
+    for want in (references.digitwise_sum_tables(p, e),
+                 references.chunked_digit_sum_tables(p, e, dtype)):
+        for table, ref in zip(got, want):
+            assert table.dtype == ref.dtype == dtype
+            assert table.shape == ref.shape and np.array_equal(table, ref)
 
 
 def _poly_trim(a):

@@ -390,6 +390,37 @@ def test_self_dual_multipliers_match_scalar_definition():
         assert np.array_equal(D.dual_multipliers, D.multipliers)
 
 
+@pytest.mark.parametrize("k, N, K, Kp", [(4, 15, 9, 11), (6, 63, 36, 38)])
+def test_with_dimension_matches_constructor_and_takes_log_diff(monkeypatch, k, N, K, Kp):
+    """D' of a tower, ``D.with_dimension(K')``, equals GrsCode(ext, pts,
+    D.multipliers, K') in G, H and dual multipliers, shares D's points,
+    multipliers and _log_diff, and computes no difference products.  Other
+    dimensions are range-checked as in the constructor."""
+    ext = Extension(Field(2), k)
+    pts = [ext.alpha_pow(j) for j in range(N)]
+    D = self_dual_multiplier_grs(ext, pts, K)
+    want = GrsCode(ext, pts, D.multipliers, Kp)
+    calls = []
+    log_diff = outer_grs._log_difference_products
+
+    def spy(*args):
+        calls.append(1)
+        return log_diff(*args)
+
+    monkeypatch.setattr(outer_grs, "_log_difference_products", spy)
+    Dp = D.with_dimension(Kp)
+    assert calls == []
+    assert (Dp.N, Dp.K) == (N, Kp)
+    assert Dp.points is D.points and Dp.multipliers is D.multipliers
+    assert Dp._log_diff is D._log_diff
+    for name in ("G", "H", "dual_multipliers"):
+        got, ref = getattr(Dp, name), getattr(want, name)
+        assert got.dtype == ref.dtype and np.array_equal(got, ref)
+    for bad in (0, N + 1):
+        with pytest.raises(BadDimension):
+            D.with_dimension(bad)
+
+
 def test_points_and_multipliers_must_be_field_codes():
     with pytest.raises(DomainError):
         GrsCode(E8, [1, 2, 8], [1, 1, 1], 2)
