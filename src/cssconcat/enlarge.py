@@ -37,8 +37,8 @@ from .errors import (
     PremiseViolation,
     RankDeficient,
 )
-from .galois import Extension, Field, _shift_matrix
-from .matrix import MatGF, digits
+from .galois import Extension, Field, _first_polynomial, _shift_matrix
+from .matrix import MatGF
 from .outer_grs import GrsCode, certify_css_pair
 
 
@@ -66,14 +66,7 @@ def fixed_point_free_matrix(field, m: int) -> np.ndarray:
         raise DomainError("a 1x1 matrix always fixes directions; need m >= 2")
     q = field.q
     deg = 2 + ((m - 2) % (q - 1)) if q > 2 else 2
-    found = None
-    for packed in range(1, q ** deg):
-        coeffs = [int(c) for c in digits(packed, q, deg)]
-        if coeffs[0] == 0:
-            continue
-        if not _has_root(field, coeffs):
-            found = coeffs
-            break
+    found = _first_polynomial(q, deg, lambda c: not _has_root(field, c))
     if found is None:  # pragma: no cover - always exists for prime powers
         raise DomainError("no rootless polynomial found")
     M = _shift_matrix(np.array([found + [0] * (m - deg)], dtype=np.int64))

@@ -27,9 +27,16 @@ over GF(p); the power table of g doubles from it and certifies itself
 off its log/exp.  For GF(p^e) g is the first element code whose matrix has
 order q - 1, which is x only for a primitive modulus; for an extension it is
 the primitive root alpha.  Irreducibility (Rabin's test) and primitivity are
-tested on the same matrices.  An :class:`Extension` keeps the structure: the
-primitive root, coordinates, trace, dual coordinates, bases and
-multiplication matrices.  One cap, ``_TABLE_CAP`` = 8192, bounds the order of
+tested on the same matrices.  One search, :func:`_first_polynomial`, finds
+the default modulus, the default primitive polynomial and the rootless
+polynomial of :func:`enlarge.fixed_point_free_matrix`: the first polynomial
+of a degree whose low coefficients, c_0 != 0, come first in code order and
+pass a test.  Its results and the generators are kept by value: the modulus
+and generator searches are ``functools.cache`` functions of (p, e) and of
+(p, modulus tuple), and primitive polynomials are kept by the base field's
+value key, so no field's tables are kept alive.  An :class:`Extension`
+keeps the structure: the primitive root, coordinates, trace, dual
+coordinates, bases and multiplication matrices.  One cap, ``_TABLE_CAP`` = 8192, bounds the order of
 every field and extension, checked when it is built.
 
 Trace form.  The trace is GF(q)-linear, so for x = sum_i c_i alpha^i,
@@ -86,7 +93,7 @@ objects are immutable after construction and safe to share across threads.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -172,19 +179,23 @@ def _exceeds_cap(p, e):
     return p > _TABLE_CAP or e >= _TABLE_CAP.bit_length() or p ** e > _TABLE_CAP
 
 
-_IRREDUCIBLE_CACHE: dict = {}
+def _first_polynomial(q, d, accepts):
+    """The low coefficients c (c_0 != 0) of the first degree-d polynomial
+    over GF(q), in code order, that ``accepts(c)`` takes, or None."""
+    for code in range(1, q ** d):
+        c = [int(x) for x in digits(code, q, d)]
+        if c[0] and accepts(c):
+            return c
+    return None
 
 
+@cache
 def _find_irreducible(p, e):
-    key = (p, e)
-    if key in _IRREDUCIBLE_CACHE:
-        return _IRREDUCIBLE_CACHE[key]
-    for code in range(p ** e):
-        coeffs = [int(d) for d in digits(code, p, e)] + [1]
-        if _is_irreducible(coeffs, p):
-            _IRREDUCIBLE_CACHE[key] = coeffs
-            return coeffs
-    raise DomainError(f"no irreducible polynomial of degree {e} over GF({p})")
+    """The first monic irreducible polynomial of degree e >= 2 over GF(p)."""
+    c = _first_polynomial(p, e, lambda c: _is_irreducible(c + [1], p))
+    if c is None:
+        raise DomainError(f"no irreducible polynomial of degree {e} over GF({p})")
+    return c + [1]
 
 
 def _is_prime(n):
@@ -235,17 +246,12 @@ def _power_table(P, p, Q):
     return exp, log
 
 
-_GENERATOR_CACHE: dict = {}
-
-
+@cache
 def _find_generator(p, modulus):
     """The multiplication matrix over GF(p) of a generator of GF(p^e) modulo
-    ``modulus``: that of the first element code whose matrix sum_j a_j X^j,
-    X the companion matrix, has order q - 1.  It is x only when the modulus
-    is primitive."""
-    key = (p, tuple(modulus))
-    if key in _GENERATOR_CACHE:
-        return _GENERATOR_CACHE[key]
+    ``modulus`` (a tuple): that of the first element code whose matrix
+    sum_j a_j X^j, X the companion matrix, has order q - 1.  It is x only
+    when the modulus is primitive."""
     e = len(modulus) - 1
     q = p ** e
     X = _companion(modulus, p)
@@ -256,7 +262,6 @@ def _find_generator(p, modulus):
     for a in range(1, q):
         M = (digits(a, p, e) @ Xpow % p).reshape(e, e)
         if _has_order(M, q - 1, p):
-            _GENERATOR_CACHE[key] = M
             return M
     raise DomainError(f"modulus {list(modulus)} does not define a field")
 
@@ -363,7 +368,7 @@ class Field:
             raise DomainError("modulus must be monic of degree e")
         if e > 1 and not _is_irreducible(modulus, p):
             raise DomainError(f"modulus {modulus} is reducible over GF({p})")
-        built = _power_table(_find_generator(p, modulus), p, p ** e)
+        built = _power_table(_find_generator(p, tuple(modulus)), p, p ** e)
         if built is None:
             raise DomainError(f"modulus {modulus} does not define a field")
         self._setup(p, e, tuple(modulus), None, *built)
@@ -453,16 +458,6 @@ class Field:
             base = int(self.mul_table[base, base])
             n >>= 1
         return result
-
-    def sqrt(self, a):
-        """A square root of ``a``, or None if ``a`` is a non-residue."""
-        a = int(a)
-        if self.p == 2:
-            return self.pow(a, self.q // 2)
-        for b in range(self.q):
-            if self.mul_table[b, b] == a:
-                return b
-        return None
 
     # -- vectorized linear algebra kernels ----------------------------------
 
@@ -591,18 +586,16 @@ _PRIMITIVE_CACHE: dict = {}
 
 
 def _find_primitive_poly(base: Field, k: int):
+    """The first monic primitive polynomial of degree k over ``base``, kept
+    by the base's value key, not the field, whose tables it would hold."""
     key = (base.p, base.e, base.modulus, k)
-    if key in _PRIMITIVE_CACHE:
-        return _PRIMITIVE_CACHE[key]
-    q = base.q
-    for code in range(1, q ** k):
-        coeffs = [int(c) for c in digits(code, q, k)] + [1]
-        if coeffs[0] == 0:
-            continue
-        if _has_order(_companion_digits(base, k, coeffs), q ** k - 1, base.p):
-            _PRIMITIVE_CACHE[key] = coeffs
-            return coeffs
-    raise NotPrimitive(f"no primitive polynomial of degree {k} over GF({q})")
+    if key not in _PRIMITIVE_CACHE:
+        c = _first_polynomial(base.q, k, lambda c: _has_order(
+            _companion_digits(base, k, c + [1]), base.q ** k - 1, base.p))
+        if c is None:
+            raise NotPrimitive(f"no primitive polynomial of degree {k} over GF({base.q})")
+        _PRIMITIVE_CACHE[key] = c + [1]
+    return _PRIMITIVE_CACHE[key]
 
 
 class Extension:

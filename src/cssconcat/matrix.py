@@ -353,29 +353,12 @@ class MatGF:
     def cols(self):
         return self.a.shape[1]
 
-    def copy(self):
-        return MatGF(self.field, self.a.copy())
-
-    def __eq__(self, other):
-        return (isinstance(other, MatGF) and self.field == other.field
-                and self.a.shape == other.a.shape
-                and np.array_equal(self.a, other.a))
-
-    def __hash__(self):  # pragma: no cover - rarely useful
-        return hash((self.a.shape, self.a.tobytes()))
-
     def __repr__(self):
         return f"MatGF({self.rows}x{self.cols} over GF({self.field.q}))"
 
     def _check_field(self, other):
         if self.field != other.field:
             raise FieldMismatch("matrices over different fields")
-
-    # -- arithmetic ----------------------------------------------------------
-
-    @property
-    def T(self):
-        return MatGF(self.field, self.a.T.copy())
 
     # -- elimination ---------------------------------------------------------
 

@@ -12,13 +12,20 @@ is built; the products read it unchecked and check only the caller's rows.
 
 The decoder, :meth:`GrsCode.bd_decode_batch`, takes a batch of syndrome rows:
 Berlekamp-Massey (Massey, 1969) in lockstep over the rows for all N - K steps,
-``np.where`` masks where rows differ; the Chien search as one
-:meth:`Field.matmul` product against a cached power table of the inverse
-points, which reads only the locator's nonzero coefficients; Forney's formula
-(Forney, 1965) at the roots found, with the formal derivative's coefficient
-i times i mod p.  Every row is re-verified (locator degree <= t, that many
-distinct roots, and a re-encoded syndrome equal to the input); a row that
-fails gets a zero error row and an int8 reason code indexing
+``np.where`` masks where rows differ.  The rows whose locator length L
+exceeds t fail; the rest are worked at the width w, the largest L kept.  A
+locator has degree <= L, and as it generates S as an LFSR of length L for
+all N - K steps, (Lambda S)_n = 0 for L <= n < N - K, so the evaluator
+Omega = Lambda S mod z^w has degree < L <= w: the locators are cut to w + 1
+coefficients, Omega and Lambda' have w.  The Chien search is one
+:meth:`Field.matmul` product of the locators against the first w + 1 rows
+of a cached power table of the inverse points, which reads only their
+nonzero coefficients; its roots are taken as found, one flat list of (row,
+point) pairs, and Forney's formula (Forney, 1965) runs at each of them,
+Omega and Lambda' by w Horner steps, with the formal derivative's
+coefficient i times i mod p.  Every row is re-verified (locator degree <= t,
+that many distinct roots, and a re-encoded syndrome equal to the input); a
+row that fails gets a zero error row and an int8 reason code indexing
 :data:`MESSAGES`, never a silent miscorrection.
 :meth:`GrsCode.bd_decode` is the one-row call and raises DecodeFailure.
 
@@ -324,30 +331,27 @@ class GrsCode:
         lam, L = _berlekamp_massey(f, S[rows], t)
         reason[rows[L > t]] = _DEGREE
         keep = L <= t
-        rows, lam, L = rows[keep], lam[keep], L[keep]
-        S = S[rows]
-        # Omega = Lambda * S mod z^t: deg Omega < L <= t
-        omega = np.zeros((rows.size, t), dtype=f.dtype)
-        for i in range(t):
-            omega[:, i:] = f.add(omega[:, i:], f.mul(lam[:, i:i + 1], S[:, :t - i]))
+        rows, L = rows[keep], L[keep]
+        w = int(L.max(initial=0))  # deg Lambda <= L <= w
+        lam, S = lam[keep, :w + 1], S[rows]
+        # Omega = Lambda * S mod z^w: deg Omega < L <= w
+        omega = np.zeros((rows.size, w), dtype=f.dtype)
+        for i in range(w):
+            omega[:, i:] = f.add(omega[:, i:], f.mul(lam[:, i:i + 1], S[:, :w - i]))
         # coefficient i - 1 of Lambda' is i * lambda_i, i read mod p
-        dlam = f.mul(lam[:, 1:], np.arange(1, t + 1) % f.p)
+        dlam = f.mul(lam[:, 1:], np.arange(1, w + 1) % f.p)
         P, c = self._chien
-        roots = f._matmul(lam, P) == 0  # lam holds codes, formed from checked S
-        # a locator of degree <= t has at most t roots: put them first (a
-        # copy, so that the (rows, N) sort is freed)
-        pos = np.argsort(~roots, axis=1, kind="stable")[:, :t].copy()
-        at = np.take_along_axis(roots, pos, axis=1)
-        x = P[1][pos]  # 1/a_j at those positions
-        num = den = np.zeros(pos.shape, dtype=f.dtype)
-        for i in reversed(range(t)):  # Horner
-            num = f.add(f.mul(num, x), omega[:, i, None])
-            den = f.add(f.mul(den, x), dlam[:, i, None])
+        roots = f._matmul(lam, P[:w + 1]) == 0  # lam holds codes, formed from checked S
+        r, j = np.nonzero(roots)  # a root of kept row r at point j
+        x = P[1][j]  # 1/a_j
+        num = den = np.zeros(r.size, dtype=f.dtype)
+        for i in reversed(range(w)):  # Horner
+            num = f.add(f.mul(num, x), omega[r, i])
+            den = f.add(f.mul(den, x), dlam[r, i])
         # Forney: e_j = -a_j Omega(1/a_j) / (u_j Lambda'(1/a_j)) at each root
-        vals = np.where(at, f.mul(f.mul(num, c[pos]), f.inv_table[den]), 0)
-        why = np.select([(at & (den == 0)).any(axis=1), roots.sum(axis=1) != L],
-                        [_REPEATED_ROOT, _ROOT_COUNT], 0).astype(np.int8)
-        E[rows[:, None], pos] = vals
+        E[rows[r], j] = f.mul(f.mul(num, c[j]), f.inv_table[den])
+        why = np.where(roots.sum(axis=1) != L, _ROOT_COUNT, 0).astype(np.int8)
+        why[r[den == 0]] = _REPEATED_ROOT
         why[(why == 0) & (f._matmul(E[rows], self._Ht) != S).any(axis=1)] = _MISMATCH
         E[rows[why != 0]] = 0
         reason[rows] = why

@@ -7,7 +7,7 @@ import numpy as np
 
 from cssconcat.channel_sim import _sample_block
 from cssconcat.codes import ENUM_CAP, CssPair, LinearCode, _row_profile, min_weight_excluding
-from cssconcat.concat import _sides
+from cssconcat.concat import _concatenated_rows, _facing, _sides, verify_duality
 from cssconcat.decode import success_oracle_rows
 from cssconcat.enlarge import enlargement_distance_floor, steane_enlarge
 from cssconcat.errors import BadComplement, DomainError, NotOrthogonal
@@ -213,6 +213,32 @@ def pi_rows(m, pair, ext, M):
     from the pi table of side ``m``'s :class:`concat.Side` record."""
     M = np.asarray(M)
     return _sides(pair, ext)[m - 1].PI[M].reshape(M.shape[0], pair.n * M.shape[1])
+
+
+def eliminating_verify_duality(cp):
+    """The duality identities by three row spaces a side: the null space of
+    the generators of L_s against the expected dual pi_o(dual D_s) +
+    blockwise dual(C_s), built from the GF(q^k) null space of D_s.G, and
+    against the row space of Ho_s.  ``concat.verify_duality``, which makes
+    the second comparison alone, must give the same verdict."""
+    f = cp.inner.field
+    ok = True
+    for side, D in ((1, cp.D1), (2, cp.D2)):
+        this, other = _facing(cp.sides, side)
+        dual = MatGF(f, _concatenated_rows(cp.ext, this.PI, D.G, other.code.H)).null_space()
+        Dperp = MatGF(cp.ext.as_field(), D.G).null_space().a
+        ok &= dual.same_row_space(MatGF(f, _concatenated_rows(cp.ext, other.PI, Dperp,
+                                                              this.code.H)))
+        ok &= MatGF(f, cp.parity_check(side)).same_row_space(dual)
+    return bool(ok)
+
+
+def checked_verify_duality(cp):
+    """``concat.verify_duality(cp)``, asserted equal to
+    :func:`eliminating_verify_duality`."""
+    got = verify_duality(cp)
+    assert got == eliminating_verify_duality(cp), got
+    return got
 
 
 def random_css_pair(rng, field, n, k):

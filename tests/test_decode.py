@@ -10,7 +10,7 @@ import pytest
 from cssconcat import cli, codes, fileio, matrix
 from cssconcat.channel_sim import AdditiveChannel, _sample_block, mc_error_rate
 from cssconcat.codes import bvector_pair
-from cssconcat.concat import concatenate, pi_map, verify_duality
+from cssconcat.concat import concatenate, pi_map
 from cssconcat.decode import (
     DecoderContext,
     decode_batch,
@@ -21,7 +21,7 @@ from cssconcat.decode import (
 from cssconcat.errors import DecodeFailure, DomainError, TooLarge
 from cssconcat.galois import Extension, Field
 from cssconcat.outer_grs import nested_grs_pair
-from references import dense_full_syndrome, pi_rows, wide_arrays
+from references import checked_verify_duality, dense_full_syndrome, pi_rows, wide_arrays
 
 F2 = Field(2)
 F3 = Field(3)
@@ -425,7 +425,7 @@ def test_decoding_builds_no_structured_check(monkeypatch, tmp_path, make_cp):
             success_oracle_rows(ctx, Ehat[:, 1:], Ehat[:, 1:])
         with pytest.raises(DomainError):
             ctx.full_syndrome(Ehat[:, 1:])
-    assert verify_duality(cp)
+    assert checked_verify_duality(cp)
     assert wide_arrays(cp) == [] and not any("Ho" in vars(ctx) for ctx in ctxs)
 
     built = []

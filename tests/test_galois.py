@@ -368,13 +368,6 @@ def test_coord_table_matches_digit_definition(base, k):
     assert np.array_equal(ext.from_coords(ext.coords(np.arange(ext.Q))), np.arange(ext.Q))
 
 
-def test_sqrt_char2():
-    f = Field(2, 4)
-    for a in range(16):
-        s = f.sqrt(a)
-        assert f.mul(s, s) == a
-
-
 @pytest.mark.parametrize("base, k", [(Field(2), 3), (Field(3), 2), (Field(2), 4),
                                      (Field(2, 2), 2)])
 def test_dual_table_matches_trace_definition(base, k):

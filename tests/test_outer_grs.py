@@ -518,6 +518,7 @@ _DENSE_CHIEN_CODES = {  # id: (extension, N, K)
     "GF16": (Extension(Field(2), 4), 15, 9),
     "GF81": (Extension(Field(3), 4), 80, 60),
     "GF1024": (Extension(Field(2), 10), 120, 90),
+    "GF2187": (Extension(Field(3), 7), 200, 150),
 }
 
 
@@ -600,6 +601,116 @@ def test_berlekamp_massey_widths_bounded_by_length(name):
             assert a.dtype == b.dtype and np.array_equal(a, b)
         lengths |= set(L.tolist())
     assert {0, 1, 2, t} <= lengths and max(lengths) > t
+
+
+def _poly_mul(f, a, b):
+    """The product of two coefficient lists over the field ``f``."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = f.add(out[i + j], f.mul(x, y))
+    return out
+
+
+def _rootless_quadratic(f):
+    """The first 1 + c z + d z^2 with no root in GF(Q)."""
+    x = np.arange(f.q)
+    for c in range(1, f.q):
+        for d in range(1, f.q):
+            if f.add(f.add(1, f.mul(c, x)), f.mul(d, f.mul(x, x))).all():
+                return [1, c, d]
+
+
+def _lfsr_syndrome(f, lam, R, rng):
+    """A syndrome row of length R generated by the connection polynomial
+    ``lam`` of degree L from random first L entries, whose Berlekamp-Massey
+    locator is ``lam`` itself (checked, the start redrawn until it is)."""
+    L = len(lam) - 1
+    for _ in range(50):
+        S = [int(x) for x in rng.integers(1, f.q, L)]
+        for n in range(L, R):
+            acc = 0
+            for i in range(1, L + 1):
+                acc = f.add(acc, f.mul(lam[i], S[n - i]))
+            S.append(f.neg(acc))
+        S = np.array([S], dtype=f.dtype)
+        got, length = references._berlekamp_massey(f, S, L)
+        if length[0] == L and got[0].tolist() == lam:
+            return S[0]
+    raise AssertionError("no start with the full linear complexity")
+
+
+@pytest.mark.parametrize("name", list(_DENSE_CHIEN_CODES))
+def test_bd_decode_constructed_locators_fail_with_their_reasons(name):
+    """Syndromes built as LFSR sequences of chosen locators: a double root
+    at a point with a simple root at another fails with the repeated-root
+    reason (not the root count, which is off too); a locator with no root
+    in GF(Q), or a root at a point times one without, fails with the root
+    count; each row alone and all of them in one batch with decodable rows,
+    against references.bd_decode_batch."""
+    ext, N, K = _DENSE_CHIEN_CODES[name]
+    f = ext.as_field()
+    rng = np.random.default_rng(ext.Q + 5)
+    code = _random_grs(ext, N, K, rng)
+    a0, a1 = (int(x) for x in code.points[:2])
+    linear = [[1, f.neg(a)] for a in (a0, a1)]
+    quad = _rootless_quadratic(f)
+    cases = [(_poly_mul(f, _poly_mul(f, linear[0], linear[0]), linear[1]),
+              MESSAGES.index("repeated locator root")),
+             (quad, MESSAGES.index("locator roots do not match its degree")),
+             (_poly_mul(f, linear[0], quad), MESSAGES.index("locator roots do not match its degree"))]
+    rows = [_lfsr_syndrome(f, lam, N - K, rng) for lam, _ in cases]
+    E = np.zeros((3, N), dtype=np.int64)  # weights 1, 2, 3 <= t
+    for i, row in enumerate(E):
+        row[rng.choice(N, i + 1, replace=False)] = rng.integers(1, ext.Q, i + 1)
+    S = np.concatenate([np.array(rows), code.syndrome(E)])
+    want = [why for _, why in cases] + [0] * len(E)
+    for pick in [slice(None)] + [slice(i, i + 1) for i in range(len(rows))]:
+        got = code.bd_decode_batch(S[pick])
+        for a, b in zip(got, references.bd_decode_batch(code, S[pick])):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert got[2].tolist() == want[pick]
+        assert not got[0][:len(rows)].any()
+    assert np.array_equal(code.bd_decode_batch(S)[0][len(rows):], E)
+
+
+@pytest.mark.parametrize("name", list(_DENSE_CHIEN_CODES))
+def test_bd_decode_works_at_the_largest_kept_locator_length(monkeypatch, name):
+    """bd_decode_batch sorts nothing, and its Chien product reads the
+    locators at w + 1 columns, w the largest locator length L <= t of the
+    batch, not t + 1: on rows of weight 1 and 2 (w = 2), and on the same
+    rows with one of weight t added (w = t), and with rows past t added,
+    which fail before the Chien search and do not widen it.  Each result
+    equals references.bd_decode_batch and the rows decoded alone."""
+    ext, N, K = _DENSE_CHIEN_CODES[name]
+    f = ext.as_field()
+    rng = np.random.default_rng(ext.Q + 9)
+    code = _random_grs(ext, N, K, rng)
+    t = code.t
+    E = np.zeros((9, N), dtype=np.int64)
+    for row, w in zip(E, [1, 2, 1, 2, 2, 1, t, t + 1, t + 2]):
+        row[rng.choice(N, w, replace=False)] = rng.integers(1, ext.Q, w)
+    S = code.syndrome(E)
+    code.bd_decode_batch(S)  # the Chien table is built
+    calls = []
+    argsort, matmul = np.argsort, galois.Field._matmul
+
+    def spy_matmul(self, A, B):
+        calls.append((A.shape[1], B.shape[0]))
+        return matmul(self, A, B)
+
+    for rows, w in ((slice(0, 6), 2), (slice(0, 7), t), (slice(0, 9), t)):
+        calls.clear()
+        with monkeypatch.context() as m:
+            m.setattr(np, "argsort", lambda *a, **k: calls.append("sort") or argsort(*a, **k))
+            m.setattr(galois.Field, "_matmul", spy_matmul)
+            got = code.bd_decode_batch(S[rows])
+        assert calls[0] == (w + 1, w + 1) and "sort" not in calls  # the Chien product
+        for a, b in zip(got, references.bd_decode_batch(code, S[rows])):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        alone = [code.bd_decode_batch(S[i:i + 1]) for i in range(*rows.indices(len(S)))]
+        assert np.array_equal(got[0], np.concatenate([x[0] for x in alone]))
+        assert np.array_equal(got[2], np.concatenate([x[2] for x in alone]))
 
 
 def test_outer_code_inputs_range_checked():
