@@ -2,12 +2,11 @@
 
 The channel adds an i.i.d. symbol drawn from a distribution W over GF(q) to
 every coordinate.  Monte-Carlo estimation feeds sampled errors through the
-two-stage decoder and scores them with the stabilizer-aware success oracle,
-on one GF(Q) symbol per inner block as derived in the :mod:`decode`
-docstring, with no array nN columns wide past the sampled errors.  Its
-reference in the tests is the dense pipeline: the syndromes E.Ho^T with Ho
-from :meth:`concat.ConcatPair.parity_check`, ``stage1``, the residual
-``S_low - Ehat.Gp^T`` and ``success_oracle_rows``.
+two-stage decoder and sums the outcomes that
+:meth:`decode.DecoderContext.score` gives them, one GF(Q) symbol per inner
+block.  Its reference in the tests is the dense pipeline: the syndromes
+E.Ho^T with Ho from :meth:`concat.ConcatPair.parity_check`, ``stage1``, the
+residual ``S_low - Ehat.Gp^T`` and ``success_oracle_rows``.
 The analytic side provides the random-coding error exponent, its
 concatenated-scheme optimization, and the classical union bound on
 bounded-distance outer decoding.
@@ -37,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decode import DecoderContext, _nonzero_rows
+from .decode import DecoderContext
 from .errors import DomainError, EmptyFeasibleSet
 from .outer_grs import MESSAGES
 
@@ -87,6 +86,8 @@ _KEY_LIMIT = 1 << 128
 # Philox blocks per call: bounds a round's uint64 temporaries (about 80 bytes
 # a block) for long or noisy trials; 2048 trials of [[504,186]] take one call
 _ROUND_BLOCKS = 1 << 15
+# trials sampled and scored at once by mc_error_rate; results do not depend on it
+_CHUNK = 2048
 
 
 def _philox(counters, key):
@@ -129,17 +130,22 @@ def _gaps(u, log_keep, length):
     return np.minimum(np.log1p(-u) / log_keep, length).astype(np.int64)
 
 
-def _error_triples(channel, seed, start, count, length):
-    """Yield the nonzero entries of trials ``start .. start + count - 1`` as
-    ``(trial, position, value)`` arrays, one yield per Philox call, each
-    trial an offset from ``start``; the stream scheme is in the module
-    docstring."""
-    seed, start = int(seed), int(start)
-    if seed < 0 or ((start + count - 1) << 64) + seed >= _KEY_LIMIT:
+def _check_keys(seed, last):
+    """Raise DomainError unless trials 0 .. ``last`` of ``seed`` have their
+    keys (trial << 64) + seed in [0, 2**128)."""
+    if seed < 0 or (last << 64) + seed >= _KEY_LIMIT:
         raise DomainError("trial keys (trial << 64) + seed must lie in [0, 2**128)")
+
+
+def _sample_block(channel, seed, start, count, length):
+    """Trials ``start .. start + count - 1`` as dense rows of element codes;
+    the stream scheme is in the module docstring."""
+    seed, start = int(seed), int(start)
+    _check_keys(seed, start + count - 1)
+    E = np.zeros((count, length), dtype=channel.field.dtype)
     p_nz = 1.0 - channel.probs[0]
     if p_nz <= 0.0:
-        return
+        return E
     # 1 - W(0) is 1 or at least 2**-53, so the quotients of _gaps stay finite
     log_keep = math.log1p(-p_nz) if p_nz < 1.0 else -math.inf
     nonzero_cdf = np.cumsum(channel.probs[1:])[:-1]
@@ -163,19 +169,11 @@ def _error_triples(channel, seed, start, count, length):
             pos = np.cumsum(gaps + 1, axis=1)
             pos += last[:, None]
             rows, cols = np.nonzero(pos < length)
-            u = _uniforms(value_words.transpose(1, 2, 0)[rows, cols // 2, cols % 2])
-            values = 1 + np.searchsorted(nonzero_cdf, u * p_nz, side="right")
-            yield active[rows], pos[rows, cols], values.astype(channel.field.dtype)
+            u = _uniforms(value_words.transpose(1, 2, 0)[rows, cols // 2, cols % 2]) * p_nz
+            E[active[rows], pos[rows, cols]] = 1 + np.searchsorted(nonzero_cdf, u, side="right")
             last = pos[:, -1]
             going = last < length
             active, last = active[going], last[going]
-
-
-def _sample_block(channel, seed, start, count, length):
-    """Trials ``start .. start + count - 1`` as dense rows of element codes."""
-    E = np.zeros((count, length), dtype=channel.field.dtype)
-    for trials, positions, values in _error_triples(channel, seed, start, count, length):
-        E[trials, positions] = values
     return E
 
 
@@ -194,13 +192,9 @@ class MCResult:
     inner_block_rate: float
     outer_decode_failures: int
     # outer decoding succeeded, but the trial fails
-    miscorrections: int = 0
+    miscorrections: int
     # the outer decode failures by reason, indexed like outer_grs.MESSAGES
-    outer_failures_by_reason: tuple = (0,) * len(MESSAGES)
-
-    @property
-    def ci(self):
-        return (self.ci_lo, self.ci_hi)
+    outer_failures_by_reason: tuple
 
 
 def wilson_interval(failures: int, trials: int):
@@ -217,49 +211,34 @@ def wilson_interval(failures: int, trials: int):
 
 
 def mc_error_rate(ctx: DecoderContext, channel: AdditiveChannel, trials: int,
-                  seed, chunk: int = 2048) -> MCResult:
+                  seed) -> MCResult:
     """Monte-Carlo estimate of the decoding failure rate with a Wilson CI.
 
-    A trial fails when the two-stage estimate does not match the sampled
-    error modulo the stabilizer.  Each chunk of trials is decoded on the
-    symbols z of its stage-1 misses (:meth:`DecoderContext.miss_symbols`):
-    the side code's :meth:`GrsCode.bd_decode_batch` decodes their outer
-    syndromes Hout.z (:meth:`GrsCode.syndrome`), and a trial succeeds iff
-    X - z passes test (ii) of the :mod:`decode` docstring
-    (:meth:`DecoderContext.outside_dual`), X the decoded word, zero for a
-    zero syndrome.  The measured inner-stage block error rate, the
-    fraction of nonzero z_b, is reported alongside for comparison with the
-    union bound; so are the outer decode failures, by reason, and the
-    miscorrections, trials with a nonzero outer syndrome whose outer
-    decoding succeeded but which fail.
+    Samples the trials ``_CHUNK`` at a time and sums the outcomes that
+    :meth:`DecoderContext.score` gives the miss symbols of each chunk: the
+    failures, the outer decode failures by reason, the miscorrections, and
+    the nonzero z_b, whose share of the blocks is reported as the measured
+    inner-stage block error rate, for comparison with the union bound.
     """
     if trials < 1:
         raise DomainError("trials must be >= 1")
-    if chunk < 1:
-        raise DomainError("chunk must be >= 1")
     if channel.field != ctx.field:
         raise DomainError("channel and decoder fields differ")
+    _check_keys(int(seed), trials - 1)  # _sample_block meets a bad key only at its chunk
     failures = bad_blocks = miscorrections = 0
     reasons = np.zeros(len(MESSAGES), dtype=np.int64)
-    for start in range(0, trials, chunk):
-        count = min(chunk, trials - start)
-        Z = ctx.miss_symbols(_sample_block(channel, seed, start, count, ctx.N * ctx.n))
-        bad_blocks += int(np.count_nonzero(Z))
-        Z = Z[_nonzero_rows(Z)]
-        sigma = ctx.grs.syndrome(Z)
-        X, ok, reason = ctx.grs.bd_decode_batch(sigma)
-        Z = ctx.ext.as_field().sub(Z, X)  # X is zero where decoding fails
-        Z[~ok] = 0  # Hout.z != 0 puts z outside dual(D_o): no test (ii)
-        wrong = ctx.outside_dual(Z) | ~ok
-        failures += int(np.count_nonzero(wrong))
-        miscorrections += int(np.count_nonzero(wrong & ok & _nonzero_rows(sigma)))
-        reasons += np.bincount(reason[~ok], minlength=len(MESSAGES))
+    for start in range(0, trials, _CHUNK):
+        # the sampled errors are freed before scoring: nothing past miss_symbols reads them
+        failed, reason, miscorrected, bad = ctx.score(ctx.miss_symbols(
+            _sample_block(channel, seed, start, min(_CHUNK, trials - start), ctx.N * ctx.n)))
+        failures += int(np.count_nonzero(failed))
+        miscorrections += int(np.count_nonzero(miscorrected))
+        bad_blocks += int(bad.sum())
+        reasons += np.bincount(reason[reason != 0], minlength=len(MESSAGES))
     lo, hi = wilson_interval(failures, trials)
-    outer_fail = int(reasons.sum())
-    return MCResult(estimate=failures / trials, ci_lo=lo, ci_hi=hi,
-                    failures=failures, trials=trials,
-                    inner_block_rate=bad_blocks / (trials * ctx.N),
-                    outer_decode_failures=outer_fail, miscorrections=miscorrections,
+    return MCResult(estimate=failures / trials, ci_lo=lo, ci_hi=hi, failures=failures,
+                    trials=trials, inner_block_rate=bad_blocks / (trials * ctx.N),
+                    outer_decode_failures=int(reasons.sum()), miscorrections=miscorrections,
                     outer_failures_by_reason=tuple(int(r) for r in reasons))
 
 

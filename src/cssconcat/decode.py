@@ -63,9 +63,11 @@ code's :meth:`GrsCode.syndrome` and hand every row of sigma to its
 a decoded word X adds PI_s[X] to the estimate.  A context keeps no
 outer-code array, and a decode builds no G^T.
 
-Monte-Carlo symbols.  :func:`channel_sim.mc_error_rate` specialises the
-test to its own estimates, which are stage-1 leaders plus PI_s[X], X the
-outer decoder's word (zero where it fails or sigma is zero).  Block b of
+Monte-Carlo symbols.  :meth:`DecoderContext.score`, which
+:func:`channel_sim.mc_error_rate` sums, is the one implementation of a
+sampled trial's outcome.  It specialises the test to the decoder's
+estimates, which are stage-1 leaders plus PI_s[X], X the outer decoder's
+word (zero where it fails or sigma is zero).  Block b of
 v = estimate - e is then PI_s[X_b] - u_b, u_b = e_b - leader_b the
 stage-1 miss.  Both terms lie in C_s: PI_s[x] is a combination of g_s, and
 u_b has the syndrome zero.  So (i) holds on every Monte-Carlo row, and
@@ -180,6 +182,27 @@ class DecoderContext:
         if rows.size:  # so that no G^T is built for zero rows
             bad[rows] = _nonzero_rows(self._opposite.dual_syndrome(W[rows]))
         return bad
+
+    def score(self, Z):
+        """``(failed, reason, miscorrected, bad)`` for each row of miss
+        symbols ``Z`` (rows, N), as :meth:`miss_symbols` makes them: whether
+        the two-stage decoder fails the row's trial (module docstring,
+        "Monte-Carlo symbols"), the :meth:`GrsCode.bd_decode_batch` reason
+        (int8, indexing ``outer_grs.MESSAGES``; outer decoding succeeded iff
+        it is 0), whether a nonzero outer syndrome decoded but the trial
+        fails, and the number of nonzero z_b.  Zero rows are skipped."""
+        failed, miscorrected = np.zeros((2, len(Z)), dtype=bool)
+        reason = np.zeros(len(Z), dtype=np.int8)
+        bad = np.count_nonzero(Z, axis=1)
+        rows = bad > 0
+        Z = Z[rows]
+        sigma = self.grs.syndrome(Z)
+        X, ok, reason[rows] = self.grs.bd_decode_batch(sigma)
+        W = self.ext.as_field().sub(Z, X)  # X is zero where decoding fails
+        W[~ok] = 0  # Hout.z != 0 puts z outside dual(D_o): no test (ii)
+        failed[rows] = self.outside_dual(W) | ~ok
+        miscorrected[rows] = failed[rows] & ok & _nonzero_rows(sigma)
+        return failed, reason, miscorrected, bad
 
     def full_syndrome(self, E):
         """Syndromes e.Ho^T of error vectors ``E`` (rows, or one vector),

@@ -412,42 +412,87 @@ def dense_full_syndrome(ctx, E, Ho=None):
     return ctx.field.matmul(as_codes(ctx.field, E, "error entries"), Ho.T)
 
 
-def dense_mc_error_rate(ctx, channel, trials, seed, chunk=2048):
-    """``mc_error_rate`` through the dense decoder pipeline: the syndromes
-    ``E.Ho^T`` (:func:`dense_full_syndrome`), stage 1, bounded-distance
-    decoding of the nN-column residual ``S_low - Ehat.Gp^T``, Gp the lower
-    rows of the same ``Ho``, and the block-level success oracle, chunk by
-    chunk over the same trials.
+def dense_outcomes(ctx, E):
+    """``DecoderContext.score`` of the miss symbols of error rows ``E``
+    through the dense decoder pipeline: the syndromes ``E.Ho^T``
+    (:func:`dense_full_syndrome`), stage 1, bounded-distance decoding of the
+    nN-column residual ``S_low - Ehat.Gp^T``, Gp the lower rows of the same
+    ``Ho``, and the block-level success oracle.
 
-    Returns ``(failures, outer_decode_failures, inner_block_rate,
-    miscorrections, outer_failures_by_reason)``; a miscorrection is a row
-    with a nonzero residual whose outer decoding succeeds but which fails.
+    Returns ``(failed, reason, miscorrected, bad)`` per row: a row with a
+    zero residual has reason 0, a miscorrection is a row with a nonzero
+    residual whose outer decoding succeeds but which fails, and ``bad``
+    counts the stage-1 misses whose symbol is nonzero.
     """
     f = ctx.field
     Ho = ctx.cp.parity_check(ctx.side)
-    Gp = Ho[ctx.upper_len:]
-    failures = outer_fail = bad_blocks = miscorrections = 0
+    S = dense_full_syndrome(ctx, E, Ho)
+    Ehat = ctx.stage1(S[:, : ctx.upper_len])
+    ids, _, w = ctx.block_symbols(f.sub(E, Ehat))
+    bad = np.bincount(ids[w != 0] // ctx.N, minlength=len(E))
+    resid = f.sub(S[:, ctx.upper_len:], f.matmul(Ehat, Ho[ctx.upper_len:].T))
+    decoded = np.flatnonzero(resid.any(axis=1))
+    symbols = ctx.reassemble_symbols(resid[decoded])
+    X, ok, why = ctx.grs.bd_decode_batch(symbols.reshape(decoded.size, ctx.grs.N - ctx.grs.K))
+    assert np.array_equal(ok, why == 0)  # a failure always has a reason
+    Ehat[decoded] = f.add(Ehat[decoded], ctx.record.PI[X].reshape(decoded.size, Ehat.shape[1]))
+    failed = ~success_oracle_rows(ctx, E, Ehat)
+    reason = np.zeros(len(E), dtype=why.dtype)
+    reason[decoded] = why
+    miscorrected = np.zeros(len(E), dtype=bool)
+    miscorrected[decoded] = ok & failed[decoded]
+    return failed, reason, miscorrected, bad
+
+
+def dense_mc_error_rate(ctx, channel, trials, seed, chunk=2048):
+    """``mc_error_rate`` through :func:`dense_outcomes`, summed chunk by
+    chunk over the same trials.
+
+    Returns ``(failures, outer_decode_failures, inner_block_rate,
+    miscorrections, outer_failures_by_reason)``.
+    """
+    failures = bad_blocks = miscorrections = 0
     reasons = np.zeros(len(MESSAGES), dtype=np.int64)
     for start in range(0, trials, chunk):
-        count = min(chunk, trials - start)
-        E = _sample_block(channel, seed, start, count, ctx.N * ctx.n)
-        S = dense_full_syndrome(ctx, E, Ho)
-        Ehat = ctx.stage1(S[:, : ctx.upper_len])
-        bad_blocks += int(np.count_nonzero(ctx.block_symbols(f.sub(E, Ehat))[2]))
-        resid = f.sub(S[:, ctx.upper_len:], f.matmul(Ehat, Gp.T))
-        decoded = np.flatnonzero(resid.any(axis=1))
-        symbols = ctx.reassemble_symbols(resid[decoded])
-        X, ok, reason = ctx.grs.bd_decode_batch(
-            symbols.reshape(decoded.size, ctx.grs.N - ctx.grs.K))
-        Ehat[decoded] = f.add(Ehat[decoded], ctx.record.PI[X].reshape(decoded.size, Ehat.shape[1]))
-        good = success_oracle_rows(ctx, E, Ehat)
-        failures += int((~good).sum())
-        outer_fail += int((~ok).sum())
-        miscorrections += int((ok & ~good[decoded]).sum())
-        reasons += np.bincount(reason[~ok], minlength=len(MESSAGES))
-    assert reasons.sum() == outer_fail and reasons[0] == 0
-    return (failures, outer_fail, bad_blocks / (trials * ctx.N), miscorrections,
+        E = _sample_block(channel, seed, start, min(chunk, trials - start), ctx.N * ctx.n)
+        failed, reason, miscorrected, bad = dense_outcomes(ctx, E)
+        failures += int(failed.sum())
+        miscorrections += int(miscorrected.sum())
+        bad_blocks += int(bad.sum())
+        reasons += np.bincount(reason, minlength=len(MESSAGES))
+    reasons[0] = 0  # decoded rows and rows with a zero residual
+    return (failures, int(reasons.sum()), bad_blocks / (trials * ctx.N), miscorrections,
             tuple(int(r) for r in reasons))
+
+
+def mds_miscorrections(N, K, Q, w):
+    """The number of weight-``w`` errors in GF(Q)^N that bounded-distance
+    decoding of an [N, K] MDS code sends to a nonzero codeword (McEliece and
+    Swanson, IEEE Trans. IT 32(5), 1986): the sum over codeword weights h of
+    A_h times the N(h, w, s) weight-w vectors at distance s <= t from a
+    fixed weight-h codeword, t = (N - K) // 2, with A_h the MDS weight
+    distribution (MacWilliams and Sloane, ch. 11, Thm 6)."""
+    d, t = N - K + 1, (N - K) // 2
+
+    def weights(h):  # A_h
+        return math.comb(N, h) * sum((-1) ** j * math.comb(h, j) * (Q ** (h - d + 1 - j) - 1)
+                                     for j in range(h - d + 1))
+
+    def near(h, s):  # N(h, w, s)
+        # i nonzeros off the codeword's support; on it, a zeros, b entries
+        # equal to the codeword's and r other nonzeros: w = i + b + r and
+        # s = i + a + r, a + b + r = h
+        total = 0
+        for i in range(N - h + 1):
+            a, r = h - w + i, s - h + w - 2 * i
+            b = h - a - r
+            if min(a, r, b) >= 0:
+                total += (math.comb(N - h, i) * (Q - 1) ** i * math.factorial(h)
+                          // (math.factorial(a) * math.factorial(b) * math.factorial(r))
+                          * (Q - 2) ** r)
+        return total
+
+    return sum(weights(h) * sum(near(h, s) for s in range(t + 1)) for h in range(d, N + 1))
 
 
 def simplex_grid_exponent(channel, r, step=1e-3):

@@ -13,7 +13,6 @@ import pytest
 from cssconcat import channel_sim, decode, matrix
 from cssconcat.channel_sim import (
     AdditiveChannel,
-    _error_triples,
     _gaps,
     _philox,
     _sample_block,
@@ -32,7 +31,7 @@ from cssconcat.concat import concatenate
 from cssconcat.decode import DecoderContext, decode_batch
 from cssconcat.errors import DomainError, EmptyFeasibleSet
 from cssconcat.galois import Extension, Field
-from cssconcat.outer_grs import MESSAGES, nested_grs_pair
+from cssconcat.outer_grs import MESSAGES, GrsCode, nested_grs_pair
 import references
 from references import dense_matmul, dense_mc_error_rate, simplex_grid_exponent
 
@@ -56,7 +55,7 @@ def test_sample_point_mass():
     """W(0) = 1 draws nothing; W(0) = 0 puts a nonzero value everywhere."""
     ch = AdditiveChannel(F2, [1.0, 0.0])
     assert not sample_error(ch, 100, 3).any()
-    assert not list(_error_triples(ch, 3, 0, 50, 100))
+    assert not _sample_block(ch, 3, 0, 50, 100).any()
     assert (sample_error(AdditiveChannel(F2, [0.0, 1.0]), 100, 3) == 1).all()
     f4 = Field(2, 2)
     E = _sample_block(AdditiveChannel(f4, [0.0, 0.2, 0.3, 0.5]), 3, 0, 200, 50)
@@ -166,8 +165,8 @@ def test_sampler_weights_and_marginals():
 def test_sampler_value_frequencies(q, probs):
     """The values of the nonzero entries follow W conditioned on nonzero."""
     f = Field(2, 2) if q == 4 else Field(q)
-    parts = _error_triples(AdditiveChannel(f, probs), 5, 0, 4000, 50)
-    values = np.concatenate([v for _, _, v in parts])
+    E = _sample_block(AdditiveChannel(f, probs), 5, 0, 4000, 50)
+    values = E[E != 0]
     cond = np.array(probs[1:]) / (1 - probs[0])
     assert values.dtype == f.dtype and values.min() >= 1
     assert _chi2_z(np.bincount(values, minlength=q)[1:], values.size * cond) < 3.5
@@ -263,17 +262,23 @@ def test_mc_deterministic():
     assert r1.failures == r2.failures
 
 
-def test_mc_chunk_invariance():
+def test_mc_chunk_invariance(monkeypatch):
     """Per-trial substreams: chunking changes neither the counts nor the
     sampled errors, byte for byte, and trial i is sample_error's trial 0 of
     the key (i << 64) + seed, as the benchmark's replay assumes.  Trial 2056
     of seed 47 has 10 errors in 135 positions at p = 0.01, so its 11 pairs
-    overrun a round's budget of 8 and it ends in a second round."""
+    overrun a round's budget of 8 and it ends in a second round.  Chunks of
+    7 count all 100 trials of a channel where every trial fails."""
     ctx = _ctx_12_2()
     ch = AdditiveChannel.symmetric(F2, 0.02)
-    r1 = mc_error_rate(ctx, ch, 600, 5, chunk=37)
-    r2 = mc_error_rate(ctx, ch, 600, 5, chunk=600)
+    monkeypatch.setattr(channel_sim, "_CHUNK", 37)
+    r1 = mc_error_rate(ctx, ch, 600, 5)
+    monkeypatch.setattr(channel_sim, "_CHUNK", 600)
+    r2 = mc_error_rate(ctx, ch, 600, 5)
     assert r1.failures == r2.failures
+    monkeypatch.setattr(channel_sim, "_CHUNK", 7)
+    every = AdditiveChannel.symmetric(F2, 0.5)
+    assert mc_error_rate(DecoderContext(_cp_90_28(), side=1), every, 100, 1).failures == 100
     ch, seed, n, length = AdditiveChannel.symmetric(F2, 0.01), 47, 2100, 135
     whole = _sample_block(ch, seed, 0, n, length)
     assert np.count_nonzero(whole[2056]) == 10
@@ -333,15 +338,52 @@ def test_mc_heap_bounded_at_high_noise():
     assert peak - start <= 13.0e6
 
 
-def test_mc_rejects_chunk_below_one():
-    """A chunk below 1 raises DomainError, on a channel where every trial
-    fails, rather than returning no failures or failing inside range."""
+def test_mc_rejects_trial_keys_past_range(monkeypatch):
+    """Trials whose keys (trial << 64) + seed would reach 2**128 raise
+    DomainError before any chunk is sampled, however many trials are asked
+    for; the sampler rejects such keys, and negative seeds, itself."""
     ctx = DecoderContext(_cp_90_28(), side=1)
-    ch = AdditiveChannel.symmetric(F2, 0.5)
-    assert mc_error_rate(ctx, ch, 100, 1, chunk=7).failures == 100
-    for chunk in (0, -5):
-        with pytest.raises(DomainError, match="chunk"):
-            mc_error_rate(ctx, ch, 100, 1, chunk=chunk)
+    ch = AdditiveChannel.symmetric(F2, 0.01)
+    calls = []
+    monkeypatch.setattr(channel_sim, "_sample_block", lambda *args: calls.append(args))
+    for trials, seed in ((10 ** 23, 1), (2 ** 64 + 1, 0), (2 ** 64 + 1, 2 ** 64 - 1), (5, -1)):
+        with pytest.raises(DomainError, match="trial keys"):
+            mc_error_rate(ctx, ch, trials, seed)
+    assert calls == []
+    monkeypatch.undo()
+    assert mc_error_rate(ctx, ch, 3, 2 ** 64 - 1).trials == 3
+    for seed, start in ((2 ** 128, 0), (0, 2 ** 64), (-1, 0)):
+        with pytest.raises(DomainError, match="trial keys"):
+            _sample_block(ch, seed, start, 1, 10)
+    assert _sample_block(ch, 2 ** 64 - 1, 2 ** 64 - 1, 1, 10).shape == (1, 10)  # 2**128 - 1
+
+
+def test_mc_sums_score_chunk_by_chunk(monkeypatch):
+    """mc_error_rate samples _CHUNK trials at a time (2048 by default) and
+    scores each chunk with one DecoderContext.score call; the outer decoder
+    runs only inside score."""
+    assert channel_sim._CHUNK == 2048
+    monkeypatch.setattr(channel_sim, "_CHUNK", 100)
+    ctx = DecoderContext(_cp_90_28(), side=2)
+    sizes, decodes = [], []
+    score, bd_decode_batch = DecoderContext.score, GrsCode.bd_decode_batch
+
+    def spy_score(self, Z):
+        sizes.append(len(Z))
+        try:
+            return score(self, Z)
+        finally:
+            sizes.append(None)
+
+    def spy_decode(self, S):
+        decodes.append(bool(sizes) and sizes[-1] is not None)  # inside a score call
+        return bd_decode_batch(self, S)
+
+    monkeypatch.setattr(DecoderContext, "score", spy_score)
+    monkeypatch.setattr(GrsCode, "bd_decode_batch", spy_decode)
+    r = mc_error_rate(ctx, AdditiveChannel.symmetric(F2, 0.03), 250, 3)
+    assert sizes == [100, None, 100, None, 50, None]
+    assert decodes == [True] * 3 and r.outer_decode_failures > 0
 
 
 # -- the symbol-level Monte-Carlo against the dense decoder pipeline ----------
@@ -430,16 +472,18 @@ def test_sparse_matmul_heap_is_sliced():
 
 @pytest.mark.parametrize("make_cp", [_cp_90_28, _cp_96_32_gf3, _cp_60_14_gf4])
 @pytest.mark.parametrize("side", [1, 2])
-def test_mc_matches_dense_reference(make_cp, side):
+def test_mc_matches_dense_reference(monkeypatch, make_cp, side):
     """GF(2), GF(3) and GF(4) inner fields, both sides, chunks that do not
     divide the trials: every count is the dense pipeline's."""
     ctx = DecoderContext(make_cp(), side=side)
     ch = AdditiveChannel.symmetric(ctx.field, 0.03)
-    r = mc_error_rate(ctx, ch, 700, 11, chunk=256)
+    monkeypatch.setattr(channel_sim, "_CHUNK", 256)
+    r = mc_error_rate(ctx, ch, 700, 11)
     want = dense_mc_error_rate(ctx, ch, 700, 11, chunk=300)
     assert _mc_tuple(r) == want
     assert r.failures > r.outer_decode_failures > 0 and r.trials == 700
-    assert _mc_tuple(mc_error_rate(ctx, ch, 700, 11, chunk=700)) == want
+    monkeypatch.setattr(channel_sim, "_CHUNK", 700)
+    assert _mc_tuple(mc_error_rate(ctx, ch, 700, 11)) == want
 
 
 @pytest.mark.parametrize("side", [1, 2])
@@ -468,15 +512,16 @@ def test_mc_outer_failures_odd_characteristic(side):
 
 
 @pytest.mark.parametrize("make_cp", [_cp_90_28, _cp_96_32_gf3, _cp_60_14_gf4])
-def test_mc_without_errors(make_cp):
+def test_mc_without_errors(monkeypatch, make_cp):
     """W(0) = 1: no error at all, so nothing is bad, decoded or failed."""
+    monkeypatch.setattr(channel_sim, "_CHUNK", 128)
     cp = make_cp()
     probs = np.zeros(cp.inner.field.q)
     probs[0] = 1.0
     ch = AdditiveChannel(cp.inner.field, probs)
     for side in (1, 2):
         ctx = DecoderContext(cp, side=side)
-        r = mc_error_rate(ctx, ch, 300, 2, chunk=128)
+        r = mc_error_rate(ctx, ch, 300, 2)
         assert _mc_tuple(r) == dense_mc_error_rate(ctx, ch, 300, 2, chunk=128)
         assert _mc_tuple(r) == (0, 0, 0.0, 0, (0,) * len(MESSAGES))
 

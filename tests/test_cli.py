@@ -127,6 +127,18 @@ def test_cli_simulate_channel_edge_inputs(tmp_path, capsys):
         assert capsys.readouterr().err == ("error: DomainError: probabilities must be finite\n")
 
 
+def test_cli_simulate_trials_past_key_range_exits_3(tmp_path, capsys):
+    """Trials whose keys (trial << 64) + seed would pass 2**128 exit 3 at
+    once, before any trial is sampled, rather than running chunk after
+    chunk until the first bad key."""
+    cfg = _write_config(tmp_path)
+    code, text = run_cli(["--seed", "1", "simulate", "--pair", str(cfg), "--channel",
+                          "0.99,0.01", "--trials", "100000000000000000000000"])
+    assert code == EXIT_INVARIANT and text == ""
+    assert capsys.readouterr().err == ("error: DomainError: trial keys (trial << 64) + seed "
+                                       "must lie in [0, 2**128)\n")
+
+
 def test_cli_construct_and_mindist(tmp_path):
     C = LinearCode.from_parity_check(F2, HAMMING_H)
     c_path = tmp_path / "steane.txt"

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cssconcat import cli, codes, fileio, matrix
+from cssconcat import channel_sim, cli, codes, fileio, matrix
 from cssconcat.channel_sim import AdditiveChannel, _sample_block, mc_error_rate
 from cssconcat.codes import bvector_pair
 from cssconcat.concat import concatenate, pi_map
@@ -21,6 +21,7 @@ from cssconcat.decode import (
 from cssconcat.errors import DecodeFailure, DomainError, TooLarge
 from cssconcat.galois import Extension, Field
 from cssconcat.outer_grs import nested_grs_pair
+import references
 from references import checked_verify_duality, dense_full_syndrome, pi_rows, wide_arrays
 
 F2 = Field(2)
@@ -606,20 +607,67 @@ def test_first_oracle_row_heap_is_small(side):
 
 @pytest.mark.parametrize("make_cp", ORACLE_CASES)
 @pytest.mark.parametrize("side", [1, 2])
-def test_inner_block_rate_matches_dense_count(make_cp, side):
+def test_inner_block_rate_matches_dense_count(monkeypatch, make_cp, side):
     """mc_error_rate counts a block bad when its g-coefficient is nonzero;
     the reference counts stage-1 misses outside the opposite inner dual by
     elimination, over the same trials drawn in one block."""
+    monkeypatch.setattr(channel_sim, "_CHUNK", 64)
     ctx = DecoderContext(make_cp(), side=side)
     f, n = ctx.field, ctx.n
     ch = AdditiveChannel.symmetric(f, 0.03)
     trials = 150
-    r = mc_error_rate(ctx, ch, trials, 5, chunk=64)
+    r = mc_error_rate(ctx, ch, trials, 5)
     E = _sample_block(ch, 5, 0, trials, ctx.N * n)
     Ehat = ctx.stage1(ctx.full_syndrome(E)[:, : ctx.upper_len])
     inner_dual = ctx.cp.inner.C2.Hmat if side == 1 else ctx.cp.inner.C1.Hmat
     bad = int((~inner_dual.span_contains_rows(f.sub(E, Ehat).reshape(-1, n))).sum())
     assert bad > 0 and r.inner_block_rate == bad / (trials * ctx.N)
+
+
+def _same_outcomes(got, want):
+    return all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(got, want))
+
+
+@pytest.mark.parametrize("make_cp", ORACLE_CASES)
+@pytest.mark.parametrize("side", [1, 2])
+def test_score_matches_dense_outcomes(make_cp, side):
+    """DecoderContext.score of the miss symbols of sampled trials is the
+    dense pipeline's outcome, row by row and dtype by dtype, at p = 0.03,
+    where failures, outer failures and miscorrections all occur.  0-row and
+    all-zero inputs score as nothing bad and build no G^T."""
+    ctx = DecoderContext(make_cp(), side=side)
+    zero = np.zeros((5, ctx.N * ctx.n), dtype=ctx.field.dtype)
+    for E in (zero[:0], zero):
+        got = ctx.score(ctx.miss_symbols(E))
+        assert "_Gt" not in vars(ctx.cp.D1) and "_Gt" not in vars(ctx.cp.D2)
+        assert _same_outcomes(got, references.dense_outcomes(ctx, E))
+        assert all(len(a) == len(E) and not a.any() for a in got)
+    E = _sample_block(AdditiveChannel.symmetric(ctx.field, 0.03), 7, 0, 1000, ctx.N * ctx.n)
+    failed, reason, miscorrected, bad = got = ctx.score(ctx.miss_symbols(E))
+    assert _same_outcomes(got, references.dense_outcomes(ctx, E))
+    assert failed.sum() > (reason != 0).sum() > 0 and miscorrected.any()
+    assert not (miscorrected & ~failed).any() and not (failed & (bad == 0)).any()
+
+
+def test_score_counts_mds_miscorrections_exactly():
+    """Every weight-3 row of miss symbols on [[90,28]], side 1, against the
+    decoder-error count of the MDS code RS[15,11] over GF(16), t = 2: each
+    row fails, 450,450 by miscorrection and the 1,085,175 others by an
+    outer decode failure.  A miscorrected row fails because X - z has
+    weight at most 5, below the distance 12 of dual(D_o), so it is no
+    stabilizer."""
+    ctx = DecoderContext(_cp_90_28(), side=1)
+    rows = failed = miscorrected = outer = 0
+    for Z in codes._weight_patterns(15, 3, 16, ctx.ext.as_field().dtype, 1 << 16):
+        f, reason, m, bad = ctx.score(Z)
+        assert (bad == 3).all()
+        rows += len(Z)
+        failed += int(f.sum())
+        miscorrected += int(m.sum())
+        outer += int((reason != 0).sum())
+    want = references.mds_miscorrections(15, 11, 16, 3)
+    assert rows == failed == 1535625 and miscorrected == want == 450450
+    assert outer == rows - miscorrected == 1085175
 
 
 @pytest.mark.parametrize("make_cp", ORACLE_CASES)
