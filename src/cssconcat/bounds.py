@@ -6,8 +6,8 @@ floating point.  The named concatenated bounds are `bound_general` at their
 inner codes.  Rates outside [0, 1] raise DomainError.  Raw (unclamped)
 values are returned by the point evaluators so roots can be located
 exactly; clamping to [0, 1] happens only when curves are materialized for
-emission.
-"""
+emission.  A q above Q_CAP, or an exponent t of q^t (k/2 in gamma_k) above
+TMAX_CAP, raises TooLarge before any trial division or power of q."""
 
 from __future__ import annotations
 
@@ -15,7 +15,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BelowRateFloor, DomainError
+from .errors import BelowRateFloor, DomainError, TooLarge
+from .galois import _prime_factors
+
+Q_CAP = 1 << 32  # largest q: its trial division, up to 2^16, takes milliseconds
+TMAX_CAP = 1000  # largest exponent t of an exact power q^t
 
 
 def _frac(x):
@@ -25,20 +29,20 @@ def _frac(x):
 
 
 def _is_prime_power(n: int) -> bool:
-    if n < 2:
-        return False
-    for p in range(2, n + 1):
-        if p * p > n:
-            return n > 1
-        if n % p == 0:
-            while n % p == 0:
-                n //= p
-            return n == 1
-    return False
+    return n >= 2 and len(_prime_factors(n)) == 1
+
+
+def _check_caps(q, t=0):
+    """TooLarge past the caps on q and on the exponent t of q^t."""
+    if q > Q_CAP:
+        raise TooLarge(f"q = {q} exceeds the cap {Q_CAP}")
+    if t > TMAX_CAP:
+        raise TooLarge(f"exponent {t} of q exceeds the cap {TMAX_CAP}")
 
 
 def gamma_k(q: int, k: int) -> Fraction:
     """1 / (q^(k/2) - 1); defined when q^k is a perfect square."""
+    _check_caps(q, Fraction(k, 2))
     root = math.isqrt(q ** k)
     if root * root != q ** k:
         raise DomainError("q^k must be a perfect square")
@@ -53,6 +57,7 @@ def bound_general(n: int, k: int, d1: int, d2: int, q: int, R) -> Fraction:
     """
     if not (n >= 1 and 1 <= k <= n and d1 >= 1 and d2 >= 1):
         raise DomainError("invalid inner parameters")
+    _check_caps(q, Fraction(k, 2))
     if not _is_prime_power(q):
         raise DomainError("q must be a prime power")
     R = _frac(R)
@@ -73,6 +78,7 @@ def bound_clx(t: int, q: int, R) -> Fraction:
 def bound_main(t: int, q: int, R) -> Fraction:
     """(1/(t+1)) * (1/2 - 1/(q^t - 1) - ((t+1)/(2t)) R): the general bound
     at inner [2t+2, 2t] with d1 = d2 = 2."""
+    _check_caps(q, t)
     if t < 1 or q ** t < 3:
         raise DomainError("need t >= 1 and q^t >= 3")
     return bound_general(2 * t + 2, 2 * t, 2, 2, q, R)
@@ -87,9 +93,10 @@ def bound_flx(q: int, R) -> Fraction:
 def envelope_rt(q: int, deltas, ts) -> "BoundCurve":
     """Pointwise-max over t of R_t(delta) = (t/(t+1))(1-2/(q^t-1)) - 2t*delta,
     over a nonempty range ``ts`` of t >= 1."""
+    ts = list(ts)
+    _check_caps(q, max(ts, default=0))
     if not _is_prime_power(q):
         raise DomainError("q must be a prime power")
-    ts = list(ts)
     if not ts or min(ts) < 1:
         raise DomainError("need a nonempty range of t >= 1")
     lines = [(Fraction(t, t + 1) * (1 - Fraction(2, q ** t - 1)), 2 * t) for t in ts]
@@ -114,6 +121,7 @@ def bound_enlarged(q: int, n: int, k: int, d: int, gamma_hat, R_o) -> Fraction:
     negative, and BelowRateFloor when R_o is below the stated validity
     floor.
     """
+    _check_caps(q)
     if not (n >= 1 and 1 <= k <= n and d >= 1 and _is_prime_power(q)):
         raise DomainError("invalid parameters")
     R_o = _frac(R_o)

@@ -15,6 +15,7 @@ from fractions import Fraction
 
 from . import bounds as bnd
 from . import fileio
+from .bounds import TMAX_CAP
 from .channel_sim import AdditiveChannel, mc_error_rate
 from .codes import ENUM_CAP, LinearCode, min_weight_excluding
 from .concat import concatenate, verify_duality
@@ -27,8 +28,15 @@ EXIT_PARSE = 2
 EXIT_INVARIANT = 3
 EXIT_TOO_LARGE = 4
 SEED_LIMIT = 1 << 64  # trial substreams are keyed by (trial << 64) + seed
-TMAX_CAP = 1000  # bounds --family envelope: largest tmax (exact q^t arithmetic)
 GRID_CAP = 100_000  # bounds --grid: most points (one exact Fraction each)
+# bounds families that are bound_general at fixed inner parameters:
+# (parameter names in reading order, curve-name template, bound)
+_GENERAL_FAMILIES = {
+    "flx": (("q",), "flx_q{q}", bnd.bound_flx),
+    "clx": (("t", "q"), "clx_t{t}_q{q}", bnd.bound_clx),
+    "main": (("t", "q"), "main_t{t}_q{q}", bnd.bound_main),
+    "general": (("n", "k", "d1", "d2", "q"), "general_{n}_{k}_{d1}_{d2}_q{q}", bnd.bound_general),
+}
 
 
 class _ParseError(Exception):
@@ -229,23 +237,11 @@ def cmd_bounds(args, out):
     fam = args.family
     if fam == "gv":
         curve = bnd.gv_curves(params.get("kind", "css_binary"), [float(x) for x in grid])
-    elif fam == "flx":
-        q = ival("q")
-        curve = bnd.BoundCurve(f"flx_q{q}", list(grid),
-                               [bnd.bound_flx(q, r) for r in grid])
-    elif fam == "clx":
-        t, q = ival("t"), ival("q")
-        curve = bnd.BoundCurve(f"clx_t{t}_q{q}", list(grid),
-                               [bnd.bound_clx(t, q, r) for r in grid])
-    elif fam == "main":
-        t, q = ival("t"), ival("q")
-        curve = bnd.BoundCurve(f"main_t{t}_q{q}", list(grid),
-                               [bnd.bound_main(t, q, r) for r in grid])
-    elif fam == "general":
-        n, k = ival("n"), ival("k")
-        d1, d2, q = ival("d1"), ival("d2"), ival("q")
-        curve = bnd.BoundCurve(f"general_{n}_{k}_{d1}_{d2}_q{q}", list(grid),
-                               [bnd.bound_general(n, k, d1, d2, q, r) for r in grid])
+    elif fam in _GENERAL_FAMILIES:
+        names, template, bound = _GENERAL_FAMILIES[fam]
+        values = [ival(name) for name in names]
+        curve = bnd.BoundCurve(template.format(**dict(zip(names, values))), list(grid),
+                               [bound(*values, r) for r in grid])
     elif fam == "enlarged":
         q, n, k, d = ival("q"), ival("n"), ival("k"), ival("d")
         gh = _number(Fraction, params.get("gamma_hat", "0"))

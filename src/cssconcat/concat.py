@@ -196,16 +196,17 @@ def _sides(inner: CssPair, ext: Extension):
 
 
 def _facing(pair, side: int):
-    """The entries of the per-side ``pair`` for ``side`` and the other side."""
+    """The entries of the per-side ``pair`` for ``side``, 1 or 2 (else
+    DomainError), and for the other side."""
+    if side not in (1, 2):
+        raise DomainError("side must be 1 or 2")
     return pair[side - 1], pair[2 - side]
 
 
 def pi_map(m: int, pair: CssPair, ext: Extension, x) -> np.ndarray:
     """Expand a length-N vector over GF(q^k) to a length-nN vector over GF(q)
     by pi_m, ``m`` the side (module docstring, "Sides")."""
-    if m not in (1, 2):
-        raise DomainError("side must be 1 or 2")
-    _, g, coords, _, _ = _conventions(pair, ext)[m - 1]
+    _, g, coords, _, _ = _facing(_conventions(pair, ext), m)[0]
     x = check_codes(x, ext.Q, "element codes").reshape(-1)
     return pair.field.matmul(np.take(coords, x, axis=0), g).reshape(-1)
 
@@ -252,15 +253,14 @@ def build_parity_check(inner: CssPair, ext: Extension, Hout, side: int = 1):
     expanded outer check ``lower`` (the k*M x n*N block matrix), a row view
     of ``Ho``.
     """
-    if side not in (1, 2):
-        raise DomainError("side must be 1 or 2")
+    this, other = _facing(_sides(inner, ext), side)
     Hout = np.asarray(Hout, dtype=np.int64)
     if Hout.ndim != 2:
         raise RankDeficient("outer parity check must be a matrix")
     M = Hout.shape[0]
     if M and MatGF(ext.as_field(), Hout).rank != M:
         raise RankDeficient("outer parity check is not full rank")
-    return _expanded_check(ext, *_facing(_sides(inner, ext), side), Hout)
+    return _expanded_check(ext, this, other, Hout)
 
 
 def _expanded_check(ext: Extension, this: Side, other: Side, Hout):
@@ -309,8 +309,6 @@ class ConcatPair:
         """A fresh structured parity check Ho_side of L_side, gathered from
         the other side's pi table; its last k (N - K_side) rows are the
         expanded outer check Gp_side."""
-        if side not in (1, 2):
-            raise DomainError("side must be 1 or 2")
         return _expanded_check(self.ext, *_facing(self.sides, side), self.outer[side - 1].H)[0]
 
     def _concatenated(self, side: int) -> LinearCode:

@@ -113,13 +113,11 @@ class DecoderContext:
     """
 
     def __init__(self, cp: ConcatPair, side: int = 1, cap: int = TABLE_CAP):
-        if side not in (1, 2):
-            raise DomainError("side must be 1 or 2")
+        self.record = _facing(cp.sides, side)[0]
         self.cp = cp
         self.side = side
         self.field = cp.inner.field
         self.ext = cp.ext
-        self.record = cp.sides[side - 1]
         self.table = self.record.code.leader_table(cap)
         self.grs, self._opposite = _facing(cp.outer, side)
         self.N = cp.N
@@ -149,29 +147,27 @@ class DecoderContext:
         return self.reassemble_symbols(LG).astype(self.ext.as_field().dtype)
 
     def block_symbols(self, V):
-        """``(ids, H, w)`` for the nonzero blocks of rows ``V``, from one
-        product by [H; g]^T: their flat indices row * N + block, their
-        products with H, and the GF(Q) symbols of their g-coefficients
-        (module docstring), made in slices of ``chunk_rows`` coordinate
-        rows."""
-        blocks = V.reshape(-1, self.n)
+        """``(ids, H, W)`` for rows ``V`` of codes (checked), from one product
+        of their nonzero blocks by [H; g]^T: the blocks' flat indices row * N
+        + block, their products with H, and the (rows, N) GF(Q) symbols W of
+        all blocks' g-coefficients (module docstring), in ``chunk_rows`` slices."""
+        blocks = as_codes(self.field, V, "error entries").reshape(-1, self.n)
         ids = np.flatnonzero(_nonzero_rows(blocks))
         P = self.field.matmul(blocks[ids], self.record.HgT)
-        w = np.empty(len(ids), dtype=self.ext.as_field().dtype)
+        W = np.zeros(len(blocks), dtype=self.ext.as_field().dtype)
         step = chunk_rows(self.k)
         for lo in range(0, len(ids), step):
-            w[lo:lo + step] = self.reassemble_symbols(P[lo:lo + step, self.record.m:])
-        return ids, P[:, :self.record.m], w
+            W[ids[lo:lo + step]] = self.reassemble_symbols(P[lo:lo + step, self.record.m:])
+        return ids, P[:, :self.record.m], W.reshape(-1, self.N)
 
     def miss_symbols(self, E):
         """The (rows, N) GF(Q) symbols z of the stage-1 misses of error rows
-        ``E`` (module docstring): the symbols of the nonzero blocks less
-        the leader symbols of their syndromes; z_b is zero for a good
+        ``E`` (module docstring): their :meth:`block_symbols` less the leader
+        symbols of the nonzero blocks' syndromes; z_b is zero for a good
         block."""
-        ids, H, w = self.block_symbols(E)
-        Z = np.zeros((len(E), self.N), dtype=w.dtype)
-        LZ = self._leader_symbols
-        Z.reshape(-1)[ids] = self.ext.as_field().sub(w, LZ[pack(H, self.field.q)])
+        ids, H, Z = self.block_symbols(E)
+        z = Z.reshape(-1)
+        z[ids] = self.ext.as_field().sub(z[ids], self._leader_symbols[pack(H, self.field.q)])
         return Z
 
     def outside_dual(self, W):
@@ -208,15 +204,13 @@ class DecoderContext:
         """Syndromes e.Ho^T of error vectors ``E`` (rows, or one vector),
         formed without Ho (module docstring): the blockwise products with
         the inner check, then the coordinates of Hout.w(e)."""
-        E = as_codes(self.field, E, "error entries")
+        E = np.asarray(E)  # its codes are checked by block_symbols
         if E.shape[-1:] != (self.N * self.n,):
             raise DomainError(f"error vectors must have length {self.N * self.n}")
         rows = E.reshape(-1, self.N * self.n)
-        ids, H, w = self.block_symbols(rows)
+        ids, H, W = self.block_symbols(rows)
         blocks = np.zeros((len(rows) * self.N, self.record.m), dtype=self.field.dtype)
         blocks[ids] = H
-        W = np.zeros((len(rows), self.N), dtype=w.dtype)
-        W.reshape(-1)[ids] = w
         S = np.empty((len(rows), self.syndrome_len), dtype=self.field.dtype)
         upper, lower = S[:, :self.upper_len], S[:, self.upper_len:]
         upper[...] = blocks.reshape(upper.shape)
@@ -294,9 +288,7 @@ def success_oracle_rows(ctx: DecoderContext, E, estimates):
     ok = np.ones(len(E), dtype=bool)
     if not V.any():  # every estimate is exact
         return ok
-    ids, H, w = ctx.block_symbols(V)
+    ids, H, W = ctx.block_symbols(V)
     ok[ids[_nonzero_rows(H)] // ctx.N] = False
-    W = np.zeros((len(E), ctx.N), dtype=w.dtype)
-    W.reshape(-1)[ids] = w
     ok[ok] = ~ctx.outside_dual(W[ok])
     return ok

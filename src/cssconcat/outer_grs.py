@@ -22,11 +22,11 @@ coefficients, Omega and Lambda' have w.  The Chien search is one
 of a cached power table of the inverse points, which reads only their
 nonzero coefficients; its roots are taken as found, one flat list of (row,
 point) pairs, and Forney's formula (Forney, 1965) runs at each of them,
-Omega and Lambda' by w Horner steps, with the formal derivative's
-coefficient i times i mod p.  Every row is re-verified (locator degree <= t,
-that many distinct roots, and a re-encoded syndrome equal to the input); a
-row that fails gets a zero error row and an int8 reason code indexing
-:data:`MESSAGES`, never a silent miscorrection.
+Omega and Lambda' as one product against the table's column a_j^-i, i < w,
+at the root's point, the formal derivative's coefficient i times i mod p.
+Every row is re-verified (locator degree <= t, that many distinct roots,
+a re-encoded syndrome equal to the input); a failing row gets a zero error
+row and an int8 reason code into :data:`MESSAGES`, not a silent miscorrection.
 :meth:`GrsCode.bd_decode` is the one-row call and raises DecodeFailure.
 
 CSS certificate.  :func:`certify_css_pair` decides dual(D2) <= D1 for GRS
@@ -305,8 +305,8 @@ class GrsCode:
         return self._checked(P), f.neg(f.mul(self.points, f.inv_table[self.dual_multipliers]))
 
     def bd_decode_batch(self, S):
-        """Errors-only bounded-distance decoding of syndrome rows ``S``
-        (rows, N - K), against the canonical parity check.
+        """Errors-only bounded-distance decoding of syndrome rows ``S`` (rows,
+        N - K) against the canonical parity check, Chien and Forney on one table.
 
         Returns ``(E, ok, reason)``: row i of ``E`` is the unique error vector
         of weight <= t with syndrome ``S[i]`` when ``ok[i]``, and all zero
@@ -343,11 +343,8 @@ class GrsCode:
         P, c = self._chien
         roots = f._matmul(lam, P[:w + 1]) == 0  # lam holds codes, formed from checked S
         r, j = np.nonzero(roots)  # a root of kept row r at point j
-        x = P[1][j]  # 1/a_j
-        num = den = np.zeros(r.size, dtype=f.dtype)
-        for i in reversed(range(w)):  # Horner
-            num = f.add(f.mul(num, x), omega[r, i])
-            den = f.add(f.mul(den, x), dlam[r, i])
+        X = P[:w, j].T  # the powers a_j^-i, i < w, that Chien read at each root
+        num, den = (f.add_reduce(f.mul(poly[r], X), axis=1) for poly in (omega, dlam))
         # Forney: e_j = -a_j Omega(1/a_j) / (u_j Lambda'(1/a_j)) at each root
         E[rows[r], j] = f.mul(f.mul(num, c[j]), f.inv_table[den])
         why = np.where(roots.sum(axis=1) != L, _ROOT_COUNT, 0).astype(np.int8)

@@ -428,7 +428,8 @@ def dense_outcomes(ctx, E):
     Ho = ctx.cp.parity_check(ctx.side)
     S = dense_full_syndrome(ctx, E, Ho)
     Ehat = ctx.stage1(S[:, : ctx.upper_len])
-    ids, _, w = ctx.block_symbols(f.sub(E, Ehat))
+    ids, _, W = ctx.block_symbols(f.sub(E, Ehat))
+    w = W.reshape(-1)[ids]
     bad = np.bincount(ids[w != 0] // ctx.N, minlength=len(E))
     resid = f.sub(S[:, ctx.upper_len:], f.matmul(Ehat, Ho[ctx.upper_len:].T))
     decoded = np.flatnonzero(resid.any(axis=1))

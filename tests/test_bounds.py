@@ -1,11 +1,14 @@
 """Rational bound calculators, specialization identities, curve emission."""
 
 import math
+import time
 from fractions import Fraction
 
 import pytest
 
 from cssconcat.bounds import (
+    Q_CAP,
+    TMAX_CAP,
     BoundCurve,
     bound_clx,
     bound_enlarged,
@@ -18,7 +21,41 @@ from cssconcat.bounds import (
     gv_curves,
     rate_floor,
 )
-from cssconcat.errors import BelowRateFloor, DomainError
+from cssconcat.errors import BelowRateFloor, DomainError, TooLarge
+
+
+def test_caps_raise_too_large_at_once():
+    """Past bounds.Q_CAP for q, or bounds.TMAX_CAP for the exponent t of
+    q^t (k/2 in gamma_k), every bound raises TooLarge before it forms a
+    power of q or tests q by trial division: bound_main at t = 10^6 once
+    took 10 s, and the prime-power test of a prime near 10^14 0.75 s.  The
+    largest admitted values still give exact values."""
+    mersenne = 2 ** 61 - 1  # a prime
+    calls = [lambda: bound_main(10 ** 7, 3, 0), lambda: bound_main(TMAX_CAP + 1, 3, 0),
+             lambda: bound_clx(3 * 10 ** 6, 3, 0), lambda: bound_clx(TMAX_CAP + 1, 3, 0),
+             lambda: bound_general(10 ** 7, 10 ** 7, 1, 1, 3, 0),
+             lambda: bound_general(2 * TMAX_CAP + 1, 2 * TMAX_CAP + 1, 1, 1, 3, 0),
+             lambda: gamma_k(3, 10 ** 7), lambda: envelope_rt(4, [0], [2, 10 ** 7]),
+             lambda: envelope_rt(4, [0], range(2, TMAX_CAP + 2)),
+             lambda: bound_flx(Q_CAP + 1, 0), lambda: bound_flx(mersenne, 0),
+             lambda: envelope_rt(mersenne, [0], [2]),
+             lambda: bound_enlarged(mersenne, 4, 2, 2, 0, Fraction(1, 2))]
+    start = time.perf_counter()
+    for call in calls:
+        with pytest.raises(TooLarge):
+            call()
+    assert time.perf_counter() - start < 1
+    t = TMAX_CAP
+    g = Fraction(1, 3 ** t - 1)
+    assert bound_main(t, 3, 0) == Fraction(1, t + 1) * (Fraction(1, 2) - g)
+    assert bound_clx(t, 3, 0) == Fraction(2, 3 * (2 * t + 1)) * (1 - 2 * g)
+    assert gamma_k(3, 2 * t) == g
+    assert bound_general(2 * t, 2 * t, 1, 1, 3, 0) == Fraction(1, 4 * t) * (1 - 2 * g)
+    assert envelope_rt(3, [0], [t]).raw == [Fraction(t, t + 1) * (1 - 2 * g)]
+    assert bound_flx(Q_CAP, 0) == Fraction(1, 2) * (1 - Fraction(2, 2 ** 16 - 1))
+    prime = 4294967291  # the largest prime below Q_CAP
+    assert envelope_rt(prime, [0], [2]).raw == [Fraction(2, 3) * (1 - Fraction(2, prime ** 2 - 1))]
+    assert bound_enlarged(prime, 4, 2, 2, 0, 1) == -Fraction(2 * (prime + 1), 4 * (2 * prime + 1))
 
 
 def test_gamma_k():

@@ -562,7 +562,8 @@ def test_mc_rows_pass_the_inner_check(make_cp, side):
     E = _sample_block(ch, 3, 0, 400, ctx.N * ctx.n)
     S = ctx.full_syndrome(E)
     Ehat, outer_ok = decode_batch(ctx, S)
-    ids, H, w = ctx.block_symbols(ctx.field.sub(Ehat, E))
+    ids, H, W = ctx.block_symbols(ctx.field.sub(Ehat, E))
+    w = W.reshape(-1)[ids]
     assert (~outer_ok).any() and w.any() and not H.any()
 
 

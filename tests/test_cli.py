@@ -1,6 +1,7 @@
 """File formats round-trip; CLI subcommands, exit codes, determinism."""
 
 import io
+import time
 
 import numpy as np
 import pytest
@@ -556,6 +557,34 @@ def test_cli_bounds_envelope_edge_inputs(capsys):
     code, text = run_cli(["bounds", "--family", "envelope", "--params", "q=4,tmax=2",
                           "--grid", grid])
     assert (code, text) == (0, "0,0.5777777778\n0.05,0.3777777778\n0.1,0.1777777778\n")
+
+
+def test_cli_bounds_caps_exit_4_at_once(capsys):
+    """t, k and q past the caps of the bounds module exit 4 at once: `main
+    t=1000000,q=3` once took 10 s and t = 3*10^6 88 s, and a prime q near
+    2^61 would have taken minutes of trial division.  The largest admitted
+    values print their curve."""
+    from cssconcat.bounds import Q_CAP, TMAX_CAP
+
+    grid = "0:1:1/2"
+    huge = [("main", "t=10000000,q=3"), ("main", f"t={TMAX_CAP + 1},q=3"),
+            ("clx", "t=3000000,q=3"), ("general", "n=3000000,k=3000000,d1=1,d2=1,q=9"),
+            ("general", f"n={2 * TMAX_CAP + 1},k={2 * TMAX_CAP + 1},d1=1,d2=1,q=3"),
+            ("flx", f"q={Q_CAP + 1}"), ("envelope", f"q={2 ** 61 - 1}"),
+            ("enlarged", f"q={2 ** 61 - 1},n=4,k=2,d=2")]
+    start = time.perf_counter()
+    for family, params in huge:
+        assert run_cli(["bounds", "--family", family, "--params", params, "--grid", grid]) == (
+            EXIT_TOO_LARGE, ""), params
+        assert capsys.readouterr().err.startswith("error: ")
+    assert time.perf_counter() - start < 2
+    largest = [("main", f"t={TMAX_CAP},q=3"), ("clx", f"t={TMAX_CAP},q=3"),
+               ("general", f"n={2 * TMAX_CAP},k={2 * TMAX_CAP},d1=1,d2=1,q=3"),
+               ("flx", f"q={Q_CAP}"), ("envelope", "q=4294967291"),
+               ("enlarged", "q=4294967291,n=4,k=2,d=2")]
+    for family, params in largest:
+        code, text = run_cli(["bounds", "--family", family, "--params", params, "--grid", grid])
+        assert code == 0 and len(text.splitlines()) == 3, params
 
 
 def test_cli_bounds_gv_css_binary_past_half():

@@ -61,9 +61,9 @@ def test_golden_expanded_parity_block():
 
 
 def test_side_outside_one_and_two_is_a_domain_error():
-    """pi_map, build_parity_check and ConcatPair.parity_check reject a side
-    other than 1 or 2 as DecoderContext does, with DomainError (a
-    ValueError)."""
+    """pi_map, build_parity_check, ConcatPair.parity_check and
+    DecoderContext reject a side other than 1 or 2 with DomainError (a
+    ValueError), from the one check in concat._facing."""
     inner = trivial_pair(3)
     e8 = Extension(F2, 3)
     cp = _instance_12_2(2, 2)
@@ -74,6 +74,8 @@ def test_side_outside_one_and_two_is_a_domain_error():
             build_parity_check(inner, e8, np.array([[1, 2]]), side=side)
         with pytest.raises(DomainError, match="side must be 1 or 2"):
             cp.parity_check(side)
+        with pytest.raises(DomainError, match="side must be 1 or 2"):
+            DecoderContext(cp, side=side)
 
 
 @pytest.mark.parametrize("side", [1, 2])

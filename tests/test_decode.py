@@ -179,6 +179,31 @@ def test_full_syndrome_matches_dense_product(make_cp, side):
     assert np.array_equal(ctx.full_syndrome(E[1]), want[1])
 
 
+def test_miss_and_block_symbols_reject_entries_outside_field():
+    """miss_symbols once read an error entry 2 as 0 on [[90,28]], which left
+    the row's symbols all zero, and -1 as the symbol 15; on [[480,160]] over
+    GF(3) it read a 5 as 2.  It and block_symbols raise DomainError on such
+    rows now, as full_syndrome does, in int64 and in the field's dtype, and
+    read codes of any integer dtype by their values."""
+    e81 = Extension(F3, 4)
+    cp_480 = concatenate(bvector_pair(F3, [1] * 6, [1] * 6), nested_grs_pair(e81, 80, 60, 60), e81)
+    for cp, bads in ((_cp_90_28(), (2, -1)), (cp_480, (5, -1))):
+        for side in (1, 2):
+            ctx = DecoderContext(cp, side=side)
+            E = np.zeros((3, cp.block_length), dtype=np.int64)
+            E[1, [0, 7, 8]] = 1
+            want = ctx.miss_symbols(E)
+            for dtype in (ctx.field.dtype, np.uint8, np.int16):
+                assert np.array_equal(ctx.miss_symbols(E.astype(dtype)), want)
+            for bad in bads:
+                B = E.copy()
+                B[2, 3] = bad
+                for call in (ctx.miss_symbols, ctx.block_symbols):
+                    for rows in (B, B.astype(ctx.field.dtype)):
+                        with pytest.raises(DomainError, match="error entries"):
+                            call(rows)
+
+
 def test_table_and_stage1_reject_entries_outside_field():
     """A -1 used to wrap around to the leader of syndrome 1, a 2 to raise a
     bare IndexError."""
@@ -526,7 +551,8 @@ def test_block_oracle_matches_dense_reference(make_cp, side):
     assert np.array_equal(success_oracle_rows(ctx, E, Ehat), want)
     assert want.any() and (~outer_ok).any() and (outer_ok & ~want).any()
     shift = _dual_shift(ctx, rng, len(E))
-    ids, H, w = ctx.block_symbols(shift)
+    ids, H, W = ctx.block_symbols(shift)
+    w = W.reshape(-1)[ids]
     assert not H.any() and set(ids[w != 0] // ctx.N) == set(range(len(E)))
     shifted = f.add(Ehat, shift)
     assert np.array_equal(_dense_oracle(ctx, E, shifted), want)
@@ -552,7 +578,8 @@ def test_block_oracle_inner_and_symbol_failures(make_cp, side):
     V = np.concatenate([np.eye(1, L, 0, dtype=np.int64), np.eye(1, L, L - 1, dtype=np.int64),
                         pi_rows(side, ctx.cp.inner, ctx.ext, Z)])
     zero = np.zeros_like(V)
-    ids, H, w = ctx.block_symbols(f.sub(V, zero))
+    ids, H, W = ctx.block_symbols(f.sub(V, zero))
+    w = W.reshape(-1)[ids]
     rows = ids // ctx.N
     assert set(rows[H.any(axis=1)]) == {0, 1} and set(rows[w != 0]) >= set(range(2, 10))
     want = _dense_oracle(ctx, zero, V)

@@ -1,5 +1,7 @@
 """GRS codes: construction, duals, bounded-distance decoding."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -972,3 +974,43 @@ def test_decoding_builds_no_generator():
     assert np.array_equal(D2.bd_decode(D2.syndrome(e)), e)
     assert {"_Ht", "_chien"} <= set(vars(D2)) and "_Gt" not in vars(D2)
     assert not {"_Ht", "_Gt", "_chien"} & set(vars(D1))
+
+
+_MISCORRECTION_CODES = {  # id: (extension, N, K), t = 2 and 3
+    "RS63_59": (Extension(Field(2), 6), 63, 59),
+    "RS63_57": (Extension(Field(2), 6), 63, 57),
+    "RS255_251": (Extension(Field(2), 8), 255, 251),
+    "RS255_249": (Extension(Field(2), 8), 255, 249),
+}
+
+
+@pytest.mark.parametrize("excess", [1, 2, 3])
+@pytest.mark.parametrize("name", list(_MISCORRECTION_CODES))
+def test_sampled_miscorrections_meet_the_mds_count(name, excess):
+    """Rows of weight w = t + 1 .. t + 3 with uniform positions and uniform
+    nonzero symbols, past the radius: each row either fails with a reason
+    and a zero error row, or is miscorrected, decoded to an error of weight
+    <= t with the row's syndrome, so that it differs from the true error by
+    a nonzero codeword.  The miscorrected share meets the McEliece-Swanson
+    count of the MDS code, references.mds_miscorrections (0.13-0.49 here),
+    within 3 sigma, and every row equals references.bd_decode_batch."""
+    ext, N, K = _MISCORRECTION_CODES[name]
+    code = nested_grs_pair(ext, N, K, K)[0]
+    t, rows = code.t, 4000
+    w = t + excess
+    rng = np.random.default_rng(N * 10 + K + excess)
+    E = np.zeros((rows, N), dtype=np.int64)
+    np.put_along_axis(E, np.argsort(rng.random((rows, N)), axis=1)[:, :w],
+                      rng.integers(1, ext.Q, size=(rows, w)), axis=1)
+    S = code.syndrome(E)
+    got = code.bd_decode_batch(S)
+    for a, b in zip(got, references.bd_decode_batch(code, S)):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    X, ok, reason = got
+    assert not X[~ok].any() and (reason[~ok] != 0).all()
+    assert (np.count_nonzero(X[ok], axis=1) <= t).all()
+    assert np.array_equal(code.syndrome(X[ok]), S[ok])
+    miscorrected = int((ok & (X != E).any(axis=1)).sum())
+    assert miscorrected == ok.sum()
+    p = references.mds_miscorrections(N, K, ext.Q, w) / (math.comb(N, w) * (ext.Q - 1) ** w)
+    assert abs(miscorrected - rows * p) <= 3 * math.sqrt(rows * p * (1 - p))
