@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .errors import BelowRateFloor, DomainError, TooLarge
 from .galois import _prime_factors
@@ -28,6 +29,7 @@ def _frac(x):
     return Fraction(x)
 
 
+@cache  # a curve tests its one q at every grid point
 def _is_prime_power(n: int) -> bool:
     return n >= 2 and len(_prime_factors(n)) == 1
 

@@ -22,6 +22,7 @@ from .concat import concatenate, verify_duality
 from .decode import DecoderContext, two_stage_decode, success_oracle
 from .enlarge import enlargement_distance_floor, steane_enlarge, symplectic_min_distance
 from .errors import BelowRateFloor, DomainError, TooLarge
+from .matrix import as_codes
 from .outer_grs import nested_grs_pair
 
 EXIT_PARSE = 2
@@ -73,12 +74,10 @@ def _build_concat(cfg_path):
 # -- subcommands -------------------------------------------------------------
 
 def cmd_field(args, out):
-    toks = _load(fileio._Tokens, args.spec)
-    f = _load(fileio.field_from_tokens, toks)
+    f = _load(fileio.parse, args.spec, fileio.field_from_tokens)
     print(f"field GF({f.q}) = GF({f.p}^{f.e}), modulus {list(f.modulus)}", file=out)
     if args.ext:
-        ext = _load(fileio.extension_from_tokens, f,
-                    _load(fileio._Tokens, args.ext))
+        ext = _load(fileio.parse, args.ext, lambda toks: fileio.extension_from_tokens(f, toks))
         print(f"extension GF({ext.Q}) degree {ext.k}, primitive poly {list(ext.f)}",
               file=out)
         print("companion matrix:", file=out)
@@ -92,7 +91,10 @@ def cmd_construct(args, out):
     C2 = _load(fileio.read_code, args.c2)
     g1 = None
     if args.g1:
-        g1 = _load(fileio.read_vector, args.g1).reshape(-1, C1.n)
+        g1 = _load(fileio.read_vector, args.g1)
+        if not C1.n or g1.size % C1.n:
+            raise _ParseError(f"g1 must have a multiple of {C1.n} entries, not {g1.size}")
+        g1 = g1.reshape(-1, C1.n)
     pair = CssPair.build(C1, C2, g1)
     if args.out:
         fileio.write_pair(args.out, pair)
@@ -146,8 +148,7 @@ def cmd_decode(args, out):
     ctx = DecoderContext(cp, side=args.side, cap=args.cap)
     is_error = args.error is not None
     v = _load(fileio.read_vector, args.error if is_error else args.syndrome)
-    if v.size and (v.min() < 0 or v.max() >= ctx.field.q):
-        raise _ParseError(f"vector entries must lie in [0, {ctx.field.q})")
+    v = _load(as_codes, ctx.field, v, "vector entries")
     length = ctx.N * ctx.n if is_error else ctx.syndrome_len
     if v.size != length:
         raise _ParseError(f"vector must have {length} entries, not {v.size}")

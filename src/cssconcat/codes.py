@@ -34,11 +34,6 @@ C1 = dual(C2) + span(g1).  By the same argument, with dual(C1) <= C2 the
 dual of the containment, C2 = dual(C1) + span(g2).  A nonzero C2.H C1.H^T
 raises NotOrthogonal, any other failing block BadComplement.
 
-Shared work.  :func:`bvector_pair` with equal checks returns one code as
-both C1 and C2, so the row profile ranks one check, and a code keeps its
-coset-leader table from the first request (:meth:`LinearCode.leader_table`),
-so the decoders of both sides of such a pair read one table.
-
 Brute-force oracles (`min_weight_excluding`, `CosetLeaderTable`) enumerate
 codewords or error patterns and are capped; they are meant as ground truth
 for desk-size instances, not production decoders.  Every brute-force
@@ -152,9 +147,6 @@ class LinearCode:
         d = LinearCode._full_rank(self.field, H)
         d._Hmat = self.Gmat
         return d
-
-    def contains(self, v):
-        return self.Gmat.span_contains(v)
 
     def contains_rows(self, X):
         return self.Gmat.span_contains_rows(X)
@@ -284,13 +276,9 @@ class CssPair:
 
     @classmethod
     def build(cls, C1: LinearCode, C2: LinearCode, g1=None):
-        """Construct a pair by the row profile of the module docstring; when
-        ``g1`` is omitted it is the first k rows of C1.G independent modulo
-        dual(C2).  The result is checked by the product certificate, the
-        one product of a valid pair.  Only when the row profile fails is the
-        containment product run, so that a pair that is not nested raises
-        NotOrthogonal before anything else, as it does from the
-        certificate."""
+        """The pair by the row profile, ``g1`` defaulting to the first k rows
+        of C1.G independent modulo dual(C2), checked by the product
+        certificate (see the module docstring)."""
         if C1.n != C2.n:
             raise LengthMismatch("codes of different length")
         try:
@@ -440,24 +428,20 @@ class CosetLeaderTable:
             raise DomainError(f"syndrome must have length {self.m}")
         return pack(as_codes(self.field, syndrome, "syndrome entries"), self.field.q)
 
-    def leader(self, syndrome):
-        return self.leaders[int(self.pack(syndrome))]
-
 
 def bvector_pair(field, b1, b2) -> CssPair:
     """The [[n, n-2, 2]]-type pair whose duals are spanned by single vectors.
 
-    ``b1`` and ``b2`` must have all-nonzero entries and be orthogonal; the
-    result has dual(C1) = span(b1) and dual(C2) = span(b2).
+    ``b1`` and ``b2`` are codes of the field (:func:`matrix.as_codes`) with
+    no zero entry; the result has dual(C1) = span(b1) and dual(C2) =
+    span(b2).  :meth:`CssPair.build` raises NotOrthogonal unless b1.b2 = 0.
     """
-    b1 = np.asarray(b1, dtype=np.int64).reshape(-1)
-    b2 = np.asarray(b2, dtype=np.int64).reshape(-1)
+    b1 = as_codes(field, b1, "b1 entries").reshape(-1)
+    b2 = as_codes(field, b2, "b2 entries").reshape(-1)
     if b1.shape != b2.shape:
         raise LengthMismatch("b1 and b2 have different lengths")
     if not (b1.all() and b2.all()):
         raise ZeroEntry("b vectors must have all-nonzero entries")
-    if field.dot(b1, b2) != 0:
-        raise NotOrthogonal("b1 and b2 must be orthogonal")
     C1 = LinearCode.from_parity_check(field, b1[None, :])
     # equal checks give one code: one rank and one leader table for both sides
     C2 = C1 if np.array_equal(b1, b2) else LinearCode.from_parity_check(field, b2[None, :])

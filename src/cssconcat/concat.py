@@ -289,7 +289,7 @@ class ConcatPair:
     ``D1``/``D2`` are the outer GRS codes, which also decode the outer
     stage, with parity checks ``Hout1``/``Hout2`` = ``D1.H``/``D2.H``;
     ``sides`` the two :class:`Side` records, whose pi tables are
-    ``PI1``/``PI2``.  The codes ``L1``/``L2`` are built from the tables on
+    ``sides[s - 1].PI``.  The codes ``L1``/``L2`` are built from the tables on
     first access and kept; :meth:`parity_check` builds a structured check on
     every call and keeps none.  Set-up, decoding and Monte-Carlo read none
     of them.
@@ -325,14 +325,6 @@ class ConcatPair:
     @cached_property
     def L2(self) -> LinearCode:
         return self._concatenated(2)
-
-    @property
-    def PI1(self) -> np.ndarray:
-        return self.sides[0].PI
-
-    @property
-    def PI2(self) -> np.ndarray:
-        return self.sides[1].PI
 
     @property
     def Hout1(self) -> np.ndarray:

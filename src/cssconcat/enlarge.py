@@ -23,10 +23,11 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .codes import (ENUM_CAP, LinearCode, _row_profile, min_weight_excluding, min_weight_outside,
-                    validate_css)
+from .codes import (ENUM_CAP, CssPair, LinearCode, _row_profile, min_weight_excluding,
+                    min_weight_outside, validate_css)
 from .concat import _concatenated_rows
 from .errors import (
+    BadComplement,
     BadField,
     BadLength,
     ConditionViolation,
@@ -232,11 +233,11 @@ def enlarged_concat(C1: LinearCode, g1, ext: Extension, D: GrsCode,
                     Dprime: GrsCode, cap: int = ENUM_CAP) -> EnlargedCode:
     """Concatenate-then-enlarge with a nested GRS outer tower.
 
-    Conditions: (A) C1 contains its dual, C1.H C1.H^T = 0
-    (:func:`codes.validate_css`); (B) ``g1`` is an orthonormal set
-    completing dual(C1) to C1; (C) the extension admits a self-dual basis,
-    decided exactly by :meth:`galois.Extension.self_dual_basis`: one exists
-    iff q is even or k is odd.
+    Conditions: (A) C1 contains its dual and (B) ``g1`` is an orthonormal
+    set completing dual(C1) to C1, the certificate of ``CssPair(C1, C1, g1,
+    g1)`` (NotOrthogonal fails (A), BadComplement (B)); (C) the extension
+    admits a self-dual basis, decided exactly by
+    :meth:`galois.Extension.self_dual_basis`: one exists iff q is even or k is odd.
     ``D`` and ``Dprime`` must satisfy dual(D) <= D < Dprime on shared points
     (:func:`outer_grs.certify_css_pair` on (D, D) and (Dprime, D.dual())),
     and live over ``ext``: codes over another extension raise FieldMismatch.
@@ -262,16 +263,15 @@ def enlarged_concat(C1: LinearCode, g1, ext: Extension, D: GrsCode,
         profile of (C', dual C) picks in :func:`steane_enlarge`.
     """
     f = C1.field
-    if not validate_css(C1, C1):
-        raise ConditionViolation("(A) inner code does not contain its dual")
-    g1 = np.array(g1, dtype=np.int64)
-    k = g1.shape[0]
-    gram, cross = f.matmul(g1, g1.T), f.matmul(g1, C1.H.T)
-    # orthonormal rows orthogonal to dual(C1) are independent modulo it, so
-    # [C1.H; g1] spans C1 exactly when the dimensions add up
-    if (not np.array_equal(gram, np.eye(k, dtype=np.int64)) or cross.any()
-            or C1.n - C1.dim + k != C1.dim):
-        raise ConditionViolation("(B) generators are not an orthonormal completion")
+    try:
+        g1 = CssPair(C1, C1, g1, g1).g1
+    except NotOrthogonal:
+        raise ConditionViolation("(A) inner code does not contain its dual") from None
+    except BadComplement:
+        if np.shape(g1)[-1:] != (C1.n,):
+            raise DomainError(f"g1 rows must have length {C1.n}") from None
+        raise ConditionViolation("(B) generators are not an orthonormal completion") from None
+    k = len(g1)
     if ext.base != f or ext.k != k:
         raise ConditionViolation("(B) generator count does not match the extension degree")
     if D.ext != ext or Dprime.ext != ext:

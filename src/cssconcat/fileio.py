@@ -12,11 +12,17 @@ Formats (all whitespace-separated decimal integers, parsed as token streams):
                    optionally the k coset-generator rows g1
 * concat config:   first line = path of the inner pair file (relative to the
                    config file), then an extension line, then ``N K1 K2``
+* vector:          element codes
+
+Every reader consumes its whole input through :class:`_Tokens`, and a config
+has exactly three non-blank lines: a missing, non-integer or leftover token
+raises DomainError, and codes are built only once their file has parsed.
 """
 
 from __future__ import annotations
 
 import os
+from pathlib import Path
 
 import numpy as np
 
@@ -52,6 +58,18 @@ class _Tokens:
     @property
     def exhausted(self):
         return self.pos >= len(self.toks)
+
+    def end(self):
+        if not self.exhausted:
+            raise DomainError(f"unexpected token {self.toks[self.pos]!r} after the data")
+
+
+def parse(text, read):
+    """``read(tokens)`` on the tokens of ``text``, which it must consume."""
+    toks = _Tokens(text)
+    out = read(toks)
+    toks.end()
+    return out
 
 
 def field_to_line(field: Field) -> str:
@@ -104,10 +122,11 @@ def write_code(path, code: LinearCode) -> None:
 
 
 def read_code(path) -> LinearCode:
-    with open(path) as fh:
-        toks = _Tokens(fh.read())
+    toks = _Tokens(Path(path).read_text())
     f = field_from_tokens(toks)
-    return LinearCode(f, matrix_from_tokens(f, toks))
+    G = matrix_from_tokens(f, toks)
+    toks.end()
+    return LinearCode(f, G)
 
 
 def write_pair(path, pair: CssPair) -> None:
@@ -119,15 +138,12 @@ def write_pair(path, pair: CssPair) -> None:
 
 
 def read_pair(path) -> CssPair:
-    with open(path) as fh:
-        toks = _Tokens(fh.read())
+    toks = _Tokens(Path(path).read_text())
     f = field_from_tokens(toks)
-    C1 = LinearCode(f, matrix_from_tokens(f, toks))
-    C2 = LinearCode(f, matrix_from_tokens(f, toks))
-    g1 = None
-    if not toks.exhausted:
-        g1 = matrix_from_tokens(f, toks)
-    return CssPair.build(C1, C2, g1)
+    G1, G2 = matrix_from_tokens(f, toks), matrix_from_tokens(f, toks)
+    g1 = None if toks.exhausted else matrix_from_tokens(f, toks)
+    toks.end()
+    return CssPair.build(LinearCode(f, G1), LinearCode(f, G2), g1)
 
 
 # -- concatenation config ----------------------------------------------------
@@ -143,15 +159,14 @@ def read_concat_config(path):
     """Returns ``(inner CssPair, Extension, N, K1, K2)``."""
     with open(path) as fh:
         lines = [ln.strip() for ln in fh.read().splitlines() if ln.strip()]
-    if len(lines) < 3:
-        raise DomainError("concat config needs 3 lines")
+    if len(lines) != 3:
+        raise DomainError(f"a concat config has 3 lines, not {len(lines)}")
     inner_path = lines[0]
     if not os.path.isabs(inner_path):
         inner_path = os.path.join(os.path.dirname(os.path.abspath(path)), inner_path)
     inner = read_pair(inner_path)
-    toks = _Tokens(lines[1])
-    ext = extension_from_tokens(inner.field, toks)
-    N, K1, K2 = _Tokens(lines[2]).take_ints(3)
+    ext = parse(lines[1], lambda toks: extension_from_tokens(inner.field, toks))
+    N, K1, K2 = parse(lines[2], lambda toks: toks.take_ints(3))
     if min(N, K1, K2) < 0:
         raise DomainError("negative concat dimensions")
     return inner, ext, N, K1, K2
@@ -164,9 +179,5 @@ def write_vector(path, v) -> None:
 
 
 def read_vector(path) -> np.ndarray:
-    with open(path) as fh:
-        toks = fh.read().split()
-    try:
-        return np.array([int(t) for t in toks], dtype=np.int64)
-    except ValueError as exc:
-        raise DomainError(f"bad vector token: {exc}") from exc
+    toks = _Tokens(Path(path).read_text())
+    return np.array(toks.take_ints(len(toks.toks)), dtype=np.int64)

@@ -129,17 +129,23 @@ def chunk_rows(width, itemsize=8):
     return max(1, _CHUNK_BYTES // (itemsize * max(1, width)))
 
 
+def as_int64(X, q, what="entries"):
+    """``X`` as a new int64 array; a float entry must first be an integer in
+    ``[0, q)``: 0.5, 1.9, inf and NaN raise DomainError, none is truncated."""
+    X = np.asarray(X)
+    # NaN fails every comparison, so it is rejected with no warning
+    if X.dtype.kind == "f" and not ((X >= 0) & (X < q) & (np.trunc(X) == X)).all():
+        raise DomainError(f"{what} must be integers in [0, {q})")
+    return X.astype(np.int64)
+
+
 def check_codes(X, q, what="entries"):
     """``X`` as an integer array checked against ``[0, q)``, in its own dtype
     when that holds q - 1; lists, non-integer arrays and narrower signed
-    arrays are read as int64.  A float entry must be an integer in range
-    before the cast: 0.5, 1.9, inf and NaN raise DomainError."""
+    arrays are read as int64 by :func:`as_int64`."""
     X = np.asarray(X)
     if X.dtype.kind not in "biu" or (X.dtype.kind == "i" and 1 << 8 * X.dtype.itemsize - 1 < q):
-        # NaN fails every comparison, so it is rejected with no warning
-        if X.dtype.kind == "f" and not ((X >= 0) & (X < q) & (np.trunc(X) == X)).all():
-            raise DomainError(f"{what} must be integers in [0, {q})")
-        X = X.astype(np.int64)
+        X = as_int64(X, q, what)
     # read as unsigned, a negative entry is at least 2**(bits - 1) >= q, so
     # one max checks both ends
     if X.size and X.view(f"u{X.dtype.itemsize}").max() >= q:
@@ -395,10 +401,6 @@ class MatGF:
         return MatGF(self.field, basis)
 
     # -- span queries --------------------------------------------------------
-
-    def span_contains(self, v):
-        """True iff ``v`` lies in the row space."""
-        return bool(self.span_contains_rows(np.asarray(v).reshape(1, -1))[0])
 
     def span_contains_rows(self, X):
         """Boolean mask: which rows of ``X`` lie in the row space (see the

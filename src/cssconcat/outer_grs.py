@@ -83,7 +83,7 @@ from .errors import (
 )
 from .codes import LinearCode
 from .galois import Extension
-from .matrix import as_codes, check_codes, chunk_rows
+from .matrix import as_codes, as_int64, check_codes, chunk_rows
 
 # The outcome of decoding one syndrome row: ``reason`` codes index this tuple.
 MESSAGES = (
@@ -115,11 +115,6 @@ def _log_difference_products(ext, points):
     return out
 
 
-def _as_int64(x):
-    """The codes ``x`` as a new 1-D int64 array; non-integers are truncated."""
-    return np.asarray(x).astype(np.int64).reshape(-1)
-
-
 def _distinct_codes(ext, a):
     """Whether the 1-D integer array ``a`` holds distinct codes of the
     field, checked by a Q-length boolean scatter, not a sort."""
@@ -131,13 +126,14 @@ def _distinct_codes(ext, a):
 
 
 def _checked_points(ext, points):
-    """The points as a 1-D int64 array, checked distinct (DuplicatePoint),
-    then codes of the field (DomainError).
+    """The points as a 1-D int64 array by :func:`matrix.as_int64` (a
+    non-integer raises DomainError), checked distinct (DuplicatePoint), then
+    codes of the field (DomainError).
 
     Codes of the field are checked distinct by :func:`_distinct_codes`;
     with a point out of range, which raises anyway, by a set.
     """
-    a = _as_int64(points)
+    a = as_int64(points, ext.Q, "points").reshape(-1)
     if not _distinct_codes(ext, a):
         if ((a >= 0) & (a < ext.Q)).all() or len(set(a.tolist())) != a.size:
             raise DuplicatePoint("evaluation points must be distinct")
@@ -210,7 +206,7 @@ class GrsCode:
 
     def __init__(self, ext: Extension, points, multipliers, K: int):
         points = _checked_points(ext, points)
-        multipliers = _as_int64(multipliers)
+        multipliers = as_int64(multipliers, ext.Q, "multipliers").reshape(-1)
         if multipliers.size != points.size:
             raise DomainError("need one multiplier per point")
         if ((multipliers < 0) | (multipliers >= ext.Q)).any():

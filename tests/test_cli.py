@@ -77,6 +77,39 @@ def test_concat_config_roundtrip(tmp_path):
     assert (ext.k, N, K1, K2) == (2, 3, 1, 3)
 
 
+def test_readers_consume_their_whole_input(tmp_path):
+    """A token left over after the data raises DomainError: a data row past
+    the row count of a code file's header (even of codes outside the field)
+    was ignored, and so were a token after a pair's matrices, after a
+    config's extension or dimensions, and a config's fourth line."""
+    C = LinearCode.from_parity_check(F2, HAMMING_H)
+    path = tmp_path / "code.txt"
+    fileio.write_code(path, C)
+    text = path.read_text()
+    for extra in ("1 0 1 0 1 0 1\n", "5 5 5 5 5 5 5\n", "x\n"):
+        path.write_text(text + extra)
+        with pytest.raises(DomainError, match="after the data"):
+            fileio.read_code(path)
+    cfg = _write_config(tmp_path)
+    pair_path = tmp_path / "inner.txt"
+    pair_text, cfg_lines = pair_path.read_text(), cfg.read_text().splitlines()
+    pair_path.write_text(pair_text + "1 2 1 1 1 1\n")  # a g1 of 1 row, then a token
+    with pytest.raises(DomainError, match="after the data"):
+        fileio.read_pair(pair_path)
+    pair_path.write_text(pair_text)
+    for line, extra in ((1, " 1"), (2, " 7")):
+        lines = list(cfg_lines)
+        lines[line] += extra
+        cfg.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DomainError, match="after the data"):
+            fileio.read_concat_config(cfg)
+    cfg.write_text("\n".join(cfg_lines + ["8"]) + "\n")
+    with pytest.raises(DomainError, match="3 lines, not 4"):
+        fileio.read_concat_config(cfg)
+    cfg.write_text("\n\n".join(cfg_lines) + "\n\n")  # blank lines are not lines
+    assert fileio.read_concat_config(cfg)[2:] == (3, 1, 3)
+
+
 # -- CLI ----------------------------------------------------------------------
 
 def run_cli(argv):
@@ -91,6 +124,15 @@ def test_cli_field_golden():
     assert "GF(2" in text and "degree 3" in text
     # companion matrix of x^3 + x + 1
     assert "3 3\n0 0 1\n1 0 1\n0 1 0\n" in text
+
+
+def test_cli_field_trailing_tokens_exit_2(capsys):
+    """A token past the field or the extension line is a parse error; both
+    were ignored and the command exited 0."""
+    for argv, token in ((["field", "--spec", "2 1 0 1 7"], "7"),
+                        (["field", "--spec", "2 1 0 1", "--ext", "3 1 1 0 1 5"], "5")):
+        assert run_cli(argv)[0] == EXIT_PARSE
+        assert capsys.readouterr().err == f"error: unexpected token '{token}' after the data\n"
 
 
 def test_cli_field_past_the_order_cap(capsys):
@@ -167,6 +209,20 @@ def test_cli_construct_with_g1(tmp_path):
         assert run_cli(argv)[0] == EXIT_INVARIANT
         with pytest.raises(BadComplement):
             run_cli(["--debug"] + argv)
+
+
+def test_cli_construct_g1_of_wrong_length_exits_2(tmp_path, capsys):
+    """A g1 file whose length is not a multiple of n is a parse error; it
+    exited 3 with numpy's "cannot reshape" ValueError."""
+    C = LinearCode.from_parity_check(F2, HAMMING_H)
+    c_path = tmp_path / "steane.txt"
+    fileio.write_code(c_path, C)
+    g1 = tmp_path / "g1.txt"
+    for bad in ("1 1 1 1 1", "1 1 1 1 1 1 1 1"):
+        g1.write_text(bad + "\n")
+        argv = ["construct", "--c1", str(c_path), "--c2", str(c_path), "--g1", str(g1)]
+        assert run_cli(argv) == (EXIT_PARSE, "")
+        assert capsys.readouterr().err.startswith("error: g1 must have a multiple of 7")
 
 
 def test_cli_concat_verify_and_files(tmp_path):
@@ -585,6 +641,23 @@ def test_cli_bounds_caps_exit_4_at_once(capsys):
     for family, params in largest:
         code, text = run_cli(["bounds", "--family", family, "--params", params, "--grid", grid])
         assert code == 0 and len(text.splitlines()) == 3, params
+
+
+def test_cli_bounds_tests_q_once_per_curve():
+    """The prime-power test of q runs once per curve, not once per grid
+    point: a 1000-point grid at the prime q = 4294967291 took 5 s.  Its
+    stdout is pinned."""
+    import hashlib
+
+    from cssconcat import bounds
+
+    bounds._is_prime_power.cache_clear()
+    start = time.perf_counter()
+    code, text = run_cli(["bounds", "--family", "general", "--params",
+                          "n=2,k=2,d1=1,d2=1,q=4294967291", "--grid", "0:1:1/999"])
+    assert time.perf_counter() - start < 1
+    assert code == 0 and len(text.splitlines()) == 1000
+    assert hashlib.md5(text.encode()).hexdigest() == "326c08de7443fca0df2ab2a5eb8c3073"
 
 
 def test_cli_bounds_gv_css_binary_past_half():

@@ -71,7 +71,7 @@ def test_rank_deficient_generator():
 
 def test_contains():
     C = steane_code()
-    assert C.contains(C.G[0])
+    assert C.contains_rows(C.G[:1])[0]
     assert C.dual().is_subcode(C)  # Hamming contains its dual
 
 
@@ -182,7 +182,7 @@ def test_explicit_g1_coset_generators():
     C = steane_code()
     g1 = None
     for row in C.G:
-        if not C.dual().contains(row):
+        if not C.dual().contains_rows(row[None, :])[0]:
             g1 = row[None, :]
             break
     g2, c1perp = coset_generators(C, C, g1)
@@ -199,6 +199,15 @@ def test_bvector_pair():
     f3 = Field(3)
     with pytest.raises(NotOrthogonal):
         bvector_pair(f3, [1, 1, 1, 1], [1, 1, 1, 2])
+
+
+def test_bvector_pair_rejects_entries_outside_the_field():
+    """b entries outside [0, q) raise DomainError; 5 over GF(2) once raised
+    IndexError from the field's tables, and -1 or 1.5 are not codes."""
+    for b1, b2 in (([1, 1, 5, 1], [1, 1, 1, 1]), ([1, 1, 1, 1], [1, 1, 1, 3]),
+                   ([1, -1, 1, 1], [1, 1, 1, 1]), ([1, 1, 1.5, 1], [1, 1, 1, 1])):
+        with pytest.raises(DomainError):
+            bvector_pair(F2, b1, b2)
 
 
 def test_bvector_pair_with_equal_checks_is_one_code():
@@ -250,17 +259,17 @@ def test_leader_table_decodes_within_radius():
         e = np.zeros(7, dtype=np.int64)
         e[i] = 1
         s = C.syndrome(e)
-        assert np.array_equal(table.leader(s), e)
+        assert np.array_equal(table.leaders[table.pack(s)], e)
 
 
 def test_syndrome_rejects_entries_outside_the_field():
     """2, 3, -1 and 0.5 over GF(2), and 4 over GF(3), once gave syndromes
-    [0], [1], [1], [0] and [1]: they raise DomainError, as contains does."""
+    [0], [1], [1], [0] and [1]: they raise DomainError, as contains_rows does."""
     for f, bads in ((F2, (2, 3, -1, 0.5)), (Field(3), (4,))):
         C = LinearCode.from_parity_check(f, np.ones((1, 6), dtype=np.int64))
         for bad in bads:
             e = [bad, 0, 0, 0, 0, 0]
-            for call in (C.syndrome, C.contains):
+            for call in (C.syndrome, lambda v: C.contains_rows([v])):
                 with pytest.raises(DomainError):
                     call(e)
             with pytest.raises(DomainError):
@@ -402,7 +411,7 @@ def greedy_pair(C1, C2, g1=None):
         for row in C1.G:
             if len(chosen) == k:
                 break
-            if not span.span_contains(row):
+            if not span.span_contains_rows(row[None, :])[0]:
                 chosen.append(row)
                 span = MatGF(f, np.concatenate([span.a, row[None, :]]))
         assert len(chosen) == k
@@ -416,7 +425,7 @@ def greedy_pair(C1, C2, g1=None):
             break
         e = np.zeros(n, dtype=f.dtype)
         e[i] = 1
-        if not span.span_contains(e):
+        if not span.span_contains_rows(e[None, :])[0]:
             completion.append(e)
             span = MatGF(f, np.concatenate([span.a, e[None, :]]))
     Ainv = inverse(f, span.a)

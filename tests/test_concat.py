@@ -699,7 +699,6 @@ def test_contexts_share_the_pairs_records(q, n):
     cp = concatenate(bvector_pair(F, [1] * n, [1] * n), nested_grs_pair(ext, 15, 11, 11), ext)
     ctxs = DecoderContext(cp, side=1), DecoderContext(cp, side=2)
     assert [ctx.record for ctx in ctxs] == list(cp.sides)
-    assert cp.PI1 is cp.sides[0].PI and cp.PI2 is cp.sides[1].PI
     assert "from_dual_table" not in vars(ext)
 
 

@@ -95,7 +95,7 @@ def test_enlarged_contains_symplectic_dual():
     H = symplectic_dual(F2, enl.G)
     from cssconcat.matrix import MatGF
     G = MatGF(F2, enl.G)
-    assert all(G.span_contains(h) for h in H)
+    assert G.span_contains_rows(H).all()
 
 
 def test_symplectic_distance_css_correspondence():
@@ -503,6 +503,22 @@ def test_enlarged_concat_generator_count_and_columns():
         enlarged_concat(C1, gs4[:1], e16, D, Dp)
     with pytest.raises(DomainError):
         enlarged_concat(C1, np.array(gs4)[:, :3], e16, D, Dp)
+
+
+def test_enlarged_concat_rejects_g1_outside_the_field():
+    """g1 = I + 2 over GF(2) was accepted and used as its reduction mod 2,
+    I; its entries are not codes of the field, so it raises DomainError,
+    while g1 = I builds the [[8,2]] code."""
+    ext = Extension(F2, 2)
+    pts = [ext.alpha_pow(j) for j in range(3)] + [0]
+    D = self_dual_multiplier_grs(ext, pts, 2)
+    Dp = GrsCode(ext, pts, D.multipliers, 3)
+    C1 = LinearCode.full_space(F2, 2)
+    enl = enlarged_concat(C1, np.eye(2, dtype=np.int64), ext, D, Dp)
+    assert (enl.length, enl.logical_dims) == (8, 2)
+    for bad in (np.eye(2, dtype=np.int64) + 2, -np.eye(2, dtype=np.int64), np.eye(2) / 2):
+        with pytest.raises(DomainError, match="g1 entries"):
+            enlarged_concat(C1, bad, ext, D, Dp)
 
 
 @pytest.mark.parametrize("tower", [(4, 15, 9, 11), (5, 31, 18, 20), (6, 63, 36, 38)])

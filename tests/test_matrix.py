@@ -49,14 +49,14 @@ def test_nullspace_random_fields():
 def test_span_membership():
     f = Field(2)
     M = MatGF(f, [[1, 1, 0, 0], [0, 0, 1, 1]])
-    assert M.span_contains([1, 1, 1, 1])
-    assert not M.span_contains([1, 0, 0, 0])
+    assert M.span_contains_rows([[1, 1, 1, 1]])[0]
+    assert not M.span_contains_rows([[1, 0, 0, 0]])[0]
     mask = M.span_contains_rows(np.array([[1, 1, 0, 0], [1, 0, 1, 0]]))
     assert mask.tolist() == [True, False]
     # codes outside the field are rejected, not wrapped into the work dtype
     for bad in ([1, 1, 0, 256], [1, 1, 0, -1], [0, 0, 0, 2]):
         with pytest.raises(DomainError):
-            M.span_contains(bad)
+            M.span_contains_rows([bad])
     # so are rows of the wrong length, and batches that are not 2-D
     for bad in ([[1, 1, 0]], [[1, 1, 0, 0, 0]], [1, 1, 0, 0], [[[1, 1, 0, 0]]]):
         with pytest.raises(DomainError):
@@ -283,7 +283,7 @@ def test_reduce_rows_matches_reference(case, data):
             M = MatGF(f, A_in)
             got = M.span_contains_rows(X_in)
             assert got.dtype == bool and np.array_equal(got, want)
-            assert [M.span_contains(x) for x in X_in] == want.tolist()
+            assert [M.span_contains_rows(x[None, :])[0] for x in X_in] == want.tolist()
             # and differs from its row by a combination of the rows of A
             assert M.span_contains_rows(f.sub(X_in, resid)).all()
 

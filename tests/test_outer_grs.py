@@ -858,6 +858,23 @@ def test_array_built_grs_matches_per_point_reference(name):
         _same_arrays(self_dual_multiplier_grs(ext, pts, K), _per_point_grs(ext, pts, root, K))
 
 
+def test_grs_rejects_non_integer_points_and_multipliers():
+    """Points and multipliers follow the integer rule of matrix.check_codes:
+    1.5, 2.7, 3.2 once built a code on the points 1, 2, 3, and a multiplier
+    1.9 became 1; they, inf and NaN raise DomainError.  Integer-valued
+    floats are read as their integers."""
+    ext = _FIELDS["GF16"]
+    for points, v in (([1.5, 2.7, 3.2], [1, 1, 1]), ([1, 2, 3], [1, 1.9, 1]),
+                      ([1, 2, np.inf], [1, 1, 1]), ([1, 2, 3], [1, np.nan, 1])):
+        for wrap in (list, np.array):
+            with pytest.raises(DomainError, match="must be integers"):
+                GrsCode(ext, wrap(points), wrap(v), 2)
+    with pytest.raises(DomainError, match="must be integers"):
+        self_dual_multiplier_grs(ext, [1.5, 2.7, 3.2], 2)
+    D = GrsCode(ext, np.array([1.0, 2.0, 3.0]), [1.0, 2, 1], 2)
+    assert D.points.tolist() == [1, 2, 3] and D.multipliers.tolist() == [1, 2, 1]
+
+
 @pytest.mark.parametrize("as_array", [False, True], ids=["list", "ndarray"])
 def test_array_built_grs_keeps_exception_classes(as_array):
     """Repeated points, codes outside [0, Q) (negative or too large), a zero
