@@ -74,10 +74,12 @@ def _build_concat(cfg_path):
 # -- subcommands -------------------------------------------------------------
 
 def cmd_field(args, out):
+    # both specs are parsed before anything is printed: a bad --ext prints nothing
     f = _load(fileio.parse, args.spec, fileio.field_from_tokens)
+    ext = (_load(fileio.parse, args.ext, lambda toks: fileio.extension_from_tokens(f, toks))
+           if args.ext else None)
     print(f"field GF({f.q}) = GF({f.p}^{f.e}), modulus {list(f.modulus)}", file=out)
-    if args.ext:
-        ext = _load(fileio.parse, args.ext, lambda toks: fileio.extension_from_tokens(f, toks))
+    if ext:
         print(f"extension GF({ext.Q}) degree {ext.k}, primitive poly {list(ext.f)}",
               file=out)
         print("companion matrix:", file=out)

@@ -14,8 +14,7 @@ of C2.H (a basis of dual(C2)), then the first k rows of X independent modulo
 dual(C2) -- the chosen g1 -- and then the standard basis vectors that
 complete them to a basis of GF(q)^n.  Those n pivot columns are A^T for the
 invertible A = [C2.H; g1; completion], and the rref holds E A^T = I, so its
-last n columns are E = (A^-1)^T: the rows of E paired with g1 are g2, and
-the rows paired with the completion a basis of dual(C1).
+last n columns are E = (A^-1)^T: the rows of E paired with g1 are g2.
 
 Product certificate.  A pair is checked by one product, with no
 elimination, and :meth:`CssPair.build` runs no other: the containment
@@ -45,7 +44,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -196,8 +195,8 @@ def _pairing(pair):
 
 
 def _row_profile(C1: LinearCode, C2: LinearCode, g1=None):
-    """``(g1, g2, basis_c1_perp)`` from the rref of [C2.H^T | X^T | I_n],
-    X = ``g1`` or C1.G (see the module docstring).
+    """``(g1, g2)`` from the rref of [C2.H^T | X^T | I_n], X = ``g1`` or
+    C1.G (see the module docstring).
 
     Raises BadComplement if ``g1`` is not k x n, or if C2.H and the first
     rows of X independent modulo it are not n - k2 + k independent rows.
@@ -222,19 +221,18 @@ def _row_profile(C1: LinearCode, C2: LinearCode, g1=None):
     # independent modulo them
     if bisect.bisect_left(pivots, m + r) != m + k:
         raise BadComplement("g1 does not complement dual(C2) inside C1")
-    E = R[:, m + r:]
-    return X[[c - m for c in pivots[m:m + k]]], E[m:m + k].copy(), E[m + k:].copy()
+    return X[[c - m for c in pivots[m:m + k]]], R[m:m + k, m + r:].copy()
 
 
 @dataclass
 class CssPair:
-    """A CSS code pair with paired coset generators (see module docstring)."""
+    """A CSS code pair, kept as its codes and its paired coset generators
+    g1, g2 (see module docstring)."""
 
     C1: LinearCode
     C2: LinearCode
     g1: np.ndarray
     g2: np.ndarray
-    basis_c1_perp: np.ndarray = dc_field(repr=False, default=None)
 
     def __post_init__(self):
         self.g1 = as_codes(self.field, self.g1, "g1 entries")
@@ -377,7 +375,8 @@ class CosetLeaderTable:
     Leaders minimize plain Hamming weight; ties are broken by the
     lexicographically smallest coordinate vector, making the table
     deterministic.  All errors of weight below half the relevant quotient
-    distance are decoded correctly modulo the subcode.
+    distance are decoded correctly modulo the subcode.  The table keeps
+    ``leaders`` alone: row ``pack(s)`` is the leader of syndrome s.
     """
 
     def __init__(self, C: LinearCode, cap: int = TABLE_CAP):
@@ -389,7 +388,7 @@ class CosetLeaderTable:
         self.field = f
         self.n = n
         self.m = m
-        leaders = np.zeros((size, n), dtype=f.dtype)
+        self.leaders = leaders = np.zeros((size, n), dtype=f.dtype)
         weights = np.full(size, -1, dtype=np.int64)
         weights[0] = 0
         missing = size - 1  # syndromes without a leader yet
@@ -397,8 +396,6 @@ class CosetLeaderTable:
             if not missing:
                 break
             missing -= self._assign_weight(H, w, leaders, weights, cap)
-        self.leaders = leaders
-        self.weights = weights
 
     def _assign_weight(self, H, w, leaders, weights, cap):
         """Give every syndrome without a leader of lower weight its

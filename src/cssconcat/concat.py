@@ -149,7 +149,7 @@ from .errors import (
     TooLarge,
 )
 from .galois import Extension
-from .matrix import MatGF, check_codes
+from .matrix import MatGF, check_codes, chunk_rows
 from .outer_grs import GrsCode, certify_css_pair
 
 # The longest block length nN that verify_duality eliminates: with one BLAS
@@ -216,11 +216,15 @@ def _expand(table, M, out=None):
     into ``out`` (a row block of a C-ordered array) when it is given.
 
     The codes of ``M`` are in range, so ``np.take`` may clip instead of
-    checking, which keeps it from buffering ``out``.
+    checking, which keeps it from buffering ``out``.  It still casts the
+    codes to an int64 index, so it gathers ``chunk_rows(N)`` rows at a time.
     """
     if out is None:
         out = np.empty((M.shape[0], M.shape[1] * table.shape[1]), dtype=table.dtype)
-    np.take(table, M, axis=0, out=out.reshape(*M.shape, table.shape[1]), mode="clip")
+    blocks = out.reshape(*M.shape, table.shape[1])
+    step = chunk_rows(M.shape[1])
+    for lo in range(0, len(M), step):
+        np.take(table, M[lo:lo + step], axis=0, out=blocks[lo:lo + step], mode="clip")
     return out
 
 

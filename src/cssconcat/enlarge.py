@@ -5,7 +5,8 @@ the enlarged generator stacks two disjoint copies of C's generator U with a
 mixed block [V | M V], where V completes C to C' and M is a fixed-point-free
 matrix (no nonzero row vector is mapped to a scalar multiple of itself).  M
 acts on coefficient rows: the combination c of the mixed rows is
-[c V | (c M) V].
+[c V | (c M) V].  The code is kept as these factors, C, V and M: C' = C +
+span(V) and the stacked generator are built only when read.
 Fixed-point-freeness is what pushes the guaranteed symplectic distance up to
 
     min{ d, ceil((q+1) d' / q) },   d = w(C \\ dual C'),  d' = w(C' \\ dual C').
@@ -25,7 +26,7 @@ import numpy as np
 
 from .codes import (ENUM_CAP, CssPair, LinearCode, _row_profile, min_weight_excluding,
                     min_weight_outside, validate_css)
-from .concat import _concatenated_rows
+from .concat import _concatenated_rows, _expand, _scaled
 from .errors import (
     BadComplement,
     BadField,
@@ -87,14 +88,13 @@ def _verify_fixed_point_free(field, M) -> bool:
 @dataclass
 class EnlargedCode:
     """A symplectic code enlarging a dual-containing CSS-type code, kept as
-    its factors: C, Cprime, the completion V of C to Cprime and the
+    its factors: C, the completion V of C to C' = C + span(V) and the
     fixed-point-free M."""
 
     field: Field
     V: np.ndarray
     M: np.ndarray
     C: LinearCode
-    Cprime: LinearCode
     report: dict = dc_field(default_factory=dict)
 
     @property
@@ -112,7 +112,7 @@ class EnlargedCode:
 
     @property
     def logical_dims(self):
-        return self.C.dim + self.Cprime.dim - self.C.n
+        return 2 * self.C.dim + len(self.V) - self.C.n  # dim C + dim C' - n
 
     def __repr__(self):
         return f"EnlargedCode[[{self.length},{self.logical_dims}]] over GF({self.field.q})"
@@ -136,7 +136,7 @@ def steane_enlarge(C: LinearCode, Cprime: LinearCode) -> EnlargedCode:
     if extra < 2:
         raise PremiseViolation("enlargement needs dim Cprime >= dim C + 2")
     return EnlargedCode(field=f, V=_row_profile(Cprime, C.dual())[0],
-                        M=fixed_point_free_matrix(f, extra), C=C, Cprime=Cprime)
+                        M=fixed_point_free_matrix(f, extra), C=C)
 
 
 def symplectic_dual(field, G) -> np.ndarray:
@@ -246,7 +246,10 @@ def enlarged_concat(C1: LinearCode, g1, ext: Extension, D: GrsCode,
     is built from its factors, with no elimination nN columns wide.  Write
     T[x] = coords(x).g1 for the self-dual coordinates of x, T(D) for the
     expanded subfield rows alpha^l D.G[r] (row r k + l), C = T(D) +
-    dual(C1)^N and C' = T(Dprime) + dual(C1)^N.
+    dual(C1)^N and C' = T(Dprime) + dual(C1)^N.  Dprime shares D's points
+    and multipliers, so its first K rows are D.G, and C' = C + span(V) for
+    V = T(Dprime.G[K:]), its k(K' - K) other expanded rows.  C is built
+    from D.G, V from those rows, and C' not at all.
 
       - By (C) the coordinates are self-dual and by (B) g1 is orthonormal,
         so <T[x], T[y]> = Tr(xy): one map serves both sides of the pairing.
@@ -256,11 +259,9 @@ def enlarged_concat(C1: LinearCode, g1, ext: Extension, D: GrsCode,
         C <= C' as D <= Dprime.
       - D.G and Dprime.G have full rank (distinct points, nonzero
         multipliers), and so has [C1.H; g1] by (B) when C1.H has n - k1
-        rows.  So dim C = kK + N(n - k1) and dim C' = kK' + N(n - k1).
-      - Dprime shares D's points and multipliers, so its first K rows are
-        D.G.  In the rows of C', the first kK are the generator of C and
-        rows kK..kK'-1 complete C to C': they are V, the rows the row
-        profile of (C', dual C) picks in :func:`steane_enlarge`.
+        rows.  So dim C = kK + N(n - k1) and dim C' = kK' + N(n - k1): the
+        rows of V are independent modulo C, the rows the row profile of
+        (C', dual C) picks in :func:`steane_enlarge`.
     """
     f = C1.field
     try:
@@ -288,16 +289,14 @@ def enlarged_concat(C1: LinearCode, g1, ext: Extension, D: GrsCode,
         raise ConditionViolation("(B) outer codes do not nest")
     if len(C1.H) != C1.n - C1.dim:  # a repeated row: the N copies of C1.H are dependent
         raise RankDeficient("generator matrix is not full rank")
-    lo, hi = k * D.K, k * Dprime.K
-    if hi - lo < 2:
+    if k * (Dprime.K - D.K) < 2:
         raise ConditionViolation("(B) tower gap below 2 after expansion")
     # expansion table: symbol -> self-dual coordinates contracted with g1; the
     # coordinates of x in a self-dual basis b are Tr(x b_i) = dual_table[x].coords(b_i)
     T = f.matmul(f.matmul(ext.dual_table, ext.coords(sdb).T), g1)
-    rows = _concatenated_rows(ext, T, Dprime.G, C1.H)
-    enl = EnlargedCode(field=f, V=rows[lo:hi], M=fixed_point_free_matrix(f, hi - lo),
-                       C=LinearCode._full_rank(f, np.concatenate([rows[:lo], rows[hi:]])),
-                       Cprime=LinearCode._full_rank(f, rows))
+    V = _expand(T, _scaled(ext, Dprime.G[D.K:], ext.power_basis()))
+    enl = EnlargedCode(field=f, V=V, M=fixed_point_free_matrix(f, len(V)),
+                       C=LinearCode._full_rank(f, _concatenated_rows(ext, T, D.G, C1.H)))
     # distance floors: inner quotient distance times outer code distances
     d1 = min_weight_excluding(C1, C1.dual(), cap)
     d_floor = d1 * (D.N - D.K + 1)

@@ -128,16 +128,16 @@ def _distinct_codes(ext, a):
 def _checked_points(ext, points):
     """The points as a 1-D int64 array by :func:`matrix.as_int64` (a
     non-integer raises DomainError), checked distinct (DuplicatePoint), then
-    codes of the field (DomainError).
+    codes of the field by :func:`matrix.check_codes` (DomainError).
 
     Codes of the field are checked distinct by :func:`_distinct_codes`;
-    with a point out of range, which raises anyway, by a set.
+    otherwise, with a point out of range, which raises anyway, by a set.
     """
     a = as_int64(points, ext.Q, "points").reshape(-1)
     if not _distinct_codes(ext, a):
-        if ((a >= 0) & (a < ext.Q)).all() or len(set(a.tolist())) != a.size:
+        if len(set(a.tolist())) != a.size:
             raise DuplicatePoint("evaluation points must be distinct")
-        raise DomainError("points and multipliers must be codes of the field")
+        check_codes(a, ext.Q, "points")  # distinct, so a point is out of range
     return a
 
 
@@ -209,8 +209,7 @@ class GrsCode:
         multipliers = as_int64(multipliers, ext.Q, "multipliers").reshape(-1)
         if multipliers.size != points.size:
             raise DomainError("need one multiplier per point")
-        if ((multipliers < 0) | (multipliers >= ext.Q)).any():
-            raise DomainError("points and multipliers must be codes of the field")
+        check_codes(multipliers, ext.Q, "multipliers")
         if not multipliers.all():
             raise ZeroMultiplier("column multipliers must be nonzero")
         self._build(ext, points, multipliers, K, _log_difference_products(ext, points))

@@ -81,12 +81,10 @@ def symplectic_min_distance(f, G):
 
 
 def coset_generators(C1, C2, g1):
-    """``(g2, basis_c1_perp)`` for a ``g1`` spanning a complement of dual(C2)
-    inside C1, read off :func:`codes._row_profile`: g2 pairs with g1 and the
-    rows of ``basis_c1_perp`` span dual(C1).  Raises BadComplement if ``g1``
-    is not k x n or [C2.H; g1] is rank deficient."""
-    _, g2, basis_c1_perp = _row_profile(C1, C2, g1)
-    return g2, basis_c1_perp
+    """g2 for a ``g1`` spanning a complement of dual(C2) inside C1, read off
+    :func:`codes._row_profile`: g2 pairs with g1.  Raises BadComplement if
+    ``g1`` is not k x n or [C2.H; g1] is rank deficient."""
+    return _row_profile(C1, C2, g1)[1]
 
 
 def merge_sort_leader_table(C, cap):
@@ -297,18 +295,18 @@ def expand_rows(C1, g1, ext, Grows):
 
 
 def enlarged_concat(C1, g1, ext, D, Dprime, cap=ENUM_CAP):
-    """``enlarge.enlarged_concat`` on a valid tower by elimination: both
-    expanded codes rank-checked nN columns wide, then
+    """``(enl, C')``: ``enlarge.enlarged_concat`` on a valid tower by
+    elimination, both expanded codes rank-checked nN columns wide, then
     ``enlarge.steane_enlarge``, which proves dual(C) <= C <= C' again and
-    finds the completion V by a row profile."""
+    finds the completion V by a row profile; and the code C'."""
     f = C1.field
-    enl = steane_enlarge(LinearCode(f, expand_rows(C1, g1, ext, D.G)),
-                         LinearCode(f, expand_rows(C1, g1, ext, Dprime.G)))
+    Cprime = LinearCode(f, expand_rows(C1, g1, ext, Dprime.G))
+    enl = steane_enlarge(LinearCode(f, expand_rows(C1, g1, ext, D.G)), Cprime)
     d1 = min_weight_excluding(C1, C1.dual(), cap)
     d_floor, dprime_floor = d1 * (D.N - D.K + 1), d1 * (Dprime.N - Dprime.K + 1)
     enl.report = {"d_floor": d_floor, "dprime_floor": dprime_floor,
                   "guaranteed": enlargement_distance_floor(d_floor, dprime_floor, f.q)}
-    return enl
+    return enl, Cprime
 
 
 # the reason codes of bd_decode_batch, indices into MESSAGES

@@ -135,6 +135,16 @@ def test_cli_field_trailing_tokens_exit_2(capsys):
         assert capsys.readouterr().err == f"error: unexpected token '{token}' after the data\n"
 
 
+def test_cli_field_bad_extension_prints_nothing(capsys):
+    """Both specs are read before the field line is printed: a malformed
+    extension (exit 2) and one past the order cap (exit 4) leave stdout
+    empty, where the field line was printed before the error."""
+    too_large = " ".join(map(str, [14, 1, 1, 0, 1, 0, 1] + [0] * 8 + [1]))
+    for ext, want in (("3 1 1 0 1 5", EXIT_PARSE), (too_large, EXIT_TOO_LARGE)):
+        assert run_cli(["field", "--spec", "2 1 0 1", "--ext", ext]) == (want, "")
+        assert capsys.readouterr().out == ""
+
+
 def test_cli_field_past_the_order_cap(capsys):
     """An extension of order 16384 (x^14 + x^5 + x^3 + x + 1 over GF(2))
     fails when it is built: exit 4 and a one-line error, no traceback."""

@@ -367,6 +367,29 @@ def test_concatenate_retains_no_generator():
     assert "L1" in vars(cp) and vars(cp)["L1"] is cp.L1
 
 
+@pytest.mark.parametrize("name", ["90_28", "480_160_gf3"])
+def test_expansion_in_row_chunks_matches_one_chunk(monkeypatch, name):
+    """_expand gathers chunk_rows(N) rows at a time, and a desk instance is
+    one chunk: with budgets of one and three rows a chunk, both structured
+    checks and the rows of L1 and L2 equal the one-chunk arrays in shape,
+    dtype and entries."""
+    cp = concatenate(*_inputs(name))
+    N, k = cp.N, cp.inner.k
+
+    def build():
+        rows = [concat._concatenated_rows(cp.ext, this.PI, D.G, other.code.H)
+                for D, (this, other) in zip(cp.outer, (cp.sides, cp.sides[::-1]))]
+        return [cp.parity_check(1), cp.parity_check(2)] + rows
+
+    assert k * max(cp.D1.K, cp.D2.K, N - cp.D1.K, N - cp.D2.K) <= chunk_rows(N)
+    whole = build()
+    for budget in (1, 3):
+        monkeypatch.setattr(matrix, "_CHUNK_BYTES", 8 * N * budget)
+        assert chunk_rows(N) == budget
+        for got, want in zip(build(), whole):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
 # -- the certified set-up against the generic, elimination-based path ----------
 
 def _inputs(name):

@@ -426,24 +426,37 @@ def _distance2_tower(n, N, K, Kp):
     return *inputs, enlarged_concat(*inputs)
 
 
+def _cprime(enl):
+    """C' = C + span(V), which the enlarged code keeps as its factors."""
+    return LinearCode(enl.field, np.concatenate([enl.C.G, enl.V]))
+
+
 @pytest.mark.parametrize("tower", [(4, 5, 3, 5), (4, 15, 9, 11)])
 def test_expansion_matches_expand_rows(tower):
+    """C.G is the expansion of D.G, and V put after its first k K rows
+    gives the expansion of Dprime.G: V is the k (K' - K) rows of Dprime.G
+    past D.G, expanded."""
     C1, g1, ext, D, Dp, enl = _distance2_tower(*tower)
     assert np.array_equal(enl.C.G, references.expand_rows(C1, g1, ext, D.G))
-    assert np.array_equal(enl.Cprime.G, references.expand_rows(C1, g1, ext, Dp.G))
+    lo = ext.k * D.K
+    assert np.array_equal(np.concatenate([enl.C.G[:lo], enl.V, enl.C.G[lo:]]),
+                          references.expand_rows(C1, g1, ext, Dp.G))
 
 
 @pytest.mark.parametrize("tower", [(4, 15, 9, 11), (6, 63, 36, 38), (6, 127, 70, 72)])
 def test_enlarged_concat_matches_eliminating_reference(tower):
     """The code built from its certified factors against the eliminating
     build, [[60,10]], [[378,44]] and [[762,60]]: the same generator entry by
-    entry, the same dimensions and the same report."""
+    entry, the same dimensions, C + span(V) the reference's C' and the same
+    report."""
     C1, g1, ext, D, Dp, enl = _distance2_tower(*tower)
-    ref = references.enlarged_concat(C1, g1, ext, D, Dp)
+    ref, ref_cprime = references.enlarged_concat(C1, g1, ext, D, Dp)
     assert np.array_equal(enl.G, ref.G)
     assert np.array_equal(enl.V, ref.V) and np.array_equal(enl.M, ref.M)
-    assert ((enl.length, enl.logical_dims, enl.C.dim, enl.Cprime.dim)
-            == (ref.length, ref.logical_dims, ref.C.dim, ref.Cprime.dim))
+    Cp = _cprime(enl)
+    assert ((enl.length, enl.logical_dims, enl.C.dim, Cp.dim)
+            == (ref.length, ref.logical_dims, ref.C.dim, ref_cprime.dim))
+    assert Cp.is_subcode(ref_cprime) and ref_cprime.is_subcode(Cp)
     assert enl.report == ref.report
 
 
@@ -525,7 +538,7 @@ def test_enlarged_concat_rejects_g1_outside_the_field():
 def test_steane_enlarge_elimination_count(tower, monkeypatch):
     """The completion is one row profile, whatever the length."""
     enl = _distance2_tower(*tower)[-1]
-    C, Cp = LinearCode(F4, enl.C.G), LinearCode(F4, enl.Cprime.G)
+    C, Cp = LinearCode(F4, enl.C.G), _cprime(enl)
     calls = []
     for kind, rref in list(matrix._RREF.items()):
         def spy(*args, _rref=rref):
